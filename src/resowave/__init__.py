@@ -41,7 +41,7 @@ from .frequency import (
     max_admissible_n,
     scan_frequencies,
 )
-from .psolve import PSolveReport, apply_L_inv, solve_P, solve_P_linearized
+from .psolve import PSolveReport, apply_L_inv, solve_P
 from .reduced import g_recipe, phi, grad_phi, G_eval, U_eval, linv_qform
 from .linv_forms import (
     BiperiodicMap,

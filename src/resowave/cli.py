@@ -64,7 +64,7 @@ def _validate(doc, schema, command):
     if unknown:
         raise ConfigError(f"unknown {command} config keys: {unknown}")
     out = {}
-    for key, (types, required, default) in schema.items():
+    for key, (types, required, default, check) in schema.items():
         if key in doc:
             val = doc[key]
             if types is not None and not isinstance(val, types):
@@ -73,6 +73,8 @@ def _validate(doc, schema, command):
                 types if isinstance(types, tuple) else (types,)
             ):
                 raise ConfigError(f"config key {key!r} has the wrong type")
+            if check is not None and not check[0](val):
+                raise ConfigError(f"config key {key!r} must be {check[1]}, got {val!r}")
             out[key] = val
         elif required:
             raise ConfigError(f"missing required config key {key!r}")
@@ -83,45 +85,51 @@ def _validate(doc, schema, command):
 
 _NUM = (int, float)
 
+# range checks (predicate, description): counts are at least 1, tolerances
+# and constants strictly positive
+_COUNT = (lambda v: v >= 1, ">= 1")
+_POSITIVE = (lambda v: v > 0, "> 0")
+_SIDE = (lambda v: v in (-1, 1), "-1 or +1")
+
 SOLVE_SCHEMA = {
-    "coeffs": ((str, list, dict), True, None),
-    "omega": (_NUM, False, None),
-    "eps": (_NUM, False, None),
-    "n": (int, False, None),
-    "n_max": (int, False, None),
-    "side": (int, False, None),
-    "lmax": (int, False, 48),
-    "lt": (int, False, None),
-    "lx": (int, False, None),
-    "dim": (int, False, 8),
-    "restarts": (int, False, 16),
-    "seed": (int, False, 0),
-    "C": (_NUM, False, 0.05),
-    "gtol": (_NUM, False, 1e-12),
-    "residual_tol": (_NUM, False, 1e-8),
-    "force": (bool, False, False),
-    "output": (str, False, None),
+    "coeffs": ((str, list, dict), True, None, None),
+    "omega": (_NUM, False, None, None),
+    "eps": (_NUM, False, None, None),
+    "n": (int, False, None, _COUNT),
+    "n_max": (int, False, None, _COUNT),
+    "side": (int, False, None, _SIDE),
+    "lmax": (int, False, 48, _COUNT),
+    "lt": (int, False, None, _COUNT),
+    "lx": (int, False, None, _COUNT),
+    "dim": (int, False, 8, _COUNT),
+    "restarts": (int, False, 16, _COUNT),
+    "seed": (int, False, 0, None),
+    "C": (_NUM, False, 0.05, _POSITIVE),
+    "gtol": (_NUM, False, 1e-12, _POSITIVE),
+    "residual_tol": (_NUM, False, 1e-8, _POSITIVE),
+    "force": (bool, False, False, None),
+    "output": (str, False, None, None),
 }
 
 SCAN_SCHEMA = {
-    "coeffs": ((str, list, dict), True, None),
-    "omega_range": (list, True, None),
-    "lmax": (int, False, 32),
-    "n_max": (int, False, 6),
-    "C": (_NUM, False, 0.05),
-    "solve": (bool, False, False),
-    "dim": (int, False, 4),
-    "restarts": (int, False, 4),
-    "seed": (int, False, 0),
-    "gtol": (_NUM, False, 1e-12),
-    "residual_tol": (_NUM, False, 1e-8),
-    "output": (str, False, None),
+    "coeffs": ((str, list, dict), True, None, None),
+    "omega_range": (list, True, None, None),
+    "lmax": (int, False, 32, _COUNT),
+    "n_max": (int, False, 6, _COUNT),
+    "C": (_NUM, False, 0.05, _POSITIVE),
+    "solve": (bool, False, False, None),
+    "dim": (int, False, 4, _COUNT),
+    "restarts": (int, False, 4, _COUNT),
+    "seed": (int, False, 0, None),
+    "gtol": (_NUM, False, 1e-12, _POSITIVE),
+    "residual_tol": (_NUM, False, 1e-8, _POSITIVE),
+    "output": (str, False, None, None),
 }
 
 EVOLVE_SCHEMA = {
-    "steps_per_period": (int, False, 4096),
-    "mode_factor": (int, False, 4),
-    "min_modes": (int, False, 32),
+    "steps_per_period": (int, False, 4096, _COUNT),
+    "mode_factor": (int, False, 4, _COUNT),
+    "min_modes": (int, False, 32, _COUNT),
 }
 
 
@@ -360,7 +368,7 @@ def cmd_evolve(args):
     overrides = (
         _validate(_load_config(args.config), EVOLVE_SCHEMA, "evolve")
         if args.config is not None
-        else {k: d for k, (_, _, d) in EVOLVE_SCHEMA.items()}
+        else {k: d for k, (_, _, d, _) in EVOLVE_SCHEMA.items()}
     )
     config = evolve.EvolutionConfig(
         steps_per_period=overrides["steps_per_period"],

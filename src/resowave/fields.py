@@ -42,6 +42,7 @@ __all__ = [
     "zero_diagonal",
     "apply_nonlinearity",
     "integrate_poly",
+    "multiply_poly_matrix",
     "temporal_weights",
 ]
 
@@ -87,15 +88,6 @@ class SpectralField:
         out = np.zeros((lt + 1, lx))
         out[: self.lt + 1, : self.lx] = self.coeffs
         return out
-
-    def trimmed(self):
-        """Drop all-zero trailing rows/columns (keeps at least shape (2, 1))."""
-        c = self.coeffs
-        rows = np.flatnonzero(np.any(c != 0.0, axis=1))
-        cols = np.flatnonzero(np.any(c != 0.0, axis=0))
-        lt = max(1, rows.max() if rows.size else 1)
-        lx = max(1, cols.max() + 1 if cols.size else 1)
-        return SpectralField(c[: lt + 1, :lx])
 
     def __add__(self, other):
         lt = max(self.lt, other.lt)
@@ -338,13 +330,19 @@ def _torus_cos_sin(u, poly, d_t, d_x):
     mx = max(d_x, u.lx, 1) + 1                # interior node count, torus 2mx+2
     vals = _torus_x_values(u, nt, mx)
     w = np.polynomial.polynomial.polyval(vals, np.asarray(poly, dtype=float))
+    return _cos_sin_coeffs(w, d_t, d_x)
+
+
+def _cos_sin_coeffs(vals, d_t, d_x):
+    """Torus samples -> cos/sin coefficients A, B, rows 0..d_t, columns 0..d_x."""
     # time direction: even in t, cosine rows are the real part of the rfft
-    spec_t = sfft.rfft(w, axis=0)
-    rows = np.empty((d_t + 1, w.shape[1]))
+    nt = vals.shape[0]
+    spec_t = sfft.rfft(vals, axis=0)
+    rows = np.empty((d_t + 1, vals.shape[1]))
     rows[0] = spec_t[0].real / nt
     rows[1:] = 2.0 * spec_t[1 : d_t + 1].real / nt
     # space direction: full complex FFT over the 2pi torus
-    ncol = w.shape[1]
+    ncol = vals.shape[1]
     spec_x = sfft.fft(rows, axis=1) / ncol
     A = np.empty((d_t + 1, d_x + 1))
     B = np.zeros((d_t + 1, d_x + 1))
@@ -388,6 +386,11 @@ def apply_nonlinearity(u, poly, out_lt=None, out_lx=None):
     if out_lx is None:
         out_lx = d_x
     A, B = _torus_cos_sin(u, poly, d_t, max(d_x, out_lx))
+    return _sine_projection(A, B, d_t, out_lt, out_lx)
+
+
+def _sine_projection(A, B, d_t, out_lt, out_lx):
+    """Exact sine-basis field up to (out_lt, out_lx) from torus coefficients."""
     K = _half_projection_matrix(A.shape[1] - 1, out_lx)
     b = B[:, 1 : out_lx + 1] + A @ K
     coeffs = np.zeros((max(out_lt, 1) + 1, out_lx))
@@ -432,48 +435,6 @@ def integrate_x_poly(a, poly):
     return float(val)
 
 
-def _project_torus_values(vals, d_t, out_lt, out_lx):
-    """Torus samples -> exact sine-basis field, shared tail of the product paths."""
-    nt = vals.shape[0]
-    spec_t = sfft.rfft(vals, axis=0)
-    rows = np.empty((d_t + 1, vals.shape[1]))
-    rows[0] = spec_t[0].real / nt
-    rows[1:] = 2.0 * spec_t[1 : d_t + 1].real / nt
-    ncol = vals.shape[1]
-    dA = ncol // 2 - 1
-    spec_x = sfft.fft(rows, axis=1) / ncol
-    A = np.empty((d_t + 1, dA + 1))
-    B = np.zeros((d_t + 1, dA + 1))
-    A[:, 0] = spec_x[:, 0].real
-    A[:, 1:] = 2.0 * spec_x[:, 1 : dA + 1].real
-    B[:, 1:] = -2.0 * spec_x[:, 1 : dA + 1].imag
-    K = _half_projection_matrix(dA, out_lx)
-    b = B[:, 1 : out_lx + 1] + A @ K
-    coeffs = np.zeros((max(out_lt, 1) + 1, out_lx))
-    keep = min(out_lt, d_t) + 1
-    coeffs[:keep] = b[:keep]
-    return SpectralField(coeffs)
-
-
-def multiply_project(u, v, out_lt=None, out_lx=None):
-    """Exact sine-basis coefficients of the pointwise product u * v.
-
-    Same exactness contract as apply_nonlinearity: the product is sampled on a
-    dealiased torus grid, and the returned coefficients are the true L2
-    projections up to the requested truncation.
-    """
-    d_t = u.lt + v.lt
-    d_x = u.lx + v.lx
-    if out_lt is None:
-        out_lt = d_t
-    if out_lx is None:
-        out_lx = d_x
-    nt = _next_pow2(2 * max(d_t, 1) + 1)
-    mx = max(d_x, out_lx, 1) + 1
-    vals = _torus_x_values(u, nt, mx) * _torus_x_values(v, nt, mx)
-    return _project_torus_values(vals, d_t, out_lt, out_lx)
-
-
 def multiply_poly_project(u, poly, z, out_lt=None, out_lx=None):
     """Exact projection of poly(u) * z without truncating poly(u) first.
 
@@ -493,4 +454,48 @@ def multiply_poly_project(u, poly, z, out_lt=None, out_lx=None):
     vals_u = _torus_x_values(u, nt, mx)
     vals = np.polynomial.polynomial.polyval(vals_u, np.asarray(poly, dtype=float))
     vals *= _torus_x_values(z, nt, mx)
-    return _project_torus_values(vals, d_t, out_lt, out_lx)
+    A, B = _cos_sin_coeffs(vals, d_t, mx)
+    return _sine_projection(A, B, d_t, out_lt, out_lx)
+
+
+def multiply_poly_matrix(u, poly, lt, lx, n=1):
+    """Dense matrix of z -> P_{lt,lx}[poly(u) z] on the temporal sublattice nZ.
+
+    Rows and columns index the entries (l, j) of the (lt+1, lx) truncation with
+    l = 0, n, 2n, ... <= lt, flattened as (l/n) lx + j - 1; column by column
+    this is the exact projection multiply_poly_project computes.  Writing
+    poly(u) = sum_r cos(r t) sum_mu [A cos(mu x) + B sin(mu x)] and halving
+    every index above zero (A^_0 = A_0, A^_r = A_r/2), the time direction
+    couples l, l' through A^_{|l-l'|} + A^_{l+l'} (the second term only for
+    l >= 1), and the cosine part in x through A^_{|j-j'|} - A^_{j+j'}.  The
+    sine part turns sin(j' x) into cosine content, projected with
+    _half_projection_matrix; it vanishes unless poly has an odd-degree term,
+    because u is odd in x.  The matrix is returned in Fortran order so that
+    an LU factorization can overwrite it without a copy.
+    """
+    poly = np.asarray(poly, dtype=float)
+    r = _poly_degree(poly)
+    # resolve the full degree of poly(u), not only the rows and columns used,
+    # so that no higher harmonic aliases onto them
+    d_x = max(2 * lx, r * u.lx)
+    A, B = _torus_cos_sin(u, poly, max(2 * lt, r * u.lt), d_x)
+    m = lt // n + 1
+    rows = n * np.arange(2 * m - 1)       # every |l - l'| and l + l' on nZ
+    half_t = np.where(rows == 0, 1.0, 0.5)[:, None]
+    Ah = A[rows] * half_t
+    Ah[:, 1:] *= 0.5
+    j = np.arange(1, lx + 1)
+    diff = np.abs(j[:, None] - j[None, :])
+    X = Ah[:, diff] - Ah[:, j[:, None] + j[None, :]]     # X[k, j-1, j'-1]
+    if np.any(poly[1::2] != 0.0):
+        K = _half_projection_matrix(d_x + lx, lx)
+        mu = np.arange(d_x + 1)[:, None]
+        Kd = 0.5 * (K[np.abs(mu - j[None, :])] - K[mu + j[None, :]])  # [mu, j'-1, j-1]
+        Y = (B[rows] * half_t) @ Kd.reshape(d_x + 1, lx * lx)
+        X += Y.reshape(-1, lx, lx).transpose(0, 2, 1)
+    out = np.empty((m * lx, m * lx), order="F")
+    for a in range(m):
+        for b in range(m):
+            blk = X[abs(a - b)] + X[a + b] if a else X[b]
+            out[a * lx : (a + 1) * lx, b * lx : (b + 1) * lx] = blk
+    return out

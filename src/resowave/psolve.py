@@ -14,7 +14,6 @@ period 2pi/n (support on indices divisible by n) the iteration preserves that
 subspace exactly: off-support temporal rows are pinned to exact zeros.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -23,7 +22,7 @@ import numpy as np
 from . import fields, kernel
 from .errors import ConvergenceError, ResonanceError, ResowaveError
 
-__all__ = ["PSolveReport", "apply_L_inv", "solve_P", "solve_P_linearized"]
+__all__ = ["PSolveReport", "apply_L_inv", "solve_P"]
 
 DOMAIN_RHO = 0.1
 RESONANCE_TOL = 1e-10
@@ -72,18 +71,11 @@ def apply_L_inv(w, omega, out_lt=None, out_lx=None):
     return fields.SpectralField(out)
 
 
-def _mask_temporal(field_arr, n):
-    if n > 1:
-        rows = np.arange(field_arr.shape[0])
-        field_arr[rows % n != 0] = 0.0
-    return field_arr
-
-
 def _masked_rhs(u, f, lt, lx, n):
     rhs = fields.apply_nonlinearity(u, f.poly, out_lt=lt, out_lx=lx)
     if n > 1:
         arr = rhs.coeffs.copy()
-        _mask_temporal(arr, n)
+        arr[np.arange(arr.shape[0]) % n != 0] = 0.0
         rhs = fields.SpectralField(arr)
     return rhs
 
@@ -172,43 +164,3 @@ def solve_P(v, ctx, f, tol=1e-12, max_iter=200, lt=None, lx=None, rho=DOMAIN_RHO
         f"(last update {updates[-1]:.3e}, ratio {ratio:.3g})",
         trace=updates,
     )
-
-
-def solve_P_linearized(v, w, h, ctx, f, tol=1e-12, max_iter=200):
-    """Directional derivative dw of the range solution along the kernel direction h.
-
-    Solves the linear fixed point dw = L^-1 P_W [f'(u)(h + dw)] at u = v + w,
-    on w's truncation.  Used matrix-free by the Newton refinement.
-    """
-    lt, lx = w.lt, w.lx
-    u = kernel.embed(v) + w
-    h_field = kernel.embed(h) if isinstance(h, kernel.KernelVector) else h
-    try:
-        n_u = kernel.minimal_time_period_index(v)
-    except ResowaveError:
-        n_u = 1
-    try:
-        n_h = kernel.minimal_time_period_index(kernel.project_V(h_field))
-    except ResowaveError:
-        n_h = n_u
-    n = math.gcd(n_u, n_h)
-
-    # f'(u) stays un-truncated: the product f'(u)(h + dw) is sampled and
-    # projected in one pass, so each sweep is exact on the truncation.
-    dw = fields.zeros(lt, lx)
-    last = np.inf
-    for it in range(1, max_iter + 1):
-        prod = fields.multiply_poly_project(u, f.fprime, h_field + dw, out_lt=lt, out_lx=lx)
-        if n > 1:
-            arr = prod.coeffs.copy()
-            _mask_temporal(arr, n)
-            prod = fields.SpectralField(arr)
-        dw_next = apply_L_inv(prod, ctx.omega, lt, lx)
-        upd = fields.norms(dw_next - dw, ctx.omega).omega
-        dw = dw_next
-        if upd <= tol * max(1.0, fields.norms(dw, ctx.omega).omega):
-            return dw
-        if it > 6 and upd > 4.0 * last and upd > 1.0:
-            raise ConvergenceError("linearized range iteration diverging")
-        last = upd
-    raise ConvergenceError(f"linearized range iteration: no convergence in {max_iter} steps")

@@ -8,8 +8,9 @@ The pipeline per dilation level n:
   2. turn the maximum m and mu = |eps| n^2 into the amplitude t* and the
      predicted critical level of the reduced functional;
   3. refine the dilated initial guess t* L_n y* to a true critical point of
-     Phi_eps with a damped Newton method, Krylov-solving each step with
-     matrix-free directional derivatives through the range equation;
+     Phi_eps with a damped Newton method; each step assembles the Galerkin
+     Jacobian (multiplication by f'(u) on the dilation sublattice, with the
+     linearized range equation eliminated by one LU) and solves it densely;
   4. assemble the full solution u = v + w(v) with its certificates (Galerkin
      residual, energy drift across probe times, norms, minimal period).
 """
@@ -18,10 +19,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.linalg import lu_factor, lu_solve
 
 from . import fields, frequency, kernel, psolve, reduced
-from .errors import ConvergenceError, ResowaveError
+from .errors import ConvergenceError, ResonanceError, ResowaveError
 
 __all__ = [
     "SearchDiagnostics",
@@ -67,6 +68,8 @@ class NewtonReport:
     converged: bool
     grad_norm: float
     step_norms: list = field(default_factory=list)
+    # always 0 since each step is one dense solve; kept because the
+    # benchmark tracer (perfbench/tracer.py) reads it
     krylov_fails: int = 0
     damped: int = 0
 
@@ -187,6 +190,8 @@ def maximize_U(recipe, dim, seed=0, restarts=16, max_iter=400, tol=1e-13):
     Raises when the best value is not positive: the branch does not exist on
     the requested side.
     """
+    if restarts < 1:
+        raise ResowaveError(f"maximize_U needs at least one restart, got {restarts}")
     D = _h1_metric(dim)
     rng = np.random.default_rng(seed)
     best = None
@@ -337,6 +342,51 @@ def _grad_on_slots(v, ctx, f, w, slots):
     return g[slots]
 
 
+def _slot_jacobian(u, ctx, f, n, slots, lt, lx):
+    """Jacobian of the slot gradient with the range equation linearized exactly.
+
+    With M the matrix of z -> P[f'(u) z] on the sublattice entries of the
+    (lt, lx) truncation, E the kernel slots among them and L^-1 P_W the
+    division of every other entry by omega^2 l^2 - j^2,
+
+        J = eps pi^2 diag(j^2)
+            - (pi^2/2) (M_EE + M_E. (I - L^-1 P_W M)^-1 L^-1 P_W M_.E).
+
+    Slots beyond the temporal truncation keep only the eps term.  A range
+    entry whose row of M is nonzero and whose denominator vanishes raises
+    ResonanceError, naming the mode, as apply_L_inv does.
+    """
+    M = fields.multiply_poly_matrix(u, f.fprime, lt, lx, n=n)
+    den = psolve._denominators(lt, lx, ctx.omega)[::n].ravel()
+    size = den.size
+    j_slots = slots + 1
+    inside = j_slots <= lt
+    E = (j_slots[inside] // n) * lx + slots[inside]
+    range_entry = np.ones(size, dtype=bool)
+    range_entry[E] = False
+    small = range_entry & (np.abs(den) < psolve.RESONANCE_TOL)
+    bad = np.flatnonzero(small)
+    present = bad[np.any(M[bad] != 0.0, axis=1)]
+    if present.size:
+        a, jm = divmod(int(present[0]), lx)
+        raise ResonanceError(n * a, jm + 1, den[present[0]])
+    lam = np.zeros(size)
+    safe = range_entry & ~small
+    lam[safe] = 1.0 / den[safe]
+    M_E_rows = M[E]
+    rhs = lam[:, None] * M[:, E]
+    # I - L^-1 P_W M, overwriting M; kernel rows are identity rows, so the
+    # solution vanishes there and M_E. dw only sees the range entries
+    M *= -lam[:, None]
+    diag = np.arange(size)
+    M[diag, diag] += 1.0
+    dw = lu_solve(lu_factor(M, overwrite_a=True, check_finite=False), rhs,
+                  check_finite=False)
+    J = np.diag(ctx.eps * np.pi**2 * j_slots.astype(float) ** 2)
+    J[np.ix_(inside, inside)] -= 0.5 * np.pi**2 * (M_E_rows[:, E] + M_E_rows @ dw)
+    return J
+
+
 def refine(v0, ctx, f, max_iter=40, gtol=1e-12, rho=0.1, psolve_tol=1e-13,
            lt=None, lx=None):
     """Damped Newton for grad Phi = 0 starting from the dilated guess.
@@ -346,11 +396,12 @@ def refine(v0, ctx, f, max_iter=40, gtol=1e-12, rho=0.1, psolve_tol=1e-13,
     in-truncation kernel equation is left unsolved and the Galerkin residual
     of the result is limited only by the range-equation tolerance.
 
-    The Jacobian is applied matrix-free: each product linearizes the range
-    equation in the direction of the kernel perturbation.  Steps are solved
-    with GMRES and damped on the gradient norm; when the iterates leave the
-    contraction domain (|v|_omega^(p-1)/gamma beyond 10 rho) the refinement
-    aborts rather than report a spurious solution.
+    Each step assembles the Galerkin Jacobian of the slot gradient once
+    (_slot_jacobian: the multiplication-by-f'(u) matrix on the sublattice,
+    with the linearized range equation eliminated by one LU) and takes the
+    step from one dense solve.  Steps are damped on the gradient norm; when
+    the iterates leave the contraction domain (|v|_omega^(p-1)/gamma beyond
+    10 rho) the refinement aborts rather than report a spurious solution.
     """
     n = kernel.minimal_time_period_index(v0)
     if lt is None:
@@ -361,7 +412,6 @@ def refine(v0, ctx, f, max_iter=40, gtol=1e-12, rho=0.1, psolve_tol=1e-13,
     if total < len(v0):
         raise ResowaveError("refinement truncation smaller than the guess")
     slots = _support_slots(n, total)
-    j_slots = (slots + 1).astype(float)
     xi_full = np.zeros(total)
     xi_full[: len(v0)] = v0.xi
     xi_s = xi_full[slots]
@@ -390,36 +440,11 @@ def refine(v0, ctx, f, max_iter=40, gtol=1e-12, rho=0.1, psolve_tol=1e-13,
                 trace=tuple(trace),
             )
 
-        u = kernel.embed(v) + w
-        lt_lin = w.lt
-        lx_lin = w.lx
-
-        def jvp(h_slots):
-            h = _embed_slots(np.asarray(h_slots, dtype=float), slots, total)
-            dw = psolve.solve_P_linearized(v, w, h, ctx, f)
-            z = kernel.embed(h) + dw
-            prod = fields.multiply_poly_project(
-                u, f.fprime, z, out_lt=lt_lin, out_lx=lx_lin
-            )
-            diag = fields.diagonal_of(prod)
-            dvec = np.zeros(total)
-            keep = min(total, diag.size)
-            dvec[:keep] = diag[:keep]
-            return (
-                ctx.eps * np.pi**2 * j_slots**2 * np.asarray(h_slots)
-                - 0.5 * np.pi**2 * dvec[slots]
-            )
-
-        op = LinearOperator((slots.size, slots.size), matvec=jvp)
-        # full-memory GMRES: the slot dimension is small, so at most
-        # slots.size products are needed for an exact solve
-        delta, info = gmres(
-            op, -g, rtol=1e-12, atol=0.0, restart=slots.size, maxiter=10
-        )
-        if info > 0 or not np.all(np.isfinite(delta)):
-            # fall back to a preconditioned descent direction on |g|^2
-            report.krylov_fails += 1
-            delta = -g / (np.pi**2 * j_slots**2 * max(abs(ctx.eps), 1e-8))
+        J = _slot_jacobian(kernel.embed(v) + w, ctx, f, n, slots, lt, lx)
+        try:
+            delta = np.linalg.solve(J, -g)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError("singular Newton Jacobian", trace=tuple(trace)) from exc
 
         t = 1.0
         accepted = False

@@ -121,6 +121,46 @@ def test_solve_config_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+_RECORD_DOC = {
+    "version": 1, "omega": 1.001, "eps": 0.0010005, "gamma": 0.9, "n": 1,
+    "q": 3, "case": "odd-power", "xi": [0.01], "w_coeffs": [[0.0], [0.0]],
+    "h1": 0.0314, "sup": 0.01, "energy": 1e-4, "residual": 0.0, "phi": 0.0,
+    "predicted_level": 0.0, "accepted": True,
+}
+
+
+@pytest.mark.parametrize("command, override", [
+    ("solve", {"restarts": 0}),
+    ("solve", {"dim": 0}),
+    ("solve", {"gtol": -1}),
+    ("solve", {"n": 0}),
+    ("solve", {"lmax": 0}),
+    ("solve", {"side": 0}),
+    ("solve", {"C": 0}),
+    ("solve", {"residual_tol": 0.0}),
+    ("scan", {"restarts": 0}),
+    ("scan", {"n_max": 0}),
+    ("scan", {"gtol": -1e-12}),
+    ("evolve", {"steps_per_period": 0}),
+    ("evolve", {"min_modes": -3}),
+], ids=lambda p: p if isinstance(p, str) else ",".join(f"{k}={v}" for k, v in p.items()))
+def test_out_of_range_config_exits_two(tmp_path, capsys, command, override):
+    if command == "solve":
+        argv = ["solve", "--config", solve_config(tmp_path, **override)]
+    elif command == "scan":
+        doc = {"coeffs": "3=1", "omega_range": [1.001, 1.002, 0.001],
+               "solve": True, **override}
+        argv = ["scan", "--config", write_json(tmp_path / "scan.json", doc)]
+    else:
+        record = write_json(tmp_path / "rec.json", _RECORD_DOC)
+        argv = ["evolve", "--record", record, "--coeffs", "3=1",
+                "--config", write_json(tmp_path / "ev.json", override)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert repr(next(iter(override))) in err
+
+
 def test_solve_resonant_frequency_is_refusal(tmp_path, capsys):
     cfg = write_json(tmp_path / "res.json", {
         "coeffs": "3=1", "omega": 1.5, "n": 1, "lmax": 8,

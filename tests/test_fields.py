@@ -206,6 +206,31 @@ def test_multiply_poly_project_matches_quadrature():
         assert abs(got - want) < 1e-12, (l, j)
 
 
+@pytest.mark.parametrize("fprime", [
+    [0.0, 0.0, 3.0],          # f = u^3
+    [0.0, 2.0],               # f = u^2
+    [0.0, 2.0, 3.0],          # f = u^2 + u^3
+])
+@pytest.mark.parametrize("n", [1, 3])
+def test_multiply_poly_matrix_columns_match_product(fprime, n):
+    rng = np.random.default_rng(10 + n)
+    lt, lx = 7, 6
+    u = random_field(rng, lt, lx)
+    M = fields.multiply_poly_matrix(u, fprime, lt, lx, n=n)
+    rows = np.arange(0, lt + 1, n)
+    assert M.shape == (rows.size * lx, rows.size * lx)
+    for a, l in enumerate(rows):
+        for j in range(1, lx + 1):
+            z = np.zeros((lt + 1, lx))
+            z[l, j - 1] = 1.0
+            P = fields.multiply_poly_project(
+                u, fprime, fields.SpectralField(z), out_lt=lt, out_lx=lx
+            )
+            col = P.coeffs[rows].ravel()
+            err = np.max(np.abs(M[:, a * lx + j - 1] - col))
+            assert err <= 1e-13 * np.max(np.abs(col)), (l, j)
+
+
 def test_diagonal_helpers():
     rng = np.random.default_rng(9)
     u = random_field(rng, 5, 5)

@@ -118,22 +118,6 @@ def test_w_scales_cubically_in_v():
     assert abs(r1 - r2) / r1 < 0.05
 
 
-def test_linearized_solve_matches_directional_difference():
-    f = nonlinearity.classify({3: 1.0})
-    ctx = frequency.make_context(frequency.omega_for_eps(1e-3), L=20)
-    v = kernel_vector(seed=4, dim=3, scale=0.07)
-    w, _ = psolve.solve_P(v, ctx, f)
-    dxi = np.zeros_like(v.xi)
-    dxi[1] = 1.0
-    dv = kernel.KernelVector(dxi)
-    lin = psolve.solve_P_linearized(v, w, dv, ctx, f)
-    h = 1e-5
-    wp, _ = psolve.solve_P(kernel.KernelVector(v.xi + h * dxi), ctx, f)
-    wm, _ = psolve.solve_P(kernel.KernelVector(v.xi - h * dxi), ctx, f)
-    fd = (wp - wm) * (0.5 / h)
-    assert fields.norms(fd - lin).h1 / fields.norms(lin).h1 < 1e-4
-
-
 def test_domain_ratio_monitored_not_fatal():
     f = nonlinearity.classify({3: 1.0})
     ctx = frequency.make_context(frequency.omega_for_eps(1e-3), L=16)

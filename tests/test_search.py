@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from resowave import fields, frequency, kernel, nonlinearity, psolve, reduced, search
-from resowave.errors import ConvergenceError, ResowaveError
+from resowave.errors import ConvergenceError, ResonanceError, ResowaveError
 
 F3 = nonlinearity.classify({3: 1.0})
 
@@ -43,6 +43,12 @@ def test_maximize_raises_on_infeasible_sign():
     )
     with pytest.raises(ResowaveError):
         search.maximize_U(rec, 2, seed=0, restarts=2)
+
+
+def test_maximize_needs_a_restart():
+    rec = reduced.g_recipe(F3, +1, n=1)
+    with pytest.raises(ResowaveError, match="restart"):
+        search.maximize_U(rec, 2, seed=0, restarts=0)
 
 
 def test_branch_prediction_formulas():
@@ -98,6 +104,43 @@ def test_refine_aborts_outside_contraction_domain():
     with pytest.warns(UserWarning):
         with pytest.raises(ConvergenceError):
             search.refine(big, ctx, F3)
+
+
+def test_slot_jacobian_matches_gradient_differences():
+    # oracle: central differences of grad_phi, each through its own Picard
+    # range solve; no code is shared with the matrix assembly
+    ctx = ctx_cubic()
+    lt = lx = 16
+    xi = np.zeros(lx)
+    xi[:3] = [0.06, -0.02, 0.01]
+    v = kernel.KernelVector(xi)
+    w, _ = psolve.solve_P(v, ctx, F3, tol=1e-14, lt=lt, lx=lx)
+    slots = np.arange(lx)
+    J = search._slot_jacobian(kernel.embed(v) + w, ctx, F3, 1, slots, lt, lx)
+    h = 1e-5
+    fd = np.zeros_like(J)
+    for k in slots:
+        step = np.zeros(lx)
+        step[k] = h
+        gp = reduced.grad_phi(kernel.KernelVector(xi + step), ctx, F3, tol=1e-14, lt=lt, lx=lx)
+        gm = reduced.grad_phi(kernel.KernelVector(xi - step), ctx, F3, tol=1e-14, lt=lt, lx=lx)
+        fd[:, k] = (gp - gm) / (2.0 * h)
+    # compare the nonlinear part: the eps pi^2 j^2 diagonal is exact in both
+    eps_part = np.diag(ctx.eps * np.pi**2 * (slots + 1.0) ** 2)
+    nonlin = J - eps_part
+    assert np.linalg.norm(fd - eps_part - nonlin) <= 1e-6 * np.linalg.norm(nonlin)
+
+
+def test_slot_jacobian_names_resonant_range_entry():
+    # omega = 3/2 makes the off-diagonal symbol omega^2 l^2 - j^2 vanish at
+    # (l, j) = (2, 3), which f'(u) = 2u couples to every kernel slot
+    f2 = nonlinearity.classify({2: 1.0})
+    ctx = frequency.FrequencyContext(omega=1.5, eps=0.625, gamma=0.1, L=16)
+    v = kernel.KernelVector([0.05, 0.02, 0.0, 0.0, 0.0, 0.0])
+    u = kernel.embed(v)
+    with pytest.raises(ResonanceError) as err:
+        search._slot_jacobian(u, ctx, f2, 1, np.arange(6), 6, 6)
+    assert (err.value.l, err.value.j) == (2, 3)
 
 
 def test_build_solution_certificates_and_level():
