@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .fields import (
     SpectralField,
     PhysicalGrid,
-    NormBundle,
     synthesize,
     analyze,
     apply_nonlinearity,
@@ -25,7 +24,6 @@ from .kernel import (
     KernelVector,
     embed,
     project_V,
-    project_W,
     rescale,
     minimal_time_period_index,
 )

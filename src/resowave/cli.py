@@ -33,13 +33,21 @@ def _fmt(x):
 
 def _parse_coeffs(value):
     """Accept a flag string "3=1,5=-2", a JSON list, or a JSON object."""
-    if isinstance(value, str):
-        return nonlinearity.classify(nonlinearity.parse_coeff_string(value))
-    if isinstance(value, list):
-        return nonlinearity.classify([float(c) for c in value])
-    if isinstance(value, dict):
-        return nonlinearity.classify({int(k): float(v) for k, v in value.items()})
-    raise ConfigError(f"cannot interpret nonlinearity coefficients: {value!r}")
+    try:
+        if isinstance(value, str):
+            coeffs = nonlinearity.parse_coeff_string(value)
+        elif isinstance(value, list):
+            coeffs = [float(c) for c in value]
+        elif isinstance(value, dict):
+            coeffs = {int(k): float(v) for k, v in value.items()}
+        else:
+            raise TypeError(type(value).__name__)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot interpret nonlinearity coefficients: {value!r}") from exc
+    values = coeffs.values() if isinstance(coeffs, dict) else coeffs
+    if not all(math.isfinite(c) for c in values):
+        raise ConfigError(f"nonlinearity coefficients must be finite: {value!r}")
+    return nonlinearity.classify(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +93,10 @@ def _validate(doc, schema, command):
 
 _NUM = (int, float)
 
-# range checks (predicate, description): counts are at least 1, tolerances
-# and constants strictly positive
+# range checks (predicate, description): counts are at least 1, seeds at
+# least 0, tolerances and constants strictly positive
 _COUNT = (lambda v: v >= 1, ">= 1")
+_NONNEGATIVE = (lambda v: v >= 0, ">= 0")
 _POSITIVE = (lambda v: v > 0, "> 0")
 _SIDE = (lambda v: v in (-1, 1), "-1 or +1")
 
@@ -103,7 +112,7 @@ SOLVE_SCHEMA = {
     "lx": (int, False, None, _COUNT),
     "dim": (int, False, 8, _COUNT),
     "restarts": (int, False, 16, _COUNT),
-    "seed": (int, False, 0, None),
+    "seed": (int, False, 0, _NONNEGATIVE),
     "C": (_NUM, False, 0.05, _POSITIVE),
     "gtol": (_NUM, False, 1e-12, _POSITIVE),
     "residual_tol": (_NUM, False, 1e-8, _POSITIVE),
@@ -120,7 +129,7 @@ SCAN_SCHEMA = {
     "solve": (bool, False, False, None),
     "dim": (int, False, 4, _COUNT),
     "restarts": (int, False, 4, _COUNT),
-    "seed": (int, False, 0, None),
+    "seed": (int, False, 0, _NONNEGATIVE),
     "gtol": (_NUM, False, 1e-12, _POSITIVE),
     "residual_tol": (_NUM, False, 1e-8, _POSITIVE),
     "output": (str, False, None, None),
@@ -136,11 +145,20 @@ EVOLVE_SCHEMA = {
 def _context_from(cfg):
     if (cfg["omega"] is None) == (cfg["eps"] is None):
         raise ConfigError("exactly one of 'omega' and 'eps' must be given")
-    omega = cfg["omega"] if cfg["omega"] is not None else frequency.omega_for_eps(cfg["eps"])
     try:
+        omega = cfg["omega"] if cfg["omega"] is not None else frequency.omega_for_eps(cfg["eps"])
         return frequency.make_context(float(omega), cfg["lmax"])
     except ResowaveError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _check_truncation(cfg, n):
+    """Refine needs n * dim <= lx <= lt <= lmax over the keys that are given."""
+    chain = [("n * dim", n * cfg["dim"])]
+    chain += [(key, cfg[key]) for key in ("lx", "lt", "lmax") if cfg[key] is not None]
+    for (low_name, low), (key, val) in zip(chain, chain[1:]):
+        if val < low:
+            raise ConfigError(f"config key {key!r} must be >= {low_name} = {low}, got {val!r}")
 
 
 def _write_text(path, text):
@@ -214,7 +232,8 @@ def cmd_freq(args):
     return 0
 
 
-def _solve_single(cfg, ctx, f, n):
+def _solve_single(cfg, ctx, f, n, maximizer):
+    """One level; maximizer is the LevelMaximizer shared by every level of f."""
     side = cfg["side"] if cfg["side"] is not None else search.default_side(f)
     report = frequency.admissible(ctx, n, f, C=cfg["C"])
     if not report.ok and not cfg["force"]:
@@ -222,9 +241,7 @@ def _solve_single(cfg, ctx, f, n):
         print(f"n = {n}: not admissible ({notes})")
         return None
     recipe = reduced.g_recipe(f, side, n=n)
-    y, m, diag = search.maximize_U(
-        recipe, cfg["dim"], seed=cfg["seed"] + 1000 * n, restarts=cfg["restarts"]
-    )
+    y, m, diag = maximizer(recipe)
     v0, level = search.initial_guess(y, m, recipe, ctx, diag)
     v_ref, w_ref, rep = search.refine(
         v0, ctx, f, gtol=cfg["gtol"], lt=cfg["lt"], lx=cfg["lx"]
@@ -260,7 +277,9 @@ def cmd_solve(args):
         return 1
 
     if cfg["n"] is not None:
-        record = _solve_single(cfg, ctx, f, cfg["n"])
+        _check_truncation(cfg, cfg["n"])
+        maximizer = search.LevelMaximizer(cfg["dim"], cfg["seed"], cfg["restarts"])
+        record = _solve_single(cfg, ctx, f, cfg["n"], maximizer)
         if record is None:
             return 1
         print(_summary_line(record))
@@ -310,6 +329,9 @@ def cmd_scan(args):
     writer.writerow(
         ["omega", "eps", "gamma", "n_admissible", "n", "status", "h1", "energy"]
     )
+    # one maximizer for the whole scan: G does not depend on omega, and
+    # outside the quadratic-form cases not on n either
+    maximizer = search.LevelMaximizer(cfg["dim"], cfg["seed"], cfg["restarts"])
     omegas = np.arange(lo, hi + 0.5 * step, step)
     for om in omegas:
         om = float(om)
@@ -327,7 +349,7 @@ def cmd_scan(args):
                 sub = dict(cfg)
                 sub.update({"side": None, "force": False, "lt": None, "lx": None})
                 try:
-                    record = _solve_single(sub, ctx, f, n)
+                    record = _solve_single(sub, ctx, f, n, maximizer)
                     if record is None:
                         continue
                     status = "accepted" if record.accepted else "rejected"

@@ -6,9 +6,20 @@ class ResowaveError(Exception):
 
 
 class ResonanceError(ResowaveError):
-    """A spectral denominator omega^2 l^2 - j^2 (or l^2 - j^2) is too close to zero."""
+    """A spectral denominator omega^2 l^2 - j^2 (or l^2 - j^2) is too close to zero.
 
-    def __init__(self, l, j, value):
+    Names the mode (l, j) and its denominator value.  Without a mode, the
+    frequency context at omega is resonant as a whole (gamma = 0), and l, j
+    and value are None.
+    """
+
+    def __init__(self, l=None, j=None, value=None, omega=None):
+        if l is None:
+            self.l = self.j = self.value = None
+            super().__init__(
+                f"the frequency context at omega = {omega} is resonant (gamma = 0)"
+            )
+            return
         self.l = int(l)
         self.j = int(j)
         self.value = float(value)

@@ -93,7 +93,15 @@ def _bound_exponent(f):
     return 0.5
 
 
-def _side_required(f, omega=None):
+def minimal_n(f):
+    """Smallest dilation index the existence argument covers for this case."""
+    if f.case in ("odd-power", "n1"):
+        return 1
+    return 1 if f.p == 2 else 2
+
+
+def side_required(f):
+    """Which side of omega = 1 the case bifurcates to ("either" when both)."""
     if f.case == "odd-power":
         return "omega>1" if f.a > 0 else "omega<1"
     if f.case == "n1":
@@ -109,29 +117,13 @@ def _side_required(f, omega=None):
     return "omega>1"
 
 
-def _n_min(f):
-    if f.case in ("odd-power", "n1"):
-        return 1
-    return 1 if f.p == 2 else 2
-
-
-def minimal_n(f):
-    """Smallest dilation index the existence argument covers for this case."""
-    return _n_min(f)
-
-
-def side_required(f):
-    """Which side of omega = 1 the case bifurcates to ("either" when both)."""
-    return _side_required(f)
-
-
 def admissible(ctx, n, f, C=DEFAULT_C):
     """Can the dilation index n be used at this frequency for this f?"""
     if n < 1 or int(n) != n:
         raise ResowaveError(f"dilation index must be a positive integer, got {n}")
     n = int(n)
     notes = []
-    side_req = _side_required(f)
+    side_req = side_required(f)
     if ctx.omega > 1.0:
         side_ok = side_req in ("omega>1", "either")
     elif ctx.omega < 1.0:
@@ -140,7 +132,7 @@ def admissible(ctx, n, f, C=DEFAULT_C):
         side_ok = False
         notes.append("omega = 1 excluded (degenerate eps = 0)")
     e = _bound_exponent(f)
-    n_min = _n_min(f)
+    n_min = minimal_n(f)
     if ctx.gamma > 0.0:
         bound = (abs(ctx.omega - 1.0) * n**2) ** e / ctx.gamma
     else:
@@ -167,7 +159,7 @@ def admissible(ctx, n, f, C=DEFAULT_C):
 
 def max_admissible_n(ctx, f, C=DEFAULT_C):
     """Largest admissible n (0 if none); the bound is monotone in n."""
-    probe = admissible(ctx, max(_n_min(f), 1), f, C)
+    probe = admissible(ctx, minimal_n(f), f, C)
     if not probe.ok:
         return 0
     e = _bound_exponent(f)

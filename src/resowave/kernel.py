@@ -22,9 +22,7 @@ __all__ = [
     "KernelVector",
     "embed",
     "project_V",
-    "project_W",
-    "eta_coeffs",
-    "eta_eval",
+    "eta_power_spectrum",
     "rescale",
     "normalize_sign",
     "minimal_time_period_index",
@@ -84,20 +82,22 @@ def project_V(u):
     return KernelVector(d)
 
 
-def project_W(u):
-    """Field with the diagonal pinned to zero (complement of the kernel)."""
-    return fields.zero_diagonal(u)
+def eta_power_spectrum(v, kmax):
+    """Means and sine coefficients of the powers of the profile eta.
 
-
-def eta_coeffs(v):
-    """Sine coefficients of the profile eta: eta_j = xi_j / 2."""
-    return v.xi / 2.0
-
-
-def eta_eval(v, s):
-    s = np.asarray(s, dtype=float)
-    j = np.arange(1, len(v) + 1)
-    return np.sin(np.multiply.outer(s, j)) @ (v.xi / 2.0)
+    Returns (moments, sines): moments[i] = <eta^i> = (1/2pi) int eta^i and
+    sines[i, j-1] = (1/2pi) int eta^i sin(j s) ds, for i = 0..kmax and
+    j = 1..len(v).  eta^i sin(j s) is a trig polynomial of degree at most
+    (kmax + 1) len(v), so the trapezoid rule on one more node than that is
+    exact; one rfft of the sampled powers gives every entry.
+    """
+    dim = len(v)
+    # at least 2 dim + 1 nodes, so that the rfft reaches j = dim
+    nodes = (max(kmax, 1) + 1) * dim + 1
+    s = 2.0 * np.pi * np.arange(nodes) / nodes
+    eta = np.sin(np.outer(s, np.arange(1, dim + 1))) @ (v.xi / 2.0)
+    spec = np.fft.rfft(eta ** np.arange(kmax + 1)[:, None], axis=1) / nodes
+    return spec[:, 0].real, -spec[:, 1 : dim + 1].imag
 
 
 def rescale(v, n):

@@ -73,11 +73,11 @@ def classify(coeffs):
     if isinstance(coeffs, dict):
         if not coeffs:
             raise ClassificationError("empty coefficient set")
-        top = max(coeffs)
-        poly = np.zeros(top + 1)
-        for k, val in coeffs.items():
+        for k in coeffs:
             if int(k) != k or k < 2:
                 raise ClassificationError(f"invalid term order {k} (need integer >= 2)")
+        poly = np.zeros(int(max(coeffs)) + 1)
+        for k, val in coeffs.items():
             poly[int(k)] = float(val)
     else:
         poly = np.asarray(coeffs, dtype=float)

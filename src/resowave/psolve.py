@@ -101,7 +101,7 @@ def solve_P(v, ctx, f, tol=1e-12, max_iter=200, lt=None, lx=None, rho=DOMAIN_RHO
     update trace attached.
     """
     if ctx.gamma <= 0.0:
-        raise ResonanceError(0, 0, 0.0)
+        raise ResonanceError(omega=ctx.omega)
     dim = len(v)
     if lt is None:
         lt = max(2 * dim, 16)

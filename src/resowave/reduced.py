@@ -20,8 +20,10 @@ alpha^2 offset, used here so the level-n objective never needs the dilated
 vector itself.
 """
 
-import numpy as np
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import fields, kernel, psolve
 from .errors import ResowaveError
@@ -49,8 +51,15 @@ def _power_poly(k):
 
 
 def power_integral(v, k):
-    """Exact int over the domain of v^k for a kernel element v."""
-    return fields.integrate_poly(kernel.embed(v), _power_poly(k))
+    """Exact int over the domain of v^k for a kernel element v.
+
+    v = eta(t + x) - eta(t - x) and the domain is half the (s1, s2) torus, so
+        int v^k = 2 pi^2 sum_i C(k, i) (-1)^(k-i) <eta^i> <eta^(k-i)>.
+    """
+    mom, _ = kernel.eta_power_spectrum(v, k)
+    i = np.arange(k + 1)
+    c = np.array([math.comb(k, m) for m in i]) * (-1.0) ** (k - i)
+    return 2.0 * np.pi**2 * float(np.dot(c * mom, mom[::-1]))
 
 
 def mean_alpha(v, p):
@@ -114,19 +123,21 @@ def U_eval(v, f):
 # gradients of the G building blocks (with respect to xi)
 
 
-def _diag_power(v, k, dim):
-    """Diagonal coefficients of the exact projection of v^k, j = 1..dim."""
-    emb = kernel.embed(v)
-    g = fields.apply_nonlinearity(emb, _power_poly(k), out_lt=dim, out_lx=dim)
-    d = fields.diagonal_of(g)
-    out = np.zeros(dim)
-    out[: d.size] = d
-    return out
-
-
 def _grad_power_integral(v, k):
-    """d/dxi of int v^k = k (pi^2/2) (v^{k-1})_{jj}."""
-    return k * 0.5 * np.pi**2 * _diag_power(v, k - 1, len(v))
+    """d/dxi_j of int v^k = k int v^(k-1) cos(j t) sin(j x), through eta:
+
+        k pi^2 sum_{i<k} C(k-1, i) (-1)^(k-1-i)
+               [S_j(eta^i) <eta^(k-1-i)> - <eta^i> S_j(eta^(k-1-i))]
+
+    with S_j(g) = (1/2pi) int g sin(j s); the two halves are folded into one
+    sum over the sine coefficients.
+    """
+    mom, sines = kernel.eta_power_spectrum(v, k - 1)
+    i = np.arange(k)
+    c = np.array([math.comb(k - 1, m) for m in i]) * (
+        (-1.0) ** (k - 1 - i) - (-1.0) ** i
+    )
+    return k * np.pi**2 * ((c * mom[::-1]) @ sines)
 
 
 def _grad_qform(v, p):
@@ -169,6 +180,7 @@ class GRecipe:
     value/grad act on the gcd-1 vector y and return G_eff(L_n y) and its
     xi-gradient; sigma is +1 when the recipe describes Phi itself (omega > 1)
     and -1 for -Phi (omega < 1).  mu = |eps| n^2 pairs with these.
+    n_invariant says that value and grad do not depend on n.
     """
 
     case: str
@@ -177,6 +189,7 @@ class GRecipe:
     n: int
     value: object
     grad: object
+    n_invariant: bool = False
 
 
 def _uses_qform(f):
@@ -210,6 +223,7 @@ def g_recipe(f, side, n=1):
             n=n,
             value=lambda y: side * G_eval(y, f),
             grad=lambda y: side * _grad_G(y, f),
+            n_invariant=True,
         )
 
     if f.case == "n2":
@@ -255,6 +269,7 @@ def g_recipe(f, side, n=1):
         n=n,
         value=lambda y: sgn * G_eval(y, f),
         grad=lambda y: sgn * _grad_G(y, f),
+        n_invariant=True,
     )
 
 

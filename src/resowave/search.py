@@ -4,7 +4,11 @@ The pipeline per dilation level n:
 
   1. maximize the (q+1)-homogeneous effective G over the unit H^1 sphere of
      gcd-1 kernel vectors (projected gradient ascent with restarts, polished
-     by a normalized fixed-point iteration to machine precision);
+     by a normalized fixed-point iteration to machine precision); G and its
+     gradient come from 1D moments and sine coefficients of the powers of
+     the profile eta.  Except in the quadratic-form cases G does not depend
+     on n, so one maximization seeds every level of a branch
+     (LevelMaximizer);
   2. turn the maximum m and mu = |eps| n^2 into the amplitude t* and the
      predicted critical level of the reduced functional;
   3. refine the dilated initial guess t* L_n y* to a true critical point of
@@ -15,6 +19,7 @@ The pipeline per dilation level n:
      residual, energy drift across probe times, norms, minimal period).
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -31,6 +36,7 @@ __all__ = [
     "BranchResult",
     "default_side",
     "maximize_U",
+    "LevelMaximizer",
     "branch_prediction",
     "initial_guess",
     "remainder_ratio",
@@ -266,6 +272,34 @@ def maximize_U(recipe, dim, seed=0, restarts=16, max_iter=400, tol=1e-13):
     return y, val, diag
 
 
+class LevelMaximizer:
+    """The maximizer (y*, m, diagnostics) that seeds each level of a branch.
+
+    One instance serves one f and one side.  A recipe whose G does not
+    depend on the level (n_invariant) is maximized once, at the first level
+    asked for, with seed itself, and every later level reuses that (y*, m).
+    The quadratic-form recipes carry the 1/n^2 transport, so each of their
+    levels is maximized anew with seed + 1000 n.  Every call returns its own
+    copy of the diagnostics, because initial_guess writes into them.
+    """
+
+    def __init__(self, dim, seed=0, restarts=16):
+        self.dim = dim
+        self.seed = seed
+        self.restarts = restarts
+        self._shared = None
+
+    def __call__(self, recipe):
+        if recipe.n_invariant and self._shared is not None:
+            y, m, diag = self._shared
+        else:
+            seed = self.seed if recipe.n_invariant else self.seed + 1000 * recipe.n
+            y, m, diag = maximize_U(recipe, self.dim, seed=seed, restarts=self.restarts)
+            if recipe.n_invariant:
+                self._shared = (y, m, diag)
+        return y, m, dataclasses.replace(diag)
+
+
 # ---------------------------------------------------------------------------
 # step 2: amplitude and level predictions
 
@@ -405,7 +439,7 @@ def refine(v0, ctx, f, max_iter=40, gtol=1e-12, rho=0.1, psolve_tol=1e-13,
     """
     n = kernel.minimal_time_period_index(v0)
     if lt is None:
-        lt = min(ctx.L, max(2 * len(v0), 16))
+        lt = min(ctx.L, max(2 * len(v0), 16, lx or 0))
     if lx is None:
         lx = lt
     total = lx
@@ -619,8 +653,11 @@ def solve_branch(ctx, f, n_max=None, C=0.05, side=None, dim=8, seed=0,
     """One record per admissible dilation level; deterministic under seed.
 
     Levels run from the case's minimal n (or force_n_min, flagging records
-    below the covered range) to n_max or the admissibility cap.  Per-level
-    failures are collected, not fatal.  A zero non-resonance margin means no
+    below the covered range) to n_max or the admissibility cap.  Each level
+    starts from the LevelMaximizer of the branch: one maximization, drawn
+    from seed, serves every level unless G carries the quadratic form, whose
+    levels are maximized one by one with seed + 1000 n.  Per-level failures
+    are collected, not fatal.  A zero non-resonance margin means no
     admissible levels at all.
     """
     if ctx.gamma <= 0.0:
@@ -633,6 +670,7 @@ def solve_branch(ctx, f, n_max=None, C=0.05, side=None, dim=8, seed=0,
     n_max = min(n_max, cap)
     n_min = frequency.minimal_n(f)
     start = n_min if force_n_min is None else force_n_min
+    maximizer = LevelMaximizer(dim, seed=seed, restarts=restarts)
     records = []
     failures = []
     for n in range(start, n_max + 1):
@@ -651,9 +689,7 @@ def solve_branch(ctx, f, n_max=None, C=0.05, side=None, dim=8, seed=0,
             continue
         try:
             recipe = reduced.g_recipe(f, side, n=n)
-            y_star, m_val, diag = maximize_U(
-                recipe, dim, seed=seed + 1000 * n, restarts=restarts
-            )
+            y_star, m_val, diag = maximizer(recipe)
             v0, level = initial_guess(y_star, m_val, recipe, ctx, diag)
             v_ref, w_ref, rep = refine(v0, ctx, f, gtol=gtol)
             records.append(

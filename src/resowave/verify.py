@@ -205,6 +205,42 @@ def check_rescaling_identity(rng):
     )
 
 
+def check_eta_integrals(rng):
+    """Power integrals and their gradients: 1D profile path against 2D torus."""
+    tol = 1e-11
+    worst_value = 0.0
+    worst_grad = 0.0
+    for _ in range(24):
+        dim = int(rng.integers(1, 9))
+        k = int(rng.integers(2, 7))
+        n = int(rng.integers(1, 4))
+        v = kernel.rescale(_random_kernel(rng, dim, amp=2.0 * np.pi), n)
+        u = kernel.embed(v)
+        # |int v^k| <= 2 pi^2 sup|v|^k and sup|v| <= sum |xi|; the bound is
+        # the scale, since odd powers integrate to zero
+        sup = float(np.sum(np.abs(v.xi)))
+        oracle = fields.integrate_poly(u, [0.0] * k + [1.0])
+        dev = abs(reduced.power_integral(v, k) - oracle)
+        worst_value = max(worst_value, dev / (2.0 * np.pi**2 * sup**k))
+        power = fields.apply_nonlinearity(
+            u, [0.0] * (k - 1) + [1.0], out_lt=len(v), out_lx=len(v)
+        )
+        grad_oracle = k * 0.5 * np.pi**2 * fields.diagonal_of(power)
+        dev = np.max(np.abs(reduced._grad_power_integral(v, k) - grad_oracle))
+        worst_grad = max(worst_grad, float(dev) / (k * 2.0 * np.pi**2 * sup ** (k - 1)))
+    passed = max(worst_value, worst_grad) <= tol
+    return CheckReport(
+        name="check_eta_integrals",
+        passed=passed,
+        measured=(("worst_value_deviation", worst_value),
+                  ("worst_gradient_deviation", worst_grad)),
+        tolerance=(("relative", tol),),
+        anchor="int v^k and its coefficient gradient from moments and sine "
+               "coefficients of eta^i match the dealiased torus integral "
+               "and the diagonal of the exact projection of v^(k-1)",
+    )
+
+
 def check_G_positivity(rng):
     """The quadratic-case leading term is a nonnegative quadratic form."""
     floor = -1e-12
@@ -488,6 +524,7 @@ _REGISTRY = {
         check_orthogonality,
         check_rescaling_identity,
         check_G_positivity,
+        check_eta_integrals,
         check_kappa,
         check_decomposition_formula,
         check_operator_estimates,

@@ -1,8 +1,14 @@
 """Command-line surface: exit codes, determinism, file formats."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resowave import cli
 
@@ -141,6 +147,12 @@ _RECORD_DOC = {
     ("scan", {"restarts": 0}),
     ("scan", {"n_max": 0}),
     ("scan", {"gtol": -1e-12}),
+    ("solve", {"seed": -5000}),
+    ("scan", {"seed": -1}),
+    ("solve", {"lt": 4, "n": 2, "dim": 6}),
+    ("solve", {"lx": 5, "dim": 3, "n": 2}),
+    ("solve", {"lt": 16, "lx": 20}),
+    ("solve", {"lmax": 8, "n": 3, "dim": 3}),
     ("evolve", {"steps_per_period": 0}),
     ("evolve", {"min_modes": -3}),
 ], ids=lambda p: p if isinstance(p, str) else ",".join(f"{k}={v}" for k, v in p.items()))
@@ -159,6 +171,43 @@ def test_out_of_range_config_exits_two(tmp_path, capsys, command, override):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert repr(next(iter(override))) in err
+
+
+@pytest.mark.parametrize("override", [
+    {"eps": -0.7},
+    {"coeffs": ["a", 1]},
+    {"coeffs": {"x": 1}},
+    {"coeffs": {"-3": 1}},
+    {"coeffs": [0, 0, 0, None]},
+], ids=lambda d: json.dumps(d))
+def test_unreadable_solve_inputs_exit_two(tmp_path, capsys, override):
+    assert cli.main(["solve", "--config", solve_config(tmp_path, **override)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_explicit_truncation_in_range_is_solved(tmp_path, capsys):
+    # lx alone may exceed the default temporal truncation; lt follows it
+    cfg = solve_config(tmp_path, lx=20, output=str(tmp_path / "r.json"))
+    assert cli.main(["solve", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert len(json.loads((tmp_path / "r.json").read_text())["xi"]) == 20
+
+
+def test_single_level_starts_from_the_branch_maximizer(tmp_path, capsys):
+    # solve with n: 2 and with n_max: 2 share the seed rule, so the n = 2
+    # records are the same bytes
+    single = tmp_path / "single.json"
+    assert cli.main(["solve", "--config", solve_config(
+        tmp_path, n=2, seed=4, output=str(single))]) == 0
+    outdir = tmp_path / "branch"
+    cfg = write_json(tmp_path / "branch.json", {
+        "coeffs": "3=1", "eps": 1e-3, "n_max": 2, "lmax": 24,
+        "dim": 3, "restarts": 3, "seed": 4, "output": str(outdir),
+    })
+    assert cli.main(["solve", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert single.read_bytes() == (outdir / "record_n2.json").read_bytes()
 
 
 def test_solve_resonant_frequency_is_refusal(tmp_path, capsys):
@@ -318,3 +367,142 @@ def test_bad_flags_exit_two():
     with pytest.raises(SystemExit) as exc2:
         cli.main(["no-such-command"])
     assert exc2.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# config fuzzing: every document is solved or refused, never a traceback
+
+# wrong types and out-of-range numbers
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.integers(-6000, 0),
+    st.floats(allow_nan=True, allow_infinity=True), st.lists(st.integers(), max_size=2),
+)
+
+
+def _or_junk(strategy):
+    """Mostly a valid value; one draw in 16 is junk (not the first value,
+    which is the one the generator favours)."""
+    return st.integers(0, 15).flatmap(lambda i: _JUNK if i == 7 else strategy)
+
+
+_COEFFS = st.sampled_from([
+    "3=1", "3=1", "3=-1", "2=1", "2=1,3=-1", "2=1,3=0.2", "4=1,5=1",
+    [0, 0, 0, 1], {"3": 1}, "1=1", "3=x", [], ["a"], {"-3": 1},
+])
+_TOL = st.sampled_from([1e-12, 1e-8, 1e-3])
+_OMEGA = st.one_of(st.floats(0.995, 1.005), st.floats(0.4, 1.6))
+_EPS = st.sampled_from([1e-3, 1e-4, -1e-3, -2e-4, 0.0, -0.7, 0.5])
+
+
+@st.composite
+def _exclusive(draw, first, second):
+    """Mostly exactly one of two exclusive keys; both or neither now and then."""
+    pick = draw(st.integers(0, 9))
+    doc = {}
+    for (key, values), picks in ((first, (0, 1, 2, 3, 8)), (second, (4, 5, 6, 7, 8))):
+        if pick in picks:
+            doc[key] = draw(_or_junk(values))
+    return doc
+
+
+def _merged(*parts):
+    return st.tuples(*parts).map(lambda ds: {k: v for d in ds for k, v in d.items()})
+
+
+_SOLVE_DOCS = _merged(
+    st.fixed_dictionaries({"coeffs": _or_junk(_COEFFS)}, optional={
+        "side": _or_junk(st.integers(-2, 2)),
+        "lmax": _or_junk(st.integers(1, 32)),
+        "lt": _or_junk(st.integers(1, 32)),
+        "lx": _or_junk(st.integers(1, 32)),
+        "dim": _or_junk(st.integers(1, 3)),
+        "restarts": _or_junk(st.integers(1, 2)),
+        "seed": _or_junk(st.integers(0, 6000)),
+        "C": _or_junk(st.floats(0.001, 0.2)),
+        "gtol": _or_junk(_TOL),
+        "residual_tol": _or_junk(_TOL),
+        "force": _or_junk(st.booleans()),
+    }),
+    _exclusive(("omega", _OMEGA), ("eps", _EPS)),
+    _exclusive(("n", st.integers(1, 3)), ("n_max", st.integers(1, 3))),
+)
+
+_SCAN_DOCS = st.fixed_dictionaries({
+    "coeffs": _or_junk(_COEFFS),
+    "omega_range": _or_junk(st.tuples(
+        st.sampled_from([1.001, 1.004, 0.997, 1.0]) | st.floats(0.995, 1.005),
+        st.sampled_from([0.004, 0.002, 0.0, -0.002]),
+        st.sampled_from([0.001, 0.002, 0.0, -0.001]),
+    ).map(lambda t: [t[0], t[0] + t[1], t[2]])),
+    "solve": _or_junk(st.sampled_from([True, True, False])),
+}, optional={
+    "lmax": _or_junk(st.integers(1, 24)),
+    "n_max": _or_junk(st.integers(1, 2)),
+    "C": _or_junk(st.floats(0.001, 0.2)),
+    "dim": _or_junk(st.integers(1, 2)),
+    "restarts": _or_junk(st.integers(1, 2)),
+    "seed": _or_junk(st.integers(0, 6000)),
+    "gtol": _or_junk(_TOL),
+    "residual_tol": _or_junk(_TOL),
+})
+
+_EVOLVE_DOCS = st.fixed_dictionaries({}, optional={
+    "steps_per_period": _or_junk(st.integers(1, 256)),
+    "mode_factor": _or_junk(st.integers(1, 4)),
+    "min_modes": _or_junk(st.integers(1, 16)),
+})
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def _assert_contract(code, err):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+def _fuzz(examples):
+    # derandomized, so tier-1 runs the same documents every time; together
+    # the three tests take about 15 s on 2 cores
+    return settings(max_examples=examples, deadline=None, derandomize=True,
+                    database=None)
+
+
+@_fuzz(100)
+@given(doc=_SOLVE_DOCS)
+def test_fuzzed_solve_config_exits_cleanly(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        doc["output"] = os.path.join(tmp, "out")
+        path = os.path.join(tmp, "solve.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        _assert_contract(*_run_quietly(["solve", "--config", path]))
+
+
+@_fuzz(50)
+@given(doc=_SCAN_DOCS)
+def test_fuzzed_scan_config_exits_cleanly(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        doc["output"] = os.path.join(tmp, "scan.csv")
+        path = os.path.join(tmp, "scan.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        _assert_contract(*_run_quietly(["scan", "--config", path]))
+
+
+@_fuzz(40)
+@given(doc=_EVOLVE_DOCS)
+def test_fuzzed_evolve_config_exits_cleanly(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        record = os.path.join(tmp, "rec.json")
+        config = os.path.join(tmp, "ev.json")
+        for path, content in ((record, _RECORD_DOC), (config, doc)):
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(content, fh)
+        _assert_contract(*_run_quietly(
+            ["evolve", "--record", record, "--coeffs", "3=1", "--config", config]
+        ))

@@ -7,6 +7,12 @@ from resowave import fields, kernel
 from resowave.errors import ResowaveError
 
 
+def eta(v, s):
+    """The profile eta(s) = sum_j (xi_j / 2) sin(j s), evaluated directly."""
+    j = np.arange(1, len(v) + 1)
+    return np.sin(np.multiply.outer(np.asarray(s, dtype=float), j)) @ (v.xi / 2.0)
+
+
 def test_embed_places_diagonal_coefficients():
     v = kernel.KernelVector([0.5, 0.0, -0.25])
     u = kernel.embed(v)
@@ -41,17 +47,26 @@ def test_travelling_wave_identity():
     t = rng.uniform(0.0, 2.0 * np.pi, size=9)
     x = rng.uniform(0.0, np.pi, size=9)
     vals = np.array([fields.eval_field(u, t[i], x[i])[0, 0] for i in range(9)])
-    want = kernel.eta_eval(v, t + x) - kernel.eta_eval(v, t - x)
+    want = eta(v, t + x) - eta(v, t - x)
     assert np.max(np.abs(vals - want)) < 1e-13
 
 
-def test_eta_coeffs_are_half_xi():
-    v = kernel.KernelVector([2.0, -1.0])
-    eta = kernel.eta_coeffs(v)
-    assert np.allclose(eta, [1.0, -0.5])
-    s = np.linspace(0.1, 6.0, 5)
-    want = 1.0 * np.sin(s) - 0.5 * np.sin(2 * s)
-    assert np.max(np.abs(kernel.eta_eval(v, s) - want)) < 1e-14
+def test_eta_power_spectrum_against_quadrature():
+    """Means and sine coefficients of eta^i match a dense trapezoid sum."""
+    rng = np.random.default_rng(14)
+    v = kernel.KernelVector(rng.standard_normal(5) / np.arange(1, 6))
+    # an odd top power: its sine coefficients need every node
+    moments, sines = kernel.eta_power_spectrum(v, 5)
+    assert moments.shape == (6,) and sines.shape == (6, 5)
+    s = 2.0 * np.pi * np.arange(512) / 512
+    vals = eta(v, s)
+    for i in range(6):
+        assert abs(moments[i] - np.mean(vals**i)) < 1e-14
+        for j in range(1, 6):
+            assert abs(sines[i, j - 1] - np.mean(vals**i * np.sin(j * s))) < 1e-14
+    # eta^0 = 1 and eta = sum (xi_j / 2) sin(j s): S_j(eta) = xi_j / 4
+    assert moments[0] == pytest.approx(1.0, abs=1e-15)
+    assert np.max(np.abs(sines[1] - v.xi / 4.0)) < 1e-15
 
 
 def test_rescale_moves_support_and_scales_h1():
@@ -73,7 +88,7 @@ def test_rescale_is_time_dilation():
     v = kernel.KernelVector(xi)
     vn = kernel.rescale(v, 2)
     s = rng.uniform(0.0, 2.0 * np.pi, size=11)
-    assert np.max(np.abs(kernel.eta_eval(vn, s) - kernel.eta_eval(v, 2 * s))) < 1e-13
+    assert np.max(np.abs(eta(vn, s) - eta(v, 2 * s))) < 1e-13
 
 
 def test_minimal_time_period_index():
@@ -92,7 +107,7 @@ def test_projections_split_fields():
     arr = rng.standard_normal((5, 5))
     u = fields.SpectralField(arr)
     v = kernel.project_V(u)
-    w = kernel.project_W(u)
+    w = fields.zero_diagonal(u)
     back = kernel.embed(v) + w
     assert np.max(np.abs(back.padded(4, 5) - arr)) < 1e-14
     assert np.all(fields.diagonal_of(w) == 0.0)

@@ -66,6 +66,16 @@ def test_solve_refuses_resonant_context_and_bad_truncations():
         psolve.solve_P(v, ctx, f, lt=40)
 
 
+def test_resonant_context_error_names_no_mode():
+    f = nonlinearity.classify({3: 1.0})
+    v = kernel_vector(seed=1, dim=2, scale=0.05)
+    res = frequency.FrequencyContext(omega=1.5, eps=0.625, gamma=0.0, L=16)
+    with pytest.raises(ResonanceError, match=r"resonant \(gamma = 0\)") as err:
+        psolve.solve_P(v, res, f)
+    assert err.value.l is None and err.value.j is None
+    assert "mode" not in str(err.value)
+
+
 def test_fixed_point_satisfies_range_equation_componentwise():
     f = nonlinearity.classify({3: 1.0})
     ctx = frequency.make_context(frequency.omega_for_eps(1e-3), L=24)

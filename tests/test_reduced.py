@@ -33,6 +33,64 @@ def test_power_integral_against_quadrature():
         assert abs(reduced.power_integral(v, k) - quad_integral(vals**k, wt, wx)) < 1e-10
 
 
+def torus_power_integral(v, k):
+    return fields.integrate_poly(kernel.embed(v), [0.0] * k + [1.0])
+
+
+def torus_power_gradient(v, k):
+    power = fields.apply_nonlinearity(
+        kernel.embed(v), [0.0] * (k - 1) + [1.0], out_lt=len(v), out_lx=len(v)
+    )
+    return k * 0.5 * np.pi**2 * fields.diagonal_of(power)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 8])
+def test_power_integral_matches_torus_path(dim):
+    rng = np.random.default_rng(40 + dim)
+    for n in (1, 3):
+        v = kernel.rescale(kernel.KernelVector(rng.standard_normal(dim)), n)
+        for k in range(2, 7):
+            want = torus_power_integral(v, k)
+            scale = 2.0 * np.pi**2 * np.sum(np.abs(v.xi)) ** k
+            assert abs(reduced.power_integral(v, k) - want) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 8])
+def test_power_gradient_matches_projection_diagonal(dim):
+    rng = np.random.default_rng(50 + dim)
+    for n in (1, 2):
+        v = kernel.rescale(kernel.KernelVector(rng.standard_normal(dim)), n)
+        for k in range(2, 7):
+            got = reduced._grad_power_integral(v, k)
+            want = torus_power_gradient(v, k)
+            scale = k * 2.0 * np.pi**2 * np.sum(np.abs(v.xi)) ** (k - 1)
+            assert got.shape == (len(v),)
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+def test_power_gradient_matches_finite_differences():
+    v = rand_vec(seed=37, dim=4, scale=0.7)
+    h = 1e-6
+    for k in (2, 3, 4, 5):
+        g = reduced._grad_power_integral(v, k)
+        for i in range(4):
+            e = np.zeros(4)
+            e[i] = h
+            fd = (
+                reduced.power_integral(kernel.KernelVector(v.xi + e), k)
+                - reduced.power_integral(kernel.KernelVector(v.xi - e), k)
+            ) / (2 * h)
+            assert abs(fd - g[i]) < 1e-7 * max(1.0, abs(g[i]))
+
+
+def test_odd_power_integrals_vanish():
+    # v changes sign under the swap s1 <-> s2 of its travelling waves
+    v = rand_vec(seed=41, dim=5, scale=1.0)
+    for k in (3, 5):
+        assert abs(reduced.power_integral(v, k)) < 1e-13
+        assert np.all(reduced._grad_power_integral(v, k) == 0.0)
+
+
 def test_mean_alpha_single_mode():
     # v = xi cos t sin x gives int v^2 = xi^2 pi^2 / 2, so alpha = xi^2 / 4
     assert abs(reduced.mean_alpha(kernel.KernelVector([2.0]), 2) - 1.0) < 1e-14

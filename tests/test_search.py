@@ -229,6 +229,52 @@ def test_solve_branch_deterministic_and_ordered():
     assert docs_a == docs_b
 
 
+def count_maximizations(monkeypatch):
+    calls = []
+    real = search.maximize_U
+
+    def counting(recipe, dim, **kw):
+        calls.append((recipe.n, kw["seed"]))
+        return real(recipe, dim, **kw)
+
+    monkeypatch.setattr(search, "maximize_U", counting)
+    return calls
+
+
+def test_solve_branch_maximizes_n_invariant_G_once(monkeypatch):
+    calls = count_maximizations(monkeypatch)
+    br = search.solve_branch(ctx_cubic(eps=1e-4, L=32), F3, n_max=3, dim=3,
+                             seed=5, restarts=2)
+    assert [r.n for r in br.records] == [1, 2, 3]
+    assert calls == [(1, 5)]
+    # every level is a dilation of the one maximizer
+    y = br.records[0].xi[:3] / np.linalg.norm(br.records[0].xi[:3])
+    for r in br.records[1:]:
+        yn = r.xi[r.n - 1 :: r.n][:3]
+        assert np.max(np.abs(yn / np.linalg.norm(yn) - y)) < 0.05
+
+
+def test_solve_branch_maximizes_quadratic_form_per_level(monkeypatch):
+    calls = count_maximizations(monkeypatch)
+    f2 = nonlinearity.classify({2: 1.0})
+    ctx = frequency.make_context(frequency.omega_for_eps(-2e-4), L=24)
+    br = search.solve_branch(ctx, f2, n_max=3, dim=2, seed=5, restarts=2)
+    assert [n for n, _ in calls] == [1, 2, 3]
+    assert [seed for _, seed in calls] == [1005, 2005, 3005]
+    attempted = [r.n for r in br.records] + [n for n, _ in br.failures]
+    assert sorted(attempted) == [1, 2, 3]
+
+
+def test_level_maximizer_copies_diagnostics():
+    maximizer = search.LevelMaximizer(2, seed=0, restarts=2)
+    y1, m1, d1 = maximizer(reduced.g_recipe(F3, +1, n=1))
+    y2, m2, d2 = maximizer(reduced.g_recipe(F3, +1, n=2))
+    assert y1 is y2 and m1 == m2
+    assert d1 is not d2
+    search.initial_guess(y2, m2, reduced.g_recipe(F3, +1, n=2), ctx_cubic(), d2)
+    assert d1.predicted_amplitude is None and d2.predicted_amplitude is not None
+
+
 def test_solve_branch_resonant_gamma_is_empty():
     ctx = frequency.make_context(1.5, L=8)
     out = search.solve_branch(ctx, F3)
