@@ -270,6 +270,13 @@ def cmd_solve(args):
         raise ConfigError(str(exc)) from exc
     if (cfg["n"] is None) == (cfg["n_max"] is None):
         raise ConfigError("exactly one of 'n' and 'n_max' must be given")
+    given = [key for key in ("lt", "lx") if cfg[key] is not None]
+    if cfg["n_max"] is not None and given:
+        keys = " and ".join(repr(k) for k in given)
+        raise ConfigError(
+            f"config {keys} cannot be combined with 'n_max': they truncate one "
+            "level, and a branch sizes the truncation of each level itself"
+        )
     ctx = _context_from(cfg)
     if ctx.gamma <= 0.0:
         print(f"omega = {_fmt(ctx.omega)} is resonant at this truncation "
@@ -398,6 +405,17 @@ def cmd_evolve(args):
         min_modes=overrides["min_modes"],
     )
     u = evolve.record_field(record)
+    times = [args.periods * 2.0 * np.pi / record.omega]
+    if args.probe_minimal_period:
+        times.append(evolve.probe_time(record.omega, record.n))
+    try:
+        for t_final in times:
+            evolve.time_grid(u, record.omega, t_final, config)
+    except ResowaveError as exc:
+        keys = ", ".join(f"{k!r} = {v}" for k, v in overrides.items())
+        raise ConfigError(
+            f"evolve config ({keys}) gives an unstable step on this record: {exc}"
+        ) from exc
     err, res = evolve.return_error(
         u, record.omega, f, periods=args.periods, config=config
     )

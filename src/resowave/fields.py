@@ -19,6 +19,8 @@ onto the sine basis in closed form.  The coefficients it returns are the true
 L2 projections, with no aliasing, for any polynomial nonlinearity.
 """
 
+import functools
+
 import numpy as np
 from dataclasses import dataclass
 from scipy import fft as sfft
@@ -352,12 +354,14 @@ def _cos_sin_coeffs(vals, d_t, d_x):
     return A, B
 
 
+@functools.lru_cache(maxsize=64)
 def _half_projection_matrix(d_x, out_lx):
     """K[mu, j-1] with b_j = B_j + sum_mu A_mu K[mu, j-1].
 
     From int_0^pi cos(mu x) sin(j x) dx = 2 j/(j^2 - mu^2) when mu + j is odd
     (zero otherwise), so the sine-basis coefficient of cos(mu x) is
-    (2/pi) * 2 j/(j^2 - mu^2).
+    (2/pi) * 2 j/(j^2 - mu^2).  The matrix is cached and shared by every
+    caller, so it is returned read-only.
     """
     mu = np.arange(d_x + 1)[:, None]
     j = np.arange(1, out_lx + 1)[None, :]
@@ -365,6 +369,7 @@ def _half_projection_matrix(d_x, out_lx):
     K = np.zeros((d_x + 1, out_lx))
     np.divide(4.0 * j / np.pi, (j**2 - mu**2), out=K, where=odd)
     K[~odd] = 0.0
+    K.flags.writeable = False
     return K
 
 
@@ -414,16 +419,17 @@ def integrate_x_poly(a, poly):
     """Exact integral over (0, pi) of poly(g) for the sine series g = sum a_j sin(jx).
 
     Works on a single spatial slice: sample the odd extension on a full-torus
-    grid fine enough for the composed degree, read off the cos/sin
+    grid fine enough for the composed degree (one inverse real FFT, since
+    sin(jx) is the imaginary part of e^{ijx}), read off the cos/sin
     coefficients, and use int cos(mu x) = 0, int sin(mu x) = 2/mu (odd mu).
     """
     a = np.asarray(a, dtype=float)
     r = _poly_degree(poly)
-    deg = max(r * a.size, 1)
+    deg = max(r * a.size, a.size, 1)
     n = _next_pow2(2 * deg + 1)
-    x = 2.0 * np.pi * np.arange(n) / n
-    j = np.arange(1, a.size + 1)
-    g = np.sin(np.outer(x, j)) @ a if a.size else np.zeros(n)
+    spec = np.zeros(n // 2 + 1, dtype=complex)
+    spec[1 : a.size + 1] = (-0.5j * n) * a
+    g = sfft.irfft(spec, n=n)
     vals = np.polynomial.polynomial.polyval(g, np.asarray(poly, dtype=float))
     spec = sfft.rfft(vals) / n
     top = min(deg, n // 2)

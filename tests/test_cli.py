@@ -155,6 +155,11 @@ _RECORD_DOC = {
     ("solve", {"lmax": 8, "n": 3, "dim": 3}),
     ("evolve", {"steps_per_period": 0}),
     ("evolve", {"min_modes": -3}),
+    ("evolve", {"steps_per_period": 1}),
+    ("evolve", {"steps_per_period": 64}),
+    ("evolve", {"min_modes": 2000}),
+    # stable at the return time, unstable at the half-period probe time
+    ("evolve", {"steps_per_period": 101}),
 ], ids=lambda p: p if isinstance(p, str) else ",".join(f"{k}={v}" for k, v in p.items()))
 def test_out_of_range_config_exits_two(tmp_path, capsys, command, override):
     if command == "solve":
@@ -165,12 +170,37 @@ def test_out_of_range_config_exits_two(tmp_path, capsys, command, override):
         argv = ["scan", "--config", write_json(tmp_path / "scan.json", doc)]
     else:
         record = write_json(tmp_path / "rec.json", _RECORD_DOC)
-        argv = ["evolve", "--record", record, "--coeffs", "3=1",
+        argv = ["evolve", "--record", record, "--coeffs", "3=1", "--probe-minimal-period",
                 "--config", write_json(tmp_path / "ev.json", override)]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert repr(next(iter(override))) in err
+
+
+@pytest.mark.parametrize("override", [
+    {"lt": 12, "n_max": 2},
+    {"lx": 6, "n_max": 2},
+    {"lt": 12, "lx": 6, "n_max": 2},
+], ids=lambda d: json.dumps(d))
+def test_branch_refuses_level_truncations(tmp_path, capsys, override):
+    doc = {"coeffs": "3=1", "eps": 1e-3, "lmax": 24, "dim": 3, **override}
+    argv = ["solve", "--config", write_json(tmp_path / "branch.json", doc)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    for key in override:
+        assert repr(key) in captured.err
+
+
+def test_evolve_step_checked_only_at_the_times_it_integrates(tmp_path, capsys):
+    # 101 steps per period are stable over a full period; only the probe at
+    # half the period rounds to a step that is not
+    record = write_json(tmp_path / "rec.json", _RECORD_DOC)
+    cfg = write_json(tmp_path / "ev.json", {"steps_per_period": 101})
+    assert cli.main(["evolve", "--record", record, "--coeffs", "3=1", "--config", cfg]) != 2
+    assert "return_error" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("override", [

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from resowave import evolve, fields, frequency, kernel, nonlinearity, search
 from resowave.errors import ResowaveError
@@ -15,6 +16,21 @@ def test_initial_state_sums_cosine_rows():
     a, b = evolve.initial_state(fields.SpectralField(coeffs), 5)
     assert np.allclose(a, [0.3, 0.3, 0.0, 0.0, 0.0])
     assert np.all(b == 0.0)
+
+
+@pytest.mark.parametrize("n_modes", [evolve.DENSE_MAX_MODES, evolve.DENSE_MAX_MODES + 1])
+def test_acceleration_matches_sine_transform_formula(n_modes):
+    # one size on each side of the dense-matrix bound, against the DST-I
+    # formula -j^2 a - (2/(N+1)) S f(S a) with S[k, j] = sin(pi k j/(N+1))
+    f = nonlinearity.classify({2: 0.5, 3: 1.0, 5: -0.3})
+    rng = np.random.default_rng(n_modes)
+    j = np.arange(1, n_modes + 1)
+    a = rng.standard_normal(n_modes) / j**2
+    vals = sfft.dst(a, type=1) / 2.0
+    fv = sum(c * vals**k for k, c in enumerate(f.poly))
+    want = -(j**2) * a - sfft.dst(fv, type=1) / (n_modes + 1)
+    got = evolve._plan(n_modes, f)(a)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_linear_single_mode_reproduces_cosine():

@@ -116,16 +116,24 @@ def test_integrate_poly_matches_quadrature():
 
 def test_integrate_x_poly_matches_gauss_legendre():
     rng = np.random.default_rng(4)
-    for _ in range(4):
-        a = rng.standard_normal(5) / np.arange(1, 6) ** 2
-        poly = [0.3, 0.0, -1.2, 0.25]
-        nodes, weights = np.polynomial.legendre.leggauss(64)
+    cases = [
+        (5, [0.3, 0.0, -1.2, 0.25], 64),
+        # the slice sizes evolve uses, with the degree-4 primitive of a cubic
+        # f; coefficients decay like 1/j^2, so 512 nodes resolve the composite
+        (48, [0.0, 0.0, 1.0 / 3.0, -0.1, 0.25], 512),
+        (192, [0.0, 0.0, 1.0 / 3.0, -0.1, 0.25], 512),
+    ]
+    for modes, poly, count in cases:
+        j = np.arange(1, modes + 1)
+        nodes, weights = np.polynomial.legendre.leggauss(count)
         x = 0.5 * np.pi * (nodes + 1.0)
-        g = np.sin(np.outer(x, np.arange(1, 6))) @ a
-        vals = poly[0] + poly[2] * g**2 + poly[3] * g**3
-        want = 0.5 * np.pi * float(np.sum(weights * vals))
-        got = fields.integrate_x_poly(a, poly)
-        assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+        for _ in range(4):
+            a = rng.standard_normal(modes) / j**2
+            g = np.sin(np.outer(x, j)) @ a
+            vals = sum(c * g**k for k, c in enumerate(poly))
+            want = 0.5 * np.pi * float(np.sum(weights * vals))
+            got = fields.integrate_x_poly(a, poly)
+            assert abs(got - want) < 1e-12 * max(1.0, abs(want))
 
 
 def test_inner_h1_matches_gradient_quadrature():
