@@ -62,6 +62,7 @@ from .search import (
     galerkin_residual,
     build_solution,
     partner_record,
+    solve_level,
     solve_branch,
 )
 from .evolve import EvolutionConfig, EvolutionResult, integrate, return_error

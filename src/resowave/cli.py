@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import evolve, fields, frequency, kernel, nonlinearity, reduced, search, verify
+from . import evolve, fields, frequency, nonlinearity, search, verify
 from .errors import (
     ClassificationError,
     ConfigError,
@@ -232,27 +232,6 @@ def cmd_freq(args):
     return 0
 
 
-def _solve_single(cfg, ctx, f, n, maximizer):
-    """One level; maximizer is the LevelMaximizer shared by every level of f."""
-    side = cfg["side"] if cfg["side"] is not None else search.default_side(f)
-    report = frequency.admissible(ctx, n, f, C=cfg["C"])
-    if not report.ok and not cfg["force"]:
-        notes = "; ".join(report.notes) or f"bound {_fmt(report.bound)} > C"
-        print(f"n = {n}: not admissible ({notes})")
-        return None
-    recipe = reduced.g_recipe(f, side, n=n)
-    y, m, diag = maximizer(recipe)
-    v0, level = search.initial_guess(y, m, recipe, ctx, diag)
-    v_ref, w_ref, rep = search.refine(
-        v0, ctx, f, gtol=cfg["gtol"], lt=cfg["lt"], lx=cfg["lx"]
-    )
-    return search.build_solution(
-        v_ref, w_ref, ctx, f, recipe, level, newton=rep,
-        residual_tol=cfg["residual_tol"],
-        outside_theorem=n < frequency.minimal_n(f),
-    )
-
-
 def _summary_line(record):
     flag = "accepted" if record.accepted else "rejected"
     extra = " outside-theorem" if record.outside_theorem else ""
@@ -284,11 +263,18 @@ def cmd_solve(args):
         return 1
 
     if cfg["n"] is not None:
-        _check_truncation(cfg, cfg["n"])
-        maximizer = search.LevelMaximizer(cfg["dim"], cfg["seed"], cfg["restarts"])
-        record = _solve_single(cfg, ctx, f, cfg["n"], maximizer)
-        if record is None:
+        n = cfg["n"]
+        _check_truncation(cfg, n)
+        report = frequency.admissible(ctx, n, f, C=cfg["C"])
+        if not report.ok and not cfg["force"]:
+            notes = "; ".join(report.notes) or f"bound {_fmt(report.bound)} > C"
+            print(f"n = {n}: not admissible ({notes})")
             return 1
+        maximizer = search.LevelMaximizer(cfg["dim"], cfg["seed"], cfg["restarts"])
+        record = search.solve_level(
+            ctx, f, n, maximizer, side=cfg["side"], gtol=cfg["gtol"],
+            residual_tol=cfg["residual_tol"], lt=cfg["lt"], lx=cfg["lx"],
+        )
         print(_summary_line(record))
         if cfg["output"] is not None:
             _write_text(cfg["output"], _record_json(record))
@@ -300,6 +286,7 @@ def cmd_solve(args):
         ctx, f, n_max=cfg["n_max"], C=cfg["C"], side=cfg["side"],
         dim=cfg["dim"], seed=cfg["seed"], restarts=cfg["restarts"],
         gtol=cfg["gtol"], residual_tol=cfg["residual_tol"],
+        force_n_min=1 if cfg["force"] else None,
     )
     for record in result.records:
         print(_summary_line(record))
@@ -327,9 +314,11 @@ def cmd_scan(args):
     rng = cfg["omega_range"]
     if len(rng) != 3 or not all(isinstance(v, _NUM) for v in rng):
         raise ConfigError("'omega_range' must be [lo, hi, step]")
-    lo, hi, step = (float(v) for v in rng)
-    if step <= 0:
-        raise ConfigError("'omega_range' step must be positive")
+    try:
+        lo, hi, step = (float(v) for v in rng)
+        rows = frequency.scan_frequencies(lo, hi, step, cfg["lmax"], f, C=cfg["C"])
+    except ResowaveError as exc:
+        raise ConfigError(f"'omega_range': {exc}") from exc
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -339,34 +328,24 @@ def cmd_scan(args):
     # one maximizer for the whole scan: G does not depend on omega, and
     # outside the quadratic-form cases not on n either
     maximizer = search.LevelMaximizer(cfg["dim"], cfg["seed"], cfg["restarts"])
-    omegas = np.arange(lo, hi + 0.5 * step, step)
-    for om in omegas:
-        om = float(om)
-        if not (frequency.OMEGA_RANGE[0] <= om <= frequency.OMEGA_RANGE[1]):
-            continue
-        ctx = frequency.make_context(om, cfg["lmax"])
-        if ctx.gamma <= 0.0 or om == 1.0:
-            continue
-        cap = frequency.max_admissible_n(ctx, f, C=cfg["C"])
-        for n in range(frequency.minimal_n(f), min(cap, cfg["n_max"]) + 1):
-            if not frequency.admissible(ctx, n, f, C=cfg["C"]).ok:
-                continue
+    for row in rows:
+        ctx = row["ctx"]
+        # every level up to the row's cap is admissible: the bound is monotone in n
+        for n in range(frequency.minimal_n(f), min(row["n_max"], cfg["n_max"]) + 1):
             status, h1_txt, en_txt = "admissible", "", ""
             if cfg["solve"]:
-                sub = dict(cfg)
-                sub.update({"side": None, "force": False, "lt": None, "lx": None})
                 try:
-                    record = _solve_single(sub, ctx, f, n, maximizer)
-                    if record is None:
-                        continue
+                    record = search.solve_level(
+                        ctx, f, n, maximizer, gtol=cfg["gtol"],
+                        residual_tol=cfg["residual_tol"],
+                    )
                     status = "accepted" if record.accepted else "rejected"
-                    h1_txt = _fmt(record.h1)
-                    en_txt = _fmt(record.energy)
-                except (ConvergenceError, ResonanceError, ResowaveError):
+                    h1_txt, en_txt = _fmt(record.h1), _fmt(record.energy)
+                except ResowaveError:
                     status = "failed"
             writer.writerow(
-                [_fmt(om), _fmt(ctx.eps), _fmt(ctx.gamma), cap, n, status,
-                 h1_txt, en_txt]
+                [_fmt(ctx.omega), _fmt(ctx.eps), _fmt(ctx.gamma), row["n_max"], n,
+                 status, h1_txt, en_txt]
             )
     _write_text(cfg["output"], buf.getvalue())
     return 0
@@ -389,6 +368,8 @@ def cmd_verify(args):
 
 
 def cmd_evolve(args):
+    if args.periods < 1:
+        raise ConfigError(f"'periods' must be >= 1, got {args.periods}")
     record = _load_record(args.record)
     try:
         f = _parse_coeffs(args.coeffs)
@@ -431,14 +412,10 @@ def cmd_evolve(args):
 
 
 def _export_grid(record):
-    u = evolve.record_field(record)
-    arr = u.coeffs
     nt, nx = 64, 64
     t = 2.0 * np.pi * np.arange(nt) / nt
     x = np.pi * np.arange(nx + 1) / nx
-    ct = np.cos(np.outer(t, np.arange(arr.shape[0])))
-    sx = np.sin(np.outer(np.arange(1, arr.shape[1] + 1), x))
-    vals = ct @ arr @ sx
+    vals = fields.eval_field(evolve.record_field(record), t, x)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["t", "x", "u"])

@@ -169,12 +169,16 @@ def max_admissible_n(ctx, f, C=DEFAULT_C):
     return n_cap
 
 
-def scan_frequencies(omega_lo, omega_hi, step, L, f, C=DEFAULT_C, n=None):
+def scan_frequencies(omega_lo, omega_hi, step, L, f, C=DEFAULT_C):
     """Admissibility survey over a frequency grid; rows sorted by omega.
 
-    Each row is a dict with the context, the count of admissible indices, and
-    (when n is given) the report for that specific n.
+    Each row is a dict with the context ("ctx", also unpacked as omega, eps
+    and gamma) and the largest admissible index "n_max": every n from
+    minimal_n(f) to n_max is admissible, and n_max is 0 at omega = 1 and at
+    resonant frequencies.
     """
+    if not np.all(np.isfinite([omega_lo, omega_hi, step])):
+        raise ResowaveError("grid bounds and step must be finite")
     if step <= 0:
         raise ResowaveError("step must be positive")
     omegas = np.arange(omega_lo, omega_hi + 0.5 * step, step)
@@ -183,13 +187,11 @@ def scan_frequencies(omega_lo, omega_hi, step, L, f, C=DEFAULT_C, n=None):
         if not (OMEGA_RANGE[0] <= om <= OMEGA_RANGE[1]):
             continue
         ctx = make_context(float(om), L)
-        row = {
+        rows.append({
+            "ctx": ctx,
             "omega": ctx.omega,
             "eps": ctx.eps,
             "gamma": ctx.gamma,
-            "n_max": max_admissible_n(ctx, f, C) if ctx.omega != 1.0 else 0,
-        }
-        if n is not None:
-            row["report"] = admissible(ctx, n, f, C)
-        rows.append(row)
+            "n_max": max_admissible_n(ctx, f, C),
+        })
     return rows

@@ -13,7 +13,7 @@ The effective homogeneity q of the reduced variational problem is p, d,
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ClassificationError
 

@@ -35,7 +35,6 @@ class PSolveReport:
     final_update: float        # |w_{k+1} - w_k|_omega at exit
     contraction_ratio: float   # last observed update ratio
     w_omega_norm: float
-    first_iterate_gap: float   # weak-L2 distance of w to L^-1 P_W f(v), order |v|^{2p-1}
     domain_ratio: float        # |v|_omega^{p-1} / gamma
     domain_ok: bool
 
@@ -80,17 +79,6 @@ def _masked_rhs(u, f, lt, lx, n):
     return rhs
 
 
-def _probe_gap(diff, omega, seed=1234):
-    """sup over a few fixed random probes r of |<diff, r>_L2| / |r|_omega."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(3):
-        r = fields.SpectralField(rng.standard_normal((diff.lt + 1, diff.lx)))
-        pairing = abs(fields.inner_l2(diff, r))
-        worst = max(worst, pairing / fields.norms(r, omega).omega)
-    return worst
-
-
 def solve_P(v, ctx, f, tol=1e-12, max_iter=200, lt=None, lx=None, rho=DOMAIN_RHO):
     """Solve the truncated range equation for the kernel element v.
 
@@ -129,7 +117,6 @@ def solve_P(v, ctx, f, tol=1e-12, max_iter=200, lt=None, lx=None, rho=DOMAIN_RHO
         n = 1
 
     w = fields.zeros(lt, lx)
-    w1 = None
     updates = []
     ratio = 0.0
     for it in range(1, max_iter + 1):
@@ -137,21 +124,17 @@ def solve_P(v, ctx, f, tol=1e-12, max_iter=200, lt=None, lx=None, rho=DOMAIN_RHO
         w_next = apply_L_inv(rhs, ctx.omega, lt, lx)
         upd = fields.norms(w_next - w, ctx.omega).omega
         updates.append(upd)
-        if w1 is None:
-            w1 = w_next
         w = w_next
         if len(updates) >= 2 and updates[-2] > 0.0:
             ratio = updates[-1] / updates[-2]
         w_norm = fields.norms(w, ctx.omega).omega
         if upd <= tol * max(1.0, w_norm):
-            gap = _probe_gap(w - w1, ctx.omega)
             return w, PSolveReport(
                 iterations=it,
                 converged=True,
                 final_update=upd,
                 contraction_ratio=ratio,
                 w_omega_norm=w_norm,
-                first_iterate_gap=gap,
                 domain_ratio=domain_ratio,
                 domain_ok=domain_ok,
             )

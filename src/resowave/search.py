@@ -39,7 +39,6 @@ __all__ = [
     "LevelMaximizer",
     "branch_prediction",
     "initial_guess",
-    "remainder_ratio",
     "refine",
     "galerkin_residual",
     "energy_at",
@@ -48,6 +47,7 @@ __all__ = [
     "involution_partner",
     "build_solution",
     "partner_record",
+    "solve_level",
     "solve_branch",
 ]
 
@@ -65,7 +65,6 @@ class SearchDiagnostics:
     restart_values: tuple
     predicted_level: float = None
     predicted_amplitude: float = None
-    alpha_hat: float = None   # empirical remainder ratio sup |DR(v)[v]| / |v|^(q+1)
 
 
 @dataclass
@@ -327,34 +326,6 @@ def initial_guess(y_star, m_value, recipe, ctx, diagnostics=None):
         diagnostics.predicted_level = level
     scaled = kernel.KernelVector(t_star * y_star.xi)
     return kernel.rescale(scaled, recipe.n), level
-
-
-def remainder_ratio(y_star, m_value, recipe, ctx, f, amplitudes=(0.5, 1.0, 1.5)):
-    """Empirical size of the remainder of sigma Phi beyond its leading model.
-
-    Along the ray t -> t y*, R(t) = sigma Phi(L_n(t y*)) - (mu/2) t^2
-    + G_eff t^(q+1); the reported ratio is sup |t R'(t)| / t^(q+1) over the
-    probe amplitudes (central differences), a monitored constant with no
-    asserted bound.
-    """
-    t_star, _, _ = branch_prediction(m_value, recipe.q, ctx.eps, recipe.n)
-    mu = abs(ctx.eps) * recipe.n**2
-
-    def R(t):
-        v = kernel.rescale(kernel.KernelVector(t * y_star.xi), recipe.n)
-        return (
-            recipe.sigma * reduced.phi(v, ctx, f)
-            - 0.5 * mu * t**2
-            + m_value * t ** (recipe.q + 1)
-        )
-
-    worst = 0.0
-    for frac in amplitudes:
-        t = frac * t_star
-        h = 1e-3 * t
-        dR = (R(t + h) - R(t - h)) / (2.0 * h)
-        worst = max(worst, abs(t * dR) / t ** (recipe.q + 1))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +618,24 @@ def partner_record(record, f):
     )
 
 
+def solve_level(ctx, f, n, maximizer, side=None, gtol=1e-12, residual_tol=1e-8,
+                lt=None, lx=None):
+    """The certified record of dilation level n: steps 1-4 of the pipeline.
+
+    maximizer is the LevelMaximizer shared by every level of f and side;
+    admissibility is the caller's to check.  A level below the case's minimal
+    index is flagged outside_theorem.  Raises ResowaveError (ConvergenceError
+    when the refinement fails).
+    """
+    recipe = reduced.g_recipe(f, default_side(f) if side is None else side, n=n)
+    y_star, m_val, diag = maximizer(recipe)
+    v0, level = initial_guess(y_star, m_val, recipe, ctx, diag)
+    v, w, rep = refine(v0, ctx, f, gtol=gtol, lt=lt, lx=lx)
+    return build_solution(v, w, ctx, f, recipe, level, newton=rep,
+                          residual_tol=residual_tol,
+                          outside_theorem=n < frequency.minimal_n(f))
+
+
 def solve_branch(ctx, f, n_max=None, C=0.05, side=None, dim=8, seed=0,
                  restarts=16, gtol=1e-12, residual_tol=1e-8,
                  force_n_min=None):
@@ -654,16 +643,14 @@ def solve_branch(ctx, f, n_max=None, C=0.05, side=None, dim=8, seed=0,
 
     Levels run from the case's minimal n (or force_n_min, flagging records
     below the covered range) to n_max or the admissibility cap.  Each level
-    starts from the LevelMaximizer of the branch: one maximization, drawn
-    from seed, serves every level unless G carries the quadratic form, whose
-    levels are maximized one by one with seed + 1000 n.  Per-level failures
-    are collected, not fatal.  A zero non-resonance margin means no
-    admissible levels at all.
+    is one solve_level with the LevelMaximizer of the branch: one
+    maximization, drawn from seed, serves every level unless G carries the
+    quadratic form, whose levels are maximized one by one with
+    seed + 1000 n.  Per-level failures are collected, not fatal.  A zero
+    non-resonance margin means no admissible levels at all.
     """
     if ctx.gamma <= 0.0:
         return BranchResult(records=[], failures=[])
-    if side is None:
-        side = default_side(f)
     cap = frequency.max_admissible_n(ctx, f, C=C)
     if n_max is None:
         n_max = cap
@@ -674,31 +661,17 @@ def solve_branch(ctx, f, n_max=None, C=0.05, side=None, dim=8, seed=0,
     records = []
     failures = []
     for n in range(start, n_max + 1):
-        report = frequency.admissible(ctx, n, f, C=C)
-        # forcing waives only the minimal-index criterion; side, resonance
-        # and the smallness bound still apply
-        forced_ok = (
-            force_n_min is not None
-            and n < n_min
-            and report.side_ok
-            and ctx.gamma > 0.0
-            and report.bound <= C * (1.0 + 1e-12)
-        )
-        if not (report.ok or forced_ok):
-            failures.append((n, "; ".join(report.notes) or "not admissible"))
-            continue
+        # levels n_min..cap are admissible (the bound is monotone in n); a
+        # forced level below n_min waives only the minimal-index criterion,
+        # so side, resonance and the smallness bound still apply
+        if n < n_min:
+            report = frequency.admissible(ctx, n, f, C=C)
+            if not (report.side_ok and report.bound <= C * (1.0 + 1e-12)):
+                failures.append((n, "; ".join(report.notes) or "not admissible"))
+                continue
         try:
-            recipe = reduced.g_recipe(f, side, n=n)
-            y_star, m_val, diag = maximizer(recipe)
-            v0, level = initial_guess(y_star, m_val, recipe, ctx, diag)
-            v_ref, w_ref, rep = refine(v0, ctx, f, gtol=gtol)
-            records.append(
-                build_solution(
-                    v_ref, w_ref, ctx, f, recipe, level,
-                    newton=rep, residual_tol=residual_tol,
-                    outside_theorem=n < n_min,
-                )
-            )
-        except (ConvergenceError, ResowaveError) as exc:
+            records.append(solve_level(ctx, f, n, maximizer, side=side, gtol=gtol,
+                                       residual_tol=residual_tol))
+        except ResowaveError as exc:
             failures.append((n, str(exc)))
     return BranchResult(records=records, failures=failures)

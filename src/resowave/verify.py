@@ -10,7 +10,6 @@ run_suite is byte-deterministic: a fixed seed reproduces every measured
 number exactly, and reports are always ordered by check name.
 """
 
-import math
 import zlib
 from dataclasses import dataclass
 
@@ -468,27 +467,20 @@ def check_scalings(rng):
     n_tol = 0.02
     f3 = nonlinearity.classify([0.0, 0.0, 0.0, 1.0])
     eps_list = [4e-4, 8e-4, 1.6e-3]
-    h1s, levels = [], []
-    for eps in eps_list:
-        ctx = frequency.make_context(frequency.omega_for_eps(eps), L=32)
-        rec = reduced.g_recipe(f3, +1, n=1)
-        y, m, _ = search.maximize_U(rec, dim=4, seed=7, restarts=4)
-        v0, _ = search.initial_guess(y, m, rec, ctx)
-        v_ref, w_ref, _ = search.refine(v0, ctx, f3)
-        h1s.append(v_ref.h1())
-        levels.append(abs(reduced.phi(v_ref, ctx, f3, w=w_ref)))
-    amp_slope = _fit_slope(eps_list, h1s)
-    level_slope = _fit_slope(eps_list, levels)
+    # G of the cubic does not depend on n: one maximization seeds every solve
+    maximizer = search.LevelMaximizer(dim=4, seed=7, restarts=4)
+    records = [
+        search.solve_level(frequency.make_context(frequency.omega_for_eps(eps), L=32),
+                           f3, 1, maximizer)
+        for eps in eps_list
+    ]
+    amp_slope = _fit_slope(eps_list, [r.h1 for r in records])
+    level_slope = _fit_slope(eps_list, [abs(r.phi) for r in records])
 
     ctx = frequency.make_context(frequency.omega_for_eps(1e-3), L=32)
-    n_h1, n_energy = [], []
-    for n in (1, 2, 3):
-        rec = reduced.g_recipe(f3, +1, n=n)
-        y, m, _ = search.maximize_U(rec, dim=4, seed=7, restarts=4)
-        v0, _ = search.initial_guess(y, m, rec, ctx)
-        v_ref, w_ref, _ = search.refine(v0, ctx, f3)
-        n_h1.append(v_ref.h1())
-        n_energy.append(search.energy_certificate(v_ref, w_ref, ctx, f3)[0])
+    records = [search.solve_level(ctx, f3, n, maximizer) for n in (1, 2, 3)]
+    n_h1 = [r.h1 for r in records]
+    n_energy = [r.energy for r in records]
     worst_n = max(
         abs(n_h1[1] / n_h1[0] - 4.0) / 4.0, abs(n_h1[2] / n_h1[0] - 9.0) / 9.0
     )

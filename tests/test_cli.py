@@ -147,6 +147,7 @@ _RECORD_DOC = {
     ("scan", {"restarts": 0}),
     ("scan", {"n_max": 0}),
     ("scan", {"gtol": -1e-12}),
+    ("scan", {"omega_range": [1.001, float("nan"), 0.001]}),
     ("solve", {"seed": -5000}),
     ("scan", {"seed": -1}),
     ("solve", {"lt": 4, "n": 2, "dim": 6}),
@@ -160,6 +161,9 @@ _RECORD_DOC = {
     ("evolve", {"min_modes": 2000}),
     # stable at the return time, unstable at the half-period probe time
     ("evolve", {"steps_per_period": 101}),
+    # --periods is a flag, not a config key
+    ("evolve", {"periods": 0}),
+    ("evolve", {"periods": -1}),
 ], ids=lambda p: p if isinstance(p, str) else ",".join(f"{k}={v}" for k, v in p.items()))
 def test_out_of_range_config_exits_two(tmp_path, capsys, command, override):
     if command == "solve":
@@ -170,8 +174,10 @@ def test_out_of_range_config_exits_two(tmp_path, capsys, command, override):
         argv = ["scan", "--config", write_json(tmp_path / "scan.json", doc)]
     else:
         record = write_json(tmp_path / "rec.json", _RECORD_DOC)
+        config = {k: v for k, v in override.items() if k != "periods"}
+        flags = [f"--periods={override['periods']}"] if "periods" in override else []
         argv = ["evolve", "--record", record, "--coeffs", "3=1", "--probe-minimal-period",
-                "--config", write_json(tmp_path / "ev.json", override)]
+                *flags, "--config", write_json(tmp_path / "ev.json", config)]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
@@ -238,6 +244,43 @@ def test_single_level_starts_from_the_branch_maximizer(tmp_path, capsys):
     assert cli.main(["solve", "--config", cfg]) == 0
     capsys.readouterr()
     assert single.read_bytes() == (outdir / "record_n2.json").read_bytes()
+
+
+def test_forced_branch_attempts_levels_below_the_minimal_index(tmp_path, capsys):
+    # u^4 is covered from n = 2; force waives the minimal index on a branch too
+    cfg = write_json(tmp_path / "branch.json", {
+        "coeffs": "4=1", "eps": -1e-4, "n_max": 2, "lmax": 24, "dim": 3,
+        "force": True, "output": str(tmp_path / "records"),
+    })
+    # exit 1: the n = 2 record misses the energy-drift bar
+    assert cli.main(["solve", "--config", cfg]) == 1
+    out = capsys.readouterr().out
+    assert "n = 1: accepted outside-theorem" in out
+    assert "n = 2: " in out
+
+
+def test_scan_row_is_the_single_level_solve(tmp_path, capsys):
+    # a solved scan row and solve with n at that row's omega run the same
+    # pipeline, so they print the same size and energy
+    scan_out = tmp_path / "scan.csv"
+    cfg = write_json(tmp_path / "scan.json", {
+        "coeffs": "3=1", "omega_range": [1.0004, 1.0004, 0.0001], "lmax": 24,
+        "n_max": 2, "solve": True, "dim": 3, "restarts": 3, "seed": 2,
+        "output": str(scan_out),
+    })
+    assert cli.main(["scan", "--config", cfg]) == 0
+    capsys.readouterr()
+    row = scan_out.read_text().splitlines()[-1].split(",")
+    assert row[4] == "2" and row[5] == "accepted"
+    record = tmp_path / "r.json"
+    solve = write_json(tmp_path / "solve.json", {
+        "coeffs": "3=1", "omega": float(row[0]), "n": 2, "lmax": 24, "dim": 3,
+        "restarts": 3, "seed": 2, "output": str(record),
+    })
+    assert cli.main(["solve", "--config", solve]) == 0
+    capsys.readouterr()
+    doc = json.loads(record.read_text())
+    assert [cli._fmt(doc["h1"]), cli._fmt(doc["energy"])] == row[6:8]
 
 
 def test_solve_resonant_frequency_is_refusal(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from resowave import evolve, fields, frequency, kernel, nonlinearity, search
+from resowave import evolve, fields, frequency, nonlinearity, search
 from resowave.errors import ResowaveError
 
 
