@@ -241,6 +241,11 @@ def _summary_line(record):
     )
 
 
+def _refusal(report):
+    """Why an admissibility report refuses its level."""
+    return "; ".join(report.notes) or f"bound {_fmt(report.bound)} > C"
+
+
 def cmd_solve(args):
     cfg = _validate(_load_config(args.config), SOLVE_SCHEMA, "solve")
     try:
@@ -267,8 +272,7 @@ def cmd_solve(args):
         _check_truncation(cfg, n)
         report = frequency.admissible(ctx, n, f, C=cfg["C"])
         if not report.ok and not cfg["force"]:
-            notes = "; ".join(report.notes) or f"bound {_fmt(report.bound)} > C"
-            print(f"n = {n}: not admissible ({notes})")
+            print(f"n = {n}: not admissible ({_refusal(report)})")
             return 1
         maximizer = search.LevelMaximizer(cfg["dim"], cfg["seed"], cfg["restarts"])
         record = search.solve_level(
@@ -297,6 +301,11 @@ def cmd_solve(args):
             sys.stdout.write(_record_json(record))
     for n, reason in result.failures:
         print(f"n = {n}: failed ({reason})")
+    if not result.records and not result.failures:
+        report = frequency.admissible(ctx, frequency.minimal_n(f), f, C=cfg["C"])
+        reason = (_refusal(report) if not report.ok
+                  else f"n_max below the minimal index {report.n_min}")
+        print(f"no admissible level ({reason})")
     ok = (
         bool(result.records)
         and all(r.accepted for r in result.records)

@@ -404,15 +404,22 @@ def _sine_projection(A, B, d_t, out_lt, out_lx):
     return SpectralField(coeffs)
 
 
+def _interval_integral(A0, B):
+    """int_0^pi of A0 + sum_mu [A_mu cos(mu x) + B[mu] sin(mu x)], mu = 1, 2, ...
+
+    The cosines integrate to zero and sin(mu x) to 2/mu for odd mu, so only
+    the mean A0 and the odd sine coefficients enter; B is indexed from mu = 0.
+    """
+    mu = np.arange(B.size)
+    odd = mu % 2 == 1
+    return float(np.pi * A0 + 2.0 * np.sum(B[odd] / mu[odd]))
+
+
 def integrate_poly(u, poly):
     """Exact integral of poly(u) over the domain [0,2pi) x (0,pi)."""
     r = _poly_degree(poly)
     A, B = _torus_cos_sin(u, poly, max(r * u.lt, 1), max(r * u.lx, 1))
-    mu = np.arange(A.shape[1])
-    odd = mu % 2 == 1
-    val = np.pi * A[0, 0]
-    val += 2.0 * np.sum(B[0, odd] / mu[odd])
-    return 2.0 * np.pi * float(val)
+    return 2.0 * np.pi * _interval_integral(A[0, 0], B[0])
 
 
 def integrate_x_poly(a, poly):
@@ -421,7 +428,7 @@ def integrate_x_poly(a, poly):
     Works on a single spatial slice: sample the odd extension on a full-torus
     grid fine enough for the composed degree (one inverse real FFT, since
     sin(jx) is the imaginary part of e^{ijx}), read off the cos/sin
-    coefficients, and use int cos(mu x) = 0, int sin(mu x) = 2/mu (odd mu).
+    coefficients, and integrate them (_interval_integral).
     """
     a = np.asarray(a, dtype=float)
     r = _poly_degree(poly)
@@ -433,12 +440,7 @@ def integrate_x_poly(a, poly):
     vals = np.polynomial.polynomial.polyval(g, np.asarray(poly, dtype=float))
     spec = sfft.rfft(vals) / n
     top = min(deg, n // 2)
-    val = np.pi * spec[0].real
-    mu = np.arange(1, top + 1)
-    B = -2.0 * spec[1 : top + 1].imag
-    odd = mu % 2 == 1
-    val += 2.0 * float(np.sum(B[odd] / mu[odd]))
-    return float(val)
+    return _interval_integral(spec[0].real, -2.0 * spec[: top + 1].imag)
 
 
 def multiply_poly_project(u, poly, z, out_lt=None, out_lx=None):

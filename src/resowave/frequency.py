@@ -131,6 +131,8 @@ def admissible(ctx, n, f, C=DEFAULT_C):
     else:
         side_ok = False
         notes.append("omega = 1 excluded (degenerate eps = 0)")
+    if ctx.omega != 1.0 and not side_ok:
+        notes.append(f"case {f.case} bifurcates to {side_req}")
     e = _bound_exponent(f)
     n_min = minimal_n(f)
     if ctx.gamma > 0.0:

@@ -22,7 +22,7 @@ import numpy as np
 from . import fields, kernel
 from .errors import ConvergenceError, ResonanceError, ResowaveError
 
-__all__ = ["PSolveReport", "apply_L_inv", "solve_P"]
+__all__ = ["PSolveReport", "apply_L_inv", "contraction_domain", "solve_P"]
 
 DOMAIN_RHO = 0.1
 RESONANCE_TOL = 1e-10
@@ -70,6 +70,30 @@ def apply_L_inv(w, omega, out_lt=None, out_lx=None):
     return fields.SpectralField(out)
 
 
+def contraction_domain(v, ctx, f, lt, rho=DOMAIN_RHO):
+    """The a priori contraction quantity |v|_omega^(p-1)/gamma; warns above rho.
+
+    Refuses a resonant context and a truncation lt outside [len(v), ctx.L].
+    solve_P monitors the quantity and search.refine aborts on it.
+    """
+    if ctx.gamma <= 0.0:
+        raise ResonanceError(omega=ctx.omega)
+    if lt < len(v):
+        raise ResowaveError(f"temporal truncation lt={lt} below kernel reach {len(v)}")
+    if lt > ctx.L:
+        raise ResowaveError(
+            f"truncation lt={lt} exceeds the context's certified range L={ctx.L}"
+        )
+    ratio = fields.norms(kernel.embed(v), ctx.omega).omega ** (f.p - 1) / ctx.gamma
+    if ratio > rho:
+        warnings.warn(
+            f"|v|_omega^(p-1)/gamma = {ratio:.3g} above rho = {rho}; "
+            "contraction not guaranteed",
+            stacklevel=3,
+        )
+    return ratio
+
+
 def _masked_rhs(u, f, lt, lx, n):
     rhs = fields.apply_nonlinearity(u, f.poly, out_lt=lt, out_lx=lx)
     if n > 1:
@@ -88,29 +112,14 @@ def solve_P(v, ctx, f, tol=1e-12, max_iter=200, lt=None, lx=None, rho=DOMAIN_RHO
     (warn above rho); genuine divergence raises ConvergenceError with the
     update trace attached.
     """
-    if ctx.gamma <= 0.0:
-        raise ResonanceError(omega=ctx.omega)
     dim = len(v)
     if lt is None:
         lt = max(2 * dim, 16)
     if lx is None:
         lx = max(2 * dim, 16)
-    if lt < dim:
-        raise ResowaveError(f"temporal truncation lt={lt} below kernel reach {dim}")
-    if lt > ctx.L:
-        raise ResowaveError(
-            f"truncation lt={lt} exceeds the context's certified range L={ctx.L}"
-        )
-    u_v = kernel.embed(v)
-    vn = fields.norms(u_v, ctx.omega)
-    domain_ratio = vn.omega ** (f.p - 1) / ctx.gamma
+    domain_ratio = contraction_domain(v, ctx, f, lt, rho)
     domain_ok = domain_ratio <= rho
-    if not domain_ok:
-        warnings.warn(
-            f"|v|_omega^(p-1)/gamma = {domain_ratio:.3g} above rho = {rho}; "
-            "contraction not guaranteed",
-            stacklevel=2,
-        )
+    u_v = kernel.embed(v)
     try:
         n = kernel.minimal_time_period_index(v)
     except ResowaveError:

@@ -11,10 +11,12 @@ The pipeline per dilation level n:
      (LevelMaximizer);
   2. turn the maximum m and mu = |eps| n^2 into the amplitude t* and the
      predicted critical level of the reduced functional;
-  3. refine the dilated initial guess t* L_n y* to a true critical point of
-     Phi_eps with a damped Newton method; each step assembles the Galerkin
-     Jacobian (multiplication by f'(u) on the dilation sublattice, with the
-     linearized range equation eliminated by one LU) and solves it densely;
+  3. refine the dilated initial guess t* L_n y* (with w = 0) by damped Newton
+     on the truncated Galerkin system on the dilation sublattice, kernel and
+     range entries together; its kernel rows are -grad Phi_eps and its range
+     rows the range equation, so a zero is a critical point v with its w(v).
+     Each step assembles the Jacobian (the wave symbol plus multiplication
+     by f'(u)) and solves it densely;
   4. assemble the full solution u = v + w(v) with its certificates (Galerkin
      residual, energy drift across probe times, norms, minimal period).
 """
@@ -24,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from . import fields, frequency, kernel, psolve, reduced
 from .errors import ConvergenceError, ResonanceError, ResowaveError
@@ -52,6 +53,7 @@ __all__ = [
 ]
 
 RECORD_VERSION = 1
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass
@@ -329,158 +331,117 @@ def initial_guess(y_star, m_value, recipe, ctx, diagnostics=None):
 
 
 # ---------------------------------------------------------------------------
-# step 3: Newton refinement of the reduced equation
+# step 3: Newton refinement of the truncated Galerkin system
 
 
-def _support_slots(n, total):
-    return np.arange(n - 1, total, n)
+def _galerkin_F(u, ctx, f, n):
+    """F(u) = (j^2 - omega^2 l^2) u + P f(u) on the rows l in nZ of u's truncation."""
+    fu = fields.apply_nonlinearity(u, f.poly, out_lt=u.lt, out_lx=u.lx)
+    return (fu.coeffs - psolve._denominators(u.lt, u.lx, ctx.omega) * u.coeffs)[::n]
 
 
-def _embed_slots(vals, slots, total):
-    xi = np.zeros(total)
-    xi[slots] = vals
-    return kernel.KernelVector(xi)
+def _galerkin_jacobian(u, ctx, f, n):
+    """The Jacobian diag(j^2 - omega^2 l^2) + M of _galerkin_F, entries row-major.
 
-
-def _grad_on_slots(v, ctx, f, w, slots):
-    g = reduced.grad_phi(v, ctx, f, w=w)
-    return g[slots]
-
-
-def _slot_jacobian(u, ctx, f, n, slots, lt, lx):
-    """Jacobian of the slot gradient with the range equation linearized exactly.
-
-    With M the matrix of z -> P[f'(u) z] on the sublattice entries of the
-    (lt, lx) truncation, E the kernel slots among them and L^-1 P_W the
-    division of every other entry by omega^2 l^2 - j^2,
-
-        J = eps pi^2 diag(j^2)
-            - (pi^2/2) (M_EE + M_E. (I - L^-1 P_W M)^-1 L^-1 P_W M_.E).
-
-    Slots beyond the temporal truncation keep only the eps term.  A range
-    entry whose row of M is nonzero and whose denominator vanishes raises
-    ResonanceError, naming the mode, as apply_L_inv does.
+    M is the matrix of z -> P[f'(u) z] on the sublattice entries.  A range
+    entry (l != j) whose symbol vanishes and whose row of M is nonzero raises
+    ResonanceError naming the mode, as apply_L_inv does.
     """
-    M = fields.multiply_poly_matrix(u, f.fprime, lt, lx, n=n)
-    den = psolve._denominators(lt, lx, ctx.omega)[::n].ravel()
-    size = den.size
-    j_slots = slots + 1
-    inside = j_slots <= lt
-    E = (j_slots[inside] // n) * lx + slots[inside]
-    range_entry = np.ones(size, dtype=bool)
-    range_entry[E] = False
-    small = range_entry & (np.abs(den) < psolve.RESONANCE_TOL)
-    bad = np.flatnonzero(small)
-    present = bad[np.any(M[bad] != 0.0, axis=1)]
+    lt, lx = u.lt, u.lx
+    den = psolve._denominators(lt, lx, ctx.omega)[::n]
+    J = fields.multiply_poly_matrix(u, f.fprime, lt, lx, n=n)
+    l = n * np.arange(den.shape[0])[:, None]
+    j = np.arange(1, lx + 1)[None, :]
+    resonant = np.flatnonzero((l != j) & (np.abs(den) < psolve.RESONANCE_TOL))
+    present = resonant[np.any(J[resonant] != 0.0, axis=1)]
     if present.size:
         a, jm = divmod(int(present[0]), lx)
-        raise ResonanceError(n * a, jm + 1, den[present[0]])
-    lam = np.zeros(size)
-    safe = range_entry & ~small
-    lam[safe] = 1.0 / den[safe]
-    M_E_rows = M[E]
-    rhs = lam[:, None] * M[:, E]
-    # I - L^-1 P_W M, overwriting M; kernel rows are identity rows, so the
-    # solution vanishes there and M_E. dw only sees the range entries
-    M *= -lam[:, None]
-    diag = np.arange(size)
-    M[diag, diag] += 1.0
-    dw = lu_solve(lu_factor(M, overwrite_a=True, check_finite=False), rhs,
-                  check_finite=False)
-    J = np.diag(ctx.eps * np.pi**2 * j_slots.astype(float) ** 2)
-    J[np.ix_(inside, inside)] -= 0.5 * np.pi**2 * (M_E_rows[:, E] + M_E_rows @ dw)
+        raise ResonanceError(n * a, jm + 1, den.flat[present[0]])
+    J[np.diag_indices_from(J)] -= den.ravel()
     return J
 
 
-def refine(v0, ctx, f, max_iter=40, gtol=1e-12, rho=0.1, psolve_tol=1e-13,
-           lt=None, lx=None):
-    """Damped Newton for grad Phi = 0 starting from the dilated guess.
+def refine(v0, ctx, f, max_iter=40, gtol=1e-12, lt=None, lx=None):
+    """Damped Newton on the truncated Galerkin system, from the dilated guess.
 
-    The kernel unknowns are every diagonal slot of the solve truncation on
-    the dilation sublattice, not just the seeded harmonics: that way no
-    in-truncation kernel equation is left unsolved and the Galerkin residual
-    of the result is limited only by the range-equation tolerance.
-
-    Each step assembles the Galerkin Jacobian of the slot gradient once
-    (_slot_jacobian: the multiplication-by-f'(u) matrix on the sublattice,
-    with the linearized range equation eliminated by one LU) and takes the
-    step from one dense solve.  Steps are damped on the gradient norm; when
-    the iterates leave the contraction domain (|v|_omega^(p-1)/gamma beyond
-    10 rho) the refinement aborts rather than report a spurious solution.
+    The unknowns are every entry (l, j), l in nZ, of the (lt, lx) truncation,
+    kernel (l = j) and range alike, starting from u = v0 (w = 0).  The
+    residual is (pi^2/2) F(u) with F(u) = (j^2 - omega^2 l^2) u + P f(u); its
+    kernel rows are exactly -grad Phi_eps and its range rows are the range
+    equation, so a zero is a critical point v with its w(v).  Each step
+    assembles the Jacobian diag(j^2 - omega^2 l^2) + P[f'(u) .] once
+    (_galerkin_jacobian) and takes one dense solve; each line-search trial
+    costs one apply_nonlinearity.  The iteration stops when the residual is
+    at most gtol and the last full step was at rounding level.  When an
+    iterate's kernel part leaves the contraction domain
+    (psolve.contraction_domain above psolve.DOMAIN_RHO) the refinement
+    aborts rather than report a solution the existence argument does not
+    cover.
     """
     n = kernel.minimal_time_period_index(v0)
     if lt is None:
         lt = min(ctx.L, max(2 * len(v0), 16, lx or 0))
     if lx is None:
         lx = lt
-    total = lx
-    if total < len(v0):
+    if lx < len(v0):
         raise ResowaveError("refinement truncation smaller than the guess")
-    slots = _support_slots(n, total)
-    xi_full = np.zeros(total)
-    xi_full[: len(v0)] = v0.xi
-    xi_s = xi_full[slots]
+    v = kernel.KernelVector(np.pad(v0.xi, (0, lx - len(v0))))
+    ratio = psolve.contraction_domain(v, ctx, f, lt)
+    u = fields.SpectralField(kernel.embed(v).padded(lt, lx))
+    F = _galerkin_F(u, ctx, f, n)
+    gnorm = 0.5 * np.pi**2 * float(np.linalg.norm(F))
     report = NewtonReport(iterations=0, converged=False, grad_norm=np.inf)
     trace = []
+    settled = False
 
-    def assemble(vals):
-        v = _embed_slots(vals, slots, total)
-        w, prep = psolve.solve_P(v, ctx, f, tol=psolve_tol, lt=lt, lx=lx)
-        return v, w, prep
-
-    v, w, prep = assemble(xi_s)
-    g = _grad_on_slots(v, ctx, f, w, slots)
-    gnorm = float(np.linalg.norm(g))
-
-    for it in range(max_iter):
+    for it in range(max_iter + 1):
         report.iterations = it
         report.grad_norm = gnorm
         trace.append(gnorm)
-        if gnorm <= gtol:
+        if gnorm <= gtol and settled:
             report.converged = True
             break
-        if not prep.domain_ok or prep.domain_ratio > 10.0 * rho:
+        if it == max_iter:
+            raise ConvergenceError("Newton refinement did not converge", trace=tuple(trace))
+        if ratio > psolve.DOMAIN_RHO:
             raise ConvergenceError(
                 "iterate left the contraction domain during refinement",
                 trace=tuple(trace),
             )
 
-        J = _slot_jacobian(kernel.embed(v) + w, ctx, f, n, slots, lt, lx)
+        J = _galerkin_jacobian(u, ctx, f, n)
+        delta = np.zeros_like(u.coeffs)
         try:
-            delta = np.linalg.solve(J, -g)
+            delta[::n] = np.linalg.solve(J, -F.ravel()).reshape(F.shape)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError("singular Newton Jacobian", trace=tuple(trace)) from exc
 
         t = 1.0
         accepted = False
         while t >= 1e-6:
-            cand = xi_s + t * delta
-            v_c, w_c, prep_c = assemble(cand)
-            g_c = _grad_on_slots(v_c, ctx, f, w_c, slots)
-            gn_c = float(np.linalg.norm(g_c))
+            u_c = fields.SpectralField(u.coeffs + t * delta)
+            F_c = _galerkin_F(u_c, ctx, f, n)
+            gn_c = 0.5 * np.pi**2 * float(np.linalg.norm(F_c))
+            ratio_c = psolve.contraction_domain(kernel.project_V(u_c), ctx, f, lt)
             if gn_c < gnorm * (1.0 - 1e-4 * t) or gn_c <= gtol:
-                xi_s, v, w, prep, g, gnorm = cand, v_c, w_c, prep_c, g_c, gn_c
+                u, F, gnorm, ratio = u_c, F_c, gn_c, ratio_c
                 accepted = True
                 if t < 1.0:
                     report.damped += 1
                 break
             t *= 0.5
-        report.step_norms.append(float(np.max(np.abs(t * delta))))
+        step = float(np.max(np.abs(t * delta)))
+        report.step_norms.append(step)
         if not accepted:
             raise ConvergenceError(
                 "Newton refinement stalled without reaching the tolerance",
                 trace=tuple(trace + [gnorm]),
             )
-    else:
-        report.iterations = max_iter
-        report.grad_norm = gnorm
-        if gnorm > gtol:
-            raise ConvergenceError(
-                "Newton refinement did not converge", trace=tuple(trace)
-            )
-        report.converged = True
+        # Newton converges quadratically, so a full step below sqrt(machine
+        # eps) relative leaves an error at rounding level behind it
+        settled = t == 1.0 and step <= _SQRT_EPS * float(np.max(np.abs(u.coeffs)))
 
-    return v, w, report
+    return kernel.project_V(u), fields.zero_diagonal(u), report
 
 
 # ---------------------------------------------------------------------------
@@ -489,14 +450,8 @@ def refine(v0, ctx, f, max_iter=40, gtol=1e-12, rho=0.1, psolve_tol=1e-13,
 
 def galerkin_residual(v, w, ctx, f):
     """Weighted l2 norm of the equation residual on the solve truncation."""
-    u = kernel.embed(v) + w
-    lt, lx = w.lt, w.lx
-    fu = fields.apply_nonlinearity(u, f.poly, out_lt=lt, out_lx=lx)
-    uc = u.padded(lt, lx)
-    l2_ = np.arange(lt + 1, dtype=float)[:, None] ** 2
-    j2_ = np.arange(1, lx + 1, dtype=float)[None, :] ** 2
-    R = (-(ctx.omega**2) * l2_ + j2_) * uc + fu.coeffs
-    cl = fields.temporal_weights(lt)[:, None]
+    R = _galerkin_F(fields.SpectralField((kernel.embed(v) + w).padded(w.lt, w.lx)), ctx, f, 1)
+    cl = fields.temporal_weights(w.lt)[:, None]
     return float(np.sqrt(0.5 * np.pi**2 * np.sum(cl * R * R)))
 
 
@@ -559,7 +514,12 @@ def involution_partner(u):
 
 def build_solution(v, w, ctx, f, recipe, predicted_level, newton=None,
                    residual_tol=1e-8, drift_tol=1e-9, outside_theorem=False):
-    """Assemble the certified record for a refined critical point."""
+    """Assemble the certified record for a refined critical point.
+
+    Besides the certificates, acceptance asks the critical level to be of the
+    predicted size: a level a thousand times below it means the refinement
+    found the trivial solution, not the branch.
+    """
     u = kernel.embed(v) + w
     res = galerkin_residual(v, w, ctx, f)
     energy, drift = energy_certificate(v, w, ctx, f)
@@ -570,6 +530,7 @@ def build_solution(v, w, ctx, f, recipe, predicted_level, newton=None,
         and drift <= drift_tol
         and (newton is None or newton.converged)
         and n_obs == recipe.n
+        and abs(phi_val) >= 1e-3 * abs(predicted_level)
     )
     return SolutionRecord(
         version=RECORD_VERSION,

@@ -296,6 +296,30 @@ def test_solve_wrong_side_refused(tmp_path, capsys):
     assert cli.main(["solve", "--config", cfg]) == 1
     out = capsys.readouterr().out
     assert "not admissible" in out
+    assert "bifurcates to omega>1" in out
+
+
+@pytest.mark.parametrize("coeffs, eps, n_max, reason", [
+    ("3=1", -1e-3, 2, "case odd-power bifurcates to omega>1"),
+    ("4=1", -1e-5, 1, "n_max below the minimal index 2"),
+])
+def test_branch_without_admissible_level_says_why(tmp_path, capsys, coeffs, eps,
+                                                  n_max, reason):
+    cfg = write_json(tmp_path / "branch.json", {
+        "coeffs": coeffs, "eps": eps, "n_max": n_max, "lmax": 24, "dim": 3,
+    })
+    assert cli.main(["solve", "--config", cfg]) == 1
+    assert capsys.readouterr().out == f"no admissible level ({reason})\n"
+
+
+def test_forced_wrong_side_rejects_trivial_solution(tmp_path, capsys):
+    # no branch exists on this side: the refinement can only find u = 0,
+    # which must not be certified
+    cfg = write_json(tmp_path / "forced.json", {
+        "coeffs": "3=1", "eps": -1e-3, "n": 1, "lmax": 24, "dim": 3, "force": True,
+    })
+    assert cli.main(["solve", "--config", cfg]) == 1
+    assert capsys.readouterr().out.startswith("n = 1: rejected")
 
 
 def test_scan_table_shape_and_determinism(tmp_path, capsys):

@@ -97,41 +97,84 @@ def test_refine_aborts_outside_contraction_domain():
             search.refine(big, ctx, F3)
 
 
-def test_slot_jacobian_matches_gradient_differences():
-    # oracle: central differences of grad_phi, each through its own Picard
-    # range solve; no code is shared with the matrix assembly
+@pytest.mark.parametrize("n", [1, 2])
+def test_galerkin_jacobian_matches_residual_differences(n):
+    # oracle: central differences of the Galerkin residual itself; f has an
+    # even and an odd power, so both the cosine and the sine part of the
+    # multiplication matrix are exercised
+    f = nonlinearity.classify({2: 0.5, 3: 1.0})
     ctx = ctx_cubic()
-    lt = lx = 16
-    xi = np.zeros(lx)
-    xi[:3] = [0.06, -0.02, 0.01]
-    v = kernel.KernelVector(xi)
-    w, _ = psolve.solve_P(v, ctx, F3, tol=1e-14, lt=lt, lx=lx)
-    slots = np.arange(lx)
-    J = search._slot_jacobian(kernel.embed(v) + w, ctx, F3, 1, slots, lt, lx)
+    lt = lx = 8
+    rng = np.random.default_rng(3)
+    c = np.zeros((lt + 1, lx))
+    c[::n] = 0.02 * rng.standard_normal(c[::n].shape)
+    u = fields.SpectralField(c)
+    J = search._galerkin_jacobian(u, ctx, f, n)
     h = 1e-5
     fd = np.zeros_like(J)
-    for k in slots:
-        step = np.zeros(lx)
-        step[k] = h
-        gp = reduced.grad_phi(kernel.KernelVector(xi + step), ctx, F3, tol=1e-14, lt=lt, lx=lx)
-        gm = reduced.grad_phi(kernel.KernelVector(xi - step), ctx, F3, tol=1e-14, lt=lt, lx=lx)
-        fd[:, k] = (gp - gm) / (2.0 * h)
-    # compare the nonlinear part: the eps pi^2 j^2 diagonal is exact in both
-    eps_part = np.diag(ctx.eps * np.pi**2 * (slots + 1.0) ** 2)
-    nonlin = J - eps_part
-    assert np.linalg.norm(fd - eps_part - nonlin) <= 1e-6 * np.linalg.norm(nonlin)
+    for k in range(J.shape[1]):
+        step = np.zeros_like(c)
+        step[::n].flat[k] = h
+        fp = search._galerkin_F(fields.SpectralField(c + step), ctx, f, n)
+        fm = search._galerkin_F(fields.SpectralField(c - step), ctx, f, n)
+        fd[:, k] = (fp - fm).ravel() / (2.0 * h)
+    # measured against the f'(u) part, which the j^2 - omega^2 l^2 diagonal
+    # would otherwise swamp
+    symbol = -psolve._denominators(lt, lx, ctx.omega)[::n].ravel()
+    nonlin = J - np.diag(symbol)
+    assert np.linalg.norm(fd - J) <= 1e-7 * np.linalg.norm(nonlin)
 
 
-def test_slot_jacobian_names_resonant_range_entry():
+def test_galerkin_jacobian_names_resonant_range_entry():
     # omega = 3/2 makes the off-diagonal symbol omega^2 l^2 - j^2 vanish at
-    # (l, j) = (2, 3), which f'(u) = 2u couples to every kernel slot
+    # (l, j) = (2, 3), which f'(u) = 2u couples to every kernel entry
     f2 = nonlinearity.classify({2: 1.0})
     ctx = frequency.FrequencyContext(omega=1.5, eps=0.625, gamma=0.1, L=16)
     v = kernel.KernelVector([0.05, 0.02, 0.0, 0.0, 0.0, 0.0])
     u = kernel.embed(v)
     with pytest.raises(ResonanceError) as err:
-        search._slot_jacobian(u, ctx, f2, 1, np.arange(6), 6, 6)
+        search._galerkin_jacobian(u, ctx, f2, 1)
     assert (err.value.l, err.value.j) == (2, 3)
+
+
+@pytest.mark.parametrize("f, side, n", [(F3, +1, 1), (F3, +1, 2),
+                                        (nonlinearity.classify({2: 1.0}), -1, 1)])
+def test_refine_returns_the_range_solution(f, side, n):
+    # the range rows of the Galerkin Newton solve the range equation, so its
+    # w is the contraction map's w(v) at the returned v
+    ctx = ctx_cubic(eps=1e-3 * side)
+    rec = reduced.g_recipe(f, side, n=n)
+    y, m, diag = search.maximize_U(rec, 3, seed=0, restarts=3)
+    v0, _ = search.initial_guess(y, m, rec, ctx, diag)
+    v, w, rep = search.refine(v0, ctx, f)
+    assert rep.converged
+    w_p, _ = psolve.solve_P(v, ctx, f, tol=1e-14, lt=w.lt, lx=w.lx)
+    scale = np.max(np.abs(w_p.coeffs))
+    assert np.max(np.abs(w.coeffs - w_p.coeffs)) <= 1e-12 * scale
+
+
+def test_refine_result_does_not_depend_on_gtol():
+    # at this level one step already brings the residual below 1e-12 while
+    # leaving xi 1.2e-10 off; the stop waits for a rounding-level step, so a
+    # far tighter gtol returns the same point
+    ctx = ctx_cubic(eps=1e-4)
+    rec = reduced.g_recipe(F3, +1, n=1)
+    y, m, diag = search.maximize_U(rec, 6, seed=0, restarts=4)
+    v0, _ = search.initial_guess(y, m, rec, ctx, diag)
+    v, _, _ = search.refine(v0, ctx, F3, gtol=1e-12)
+    v_tight, _, _ = search.refine(v0, ctx, F3, gtol=1e-18)
+    assert np.max(np.abs(v.xi - v_tight.xi)) <= 1e-14 * np.max(np.abs(v_tight.xi))
+
+
+def test_build_solution_rejects_level_far_below_prediction():
+    rec = reduced.g_recipe(F3, +1, n=1)
+    ctx = ctx_cubic()
+    y, m, diag = search.maximize_U(rec, 3, seed=0, restarts=3)
+    v0, level = search.initial_guess(y, m, rec, ctx, diag)
+    v, w, rep = search.refine(v0, ctx, F3)
+    assert search.build_solution(v, w, ctx, F3, rec, level, newton=rep).accepted
+    far = search.build_solution(v, w, ctx, F3, rec, 1e4 * level, newton=rep)
+    assert not far.accepted
 
 
 def test_build_solution_certificates_and_level():
