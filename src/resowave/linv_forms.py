@@ -15,8 +15,9 @@ expression
 
 with A' = a/4 and d2M/ds1 ds2 = mtilde/4, both zero-mean.  Everything in this
 module lives in 1D/2D Fourier coefficient space, deliberately sharing nothing
-with the sine-basis field machinery: these are the independent reference paths
-the verification suite compares the spectral computation against.
+with the sine-basis field machinery or with reduced: these are the independent
+reference paths the verification suite compares the production computation
+(1D integrals of the profile powers eta^k in reduced.linv_qform) against.
 
 The rectangle-kernel oracle evaluates  (1/8) int_Omega M(t+x, t-x) v^p dt dx
 with M the explicit iterated integral of m over the lattice rectangle, built

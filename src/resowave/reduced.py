@@ -14,10 +14,15 @@ which in coefficients reads  g_j = eps pi^2 j^2 xi_j - (pi^2/2) (f(u))_{jj}.
 
 For small amplitudes Phi is governed by mu/2 ||v||^2 - G(v) with G the
 homogeneous leading term, one of four shapes depending on the nonlinearity
-class.  For even leading power the quadratic-in-v^p form int v^p L^-1 v^p
-appears; on dilated kernels it obeys an exact 1/n^2 rescaling law with an
-alpha^2 offset, used here so the level-n objective never needs the dilated
-vector itself.
+class.  Power integrals int v^k and their gradients come from the means and
+sine coefficients of the powers of the profile eta.  For even leading power
+the quadratic-in-v^p form int v^p L^-1 v^p appears.  With v = eta(s1) -
+eta(s2), v^p = sum_i C(p,i) (-1)^(p-i) eta^i(s1) eta^(p-i)(s2) is a
+biperiodic map of rank p + 1, so every term of the five-term decomposition
+(linv_forms module docstring) is a short sum of exact 1D integrals of eta^k
+and of its zero-mean primitive; nothing is truncated.  On dilated kernels the
+form obeys an exact 1/n^2 rescaling law with an alpha^2 offset, used here so
+the level-n objective never needs the dilated vector itself.
 """
 
 import math
@@ -40,14 +45,22 @@ __all__ = [
     "mean_alpha",
 ]
 
-QFORM_MIN_LX = 64
-QFORM_LX_FACTOR = 4
+
+def _binomial_signs(k):
+    """c_i = C(k, i) (-1)^(k-i), i = 0..k: v^k = sum_i c_i eta^i(s1) eta^(k-i)(s2)."""
+    i = np.arange(k + 1)
+    return np.array([math.comb(k, m) for m in i]) * (-1.0) ** (k - i)
 
 
-def _power_poly(k):
-    poly = np.zeros(k + 1)
-    poly[k] = 1.0
-    return poly
+def _moment_sum(mom, k):
+    """sum_i c_i <eta^i> <eta^(k-i)> = int v^k / (2 pi^2), from the means of eta^i."""
+    return float(np.dot(_binomial_signs(k) * mom[: k + 1], mom[k::-1]))
+
+
+def _moment_sum_grad(mom, dmom, k):
+    """xi-gradient of _moment_sum, given dmom[i] = d<eta^i>/dxi."""
+    c = _binomial_signs(k)
+    return ((c + c[::-1]) * mom[k::-1]) @ dmom[: k + 1]
 
 
 def power_integral(v, k):
@@ -57,9 +70,7 @@ def power_integral(v, k):
         int v^k = 2 pi^2 sum_i C(k, i) (-1)^(k-i) <eta^i> <eta^(k-i)>.
     """
     mom, _ = kernel.eta_power_spectrum(v, k)
-    i = np.arange(k + 1)
-    c = np.array([math.comb(k, m) for m in i]) * (-1.0) ** (k - i)
-    return 2.0 * np.pi**2 * float(np.dot(c * mom, mom[::-1]))
+    return 2.0 * np.pi**2 * _moment_sum(mom, k)
 
 
 def mean_alpha(v, p):
@@ -67,27 +78,125 @@ def mean_alpha(v, p):
     return power_integral(v, p) / (2.0 * np.pi**2)
 
 
-def _qform_truncation(v, p):
-    return max(QFORM_MIN_LX, QFORM_LX_FACTOR * p * len(v))
+def _qform(v, p, kmax, grad=False):
+    """Q = int v^p L^-1 v^p and mu_k = <eta^k>, k = 0..kmax, from one sampling.
 
+    Let E_k = eta^k, mu_k its mean, Pi_k the zero-mean primitive of E_k - mu_k
+    and c_i = C(p,i) (-1)^(p-i).  The decomposition m = mtilde + a(s1) + a(s2)
+    + alpha of m = v^p has, with B[i,k] = int Pi_i E_k,
 
-def _linv_power_field(v, p, out_lx=None):
-    """L^-1 P_W (v^p) at omega = 1, truncated at out_lx in space (exact rows in t)."""
-    out_lx = _qform_truncation(v, p) if out_lx is None else out_lx
-    emb = kernel.embed(v)
-    g = fields.apply_nonlinearity(emb, _power_poly(p), out_lt=p * len(v), out_lx=out_lx)
-    return psolve.apply_L_inv(g, 1.0), g
+        intint M mtilde = 1/4 sum_{i,i'} c_i c_i' B[i,i'] B[p-i,p-i'],
+        M(s,s) = 1/4 sum_i c_i Pi_i Pi_(p-i),
+        a = sum_i c_i mu_(p-i) (E_i - mu_i),   A = 1/4 sum_i c_i mu_(p-i) Pi_i,
+        alpha = sum_i c_i mu_i mu_(p-i).
 
-
-def linv_qform(v, p, out_lx=None):
-    """int v^p L^-1 v^p (negative for p even: minus this form has a pointwise
-    nonnegative rectangle kernel).
-
-    The spatial sine tail of v^p decays like j^-3, so the summand decays like
-    j^-8 and the default truncation puts the tail far below 1e-12 relative.
+    Every integrand, and eta^k for p <= kmax <= 2p, is a trig polynomial of
+    degree at most 2p len(v), so the trapezoid rule on 2p len(v) + 2 nodes
+    is exact and one rfft gives every mean and primitive.  With grad, the
+    tangents dE_k/dxi_j = (k/2) eta^(k-1) sin(j s) are carried through the
+    same steps for all j at once, and (Q, mu, dQ, dmu) is returned.
     """
-    linv_g, g = _linv_power_field(v, p, out_lx)
-    return fields.inner_l2(g, linv_g)
+    if p % 2 != 0:
+        raise ResowaveError("the form int v^p L^-1 v^p needs an even power p")
+    if not p <= kmax <= 2 * p:
+        raise ResowaveError(f"moments up to {kmax} are not exact with p = {p}")
+    dim = len(v)
+    nodes = 2 * p * dim + 2
+    s = 2.0 * np.pi * np.arange(nodes) / nodes
+    sines = np.sin(np.outer(np.arange(1, dim + 1), s))
+    k = np.arange(kmax + 1)
+    E = ((v.xi / 2.0) @ sines) ** k[:, None]
+    inv = np.zeros(nodes // 2 + 1, dtype=complex)
+    inv[1 : nodes // 2] = 1.0 / (1j * np.arange(1, nodes // 2))
+
+    def means_and_primitives(x):
+        # primitives only up to k = p: the form needs no more
+        spec = np.fft.rfft(x, axis=-1)
+        return spec[..., 0].real / nodes, np.fft.irfft(spec[: p + 1] * inv, n=nodes, axis=-1)
+
+    mu, Pi = means_and_primitives(E)
+    ds = 2.0 * np.pi / nodes
+    c = _binomial_signs(p)
+    Ep, mup = E[: p + 1], mu[: p + 1]
+    B = ds * Pi @ Ep.T
+    W = np.outer(c, c) * B[::-1, ::-1]
+    t1 = 0.25 * np.sum(W * B)
+    Md = 0.25 * c @ (Pi * Pi[::-1])
+    cm = c * mup[::-1]
+    Ez = Ep - mup[:, None]
+    a = cm @ Ez
+    A = 0.25 * cm @ Pi
+    alpha = _moment_sum(mu, p)
+    int_Md = ds * np.sum(Md)
+    q = (
+        -0.5 * t1
+        + 2.0 * np.pi * ds * (Md @ a)
+        + 2.0 * np.pi * alpha * int_Md
+        - 8.0 * np.pi * ds * (A @ A)
+        - alpha**2 * np.pi**4 / 6.0
+    )
+    if not grad:
+        return float(q), mu
+
+    dE = np.zeros((kmax + 1, dim, nodes))
+    dE[1:] = 0.5 * k[1:, None, None] * E[:-1, None, :] * sines
+    dmu, dPi = means_and_primitives(dE)
+    dEp, dmup = dE[: p + 1], dmu[: p + 1]
+    # c_i = c_(p-i), so the two B factors of t1 and the two primitives of
+    # M(s,s) contribute alike
+    dt1 = 0.5 * ds * (
+        np.einsum("ijn,in->j", dPi, W @ Ep) + np.einsum("ijn,in->j", dEp, W.T @ Pi)
+    )
+    dMd = 0.5 * np.einsum("i,ijn,in->jn", c, dPi, Pi[::-1])
+    dcm = c[:, None] * dmup[::-1]
+    da = dcm.T @ Ez + np.einsum("i,ijn->jn", cm, dEp - dmup[:, :, None])
+    dA = 0.25 * (dcm.T @ Pi + np.einsum("i,ijn->jn", cm, dPi))
+    dalpha = _moment_sum_grad(mu, dmu, p)
+    dq = (
+        -0.5 * dt1
+        + 2.0 * np.pi * ds * (dMd @ a + da @ Md)
+        + 2.0 * np.pi * (dalpha * int_Md + alpha * ds * np.sum(dMd, axis=1))
+        - 16.0 * np.pi * ds * (dA @ A)
+        - alpha * dalpha * np.pi**4 / 3.0
+    )
+    return float(q), mu, dq, dmu
+
+
+def linv_qform(v, p, kmax=None):
+    """int v^p L^-1 v^p for even p, exact (negative: minus this form has a
+    pointwise nonnegative rectangle kernel).
+
+    With kmax (p <= kmax <= 2p), returns (form, mu), where mu[k] = <eta^k>
+    for k = 0..kmax comes from the same samples of eta.
+    """
+    q, mu = _qform(v, p, p if kmax is None else kmax)
+    return q if kmax is None else (q, mu)
+
+
+def _qform_G(y, f, n=1, grad=False):
+    """G (or its xi-gradient) at L_n y in the cases n2 and n3 with b < 0.
+
+    The form rescales exactly under the dilation,
+        Q(L_n y) = Q(y) / n^2 - (pi^4/6) alpha^2 (1 - 1/n^2),
+    and alpha and int v^(2p) come from the same samples of eta as Q(y).
+    """
+    p = f.p
+    kmax = 2 * p if f.case == "n3" else p
+    shift = 1.0 - 1.0 / n**2
+    if not grad:
+        q, mu = linv_qform(y, p, kmax)
+        alpha = _moment_sum(mu, p)
+        out = -0.5 * f.a**2 * (q / n**2 - np.pi**4 / 6.0 * alpha**2 * shift)
+        if f.case == "n3":
+            out -= f.b / (2.0 * p) * 2.0 * np.pi**2 * _moment_sum(mu, 2 * p)
+        return out
+    _, mu, dq, dmu = _qform(y, p, kmax, grad=True)
+    alpha = _moment_sum(mu, p)
+    dalpha = _moment_sum_grad(mu, dmu, p)
+    out = -0.5 * f.a**2 * (dq / n**2 - np.pi**4 / 3.0 * alpha * dalpha * shift)
+    if f.case == "n3":
+        out -= f.b / (2.0 * p) * 2.0 * np.pi**2 * _moment_sum_grad(mu, dmu, 2 * p)
+    return out
 
 
 def G_eval(v, f):
@@ -104,10 +213,8 @@ def G_eval(v, f):
         return f.a / (p + 1.0) * power_integral(v, p + 1)
     if f.case == "n1":
         return f.b / (f.d + 1.0) * power_integral(v, f.d + 1)
-    if f.case == "n2":
-        return -0.5 * f.a**2 * linv_qform(v, p)
-    if f.b < 0:
-        return -f.b / (2.0 * p) * power_integral(v, 2 * p) - 0.5 * f.a**2 * linv_qform(v, p)
+    if _uses_qform(f):
+        return _qform_G(v, f)
     return f.b / (2.0 * p) * power_integral(v, 2 * p) - f.a**2 / 48.0 * power_integral(v, p) ** 2
 
 
@@ -140,29 +247,14 @@ def _grad_power_integral(v, k):
     return k * np.pi**2 * ((c * mom[::-1]) @ sines)
 
 
-def _grad_qform(v, p):
-    """d/dxi of int v^p L^-1 v^p = 2p (pi^2/2) (v^{p-1} L^-1 v^p)_{jj}."""
-    dim = len(v)
-    linv_g, _ = _linv_power_field(v, p)
-    z = fields.multiply_poly_project(
-        kernel.embed(v), _power_poly(p - 1), linv_g, out_lt=dim, out_lx=dim
-    )
-    d = fields.diagonal_of(z)
-    out = np.zeros(dim)
-    out[: d.size] = d
-    return 2.0 * p * 0.5 * np.pi**2 * out
-
-
 def _grad_G(v, f):
     p = f.p
     if f.case == "odd-power":
         return f.a / (p + 1.0) * _grad_power_integral(v, p + 1)
     if f.case == "n1":
         return f.b / (f.d + 1.0) * _grad_power_integral(v, f.d + 1)
-    if f.case == "n2":
-        return -0.5 * f.a**2 * _grad_qform(v, p)
-    if f.b < 0:
-        return -f.b / (2.0 * p) * _grad_power_integral(v, 2 * p) - 0.5 * f.a**2 * _grad_qform(v, p)
+    if _uses_qform(f):
+        return _qform_G(v, f, grad=True)
     return (
         f.b / (2.0 * p) * _grad_power_integral(v, 2 * p)
         - f.a**2 / 24.0 * power_integral(v, p) * _grad_power_integral(v, p)
@@ -240,25 +332,14 @@ def g_recipe(f, side, n=1):
             )
 
     if _uses_qform(f):
-        # G_eff contains -(a^2/2) int v^p L^-1 v^p, which rescales exactly:
-        #   Q(L_n y) = -(pi^4/6) alpha^2 + (Q(y) + (pi^4/6) alpha^2) / n^2.
-        c_al = f.a**2 * np.pi**4 / 12.0
-
-        def value(y, n=n):
-            al = mean_alpha(y, f.p)
-            qpart = -0.5 * f.a**2 * linv_qform(y, f.p)
-            rest = G_eval(y, f) - qpart   # power-integral part, dilation-invariant
-            return rest + qpart / n**2 + c_al * al**2 * (1.0 - 1.0 / n**2)
-
-        def grad(y, n=n):
-            al = mean_alpha(y, f.p)
-            d_al = _grad_power_integral(y, f.p) / (2.0 * np.pi**2)
-            d_base = _grad_G(y, f)
-            d_qpart = -0.5 * f.a**2 * _grad_qform(y, f.p)
-            d_rest = d_base - d_qpart
-            return d_rest + d_qpart / n**2 + c_al * 2.0 * al * d_al * (1.0 - 1.0 / n**2)
-
-        return GRecipe(case=f.case, q=f.q, sigma=-1, n=n, value=value, grad=grad)
+        return GRecipe(
+            case=f.case,
+            q=f.q,
+            sigma=-1,
+            n=n,
+            value=lambda y: _qform_G(y, f, n),
+            grad=lambda y: _qform_G(y, f, n, grad=True),
+        )
 
     # n3 with b > 0: G-tilde, dilation-invariant like the odd cases
     sgn = 1 if side == +1 else -1

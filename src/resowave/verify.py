@@ -240,6 +240,45 @@ def check_eta_integrals(rng):
     )
 
 
+def check_qform_profile(rng):
+    """The quadratic form and its gradient: 1D profile path against 2D torus."""
+    tol = 1e-11
+    worst_value = 0.0
+    worst_grad = 0.0
+    for p in (2, 4):
+        for _ in range(6):
+            dim = int(rng.integers(1, 9))
+            n = int(rng.integers(1, 4))
+            v = kernel.rescale(_random_kernel(rng, dim), n)
+            # the torus path truncates v^p in space; its tail decays fast
+            # enough that 256 sine modes leave it at rounding level
+            u = kernel.embed(v)
+            power = fields.apply_nonlinearity(
+                u, [0.0] * p + [1.0], out_lt=p * len(v), out_lx=max(256, 4 * p * len(v))
+            )
+            linv_power = psolve.apply_L_inv(power, 1.0)
+            oracle = fields.inner_l2(power, linv_power)
+            z = fields.multiply_poly_project(
+                u, [0.0] * (p - 1) + [1.0], linv_power, out_lt=len(v), out_lx=len(v)
+            )
+            grad_oracle = p * np.pi**2 * fields.diagonal_of(z)
+            value, _, grad, _ = reduced._qform(v, p, p, grad=True)
+            worst_value = max(worst_value, abs(value - oracle) / abs(oracle))
+            dev = np.max(np.abs(grad - grad_oracle))
+            worst_grad = max(worst_grad, float(dev) / float(np.max(np.abs(grad_oracle))))
+    passed = max(worst_value, worst_grad) <= tol
+    return CheckReport(
+        name="check_qform_profile",
+        passed=passed,
+        measured=(("worst_value_deviation", worst_value),
+                  ("worst_gradient_deviation", worst_grad)),
+        tolerance=(("relative", tol),),
+        anchor="int v^p L^-1 v^p and its coefficient gradient from 1D "
+               "integrals of eta^k and their primitives match the torus "
+               "inverse of v^p and the diagonal of v^(p-1) L^-1 v^p",
+    )
+
+
 def check_G_positivity(rng):
     """The quadratic-case leading term is a nonnegative quadratic form."""
     floor = -1e-12
@@ -517,6 +556,7 @@ _REGISTRY = {
         check_rescaling_identity,
         check_G_positivity,
         check_eta_integrals,
+        check_qform_profile,
         check_kappa,
         check_decomposition_formula,
         check_operator_estimates,

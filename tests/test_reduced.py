@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from resowave import fields, frequency, kernel, nonlinearity, psolve, reduced
+from resowave import fields, frequency, kernel, linv_forms, nonlinearity, psolve, reduced
 from resowave.errors import ResowaveError
 
 
@@ -108,6 +108,75 @@ def test_linv_qform_negative_for_even_powers():
         v = rand_vec(seed=seed, dim=3, scale=1.0)
         assert reduced.linv_qform(v, 2) < 0.0
         assert reduced.linv_qform(v, 4) < 0.0
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_linv_qform_matches_closed_form(dim):
+    rng = np.random.default_rng(60 + dim)
+    for _ in range(3):
+        v = kernel.KernelVector(rng.standard_normal(dim) / np.arange(1, dim + 1))
+        closed = linv_forms.closed_form_qform_p2(v)
+        assert abs(reduced.linv_qform(v, 2) + closed) <= 1e-13 * closed
+
+
+def test_linv_qform_p4_matches_decomposition_formula():
+    rng = np.random.default_rng(70)
+    for dim in range(1, 6):
+        v = kernel.KernelVector(rng.standard_normal(dim) / np.arange(1, dim + 1))
+        m = linv_forms.BiperiodicMap.from_eta_power(v, 4)
+        want = linv_forms.l_inv_quadratic_form(m)
+        assert abs(reduced.linv_qform(v, 4) - want) <= 1e-13 * abs(want)
+
+
+def test_linv_qform_moments_come_from_eta():
+    v = rand_vec(seed=71, dim=4, scale=0.8)
+    q, mu = reduced.linv_qform(v, 2, kmax=4)
+    assert q == reduced.linv_qform(v, 2)
+    mom, _ = kernel.eta_power_spectrum(v, 4)
+    assert np.max(np.abs(mu - mom)) <= 1e-14 * np.max(np.abs(mom))
+
+
+def test_linv_qform_refuses_odd_power_and_inexact_moments():
+    v = rand_vec(seed=72, dim=3, scale=0.8)
+    for p in (1, 3, 5):
+        with pytest.raises(ResowaveError):
+            reduced.linv_qform(v, p)
+    for kmax in (1, 5):
+        with pytest.raises(ResowaveError):
+            reduced.linv_qform(v, 2, kmax=kmax)
+
+
+@pytest.mark.parametrize("p", [2, 4])
+def test_qform_transport_law_is_exact(p):
+    rng = np.random.default_rng(73 + p)
+    for dim in (1, 3, 5):
+        y = kernel.KernelVector(rng.standard_normal(dim) / np.arange(1, dim + 1))
+        q1 = reduced.linv_qform(y, p)
+        shift = np.pi**4 / 6.0 * reduced.mean_alpha(y, p) ** 2
+        for n in (2, 3, 4):
+            law = -shift + (q1 + shift) / n**2
+            qn = reduced.linv_qform(kernel.rescale(y, n), p)
+            assert abs(qn - law) <= 1e-13 * abs(law)
+
+
+QFORM_CASES = [{2: 1.0}, {4: 1.0}, {2: 1.0, 3: -1.0}, {2: -0.7, 3: -0.4}, {4: 1.0, 7: -1.0}]
+
+
+@pytest.mark.parametrize("coeffs", QFORM_CASES)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_qform_recipe_gradient_matches_central_differences(coeffs, n):
+    f = nonlinearity.classify(coeffs)
+    rec = reduced.g_recipe(f, -1, n=n)
+    v = rand_vec(seed=75, dim=4, scale=0.8)
+    g = rec.grad(v)
+    h = 1e-6
+    fd = np.zeros(4)
+    for i in range(4):
+        e = np.zeros(4)
+        e[i] = h
+        fd[i] = (rec.value(kernel.KernelVector(v.xi + e))
+                 - rec.value(kernel.KernelVector(v.xi - e))) / (2 * h)
+    assert np.max(np.abs(fd - g)) <= 1e-8 * np.max(np.abs(g))
 
 
 def test_G_odd_power_frozen():
@@ -215,12 +284,13 @@ def test_odd_case_recipe_ignores_dilation_level():
 
 def test_qform_recipe_equals_G_at_dilated_vector():
     # the 1/n^2 rescaling law reproduces G(L_n y) without forming L_n y
-    f = nonlinearity.classify({2: 1.0})
     y = rand_vec(seed=23, dim=2, scale=0.7)
-    for n in (1, 2, 3, 4):
-        rec = reduced.g_recipe(f, -1, n=n)
-        direct = reduced.G_eval(kernel.rescale(y, n), f)
-        assert abs(rec.value(y) - direct) < 1e-9 * max(1.0, abs(direct))
+    for coeffs in QFORM_CASES:
+        f = nonlinearity.classify(coeffs)
+        for n in (1, 2, 3, 4):
+            rec = reduced.g_recipe(f, -1, n=n)
+            direct = reduced.G_eval(kernel.rescale(y, n), f)
+            assert abs(rec.value(y) - direct) <= 1e-13 * abs(direct)
 
 
 def test_phi_decomposition_against_quadrature():
