@@ -7,10 +7,11 @@ periodicity is judged by the state distance after one full period 2 pi/omega.
 A genuine solution returns to its initial state; probing at a fraction of the
 period gives the non-return contrast that shows the test has teeth.
 
-Each step takes two type-I sine transforms between the modes and the interior
-nodes x_k = pi k/(N+1).  Up to DENSE_MAX_MODES modes they are products with
-the dense DST-I matrix, built once per integration; above that bound they are
-scipy FFTs.
+The steps run on the values at the interior nodes x_k = pi k/(N+1), where
+f acts pointwise, so a step needs only the sine Laplacian in node space: up
+to DENSE_MAX_MODES modes one product with a dense N x N matrix, built once
+per integration, and above that bound a pair of scipy type-I sine FFTs.  The
+state is read back in sine modes only at the energy probes and at the end.
 """
 
 from dataclasses import dataclass
@@ -60,45 +61,61 @@ def initial_state(u, n_modes):
     return a, np.zeros(n_modes)
 
 
-# Up to this many modes the dense DST-I product beats scipy.fft.dst.  Timed on
-# a 2-core x86 host with OpenBLAS, it is 1.2-7x faster at N = 64..320 (most
-# where N+1 is prime: 97, 193, 257), except at N = 255, where N+1 is a power of
-# two and it is about 25% slower; from N = 383 on, the FFT wins (5x at 1024).
-DENSE_MAX_MODES = 256
+# Up to this many modes the node Laplacian is one product with a dense N x N
+# matrix; above it, it is a pair of scipy.fft.dst calls.  Timed on a 2-core
+# x86 host with OpenBLAS (best of 7), the product takes 2-6.5 us at
+# N = 63..199 against 33-72 us for the pair, and 11-41 us at N = 249..449
+# against 28-125 us.  From N = 479 on, the pair wins wherever N+1 is 5-smooth
+# or a power of two (47 against 49 us at 479, 32 against 66 at 499, 49
+# against 74 at 511), though not where N+1 is prime (138 against 67 us at
+# 508).
+DENSE_MAX_MODES = 448
 
 
-def _plan(n_modes, f):
-    """Acceleration a -> -j^2 a - P[f(u)] of the sine-Galerkin system."""
-    neg_j2 = -np.arange(1, n_modes + 1, dtype=float) ** 2
-    top, *rest = np.trim_zeros(np.asarray(f.poly, dtype=float), "b")[::-1]
-    norm = n_modes + 1
+def _to_nodes(a):
+    """Sine coefficients -> values at the interior nodes x_k = pi k/(N+1)."""
+    return sfft.dst(a, type=1, axis=0) / 2.0
+
+
+def _to_modes(v):
+    """Node values -> sine coefficients; the inverse of _to_nodes."""
+    return sfft.dst(v, type=1, axis=0) / (v.shape[0] + 1)
+
+
+def _kick(n_modes, f, dt):
+    """Node-space kick p -> dt^2 (u_xx - f(u)) at the nodes, written to out.
+
+    dt^2 is folded into the sine Laplacian diag(-j^2) conjugated to the nodes
+    and into the Horner coefficients of f.  Up to DENSE_MAX_MODES the
+    Laplacian is one matrix D, built from two sine transforms of the identity:
+    a threaded BLAS matrix product here would leave its idle threads spinning
+    through the short loop that follows.
+    """
+    lap = -((dt * np.arange(1, n_modes + 1)) ** 2)
+    # f(0) = 0, so f(p) = p (c_1 + p (c_2 + ... + p c_d)) by Horner
+    coeffs = np.trim_zeros(np.asarray(f.poly[1:], dtype=float), "b")
+    top, *rest = dt * dt * coeffs[::-1]
     if n_modes <= DENSE_MAX_MODES:
-        k = np.arange(1, norm, dtype=float)
-        S = np.sin(np.pi * np.outer(k, k) / norm)
-        S_back = (2.0 / norm) * S
+        D = _to_nodes(lap[:, None] * _to_modes(np.eye(n_modes)))
 
-        def to_nodes(a):
-            return S @ a
-
-        def to_modes(fv):
-            return S_back @ fv
+        def laplacian(p, out):
+            np.dot(D, p, out=out)
     else:
-        def to_nodes(a):
-            return sfft.dst(a, type=1) / 2.0
+        def laplacian(p, out):
+            out[:] = _to_nodes(lap * _to_modes(p))
 
-        def to_modes(fv):
-            return sfft.dst(fv, type=1) / norm
+    fv = np.empty(n_modes)
 
-    def acceleration(a):
-        vals = to_nodes(a)
-        fv = top
-        for c in rest:              # Horner; a zero coefficient adds nothing
-            fv = fv * vals
+    def kick(p, out):
+        laplacian(p, out)
+        np.multiply(p, top, out=fv)
+        for c in rest:              # a zero coefficient adds nothing
             if c:
-                fv = fv + c
-        return neg_j2 * a - to_modes(fv)
+                np.add(fv, c, out=fv)
+            np.multiply(fv, p, out=fv)
+        out -= fv
 
-    return acceleration
+    return kick
 
 
 def _energy(a, b, f):
@@ -132,23 +149,61 @@ def probe_time(omega, n):
     return 2.0 * np.pi / ((n + 1) * omega)
 
 
+def _probe_steps(steps, probes):
+    """The steps after which the energy is probed, ending with the last one.
+
+    Interior probe m = 1 .. probes-2 sits at the odd multiple of T/2^(m+1)
+    next to m T/(probes-1), for a run of length T.  The energy error of a
+    time-symmetric solution that oscillates q times over the run is extremal
+    at t = 0 and at every odd multiple of T/(2q), and probe m hits one of
+    those (to the nearest step) whenever q has exactly m factors of 2.  A
+    return over one period of a level-n solution has q = 2n, so this catches
+    every n not divisible by 2^(probes-2).  Evenly spaced probes would not:
+    at spacing T/8 all of them see phase 0 whenever 4 divides n.
+    """
+    interior = set()
+    for m in range(1, probes - 1):
+        # a multiple of T/2^(m+1) finer than a step would add nothing
+        den = 2 ** min(m + 1, steps.bit_length() + 1)
+        num = 2 * (m * den // (2 * (probes - 1))) + 1
+        interior.add(round(steps * num / den))
+    return sorted(interior - {0} | {steps})
+
+
 def integrate(u, omega, f, t_final, config=None):
     """Velocity Verlet from the t = 0 slice of u up to physical time t_final,
-    with the mode count and step that time_grid gives."""
+    with the mode count and step that time_grid gives.
+
+    The steps run in node space as kick-drift-kick Stormer-Verlet with the
+    half kicks merged, the same map as velocity Verlet: the state is the node
+    values p = S a and the scaled half-step velocity s = dt S b, and a step
+    is p += s, h = kick(p), s += h.  At an energy probe and at the last step
+    the kick is split in two and the whole-step state (a, b) is read between
+    the halves.
+    """
     config = config or EvolutionConfig()
     n_modes, steps, dt = time_grid(u, omega, t_final, config)
-    acc = _plan(n_modes, f)
+    kick = _kick(n_modes, f, dt)
     a, b = initial_state(u, n_modes)
-    g = acc(a)
-    probe_every = max(1, steps // max(config.energy_probes - 1, 1))
     energies = [_energy(a, b, f)]
-    for k in range(steps):
-        a = a + dt * b + 0.5 * dt * dt * g
-        g_new = acc(a)
-        b = b + 0.5 * dt * (g + g_new)
-        g = g_new
-        if (k + 1) % probe_every == 0 or k + 1 == steps:
-            energies.append(_energy(a, b, f))
+    p = _to_nodes(a)
+    h = np.empty(n_modes)
+    kick(p, h)
+    s = 0.5 * h
+    done = 0
+    for stop in _probe_steps(steps, config.energy_probes):
+        for _ in range(stop - done - 1):
+            p += s
+            kick(p, h)
+            s += h
+        p += s
+        kick(p, h)
+        h *= 0.5
+        s += h
+        a, b = _to_modes(p), _to_modes(s) / dt
+        energies.append(_energy(a, b, f))
+        s += h
+        done = stop
     energies = np.asarray(energies)
     scale = max(float(np.max(np.abs(energies))), 1e-30)
     drift = float((energies.max() - energies.min()) / scale)
