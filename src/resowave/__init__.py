@@ -10,9 +10,6 @@ __version__ = "0.1.0"
 
 from .fields import (
     SpectralField,
-    PhysicalGrid,
-    synthesize,
-    analyze,
     apply_nonlinearity,
     integrate_poly,
     norms,

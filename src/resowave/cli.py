@@ -94,10 +94,10 @@ def _validate(doc, schema, command):
 _NUM = (int, float)
 
 # range checks (predicate, description): counts are at least 1, seeds at
-# least 0, tolerances and constants strictly positive
+# least 0, tolerances and constants finite and strictly positive
 _COUNT = (lambda v: v >= 1, ">= 1")
 _NONNEGATIVE = (lambda v: v >= 0, ">= 0")
-_POSITIVE = (lambda v: v > 0, "> 0")
+_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 _SIDE = (lambda v: v in (-1, 1), "-1 or +1")
 
 SOLVE_SCHEMA = {
@@ -135,10 +135,10 @@ SCAN_SCHEMA = {
     "output": (str, False, None, None),
 }
 
+# the integrator's own defaults, so that they are written down once
 EVOLVE_SCHEMA = {
-    "steps_per_period": (int, False, 4096, _COUNT),
-    "mode_factor": (int, False, 4, _COUNT),
-    "min_modes": (int, False, 32, _COUNT),
+    key: (int, False, getattr(evolve.EvolutionConfig, key), _COUNT)
+    for key in ("steps_per_period", "mode_factor", "min_modes")
 }
 
 
@@ -202,7 +202,7 @@ def cmd_analyze_f(args):
     print(f"bifurcation side: {frequency.side_required(f)}")
     print(f"minimal dilation index: {frequency.minimal_n(f)}")
     if f.case == "n3" and f.b is not None and f.b > 0:
-        threshold = f.p * np.pi**2 * f.a**2 / 24.0
+        threshold = frequency.both_sides_threshold(f)
         print(
             "both-sides window: b < p pi^2 a^2 / 24 = "
             f"{_fmt(threshold)} ({'inside' if f.b < threshold else 'outside'})"
@@ -211,6 +211,8 @@ def cmd_analyze_f(args):
 
 
 def cmd_freq(args):
+    if not _POSITIVE[0](args.constant):
+        raise ConfigError(f"'constant' must be {_POSITIVE[1]}, got {args.constant!r}")
     try:
         ctx = frequency.make_context(args.omega, args.lmax)
     except ResowaveError as exc:
@@ -384,16 +386,9 @@ def cmd_evolve(args):
         f = _parse_coeffs(args.coeffs)
     except ClassificationError as exc:
         raise ConfigError(str(exc)) from exc
-    overrides = (
-        _validate(_load_config(args.config), EVOLVE_SCHEMA, "evolve")
-        if args.config is not None
-        else {k: d for k, (_, _, d, _) in EVOLVE_SCHEMA.items()}
-    )
-    config = evolve.EvolutionConfig(
-        steps_per_period=overrides["steps_per_period"],
-        mode_factor=overrides["mode_factor"],
-        min_modes=overrides["min_modes"],
-    )
+    doc = _load_config(args.config) if args.config is not None else {}
+    overrides = _validate(doc, EVOLVE_SCHEMA, "evolve")
+    config = evolve.EvolutionConfig(**overrides)
     u = evolve.record_field(record)
     times = [args.periods * 2.0 * np.pi / record.omega]
     if args.probe_minimal_period:

@@ -8,15 +8,17 @@ the natural basis for functions that are even and 2pi-periodic in time and
 satisfy Dirichlet conditions at x = 0, pi.  Coefficients are stored as a dense
 (Lt+1, Lx) array, row l, column j-1.
 
-Transforms are exact on their stated degree class: the time direction uses the
-real FFT on a uniform full-period grid, the space direction the type-I discrete
-sine transform on interior nodes x_k = pi k/(Nx+1).  Products of fields (needed
-for polynomial nonlinearities) leave the sine class -- even powers pick up
-cosine content in x whose sine-basis expansion is an infinite series -- so
-`apply_nonlinearity` samples the odd extension on a full 2pi torus in x,
-recovers the exact cos/sin torus coefficients by FFT, and projects them back
-onto the sine basis in closed form.  The coefficients it returns are the true
-L2 projections, with no aliasing, for any polynomial nonlinearity.
+Every sample of a field is taken by one node sampler, _node_values: the real
+inverse FFT on a uniform full-period grid in t, then the type-I discrete sine
+transform on the interior nodes x_k = pi k/(mx+1).  A field is a finite trig
+polynomial, so the samples are exact.  sup_norm reads its maximum off these
+samples.  Products of fields (needed for polynomial nonlinearities) leave the
+sine class -- even powers pick up cosine content in x whose sine-basis
+expansion is an infinite series -- so the products and projections extend the
+same samples oddly to a full 2pi torus in x (_torus_x_values), recover the
+exact cos/sin torus coefficients by FFT, and project them back onto the sine
+basis in closed form.  The coefficients `apply_nonlinearity` returns are the
+true L2 projections, with no aliasing, for any polynomial nonlinearity.
 """
 
 import functools
@@ -29,12 +31,9 @@ from .errors import ResowaveError
 
 __all__ = [
     "SpectralField",
-    "PhysicalGrid",
     "NormBundle",
     "zeros",
     "from_modes",
-    "synthesize",
-    "analyze",
     "eval_field",
     "norms",
     "sup_norm",
@@ -139,77 +138,23 @@ def temporal_weights(lt):
 
 
 # ---------------------------------------------------------------------------
-# grids and transforms
+# sampling
 
 
-@dataclass(frozen=True)
-class PhysicalGrid:
-    """Uniform t-grid over [0, 2pi) and interior sine-collocation x-grid.
+def _node_values(u, nt, mx):
+    """Samples of u at t = 2pi i/nt, i < nt, and the interior x = pi k/(mx+1), k = 1..mx.
 
-    Exactness contract: synthesize/analyze round-trip is the identity for
-    fields with lt <= deg_t and lx <= deg_x where deg_t = (nt-1)//2 and
-    deg_x = nx.
+    One inverse real FFT in t, then DST-I in x.  Exact for nt > 2 lt and
+    mx >= lx.
     """
-
-    nt: int
-    nx: int
-
-    def __post_init__(self):
-        if self.nt < 2 or self.nx < 1:
-            raise ResowaveError(f"degenerate grid ({self.nt}, {self.nx})")
-
-    @classmethod
-    def for_degree(cls, deg_t, deg_x):
-        return cls(nt=_next_pow2(2 * max(deg_t, 1) + 1), nx=max(deg_x, 1))
-
-    @property
-    def t(self):
-        return 2.0 * np.pi * np.arange(self.nt) / self.nt
-
-    @property
-    def x(self):
-        return np.pi * np.arange(1, self.nx + 1) / (self.nx + 1)
-
-    @property
-    def deg_t(self):
-        return (self.nt - 1) // 2
-
-    @property
-    def deg_x(self):
-        return self.nx
-
-
-def synthesize(u, grid):
-    """Sample u on the grid; exact (it is a finite trig polynomial)."""
-    if u.lt > grid.deg_t or u.lx > grid.deg_x:
-        raise ResowaveError(
-            f"grid ({grid.nt},{grid.nx}) does not resolve field (lt={u.lt}, lx={u.lx})"
-        )
-    nt, nx = grid.nt, grid.nx
     spec = np.zeros((nt // 2 + 1, u.lx), dtype=complex)
     spec[0] = u.coeffs[0] * nt
     spec[1 : u.lt + 1] = u.coeffs[1:] * (nt / 2.0)
-    vals_t = sfft.irfft(spec, n=nt, axis=0)  # (nt, lx)
-    padded = np.zeros((nt, nx))
-    padded[:, : u.lx] = vals_t
-    # DST-I synthesis: values(x_k) = sum_j s_j sin(pi j k/(nx+1)) = dst(s)/2
-    return sfft.dst(padded, type=1, axis=1) / 2.0
-
-
-def analyze(values, grid):
-    """Recover coefficients from samples of a resolved field (inverse of synthesize)."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.nt, grid.nx):
-        raise ResowaveError(
-            f"sample array shape {values.shape} does not match grid ({grid.nt},{grid.nx})"
-        )
-    s = sfft.dst(values, type=1, axis=1) / (grid.nx + 1.0)
-    spec = sfft.rfft(s, axis=0)
-    lt = grid.deg_t
-    coeffs = np.empty((lt + 1, grid.nx))
-    coeffs[0] = spec[0].real / grid.nt
-    coeffs[1:] = 2.0 * spec[1 : lt + 1].real / grid.nt
-    return SpectralField(coeffs)
+    vals_t = sfft.irfft(spec, n=nt, axis=0)           # (nt, lx)
+    interior = np.zeros((nt, mx))
+    interior[:, : u.lx] = vals_t
+    # values(x_k) = sum_j s_j sin(pi j k/(mx+1)) = dst(s)/2
+    return sfft.dst(interior, type=1, axis=1) / 2.0
 
 
 def eval_field(u, t, x):
@@ -254,17 +199,17 @@ def inner_l2(u, v):
     return 0.5 * np.pi**2 * float(np.sum(cl * a * b))
 
 
-def sup_norm(u, oversample=2):
-    """Max |u| over an oversampled grid (a certified lower bound of the true sup).
+def sup_norm(u):
+    """Max |u| over the node sampler's samples (a lower bound of the true sup).
 
-    The grid density is at least `oversample` times the Nyquist rate, with a
-    floor so small fields are still sampled finely; nx is kept odd so the
-    midline x = pi/2 (where single-mode fields peak) is always a node.
+    The grid is at least twice the Nyquist rate in t and four times the
+    degree in x, with floors (nt >= 128, mx >= 127) so small fields are still
+    sampled finely; mx is odd so the midline x = pi/2 (where single-mode
+    fields peak) is always a node.
     """
-    nt = max(_next_pow2(2 * oversample * max(u.lt, 1) + 1), 128)
-    nx = max(2 * oversample * u.lx + 1, 127)
-    grid = PhysicalGrid(nt=nt, nx=nx)
-    return float(np.max(np.abs(synthesize(u, grid))))
+    nt = max(_next_pow2(4 * u.lt + 1), 128)
+    mx = max(4 * u.lx + 1, 127)
+    return float(np.max(np.abs(_node_values(u, nt, mx))))
 
 
 def norms(u, omega=1.0):
@@ -305,17 +250,11 @@ def _poly_degree(poly):
 def _torus_x_values(u, nt, mx):
     """Sample u on nt x (2 mx + 2) nodes: full period in t, full torus in x.
 
-    The x nodes are pi k/(mx+1), k = 0..2mx+1: the mx interior sine nodes, the
-    two boundary zeros, and the odd-extension mirror.  Since u is a sine series
-    in x, the extension costs nothing.
+    The x nodes are pi k/(mx+1), k = 0..2mx+1: the mx interior sine nodes of
+    _node_values, the two boundary zeros, and the odd-extension mirror.  Since
+    u is a sine series in x, the extension costs nothing.
     """
-    spec = np.zeros((nt // 2 + 1, u.lx), dtype=complex)
-    spec[0] = u.coeffs[0] * nt
-    spec[1 : u.lt + 1] = u.coeffs[1:] * (nt / 2.0)
-    vals_t = sfft.irfft(spec, n=nt, axis=0)           # (nt, lx)
-    interior = np.zeros((nt, mx))
-    interior[:, : u.lx] = vals_t
-    interior = sfft.dst(interior, type=1, axis=1) / 2.0   # values at interior nodes
+    interior = _node_values(u, nt, mx)
     full = np.zeros((nt, 2 * mx + 2))
     full[:, 1 : mx + 1] = interior
     full[:, mx + 2 :] = -interior[:, ::-1]
@@ -343,14 +282,20 @@ def _cos_sin_coeffs(vals, d_t, d_x):
     rows = np.empty((d_t + 1, vals.shape[1]))
     rows[0] = spec_t[0].real / nt
     rows[1:] = 2.0 * spec_t[1 : d_t + 1].real / nt
-    # space direction: full complex FFT over the 2pi torus
-    ncol = vals.shape[1]
-    spec_x = sfft.fft(rows, axis=1) / ncol
-    A = np.empty((d_t + 1, d_x + 1))
-    B = np.zeros((d_t + 1, d_x + 1))
-    A[:, 0] = spec_x[:, 0].real
-    A[:, 1:] = 2.0 * spec_x[:, 1 : d_x + 1].real
-    B[:, 1:] = -2.0 * spec_x[:, 1 : d_x + 1].imag
+    return _x_cos_sin(rows, d_x)
+
+
+def _x_cos_sin(rows, d_x):
+    """Samples over the 2pi torus in x (last axis) -> cos/sin coefficients A, B.
+
+    Columns mu = 0..d_x, with B[..., 0] identically zero.  The 2D tail
+    (_cos_sin_coeffs) and the 1D slice integral (integrate_x_poly) share it.
+    """
+    spec_x = sfft.rfft(rows, axis=-1) / rows.shape[-1]
+    A = 2.0 * spec_x[..., : d_x + 1].real
+    A[..., 0] = spec_x[..., 0].real
+    B = -2.0 * spec_x[..., : d_x + 1].imag
+    B[..., 0] = 0.0
     return A, B
 
 
@@ -428,7 +373,11 @@ def integrate_x_poly(a, poly):
     Works on a single spatial slice: sample the odd extension on a full-torus
     grid fine enough for the composed degree (one inverse real FFT, since
     sin(jx) is the imaginary part of e^{ijx}), read off the cos/sin
-    coefficients, and integrate them (_interval_integral).
+    coefficients with the x half of the torus tail (_x_cos_sin), and
+    integrate them (_interval_integral).  The 1D sampler is kept over
+    _torus_cos_sin because its power-of-two length is faster than a DST of
+    length mx + 1, and the length-1 time transform of _cos_sin_coeffs is
+    skipped because it costs as much as the whole slice transform.
     """
     a = np.asarray(a, dtype=float)
     r = _poly_degree(poly)
@@ -438,9 +387,8 @@ def integrate_x_poly(a, poly):
     spec[1 : a.size + 1] = (-0.5j * n) * a
     g = sfft.irfft(spec, n=n)
     vals = np.polynomial.polynomial.polyval(g, np.asarray(poly, dtype=float))
-    spec = sfft.rfft(vals) / n
-    top = min(deg, n // 2)
-    return _interval_integral(spec[0].real, -2.0 * spec[: top + 1].imag)
+    A, B = _x_cos_sin(vals, deg)
+    return _interval_integral(A[0], B)
 
 
 def multiply_poly_project(u, poly, z, out_lt=None, out_lx=None):

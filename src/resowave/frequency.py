@@ -22,6 +22,7 @@ __all__ = [
     "make_context",
     "truncated_gamma",
     "minimal_n",
+    "both_sides_threshold",
     "side_required",
     "admissible",
     "max_admissible_n",
@@ -100,6 +101,11 @@ def minimal_n(f):
     return 1 if f.p == 2 else 2
 
 
+def both_sides_threshold(f):
+    """p pi^2 a^2 / 24: below it an n3 case with b > 0 also bifurcates to omega < 1."""
+    return f.p * np.pi**2 * f.a**2 / 24.0
+
+
 def side_required(f):
     """Which side of omega = 1 the case bifurcates to ("either" when both)."""
     if f.case == "odd-power":
@@ -112,7 +118,7 @@ def side_required(f):
     # the kappa(p) = pi^2 threshold, omega < 1 as well.
     if f.b < 0:
         return "omega<1"
-    if f.b < f.p * np.pi**2 * f.a**2 / 24.0:
+    if f.b < both_sides_threshold(f):
         return "either"
     return "omega>1"
 

@@ -28,9 +28,6 @@ __all__ = [
     "minimal_time_period_index",
 ]
 
-SUPPORT_RTOL = 1e-8  # relative threshold deciding which modes count as present
-
-
 class KernelVector:
     """Coefficients xi_j, j = 1..len(xi), of a kernel element."""
 
@@ -121,17 +118,9 @@ def normalize_sign(v):
     return v
 
 
-def support(v, rtol=SUPPORT_RTOL):
-    """Indices j (1-based) with |xi_j| above rtol * max|xi|."""
-    m = np.max(np.abs(v.xi))
-    if m == 0.0:
-        return np.zeros(0, dtype=int)
-    return np.flatnonzero(np.abs(v.xi) > rtol * m) + 1
-
-
-def minimal_time_period_index(v, rtol=SUPPORT_RTOL):
-    """gcd of the supported mode indices: v is 2pi/n periodic in t with this n."""
-    idx = support(v, rtol)
+def minimal_time_period_index(v):
+    """gcd of the indices j with xi_j != 0: v is 2pi/n periodic in t with this n."""
+    idx = np.flatnonzero(v.xi) + 1
     if idx.size == 0:
         raise ResowaveError("zero kernel vector has no minimal period")
-    return int(math.gcd(*idx.tolist())) if idx.size > 1 else int(idx[0])
+    return math.gcd(*idx.tolist())

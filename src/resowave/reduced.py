@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fields, kernel, psolve
+from . import fields, frequency, kernel, psolve
 from .errors import ResowaveError
 
 __all__ = [
@@ -291,45 +291,21 @@ def _uses_qform(f):
 def g_recipe(f, side, n=1):
     """Build the effective-G recipe for the given side of omega = 1.
 
-    side is +1 (omega > 1) or -1 (omega < 1).  Raises when the case admits no
-    branch on that side (e.g. n2 never bifurcates to omega > 1).
+    side is +1 (omega > 1) or -1 (omega < 1).  Raises when the case does not
+    bifurcate to that side (frequency.side_required; e.g. n2 never bifurcates
+    to omega > 1).  The quadratic-form cases (n2, n3 with b < 0) get the
+    level-n form of -Phi; every other case gets side * G, which is invariant
+    under the dilation: the n-dependence sits entirely in mu.
     """
     if side not in (+1, -1):
         raise ResowaveError("side must be +1 or -1")
     if n < 1 or int(n) != n:
         raise ResowaveError("dilation index must be a positive integer")
     n = int(n)
-
-    if f.case in ("odd-power", "n1"):
-        lead = f.a if f.case == "odd-power" else f.b
-        if np.sign(lead) != side:
-            raise ResowaveError(
-                f"case {f.case} with leading sign {np.sign(lead):+.0f} has no "
-                f"branch on side {side:+d}"
-            )
-        # G is invariant under the dilation; the n-dependence sits entirely in mu.
-        return GRecipe(
-            case=f.case,
-            q=f.q,
-            sigma=side,
-            n=n,
-            value=lambda y: side * G_eval(y, f),
-            grad=lambda y: side * _grad_G(y, f),
-            n_invariant=True,
-        )
-
-    if f.case == "n2":
-        if side != -1:
-            raise ResowaveError("case n2 only bifurcates for omega < 1")
-    elif f.b < 0:
-        if side != -1:
-            raise ResowaveError("case n3 with b < 0 only bifurcates for omega < 1")
-    else:
-        thresh = f.p * np.pi**2 * f.a**2 / 24.0
-        if side == -1 and f.b >= thresh:
-            raise ResowaveError(
-                "case n3 with b above the pi^2 threshold has no omega < 1 branch"
-            )
+    required = frequency.side_required(f)
+    asked = "omega>1" if side == +1 else "omega<1"
+    if required not in ("either", asked):
+        raise ResowaveError(f"case {f.case} bifurcates to {required}, not {asked}")
 
     if _uses_qform(f):
         return GRecipe(
@@ -340,16 +316,13 @@ def g_recipe(f, side, n=1):
             value=lambda y: _qform_G(y, f, n),
             grad=lambda y: _qform_G(y, f, n, grad=True),
         )
-
-    # n3 with b > 0: G-tilde, dilation-invariant like the odd cases
-    sgn = 1 if side == +1 else -1
     return GRecipe(
         case=f.case,
         q=f.q,
         sigma=side,
         n=n,
-        value=lambda y: sgn * G_eval(y, f),
-        grad=lambda y: sgn * _grad_G(y, f),
+        value=lambda y: side * G_eval(y, f),
+        grad=lambda y: side * _grad_G(y, f),
         n_invariant=True,
     )
 

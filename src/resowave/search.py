@@ -163,13 +163,7 @@ class _RecordMeta:
 
 def default_side(f):
     """The side of omega = 1 the classified case bifurcates to by default."""
-    if f.case == "odd-power":
-        return int(np.sign(f.a))
-    if f.case == "n1":
-        return int(np.sign(f.b))
-    if f.case == "n2" or f.b < 0:
-        return -1
-    return +1
+    return -1 if frequency.side_required(f) == "omega<1" else +1
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,10 @@ def test_freq_reports_margin_and_cap(capsys):
 def test_freq_out_of_range_is_config_error(capsys):
     assert cli.main(["freq", "--omega", "2.5", "--lmax", "8"]) == 2
     assert "error:" in capsys.readouterr().err
+    argv = ["freq", "--omega", "1.001", "--lmax", "16", "--coeffs", "3=1"]
+    assert cli.main([*argv, "--constant", "inf"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def solve_config(tmp_path, **over):
@@ -144,6 +148,8 @@ _RECORD_DOC = {
     ("solve", {"side": 0}),
     ("solve", {"C": 0}),
     ("solve", {"residual_tol": 0.0}),
+    ("solve", {"C": float("inf")}),
+    ("scan", {"C": float("inf")}),
     ("scan", {"restarts": 0}),
     ("scan", {"n_max": 0}),
     ("scan", {"gtol": -1e-12}),

@@ -39,15 +39,19 @@ def random_field(rng, lt, lx, scale=1.0):
     return fields.SpectralField(arr)
 
 
-def test_synthesize_analyze_round_trip():
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        u = random_field(rng, 5, 6)
-        grid = fields.PhysicalGrid.for_degree(u.lt, u.lx)
-        back = fields.analyze(fields.synthesize(u, grid), grid)
-        got = back.coeffs[: u.lt + 1, : u.lx]
-        assert np.max(np.abs(got - u.coeffs)) < 1e-13
-        assert np.max(np.abs(back.coeffs[u.lt + 1 :, :])) < 1e-13
+@pytest.mark.parametrize("lt, lx, nt, mx", [
+    (0, 1, 2, 1), (0, 5, 8, 9), (3, 4, 8, 4), (5, 6, 16, 13), (7, 3, 128, 127),
+])
+def test_node_values_match_eval_field_at_their_nodes(lt, lx, nt, mx):
+    """The one node sampler is exact: irfft in t and DST-I in x hit eval_field."""
+    rng = np.random.default_rng(lt + 10 * lx)
+    for _ in range(3):
+        u = random_field(rng, lt, lx)
+        t = 2.0 * np.pi * np.arange(nt) / nt
+        x = np.pi * np.arange(1, mx + 1) / (mx + 1)
+        got = fields._node_values(u, nt, mx)
+        assert got.shape == (nt, mx)
+        assert np.max(np.abs(got - fields.eval_field(u, t, x))) <= 1e-13
 
 
 def test_eval_field_matches_termwise_sum():

@@ -100,6 +100,8 @@ def test_minimal_time_period_index():
     assert kernel.minimal_time_period_index(only6) == 6
     mixed = kernel.KernelVector([0, 0, 1.0, 0, 0, 0.2, 0, 0, 0.1])
     assert kernel.minimal_time_period_index(mixed) == 3
+    # every nonzero entry counts, however small: none is silently dropped
+    assert kernel.minimal_time_period_index(kernel.KernelVector([1e-12, 1.0])) == 1
 
 
 def test_projections_split_fields():
@@ -122,8 +124,3 @@ def test_normalize_sign():
     n2 = kernel.normalize_sign(kernel.KernelVector(-v.xi))
     assert np.all(n1.xi == n2.xi)
     assert np.all(kernel.normalize_sign(n1).xi == n1.xi)
-
-
-def test_support():
-    v = kernel.KernelVector([0.0, 1.0, 0.0, 1e-30, 2.0])
-    assert list(kernel.support(v)) == [2, 5]
