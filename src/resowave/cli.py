@@ -16,13 +16,7 @@ import sys
 import numpy as np
 
 from . import evolve, fields, frequency, nonlinearity, search, verify
-from .errors import (
-    ClassificationError,
-    ConfigError,
-    ConvergenceError,
-    ResonanceError,
-    ResowaveError,
-)
+from .errors import ClassificationError, ConfigError, ResowaveError
 
 __all__ = ["main"]
 
@@ -32,7 +26,10 @@ def _fmt(x):
 
 
 def _parse_coeffs(value):
-    """Accept a flag string "3=1,5=-2", a JSON list, or a JSON object."""
+    """Accept a flag string "3=1,5=-2", a JSON list, or a JSON object.
+
+    Every refusal, a classification one included, is a ConfigError.
+    """
     try:
         if isinstance(value, str):
             coeffs = nonlinearity.parse_coeff_string(value)
@@ -42,12 +39,14 @@ def _parse_coeffs(value):
             coeffs = {int(k): float(v) for k, v in value.items()}
         else:
             raise TypeError(type(value).__name__)
+        values = coeffs.values() if isinstance(coeffs, dict) else coeffs
+        if not all(math.isfinite(c) for c in values):
+            raise ConfigError(f"nonlinearity coefficients must be finite: {value!r}")
+        return nonlinearity.classify(coeffs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"cannot interpret nonlinearity coefficients: {value!r}") from exc
-    values = coeffs.values() if isinstance(coeffs, dict) else coeffs
-    if not all(math.isfinite(c) for c in values):
-        raise ConfigError(f"nonlinearity coefficients must be finite: {value!r}")
-    return nonlinearity.classify(coeffs)
+    except ClassificationError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +113,6 @@ SOLVE_SCHEMA = {
     "restarts": (int, False, 16, _COUNT),
     "seed": (int, False, 0, _NONNEGATIVE),
     "C": (_NUM, False, 0.05, _POSITIVE),
-    "gtol": (_NUM, False, 1e-12, _POSITIVE),
     "residual_tol": (_NUM, False, 1e-8, _POSITIVE),
     "force": (bool, False, False, None),
     "output": (str, False, None, None),
@@ -130,7 +128,6 @@ SCAN_SCHEMA = {
     "dim": (int, False, 4, _COUNT),
     "restarts": (int, False, 4, _COUNT),
     "seed": (int, False, 0, _NONNEGATIVE),
-    "gtol": (_NUM, False, 1e-12, _POSITIVE),
     "residual_tol": (_NUM, False, 1e-8, _POSITIVE),
     "output": (str, False, None, None),
 }
@@ -194,10 +191,7 @@ def _load_record(path):
 
 
 def cmd_analyze_f(args):
-    try:
-        f = _parse_coeffs(args.coeffs)
-    except ClassificationError as exc:
-        raise ConfigError(str(exc)) from exc
+    f = _parse_coeffs(args.coeffs)
     print(f.describe())
     print(f"bifurcation side: {frequency.side_required(f)}")
     print(f"minimal dilation index: {frequency.minimal_n(f)}")
@@ -221,10 +215,7 @@ def cmd_freq(args):
     print(f"eps = {_fmt(ctx.eps)}")
     print(f"gamma^(L) at L = {ctx.L}: {_fmt(ctx.gamma)}")
     if args.coeffs is not None:
-        try:
-            f = _parse_coeffs(args.coeffs)
-        except ClassificationError as exc:
-            raise ConfigError(str(exc)) from exc
+        f = _parse_coeffs(args.coeffs)
         cap = frequency.max_admissible_n(ctx, f, C=args.constant)
         head = f"admissible dilation indices at C = {_fmt(args.constant)}:"
         if cap:
@@ -250,10 +241,7 @@ def _refusal(report):
 
 def cmd_solve(args):
     cfg = _validate(_load_config(args.config), SOLVE_SCHEMA, "solve")
-    try:
-        f = _parse_coeffs(cfg["coeffs"])
-    except ClassificationError as exc:
-        raise ConfigError(str(exc)) from exc
+    f = _parse_coeffs(cfg["coeffs"])
     if (cfg["n"] is None) == (cfg["n_max"] is None):
         raise ConfigError("exactly one of 'n' and 'n_max' must be given")
     given = [key for key in ("lt", "lx") if cfg[key] is not None]
@@ -278,21 +266,17 @@ def cmd_solve(args):
             return 1
         maximizer = search.LevelMaximizer(cfg["dim"], cfg["seed"], cfg["restarts"])
         record = search.solve_level(
-            ctx, f, n, maximizer, side=cfg["side"], gtol=cfg["gtol"],
+            ctx, f, n, maximizer, side=cfg["side"],
             residual_tol=cfg["residual_tol"], lt=cfg["lt"], lx=cfg["lx"],
         )
         print(_summary_line(record))
-        if cfg["output"] is not None:
-            _write_text(cfg["output"], _record_json(record))
-        else:
-            sys.stdout.write(_record_json(record))
+        _write_text(cfg["output"], _record_json(record))
         return 0 if record.accepted else 1
 
     result = search.solve_branch(
         ctx, f, n_max=cfg["n_max"], C=cfg["C"], side=cfg["side"],
         dim=cfg["dim"], seed=cfg["seed"], restarts=cfg["restarts"],
-        gtol=cfg["gtol"], residual_tol=cfg["residual_tol"],
-        force_n_min=1 if cfg["force"] else None,
+        residual_tol=cfg["residual_tol"], force_n_min=1 if cfg["force"] else None,
     )
     for record in result.records:
         print(_summary_line(record))
@@ -318,10 +302,7 @@ def cmd_solve(args):
 
 def cmd_scan(args):
     cfg = _validate(_load_config(args.config), SCAN_SCHEMA, "scan")
-    try:
-        f = _parse_coeffs(cfg["coeffs"])
-    except ClassificationError as exc:
-        raise ConfigError(str(exc)) from exc
+    f = _parse_coeffs(cfg["coeffs"])
     rng = cfg["omega_range"]
     if len(rng) != 3 or not all(isinstance(v, _NUM) for v in rng):
         raise ConfigError("'omega_range' must be [lo, hi, step]")
@@ -347,8 +328,7 @@ def cmd_scan(args):
             if cfg["solve"]:
                 try:
                     record = search.solve_level(
-                        ctx, f, n, maximizer, gtol=cfg["gtol"],
-                        residual_tol=cfg["residual_tol"],
+                        ctx, f, n, maximizer, residual_tol=cfg["residual_tol"]
                     )
                     status = "accepted" if record.accepted else "rejected"
                     h1_txt, en_txt = _fmt(record.h1), _fmt(record.energy)
@@ -382,10 +362,7 @@ def cmd_evolve(args):
     if args.periods < 1:
         raise ConfigError(f"'periods' must be >= 1, got {args.periods}")
     record = _load_record(args.record)
-    try:
-        f = _parse_coeffs(args.coeffs)
-    except ClassificationError as exc:
-        raise ConfigError(str(exc)) from exc
+    f = _parse_coeffs(args.coeffs)
     doc = _load_config(args.config) if args.config is not None else {}
     overrides = _validate(doc, EVOLVE_SCHEMA, "evolve")
     config = evolve.EvolutionConfig(**overrides)
@@ -540,7 +517,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, ResonanceError, ClassificationError, ResowaveError) as exc:
+    except ResowaveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

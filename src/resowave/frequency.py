@@ -166,14 +166,21 @@ def admissible(ctx, n, f, C=DEFAULT_C):
 
 
 def max_admissible_n(ctx, f, C=DEFAULT_C):
-    """Largest admissible n (0 if none); the bound is monotone in n."""
-    probe = admissible(ctx, minimal_n(f), f, C)
-    if not probe.ok:
+    """Largest admissible n (0 if none); the bound is monotone in n.
+
+    The closed-form estimate ignores the rounding slack of admissible, so
+    it is corrected by walking down, then up, to the last admissible level.
+    """
+    n_min = minimal_n(f)
+    if not admissible(ctx, n_min, f, C).ok:
         return 0
     e = _bound_exponent(f)
-    n_cap = int(np.floor(np.sqrt((C * ctx.gamma) ** (1.0 / e) / abs(ctx.omega - 1.0))))
-    while n_cap > 0 and not admissible(ctx, n_cap, f, C).ok:
+    estimate = int(np.floor(np.sqrt((C * ctx.gamma) ** (1.0 / e) / abs(ctx.omega - 1.0))))
+    n_cap = max(n_min, estimate)
+    while not admissible(ctx, n_cap, f, C).ok:
         n_cap -= 1
+    while admissible(ctx, n_cap + 1, f, C).ok:
+        n_cap += 1
     return n_cap
 
 

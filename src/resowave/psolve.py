@@ -26,6 +26,7 @@ __all__ = ["PSolveReport", "apply_L_inv", "contraction_domain", "solve_P"]
 
 DOMAIN_RHO = 0.1
 RESONANCE_TOL = 1e-10
+_MAX_SWEEPS = 200
 
 
 @dataclass(frozen=True)
@@ -70,8 +71,8 @@ def apply_L_inv(w, omega, out_lt=None, out_lx=None):
     return fields.SpectralField(out)
 
 
-def contraction_domain(v, ctx, f, lt, rho=DOMAIN_RHO):
-    """The a priori contraction quantity |v|_omega^(p-1)/gamma; warns above rho.
+def contraction_domain(v, ctx, f, lt):
+    """The a priori contraction quantity |v|_omega^(p-1)/gamma; warns above DOMAIN_RHO.
 
     Refuses a resonant context and a truncation lt outside [len(v), ctx.L].
     solve_P monitors the quantity and search.refine aborts on it.
@@ -85,9 +86,9 @@ def contraction_domain(v, ctx, f, lt, rho=DOMAIN_RHO):
             f"truncation lt={lt} exceeds the context's certified range L={ctx.L}"
         )
     ratio = fields.norms(kernel.embed(v), ctx.omega).omega ** (f.p - 1) / ctx.gamma
-    if ratio > rho:
+    if ratio > DOMAIN_RHO:
         warnings.warn(
-            f"|v|_omega^(p-1)/gamma = {ratio:.3g} above rho = {rho}; "
+            f"|v|_omega^(p-1)/gamma = {ratio:.3g} above rho = {DOMAIN_RHO}; "
             "contraction not guaranteed",
             stacklevel=3,
         )
@@ -103,22 +104,22 @@ def _masked_rhs(u, f, lt, lx, n):
     return rhs
 
 
-def solve_P(v, ctx, f, tol=1e-12, max_iter=200, lt=None, lx=None, rho=DOMAIN_RHO):
+def solve_P(v, ctx, f, tol=1e-12, lt=None, lx=None):
     """Solve the truncated range equation for the kernel element v.
 
     Returns (w, PSolveReport).  The iteration starts at w = 0 and stops when
     the omega-norm of the update drops below tol * max(1, |w|_omega).  The
     contraction-domain quantity |v|_omega^{p-1}/gamma is only monitored
-    (warn above rho); genuine divergence raises ConvergenceError with the
-    update trace attached.
+    (warn above DOMAIN_RHO); genuine divergence, or no convergence in 200
+    sweeps, raises ConvergenceError with the update trace attached.
     """
     dim = len(v)
     if lt is None:
         lt = max(2 * dim, 16)
     if lx is None:
         lx = max(2 * dim, 16)
-    domain_ratio = contraction_domain(v, ctx, f, lt, rho)
-    domain_ok = domain_ratio <= rho
+    domain_ratio = contraction_domain(v, ctx, f, lt)
+    domain_ok = domain_ratio <= DOMAIN_RHO
     u_v = kernel.embed(v)
     try:
         n = kernel.minimal_time_period_index(v)
@@ -128,7 +129,7 @@ def solve_P(v, ctx, f, tol=1e-12, max_iter=200, lt=None, lx=None, rho=DOMAIN_RHO
     w = fields.zeros(lt, lx)
     updates = []
     ratio = 0.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_SWEEPS + 1):
         rhs = _masked_rhs(u_v + w, f, lt, lx, n)
         w_next = apply_L_inv(rhs, ctx.omega, lt, lx)
         upd = fields.norms(w_next - w, ctx.omega).omega
@@ -152,7 +153,7 @@ def solve_P(v, ctx, f, tol=1e-12, max_iter=200, lt=None, lx=None, rho=DOMAIN_RHO
                 f"range iteration diverging (ratio {ratio:.3g})", trace=updates
             )
     raise ConvergenceError(
-        f"range iteration: no convergence in {max_iter} steps "
+        f"range iteration: no convergence in {_MAX_SWEEPS} steps "
         f"(last update {updates[-1]:.3e}, ratio {ratio:.3g})",
         trace=updates,
     )

@@ -267,17 +267,16 @@ def _grad_G(v, f):
 
 @dataclass(frozen=True)
 class GRecipe:
-    """Effective G of sigma * Phi restricted to the n-dilated kernel.
+    """Effective G of Phi (omega > 1) or -Phi (omega < 1) on the n-dilated kernel.
 
     value/grad act on the gcd-1 vector y and return G_eff(L_n y) and its
-    xi-gradient; sigma is +1 when the recipe describes Phi itself (omega > 1)
-    and -1 for -Phi (omega < 1).  mu = |eps| n^2 pairs with these.
-    n_invariant says that value and grad do not depend on n.
+    xi-gradient; the sign that g_recipe chose for the side is built into
+    both.  mu = |eps| n^2 pairs with these.  n_invariant says that value
+    and grad do not depend on n.
     """
 
     case: str
     q: int
-    sigma: int
     n: int
     value: object
     grad: object
@@ -311,7 +310,6 @@ def g_recipe(f, side, n=1):
         return GRecipe(
             case=f.case,
             q=f.q,
-            sigma=-1,
             n=n,
             value=lambda y: _qform_G(y, f, n),
             grad=lambda y: _qform_G(y, f, n, grad=True),
@@ -319,7 +317,6 @@ def g_recipe(f, side, n=1):
     return GRecipe(
         case=f.case,
         q=f.q,
-        sigma=side,
         n=n,
         value=lambda y: side * G_eval(y, f),
         grad=lambda y: side * _grad_G(y, f),

@@ -54,6 +54,12 @@ __all__ = [
 
 RECORD_VERSION = 1
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
+# the scaled Galerkin residual a converged refinement must reach; a step at
+# rounding level with a larger residual does not count as converged
+GTOL = 1e-12
+_NEWTON_MAX_ITER = 40
+# the energy drift across a period that an accepted record may show
+DRIFT_TOL = 1e-9
 
 
 @dataclass
@@ -85,9 +91,9 @@ class NewtonReport:
 class SolutionRecord:
     """One catalogued periodic solution with its certificates.
 
-    The serialized document carries exactly the fields written by
-    as_document; outside_theorem is in-memory bookkeeping for forced runs
-    below the covered dilation range.
+    The serialized document carries every field in declaration order but
+    outside_theorem, which is in-memory bookkeeping for forced runs below
+    the covered dilation range.
     """
 
     version: int
@@ -109,42 +115,30 @@ class SolutionRecord:
     outside_theorem: bool = False
 
     def as_document(self):
-        return {
-            "version": self.version,
-            "omega": self.omega,
-            "eps": self.eps,
-            "gamma": self.gamma,
-            "n": self.n,
-            "q": self.q,
-            "case": self.case,
-            "xi": [float(x) for x in self.xi],
-            "w_coeffs": [[float(x) for x in row] for row in self.w_coeffs],
-            "h1": self.h1,
-            "sup": self.sup,
-            "energy": self.energy,
-            "residual": self.residual,
-            "phi": self.phi,
-            "predicted_level": self.predicted_level,
-            "accepted": self.accepted,
-        }
+        doc = {name: getattr(self, name) for name in _DOCUMENT_FIELDS}
+        for name in _ARRAY_FIELDS:
+            doc[name] = np.asarray(doc[name], dtype=float).tolist()
+        return doc
 
     @classmethod
     def from_document(cls, doc):
-        allowed = {
-            "version", "omega", "eps", "gamma", "n", "q", "case", "xi",
-            "w_coeffs", "h1", "sup", "energy", "residual", "phi",
-            "predicted_level", "accepted",
-        }
-        extra = set(doc) - allowed
+        extra = set(doc) - set(_DOCUMENT_FIELDS)
         if extra:
             raise ResowaveError(f"unknown record fields: {sorted(extra)}")
-        missing = allowed - set(doc)
+        missing = set(_DOCUMENT_FIELDS) - set(doc)
         if missing:
             raise ResowaveError(f"missing record fields: {sorted(missing)}")
         data = dict(doc)
-        data["xi"] = np.asarray(data["xi"], dtype=float)
-        data["w_coeffs"] = np.asarray(data["w_coeffs"], dtype=float)
+        for name in _ARRAY_FIELDS:
+            data[name] = np.asarray(data[name], dtype=float)
         return cls(**data)
+
+
+# the document's keys, in order: every record field but outside_theorem
+_DOCUMENT_FIELDS = tuple(
+    fd.name for fd in dataclasses.fields(SolutionRecord) if fd.name != "outside_theorem"
+)
+_ARRAY_FIELDS = ("xi", "w_coeffs")
 
 
 @dataclass
@@ -182,7 +176,7 @@ def _sphere_normalize(xi, D):
     return xi / nrm
 
 
-def maximize_U(recipe, dim, seed=0, restarts=16, max_iter=400, tol=1e-13):
+def maximize_U(recipe, dim, seed=0, restarts=16):
     """Maximum of the effective G over the unit H^1 sphere in dimension dim.
 
     Returns (y_star, m_hat, diagnostics) with y_star sign-normalized.  The
@@ -203,13 +197,13 @@ def maximize_U(recipe, dim, seed=0, restarts=16, max_iter=400, tol=1e-13):
         val = recipe.value(kernel.KernelVector(xi))
         step = 1.0
         iters = 0
-        for _ in range(max_iter):
+        for _ in range(400):
             iters += 1
             g = recipe.grad(kernel.KernelVector(xi))
             gn = g / D
             tang = gn - np.dot(D * gn, xi) * xi
             tnorm = math.sqrt(float(np.dot(D * tang, tang)))
-            if tnorm <= tol * max(1.0, abs(val)):
+            if tnorm <= 1e-13 * max(1.0, abs(val)):
                 break
             moved = False
             while step > 1e-16:
@@ -355,7 +349,7 @@ def _galerkin_jacobian(u, ctx, f, n):
     return J
 
 
-def refine(v0, ctx, f, max_iter=40, gtol=1e-12, lt=None, lx=None):
+def refine(v0, ctx, f, lt=None, lx=None):
     """Damped Newton on the truncated Galerkin system, from the dilated guess.
 
     The unknowns are every entry (l, j), l in nZ, of the (lt, lx) truncation,
@@ -365,12 +359,13 @@ def refine(v0, ctx, f, max_iter=40, gtol=1e-12, lt=None, lx=None):
     equation, so a zero is a critical point v with its w(v).  Each step
     assembles the Jacobian diag(j^2 - omega^2 l^2) + P[f'(u) .] once
     (_galerkin_jacobian) and takes one dense solve; each line-search trial
-    costs one apply_nonlinearity.  The iteration stops when the residual is
-    at most gtol and the last full step was at rounding level.  When an
-    iterate's kernel part leaves the contraction domain
-    (psolve.contraction_domain above psolve.DOMAIN_RHO) the refinement
-    aborts rather than report a solution the existence argument does not
-    cover.
+    costs one apply_nonlinearity.  The iteration stops when the last full
+    step was at rounding level and the residual is at most GTOL; the second
+    test is a safety check, since a settled step with a large residual is
+    not a solution.  When an iterate's kernel part leaves the contraction
+    domain (psolve.contraction_domain above psolve.DOMAIN_RHO) the
+    refinement aborts rather than report a solution the existence argument
+    does not cover.
     """
     n = kernel.minimal_time_period_index(v0)
     if lt is None:
@@ -388,14 +383,14 @@ def refine(v0, ctx, f, max_iter=40, gtol=1e-12, lt=None, lx=None):
     trace = []
     settled = False
 
-    for it in range(max_iter + 1):
+    for it in range(_NEWTON_MAX_ITER + 1):
         report.iterations = it
         report.grad_norm = gnorm
         trace.append(gnorm)
-        if gnorm <= gtol and settled:
+        if gnorm <= GTOL and settled:
             report.converged = True
             break
-        if it == max_iter:
+        if it == _NEWTON_MAX_ITER:
             raise ConvergenceError("Newton refinement did not converge", trace=tuple(trace))
         if ratio > psolve.DOMAIN_RHO:
             raise ConvergenceError(
@@ -417,7 +412,7 @@ def refine(v0, ctx, f, max_iter=40, gtol=1e-12, lt=None, lx=None):
             F_c = _galerkin_F(u_c, ctx, f, n)
             gn_c = 0.5 * np.pi**2 * float(np.linalg.norm(F_c))
             ratio_c = psolve.contraction_domain(kernel.project_V(u_c), ctx, f, lt)
-            if gn_c < gnorm * (1.0 - 1e-4 * t) or gn_c <= gtol:
+            if gn_c < gnorm * (1.0 - 1e-4 * t) or gn_c <= GTOL:
                 u, F, gnorm, ratio = u_c, F_c, gn_c, ratio_c
                 accepted = True
                 if t < 1.0:
@@ -475,24 +470,27 @@ def energy_at(u, omega, f, t_val):
     return kin + grad + pot
 
 
-def energy_certificate(v, w, ctx, f, probes=9):
-    """Energy at t = 0 and the relative drift across a period of probes."""
+def energy_certificate(v, w, ctx, f):
+    """Energy at t = 0 and the relative drift across nine probes of a period."""
     u = kernel.embed(v) + w
-    times = 2.0 * np.pi * np.arange(probes) / probes
+    times = 2.0 * np.pi * np.arange(9) / 9
     vals = np.array([energy_at(u, ctx.omega, f, tv) for tv in times])
     scale = max(float(np.max(np.abs(vals))), 1e-30)
     drift = float((vals.max() - vals.min()) / scale)
     return float(vals[0]), drift
 
 
-def temporal_support_index(v, w, rtol=1e-9):
-    """Largest n with all temporal frequencies of v + w in n Z."""
+def temporal_support_index(v, w):
+    """Largest n with all temporal frequencies of v + w in n Z.
+
+    Rows below 1e-9 of the largest coefficient count as empty.
+    """
     u = kernel.embed(v) + w
     arr = np.abs(u.coeffs)
     scale = float(arr.max())
     if scale == 0.0:
         return 0
-    rows = [l for l in range(1, arr.shape[0]) if arr[l].max() > rtol * scale]
+    rows = [l for l in range(1, arr.shape[0]) if arr[l].max() > 1e-9 * scale]
     if not rows:
         return 0
     return int(math.gcd(*rows)) if len(rows) > 1 else int(rows[0])
@@ -507,7 +505,7 @@ def involution_partner(u):
 
 
 def build_solution(v, w, ctx, f, recipe, predicted_level, newton=None,
-                   residual_tol=1e-8, drift_tol=1e-9, outside_theorem=False):
+                   residual_tol=1e-8, outside_theorem=False):
     """Assemble the certified record for a refined critical point.
 
     Besides the certificates, acceptance asks the critical level to be of the
@@ -521,7 +519,7 @@ def build_solution(v, w, ctx, f, recipe, predicted_level, newton=None,
     n_obs = temporal_support_index(v, w)
     accepted = (
         res <= residual_tol
-        and drift <= drift_tol
+        and drift <= DRIFT_TOL
         and (newton is None or newton.converged)
         and n_obs == recipe.n
         and abs(phi_val) >= 1e-3 * abs(predicted_level)
@@ -573,59 +571,50 @@ def partner_record(record, f):
     )
 
 
-def solve_level(ctx, f, n, maximizer, side=None, gtol=1e-12, residual_tol=1e-8,
-                lt=None, lx=None):
+def solve_level(ctx, f, n, maximizer, side=None, residual_tol=1e-8, lt=None, lx=None):
     """The certified record of dilation level n: steps 1-4 of the pipeline.
 
     maximizer is the LevelMaximizer shared by every level of f and side;
     admissibility is the caller's to check.  A level below the case's minimal
-    index is flagged outside_theorem.  Raises ResowaveError (ConvergenceError
-    when the refinement fails).
+    index is flagged outside_theorem.  residual_tol is the only tolerance a
+    caller sets: the Newton stop (GTOL) and the drift bar (DRIFT_TOL) are
+    fixed.  Raises ResowaveError (ConvergenceError when the refinement fails).
     """
     recipe = reduced.g_recipe(f, default_side(f) if side is None else side, n=n)
     y_star, m_val, diag = maximizer(recipe)
     v0, level = initial_guess(y_star, m_val, recipe, ctx, diag)
-    v, w, rep = refine(v0, ctx, f, gtol=gtol, lt=lt, lx=lx)
+    v, w, rep = refine(v0, ctx, f, lt=lt, lx=lx)
     return build_solution(v, w, ctx, f, recipe, level, newton=rep,
                           residual_tol=residual_tol,
                           outside_theorem=n < frequency.minimal_n(f))
 
 
 def solve_branch(ctx, f, n_max=None, C=0.05, side=None, dim=8, seed=0,
-                 restarts=16, gtol=1e-12, residual_tol=1e-8,
-                 force_n_min=None):
+                 restarts=16, residual_tol=1e-8, force_n_min=None):
     """One record per admissible dilation level; deterministic under seed.
 
     Levels run from the case's minimal n (or force_n_min, flagging records
-    below the covered range) to n_max or the admissibility cap.  Each level
-    is one solve_level with the LevelMaximizer of the branch: one
-    maximization, drawn from seed, serves every level unless G carries the
-    quadratic form, whose levels are maximized one by one with
+    below the covered range) to n_max or the admissibility cap.  A forced
+    level below the minimal n needs no admissibility check of its own: a
+    nonzero cap means the minimal level passes the side and smallness
+    tests, and neither gets harder as n decreases.  Each level is one
+    solve_level, with residual_tol, and the LevelMaximizer of the branch:
+    one maximization, drawn from seed, serves every level unless G carries
+    the quadratic form, whose levels are maximized one by one with
     seed + 1000 n.  Per-level failures are collected, not fatal.  A zero
     non-resonance margin means no admissible levels at all.
     """
     if ctx.gamma <= 0.0:
         return BranchResult(records=[], failures=[])
     cap = frequency.max_admissible_n(ctx, f, C=C)
-    if n_max is None:
-        n_max = cap
-    n_max = min(n_max, cap)
-    n_min = frequency.minimal_n(f)
-    start = n_min if force_n_min is None else force_n_min
+    n_max = cap if n_max is None else min(n_max, cap)
+    start = frequency.minimal_n(f) if force_n_min is None else force_n_min
     maximizer = LevelMaximizer(dim, seed=seed, restarts=restarts)
     records = []
     failures = []
     for n in range(start, n_max + 1):
-        # levels n_min..cap are admissible (the bound is monotone in n); a
-        # forced level below n_min waives only the minimal-index criterion,
-        # so side, resonance and the smallness bound still apply
-        if n < n_min:
-            report = frequency.admissible(ctx, n, f, C=C)
-            if not (report.side_ok and report.bound <= C * (1.0 + 1e-12)):
-                failures.append((n, "; ".join(report.notes) or "not admissible"))
-                continue
         try:
-            records.append(solve_level(ctx, f, n, maximizer, side=side, gtol=gtol,
+            records.append(solve_level(ctx, f, n, maximizer, side=side,
                                        residual_tol=residual_tol))
         except ResowaveError as exc:
             failures.append((n, str(exc)))

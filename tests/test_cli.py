@@ -142,7 +142,9 @@ _RECORD_DOC = {
 @pytest.mark.parametrize("command, override", [
     ("solve", {"restarts": 0}),
     ("solve", {"dim": 0}),
+    # gtol is no config key: any value of it is refused as unknown
     ("solve", {"gtol": -1}),
+    ("solve", {"gtol": 1e-12}),
     ("solve", {"n": 0}),
     ("solve", {"lmax": 0}),
     ("solve", {"side": 0}),
@@ -153,6 +155,7 @@ _RECORD_DOC = {
     ("scan", {"restarts": 0}),
     ("scan", {"n_max": 0}),
     ("scan", {"gtol": -1e-12}),
+    ("scan", {"gtol": 1e-12}),
     ("scan", {"omega_range": [1.001, float("nan"), 0.001]}),
     ("solve", {"seed": -5000}),
     ("scan", {"seed": -1}),
@@ -188,6 +191,26 @@ def test_out_of_range_config_exits_two(tmp_path, capsys, command, override):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert repr(next(iter(override))) in err
+
+
+@pytest.mark.parametrize("coeffs", ["3=x", "1=1"])
+@pytest.mark.parametrize("command", ["analyze-f", "freq", "solve", "scan", "evolve"])
+def test_junk_coefficients_exit_two(tmp_path, capsys, command, coeffs):
+    if command == "analyze-f":
+        argv = ["analyze-f", "--coeffs", coeffs]
+    elif command == "freq":
+        argv = ["freq", "--omega", "1.001", "--lmax", "16", "--coeffs", coeffs]
+    elif command == "solve":
+        argv = ["solve", "--config", solve_config(tmp_path, coeffs=coeffs)]
+    elif command == "scan":
+        doc = {"coeffs": coeffs, "omega_range": [1.001, 1.002, 0.001]}
+        argv = ["scan", "--config", write_json(tmp_path / "scan.json", doc)]
+    else:
+        record = write_json(tmp_path / "rec.json", _RECORD_DOC)
+        argv = ["evolve", "--record", record, "--coeffs", coeffs]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("override", [
@@ -522,7 +545,6 @@ _SOLVE_DOCS = _merged(
         "restarts": _or_junk(st.integers(1, 2)),
         "seed": _or_junk(st.integers(0, 6000)),
         "C": _or_junk(st.floats(0.001, 0.2)),
-        "gtol": _or_junk(_TOL),
         "residual_tol": _or_junk(_TOL),
         "force": _or_junk(st.booleans()),
     }),
@@ -545,7 +567,6 @@ _SCAN_DOCS = st.fixed_dictionaries({
     "dim": _or_junk(st.integers(1, 2)),
     "restarts": _or_junk(st.integers(1, 2)),
     "seed": _or_junk(st.integers(0, 6000)),
-    "gtol": _or_junk(_TOL),
     "residual_tol": _or_junk(_TOL),
 })
 

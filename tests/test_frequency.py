@@ -60,6 +60,9 @@ def test_admissibility_boundary_is_inclusive():
     # bound = |omega - 1| n^2 / gamma = 0.01 * 100 = 1.0 exactly at C = 1
     assert frequency.admissible(ctx, 10, f, C=1.0).ok
     assert not frequency.admissible(ctx, 11, f, C=1.0).ok
+    # the bound at n = 10 rounds to 1 + 9e-16, inside the slack but above
+    # the closed-form estimate's floor
+    assert frequency.max_admissible_n(ctx, f, C=1.0) == 10
 
 
 def test_side_gating():
@@ -106,6 +109,30 @@ def test_max_admissible_n_is_sharp():
     # wrong side: no admissible indices at all
     below = frequency.make_context(0.9999, L=32)
     assert frequency.max_admissible_n(below, f, C=0.05) == 0
+
+
+_CAP_CASES = [{3: 1.0}, {3: -1.0}, {2: 1.0}, {4: 1.0}, {4: 1.0, 5: -1.0},
+              {2: 1.0, 3: 5.0}, {2: 1.0, 3: -1.0}, {4: 1.0, 7: 1.0}, {3: 1.0, 5: 2.0}]
+
+
+def test_max_admissible_n_matches_brute_force_at_the_threshold():
+    # C within the 1e-12 slack of some level's bound, where rounding decides
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        f = nonlinearity.classify(_CAP_CASES[rng.integers(len(_CAP_CASES))])
+        side = frequency.side_required(f)
+        below = side == "omega<1" or (side == "either" and rng.random() < 0.5)
+        offset = 10.0 ** rng.uniform(-5, -2)
+        omega = 1.0 - offset if below else 1.0 + offset
+        ctx = frequency.FrequencyContext(
+            omega=omega, eps=0.5 * (omega**2 - 1.0), gamma=rng.uniform(0.5, 1.0), L=32,
+        )
+        level = int(rng.integers(frequency.minimal_n(f), 30))
+        bound = frequency.admissible(ctx, level, f, C=1.0).bound
+        C = bound * (1.0 + rng.uniform(-2e-12, 2e-12))
+        brute = max([n for n in range(1, 80) if frequency.admissible(ctx, n, f, C).ok],
+                    default=0)
+        assert frequency.max_admissible_n(ctx, f, C) == brute
 
 
 def test_resonant_frequency_blocks_everything():

@@ -35,9 +35,9 @@ def test_maximize_seed_independent_value():
 
 def test_maximize_raises_on_infeasible_sign():
     # with a < 0 the recipe for omega < 1 has G(v) = -(a/4) int v^4... flipped
-    # back by sigma, so force infeasibility with a hand-built recipe
+    # back by the side's sign, so force infeasibility with a hand-built recipe
     rec = reduced.GRecipe(
-        case="odd-power", q=3, sigma=+1, n=1,
+        case="odd-power", q=3, n=1,
         value=lambda y: -abs(reduced.G_eval(y, F3)),
         grad=lambda y: -reduced._grad_G(y, F3),
     )
@@ -153,17 +153,19 @@ def test_refine_returns_the_range_solution(f, side, n):
     assert np.max(np.abs(w.coeffs - w_p.coeffs)) <= 1e-12 * scale
 
 
-def test_refine_result_does_not_depend_on_gtol():
+def test_refine_stops_at_a_rounding_level_step():
     # at this level one step already brings the residual below 1e-12 while
-    # leaving xi 1.2e-10 off; the stop waits for a rounding-level step, so a
-    # far tighter gtol returns the same point
+    # leaving xi 1.2e-10 off; the stop waits for a rounding-level step, so
+    # one more Newton step from the returned point moves it by rounding only
     ctx = ctx_cubic(eps=1e-4)
     rec = reduced.g_recipe(F3, +1, n=1)
     y, m, diag = search.maximize_U(rec, 6, seed=0, restarts=4)
     v0, _ = search.initial_guess(y, m, rec, ctx, diag)
-    v, _, _ = search.refine(v0, ctx, F3, gtol=1e-12)
-    v_tight, _, _ = search.refine(v0, ctx, F3, gtol=1e-18)
-    assert np.max(np.abs(v.xi - v_tight.xi)) <= 1e-14 * np.max(np.abs(v_tight.xi))
+    v, w, _ = search.refine(v0, ctx, F3)
+    u = fields.SpectralField((kernel.embed(v) + w).padded(w.lt, w.lx))
+    F = search._galerkin_F(u, ctx, F3, 1)
+    step = np.linalg.solve(search._galerkin_jacobian(u, ctx, F3, 1), -F.ravel())
+    assert np.max(np.abs(step)) <= 1e-14 * np.max(np.abs(v.xi))
 
 
 def test_build_solution_rejects_level_far_below_prediction():
