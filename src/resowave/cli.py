@@ -93,10 +93,14 @@ def _validate(doc, schema, command):
 _NUM = (int, float)
 
 # range checks (predicate, description): counts are at least 1, seeds at
-# least 0, tolerances and constants finite and strictly positive
+# least 0, tolerances finite and strictly positive
 _COUNT = (lambda v: v >= 1, ">= 1")
 _NONNEGATIVE = (lambda v: v >= 0, ">= 0")
 _POSITIVE = (lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+# C is the smallness constant the admissibility bound (|omega - 1| n^2)^e/gamma
+# is held to: above 1 the bound it admits is not small, and a huge C
+# overflows the level cap
+_SMALLNESS = (lambda v: 0 < v <= 1, "in (0, 1]")
 _SIDE = (lambda v: v in (-1, 1), "-1 or +1")
 
 SOLVE_SCHEMA = {
@@ -112,7 +116,7 @@ SOLVE_SCHEMA = {
     "dim": (int, False, 8, _COUNT),
     "restarts": (int, False, 16, _COUNT),
     "seed": (int, False, 0, _NONNEGATIVE),
-    "C": (_NUM, False, 0.05, _POSITIVE),
+    "C": (_NUM, False, 0.05, _SMALLNESS),
     "residual_tol": (_NUM, False, 1e-8, _POSITIVE),
     "force": (bool, False, False, None),
     "output": (str, False, None, None),
@@ -123,7 +127,7 @@ SCAN_SCHEMA = {
     "omega_range": (list, True, None, None),
     "lmax": (int, False, 32, _COUNT),
     "n_max": (int, False, 6, _COUNT),
-    "C": (_NUM, False, 0.05, _POSITIVE),
+    "C": (_NUM, False, 0.05, _SMALLNESS),
     "solve": (bool, False, False, None),
     "dim": (int, False, 4, _COUNT),
     "restarts": (int, False, 4, _COUNT),
@@ -205,8 +209,8 @@ def cmd_analyze_f(args):
 
 
 def cmd_freq(args):
-    if not _POSITIVE[0](args.constant):
-        raise ConfigError(f"'constant' must be {_POSITIVE[1]}, got {args.constant!r}")
+    if not _SMALLNESS[0](args.constant):
+        raise ConfigError(f"'constant' must be {_SMALLNESS[1]}, got {args.constant!r}")
     try:
         ctx = frequency.make_context(args.omega, args.lmax)
     except ResowaveError as exc:
@@ -472,7 +476,7 @@ def _build_parser():
     p.add_argument("--lmax", type=int, required=True)
     p.add_argument("--coeffs", default=None)
     p.add_argument("--constant", type=float, default=0.05,
-                   help="smallness constant C for admissibility")
+                   help="smallness constant C for admissibility, in (0, 1]")
     p.set_defaults(func=cmd_freq)
 
     p = sub.add_parser("solve", help="construct and certify solution records")

@@ -20,6 +20,10 @@ from .errors import ClassificationError
 __all__ = ["NonlinearitySpec", "classify", "parse_coeff_string"]
 
 CASES = ("odd-power", "n1", "n2", "n3")
+# the highest term order accepted: the solver's product grids grow linearly
+# with the order, and at this ceiling one product on the default 48-mode
+# truncation already samples 8192 x 6148 nodes
+MAX_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -68,14 +72,17 @@ def classify(coeffs):
     """Build a NonlinearitySpec from {order: value} or an ascending array.
 
     Orders below 2 are rejected: the equation linearizes around u = 0 and a
-    linear term would change the resonant part itself.
+    linear term would change the resonant part itself.  So are orders above
+    MAX_ORDER, before any array is sized by them.
     """
     if isinstance(coeffs, dict):
         if not coeffs:
             raise ClassificationError("empty coefficient set")
         for k in coeffs:
-            if int(k) != k or k < 2:
-                raise ClassificationError(f"invalid term order {k} (need integer >= 2)")
+            if int(k) != k or not 2 <= k <= MAX_ORDER:
+                raise ClassificationError(
+                    f"invalid term order {k} (need an integer in [2, {MAX_ORDER}])"
+                )
         poly = np.zeros(int(max(coeffs)) + 1)
         for k, val in coeffs.items():
             poly[int(k)] = float(val)
@@ -83,6 +90,8 @@ def classify(coeffs):
         poly = np.asarray(coeffs, dtype=float)
         if poly.ndim != 1:
             raise ClassificationError("coefficient array must be 1-d")
+        if len(poly) > MAX_ORDER + 1:
+            raise ClassificationError(f"coefficient array beyond order {MAX_ORDER}")
         if len(poly) > 1 and np.any(poly[:2] != 0.0):
             raise ClassificationError("constant and linear terms must vanish")
         poly = poly.copy()

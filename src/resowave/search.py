@@ -12,11 +12,14 @@ The pipeline per dilation level n:
   2. turn the maximum m and mu = |eps| n^2 into the amplitude t* and the
      predicted critical level of the reduced functional;
   3. refine the dilated initial guess t* L_n y* (with w = 0) by damped Newton
-     on the truncated Galerkin system on the dilation sublattice, kernel and
-     range entries together; its kernel rows are -grad Phi_eps and its range
-     rows the range equation, so a zero is a critical point v with its w(v).
-     Each step assembles the Jacobian (the wave symbol plus multiplication
-     by f'(u)) and solves it densely;
+     on the truncated Galerkin system, kernel and range entries together;
+     its kernel rows are -grad Phi_eps and its range rows the range
+     equation, so a zero is a critical point v with its w(v).  For odd f a
+     level n > 1 is solved in its dilation frame, as level 1 with f/n^2 on
+     the compressed truncation (lt/n, lx/n), and dilated back; even f runs
+     on the sublattice nZ of the full truncation.  Each step assembles the
+     Jacobian (the wave symbol plus multiplication by f'(u)) and solves it
+     densely;
   4. assemble the full solution u = v + w(v) with its certificates (Galerkin
      residual, energy drift across probe times, norms, minimal period).
 """
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fields, frequency, kernel, psolve, reduced
+from . import fields, frequency, kernel, nonlinearity, psolve, reduced
 from .errors import ConvergenceError, ResonanceError, ResowaveError
 
 __all__ = [
@@ -349,6 +352,26 @@ def _galerkin_jacobian(u, ctx, f, n):
     return J
 
 
+def _dilation_frame(f, n):
+    """The frame (d, f/d^2) in which level n of f is solved.
+
+    For f without even-order terms u(t, x) = U(n t, n x) solves level n
+    exactly when U solves level 1 with f/n^2, and F_u(n k, n m) = n^2 F_U(k, m)
+    is its only nonzero content; so d = n.  An even power leaves the sine
+    class in x, so even f keeps d = 1 and the sublattice nZ.
+    """
+    if n > 1 and not np.any(f.poly[::2]):
+        return n, nonlinearity.classify(f.poly / n**2)
+    return 1, f
+
+
+def _dilate(u, d, lt, lx):
+    """The frame field u placed at rows dZ and columns dZ of an (lt+1, lx) field."""
+    c = np.zeros((lt + 1, lx))
+    c[::d, d - 1 :: d] = u.coeffs
+    return fields.SpectralField(c)
+
+
 def refine(v0, ctx, f, lt=None, lx=None):
     """Damped Newton on the truncated Galerkin system, from the dilated guess.
 
@@ -356,16 +379,22 @@ def refine(v0, ctx, f, lt=None, lx=None):
     kernel (l = j) and range alike, starting from u = v0 (w = 0).  The
     residual is (pi^2/2) F(u) with F(u) = (j^2 - omega^2 l^2) u + P f(u); its
     kernel rows are exactly -grad Phi_eps and its range rows are the range
-    equation, so a zero is a critical point v with its w(v).  Each step
-    assembles the Jacobian diag(j^2 - omega^2 l^2) + P[f'(u) .] once
-    (_galerkin_jacobian) and takes one dense solve; each line-search trial
-    costs one apply_nonlinearity.  The iteration stops when the last full
-    step was at rounding level and the residual is at most GTOL; the second
-    test is a safety check, since a settled step with a large residual is
-    not a solution.  When an iterate's kernel part leaves the contraction
-    domain (psolve.contraction_domain above psolve.DOMAIN_RHO) the
-    refinement aborts rather than report a solution the existence argument
-    does not cover.
+    equation, so a zero is a critical point v with its w(v).  For odd f and
+    n > 1 the same loop runs with n = 1 in the dilation frame: guess
+    xi[n-1::n], f/n^2, truncation (lt // n, lx // n) and n^2 times the frame
+    residual (the full-field one); the result is written back at rows and
+    columns nZ, every other entry an exact zero.  The frame divisors are
+    n^2 (m^2 - omega^2 k^2), so the certified range is k <= lt // n <= L/n.
+    Each step assembles the Jacobian diag(j^2 - omega^2 l^2) + P[f'(u) .]
+    once (_galerkin_jacobian) and takes one dense solve; each line-search
+    trial costs one apply_nonlinearity.  The iteration stops when the last
+    full step was at rounding level and the residual is at most GTOL; the
+    second test is a safety check, since a settled step with a large
+    residual is not a solution.  When an iterate's kernel part, dilated to
+    the full truncation, leaves the contraction domain
+    (psolve.contraction_domain above psolve.DOMAIN_RHO) the refinement
+    aborts rather than report a solution the existence argument does not
+    cover.
     """
     n = kernel.minimal_time_period_index(v0)
     if lt is None:
@@ -376,9 +405,12 @@ def refine(v0, ctx, f, lt=None, lx=None):
         raise ResowaveError("refinement truncation smaller than the guess")
     v = kernel.KernelVector(np.pad(v0.xi, (0, lx - len(v0))))
     ratio = psolve.contraction_domain(v, ctx, f, lt)
-    u = fields.SpectralField(kernel.embed(v).padded(lt, lx))
-    F = _galerkin_F(u, ctx, f, n)
-    gnorm = 0.5 * np.pi**2 * float(np.linalg.norm(F))
+    d, fd = _dilation_frame(f, n)
+    n //= d                                   # the sublattice stride in the frame
+    u = fields.SpectralField(kernel.embed(v).padded(lt, lx)[::d, d - 1 :: d])
+    scale = 0.5 * np.pi**2 * d * d
+    F = _galerkin_F(u, ctx, fd, n)
+    gnorm = scale * float(np.linalg.norm(F))
     report = NewtonReport(iterations=0, converged=False, grad_norm=np.inf)
     trace = []
     settled = False
@@ -398,7 +430,7 @@ def refine(v0, ctx, f, lt=None, lx=None):
                 trace=tuple(trace),
             )
 
-        J = _galerkin_jacobian(u, ctx, f, n)
+        J = _galerkin_jacobian(u, ctx, fd, n)
         delta = np.zeros_like(u.coeffs)
         try:
             delta[::n] = np.linalg.solve(J, -F.ravel()).reshape(F.shape)
@@ -409,9 +441,10 @@ def refine(v0, ctx, f, lt=None, lx=None):
         accepted = False
         while t >= 1e-6:
             u_c = fields.SpectralField(u.coeffs + t * delta)
-            F_c = _galerkin_F(u_c, ctx, f, n)
-            gn_c = 0.5 * np.pi**2 * float(np.linalg.norm(F_c))
-            ratio_c = psolve.contraction_domain(kernel.project_V(u_c), ctx, f, lt)
+            F_c = _galerkin_F(u_c, ctx, fd, n)
+            gn_c = scale * float(np.linalg.norm(F_c))
+            ratio_c = psolve.contraction_domain(
+                kernel.project_V(_dilate(u_c, d, lt, lx)), ctx, f, lt)
             if gn_c < gnorm * (1.0 - 1e-4 * t) or gn_c <= GTOL:
                 u, F, gnorm, ratio = u_c, F_c, gn_c, ratio_c
                 accepted = True
@@ -430,6 +463,7 @@ def refine(v0, ctx, f, lt=None, lx=None):
         # eps) relative leaves an error at rounding level behind it
         settled = t == 1.0 and step <= _SQRT_EPS * float(np.max(np.abs(u.coeffs)))
 
+    u = _dilate(u, d, lt, lx)
     return kernel.project_V(u), fields.zero_diagonal(u), report
 
 
@@ -515,7 +549,10 @@ def build_solution(v, w, ctx, f, recipe, predicted_level, newton=None,
     u = kernel.embed(v) + w
     res = galerkin_residual(v, w, ctx, f)
     energy, drift = energy_certificate(v, w, ctx, f)
-    phi_val = reduced.phi(v, ctx, f, w=w)
+    # phi_u = d^2 phi_U[f/d^2] on the dilation frame of the level
+    d, fd = _dilation_frame(f, recipe.n)
+    phi_val = d * d * reduced.phi(kernel.KernelVector(v.xi[d - 1 :: d]), ctx, fd,
+                                  w=fields.SpectralField(w.coeffs[::d, d - 1 :: d]))
     n_obs = temporal_support_index(v, w)
     accepted = (
         res <= residual_tol

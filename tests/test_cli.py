@@ -73,6 +73,22 @@ def test_freq_out_of_range_is_config_error(capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_huge_smallness_constant_exits_two(tmp_path, capsys):
+    # C = 1e200 overflowed the level cap of frequency.max_admissible_n
+    argv = ["freq", "--omega", "0.999", "--lmax", "16", "--coeffs", "2=1"]
+    assert cli.main([*argv, "--constant", "1e200"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    doc = {"coeffs": "2=1", "omega": 0.999, "n_max": 2, "C": 1e200, "dim": 3,
+           "restarts": 2}
+    assert cli.main(["solve", "--config", write_json(tmp_path / "solve.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'C'" in err
+    # the ceiling C = 1 is itself admitted
+    assert cli.main([*argv, "--constant", "1"]) == 0
+    assert "admissible dilation indices at C = 1:" in capsys.readouterr().out
+
+
 def solve_config(tmp_path, **over):
     doc = {"coeffs": "3=1", "eps": 1e-3, "n": 1, "lmax": 24, "dim": 3,
            "restarts": 3, "seed": 0}
@@ -152,6 +168,8 @@ _RECORD_DOC = {
     ("solve", {"residual_tol": 0.0}),
     ("solve", {"C": float("inf")}),
     ("scan", {"C": float("inf")}),
+    ("solve", {"C": 1.5}),
+    ("scan", {"C": 1e200}),
     ("scan", {"restarts": 0}),
     ("scan", {"n_max": 0}),
     ("scan", {"gtol": -1e-12}),
@@ -193,7 +211,7 @@ def test_out_of_range_config_exits_two(tmp_path, capsys, command, override):
     assert repr(next(iter(override))) in err
 
 
-@pytest.mark.parametrize("coeffs", ["3=x", "1=1"])
+@pytest.mark.parametrize("coeffs", ["3=x", "1=1", "1000000000000000=1"])
 @pytest.mark.parametrize("command", ["analyze-f", "freq", "solve", "scan", "evolve"])
 def test_junk_coefficients_exit_two(tmp_path, capsys, command, coeffs):
     if command == "analyze-f":
@@ -514,6 +532,8 @@ def _or_junk(strategy):
 _COEFFS = st.sampled_from([
     "3=1", "3=1", "3=-1", "2=1", "2=1,3=-1", "2=1,3=0.2", "4=1,5=1",
     [0, 0, 0, 1], {"3": 1}, "1=1", "3=x", [], ["a"], {"-3": 1},
+    # term orders above nonlinearity.MAX_ORDER, in each of the three forms
+    "1000000000000000=1", "3=1,65=1", {"1000000000000000": 1}, [0] * 66 + [1],
 ])
 _TOL = st.sampled_from([1e-12, 1e-8, 1e-3])
 _OMEGA = st.one_of(st.floats(0.995, 1.005), st.floats(0.4, 1.6))

@@ -65,6 +65,16 @@ def test_rejects_degenerate_inputs():
         nonlinearity.classify({})
 
 
+def test_term_order_ceiling():
+    top = nonlinearity.MAX_ORDER
+    assert nonlinearity.classify({3: 1.0, top: 1.0}).degree == top
+    assert nonlinearity.classify([0.0] * top + [1.0]).degree == top
+    # refused before any array is sized by the order
+    for coeffs in ({top + 1: 1.0}, {10**15: 1.0}, [0.0] * (top + 1) + [1.0]):
+        with pytest.raises(ClassificationError, match="order"):
+            nonlinearity.classify(coeffs)
+
+
 def test_fprime_and_primitive_are_consistent():
     f = nonlinearity.classify({2: 1.0, 3: -0.5})
     poly = np.asarray(f.poly)

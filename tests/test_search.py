@@ -338,3 +338,199 @@ def test_default_side_per_case():
     assert search.default_side(nonlinearity.classify({2: 1.0})) == -1
     assert search.default_side(nonlinearity.classify({2: 1.0, 3: -1.0})) == -1
     assert search.default_side(nonlinearity.classify({2: 1.0, 3: 5.0})) == +1
+
+
+# ---------------------------------------------------------------------------
+# the dilation frame of odd f
+
+F35 = nonlinearity.classify({3: 1.0, 5: 0.5})
+# the criterion-6 context
+C6_CTX = frequency.make_context(1.0001, L=48)
+
+
+def full_lattice_refine(v0, ctx, f, lt, lx):
+    """refine without the dilation frame: damped Newton on the whole nZ x {1..lx}.
+
+    The contraction guard is left out; it only warns or aborts.
+    """
+    n = kernel.minimal_time_period_index(v0)
+    v = kernel.KernelVector(np.pad(v0.xi, (0, lx - len(v0))))
+    u = fields.SpectralField(kernel.embed(v).padded(lt, lx))
+    F = search._galerkin_F(u, ctx, f, n)
+    gnorm = 0.5 * np.pi**2 * float(np.linalg.norm(F))
+    settled = False
+    for _ in range(search._NEWTON_MAX_ITER):
+        if gnorm <= search.GTOL and settled:
+            return kernel.project_V(u), fields.zero_diagonal(u)
+        delta = np.zeros_like(u.coeffs)
+        J = search._galerkin_jacobian(u, ctx, f, n)
+        delta[::n] = np.linalg.solve(J, -F.ravel()).reshape(F.shape)
+        t = 1.0
+        while t >= 1e-6:
+            u_c = fields.SpectralField(u.coeffs + t * delta)
+            F_c = search._galerkin_F(u_c, ctx, f, n)
+            gn_c = 0.5 * np.pi**2 * float(np.linalg.norm(F_c))
+            if gn_c < gnorm * (1.0 - 1e-4 * t) or gn_c <= search.GTOL:
+                break
+            t *= 0.5
+        u, F, gnorm = u_c, F_c, gn_c
+        step = float(np.max(np.abs(t * delta)))
+        settled = t == 1.0 and step <= search._SQRT_EPS * float(np.max(np.abs(u.coeffs)))
+    raise AssertionError("full-lattice Newton did not converge")
+
+
+@pytest.fixture(scope="module")
+def level_guesses():
+    """The criterion-6 guesses t* L_n y* at n = 2..6 for u^3 and u^3 + u^5/2."""
+    out = {}
+    for name, f in (("u3", F3), ("u35", F35)):
+        maximizer = search.LevelMaximizer(6, seed=0, restarts=8)
+        for n in range(2, 7):
+            recipe = reduced.g_recipe(f, +1, n=n)
+            y, m, diag = maximizer(recipe)
+            out[name, n] = (f, recipe, *search.initial_guess(y, m, recipe, C6_CTX, diag))
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("name", ["u3", "u35"])
+def test_frame_solve_matches_full_lattice_solve(level_guesses, name, n):
+    f, recipe, v0, level = level_guesses[name, n]
+    v, w, rep = search.refine(v0, C6_CTX, f)
+    record = search.build_solution(v, w, C6_CTX, f, recipe, level, newton=rep)
+    v_ref, w_ref = full_lattice_refine(v0, C6_CTX, f, w.lt, w.lx)
+    u_ref = kernel.embed(v_ref) + w_ref
+    reference = {
+        "xi": v_ref.xi,
+        "w_coeffs": w_ref.coeffs,
+        "h1": v_ref.h1(),
+        "sup": fields.sup_norm(u_ref),
+        "energy": search.energy_certificate(v_ref, w_ref, C6_CTX, f)[0],
+        "phi": reduced.phi(v_ref, C6_CTX, f, w=w_ref),
+    }
+    for key, want in reference.items():
+        got = np.asarray(getattr(record, key))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), key
+    assert record.accepted and record.residual <= 1e-14
+
+
+@pytest.mark.parametrize("n, lt, lx", [(2, 8, 8), (3, 13, 10), (6, 24, 24)])
+def test_dilation_frame_scaling_laws(n, lt, lx):
+    # F_u(n k, n m) = n^2 F_U(k, m) with every other entry of F_u zero, and
+    # phi_u = n^2 phi_U[f/n^2], each against the full-field value
+    ctx = ctx_cubic()
+    d, fd = search._dilation_frame(F35, n)
+    assert d == n and np.array_equal(fd.poly, F35.poly / n**2)
+    rng = np.random.default_rng(n)
+    U = fields.SpectralField(0.05 * rng.standard_normal((lt // n + 1, lx // n)))
+    u = search._dilate(U, n, lt, lx)
+    F_full = search._galerkin_F(u, ctx, F35, 1)
+    F_law = n**2 * search._dilate(
+        fields.SpectralField(search._galerkin_F(U, ctx, fd, 1)), n, lt, lx).coeffs
+    assert np.max(np.abs(F_full - F_law)) <= 1e-14 * np.max(np.abs(F_full))
+    phi_full = reduced.phi(kernel.project_V(u), ctx, F35, w=fields.zero_diagonal(u))
+    phi_law = n**2 * reduced.phi(kernel.project_V(U), ctx, fd, w=fields.zero_diagonal(U))
+    assert abs(phi_full - phi_law) <= 1e-14 * abs(phi_full)
+
+
+def test_frame_newton_measures_the_full_field_residual(level_guesses, monkeypatch):
+    # with no Newton step allowed, the trace holds the first residual: n^2
+    # times the frame's, which is the full-field residual of the guess
+    f, _, v0, _ = level_guesses["u35", 4]
+    monkeypatch.setattr(search, "_NEWTON_MAX_ITER", 0)
+    with pytest.raises(ConvergenceError) as err:
+        search.refine(v0, C6_CTX, f)
+    lt = lx = 48
+    u0 = fields.SpectralField(kernel.embed(v0).padded(lt, lx))
+    full = 0.5 * np.pi**2 * np.linalg.norm(search._galerkin_F(u0, C6_CTX, f, 1))
+    assert abs(err.value.trace[0] - full) <= 1e-14 * full
+
+
+def test_frame_guard_sees_the_full_field(level_guesses, monkeypatch):
+    # |v|_omega does not scale uniformly under the dilation, so the guard
+    # is taken on the kernel part dilated back to the full truncation
+    ratios = []
+    real = psolve.contraction_domain
+
+    def recording(v, ctx, f, lt):
+        ratios.append(real(v, ctx, f, lt))
+        return ratios[-1]
+
+    f, _, v0, _ = level_guesses["u3", 3]
+    monkeypatch.setattr(psolve, "contraction_domain", recording)
+    v, w, _ = search.refine(v0, C6_CTX, f)
+    assert len(v) == w.lx
+    assert abs(ratios[-1] - real(v, C6_CTX, f, w.lt)) <= 1e-12 * ratios[-1]
+
+
+def test_dilation_frame_only_for_odd_f_above_level_one():
+    f2 = nonlinearity.classify({2: 1.0})
+    assert search._dilation_frame(f2, 2) == (1, f2)
+    assert search._dilation_frame(nonlinearity.classify({2: 1.0, 3: 1.0}), 3)[0] == 1
+    assert search._dilation_frame(F3, 1) == (1, F3)
+
+
+def test_even_f_level_keeps_the_sublattice_solve():
+    # u^2 has no dilation frame: refine is bit for bit the full-lattice Newton
+    # on nZ, and the record's phi is the full-field one
+    f2 = nonlinearity.classify({2: 1.0})
+    ctx = frequency.make_context(frequency.omega_for_eps(-4e-4), L=24)
+    recipe = reduced.g_recipe(f2, -1, n=2)
+    y, m, diag = search.maximize_U(recipe, 3, seed=0, restarts=3)
+    v0, level = search.initial_guess(y, m, recipe, ctx, diag)
+    v, w, rep = search.refine(v0, ctx, f2)
+    v_ref, w_ref = full_lattice_refine(v0, ctx, f2, w.lt, w.lx)
+    assert np.array_equal(v.xi, v_ref.xi)
+    assert np.array_equal(w.coeffs, w_ref.coeffs)
+    record = search.build_solution(v, w, ctx, f2, recipe, level, newton=rep)
+    assert record.accepted and record.n == 2
+    assert record.phi == reduced.phi(v_ref, ctx, f2, w=w_ref)
+
+
+def record_jacobian_sizes(monkeypatch):
+    sizes = []
+    real = fields.multiply_poly_matrix
+
+    def recording(*args, **kw):
+        J = real(*args, **kw)
+        sizes.append(J.shape[0])
+        return J
+
+    monkeypatch.setattr(fields, "multiply_poly_matrix", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("name", ["u3", "u35"])
+def test_frame_jacobians_have_the_compressed_size(level_guesses, monkeypatch, name):
+    sizes = record_jacobian_sizes(monkeypatch)
+    for n in range(2, 7):
+        f, _, v0, _ = level_guesses[name, n]
+        sizes.clear()
+        v, w, _ = search.refine(v0, C6_CTX, f)
+        assert sizes and max(sizes) <= (w.lt // n + 1) * (w.lx // n)
+        # off rows and columns nZ every entry is an exact zero
+        off = np.ones(w.coeffs.shape, dtype=bool)
+        off[::n, n - 1 :: n] = False
+        assert not np.any(w.coeffs[off])
+        assert not np.any(np.delete(v.xi, np.s_[n - 1 :: n]))
+
+
+def test_criterion6_branch_jacobians_stay_small(monkeypatch):
+    sizes = record_jacobian_sizes(monkeypatch)
+    br = search.solve_branch(C6_CTX, F3, C=0.004, dim=6, seed=0, restarts=8)
+    assert [r.n for r in br.records] == [1, 2, 3, 4, 5, 6]
+    assert max(sizes) <= 300
+
+
+def test_frame_solve_certified_range_is_the_compressed_index():
+    # the frame divisors n^2 (m^2 - omega^2 k^2) at k <= lt // n are the
+    # full-lattice ones at l = n k <= lt, so lt = L is covered and lt > L is not
+    ctx = ctx_cubic(eps=1e-4, L=24)
+    recipe = reduced.g_recipe(F3, +1, n=3)
+    y, m, diag = search.maximize_U(recipe, 3, seed=0, restarts=3)
+    v0, _ = search.initial_guess(y, m, recipe, ctx, diag)
+    v, w, rep = search.refine(v0, ctx, F3, lt=ctx.L)
+    assert rep.converged and w.lt == ctx.L
+    assert psolve.contraction_domain(v, ctx, F3, ctx.L) <= psolve.DOMAIN_RHO
+    with pytest.raises(ResowaveError, match="certified range"):
+        search.refine(v0, ctx, F3, lt=ctx.L + 1)
