@@ -414,20 +414,19 @@ def multiply_poly_project(u, poly, z, out_lt=None, out_lx=None):
     return _sine_projection(A, B, d_t, out_lt, out_lx)
 
 
-def multiply_poly_matrix(u, poly, lt, lx, n=1):
-    """Dense matrix of z -> P_{lt,lx}[poly(u) z] on the temporal sublattice nZ.
+def multiply_poly_matrix(u, poly, lt, lx):
+    """Dense matrix of z -> P_{lt,lx}[poly(u) z] on the (lt+1, lx) truncation.
 
-    Rows and columns index the entries (l, j) of the (lt+1, lx) truncation with
-    l = 0, n, 2n, ... <= lt, flattened as (l/n) lx + j - 1; column by column
-    this is the exact projection multiply_poly_project computes.  Writing
-    poly(u) = sum_r cos(r t) sum_mu [A cos(mu x) + B sin(mu x)] and halving
-    every index above zero (A^_0 = A_0, A^_r = A_r/2), the time direction
-    couples l, l' through A^_{|l-l'|} + A^_{l+l'} (the second term only for
-    l >= 1), and the cosine part in x through A^_{|j-j'|} - A^_{j+j'}.  The
-    sine part turns sin(j' x) into cosine content, projected with
-    _half_projection_matrix; it vanishes unless poly has an odd-degree term,
-    because u is odd in x.  The matrix is returned in Fortran order so that
-    an LU factorization can overwrite it without a copy.
+    Rows and columns index the entries (l, j), flattened as l lx + j - 1;
+    column by column this is the exact projection multiply_poly_project
+    computes.  Writing poly(u) = sum_r cos(r t) sum_mu [A cos(mu x) +
+    B sin(mu x)] and halving every index above zero (A^_0 = A_0, A^_r =
+    A_r/2), the time direction couples l, l' through A^_{|l-l'|} + A^_{l+l'}
+    (the second term only for l >= 1), and the cosine part in x through
+    A^_{|j-j'|} - A^_{j+j'}.  The sine part turns sin(j' x) into cosine
+    content, projected with _half_projection_matrix; it vanishes unless poly
+    has an odd-degree term, because u is odd in x.  The matrix is returned in
+    Fortran order so that an LU factorization can overwrite it without a copy.
     """
     poly = np.asarray(poly, dtype=float)
     r = _poly_degree(poly)
@@ -435,10 +434,9 @@ def multiply_poly_matrix(u, poly, lt, lx, n=1):
     # so that no higher harmonic aliases onto them
     d_x = max(2 * lx, r * u.lx)
     A, B = _torus_cos_sin(u, poly, max(2 * lt, r * u.lt), d_x)
-    m = lt // n + 1
-    rows = n * np.arange(2 * m - 1)       # every |l - l'| and l + l' on nZ
-    half_t = np.where(rows == 0, 1.0, 0.5)[:, None]
-    Ah = A[rows] * half_t
+    m = lt + 1
+    half_t = np.where(np.arange(2 * m - 1) == 0, 1.0, 0.5)[:, None]
+    Ah = A[: 2 * m - 1] * half_t          # every |l - l'| and l + l'
     Ah[:, 1:] *= 0.5
     j = np.arange(1, lx + 1)
     diff = np.abs(j[:, None] - j[None, :])
@@ -447,7 +445,7 @@ def multiply_poly_matrix(u, poly, lt, lx, n=1):
         K = _half_projection_matrix(d_x + lx, lx)
         mu = np.arange(d_x + 1)[:, None]
         Kd = 0.5 * (K[np.abs(mu - j[None, :])] - K[mu + j[None, :]])  # [mu, j'-1, j-1]
-        Y = (B[rows] * half_t) @ Kd.reshape(d_x + 1, lx * lx)
+        Y = (B[: 2 * m - 1] * half_t) @ Kd.reshape(d_x + 1, lx * lx)
         X += Y.reshape(-1, lx, lx).transpose(0, 2, 1)
     out = np.empty((m * lx, m * lx), order="F")
     for a in range(m):

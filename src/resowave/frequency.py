@@ -127,6 +127,8 @@ def admissible(ctx, n, f, C=DEFAULT_C):
     """Can the dilation index n be used at this frequency for this f?"""
     if n < 1 or int(n) != n:
         raise ResowaveError(f"dilation index must be a positive integer, got {n}")
+    if not (np.isfinite(C) and C > 0.0):
+        raise ResowaveError(f"smallness constant must be finite and positive, got C = {C}")
     n = int(n)
     notes = []
     side_req = side_required(f)
@@ -170,12 +172,16 @@ def max_admissible_n(ctx, f, C=DEFAULT_C):
 
     The closed-form estimate ignores the rounding slack of admissible, so
     it is corrected by walking down, then up, to the last admissible level.
+    A C so large that the estimate overflows a float raises ResowaveError.
     """
     n_min = minimal_n(f)
     if not admissible(ctx, n_min, f, C).ok:
         return 0
     e = _bound_exponent(f)
-    estimate = int(np.floor(np.sqrt((C * ctx.gamma) ** (1.0 / e) / abs(ctx.omega - 1.0))))
+    try:
+        estimate = int(np.floor(np.sqrt((C * ctx.gamma) ** (1.0 / e) / abs(ctx.omega - 1.0))))
+    except OverflowError as exc:
+        raise ResowaveError(f"the level cap for C = {C} overflows") from exc
     n_cap = max(n_min, estimate)
     while not admissible(ctx, n_cap, f, C).ok:
         n_cap -= 1

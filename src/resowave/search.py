@@ -3,30 +3,30 @@
 The pipeline per dilation level n:
 
   1. maximize the (q+1)-homogeneous effective G over the unit H^1 sphere of
-     gcd-1 kernel vectors (projected gradient ascent with restarts, polished
-     by a normalized fixed-point iteration to machine precision); G and its
-     gradient come from 1D moments and sine coefficients of the powers of
-     the profile eta.  Except in the quadratic-form cases G does not depend
-     on n, so one maximization seeds every level of a branch
-     (LevelMaximizer);
+     gcd-1 kernel vectors (one projected gradient ascent per restart, run
+     until the tangential gradient or the move on the sphere is at rounding
+     level); G and its gradient come from 1D moments and sine coefficients
+     of the powers of the profile eta.  Except in the quadratic-form cases
+     G does not depend on n, so one maximization seeds every level of a
+     branch (LevelMaximizer);
   2. turn the maximum m and mu = |eps| n^2 into the amplitude t* and the
      predicted critical level of the reduced functional;
   3. refine the dilated initial guess t* L_n y* (with w = 0) by damped Newton
      on the truncated Galerkin system, kernel and range entries together;
      its kernel rows are -grad Phi_eps and its range rows the range
-     equation, so a zero is a critical point v with its w(v).  For odd f a
-     level n > 1 is solved in its dilation frame, as level 1 with f/n^2 on
-     the compressed truncation (lt/n, lx/n), and dilated back; even f runs
-     on the sublattice nZ of the full truncation.  Each step assembles the
-     Jacobian (the wave symbol plus multiplication by f'(u)) and solves it
-     densely;
+     equation, so a zero is a critical point v with its w(v).  Every level
+     n > 1 is solved in its dilation frame and dilated back: the rows
+     l = n k, with the symbol j^2 - omega^2 (n k)^2, and for odd f also the
+     columns j = n m, where the frame is level 1 with f/n^2 on the
+     truncation (lt/n, lx/n).  Each step assembles the Jacobian (the wave
+     symbol plus multiplication by f'(u)) and solves it densely;
   4. assemble the full solution u = v + w(v) with its certificates (Galerkin
      residual, energy drift across probe times, norms, minimal period).
 """
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +83,6 @@ class NewtonReport:
     iterations: int
     converged: bool
     grad_norm: float
-    step_norms: list = field(default_factory=list)
     # always 0 since each step is one dense solve; kept because the
     # benchmark tracer (perfbench/tracer.py) reads it
     krylov_fails: int = 0
@@ -185,6 +184,9 @@ def maximize_U(recipe, dim, seed=0, restarts=16):
     Returns (y_star, m_hat, diagnostics) with y_star sign-normalized.  The
     scale invariance U(v) = G(v)/|v|^(q+1) makes this equivalent to
     maximizing U; m_hat is what the amplitude and level formulas consume.
+    Each restart is one projected gradient ascent (step x1.3 after a gain,
+    x0.5 after a failed trial) that ends when the tangential gradient or the
+    trial move on the sphere reaches rounding level; the best restart wins.
     Raises when the best value is not positive: the branch does not exist on
     the requested side.
     """
@@ -199,49 +201,24 @@ def maximize_U(recipe, dim, seed=0, restarts=16):
         xi = _sphere_normalize(xi, D)
         val = recipe.value(kernel.KernelVector(xi))
         step = 1.0
-        iters = 0
-        for _ in range(400):
-            iters += 1
+        for iters in range(1, 401):
             g = recipe.grad(kernel.KernelVector(xi))
             gn = g / D
             tang = gn - np.dot(D * gn, xi) * xi
             tnorm = math.sqrt(float(np.dot(D * tang, tang)))
-            if tnorm <= 1e-13 * max(1.0, abs(val)):
+            if tnorm <= 1e-13 * max(1.0, abs(val)) or iters == 400:
                 break
-            moved = False
-            while step > 1e-16:
+            # backtrack until the move on the unit sphere is below rounding
+            while step * tnorm > 1e-16:
                 cand = _sphere_normalize(xi + step * tang, D)
                 cval = recipe.value(kernel.KernelVector(cand))
                 if cval > val:
                     xi, val = cand, cval
                     step *= 1.3
-                    moved = True
                     break
                 step *= 0.5
-            if not moved:
+            else:
                 break
-        # polish: at a maximizer grad G is parallel to the metric normal,
-        # so the normalized preconditioned gradient is a fixed point
-        for _ in range(60):
-            g = recipe.grad(kernel.KernelVector(xi))
-            direction = g / D
-            nrm = math.sqrt(float(np.dot(D * direction, direction)))
-            if nrm == 0.0:
-                break
-            cand = direction / nrm
-            if np.dot(cand, xi) < 0:
-                cand = -cand
-            cval = recipe.value(kernel.KernelVector(cand))
-            if cval + 1e-15 * abs(val) < val:
-                break
-            drift = float(np.max(np.abs(cand - xi)))
-            xi, val = cand, cval
-            if drift < 1e-15:
-                break
-        g = recipe.grad(kernel.KernelVector(xi))
-        gn = g / D
-        tang = gn - np.dot(D * gn, xi) * xi
-        tnorm = math.sqrt(float(np.dot(D * tang, tang)))
         restart_values.append(val)
         if best is None or val > best[1]:
             best = (xi, val, r, iters, tnorm)
@@ -325,76 +302,85 @@ def initial_guess(y_star, m_value, recipe, ctx, diagnostics=None):
 # step 3: Newton refinement of the truncated Galerkin system
 
 
-def _galerkin_F(u, ctx, f, n):
-    """F(u) = (j^2 - omega^2 l^2) u + P f(u) on the rows l in nZ of u's truncation."""
-    fu = fields.apply_nonlinearity(u, f.poly, out_lt=u.lt, out_lx=u.lx)
-    return (fu.coeffs - psolve._denominators(u.lt, u.lx, ctx.omega) * u.coeffs)[::n]
+@dataclass(frozen=True)
+class _Frame:
+    """The lattice of level n: frame entry (k, m) is the mode (n k, d m).
 
-
-def _galerkin_jacobian(u, ctx, f, n):
-    """The Jacobian diag(j^2 - omega^2 l^2) + M of _galerkin_F, entries row-major.
-
-    M is the matrix of z -> P[f'(u) z] on the sublattice entries.  A range
-    entry (l != j) whose symbol vanishes and whose row of M is nonzero raises
-    ResonanceError naming the mode, as apply_L_inv does.
+    A level-n field is U(n t, d x), with d = n when f has no even-order term
+    and d = 1 otherwise (an even power leaves the sine class in x).  U has
+    the symbol m^2 - omega^2 (n k/d)^2 and the nonlinearity f/d^2, so that
+    F_u(n k, d m) = d^2 F_U(k, m), and F_u has no other nonzero entry.
     """
-    lt, lx = u.lt, u.lx
-    den = psolve._denominators(lt, lx, ctx.omega)[::n]
-    J = fields.multiply_poly_matrix(u, f.fprime, lt, lx, n=n)
-    l = n * np.arange(den.shape[0])[:, None]
-    j = np.arange(1, lx + 1)[None, :]
-    resonant = np.flatnonzero((l != j) & (np.abs(den) < psolve.RESONANCE_TOL))
-    present = resonant[np.any(J[resonant] != 0.0, axis=1)]
-    if present.size:
-        a, jm = divmod(int(present[0]), lx)
-        raise ResonanceError(n * a, jm + 1, den.flat[present[0]])
-    J[np.diag_indices_from(J)] -= den.ravel()
-    return J
+    n: int
+    d: int
+    f: object     # the frame nonlinearity f/d^2
+
+    def symbol(self, lt, lx, omega):
+        """m^2 - omega^2 (n k/d)^2 on the (lt+1, lx) frame, from the integers n k/d."""
+        l = (self.n // self.d) * np.arange(lt + 1, dtype=float)[:, None]
+        return np.arange(1, lx + 1, dtype=float) ** 2 - omega**2 * l**2
+
+    def dilate(self, u, lt, lx):
+        """The frame field u placed at its modes (n k, d m) of an (lt+1, lx) field."""
+        c = np.zeros((lt + 1, lx))
+        c[:: self.n, self.d - 1 :: self.d] = u.coeffs
+        return fields.SpectralField(c)
 
 
 def _dilation_frame(f, n):
-    """The frame (d, f/d^2) in which level n of f is solved.
-
-    For f without even-order terms u(t, x) = U(n t, n x) solves level n
-    exactly when U solves level 1 with f/n^2, and F_u(n k, n m) = n^2 F_U(k, m)
-    is its only nonzero content; so d = n.  An even power leaves the sine
-    class in x, so even f keeps d = 1 and the sublattice nZ.
-    """
+    """The frame of level n of f: d = n for f without even-order terms, else 1."""
     if n > 1 and not np.any(f.poly[::2]):
-        return n, nonlinearity.classify(f.poly / n**2)
-    return 1, f
+        return _Frame(n, n, nonlinearity.classify(f.poly / n**2))
+    return _Frame(n, 1, f)
 
 
-def _dilate(u, d, lt, lx):
-    """The frame field u placed at rows dZ and columns dZ of an (lt+1, lx) field."""
-    c = np.zeros((lt + 1, lx))
-    c[::d, d - 1 :: d] = u.coeffs
-    return fields.SpectralField(c)
+def _galerkin_F(u, ctx, frame):
+    """F(u) = symbol * u + P f(u) on the frame field u (frame.f, frame.symbol)."""
+    fu = fields.apply_nonlinearity(u, frame.f.poly, out_lt=u.lt, out_lx=u.lx)
+    return fu.coeffs + frame.symbol(u.lt, u.lx, ctx.omega) * u.coeffs
+
+
+def _galerkin_jacobian(u, ctx, frame):
+    """The Jacobian diag(symbol) + M of _galerkin_F, entries row-major.
+
+    M is the matrix of z -> P[f'(u) z] on the frame.  A range entry (n k !=
+    d m) whose symbol vanishes and whose row of M is nonzero raises
+    ResonanceError naming the full-field mode, as apply_L_inv does.
+    """
+    lt, lx = u.lt, u.lx
+    sym = frame.symbol(lt, lx, ctx.omega)
+    J = fields.multiply_poly_matrix(u, frame.f.fprime, lt, lx)
+    l = frame.n * np.arange(lt + 1)[:, None]
+    j = frame.d * np.arange(1, lx + 1)[None, :]
+    resonant = np.flatnonzero((l != j) & (np.abs(sym) < psolve.RESONANCE_TOL))
+    present = resonant[np.any(J[resonant] != 0.0, axis=1)]
+    if present.size:
+        a, jm = divmod(int(present[0]), lx)
+        raise ResonanceError(l[a, 0], j[0, jm], -frame.d**2 * sym.flat[present[0]])
+    J[np.diag_indices_from(J)] += sym.ravel()
+    return J
 
 
 def refine(v0, ctx, f, lt=None, lx=None):
     """Damped Newton on the truncated Galerkin system, from the dilated guess.
 
-    The unknowns are every entry (l, j), l in nZ, of the (lt, lx) truncation,
-    kernel (l = j) and range alike, starting from u = v0 (w = 0).  The
-    residual is (pi^2/2) F(u) with F(u) = (j^2 - omega^2 l^2) u + P f(u); its
-    kernel rows are exactly -grad Phi_eps and its range rows are the range
-    equation, so a zero is a critical point v with its w(v).  For odd f and
-    n > 1 the same loop runs with n = 1 in the dilation frame: guess
-    xi[n-1::n], f/n^2, truncation (lt // n, lx // n) and n^2 times the frame
-    residual (the full-field one); the result is written back at rows and
-    columns nZ, every other entry an exact zero.  The frame divisors are
-    n^2 (m^2 - omega^2 k^2), so the certified range is k <= lt // n <= L/n.
-    Each step assembles the Jacobian diag(j^2 - omega^2 l^2) + P[f'(u) .]
-    once (_galerkin_jacobian) and takes one dense solve; each line-search
-    trial costs one apply_nonlinearity.  The iteration stops when the last
-    full step was at rounding level and the residual is at most GTOL; the
-    second test is a safety check, since a settled step with a large
-    residual is not a solution.  When an iterate's kernel part, dilated to
-    the full truncation, leaves the contraction domain
-    (psolve.contraction_domain above psolve.DOMAIN_RHO) the refinement
-    aborts rather than report a solution the existence argument does not
-    cover.
+    The unknowns are the entries of the (lt, lx) truncation that the level's
+    dilation frame keeps (_Frame), kernel (l = j) and range alike, starting
+    from u = v0 (w = 0).  The residual is (pi^2/2) F(u), F(u) = (j^2 -
+    omega^2 l^2) u + P f(u), which is d^2 times the frame's; its kernel rows
+    are exactly -grad Phi_eps and its range rows the range equation, so a
+    zero is a critical point v with its w(v).  The result is written back at
+    the frame's modes, every other entry an exact zero.  For odd f the frame
+    divisors are n^2 (m^2 - omega^2 k^2), so the certified range is
+    k <= lt // n <= L/n.  Each step assembles the Jacobian once
+    (_galerkin_jacobian) and takes one dense solve; each line-search trial
+    costs one apply_nonlinearity.  The iteration stops when the last full
+    step was at rounding level and the residual is at most GTOL; the second
+    test is a safety check, since a settled step with a large residual is
+    not a solution.  When an iterate's kernel part, dilated to the full
+    truncation, leaves the contraction domain (psolve.contraction_domain
+    above psolve.DOMAIN_RHO) the refinement aborts rather than report a
+    solution the existence argument does not cover.
     """
     n = kernel.minimal_time_period_index(v0)
     if lt is None:
@@ -405,11 +391,10 @@ def refine(v0, ctx, f, lt=None, lx=None):
         raise ResowaveError("refinement truncation smaller than the guess")
     v = kernel.KernelVector(np.pad(v0.xi, (0, lx - len(v0))))
     ratio = psolve.contraction_domain(v, ctx, f, lt)
-    d, fd = _dilation_frame(f, n)
-    n //= d                                   # the sublattice stride in the frame
-    u = fields.SpectralField(kernel.embed(v).padded(lt, lx)[::d, d - 1 :: d])
-    scale = 0.5 * np.pi**2 * d * d
-    F = _galerkin_F(u, ctx, fd, n)
+    frame = _dilation_frame(f, n)
+    u = fields.SpectralField(kernel.embed(v).padded(lt, lx)[::n, frame.d - 1 :: frame.d])
+    scale = 0.5 * np.pi**2 * frame.d**2
+    F = _galerkin_F(u, ctx, frame)
     gnorm = scale * float(np.linalg.norm(F))
     report = NewtonReport(iterations=0, converged=False, grad_norm=np.inf)
     trace = []
@@ -430,40 +415,36 @@ def refine(v0, ctx, f, lt=None, lx=None):
                 trace=tuple(trace),
             )
 
-        J = _galerkin_jacobian(u, ctx, fd, n)
-        delta = np.zeros_like(u.coeffs)
+        J = _galerkin_jacobian(u, ctx, frame)
         try:
-            delta[::n] = np.linalg.solve(J, -F.ravel()).reshape(F.shape)
+            delta = np.linalg.solve(J, -F.ravel()).reshape(F.shape)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError("singular Newton Jacobian", trace=tuple(trace)) from exc
 
         t = 1.0
-        accepted = False
         while t >= 1e-6:
             u_c = fields.SpectralField(u.coeffs + t * delta)
-            F_c = _galerkin_F(u_c, ctx, fd, n)
+            F_c = _galerkin_F(u_c, ctx, frame)
             gn_c = scale * float(np.linalg.norm(F_c))
             ratio_c = psolve.contraction_domain(
-                kernel.project_V(_dilate(u_c, d, lt, lx)), ctx, f, lt)
+                kernel.project_V(frame.dilate(u_c, lt, lx)), ctx, f, lt)
             if gn_c < gnorm * (1.0 - 1e-4 * t) or gn_c <= GTOL:
                 u, F, gnorm, ratio = u_c, F_c, gn_c, ratio_c
-                accepted = True
                 if t < 1.0:
                     report.damped += 1
                 break
             t *= 0.5
-        step = float(np.max(np.abs(t * delta)))
-        report.step_norms.append(step)
-        if not accepted:
+        else:
             raise ConvergenceError(
                 "Newton refinement stalled without reaching the tolerance",
                 trace=tuple(trace + [gnorm]),
             )
+        step = float(np.max(np.abs(t * delta)))
         # Newton converges quadratically, so a full step below sqrt(machine
         # eps) relative leaves an error at rounding level behind it
         settled = t == 1.0 and step <= _SQRT_EPS * float(np.max(np.abs(u.coeffs)))
 
-    u = _dilate(u, d, lt, lx)
+    u = frame.dilate(u, lt, lx)
     return kernel.project_V(u), fields.zero_diagonal(u), report
 
 
@@ -473,7 +454,8 @@ def refine(v0, ctx, f, lt=None, lx=None):
 
 def galerkin_residual(v, w, ctx, f):
     """Weighted l2 norm of the equation residual on the solve truncation."""
-    R = _galerkin_F(fields.SpectralField((kernel.embed(v) + w).padded(w.lt, w.lx)), ctx, f, 1)
+    u = fields.SpectralField((kernel.embed(v) + w).padded(w.lt, w.lx))
+    R = _galerkin_F(u, ctx, _Frame(1, 1, f))
     cl = fields.temporal_weights(w.lt)[:, None]
     return float(np.sqrt(0.5 * np.pi**2 * np.sum(cl * R * R)))
 
@@ -549,9 +531,11 @@ def build_solution(v, w, ctx, f, recipe, predicted_level, newton=None,
     u = kernel.embed(v) + w
     res = galerkin_residual(v, w, ctx, f)
     energy, drift = energy_certificate(v, w, ctx, f)
-    # phi_u = d^2 phi_U[f/d^2] on the dilation frame of the level
-    d, fd = _dilation_frame(f, recipe.n)
-    phi_val = d * d * reduced.phi(kernel.KernelVector(v.xi[d - 1 :: d]), ctx, fd,
+    # phi_u = d^2 phi_U[f/d^2] with U(t, x) = u(t/d, x/d); an even-f level
+    # (d = 1) keeps the full field
+    frame = _dilation_frame(f, recipe.n)
+    d = frame.d
+    phi_val = d * d * reduced.phi(kernel.KernelVector(v.xi[d - 1 :: d]), ctx, frame.f,
                                   w=fields.SpectralField(w.coeffs[::d, d - 1 :: d]))
     n_obs = temporal_support_index(v, w)
     accepted = (

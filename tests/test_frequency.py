@@ -135,6 +135,18 @@ def test_max_admissible_n_matches_brute_force_at_the_threshold():
         assert frequency.max_admissible_n(ctx, f, C) == brute
 
 
+@pytest.mark.parametrize("C", [np.nan, 0.0, -1.0, np.inf, 1e200])
+def test_smallness_constant_outside_the_usable_range_is_refused(C):
+    # nan, 0 and -1 once gave the cap 0 in silence; inf and 1e200 overflowed
+    # the cap estimate of u^2, whose bound exponent 1/2 squares C
+    f2 = nonlinearity.classify({2: 1.0})
+    ctx = frequency.make_context(0.999, L=16)
+    with pytest.raises(ResowaveError, match="C = "):
+        frequency.max_admissible_n(ctx, f2, C=C)
+    with pytest.raises(ResowaveError, match="C = "):
+        frequency.scan_frequencies(0.998, 0.999, 0.001, 16, f2, C=C)
+
+
 def test_resonant_frequency_blocks_everything():
     f = nonlinearity.classify({3: 1.0})
     ctx = frequency.make_context(1.5, L=8)

@@ -1,5 +1,6 @@
 """Branch pipeline: sphere maximization, Newton refinement, records."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -43,6 +44,24 @@ def test_maximize_raises_on_infeasible_sign():
     )
     with pytest.raises(ResowaveError):
         search.maximize_U(rec, 2, seed=0, restarts=2)
+
+
+@pytest.mark.parametrize("coeffs, side", [({3: 1.0}, +1), ({2: 1.0}, -1)])
+def test_maximize_call_budget(coeffs, side):
+    # one projected-gradient ascent per restart, whose backtracking stops
+    # once the move on the unit sphere is below rounding
+    recipe = reduced.g_recipe(nonlinearity.classify(coeffs), side, n=1)
+    calls = {"value": 0, "grad": 0}
+
+    def counted(name):
+        def call(y):
+            calls[name] += 1
+            return getattr(recipe, name)(y)
+        return call
+
+    counting = dataclasses.replace(recipe, value=counted("value"), grad=counted("grad"))
+    search.maximize_U(counting, 6, seed=0, restarts=8)
+    assert calls["value"] <= 70 * 8 and calls["grad"] <= 32 * 8, calls
 
 
 def test_maximize_needs_a_restart():
@@ -97,43 +116,49 @@ def test_refine_aborts_outside_contraction_domain():
             search.refine(big, ctx, F3)
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_galerkin_jacobian_matches_residual_differences(n):
-    # oracle: central differences of the Galerkin residual itself; f has an
-    # even and an odd power, so both the cosine and the sine part of the
+@pytest.mark.parametrize("coeffs, d", [({3: 1.0, 5: 0.5}, 2), ({2: 0.5, 3: 1.0}, 1)],
+                         ids=["odd", "even"])
+def test_galerkin_jacobian_matches_residual_differences(coeffs, d):
+    # oracle: central differences of the Galerkin residual itself, in the
+    # level-2 frame; the odd f keeps rows and columns 2Z with f/4, the even
+    # one rows 2Z with the symbol m^2 - omega^2 (2k)^2.  The even f has an
+    # odd power too, so both the cosine and the sine part of the
     # multiplication matrix are exercised
-    f = nonlinearity.classify({2: 0.5, 3: 1.0})
+    frame = search._dilation_frame(nonlinearity.classify(coeffs), 2)
+    assert (frame.n, frame.d) == (2, d)
     ctx = ctx_cubic()
     lt = lx = 8
     rng = np.random.default_rng(3)
-    c = np.zeros((lt + 1, lx))
-    c[::n] = 0.02 * rng.standard_normal(c[::n].shape)
-    u = fields.SpectralField(c)
-    J = search._galerkin_jacobian(u, ctx, f, n)
+    c = 0.02 * rng.standard_normal((lt + 1, lx))
+    J = search._galerkin_jacobian(fields.SpectralField(c), ctx, frame)
     h = 1e-5
     fd = np.zeros_like(J)
     for k in range(J.shape[1]):
         step = np.zeros_like(c)
-        step[::n].flat[k] = h
-        fp = search._galerkin_F(fields.SpectralField(c + step), ctx, f, n)
-        fm = search._galerkin_F(fields.SpectralField(c - step), ctx, f, n)
+        step.flat[k] = h
+        fp = search._galerkin_F(fields.SpectralField(c + step), ctx, frame)
+        fm = search._galerkin_F(fields.SpectralField(c - step), ctx, frame)
         fd[:, k] = (fp - fm).ravel() / (2.0 * h)
-    # measured against the f'(u) part, which the j^2 - omega^2 l^2 diagonal
+    # measured against the f'(u) part, which the symbol on the diagonal
     # would otherwise swamp
-    symbol = -psolve._denominators(lt, lx, ctx.omega)[::n].ravel()
-    nonlin = J - np.diag(symbol)
+    nonlin = J - np.diag(frame.symbol(lt, lx, ctx.omega).ravel())
     assert np.linalg.norm(fd - J) <= 1e-7 * np.linalg.norm(nonlin)
 
 
 def test_galerkin_jacobian_names_resonant_range_entry():
     # omega = 3/2 makes the off-diagonal symbol omega^2 l^2 - j^2 vanish at
-    # (l, j) = (2, 3), which f'(u) = 2u couples to every kernel entry
+    # (l, j) = (2, 3), which f'(u) = 2u couples to every kernel entry; in the
+    # level-2 time frame that mode is the entry (1, 3), named as (2, 3)
     f2 = nonlinearity.classify({2: 1.0})
     ctx = frequency.FrequencyContext(omega=1.5, eps=0.625, gamma=0.1, L=16)
     v = kernel.KernelVector([0.05, 0.02, 0.0, 0.0, 0.0, 0.0])
-    u = kernel.embed(v)
     with pytest.raises(ResonanceError) as err:
-        search._galerkin_jacobian(u, ctx, f2, 1)
+        search._galerkin_jacobian(kernel.embed(v), ctx, search._Frame(1, 1, f2))
+    assert (err.value.l, err.value.j) == (2, 3)
+    frame = search._dilation_frame(f2, 2)
+    v2 = kernel.rescale(v, 2)
+    with pytest.raises(ResonanceError) as err:
+        search._galerkin_jacobian(fields.SpectralField(kernel.embed(v2).coeffs[::2]), ctx, frame)
     assert (err.value.l, err.value.j) == (2, 3)
 
 
@@ -163,8 +188,9 @@ def test_refine_stops_at_a_rounding_level_step():
     v0, _ = search.initial_guess(y, m, rec, ctx, diag)
     v, w, _ = search.refine(v0, ctx, F3)
     u = fields.SpectralField((kernel.embed(v) + w).padded(w.lt, w.lx))
-    F = search._galerkin_F(u, ctx, F3, 1)
-    step = np.linalg.solve(search._galerkin_jacobian(u, ctx, F3, 1), -F.ravel())
+    full = search._Frame(1, 1, F3)
+    F = search._galerkin_F(u, ctx, full)
+    step = np.linalg.solve(search._galerkin_jacobian(u, ctx, full), -F.ravel())
     assert np.max(np.abs(step)) <= 1e-14 * np.max(np.abs(v.xi))
 
 
@@ -341,7 +367,7 @@ def test_default_side_per_case():
 
 
 # ---------------------------------------------------------------------------
-# the dilation frame of odd f
+# the dilation frames
 
 F35 = nonlinearity.classify({3: 1.0, 5: 0.5})
 # the criterion-6 context
@@ -351,24 +377,30 @@ C6_CTX = frequency.make_context(1.0001, L=48)
 def full_lattice_refine(v0, ctx, f, lt, lx):
     """refine without the dilation frame: damped Newton on the whole nZ x {1..lx}.
 
-    The contraction guard is left out; it only warns or aborts.
+    Residual and Jacobian are the full-field ones, restricted to the rows nZ
+    of the (lt, lx) truncation.  The contraction guard is left out; it only
+    warns or aborts.
     """
     n = kernel.minimal_time_period_index(v0)
+    full = search._Frame(1, 1, f)
+    rows = np.zeros((lt + 1, lx), dtype=bool)
+    rows[::n] = True
+    keep = np.flatnonzero(rows)
     v = kernel.KernelVector(np.pad(v0.xi, (0, lx - len(v0))))
     u = fields.SpectralField(kernel.embed(v).padded(lt, lx))
-    F = search._galerkin_F(u, ctx, f, n)
+    F = search._galerkin_F(u, ctx, full)[rows]
     gnorm = 0.5 * np.pi**2 * float(np.linalg.norm(F))
     settled = False
     for _ in range(search._NEWTON_MAX_ITER):
         if gnorm <= search.GTOL and settled:
             return kernel.project_V(u), fields.zero_diagonal(u)
         delta = np.zeros_like(u.coeffs)
-        J = search._galerkin_jacobian(u, ctx, f, n)
-        delta[::n] = np.linalg.solve(J, -F.ravel()).reshape(F.shape)
+        J = search._galerkin_jacobian(u, ctx, full)[np.ix_(keep, keep)]
+        delta[rows] = np.linalg.solve(J, -F)
         t = 1.0
         while t >= 1e-6:
             u_c = fields.SpectralField(u.coeffs + t * delta)
-            F_c = search._galerkin_F(u_c, ctx, f, n)
+            F_c = search._galerkin_F(u_c, ctx, full)[rows]
             gn_c = 0.5 * np.pi**2 * float(np.linalg.norm(F_c))
             if gn_c < gnorm * (1.0 - 1e-4 * t) or gn_c <= search.GTOL:
                 break
@@ -416,21 +448,32 @@ def test_frame_solve_matches_full_lattice_solve(level_guesses, name, n):
 
 @pytest.mark.parametrize("n, lt, lx", [(2, 8, 8), (3, 13, 10), (6, 24, 24)])
 def test_dilation_frame_scaling_laws(n, lt, lx):
-    # F_u(n k, n m) = n^2 F_U(k, m) with every other entry of F_u zero, and
-    # phi_u = n^2 phi_U[f/n^2], each against the full-field value
+    # odd f: F_u(n k, n m) = n^2 F_U(k, m) with every other entry of F_u
+    # zero, and phi_u = n^2 phi_U[f/n^2]; even f: F_u(n k, j) = F_U(k, j) in
+    # the time frame; each against the full-field value
     ctx = ctx_cubic()
-    d, fd = search._dilation_frame(F35, n)
-    assert d == n and np.array_equal(fd.poly, F35.poly / n**2)
     rng = np.random.default_rng(n)
+    frame = search._dilation_frame(F35, n)
+    assert (frame.n, frame.d) == (n, n) and np.array_equal(frame.f.poly, F35.poly / n**2)
     U = fields.SpectralField(0.05 * rng.standard_normal((lt // n + 1, lx // n)))
-    u = search._dilate(U, n, lt, lx)
-    F_full = search._galerkin_F(u, ctx, F35, 1)
-    F_law = n**2 * search._dilate(
-        fields.SpectralField(search._galerkin_F(U, ctx, fd, 1)), n, lt, lx).coeffs
+    u = frame.dilate(U, lt, lx)
+    F_full = search._galerkin_F(u, ctx, search._Frame(1, 1, F35))
+    F_law = n**2 * frame.dilate(
+        fields.SpectralField(search._galerkin_F(U, ctx, frame)), lt, lx).coeffs
     assert np.max(np.abs(F_full - F_law)) <= 1e-14 * np.max(np.abs(F_full))
     phi_full = reduced.phi(kernel.project_V(u), ctx, F35, w=fields.zero_diagonal(u))
-    phi_law = n**2 * reduced.phi(kernel.project_V(U), ctx, fd, w=fields.zero_diagonal(U))
+    phi_law = n**2 * reduced.phi(kernel.project_V(U), ctx, frame.f,
+                                 w=fields.zero_diagonal(U))
     assert abs(phi_full - phi_law) <= 1e-14 * abs(phi_full)
+
+    f23 = nonlinearity.classify({2: 1.0, 3: 1.0})
+    frame = search._dilation_frame(f23, n)
+    assert (frame.n, frame.d, frame.f) == (n, 1, f23)
+    U = fields.SpectralField(0.05 * rng.standard_normal((lt // n + 1, lx)))
+    u = frame.dilate(U, lt, lx)
+    F_full = search._galerkin_F(u, ctx, search._Frame(1, 1, f23))
+    F_law = frame.dilate(fields.SpectralField(search._galerkin_F(U, ctx, frame)), lt, lx).coeffs
+    assert np.max(np.abs(F_full - F_law)) <= 1e-14 * np.max(np.abs(F_full))
 
 
 def test_frame_newton_measures_the_full_field_residual(level_guesses, monkeypatch):
@@ -442,7 +485,8 @@ def test_frame_newton_measures_the_full_field_residual(level_guesses, monkeypatc
         search.refine(v0, C6_CTX, f)
     lt = lx = 48
     u0 = fields.SpectralField(kernel.embed(v0).padded(lt, lx))
-    full = 0.5 * np.pi**2 * np.linalg.norm(search._galerkin_F(u0, C6_CTX, f, 1))
+    full = 0.5 * np.pi**2 * np.linalg.norm(
+        search._galerkin_F(u0, C6_CTX, search._Frame(1, 1, f)))
     assert abs(err.value.trace[0] - full) <= 1e-14 * full
 
 
@@ -465,26 +509,41 @@ def test_frame_guard_sees_the_full_field(level_guesses, monkeypatch):
 
 def test_dilation_frame_only_for_odd_f_above_level_one():
     f2 = nonlinearity.classify({2: 1.0})
-    assert search._dilation_frame(f2, 2) == (1, f2)
-    assert search._dilation_frame(nonlinearity.classify({2: 1.0, 3: 1.0}), 3)[0] == 1
-    assert search._dilation_frame(F3, 1) == (1, F3)
+    assert search._dilation_frame(f2, 2) == search._Frame(2, 1, f2)
+    assert search._dilation_frame(nonlinearity.classify({2: 1.0, 3: 1.0}), 3).d == 1
+    assert search._dilation_frame(F3, 1) == search._Frame(1, 1, F3)
 
 
-def test_even_f_level_keeps_the_sublattice_solve():
-    # u^2 has no dilation frame: refine is bit for bit the full-lattice Newton
-    # on nZ, and the record's phi is the full-field one
-    f2 = nonlinearity.classify({2: 1.0})
-    ctx = frequency.make_context(frequency.omega_for_eps(-4e-4), L=24)
-    recipe = reduced.g_recipe(f2, -1, n=2)
-    y, m, diag = search.maximize_U(recipe, 3, seed=0, restarts=3)
-    v0, level = search.initial_guess(y, m, recipe, ctx, diag)
-    v, w, rep = search.refine(v0, ctx, f2)
-    v_ref, w_ref = full_lattice_refine(v0, ctx, f2, w.lt, w.lx)
-    assert np.array_equal(v.xi, v_ref.xi)
-    assert np.array_equal(w.coeffs, w_ref.coeffs)
-    record = search.build_solution(v, w, ctx, f2, recipe, level, newton=rep)
-    assert record.accepted and record.n == 2
-    assert record.phi == reduced.phi(v_ref, ctx, f2, w=w_ref)
+def even_level(coeffs, omega, n):
+    """Recipe, guess t* L_n y* and level of an even f at omega (L = 24)."""
+    f = nonlinearity.classify(coeffs)
+    ctx = frequency.make_context(omega, L=24)
+    recipe = reduced.g_recipe(f, search.default_side(f), n=n)
+    y, m, diag = search.maximize_U(recipe, 6, seed=0, restarts=4)
+    return (f, ctx, recipe, *search.initial_guess(y, m, recipe, ctx, diag))
+
+
+EVEN_LEVELS = {
+    "u2-2": ({2: 1.0}, frequency.omega_for_eps(-4e-4), 2),
+    "u2-3": ({2: 1.0}, frequency.omega_for_eps(-1e-4), 3),
+    "u4u5-2": ({4: 1.0, 5: -1.0}, 0.9995, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(EVEN_LEVELS))
+def test_even_f_level_solves_in_the_time_frame(name):
+    # even f keeps the rows nZ and every column: refine agrees with the
+    # full-lattice Newton on nZ x {1..lx}, and the record's phi is the
+    # full-field one
+    f, ctx, recipe, v0, level = even_level(*EVEN_LEVELS[name])
+    v, w, rep = search.refine(v0, ctx, f)
+    v_ref, w_ref = full_lattice_refine(v0, ctx, f, w.lt, w.lx)
+    assert np.max(np.abs(v.xi - v_ref.xi)) <= 1e-12 * np.max(np.abs(v_ref.xi))
+    assert np.max(np.abs(w.coeffs - w_ref.coeffs)) <= 1e-12 * np.max(np.abs(w_ref.coeffs))
+    record = search.build_solution(v, w, ctx, f, recipe, level, newton=rep)
+    assert record.accepted and record.n == recipe.n
+    phi_ref = reduced.phi(v_ref, ctx, f, w=w_ref)
+    assert abs(record.phi - phi_ref) <= 1e-12 * abs(phi_ref)
 
 
 def record_jacobian_sizes(monkeypatch):
@@ -500,17 +559,23 @@ def record_jacobian_sizes(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("name", ["u3", "u35"])
+@pytest.mark.parametrize("name", ["u3", "u35", "u2"])
 def test_frame_jacobians_have_the_compressed_size(level_guesses, monkeypatch, name):
+    # odd f solves (lt//n + 1) (lx//n) unknowns at level n, even f
+    # (lt//n + 1) lx
     sizes = record_jacobian_sizes(monkeypatch)
-    for n in range(2, 7):
-        f, _, v0, _ = level_guesses[name, n]
+    for n in range(2, 7) if name != "u2" else (2, 3):
+        if name == "u2":
+            f, ctx, _, v0, _ = even_level(*EVEN_LEVELS[f"u2-{n}"])
+            d = 1
+        else:
+            (f, _, v0, _), ctx, d = level_guesses[name, n], C6_CTX, n
         sizes.clear()
-        v, w, _ = search.refine(v0, C6_CTX, f)
-        assert sizes and max(sizes) <= (w.lt // n + 1) * (w.lx // n)
-        # off rows and columns nZ every entry is an exact zero
+        v, w, _ = search.refine(v0, ctx, f)
+        assert sizes and max(sizes) <= (w.lt // n + 1) * (w.lx // d)
+        # off the frame's rows and columns every entry is an exact zero
         off = np.ones(w.coeffs.shape, dtype=bool)
-        off[::n, n - 1 :: n] = False
+        off[::n, d - 1 :: d] = False
         assert not np.any(w.coeffs[off])
         assert not np.any(np.delete(v.xi, np.s_[n - 1 :: n]))
 
