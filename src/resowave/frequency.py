@@ -103,7 +103,7 @@ def minimal_n(f):
 
 def both_sides_threshold(f):
     """p pi^2 a^2 / 24: below it an n3 case with b > 0 also bifurcates to omega < 1."""
-    return f.p * np.pi**2 * f.a**2 / 24.0
+    return f.p * np.pi**2 * (f.a * f.a) / 24.0
 
 
 def side_required(f):

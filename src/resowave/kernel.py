@@ -11,6 +11,7 @@ multiplies the H1 norm by exactly n and leaves the L2 norm unchanged, which is
 the engine behind the multiplicity-in-n results downstream.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -79,22 +80,31 @@ def project_V(u):
     return KernelVector(d)
 
 
+@functools.lru_cache(maxsize=64)
+def _sine_table(dim, nodes):
+    """sin(j s) at the nodes s = 2 pi i/nodes, shape (nodes, dim); cached, so read-only."""
+    table = np.sin(np.outer(2.0 * np.pi * np.arange(nodes) / nodes, np.arange(1, dim + 1)))
+    table.flags.writeable = False
+    return table
+
+
 def eta_power_spectrum(v, kmax):
     """Means and sine coefficients of the powers of the profile eta.
 
     Returns (moments, sines): moments[i] = <eta^i> = (1/2pi) int eta^i and
     sines[i, j-1] = (1/2pi) int eta^i sin(j s) ds, for i = 0..kmax and
-    j = 1..len(v).  eta^i sin(j s) is a trig polynomial of degree at most
-    (kmax + 1) len(v), so the trapezoid rule on one more node than that is
+    j = 1..dim.  eta^i sin(j s) is a trig polynomial of degree at most
+    (kmax + 1) dim, so the trapezoid rule on one more node than that is
     exact; one rfft of the sampled powers gives every entry.
+    v may be a coefficient stack (..., dim): each row is taken as it is alone.
     """
-    dim = len(v)
+    xi = np.asarray(getattr(v, "xi", v), dtype=float)
+    dim = xi.shape[-1]
     # at least 2 dim + 1 nodes, so that the rfft reaches j = dim
     nodes = (max(kmax, 1) + 1) * dim + 1
-    s = 2.0 * np.pi * np.arange(nodes) / nodes
-    eta = np.sin(np.outer(s, np.arange(1, dim + 1))) @ (v.xi / 2.0)
-    spec = np.fft.rfft(eta ** np.arange(kmax + 1)[:, None], axis=1) / nodes
-    return spec[:, 0].real, -spec[:, 1 : dim + 1].imag
+    eta = (_sine_table(dim, nodes) @ (xi / 2.0)[..., None])[..., None, :, 0]
+    spec = np.fft.rfft(eta ** np.arange(kmax + 1)[:, None], axis=-1) / nodes
+    return spec[..., 0].real, -spec[..., 1 : dim + 1].imag
 
 
 def rescale(v, n):

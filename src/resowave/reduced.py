@@ -25,6 +25,7 @@ form obeys an exact 1/n^2 rescaling law with an alpha^2 offset, used here so
 the level-n objective never needs the dilated vector itself.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,21 +47,34 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
 def _binomial_signs(k):
     """c_i = C(k, i) (-1)^(k-i), i = 0..k: v^k = sum_i c_i eta^i(s1) eta^(k-i)(s2)."""
     i = np.arange(k + 1)
-    return np.array([math.comb(k, m) for m in i]) * (-1.0) ** (k - i)
+    c = np.array([math.comb(k, m) for m in i]) * (-1.0) ** (k - i)
+    c.flags.writeable = False
+    return c
+
+
+# a . b and a @ m over the last axes, one BLAS call per row: rows keep their bits
+def _dot(a, b):
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _vecmat(a, m):
+    return (a[..., None, :] @ m)[..., 0, :]
 
 
 def _moment_sum(mom, k):
     """sum_i c_i <eta^i> <eta^(k-i)> = int v^k / (2 pi^2), from the means of eta^i."""
-    return float(np.dot(_binomial_signs(k) * mom[: k + 1], mom[k::-1]))
+    # reversed into a contiguous copy: matmul sums a strided operand outside BLAS, in another order
+    return _dot(_binomial_signs(k) * mom[..., : k + 1], np.ascontiguousarray(mom[..., k::-1]))
 
 
 def _moment_sum_grad(mom, dmom, k):
-    """xi-gradient of _moment_sum, given dmom[i] = d<eta^i>/dxi."""
+    """xi-gradient of _moment_sum, given dmom[..., i, :] = d<eta^i>/dxi."""
     c = _binomial_signs(k)
-    return ((c + c[::-1]) * mom[k::-1]) @ dmom[: k + 1]
+    return _vecmat((c + c[::-1]) * mom[..., k::-1], dmom[..., : k + 1, :])
 
 
 def power_integral(v, k):
@@ -78,6 +92,20 @@ def mean_alpha(v, p):
     return power_integral(v, p) / (2.0 * np.pi**2)
 
 
+@functools.lru_cache(maxsize=64)
+def _qform_tables(dim, nodes):
+    """sin(j s) on the nodes and 1/(i m) on the rfft modes; read-only.
+
+    The sines are laid out (dim, nodes), not as kernel._sine_table's transpose:
+    the layout fixes the BLAS kernel, and with it the bits, of xi @ sines.
+    """
+    sines = np.sin(np.outer(np.arange(1, dim + 1), 2.0 * np.pi * np.arange(nodes) / nodes))
+    inv = np.zeros(nodes // 2 + 1, dtype=complex)
+    inv[1 : nodes // 2] = 1.0 / (1j * np.arange(1, nodes // 2))
+    sines.flags.writeable = inv.flags.writeable = False
+    return sines, inv
+
+
 def _qform(v, p, kmax, grad=False):
     """Q = int v^p L^-1 v^p and mu_k = <eta^k>, k = 0..kmax, from one sampling.
 
@@ -91,75 +119,74 @@ def _qform(v, p, kmax, grad=False):
         alpha = sum_i c_i mu_i mu_(p-i).
 
     Every integrand, and eta^k for p <= kmax <= 2p, is a trig polynomial of
-    degree at most 2p len(v), so the trapezoid rule on 2p len(v) + 2 nodes
-    is exact and one rfft gives every mean and primitive.  With grad, the
+    degree at most 2p dim, so the trapezoid rule on 2p dim + 2 nodes is
+    exact and one rfft gives every mean and primitive.  With grad, the
     tangents dE_k/dxi_j = (k/2) eta^(k-1) sin(j s) are carried through the
-    same steps for all j at once, and (Q, mu, dQ, dmu) is returned.
+    same steps for all j at once, and (Q, mu, dQ, dmu) is returned.  The
+    rows of a stack v of shape (..., dim) are never mixed.
     """
     if p % 2 != 0:
         raise ResowaveError("the form int v^p L^-1 v^p needs an even power p")
     if not p <= kmax <= 2 * p:
         raise ResowaveError(f"moments up to {kmax} are not exact with p = {p}")
-    dim = len(v)
+    xi = np.asarray(getattr(v, "xi", v), dtype=float)
+    dim = xi.shape[-1]
     nodes = 2 * p * dim + 2
-    s = 2.0 * np.pi * np.arange(nodes) / nodes
-    sines = np.sin(np.outer(np.arange(1, dim + 1), s))
+    sines, inv = _qform_tables(dim, nodes)
     k = np.arange(kmax + 1)
-    E = ((v.xi / 2.0) @ sines) ** k[:, None]
-    inv = np.zeros(nodes // 2 + 1, dtype=complex)
-    inv[1 : nodes // 2] = 1.0 / (1j * np.arange(1, nodes // 2))
+    E = _vecmat(xi / 2.0, sines)[..., None, :] ** k[:, None]
 
-    def means_and_primitives(x):
-        # primitives only up to k = p: the form needs no more
+    def means_and_primitives(x, axis):
+        # primitives only up to k = p (the power index is the given axis): the form needs no more
         spec = np.fft.rfft(x, axis=-1)
-        return spec[..., 0].real / nodes, np.fft.irfft(spec[: p + 1] * inv, n=nodes, axis=-1)
+        head = np.take(spec, np.arange(p + 1), axis=axis)
+        return spec[..., 0].real / nodes, np.fft.irfft(head * inv, n=nodes, axis=-1)
 
-    mu, Pi = means_and_primitives(E)
+    mu, Pi = means_and_primitives(E, -2)
     ds = 2.0 * np.pi / nodes
     c = _binomial_signs(p)
-    Ep, mup = E[: p + 1], mu[: p + 1]
-    B = ds * Pi @ Ep.T
-    W = np.outer(c, c) * B[::-1, ::-1]
-    t1 = 0.25 * np.sum(W * B)
-    Md = 0.25 * c @ (Pi * Pi[::-1])
-    cm = c * mup[::-1]
-    Ez = Ep - mup[:, None]
-    a = cm @ Ez
-    A = 0.25 * cm @ Pi
+    Ep, mup = E[..., : p + 1, :], mu[..., : p + 1]
+    B = ds * Pi @ np.swapaxes(Ep, -1, -2)
+    W = np.outer(c, c) * B[..., ::-1, ::-1]
+    t1 = 0.25 * np.sum(W * B, axis=(-2, -1))
+    Md = _vecmat(0.25 * c, Pi * Pi[..., ::-1, :])
+    cm = c * mup[..., ::-1]
+    Ez = Ep - mup[..., None]
+    a = _vecmat(cm, Ez)
+    A = _vecmat(0.25 * cm, Pi)
     alpha = _moment_sum(mu, p)
-    int_Md = ds * np.sum(Md)
+    int_Md = ds * np.sum(Md, axis=-1)
     q = (
         -0.5 * t1
-        + 2.0 * np.pi * ds * (Md @ a)
+        + 2.0 * np.pi * ds * _dot(Md, a)
         + 2.0 * np.pi * alpha * int_Md
-        - 8.0 * np.pi * ds * (A @ A)
+        - 8.0 * np.pi * ds * _dot(A, A)
         - alpha**2 * np.pi**4 / 6.0
     )
     if not grad:
-        return float(q), mu
+        return q, mu
 
-    dE = np.zeros((kmax + 1, dim, nodes))
-    dE[1:] = 0.5 * k[1:, None, None] * E[:-1, None, :] * sines
-    dmu, dPi = means_and_primitives(dE)
-    dEp, dmup = dE[: p + 1], dmu[: p + 1]
+    dE = np.zeros(xi.shape[:-1] + (kmax + 1, dim, nodes))
+    dE[..., 1:, :, :] = 0.5 * k[1:, None, None] * E[..., :-1, None, :] * sines
+    dmu, dPi = means_and_primitives(dE, -3)
+    dEp, dmup = dE[..., : p + 1, :, :], dmu[..., : p + 1, :]
     # c_i = c_(p-i), so the two B factors of t1 and the two primitives of
     # M(s,s) contribute alike
-    dt1 = 0.5 * ds * (
-        np.einsum("ijn,in->j", dPi, W @ Ep) + np.einsum("ijn,in->j", dEp, W.T @ Pi)
-    )
-    dMd = 0.5 * np.einsum("i,ijn,in->jn", c, dPi, Pi[::-1])
-    dcm = c[:, None] * dmup[::-1]
-    da = dcm.T @ Ez + np.einsum("i,ijn->jn", cm, dEp - dmup[:, :, None])
-    dA = 0.25 * (dcm.T @ Pi + np.einsum("i,ijn->jn", cm, dPi))
+    dt1 = 0.5 * ds * (np.einsum("...ijn,...in->...j", dPi, W @ Ep)
+                      + np.einsum("...ijn,...in->...j", dEp, np.swapaxes(W, -1, -2) @ Pi))
+    dMd = 0.5 * np.einsum("i,...ijn,...in->...jn", c, dPi, Pi[..., ::-1, :])
+    dcmT = np.swapaxes(c[:, None] * dmup[..., ::-1, :], -1, -2)
+    da = dcmT @ Ez + np.einsum("...i,...ijn->...jn", cm, dEp - dmup[..., None])
+    dA = 0.25 * (dcmT @ Pi + np.einsum("...i,...ijn->...jn", cm, dPi))
     dalpha = _moment_sum_grad(mu, dmu, p)
     dq = (
         -0.5 * dt1
-        + 2.0 * np.pi * ds * (dMd @ a + da @ Md)
-        + 2.0 * np.pi * (dalpha * int_Md + alpha * ds * np.sum(dMd, axis=1))
-        - 16.0 * np.pi * ds * (dA @ A)
-        - alpha * dalpha * np.pi**4 / 3.0
+        + 2.0 * np.pi * ds * (dMd @ a[..., None] + da @ Md[..., None])[..., 0]
+        + 2.0 * np.pi * (dalpha * int_Md[..., None] + alpha[..., None] * ds * np.sum(dMd, axis=-1))
+        - 16.0 * np.pi * ds * (dA @ A[..., None])[..., 0]
+        - alpha[..., None] * dalpha * np.pi**4 / 3.0
     )
-    return float(q), mu, dq, dmu
+    return q, mu, dq, dmu
 
 
 def linv_qform(v, p, kmax=None):
@@ -186,14 +213,14 @@ def _qform_G(y, f, n=1, grad=False):
     if not grad:
         q, mu = linv_qform(y, p, kmax)
         alpha = _moment_sum(mu, p)
-        out = -0.5 * f.a**2 * (q / n**2 - np.pi**4 / 6.0 * alpha**2 * shift)
+        out = -0.5 * f.a * f.a * (q / n**2 - np.pi**4 / 6.0 * alpha**2 * shift)
         if f.case == "n3":
             out -= f.b / (2.0 * p) * 2.0 * np.pi**2 * _moment_sum(mu, 2 * p)
         return out
     _, mu, dq, dmu = _qform(y, p, kmax, grad=True)
     alpha = _moment_sum(mu, p)
     dalpha = _moment_sum_grad(mu, dmu, p)
-    out = -0.5 * f.a**2 * (dq / n**2 - np.pi**4 / 3.0 * alpha * dalpha * shift)
+    out = -0.5 * f.a * f.a * (dq / n**2 - np.pi**4 / 3.0 * alpha[..., None] * dalpha * shift)
     if f.case == "n3":
         out -= f.b / (2.0 * p) * 2.0 * np.pi**2 * _moment_sum_grad(mu, dmu, 2 * p)
     return out
@@ -215,7 +242,7 @@ def G_eval(v, f):
         return f.b / (f.d + 1.0) * power_integral(v, f.d + 1)
     if _uses_qform(f):
         return _qform_G(v, f)
-    return f.b / (2.0 * p) * power_integral(v, 2 * p) - f.a**2 / 48.0 * power_integral(v, p) ** 2
+    return f.b / (2.0 * p) * power_integral(v, 2 * p) - f.a * f.a / 48 * power_integral(v, p) ** 2
 
 
 def U_eval(v, f):
@@ -240,11 +267,9 @@ def _grad_power_integral(v, k):
     sum over the sine coefficients.
     """
     mom, sines = kernel.eta_power_spectrum(v, k - 1)
-    i = np.arange(k)
-    c = np.array([math.comb(k - 1, m) for m in i]) * (
-        (-1.0) ** (k - 1 - i) - (-1.0) ** i
-    )
-    return k * np.pi**2 * ((c * mom[::-1]) @ sines)
+    # C(k-1, i) ((-1)^(k-1-i) - (-1)^i): twice the signs of k - 1 for even k, else 0
+    c = (1.0 - (-1.0) ** (k - 1)) * _binomial_signs(k - 1)
+    return k * np.pi**2 * _vecmat(c * mom[..., ::-1], sines)
 
 
 def _grad_G(v, f):
@@ -257,7 +282,7 @@ def _grad_G(v, f):
         return _qform_G(v, f, grad=True)
     return (
         f.b / (2.0 * p) * _grad_power_integral(v, 2 * p)
-        - f.a**2 / 24.0 * power_integral(v, p) * _grad_power_integral(v, p)
+        - f.a * f.a / 24.0 * power_integral(v, p)[..., None] * _grad_power_integral(v, p)
     )
 
 
@@ -269,10 +294,10 @@ def _grad_G(v, f):
 class GRecipe:
     """Effective G of Phi (omega > 1) or -Phi (omega < 1) on the n-dilated kernel.
 
-    value/grad act on the gcd-1 vector y and return G_eff(L_n y) and its
-    xi-gradient; the sign that g_recipe chose for the side is built into
-    both.  mu = |eps| n^2 pairs with these.  n_invariant says that value
-    and grad do not depend on n.
+    value/grad map a stack (r, dim) of gcd-1 vectors y, row by row, to
+    G_eff(L_n y) and its xi-gradient, (r,) and (r, dim); the sign that
+    g_recipe chose for the side is built into both.  mu = |eps| n^2 pairs
+    with these.  n_invariant says that value and grad do not depend on n.
     """
 
     case: str

@@ -166,16 +166,11 @@ def default_side(f):
 # step 1: the constrained maximization
 
 
-def _h1_metric(dim):
-    j = np.arange(1, dim + 1, dtype=float)
-    return np.pi**2 * j**2
-
-
 def _sphere_normalize(xi, D):
-    nrm = math.sqrt(float(np.dot(D * xi, xi)))
-    if nrm == 0.0:
+    nrm = np.sqrt(reduced._dot(D * xi, xi))
+    if np.any(nrm == 0.0):
         raise ResowaveError("zero vector cannot be normalized")
-    return xi / nrm
+    return xi / nrm[..., None]
 
 
 def maximize_U(recipe, dim, seed=0, restarts=16):
@@ -186,59 +181,62 @@ def maximize_U(recipe, dim, seed=0, restarts=16):
     maximizing U; m_hat is what the amplitude and level formulas consume.
     Each restart is one projected gradient ascent (step x1.3 after a gain,
     x0.5 after a failed trial) that ends when the tangential gradient or the
-    trial move on the sphere reaches rounding level; the best restart wins.
-    Raises when the best value is not positive: the branch does not exist on
-    the requested side.
+    trial move on the sphere reaches rounding level, or at 400 gradients;
+    the first best restart wins.  The restarts advance in lock-step rounds
+    of one stacked recipe.grad (rows that just stepped) and one stacked
+    recipe.value (rows with a trial pending); rows do not mix, so each
+    restart takes the steps it takes alone, in a working set linear in
+    restarts.  Raises when the best value is not positive (no branch on
+    this side) or G is not finite.
     """
     if restarts < 1:
         raise ResowaveError(f"maximize_U needs at least one restart, got {restarts}")
-    D = _h1_metric(dim)
+
+    def finite(out):
+        if not np.all(np.isfinite(out)):
+            raise ResowaveError("effective G is not finite; a coefficient is out of range")
+        return out
+
+    D = np.pi**2 * np.arange(1, dim + 1, dtype=float) ** 2  # the H^1 metric
     rng = np.random.default_rng(seed)
-    best = None
-    restart_values = []
-    for r in range(restarts):
-        xi = rng.standard_normal(dim) / np.arange(1, dim + 1) ** 2
-        xi = _sphere_normalize(xi, D)
-        val = recipe.value(kernel.KernelVector(xi))
-        step = 1.0
-        for iters in range(1, 401):
-            g = recipe.grad(kernel.KernelVector(xi))
-            gn = g / D
-            tang = gn - np.dot(D * gn, xi) * xi
-            tnorm = math.sqrt(float(np.dot(D * tang, tang)))
-            if tnorm <= 1e-13 * max(1.0, abs(val)) or iters == 400:
-                break
-            # backtrack until the move on the unit sphere is below rounding
-            while step * tnorm > 1e-16:
-                cand = _sphere_normalize(xi + step * tang, D)
-                cval = recipe.value(kernel.KernelVector(cand))
-                if cval > val:
-                    xi, val = cand, cval
-                    step *= 1.3
-                    break
-                step *= 0.5
-            else:
-                break
-        restart_values.append(val)
-        if best is None or val > best[1]:
-            best = (xi, val, r, iters, tnorm)
-    xi, val, r_best, iters, tnorm = best
-    if val <= 0.0:
-        raise ResowaveError(
-            "effective G is nonpositive on the sphere; branch infeasible "
-            "on this side"
-        )
-    y = kernel.normalize_sign(kernel.KernelVector(xi))
+    xi = _sphere_normalize(rng.standard_normal((restarts, dim)) / np.arange(1, dim + 1) ** 2, D)
+    val = finite(recipe.value(xi))
+    step, tnorm, iters = np.ones(restarts), np.zeros(restarts), np.zeros(restarts, dtype=int)
+    tang, live = np.zeros_like(xi), np.ones(restarts, dtype=bool)
+    g = np.arange(restarts)  # the rows due a gradient: every row, then those that just stepped
+    while True:
+        if g.size:
+            gn = finite(recipe.grad(xi[g])) / D
+            tang[g] = gn - reduced._dot(D * gn, xi[g])[:, None] * xi[g]
+            tnorm[g] = np.sqrt(reduced._dot(D * tang[g], tang[g]))
+            iters[g] += 1
+            live[g] = (tnorm[g] > 1e-13 * np.maximum(1.0, np.abs(val[g]))) & (iters[g] < 400)
+        # backtracking stops once the move on the unit sphere is below rounding
+        live &= step * tnorm > 1e-16
+        t = np.flatnonzero(live)
+        if not t.size:
+            break
+        cand = _sphere_normalize(xi[t] + step[t, None] * tang[t], D)
+        cval = finite(recipe.value(cand))
+        up = cval > val[t]
+        xi[t[up]], val[t[up]] = cand[up], cval[up]
+        step[t] *= np.where(up, 1.3, 0.5)
+        g = t[up]
+    best = int(np.argmax(val))
+    if val[best] <= 0.0:
+        raise ResowaveError("effective G is nonpositive on the sphere; "
+                            "branch infeasible on this side")
+    y = kernel.normalize_sign(kernel.KernelVector(xi[best]))
     diag = SearchDiagnostics(
-        m_hat=val,
+        m_hat=float(val[best]),
         y_star=y,
         restarts=restarts,
-        best_restart=r_best,
-        iterations=iters,
-        grad_norm=tnorm,
-        restart_values=tuple(restart_values),
+        best_restart=best,
+        iterations=int(iters[best]),
+        grad_norm=float(tnorm[best]),
+        restart_values=tuple(val.tolist()),
     )
-    return y, val, diag
+    return y, diag.m_hat, diag
 
 
 class LevelMaximizer:
@@ -278,13 +276,19 @@ def branch_prediction(m_value, q, eps, n):
 
     For psi(t) = (mu/2) t^2 - m t^(q+1) with mu = |eps| n^2 the nontrivial
     critical point and its value are explicit; the H^1 prediction is n t*
-    because the dilation multiplies the norm of a unit vector by n.
+    because the dilation multiplies the norm of a unit vector by n.  Raises
+    unless m > 0 and t* and the level are finite (an extreme coefficient).
     """
     if m_value <= 0.0:
         raise ResowaveError("effective G must be positive along the branch")
     mu = abs(eps) * n * n
     t_star = (mu / ((q + 1) * m_value)) ** (1.0 / (q - 1))
-    level = 0.5 * (q - 1) * m_value * t_star ** (q + 1)
+    try:
+        level = 0.5 * (q - 1) * m_value * t_star ** (q + 1)
+    except OverflowError:
+        level = math.inf
+    if not math.isfinite(level):  # also when t* is infinite
+        raise ResowaveError("amplitude or level is not finite; a coefficient is out of range")
     return t_star, level, n * t_star
 
 

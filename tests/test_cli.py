@@ -89,6 +89,29 @@ def test_huge_smallness_constant_exits_two(tmp_path, capsys):
     assert "admissible dilation indices at C = 1:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("coeffs, eps", [("2=1e300", -4e-4), ("3=1e-300", 4e-4),
+                                         ("2=1e300,3=1", 4e-4)])
+def test_extreme_leading_coefficient_solve_exits_one(tmp_path, capsys, coeffs, eps):
+    # a^2 overflows G (2=1e300) and the both-sides threshold of n3 (2=1e300,3=1);
+    # a tiny m overflows t*^(q+1) (3=1e-300)
+    doc = {"coeffs": coeffs, "eps": eps, "n": 1, "dim": 4, "restarts": 4}
+    assert cli.main(["solve", "--config", write_json(tmp_path / "solve.json", doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not finite" in err and "Traceback" not in err
+
+
+def test_extreme_leading_coefficient_scan_rows_fail(tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    cfg = write_json(tmp_path / "scan.json", {
+        "coeffs": "2=1e300", "omega_range": [0.996, 0.998, 0.001], "n_max": 1,
+        "solve": True, "dim": 4, "restarts": 4, "output": str(out),
+    })
+    assert cli.main(["scan", "--config", cfg]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert rows and all(row[5] == "failed" for row in rows)
+
+
 def solve_config(tmp_path, **over):
     doc = {"coeffs": "3=1", "eps": 1e-3, "n": 1, "lmax": 24, "dim": 3,
            "restarts": 3, "seed": 0}

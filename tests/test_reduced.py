@@ -167,15 +167,14 @@ QFORM_CASES = [{2: 1.0}, {4: 1.0}, {2: 1.0, 3: -1.0}, {2: -0.7, 3: -0.4}, {4: 1.
 def test_qform_recipe_gradient_matches_central_differences(coeffs, n):
     f = nonlinearity.classify(coeffs)
     rec = reduced.g_recipe(f, -1, n=n)
-    v = rand_vec(seed=75, dim=4, scale=0.8)
-    g = rec.grad(v)
+    xi = rand_vec(seed=75, dim=4, scale=0.8).xi
+    g = rec.grad(xi)
     h = 1e-6
     fd = np.zeros(4)
     for i in range(4):
         e = np.zeros(4)
         e[i] = h
-        fd[i] = (rec.value(kernel.KernelVector(v.xi + e))
-                 - rec.value(kernel.KernelVector(v.xi - e))) / (2 * h)
+        fd[i] = (rec.value(xi + e) - rec.value(xi - e)) / (2 * h)
     assert np.max(np.abs(fd - g)) <= 1e-8 * np.max(np.abs(g))
 
 
@@ -246,14 +245,38 @@ CASES = [
 def test_recipe_gradient_matches_finite_differences(coeffs, side):
     f = nonlinearity.classify(coeffs)
     rec = reduced.g_recipe(f, side, n=2)
-    v = rand_vec(seed=17, dim=3, scale=0.8)
-    g = rec.grad(v)
+    xi = rand_vec(seed=17, dim=3, scale=0.8).xi
+    g = rec.grad(xi)
     h = 1e-6
     for i in range(3):
         e = np.zeros(3)
         e[i] = h
-        fd = (rec.value(kernel.KernelVector(v.xi + e)) - rec.value(kernel.KernelVector(v.xi - e))) / (2 * h)
+        fd = (rec.value(xi + e) - rec.value(xi - e)) / (2 * h)
         assert abs(fd - g[i]) < 1e-6 * max(1.0, abs(g[i]))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("coeffs,side", CASES)
+def test_recipe_stack_rows_equal_single_rows(coeffs, side, n):
+    # a row of a stack is evaluated as it is alone, bit for bit
+    rec = reduced.g_recipe(nonlinearity.classify(coeffs), side, n=n)
+    stack = np.random.default_rng(41).standard_normal((5, 4))
+    values, grads = rec.value(stack), rec.grad(stack)
+    assert values.shape == (5,) and grads.shape == (5, 4)
+    for row, value, grad in zip(stack, values, grads):
+        assert rec.value(row) == value
+        assert np.array_equal(rec.grad(row), grad)
+
+
+def test_cached_tables_are_read_only():
+    tables = [
+        reduced._binomial_signs(4),
+        *reduced._qform_tables(6, 26),
+        kernel._sine_table(6, 31),
+    ]
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0] = 1.0
 
 
 def test_recipe_side_gating():
@@ -277,8 +300,8 @@ def test_recipe_side_gating():
 
 def test_odd_case_recipe_ignores_dilation_level():
     f = nonlinearity.classify({3: 1.0})
-    v = rand_vec(seed=19, dim=2, scale=0.6)
-    vals = [reduced.g_recipe(f, +1, n=n).value(v) for n in (1, 2, 5)]
+    xi = rand_vec(seed=19, dim=2, scale=0.6).xi
+    vals = [reduced.g_recipe(f, +1, n=n).value(xi) for n in (1, 2, 5)]
     assert vals[0] == vals[1] == vals[2]
 
 
@@ -290,7 +313,7 @@ def test_qform_recipe_equals_G_at_dilated_vector():
         for n in (1, 2, 3, 4):
             rec = reduced.g_recipe(f, -1, n=n)
             direct = reduced.G_eval(kernel.rescale(y, n), f)
-            assert abs(rec.value(y) - direct) <= 1e-13 * abs(direct)
+            assert abs(rec.value(y.xi) - direct) <= 1e-13 * abs(direct)
 
 
 def test_phi_decomposition_against_quadrature():

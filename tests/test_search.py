@@ -39,7 +39,7 @@ def test_maximize_raises_on_infeasible_sign():
     # back by the side's sign, so force infeasibility with a hand-built recipe
     rec = reduced.GRecipe(
         case="odd-power", q=3, n=1,
-        value=lambda y: -abs(reduced.G_eval(y, F3)),
+        value=lambda y: -np.abs(reduced.G_eval(y, F3)),
         grad=lambda y: -reduced._grad_G(y, F3),
     )
     with pytest.raises(ResowaveError):
@@ -49,19 +49,32 @@ def test_maximize_raises_on_infeasible_sign():
 @pytest.mark.parametrize("coeffs, side", [({3: 1.0}, +1), ({2: 1.0}, -1)])
 def test_maximize_call_budget(coeffs, side):
     # one projected-gradient ascent per restart, whose backtracking stops
-    # once the move on the unit sphere is below rounding
+    # once the move on the unit sphere is below rounding; the restarts run
+    # in lock-step, one stacked call per round
     recipe = reduced.g_recipe(nonlinearity.classify(coeffs), side, n=1)
     calls = {"value": 0, "grad": 0}
+    rows = dict(calls)
 
     def counted(name):
         def call(y):
             calls[name] += 1
+            rows[name] += len(y)
             return getattr(recipe, name)(y)
         return call
 
     counting = dataclasses.replace(recipe, value=counted("value"), grad=counted("grad"))
     search.maximize_U(counting, 6, seed=0, restarts=8)
-    assert calls["value"] <= 70 * 8 and calls["grad"] <= 32 * 8, calls
+    assert rows["value"] <= 70 * 8 and rows["grad"] <= 32 * 8, rows
+    assert calls["value"] <= 80 and calls["grad"] <= 50, calls
+
+
+def test_maximize_restarts_are_independent():
+    # lock-step restarts: fewer restarts give the leading values bit for bit
+    for coeffs, side in [({3: 1.0}, +1), ({2: 1.0}, -1)]:
+        rec = reduced.g_recipe(nonlinearity.classify(coeffs), side, n=1)
+        three = search.maximize_U(rec, 6, seed=5, restarts=3)[2].restart_values
+        eight = search.maximize_U(rec, 6, seed=5, restarts=8)[2].restart_values
+        assert three == eight[:3]
 
 
 def test_maximize_needs_a_restart():
