@@ -37,7 +37,7 @@ from .frequency import (
     scan_frequencies,
 )
 from .psolve import PSolveReport, apply_L_inv, solve_P
-from .reduced import g_recipe, phi, grad_phi, G_eval, U_eval, linv_qform
+from .reduced import g_recipe, phi, grad_phi, G_eval, linv_qform
 from .linv_forms import (
     BiperiodicMap,
     decompose_m,

@@ -45,14 +45,8 @@ class FrequencyContext:
 @dataclass(frozen=True)
 class AdmissibilityReport:
     ok: bool
-    n: int
-    case: str
     bound: float          # the smallness quantity compared against C
-    constant: float       # the C it was compared against
-    side_required: str    # "omega>1" | "omega<1" | "either"
-    side_ok: bool
     n_min: int
-    gamma: float
     notes: tuple = ()
 
 
@@ -153,18 +147,7 @@ def admissible(ctx, n, f, C=DEFAULT_C):
     # boundary-inclusive with a few ulps of slack, so exact-threshold examples
     # like |omega - 1| = 1/100, C = gamma = 1, n = 10 do not fail to rounding
     ok = side_ok and ctx.gamma > 0.0 and n >= n_min and bound <= C * (1.0 + 1e-12)
-    return AdmissibilityReport(
-        ok=ok,
-        n=n,
-        case=f.case,
-        bound=float(bound),
-        constant=float(C),
-        side_required=side_req,
-        side_ok=side_ok,
-        n_min=n_min,
-        gamma=ctx.gamma,
-        notes=tuple(notes),
-    )
+    return AdmissibilityReport(ok=ok, bound=float(bound), n_min=n_min, notes=tuple(notes))
 
 
 def max_admissible_n(ctx, f, C=DEFAULT_C):

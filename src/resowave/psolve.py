@@ -72,10 +72,11 @@ def apply_L_inv(w, omega, out_lt=None, out_lx=None):
 
 
 def contraction_domain(v, ctx, f, lt):
-    """The a priori contraction quantity |v|_omega^(p-1)/gamma; warns above DOMAIN_RHO.
+    """The a priori contraction quantity |v|_omega^(p-1)/gamma.
 
     Refuses a resonant context and a truncation lt outside [len(v), ctx.L].
-    solve_P monitors the quantity and search.refine aborts on it.
+    solve_P monitors the quantity (warns above DOMAIN_RHO) and search.refine
+    aborts on it.
     """
     if ctx.gamma <= 0.0:
         raise ResonanceError(omega=ctx.omega)
@@ -85,14 +86,7 @@ def contraction_domain(v, ctx, f, lt):
         raise ResowaveError(
             f"truncation lt={lt} exceeds the context's certified range L={ctx.L}"
         )
-    ratio = fields.norms(kernel.embed(v), ctx.omega).omega ** (f.p - 1) / ctx.gamma
-    if ratio > DOMAIN_RHO:
-        warnings.warn(
-            f"|v|_omega^(p-1)/gamma = {ratio:.3g} above rho = {DOMAIN_RHO}; "
-            "contraction not guaranteed",
-            stacklevel=3,
-        )
-    return ratio
+    return fields.norms(kernel.embed(v), ctx.omega).omega ** (f.p - 1) / ctx.gamma
 
 
 def _masked_rhs(u, f, lt, lx, n):
@@ -120,6 +114,12 @@ def solve_P(v, ctx, f, tol=1e-12, lt=None, lx=None):
         lx = max(2 * dim, 16)
     domain_ratio = contraction_domain(v, ctx, f, lt)
     domain_ok = domain_ratio <= DOMAIN_RHO
+    if not domain_ok:
+        warnings.warn(
+            f"|v|_omega^(p-1)/gamma = {domain_ratio:.3g} above rho = {DOMAIN_RHO}; "
+            "contraction not guaranteed",
+            stacklevel=2,
+        )
     u_v = kernel.embed(v)
     try:
         n = kernel.minimal_time_period_index(v)

@@ -13,16 +13,18 @@ no dw/dv term (envelope property):
 which in coefficients reads  g_j = eps pi^2 j^2 xi_j - (pi^2/2) (f(u))_{jj}.
 
 For small amplitudes Phi is governed by mu/2 ||v||^2 - G(v) with G the
-homogeneous leading term, one of four shapes depending on the nonlinearity
-class.  Power integrals int v^k and their gradients come from the means and
-sine coefficients of the powers of the profile eta.  For even leading power
-the quadratic-in-v^p form int v^p L^-1 v^p appears.  With v = eta(s1) -
-eta(s2), v^p = sum_i C(p,i) (-1)^(p-i) eta^i(s1) eta^(p-i)(s2) is a
-biperiodic map of rank p + 1, so every term of the five-term decomposition
-(linv_forms module docstring) is a short sum of exact 1D integrals of eta^k
-and of its zero-mean primitive; nothing is truncated.  On dilated kernels the
-form obeys an exact 1/n^2 rescaling law with an alpha^2 offset, used here so
-the level-n objective never needs the dilated vector itself.
+homogeneous leading term, one of five shapes depending on the nonlinearity
+class.  G_eval states that case table once, for the value and the
+xi-gradient at any dilation level n.  Power integrals int v^k and their
+gradients come from the means and sine coefficients of the powers of the
+profile eta.  For even leading power the quadratic-in-v^p form
+int v^p L^-1 v^p appears.  With v = eta(s1) - eta(s2), v^p = sum_i C(p,i)
+(-1)^(p-i) eta^i(s1) eta^(p-i)(s2) is a biperiodic map of rank p + 1, so
+every term of the five-term decomposition (linv_forms module docstring) is
+a short sum of exact 1D integrals of eta^k and of its zero-mean primitive;
+nothing is truncated.  On dilated kernels the form obeys an exact 1/n^2
+rescaling law with an alpha^2 offset, which is how n enters G_eval, so the
+level-n objective never needs the dilated vector.
 """
 
 import functools
@@ -39,11 +41,9 @@ __all__ = [
     "phi",
     "grad_phi",
     "G_eval",
-    "U_eval",
     "g_recipe",
     "linv_qform",
     "power_integral",
-    "mean_alpha",
 ]
 
 
@@ -77,19 +77,26 @@ def _moment_sum_grad(mom, dmom, k):
     return _vecmat((c + c[::-1]) * mom[..., k::-1], dmom[..., : k + 1, :])
 
 
-def power_integral(v, k):
-    """Exact int over the domain of v^k for a kernel element v.
+def power_integral(v, k, grad=False):
+    """Exact int over the domain of v^k for a kernel element v, or its xi-gradient.
 
     v = eta(t + x) - eta(t - x) and the domain is half the (s1, s2) torus, so
-        int v^k = 2 pi^2 sum_i C(k, i) (-1)^(k-i) <eta^i> <eta^(k-i)>.
+        int v^k = 2 pi^2 sum_i C(k, i) (-1)^(k-i) <eta^i> <eta^(k-i)>,
+    and d/dxi_j int v^k = k int v^(k-1) cos(j t) sin(j x) is
+
+        k pi^2 sum_{i<k} C(k-1, i) (-1)^(k-1-i)
+               [S_j(eta^i) <eta^(k-1-i)> - <eta^i> S_j(eta^(k-1-i))]
+
+    with S_j(g) = (1/2pi) int g sin(j s); the two halves are folded into one
+    sum over the sine coefficients.
     """
-    mom, _ = kernel.eta_power_spectrum(v, k)
-    return 2.0 * np.pi**2 * _moment_sum(mom, k)
-
-
-def mean_alpha(v, p):
-    """alpha = (1/2pi^2) int v^p, the mean of the biperiodic profile of v^p."""
-    return power_integral(v, p) / (2.0 * np.pi**2)
+    if not grad:
+        mom, _ = kernel.eta_power_spectrum(v, k)
+        return 2.0 * np.pi**2 * _moment_sum(mom, k)
+    mom, sines = kernel.eta_power_spectrum(v, k - 1)
+    # C(k-1, i) ((-1)^(k-1-i) - (-1)^i): twice the signs of k - 1 for even k, else 0
+    c = (1.0 - (-1.0) ** (k - 1)) * _binomial_signs(k - 1)
+    return k * np.pi**2 * _vecmat(c * mom[..., ::-1], sines)
 
 
 @functools.lru_cache(maxsize=64)
@@ -189,101 +196,59 @@ def _qform(v, p, kmax, grad=False):
     return q, mu, dq, dmu
 
 
-def linv_qform(v, p, kmax=None):
+def linv_qform(v, p):
     """int v^p L^-1 v^p for even p, exact (negative: minus this form has a
-    pointwise nonnegative rectangle kernel).
-
-    With kmax (p <= kmax <= 2p), returns (form, mu), where mu[k] = <eta^k>
-    for k = 0..kmax comes from the same samples of eta.
-    """
-    q, mu = _qform(v, p, p if kmax is None else kmax)
-    return q if kmax is None else (q, mu)
+    pointwise nonnegative rectangle kernel)."""
+    return _qform(v, p, p)[0]
 
 
-def _qform_G(y, f, n=1, grad=False):
-    """G (or its xi-gradient) at L_n y in the cases n2 and n3 with b < 0.
-
-    The form rescales exactly under the dilation,
-        Q(L_n y) = Q(y) / n^2 - (pi^4/6) alpha^2 (1 - 1/n^2),
-    and alpha and int v^(2p) come from the same samples of eta as Q(y).
-    """
-    p = f.p
-    kmax = 2 * p if f.case == "n3" else p
-    shift = 1.0 - 1.0 / n**2
-    if not grad:
-        q, mu = linv_qform(y, p, kmax)
-        alpha = _moment_sum(mu, p)
-        out = -0.5 * f.a * f.a * (q / n**2 - np.pi**4 / 6.0 * alpha**2 * shift)
-        if f.case == "n3":
-            out -= f.b / (2.0 * p) * 2.0 * np.pi**2 * _moment_sum(mu, 2 * p)
-        return out
-    _, mu, dq, dmu = _qform(y, p, kmax, grad=True)
-    alpha = _moment_sum(mu, p)
-    dalpha = _moment_sum_grad(mu, dmu, p)
-    out = -0.5 * f.a * f.a * (dq / n**2 - np.pi**4 / 3.0 * alpha[..., None] * dalpha * shift)
-    if f.case == "n3":
-        out -= f.b / (2.0 * p) * 2.0 * np.pi**2 * _moment_sum_grad(mu, dmu, 2 * p)
-    return out
+def _uses_qform(f):
+    return f.case == "n2" or (f.case == "n3" and f.b < 0)
 
 
-def G_eval(v, f):
-    """The case-resolved leading term G of the reduced functional.
+def G_eval(v, f, n=1, grad=False):
+    """The case-resolved leading term G at L_n v, or its xi-gradient (grad).
 
     odd-power:  (a/(p+1)) int v^{p+1}
     n1:         (b/(d+1)) int v^{d+1}
     n2:         -(a^2/2) int v^p L^-1 v^p            (nonnegative)
     n3, b < 0:  -(b/2p) int v^{2p} - (a^2/2) int v^p L^-1 v^p
     n3, b > 0:  (b/2p) int v^{2p} - (a^2/48) (int v^p)^2
+
+    The power integrals do not change under the dilation L_n; the form
+    (cases n2 and n3 with b < 0) rescales exactly,
+        Q(L_n v) = Q(v) / n^2 - (pi^4/6) alpha^2 (1 - 1/n^2),
+    and alpha and int v^(2p) come from the same samples of eta as Q(v).
     """
     p = f.p
     if f.case == "odd-power":
-        return f.a / (p + 1.0) * power_integral(v, p + 1)
+        return f.a / (p + 1.0) * power_integral(v, p + 1, grad)
     if f.case == "n1":
-        return f.b / (f.d + 1.0) * power_integral(v, f.d + 1)
-    if _uses_qform(f):
-        return _qform_G(v, f)
-    return f.b / (2.0 * p) * power_integral(v, 2 * p) - f.a * f.a / 48 * power_integral(v, p) ** 2
-
-
-def U_eval(v, f):
-    """Normalized leading term G(v)/||v||^{q+1}; scale-invariant."""
-    h1 = v.h1()
-    if h1 == 0.0:
-        raise ResowaveError("U is undefined at the zero vector")
-    return G_eval(v, f) / h1 ** (f.q + 1)
-
-
-# ---------------------------------------------------------------------------
-# gradients of the G building blocks (with respect to xi)
-
-
-def _grad_power_integral(v, k):
-    """d/dxi_j of int v^k = k int v^(k-1) cos(j t) sin(j x), through eta:
-
-        k pi^2 sum_{i<k} C(k-1, i) (-1)^(k-1-i)
-               [S_j(eta^i) <eta^(k-1-i)> - <eta^i> S_j(eta^(k-1-i))]
-
-    with S_j(g) = (1/2pi) int g sin(j s); the two halves are folded into one
-    sum over the sine coefficients.
-    """
-    mom, sines = kernel.eta_power_spectrum(v, k - 1)
-    # C(k-1, i) ((-1)^(k-1-i) - (-1)^i): twice the signs of k - 1 for even k, else 0
-    c = (1.0 - (-1.0) ** (k - 1)) * _binomial_signs(k - 1)
-    return k * np.pi**2 * _vecmat(c * mom[..., ::-1], sines)
-
-
-def _grad_G(v, f):
-    p = f.p
-    if f.case == "odd-power":
-        return f.a / (p + 1.0) * _grad_power_integral(v, p + 1)
-    if f.case == "n1":
-        return f.b / (f.d + 1.0) * _grad_power_integral(v, f.d + 1)
-    if _uses_qform(f):
-        return _qform_G(v, f, grad=True)
-    return (
-        f.b / (2.0 * p) * _grad_power_integral(v, 2 * p)
-        - f.a * f.a / 24.0 * power_integral(v, p)[..., None] * _grad_power_integral(v, p)
-    )
+        return f.b / (f.d + 1.0) * power_integral(v, f.d + 1, grad)
+    if not _uses_qform(f):
+        if not grad:
+            return (f.b / (2.0 * p) * power_integral(v, 2 * p)
+                    - f.a * f.a / 48 * power_integral(v, p) ** 2)
+        return (
+            f.b / (2.0 * p) * power_integral(v, 2 * p, grad=True)
+            - f.a * f.a / 24.0 * power_integral(v, p)[..., None] * power_integral(v, p, grad=True)
+        )
+    kmax = 2 * p if f.case == "n3" else p
+    shift = 1.0 - 1.0 / n**2
+    if not grad:
+        q, mu = _qform(v, p, kmax)
+        alpha = _moment_sum(mu, p)
+        out = -0.5 * f.a * f.a * (q / n**2 - np.pi**4 / 6.0 * alpha**2 * shift)
+        if f.case == "n3":
+            out -= f.b / (2.0 * p) * 2.0 * np.pi**2 * _moment_sum(mu, 2 * p)
+        return out
+    _, mu, dq, dmu = _qform(v, p, kmax, grad=True)
+    alpha = _moment_sum(mu, p)
+    dalpha = _moment_sum_grad(mu, dmu, p)
+    out = -0.5 * f.a * f.a * (dq / n**2 - np.pi**4 / 3.0 * alpha[..., None] * dalpha * shift)
+    if f.case == "n3":
+        out -= f.b / (2.0 * p) * 2.0 * np.pi**2 * _moment_sum_grad(mu, dmu, 2 * p)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +273,6 @@ class GRecipe:
     n_invariant: bool = False
 
 
-def _uses_qform(f):
-    return f.case == "n2" or (f.case == "n3" and f.b < 0)
-
-
 def g_recipe(f, side, n=1):
     """Build the effective-G recipe for the given side of omega = 1.
 
@@ -331,21 +292,14 @@ def g_recipe(f, side, n=1):
     if required not in ("either", asked):
         raise ResowaveError(f"case {f.case} bifurcates to {required}, not {asked}")
 
-    if _uses_qform(f):
-        return GRecipe(
-            case=f.case,
-            q=f.q,
-            n=n,
-            value=lambda y: _qform_G(y, f, n),
-            grad=lambda y: _qform_G(y, f, n, grad=True),
-        )
+    sign = 1 if _uses_qform(f) else side
     return GRecipe(
         case=f.case,
         q=f.q,
         n=n,
-        value=lambda y: side * G_eval(y, f),
-        grad=lambda y: side * _grad_G(y, f),
-        n_invariant=True,
+        value=lambda y: sign * G_eval(y, f, n),
+        grad=lambda y: sign * G_eval(y, f, n, grad=True),
+        n_invariant=not _uses_qform(f),
     )
 
 

@@ -149,14 +149,6 @@ class BranchResult:
     failures: list            # (n, reason) pairs for non-fatal per-n failures
 
 
-@dataclass(frozen=True)
-class _RecordMeta:
-    """The slice of a G recipe that record assembly actually reads."""
-    n: int
-    q: int
-    case: str
-
-
 def default_side(f):
     """The side of omega = 1 the classified case bifurcates to by default."""
     return -1 if frequency.side_required(f) == "omega<1" else +1
@@ -187,7 +179,7 @@ def maximize_U(recipe, dim, seed=0, restarts=16):
     recipe.value (rows with a trial pending); rows do not mix, so each
     restart takes the steps it takes alone, in a working set linear in
     restarts.  Raises when the best value is not positive (no branch on
-    this side) or G is not finite.
+    this side) or G, its gradient or the gradient's norm is not finite.
     """
     if restarts < 1:
         raise ResowaveError(f"maximize_U needs at least one restart, got {restarts}")
@@ -208,7 +200,8 @@ def maximize_U(recipe, dim, seed=0, restarts=16):
         if g.size:
             gn = finite(recipe.grad(xi[g])) / D
             tang[g] = gn - reduced._dot(D * gn, xi[g])[:, None] * xi[g]
-            tnorm[g] = np.sqrt(reduced._dot(D * tang[g], tang[g]))
+            with np.errstate(over="ignore"):  # an overflow is inf, which finite refuses
+                tnorm[g] = finite(np.sqrt(reduced._dot(D * tang[g], tang[g])))
             iters[g] += 1
             live[g] = (tnorm[g] > 1e-13 * np.maximum(1.0, np.abs(val[g]))) & (iters[g] < 400)
         # backtracking stops once the move on the unit sphere is below rounding
@@ -384,7 +377,9 @@ def refine(v0, ctx, f, lt=None, lx=None):
     not a solution.  When an iterate's kernel part, dilated to the full
     truncation, leaves the contraction domain (psolve.contraction_domain
     above psolve.DOMAIN_RHO) the refinement aborts rather than report a
-    solution the existence argument does not cover.
+    solution the existence argument does not cover.  The guard runs once
+    per iterate, the first time before any step, so it also refuses a
+    resonant context and lt > ctx.L up front.
     """
     n = kernel.minimal_time_period_index(v0)
     if lt is None:
@@ -393,10 +388,10 @@ def refine(v0, ctx, f, lt=None, lx=None):
         lx = lt
     if lx < len(v0):
         raise ResowaveError("refinement truncation smaller than the guess")
-    v = kernel.KernelVector(np.pad(v0.xi, (0, lx - len(v0))))
-    ratio = psolve.contraction_domain(v, ctx, f, lt)
+    if lt < lx:
+        raise ResowaveError(f"temporal truncation lt={lt} below kernel reach {lx}")
     frame = _dilation_frame(f, n)
-    u = fields.SpectralField(kernel.embed(v).padded(lt, lx)[::n, frame.d - 1 :: frame.d])
+    u = fields.SpectralField(kernel.embed(v0).padded(lt, lx)[::n, frame.d - 1 :: frame.d])
     scale = 0.5 * np.pi**2 * frame.d**2
     F = _galerkin_F(u, ctx, frame)
     gnorm = scale * float(np.linalg.norm(F))
@@ -411,6 +406,7 @@ def refine(v0, ctx, f, lt=None, lx=None):
         if gnorm <= GTOL and settled:
             report.converged = True
             break
+        ratio = psolve.contraction_domain(kernel.project_V(frame.dilate(u, lt, lx)), ctx, f, lt)
         if it == _NEWTON_MAX_ITER:
             raise ConvergenceError("Newton refinement did not converge", trace=tuple(trace))
         if ratio > psolve.DOMAIN_RHO:
@@ -430,10 +426,8 @@ def refine(v0, ctx, f, lt=None, lx=None):
             u_c = fields.SpectralField(u.coeffs + t * delta)
             F_c = _galerkin_F(u_c, ctx, frame)
             gn_c = scale * float(np.linalg.norm(F_c))
-            ratio_c = psolve.contraction_domain(
-                kernel.project_V(frame.dilate(u_c, lt, lx)), ctx, f, lt)
             if gn_c < gnorm * (1.0 - 1e-4 * t) or gn_c <= GTOL:
-                u, F, gnorm, ratio = u_c, F_c, gn_c, ratio_c
+                u, F, gnorm = u_c, F_c, gn_c
                 if t < 1.0:
                     report.damped += 1
                 break
@@ -528,6 +522,7 @@ def build_solution(v, w, ctx, f, recipe, predicted_level, newton=None,
                    residual_tol=1e-8, outside_theorem=False):
     """Assemble the certified record for a refined critical point.
 
+    Of recipe only n, q and case are read, so a record serves as well.
     Besides the certificates, acceptance asks the critical level to be of the
     predicted size: a level a thousand times below it means the refinement
     found the trivial solution, not the branch.
@@ -589,9 +584,8 @@ def partner_record(record, f):
         omega=record.omega, eps=record.eps, gamma=record.gamma,
         L=max(w.lt, 2),
     )
-    meta = _RecordMeta(n=record.n, q=record.q, case=record.case)
     return build_solution(
-        pv, pw, ctx, f, meta, record.predicted_level,
+        pv, pw, ctx, f, record, record.predicted_level,
         outside_theorem=record.outside_theorem,
     )
 

@@ -186,7 +186,7 @@ def check_rescaling_identity(rng):
         n = int(rng.integers(2, 4))
         v = _random_kernel(rng, dim)
         q1 = reduced.linv_qform(v, 2)
-        alpha = reduced.mean_alpha(v, 2)
+        alpha = reduced.power_integral(v, 2) / (2.0 * np.pi**2)
         law = -(np.pi**4 / 6.0) * alpha**2 + (q1 + (np.pi**4 / 6.0) * alpha**2) / n**2
         qn = reduced.linv_qform(kernel.rescale(v, n), 2)
         worst_q = max(worst_q, abs(qn - law) / max(1.0, abs(law)))
@@ -225,7 +225,7 @@ def check_eta_integrals(rng):
             u, [0.0] * (k - 1) + [1.0], out_lt=len(v), out_lx=len(v)
         )
         grad_oracle = k * 0.5 * np.pi**2 * fields.diagonal_of(power)
-        dev = np.max(np.abs(reduced._grad_power_integral(v, k) - grad_oracle))
+        dev = np.max(np.abs(reduced.power_integral(v, k, grad=True) - grad_oracle))
         worst_grad = max(worst_grad, float(dev) / (k * 2.0 * np.pi**2 * sup ** (k - 1)))
     passed = max(worst_value, worst_grad) <= tol
     return CheckReport(

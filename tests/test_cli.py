@@ -4,7 +4,9 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -90,10 +92,11 @@ def test_huge_smallness_constant_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("coeffs, eps", [("2=1e300", -4e-4), ("3=1e-300", 4e-4),
-                                         ("2=1e300,3=1", 4e-4)])
+                                         ("2=1e300,3=1", 4e-4), ("3=1e300", 4e-4)])
 def test_extreme_leading_coefficient_solve_exits_one(tmp_path, capsys, coeffs, eps):
     # a^2 overflows G (2=1e300) and the both-sides threshold of n3 (2=1e300,3=1);
-    # a tiny m overflows t*^(q+1) (3=1e-300)
+    # a tiny m overflows t*^(q+1) (3=1e-300); a huge a leaves G and its
+    # gradient finite but overflows the gradient's H^1 norm (3=1e300)
     doc = {"coeffs": coeffs, "eps": eps, "n": 1, "dim": 4, "restarts": 4}
     assert cli.main(["solve", "--config", write_json(tmp_path / "solve.json", doc)]) == 1
     err = capsys.readouterr().err
@@ -110,6 +113,23 @@ def test_extreme_leading_coefficient_scan_rows_fail(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert rows and all(row[5] == "failed" for row in rows)
+
+
+def test_readme_scan_leaves_stderr_empty(tmp_path, capsys):
+    # the levels the contraction guard refuses are failed rows of the table,
+    # not warnings on stderr
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        readme = fh.read()
+    doc = next(json.loads(block) for block in re.findall(r"```json\n(.*?)```", readme, re.S)
+               if "omega_range" in block)
+    out = tmp_path / "scan.csv"
+    cfg = write_json(tmp_path / "scan.json", {**doc, "output": str(out)})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["scan", "--config", cfg]) == 0
+    assert caught == [] and capsys.readouterr().err == ""
+    statuses = [line.split(",")[5] for line in out.read_text().splitlines()[1:]]
+    assert statuses.count("failed") == 11
 
 
 def solve_config(tmp_path, **over):

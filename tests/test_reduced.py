@@ -61,7 +61,7 @@ def test_power_gradient_matches_projection_diagonal(dim):
     for n in (1, 2):
         v = kernel.rescale(kernel.KernelVector(rng.standard_normal(dim)), n)
         for k in range(2, 7):
-            got = reduced._grad_power_integral(v, k)
+            got = reduced.power_integral(v, k, grad=True)
             want = torus_power_gradient(v, k)
             scale = k * 2.0 * np.pi**2 * np.sum(np.abs(v.xi)) ** (k - 1)
             assert got.shape == (len(v),)
@@ -72,7 +72,7 @@ def test_power_gradient_matches_finite_differences():
     v = rand_vec(seed=37, dim=4, scale=0.7)
     h = 1e-6
     for k in (2, 3, 4, 5):
-        g = reduced._grad_power_integral(v, k)
+        g = reduced.power_integral(v, k, grad=True)
         for i in range(4):
             e = np.zeros(4)
             e[i] = h
@@ -88,13 +88,14 @@ def test_odd_power_integrals_vanish():
     v = rand_vec(seed=41, dim=5, scale=1.0)
     for k in (3, 5):
         assert abs(reduced.power_integral(v, k)) < 1e-13
-        assert np.all(reduced._grad_power_integral(v, k) == 0.0)
+        assert np.all(reduced.power_integral(v, k, grad=True) == 0.0)
 
 
-def test_mean_alpha_single_mode():
-    # v = xi cos t sin x gives int v^2 = xi^2 pi^2 / 2, so alpha = xi^2 / 4
-    assert abs(reduced.mean_alpha(kernel.KernelVector([2.0]), 2) - 1.0) < 1e-14
-    assert abs(reduced.mean_alpha(kernel.KernelVector([3.0]), 2) - 2.25) < 1e-14
+def test_power_integral_single_mode():
+    # v = xi cos t sin x gives int v^2 = xi^2 pi^2 / 2
+    for xi in (2.0, 3.0):
+        want = xi**2 * np.pi**2 / 2.0
+        assert abs(reduced.power_integral(kernel.KernelVector([xi]), 2) - want) < 1e-14 * want
 
 
 def test_linv_qform_frozen_single_mode():
@@ -130,7 +131,7 @@ def test_linv_qform_p4_matches_decomposition_formula():
 
 def test_linv_qform_moments_come_from_eta():
     v = rand_vec(seed=71, dim=4, scale=0.8)
-    q, mu = reduced.linv_qform(v, 2, kmax=4)
+    q, mu = reduced._qform(v, 2, 4)
     assert q == reduced.linv_qform(v, 2)
     mom, _ = kernel.eta_power_spectrum(v, 4)
     assert np.max(np.abs(mu - mom)) <= 1e-14 * np.max(np.abs(mom))
@@ -143,7 +144,7 @@ def test_linv_qform_refuses_odd_power_and_inexact_moments():
             reduced.linv_qform(v, p)
     for kmax in (1, 5):
         with pytest.raises(ResowaveError):
-            reduced.linv_qform(v, 2, kmax=kmax)
+            reduced._qform(v, 2, kmax)
 
 
 @pytest.mark.parametrize("p", [2, 4])
@@ -152,7 +153,7 @@ def test_qform_transport_law_is_exact(p):
     for dim in (1, 3, 5):
         y = kernel.KernelVector(rng.standard_normal(dim) / np.arange(1, dim + 1))
         q1 = reduced.linv_qform(y, p)
-        shift = np.pi**4 / 6.0 * reduced.mean_alpha(y, p) ** 2
+        shift = np.pi**4 / 6.0 * (reduced.power_integral(y, p) / (2.0 * np.pi**2)) ** 2
         for n in (2, 3, 4):
             law = -shift + (q1 + shift) / n**2
             qn = reduced.linv_qform(kernel.rescale(y, n), p)
@@ -208,24 +209,21 @@ def test_G_cases_match_their_formulas():
     assert abs(reduced.G_eval(v, f_bpos) - expect) < 1e-12
 
 
-def test_U_is_scale_invariant():
-    f3 = nonlinearity.classify({3: 1.0})
-    f2 = nonlinearity.classify({2: 1.0})
-    v = rand_vec(seed=13, dim=4, scale=0.5)
-    for f in (f3, f2):
-        base = reduced.U_eval(v, f)
-        for c in (0.1, 3.0, 17.0):
-            scaled = kernel.KernelVector(c * v.xi)
-            assert abs(reduced.U_eval(scaled, f) - base) < 1e-10 * abs(base)
-    with pytest.raises(ResowaveError):
-        reduced.U_eval(kernel.KernelVector([0.0, 0.0]), f3)
+SHAPES = [{3: 1.0}, {4: 1.0, 5: 1.0}, {2: 1.0}, {2: 1.0, 3: -1.0}, {2: 1.0, 3: 0.2}]
 
 
-def test_U_dim1_maximum_value():
-    # on the one-dimensional kernel U is constant at 9/(128 pi^2) for f = u^3
-    f = nonlinearity.classify({3: 1.0})
-    got = reduced.U_eval(kernel.KernelVector([0.37]), f)
-    assert abs(got - 9.0 / (128.0 * np.pi**2)) < 1e-12
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("coeffs", SHAPES, ids=["odd-power", "n1", "n2", "n3-bneg", "n3-bpos"])
+def test_G_is_homogeneous_at_every_level(coeffs, n):
+    # G(c v) = c^(q+1) G(v) and its gradient scales by c^q, for every shape
+    f = nonlinearity.classify(coeffs)
+    xi = rand_vec(seed=13, dim=4, scale=0.5).xi
+    value, grad = reduced.G_eval(xi, f, n), reduced.G_eval(xi, f, n, grad=True)
+    for c in (0.1, 3.0, 17.0):
+        scaled = reduced.G_eval(c * xi, f, n)
+        assert abs(scaled - c ** (f.q + 1) * value) <= 1e-12 * abs(scaled)
+        dscaled = reduced.G_eval(c * xi, f, n, grad=True)
+        assert np.max(np.abs(dscaled - c**f.q * grad)) <= 1e-12 * np.max(np.abs(dscaled))
 
 
 CASES = [
