@@ -347,6 +347,8 @@ def cmd_scan(args):
 
 
 def cmd_verify(args):
+    if args.seed < 0:
+        raise ConfigError(f"'seed' must be >= 0, got {args.seed}")
     try:
         reports = verify.run_suite(args.suite, seed=args.seed)
     except ResowaveError as exc:
@@ -436,8 +438,12 @@ def _export_loglog(path):
     for row in rows:
         if not row["h1"]:
             continue
-        eps = abs(float(row["eps"]))
-        h1 = float(row["h1"])
+        try:
+            eps = abs(float(row["eps"]))
+            h1 = float(row["h1"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("scan table has a non-numeric eps or h1 cell "
+                              f"(eps={row['eps']!r}, h1={row['h1']!r})") from exc
         if eps <= 0.0 or h1 <= 0.0:
             continue
         writer.writerow([_fmt(math.log10(eps)), _fmt(math.log10(h1))])

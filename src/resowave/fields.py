@@ -17,7 +17,7 @@ sine class -- even powers pick up cosine content in x whose sine-basis
 expansion is an infinite series -- so the products and projections extend the
 same samples oddly to a full 2pi torus in x (_torus_x_values), recover the
 exact cos/sin torus coefficients by FFT, and project them back onto the sine
-basis in closed form.  The coefficients `apply_nonlinearity` returns are the
+basis in closed form.  The coefficients `apply_polynomials` returns are the
 true L2 projections, with no aliasing, for any polynomial nonlinearity.
 """
 
@@ -42,6 +42,7 @@ __all__ = [
     "diagonal_of",
     "zero_diagonal",
     "apply_nonlinearity",
+    "apply_polynomials",
     "integrate_poly",
     "multiply_poly_matrix",
     "temporal_weights",
@@ -261,8 +262,8 @@ def _torus_x_values(u, nt, mx):
     return full
 
 
-def _torus_cos_sin(u, poly, d_t, d_x):
-    """Exact torus coefficients A (cos in x) and B (sin in x) of poly(u).
+def _torus_cos_sin(u, polys, d_t, d_x):
+    """Exact torus coefficients (A, B) of each poly(u), from one sample of u.
 
     poly(u) = sum_l cos(l t) [ sum_mu A[l,mu] cos(mu x) + B[l,mu] sin(mu x) ],
     rows l = 0..d_t, columns mu = 0..d_x (B[:,0] is identically zero).
@@ -270,8 +271,9 @@ def _torus_cos_sin(u, poly, d_t, d_x):
     nt = _next_pow2(2 * max(d_t, u.lt, 1) + 1)
     mx = max(d_x, u.lx, 1) + 1                # interior node count, torus 2mx+2
     vals = _torus_x_values(u, nt, mx)
-    w = np.polynomial.polynomial.polyval(vals, np.asarray(poly, dtype=float))
-    return _cos_sin_coeffs(w, d_t, d_x)
+    polyval = np.polynomial.polynomial.polyval
+    return [_cos_sin_coeffs(polyval(vals, np.asarray(p, dtype=float)), d_t, d_x)
+            for p in polys]
 
 
 def _cos_sin_coeffs(vals, d_t, d_x):
@@ -318,25 +320,31 @@ def _half_projection_matrix(d_x, out_lx):
     return K
 
 
-def apply_nonlinearity(u, poly, out_lt=None, out_lx=None):
-    """Exact sine-basis coefficients of poly(u) up to (out_lt, out_lx).
+def apply_polynomials(u, polys, out_lt=None, out_lx=None):
+    """Exact sine-basis coefficients of each poly(u) up to (out_lt, out_lx).
 
-    poly is the ascending coefficient array [c0, c1, c2, ...] of a real
-    polynomial.  The returned coefficients equal the true L2 projections of
-    poly(u) onto cos(l t) sin(j x); the time direction is finite and exact,
-    the space direction is the exact half-interval projection of the torus
-    expansion (even powers of u generate cosine content in x whose sine
-    series is infinite; requesting out_lx selects how much of it to keep).
+    Each poly is an ascending coefficient array [c0, c1, ...], all evaluated
+    at the same samples of u; the defaults are the full degree (r lt, r lx),
+    r the largest.  The returned coefficients are the true L2 projections of
+    poly(u) onto cos(l t) sin(j x): finite and exact in time, the exact
+    half-interval projection of the torus expansion in space (even powers of
+    u generate cosine content in x whose sine series is infinite; out_lx
+    selects how much of it to keep).
     """
-    r = _poly_degree(poly)
+    r = max(_poly_degree(p) for p in polys)
     d_t = r * u.lt
     d_x = r * u.lx
     if out_lt is None:
         out_lt = d_t
     if out_lx is None:
         out_lx = d_x
-    A, B = _torus_cos_sin(u, poly, d_t, max(d_x, out_lx))
-    return _sine_projection(A, B, d_t, out_lt, out_lx)
+    return [_sine_projection(A, B, d_t, out_lt, out_lx)
+            for A, B in _torus_cos_sin(u, polys, d_t, max(d_x, out_lx))]
+
+
+def apply_nonlinearity(u, poly, out_lt=None, out_lx=None):
+    """Exact sine-basis coefficients of poly(u): apply_polynomials of one polynomial."""
+    return apply_polynomials(u, [poly], out_lt, out_lx)[0]
 
 
 def _sine_projection(A, B, d_t, out_lt, out_lx):
@@ -363,7 +371,7 @@ def _interval_integral(A0, B):
 def integrate_poly(u, poly):
     """Exact integral of poly(u) over the domain [0,2pi) x (0,pi)."""
     r = _poly_degree(poly)
-    A, B = _torus_cos_sin(u, poly, max(r * u.lt, 1), max(r * u.lx, 1))
+    ((A, B),) = _torus_cos_sin(u, [poly], max(r * u.lt, 1), max(r * u.lx, 1))
     return 2.0 * np.pi * _interval_integral(A[0, 0], B[0])
 
 
@@ -433,7 +441,7 @@ def multiply_poly_matrix(u, poly, lt, lx):
     # resolve the full degree of poly(u), not only the rows and columns used,
     # so that no higher harmonic aliases onto them
     d_x = max(2 * lx, r * u.lx)
-    A, B = _torus_cos_sin(u, poly, max(2 * lt, r * u.lt), d_x)
+    ((A, B),) = _torus_cos_sin(u, [poly], max(2 * lt, r * u.lt), d_x)
     m = lt + 1
     half_t = np.where(np.arange(2 * m - 1) == 0, 1.0, 0.5)[:, None]
     Ah = A[: 2 * m - 1] * half_t          # every |l - l'| and l + l'

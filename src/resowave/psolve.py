@@ -72,11 +72,11 @@ def apply_L_inv(w, omega, out_lt=None, out_lx=None):
 
 
 def contraction_domain(v, ctx, f, lt):
-    """The a priori contraction quantity |v|_omega^(p-1)/gamma.
+    """The a priori contraction quantity |v|_omega^(p-1)/gamma, from above.
 
-    Refuses a resonant context and a truncation lt outside [len(v), ctx.L].
-    solve_P monitors the quantity (warns above DOMAIN_RHO) and search.refine
-    aborts on it.
+    sup|v| is bounded by sum |xi_j|, so no field is sampled.  Refuses a
+    resonant context and a truncation lt outside [len(v), ctx.L]; solve_P
+    warns above DOMAIN_RHO and search.refine aborts.
     """
     if ctx.gamma <= 0.0:
         raise ResonanceError(omega=ctx.omega)
@@ -86,7 +86,7 @@ def contraction_domain(v, ctx, f, lt):
         raise ResowaveError(
             f"truncation lt={lt} exceeds the context's certified range L={ctx.L}"
         )
-    return fields.norms(kernel.embed(v), ctx.omega).omega ** (f.p - 1) / ctx.gamma
+    return (np.sum(np.abs(v.xi)) + np.sqrt(abs(ctx.omega - 1.0)) * v.h1()) ** (f.p - 1) / ctx.gamma
 
 
 def _masked_rhs(u, f, lt, lx, n):

@@ -21,7 +21,8 @@ The pipeline per dilation level n:
      truncation (lt/n, lx/n).  Each step assembles the Jacobian (the wave
      symbol plus multiplication by f'(u)) and solves it densely;
   4. assemble the full solution u = v + w(v) with its certificates (Galerkin
-     residual, energy drift across probe times, norms, minimal period).
+     residual, Phi_eps and energy drift read off one evaluation of f and F/u
+     on u; sup, minimal period).
 """
 
 import dataclasses
@@ -45,7 +46,6 @@ __all__ = [
     "initial_guess",
     "refine",
     "galerkin_residual",
-    "energy_at",
     "energy_certificate",
     "temporal_support_index",
     "involution_partner",
@@ -124,6 +124,8 @@ class SolutionRecord:
 
     @classmethod
     def from_document(cls, doc):
+        if not isinstance(doc, dict):
+            raise ResowaveError(f"a record is a JSON object, got {type(doc).__name__}")
         extra = set(doc) - set(_DOCUMENT_FIELDS)
         if extra:
             raise ResowaveError(f"unknown record fields: {sorted(extra)}")
@@ -131,8 +133,14 @@ class SolutionRecord:
         if missing:
             raise ResowaveError(f"missing record fields: {sorted(missing)}")
         data = dict(doc)
-        for name in _ARRAY_FIELDS:
-            data[name] = np.asarray(data[name], dtype=float)
+        for name, ndim in _ARRAY_FIELDS.items():
+            try:
+                data[name] = np.asarray(data[name], dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ResowaveError(f"record field {name!r} is not a numeric array") from exc
+            if data[name].ndim != ndim:
+                raise ResowaveError(f"record field {name!r} must be {ndim}-d, "
+                                    f"got shape {data[name].shape}")
         return cls(**data)
 
 
@@ -140,7 +148,8 @@ class SolutionRecord:
 _DOCUMENT_FIELDS = tuple(
     fd.name for fd in dataclasses.fields(SolutionRecord) if fd.name != "outside_theorem"
 )
-_ARRAY_FIELDS = ("xi", "w_coeffs")
+# the array fields and their dimensions
+_ARRAY_FIELDS = {"xi": 1, "w_coeffs": 2}
 
 
 @dataclass
@@ -377,9 +386,9 @@ def refine(v0, ctx, f, lt=None, lx=None):
     not a solution.  When an iterate's kernel part, dilated to the full
     truncation, leaves the contraction domain (psolve.contraction_domain
     above psolve.DOMAIN_RHO) the refinement aborts rather than report a
-    solution the existence argument does not cover.  The guard runs once
-    per iterate, the first time before any step, so it also refuses a
-    resonant context and lt > ctx.L up front.
+    solution the existence argument does not cover.  The guard reads
+    coefficients only and runs once per iterate, the first time before any
+    step, so it also refuses a resonant context and lt > ctx.L up front.
     """
     n = kernel.minimal_time_period_index(v0)
     if lt is None:
@@ -450,48 +459,46 @@ def refine(v0, ctx, f, lt=None, lx=None):
 # step 4: assembly and certification
 
 
+def _certify(v, w, ctx, f):
+    """Residual, Phi_eps, probe energies and drift of u = v + w, from one sampling of u.
+
+    f and g = F/u (F(0) = 0) are projected exactly on the columns j <= lx and
+    every row l <= r lt they reach (r = deg f).  As u lies in the truncation,
+    int F(u) = <P g(u), u> and each certificate is exact: the residual is
+    _galerkin_F's on the rows l <= lt, Phi_eps = (eps/2)|v|_H1^2 + (1/2)<P f(u), w>
+    - <P g(u), u>, and the energy at the probe t = 2 pi k/9, k < 9, is
+    (pi/4) sum_j [omega^2 b_j^2 + j^2 a_j^2 + 2 a_j g_j], with a, b the sine
+    coefficients of u(t, .) and u_t(t, .) and g_j = sum_l P g(u)[l, j] cos(l t).
+    """
+    lt, lx = w.lt, w.lx
+    u = (kernel.embed(v) + w).padded(lt, lx)
+    fu, gu = (p.coeffs for p in fields.apply_polynomials(
+        fields.SpectralField(u), [f.poly, f.primitive[1:]], out_lx=lx))
+    R = fu[: lt + 1] + _Frame(1, 1, f).symbol(lt, lx, ctx.omega) * u
+    cl = fields.temporal_weights(lt)[:, None]
+    res = float(np.sqrt(0.5 * np.pi**2 * np.sum(cl * R * R)))
+    pairing = np.sum(cl * (0.5 * fu[: lt + 1] * w.coeffs - gu[: lt + 1] * u))
+    phi = 0.5 * ctx.eps * v.h1() ** 2 + 0.5 * np.pi**2 * float(pairing)
+    phase = np.outer(2.0 * np.pi * np.arange(9) / 9, np.arange(gu.shape[0]))  # l t
+    cos = np.cos(phase)
+    a = cos[:, : lt + 1] @ u
+    b = (np.sin(phase[:, : lt + 1]) * -np.arange(lt + 1)) @ u
+    j2 = np.arange(1, lx + 1, dtype=float) ** 2
+    energies = 0.25 * np.pi * np.sum(
+        ctx.omega**2 * b * b + j2 * a * a + 2.0 * a * (cos @ gu), axis=1)
+    scale = max(float(np.max(np.abs(energies))), 1e-30)
+    return res, phi, energies, float((energies.max() - energies.min()) / scale)
+
+
 def galerkin_residual(v, w, ctx, f):
     """Weighted l2 norm of the equation residual on the solve truncation."""
-    u = fields.SpectralField((kernel.embed(v) + w).padded(w.lt, w.lx))
-    R = _galerkin_F(u, ctx, _Frame(1, 1, f))
-    cl = fields.temporal_weights(w.lt)[:, None]
-    return float(np.sqrt(0.5 * np.pi**2 * np.sum(cl * R * R)))
-
-
-def _slice_coeffs(u, t_val):
-    """Sine coefficients in x of u(t, .) and of the time derivative."""
-    arr = u.coeffs
-    l = np.arange(arr.shape[0], dtype=float)
-    ct = np.cos(l * t_val)
-    st = np.sin(l * t_val)
-    a = ct @ arr
-    b = -(l * st) @ arr
-    return a, b
-
-
-def energy_at(u, omega, f, t_val):
-    """Physical energy of the time slice: int (1/2)(u_tau^2 + u_x^2) + F(u).
-
-    The time variable of the coefficients is the rescaled one, so u_tau
-    carries a factor omega.  Quadratic terms are Parseval-exact; the
-    potential term integrates the composed polynomial exactly on (0, pi).
-    """
-    a, b = _slice_coeffs(u, t_val)
-    j = np.arange(1, a.size + 1, dtype=float)
-    kin = 0.25 * np.pi * float(np.sum((omega * b) ** 2))
-    grad = 0.25 * np.pi * float(np.sum((j * a) ** 2))
-    pot = fields.integrate_x_poly(a, f.primitive)
-    return kin + grad + pot
+    return _certify(v, w, ctx, f)[0]
 
 
 def energy_certificate(v, w, ctx, f):
     """Energy at t = 0 and the relative drift across nine probes of a period."""
-    u = kernel.embed(v) + w
-    times = 2.0 * np.pi * np.arange(9) / 9
-    vals = np.array([energy_at(u, ctx.omega, f, tv) for tv in times])
-    scale = max(float(np.max(np.abs(vals))), 1e-30)
-    drift = float((vals.max() - vals.min()) / scale)
-    return float(vals[0]), drift
+    _, _, energies, drift = _certify(v, w, ctx, f)
+    return float(energies[0]), drift
 
 
 def temporal_support_index(v, w):
@@ -527,15 +534,7 @@ def build_solution(v, w, ctx, f, recipe, predicted_level, newton=None,
     predicted size: a level a thousand times below it means the refinement
     found the trivial solution, not the branch.
     """
-    u = kernel.embed(v) + w
-    res = galerkin_residual(v, w, ctx, f)
-    energy, drift = energy_certificate(v, w, ctx, f)
-    # phi_u = d^2 phi_U[f/d^2] with U(t, x) = u(t/d, x/d); an even-f level
-    # (d = 1) keeps the full field
-    frame = _dilation_frame(f, recipe.n)
-    d = frame.d
-    phi_val = d * d * reduced.phi(kernel.KernelVector(v.xi[d - 1 :: d]), ctx, frame.f,
-                                  w=fields.SpectralField(w.coeffs[::d, d - 1 :: d]))
+    res, phi_val, energies, drift = _certify(v, w, ctx, f)
     n_obs = temporal_support_index(v, w)
     accepted = (
         res <= residual_tol
@@ -555,8 +554,8 @@ def build_solution(v, w, ctx, f, recipe, predicted_level, newton=None,
         xi=v.xi.copy(),
         w_coeffs=w.coeffs.copy(),
         h1=float(v.h1()),
-        sup=fields.sup_norm(u),
-        energy=energy,
+        sup=fields.sup_norm(kernel.embed(v) + w),
+        energy=float(energies[0]),
         residual=res,
         phi=float(phi_val),
         predicted_level=float(predicted_level),

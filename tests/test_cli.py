@@ -472,6 +472,11 @@ def test_verify_unknown_check(capsys):
     assert "unknown checks" in capsys.readouterr().err
 
 
+def test_verify_negative_seed_exits_two(capsys):
+    assert cli.main(["verify", "--suite", "check_kappa", "--seed", "-1"]) == 2
+    assert "error: 'seed' must be >= 0" in capsys.readouterr().err
+
+
 def test_evolve_and_export_round_trip(tmp_path, capsys):
     record_path = tmp_path / "rec.json"
     cfg = solve_config(tmp_path, output=str(record_path))
@@ -545,6 +550,40 @@ def test_export_loglog_rejects_wrong_table(tmp_path, capsys):
     assert cli.main(["export", "--record", str(not_scan),
                      "--format", "loglog", "--out", str(tmp_path / "y.csv")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("table", ["eps,h1\nabc,1\n", "eps,h1\n1e-3,x\n", "h1,eps\n1\n"])
+def test_export_loglog_rejects_non_numeric_cells(tmp_path, capsys, table):
+    scan = tmp_path / "scan.csv"
+    scan.write_text(table)
+    assert cli.main(["export", "--record", str(scan), "--format", "loglog"]) == 2
+    assert "non-numeric eps or h1" in capsys.readouterr().err
+
+
+# a well-formed record document, which each case below spoils in one place
+GOOD_RECORD = {
+    "version": 1, "omega": 1.004, "eps": 0.004008, "gamma": 0.996, "n": 1, "q": 2,
+    "case": "odd-power", "xi": [0.1, 0.0], "w_coeffs": [[0.0, 0.0], [0.0, 1e-5], [0.0, 0.0]],
+    "h1": 0.3, "sup": 0.1, "energy": 0.01, "residual": 0.0, "phi": 1e-4,
+    "predicted_level": 1e-4, "accepted": True,
+}
+
+
+@pytest.mark.parametrize("doc, reason", [
+    ([[1]], "JSON object"),
+    (dict(GOOD_RECORD, xi=["a", 0.0]), "'xi' is not a numeric array"),
+    (dict(GOOD_RECORD, w_coeffs=[[0.0, "x"], [0.0, 0.0]]), "'w_coeffs' is not a numeric array"),
+    (dict(GOOD_RECORD, w_coeffs=[[0.0, 0.0], [0.0]]), "'w_coeffs' is not a numeric array"),
+    (dict(GOOD_RECORD, xi=[[0.1, 0.0]]), "'xi' must be 1-d"),
+    (dict(GOOD_RECORD, w_coeffs=[0.0, 1e-5]), "'w_coeffs' must be 2-d"),
+], ids=["not-object", "xi-text", "w-text", "w-ragged", "xi-2d", "w-1d"])
+@pytest.mark.parametrize("command", ["export", "evolve"])
+def test_malformed_record_exits_two(tmp_path, capsys, command, doc, reason):
+    path = write_json(tmp_path / "rec.json", doc)
+    argv = {"export": ["export", "--record", path, "--format", "csv"],
+            "evolve": ["evolve", "--record", path, "--coeffs", "3=1"]}[command]
+    assert cli.main(argv) == 2
+    assert reason in capsys.readouterr().err
 
 
 def test_bad_flags_exit_two():

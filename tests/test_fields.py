@@ -271,3 +271,28 @@ def test_from_modes_rejects_bad_indices():
         fields.from_modes({(1, 0): 1.0})
     with pytest.raises(ResowaveError):
         fields.from_modes({(-1, 1): 1.0})
+
+
+def test_apply_polynomials_is_apply_nonlinearity_per_polynomial():
+    # one sample of u serves every polynomial; polynomials of one degree (as
+    # f and F/u are) keep the bits of their own one-polynomial calls
+    rng = np.random.default_rng(8)
+    u = random_field(rng, 9, 7, scale=0.3)
+    polys = [[0.0, 0.0, 1.0, -1.0], [0.0, 0.5, 0.0, 0.25]]
+    for out in ({}, {"out_lt": 9, "out_lx": 7}, {"out_lx": 7}):
+        got = fields.apply_polynomials(u, polys, **out)
+        assert len(got) == 2
+        for poly, field in zip(polys, got):
+            want = fields.apply_nonlinearity(u, poly, **out)
+            assert np.array_equal(field.coeffs, want.coeffs)
+
+
+def test_potential_is_the_pairing_of_f_over_u_with_u():
+    # int F(u) = <P g(u), u> with g = F/u, exact because u lies in the truncation
+    rng = np.random.default_rng(9)
+    for lt, lx in [(4, 4), (9, 6), (16, 11)]:
+        u = random_field(rng, lt, lx, scale=0.4)
+        primitive = np.concatenate([[0.0, 0.0], rng.standard_normal(5)])
+        g = fields.apply_polynomials(u, [primitive[1:]], out_lt=lt, out_lx=lx)[0]
+        want = fields.integrate_poly(u, primitive)
+        assert abs(fields.inner_l2(g, u) - want) <= 1e-13 * max(1.0, abs(want))

@@ -148,3 +148,17 @@ def test_report_diagnostics_are_consistent():
     assert rep.final_update <= 1e-12 * max(1.0, rep.w_omega_norm)
     assert 0.0 < rep.contraction_ratio < 1.0
     assert rep.domain_ok
+
+
+def test_contraction_domain_bounds_the_sampled_ratio_from_above():
+    # sum |xi_j| >= sup |v|, so the coefficient quantity is never below the
+    # one with the sampled sup it replaced
+    f = nonlinearity.classify({3: 1.0})
+    ctx = frequency.make_context(1.004, L=24)
+    for seed in range(12):
+        v = kernel_vector(seed, dim=1 + seed % 6, scale=0.05)
+        got = psolve.contraction_domain(v, ctx, f, 12)
+        blended = np.sum(np.abs(v.xi)) + np.sqrt(ctx.omega - 1.0) * v.h1()
+        assert got == blended ** 2 / ctx.gamma
+        sampled = fields.norms(kernel.embed(v), ctx.omega).omega ** 2 / ctx.gamma
+        assert got >= sampled

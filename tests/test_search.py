@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from resowave import fields, frequency, kernel, nonlinearity, psolve, reduced, search
+from resowave import evolve, fields, frequency, kernel, nonlinearity, psolve, reduced, search
 from resowave.errors import ConvergenceError, ResonanceError, ResowaveError
 
 F3 = nonlinearity.classify({3: 1.0})
@@ -617,3 +617,84 @@ def test_frame_solve_certified_range_is_the_compressed_index():
         search.refine(v0, ctx, F3, lt=ctx.L + 1)
     with pytest.raises(ResowaveError, match="below kernel reach"):
         search.refine(v0, ctx, F3, lt=len(v0), lx=len(v0) + 1)
+
+
+F23 = nonlinearity.classify({2: 1.0, 3: -1.0})
+
+
+def frame_pair(f, n, lt, lx, seed):
+    """A random (v, w) on the dilation frame lattice of level n, and the frame."""
+    frame = search._dilation_frame(f, n)
+    rng = np.random.default_rng(seed)
+    U = fields.SpectralField(0.05 * rng.standard_normal((lt // n + 1, lx // frame.d)))
+    u = frame.dilate(U, lt, lx)
+    return kernel.project_V(u), fields.zero_diagonal(u), frame
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("f", [F35, F23], ids=["u3+u5/2", "u2-u3"])
+def test_certified_phi_matches_full_field_and_frame_law(f, n):
+    # Phi read off the one evaluation equals reduced.phi on the full field
+    # and the frame law d^2 Phi_U[f/d^2] (d = n for odd f, d = 1 for even f)
+    ctx = ctx_cubic()
+    v, w, frame = frame_pair(f, n, 12, 12, seed=20 + n)
+    phi = search._certify(v, w, ctx, f)[1]
+    full = reduced.phi(v, ctx, f, w=w)
+    d = frame.d
+    law = d * d * reduced.phi(kernel.KernelVector(v.xi[d - 1 :: d]), ctx, frame.f,
+                              w=fields.SpectralField(w.coeffs[::d, d - 1 :: d]))
+    assert abs(phi - full) <= 1e-13 * abs(full)
+    assert abs(phi - law) <= 1e-13 * abs(full)
+
+
+@pytest.mark.parametrize("f", [F35, F23], ids=["u3+u5/2", "u2-u3"])
+def test_certified_probe_energies_match_slice_energies(f):
+    # each probe energy equals the integrator's energy of that time slice,
+    # with the potential integrated independently (integrate_x_poly)
+    ctx = ctx_cubic()
+    rng = np.random.default_rng(31)
+    u = fields.SpectralField(0.05 * rng.standard_normal((13, 10)))
+    energies = search._certify(kernel.project_V(u), fields.zero_diagonal(u), ctx, f)[2]
+    l = np.arange(u.lt + 1)
+    assert energies.shape == (9,)
+    for k, got in enumerate(energies):
+        t = 2.0 * np.pi * k / 9
+        a = np.cos(l * t) @ u.coeffs
+        b = -(l * np.sin(l * t)) @ u.coeffs
+        want = evolve._energy(a, ctx.omega * b, f)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_build_solution_evaluates_f_on_the_field_once(level_guesses, monkeypatch):
+    # one node sampling for the certificates and one for sup; no frame
+    # round trip and no second Phi evaluation
+    f, recipe, v0, level = level_guesses["u35", 3]
+    v, w, rep = search.refine(v0, C6_CTX, f)
+    samples = []
+    real = fields._node_values
+
+    def counted(u, nt, mx):
+        samples.append((nt, mx))
+        return real(u, nt, mx)
+
+    monkeypatch.setattr(fields, "_node_values", counted)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("build_solution left its one evaluation")
+
+    monkeypatch.setattr(reduced, "phi", refused)
+    monkeypatch.setattr(search, "_dilation_frame", refused)
+    record = search.build_solution(v, w, C6_CTX, f, recipe, level, newton=rep)
+    assert record.accepted and len(samples) == 2
+
+
+def test_refine_samples_no_field_for_its_guard(level_guesses, monkeypatch):
+    # the contraction guard reads kernel coefficients only
+    def refused(*args, **kwargs):
+        raise AssertionError("refine sampled a field for its guard")
+
+    monkeypatch.setattr(fields, "norms", refused)
+    monkeypatch.setattr(fields, "sup_norm", refused)
+    f, _, v0, _ = level_guesses["u3", 2]
+    v, w, rep = search.refine(v0, C6_CTX, f)
+    assert rep.converged
