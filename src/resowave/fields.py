@@ -25,6 +25,7 @@ import functools
 
 import numpy as np
 from dataclasses import dataclass
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sfft
 
 from .errors import ResowaveError
@@ -455,9 +456,16 @@ def multiply_poly_matrix(u, poly, lt, lx):
         Kd = 0.5 * (K[np.abs(mu - j[None, :])] - K[mu + j[None, :]])  # [mu, j'-1, j-1]
         Y = (B[: 2 * m - 1] * half_t) @ Kd.reshape(d_x + 1, lx * lx)
         X += Y.reshape(-1, lx, lx).transpose(0, 2, 1)
+    # block (a, b) is X[|a - b|] + X[a + b], or X[b] in the row a = 0.  With
+    # Z[s] = X[|s - m + 1|] both parts are sliding-window views, X[a + b] of
+    # X and X[|a - b|] = Z[m - 1 - a + b] of Z with the rows a reversed, and
+    # they are added straight into out: entry (a lx + i, b lx + k) is
+    # blocks[i, a, k, b], with no temporary of the output's size
     out = np.empty((m * lx, m * lx), order="F")
-    for a in range(m):
-        for b in range(m):
-            blk = X[abs(a - b)] + X[a + b] if a else X[b]
-            out[a * lx : (a + 1) * lx, b * lx : (b + 1) * lx] = blk
+    blocks = out.reshape((lx, m, lx, m), order="F")
+    Xi = X.transpose(1, 0, 2)                            # [i, s, k]
+    hankel = sliding_window_view(Xi, m, axis=1)          # [i, a, k, b]
+    toeplitz = sliding_window_view(Xi[:, np.abs(np.arange(2 * m - 1) - m + 1)], m, axis=1)
+    blocks[:, 0] = hankel[:, 0]
+    np.add(toeplitz[:, -2::-1], hankel[:, 1:], out=blocks[:, 1:])
     return out

@@ -14,15 +14,15 @@ The pipeline per dilation level n:
   3. refine the dilated initial guess t* L_n y* (with w = 0) by damped Newton
      on the truncated Galerkin system, kernel and range entries together;
      its kernel rows are -grad Phi_eps and its range rows the range
-     equation, so a zero is a critical point v with its w(v).  Every level
-     n > 1 is solved in its dilation frame and dilated back: the rows
-     l = n k, with the symbol j^2 - omega^2 (n k)^2, and for odd f also the
-     columns j = n m, where the frame is level 1 with f/n^2 on the
-     truncation (lt/n, lx/n).  Each step assembles the Jacobian (the wave
-     symbol plus multiplication by f'(u)) and solves it densely;
-  4. assemble the full solution u = v + w(v) with its certificates (Galerkin
-     residual, Phi_eps and energy drift read off one evaluation of f and F/u
-     on u; sup, minimal period).
+     equation, so a zero is a critical point v with its w(v).  Each step
+     assembles the Jacobian (the wave symbol plus multiplication by f'(u))
+     and solves it densely;
+  4. assemble u = v + w(v) with its certificates: the Galerkin residual,
+     Phi_eps and the energy drift over the level's period, read off one
+     evaluation of f and F/u, the sup of the samples, the minimal period.
+
+Steps 3 and 4 run in the level's dilation frame (_Frame): the rows l = n k and,
+for odd f, the columns j = n m, where level n > 1 is level 1 with f/n^2.
 """
 
 import dataclasses
@@ -459,45 +459,46 @@ def refine(v0, ctx, f, lt=None, lx=None):
 # step 4: assembly and certification
 
 
-def _certify(v, w, ctx, f):
-    """Residual, Phi_eps, probe energies and drift of u = v + w, from one sampling of u.
+def _certify(U, ctx, frame):
+    """Residual, Phi_eps, probe energies and drift of u(t, x) = U(n t, d x), from one sampling.
 
-    f and g = F/u (F(0) = 0) are projected exactly on the columns j <= lx and
-    every row l <= r lt they reach (r = deg f).  As u lies in the truncation,
-    int F(u) = <P g(u), u> and each certificate is exact: the residual is
-    _galerkin_F's on the rows l <= lt, Phi_eps = (eps/2)|v|_H1^2 + (1/2)<P f(u), w>
-    - <P g(u), u>, and the energy at the probe t = 2 pi k/9, k < 9, is
-    (pi/4) sum_j [omega^2 b_j^2 + j^2 a_j^2 + 2 a_j g_j], with a, b the sine
-    coefficients of u(t, .) and u_t(t, .) and g_j = sum_l P g(u)[l, j] cos(l t).
+    frame.f and g = F/u (F(0) = 0) are projected exactly on the columns m <= lx
+    and every row k <= r lt they reach (r = deg f).  As U lies in the
+    truncation, int F(U) = <P g(U), U>, so each certificate is exact; each is
+    d^2 times the frame's.  The residual is _galerkin_F's, Phi_eps = (eps/2)
+    |v|_H1^2 + (1/2)<P f(u), w> - <P g(u), u> with v on the entries n k = d m,
+    and the energy at the frame probe T = 2 pi k/9 (t = T/n: over the level's
+    period) is (pi/4) sum_m [(omega n/d)^2 b_m^2 + m^2 a_m^2 + 2 a_m g_m], with
+    a, b the sine coefficients of U, U_T there and g_m = sum_k P g(U)[k, m] cos(k T).
     """
-    lt, lx = w.lt, w.lx
-    u = (kernel.embed(v) + w).padded(lt, lx)
+    lt, lx, d2 = U.lt, U.lx, frame.d**2
     fu, gu = (p.coeffs for p in fields.apply_polynomials(
-        fields.SpectralField(u), [f.poly, f.primitive[1:]], out_lx=lx))
-    R = fu[: lt + 1] + _Frame(1, 1, f).symbol(lt, lx, ctx.omega) * u
+        U, [frame.f.poly, frame.f.primitive[1:]], out_lx=lx))
+    u = U.coeffs
+    R = fu[: lt + 1] + frame.symbol(lt, lx, ctx.omega) * u
     cl = fields.temporal_weights(lt)[:, None]
-    res = float(np.sqrt(0.5 * np.pi**2 * np.sum(cl * R * R)))
-    pairing = np.sum(cl * (0.5 * fu[: lt + 1] * w.coeffs - gu[: lt + 1] * u))
-    phi = 0.5 * ctx.eps * v.h1() ** 2 + 0.5 * np.pi**2 * float(pairing)
-    phase = np.outer(2.0 * np.pi * np.arange(9) / 9, np.arange(gu.shape[0]))  # l t
+    res = d2 * float(np.sqrt(0.5 * np.pi**2 * np.sum(cl * R * R)))
+    m2 = np.arange(1, lx + 1, dtype=float) ** 2
+    v = np.where(frame.n * np.arange(lt + 1)[:, None] == frame.d * np.arange(1, lx + 1), u, 0.0)
+    phi = d2 * 0.5 * np.pi**2 * float(np.sum(
+        cl * (ctx.eps * m2 * v * v + 0.5 * fu[: lt + 1] * (u - v) - gu[: lt + 1] * u)))
+    phase = np.outer(2.0 * np.pi * np.arange(9) / 9, np.arange(gu.shape[0]))  # k T
     cos = np.cos(phase)
     a = cos[:, : lt + 1] @ u
     b = (np.sin(phase[:, : lt + 1]) * -np.arange(lt + 1)) @ u
-    j2 = np.arange(1, lx + 1, dtype=float) ** 2
-    energies = 0.25 * np.pi * np.sum(
-        ctx.omega**2 * b * b + j2 * a * a + 2.0 * a * (cos @ gu), axis=1)
-    scale = max(float(np.max(np.abs(energies))), 1e-30)
-    return res, phi, energies, float((energies.max() - energies.min()) / scale)
+    energies = d2 * 0.25 * np.pi * np.sum((ctx.omega * (frame.n // frame.d)) ** 2 * b * b
+                                          + m2 * a * a + 2.0 * a * (cos @ gu), axis=1)
+    return res, phi, energies, float(np.ptp(energies) / max(np.max(np.abs(energies)), 1e-30))
 
 
 def galerkin_residual(v, w, ctx, f):
     """Weighted l2 norm of the equation residual on the solve truncation."""
-    return _certify(v, w, ctx, f)[0]
+    return _certify(kernel.embed(v) + w, ctx, _Frame(1, 1, f))[0]
 
 
 def energy_certificate(v, w, ctx, f):
-    """Energy at t = 0 and the relative drift across nine probes of a period."""
-    _, _, energies, drift = _certify(v, w, ctx, f)
+    """Energy at t = 0 and the relative drift across nine probes of the period 2 pi."""
+    _, _, energies, drift = _certify(kernel.embed(v) + w, ctx, _Frame(1, 1, f))
     return float(energies[0]), drift
 
 
@@ -506,35 +507,34 @@ def temporal_support_index(v, w):
 
     Rows below 1e-9 of the largest coefficient count as empty.
     """
-    u = kernel.embed(v) + w
-    arr = np.abs(u.coeffs)
-    scale = float(arr.max())
-    if scale == 0.0:
-        return 0
-    rows = [l for l in range(1, arr.shape[0]) if arr[l].max() > 1e-9 * scale]
-    if not rows:
-        return 0
-    return int(math.gcd(*rows)) if len(rows) > 1 else int(rows[0])
+    peak = np.max(np.abs((kernel.embed(v) + w).coeffs), axis=1)
+    rows = np.flatnonzero(peak[1:] > 1e-9 * peak.max()) + 1
+    return int(np.gcd.reduce(rows)) if rows.size else 0
 
 
 def involution_partner(u):
     """The companion solution u(t + pi, pi - x), in coefficients (-1)^(l+j+1)."""
-    arr = u.coeffs.copy()
-    l = np.arange(arr.shape[0])[:, None]
-    j = np.arange(1, arr.shape[1] + 1)[None, :]
-    return fields.SpectralField(arr * (-1.0) ** (l + j + 1))
+    l = np.arange(u.lt + 1)[:, None]
+    j = np.arange(1, u.lx + 1)[None, :]
+    # + 0.0 turns the flipped zeros -0.0 back into 0.0, so a double application keeps every bit
+    return fields.SpectralField(u.coeffs * (-1.0) ** (l + j + 1) + 0.0)
 
 
 def build_solution(v, w, ctx, f, recipe, predicted_level, newton=None,
                    residual_tol=1e-8, outside_theorem=False):
     """Assemble the certified record for a refined critical point.
 
-    Of recipe only n, q and case are read, so a record serves as well.
-    Besides the certificates, acceptance asks the critical level to be of the
-    predicted size: a level a thousand times below it means the refinement
-    found the trivial solution, not the branch.
+    Of recipe only n, q and case are read, so a record serves as well; the
+    certificates and sup are read off the level's frame field.  Acceptance
+    also asks the critical level to be of the predicted size: a level a
+    thousand times below it means the refinement found the trivial solution.
     """
-    res, phi_val, energies, drift = _certify(v, w, ctx, f)
+    frame = _dilation_frame(f, recipe.n)
+    u = (kernel.embed(v) + w).coeffs
+    if np.count_nonzero(u[:: frame.n, frame.d - 1 :: frame.d]) < np.count_nonzero(u):
+        frame = _Frame(1, 1, f)  # an entry off the frame: certify the whole field
+    U = fields.SpectralField(u[:: frame.n, frame.d - 1 :: frame.d])
+    res, phi_val, energies, drift = _certify(U, ctx, frame)
     n_obs = temporal_support_index(v, w)
     accepted = (
         res <= residual_tol
@@ -554,7 +554,7 @@ def build_solution(v, w, ctx, f, recipe, predicted_level, newton=None,
         xi=v.xi.copy(),
         w_coeffs=w.coeffs.copy(),
         h1=float(v.h1()),
-        sup=fields.sup_norm(kernel.embed(v) + w),
+        sup=fields.sup_norm(U),
         energy=float(energies[0]),
         residual=res,
         phi=float(phi_val),

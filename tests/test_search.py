@@ -448,13 +448,17 @@ def test_frame_solve_matches_full_lattice_solve(level_guesses, name, n):
         "xi": v_ref.xi,
         "w_coeffs": w_ref.coeffs,
         "h1": v_ref.h1(),
-        "sup": fields.sup_norm(u_ref),
         "energy": search.energy_certificate(v_ref, w_ref, C6_CTX, f)[0],
         "phi": reduced.phi(v_ref, C6_CTX, f, w=w_ref),
     }
     for key, want in reference.items():
         got = np.asarray(getattr(record, key))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), key
+    # sup is sampled on the frame's grid, finer than the full field's: equal
+    # at sampling level, and below the true bound sum |u_lj|
+    sup_ref = fields.sup_norm(u_ref)
+    assert abs(record.sup - sup_ref) <= 1e-3 * sup_ref
+    assert record.sup <= np.sum(np.abs(u_ref.coeffs))
     assert record.accepted and record.residual <= 1e-14
 
 
@@ -631,6 +635,11 @@ def frame_pair(f, n, lt, lx, seed):
     return kernel.project_V(u), fields.zero_diagonal(u), frame
 
 
+def certify_full(v, w, ctx, f):
+    """_certify on the whole field u = v + w: the identity frame."""
+    return search._certify(kernel.embed(v) + w, ctx, search._Frame(1, 1, f))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("f", [F35, F23], ids=["u3+u5/2", "u2-u3"])
 def test_certified_phi_matches_full_field_and_frame_law(f, n):
@@ -638,7 +647,7 @@ def test_certified_phi_matches_full_field_and_frame_law(f, n):
     # and the frame law d^2 Phi_U[f/d^2] (d = n for odd f, d = 1 for even f)
     ctx = ctx_cubic()
     v, w, frame = frame_pair(f, n, 12, 12, seed=20 + n)
-    phi = search._certify(v, w, ctx, f)[1]
+    phi = certify_full(v, w, ctx, f)[1]
     full = reduced.phi(v, ctx, f, w=w)
     d = frame.d
     law = d * d * reduced.phi(kernel.KernelVector(v.xi[d - 1 :: d]), ctx, frame.f,
@@ -650,31 +659,36 @@ def test_certified_phi_matches_full_field_and_frame_law(f, n):
 @pytest.mark.parametrize("f", [F35, F23], ids=["u3+u5/2", "u2-u3"])
 def test_certified_probe_energies_match_slice_energies(f):
     # each probe energy equals the integrator's energy of that time slice,
-    # with the potential integrated independently (integrate_x_poly)
+    # with the potential integrated independently (integrate_x_poly); the
+    # probes of level n sit at t = 2 pi k/(9 n), over the level's period
     ctx = ctx_cubic()
-    rng = np.random.default_rng(31)
-    u = fields.SpectralField(0.05 * rng.standard_normal((13, 10)))
-    energies = search._certify(kernel.project_V(u), fields.zero_diagonal(u), ctx, f)[2]
-    l = np.arange(u.lt + 1)
-    assert energies.shape == (9,)
-    for k, got in enumerate(energies):
-        t = 2.0 * np.pi * k / 9
-        a = np.cos(l * t) @ u.coeffs
-        b = -(l * np.sin(l * t)) @ u.coeffs
-        want = evolve._energy(a, ctx.omega * b, f)
-        assert abs(got - want) <= 1e-13 * abs(want)
+    for n in (1, 2, 3):
+        v, w, frame = frame_pair(f, n, 12, 12, seed=30 + n)
+        u = kernel.embed(v) + w
+        U = fields.SpectralField(u.coeffs[::n, frame.d - 1 :: frame.d])
+        energies = search._certify(U, ctx, frame)[2]
+        l = np.arange(u.lt + 1)
+        assert energies.shape == (9,)
+        for k, got in enumerate(energies):
+            t = 2.0 * np.pi * k / (9 * n)
+            a = np.cos(l * t) @ u.coeffs
+            b = -(l * np.sin(l * t)) @ u.coeffs
+            want = evolve._energy(a, ctx.omega * b, f)
+            assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_build_solution_evaluates_f_on_the_field_once(level_guesses, monkeypatch):
-    # one node sampling for the certificates and one for sup; no frame
-    # round trip and no second Phi evaluation
+    # one node sampling for the certificates and one for sup, both of the
+    # level-3 frame field (lt/3, lx/3) = (12, 12), not of the (36, 36) field;
+    # no second Phi evaluation
     f, recipe, v0, level = level_guesses["u35", 3]
     v, w, rep = search.refine(v0, C6_CTX, f)
+    assert (w.lt, w.lx) == (36, 36)
     samples = []
     real = fields._node_values
 
     def counted(u, nt, mx):
-        samples.append((nt, mx))
+        samples.append((u.lt, u.lx, nt, mx))
         return real(u, nt, mx)
 
     monkeypatch.setattr(fields, "_node_values", counted)
@@ -683,9 +697,10 @@ def test_build_solution_evaluates_f_on_the_field_once(level_guesses, monkeypatch
         raise AssertionError("build_solution left its one evaluation")
 
     monkeypatch.setattr(reduced, "phi", refused)
-    monkeypatch.setattr(search, "_dilation_frame", refused)
     record = search.build_solution(v, w, C6_CTX, f, recipe, level, newton=rep)
-    assert record.accepted and len(samples) == 2
+    # degree 5: the certificates sample 2*5*12 < 128 times by 5*12 + 1 = 61
+    # nodes, sup at its floors (128, 127)
+    assert record.accepted and samples == [(12, 12, 128, 61), (12, 12, 128, 127)]
 
 
 def test_refine_samples_no_field_for_its_guard(level_guesses, monkeypatch):
@@ -698,3 +713,85 @@ def test_refine_samples_no_field_for_its_guard(level_guesses, monkeypatch):
     f, _, v0, _ = level_guesses["u3", 2]
     v, w, rep = search.refine(v0, C6_CTX, f)
     assert rep.converged
+
+
+# ---------------------------------------------------------------------------
+# certificates on the dilation frame
+
+F2 = nonlinearity.classify({2: 1.0})
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("f", [F3, F35, F2, F23], ids=["u3", "u3+u5/2", "u2", "u2-u3"])
+def test_frame_certificate_laws(f, n):
+    # on a random frame field (a converged record's residual is rounding
+    # noise), the frame certificate is the full-field one of the dilated
+    # field: residual and Phi (d^2 times the frame's), and the energy at
+    # equal times: full-field probe t = 2 pi k/9 is frame time n t, which is
+    # the frame probe (n k) mod 9
+    ctx = ctx_cubic()
+    v, w, frame = frame_pair(f, n, 24, 24, seed=40 + n)
+    U = fields.SpectralField((kernel.embed(v) + w).coeffs[::n, frame.d - 1 :: frame.d])
+    res, phi, energies, _ = search._certify(U, ctx, frame)
+    res_full, phi_full, energies_full, _ = certify_full(v, w, ctx, f)
+    assert abs(res - res_full) <= 1e-13 * res_full
+    assert abs(phi - phi_full) <= 1e-13 * abs(phi_full)
+    equal_times = energies[(n * np.arange(9)) % 9]
+    assert np.max(np.abs(equal_times - energies_full)) <= 1e-13 * np.max(np.abs(energies_full))
+
+
+def test_drift_probes_see_level_nine(monkeypatch):
+    # probes at t = 2 pi k/9 all see one phase of a level-9 solution, so
+    # its drift read exactly 0; over the level's period they see nine
+    drifts = []
+    real = search._certify
+
+    def recording(U, ctx, frame):
+        out = real(U, ctx, frame)
+        drifts.append(out[3])
+        return out
+
+    monkeypatch.setattr(search, "_certify", recording)
+    ctx = frequency.make_context(1.00003, L=96)
+    record = search.solve_level(ctx, F3, 9, search.LevelMaximizer(6, seed=0, restarts=8))
+    assert record.accepted
+    assert 0.0 < drifts[0] <= search.DRIFT_TOL
+
+
+def test_build_solution_certifies_off_frame_fields_whole(level_guesses):
+    # an entry off the frame lattice is not the level's frame field: the
+    # whole field is certified, and the entry shows in the residual
+    f, recipe, v0, level = level_guesses["u3", 2]
+    v, w, rep = search.refine(v0, C6_CTX, f)
+    c = w.coeffs.copy()
+    c[1, 1] = 1e-6
+    off = fields.SpectralField(c)
+    record = search.build_solution(v, off, C6_CTX, f, recipe, level, newton=rep)
+    assert record.residual == search.galerkin_residual(v, off, C6_CTX, f) > 1e-8
+    assert not record.accepted
+
+
+@pytest.mark.parametrize("coeffs, omega, n_max", [
+    ({3: 1.0}, 1.0001, 4),
+    ({3: 1.0, 5: 0.5}, 1.0001, 4),
+    ({2: 1.0}, frequency.omega_for_eps(-4e-4), 2),
+], ids=["u3", "u3+u5/2", "u2"])
+def test_partner_twice_is_bitwise_identity_at_every_level(coeffs, omega, n_max):
+    # the sign flip must not leave -0.0 behind in a record's zeros
+    f = nonlinearity.classify(coeffs)
+    ctx = frequency.make_context(omega, L=24)
+    br = search.solve_branch(ctx, f, n_max=n_max, dim=4, seed=0, restarts=4)
+    assert [r.n for r in br.records] == list(range(1, n_max + 1))
+    for rec in br.records:
+        again = search.partner_record(search.partner_record(rec, f), f)
+        assert json.dumps(again.as_document()) == json.dumps(rec.as_document())
+
+
+def test_branch_near_resonance_accepts_every_level():
+    # the paper's N_omega -> infinity: at omega = 1.00001 the admissible
+    # levels are 1..19, each certified on its frame
+    br = search.solve_branch(frequency.make_context(1.00001, L=320), F3, C=0.004,
+                             dim=6, seed=0, restarts=8)
+    assert br.failures == []
+    assert [r.n for r in br.records] == list(range(1, 20))
+    assert all(r.accepted for r in br.records)
