@@ -373,25 +373,22 @@ def cmd_evolve(args):
     overrides = _validate(doc, EVOLVE_SCHEMA, "evolve")
     config = evolve.EvolutionConfig(**overrides)
     u = evolve.record_field(record)
-    times = [args.periods * 2.0 * np.pi / record.omega]
-    if args.probe_minimal_period:
-        times.append(evolve.probe_time(record.omega, record.n))
-    try:
-        for t_final in times:
-            evolve.time_grid(u, record.omega, t_final, config)
-    except ResowaveError as exc:
-        keys = ", ".join(f"{k!r} = {v}" for k, v in overrides.items())
-        raise ConfigError(
-            f"evolve config ({keys}) gives an unstable step on this record: {exc}"
-        ) from exc
     err, res = evolve.return_error(
         u, record.omega, f, periods=args.periods, config=config
     )
     bar = 1e-4 * args.periods
+    # an oracle whose own error is not well below the bar decides nothing
+    if not res.error_bar <= 0.1 * bar:
+        raise ConfigError(
+            f"'steps_per_period' = {config.steps_per_period} is too coarse for "
+            f"this record: the N- and 2N-step returns differ by "
+            f"{_fmt(res.error_bar)}, above a tenth of the bar {_fmt(bar)}"
+        )
     print(f"periods = {args.periods}")
     print(f"dt = {_fmt(res.dt)}  steps = {res.steps}  modes = {res.n_modes}")
     print(f"energy_drift = {_fmt(res.energy_drift)}")
-    print(f"return_error = {_fmt(err)}  bar = {_fmt(bar)}")
+    print(f"return_error = {_fmt(err)}  bar = {_fmt(bar)}  "
+          f"error_bar = {_fmt(res.error_bar)}")
     if args.probe_minimal_period:
         off, _ = evolve.nonreturn_probe(u, record.omega, f, record.n, config=config)
         print(f"off_period_distance = {_fmt(off)}")

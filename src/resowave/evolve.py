@@ -2,16 +2,20 @@
 
 This is the one check that shares no analytical machinery with the spectral
 construction: a catalogued solution is handed to a sine-pseudospectral
-velocity Verlet integrator for u_tautau = u_xx - f(u) in physical time, and
-periodicity is judged by the state distance after one full period 2 pi/omega.
-A genuine solution returns to its initial state; probing at a fraction of the
-period gives the non-return contrast that shows the test has teeth.
+integrator for u_tautau = u_xx - f(u) in physical time, and periodicity is
+judged by the state distance after one full period 2 pi/omega.  A genuine
+solution returns to its initial state; probing at a fraction of the period
+gives the non-return contrast that shows the test has teeth.
 
-The steps run on the values at the interior nodes x_k = pi k/(N+1), where
-f acts pointwise, so a step needs only the sine Laplacian in node space: up
-to DENSE_MAX_MODES modes one product with a dense N x N matrix, built once
-per integration, and above that bound a pair of scipy type-I sine FFTs.  The
-state is read back in sine modes only at the energy probes and at the end.
+In sine modes the linear flow turns each (a_j, b_j) by the angle j dt, so
+the integrator is the impulse method (Strang splitting): a half kick by f at
+the interior nodes x_k = pi k/(N+1), the exact rotation, a half kick.  It
+has no CFL bound, and its error scales with the nonlinearity.  It loses
+accuracy where j dt is near a multiple of pi on an excited mode, so every
+run is made at N and 2N steps: the 2N state is reported, and the distance
+between the two is the error bar.  A mode with j dt = 2 pi on the N grid is
+resonant on both and can escape the bar; at the default N = 64 per period
+that is j ~ 64 omega, which a record of odd f excites only from level 64 on.
 """
 
 from dataclasses import dataclass
@@ -20,7 +24,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from . import fields, kernel
-from .errors import ResowaveError
+from .errors import ConfigError, ResowaveError
 
 __all__ = [
     "EvolutionConfig",
@@ -36,7 +40,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    steps_per_period: int = 4096
+    steps_per_period: int = 64    # the self-check's N; the reported run takes 2N
     mode_factor: int = 4
     min_modes: int = 32
     energy_probes: int = 9
@@ -45,12 +49,13 @@ class EvolutionConfig:
 @dataclass
 class EvolutionResult:
     t_final: float
-    dt: float
-    steps: int
+    dt: float                 # the step of the reported run
+    steps: int                # steps taken: N of the self-check and 2N reported
     n_modes: int
     a: np.ndarray             # sine coefficients of u at t_final
     b: np.ndarray             # sine coefficients of u_tau at t_final
     energy_drift: float
+    error_bar: float          # relative L2 distance of the N- and 2N-step fields
 
 
 def initial_state(u, n_modes):
@@ -61,61 +66,34 @@ def initial_state(u, n_modes):
     return a, np.zeros(n_modes)
 
 
-# Up to this many modes the node Laplacian is one product with a dense N x N
-# matrix; above it, it is a pair of scipy.fft.dst calls.  Timed on a 2-core
-# x86 host with OpenBLAS (best of 7), the product takes 2-6.5 us at
-# N = 63..199 against 33-72 us for the pair, and 11-41 us at N = 249..449
-# against 28-125 us.  From N = 479 on, the pair wins wherever N+1 is 5-smooth
-# or a power of two (47 against 49 us at 479, 32 against 66 at 499, 49
-# against 74 at 511), though not where N+1 is prime (138 against 67 us at
-# 508).
+# Up to this many modes the sine transforms are products with a dense N x N
+# matrix, above it scipy.fft.dst calls.  On a 2-core x86 host with OpenBLAS
+# a pair of products takes 3-80 us at N = 64..448 against 19-178 us for a
+# pair of transforms (which win at N = 383, 384), and from N = 480 on the
+# transforms win (64 against 121 us at 480); from N = 767 on OpenBLAS runs
+# the product on two threads.  More than MAX_MODES are refused: a step takes
+# 2.4 ms at 2^14 modes and 55 ms at 2^16, where records need 4 lx.
 DENSE_MAX_MODES = 448
+MAX_MODES = 2**14
 
 
-def _to_nodes(a):
-    """Sine coefficients -> values at the interior nodes x_k = pi k/(N+1)."""
-    return sfft.dst(a, type=1, axis=0) / 2.0
+def _transforms(n_modes):
+    """(to_nodes, to_modes), writing S a and (1/j) P v into their out array.
 
-
-def _to_modes(v):
-    """Node values -> sine coefficients; the inverse of _to_nodes."""
-    return sfft.dst(v, type=1, axis=0) / (v.shape[0] + 1)
-
-
-def _kick(n_modes, f, dt):
-    """Node-space kick p -> dt^2 (u_xx - f(u)) at the nodes, written to out.
-
-    dt^2 is folded into the sine Laplacian diag(-j^2) conjugated to the nodes
-    and into the Horner coefficients of f.  Up to DENSE_MAX_MODES the
-    Laplacian is one matrix D, built from two sine transforms of the identity:
-    a threaded BLAS matrix product here would leave its idle threads spinning
-    through the short loop that follows.
+    S[k, j] = sin(pi k j/(N+1)) maps sine coefficients to the node values and
+    P = 2/(N+1) S inverts it.  The dense S is gathered from sin(pi m/(N+1))
+    at m = k j mod 2(N+1), so each entry is rounded once.
     """
-    lap = -((dt * np.arange(1, n_modes + 1)) ** 2)
-    # f(0) = 0, so f(p) = p (c_1 + p (c_2 + ... + p c_d)) by Horner
-    coeffs = np.trim_zeros(np.asarray(f.poly[1:], dtype=float), "b")
-    top, *rest = dt * dt * coeffs[::-1]
+    j = np.arange(1, n_modes + 1)
     if n_modes <= DENSE_MAX_MODES:
-        D = _to_nodes(lap[:, None] * _to_modes(np.eye(n_modes)))
-
-        def laplacian(p, out):
-            np.dot(D, p, out=out)
-    else:
-        def laplacian(p, out):
-            out[:] = _to_nodes(lap * _to_modes(p))
-
-    fv = np.empty(n_modes)
-
-    def kick(p, out):
-        laplacian(p, out)
-        np.multiply(p, top, out=fv)
-        for c in rest:              # a zero coefficient adds nothing
-            if c:
-                np.add(fv, c, out=fv)
-            np.multiply(fv, p, out=fv)
-        out -= fv
-
-    return kick
+        period = 2 * n_modes + 2
+        S = np.sin(np.arange(period) * (np.pi / (n_modes + 1)))[np.outer(j, j) % period]
+        P = S * (2.0 / ((n_modes + 1) * j))[:, None]
+        return (lambda a, out: np.dot(S, a, out=out),
+                lambda v, out: np.dot(P, v, out=out))
+    scale = 1.0 / ((n_modes + 1) * j)
+    return (lambda a, out: np.multiply(sfft.dst(a, type=1), 0.5, out=out),
+            lambda v, out: np.multiply(sfft.dst(v, type=1), scale, out=out))
 
 
 def _energy(a, b, f):
@@ -127,21 +105,16 @@ def _energy(a, b, f):
 def time_grid(u, omega, t_final, config=None):
     """Mode count, step count and step (n_modes, steps, dt) up to t_final.
 
-    The step is tuned so the final time is hit exactly; stability of the
-    explicit scheme requires dt * j_max < 2, and a step that breaks it raises.
+    The step is tuned so the final time is hit exactly.  This is the grid of
+    the self-check; the reported run takes 2 steps of dt/2 for each.
     """
     config = config or EvolutionConfig()
     n_modes = max(config.min_modes, config.mode_factor * u.lx)
-    period = 2.0 * np.pi / omega
-    dt0 = period / config.steps_per_period
-    steps = max(1, round(t_final / dt0))
-    dt = t_final / steps
-    if dt * n_modes >= 2.0:
-        raise ResowaveError(
-            f"unstable step: dt*jmax = {dt * n_modes:.3f} (need < 2); "
-            "raise steps_per_period"
-        )
-    return n_modes, steps, dt
+    if n_modes > MAX_MODES:
+        raise ConfigError(f"'min_modes' and 'mode_factor' give {n_modes} modes, "
+                          f"above {MAX_MODES}")
+    steps = max(1, round(t_final * omega * config.steps_per_period / (2.0 * np.pi)))
+    return n_modes, steps, t_final / steps
 
 
 def probe_time(omega, n):
@@ -170,51 +143,72 @@ def _probe_steps(steps, probes):
     return sorted(interior - {0} | {steps})
 
 
-def integrate(u, omega, f, t_final, config=None):
-    """Velocity Verlet from the t = 0 slice of u up to physical time t_final,
-    with the mode count and step that time_grid gives.
+def _impulse(a0, f, dt, steps, probe_at, transforms):
+    """The states (a, b) after the steps in the set probe_at, the last step
+    included, of the impulse method from (a0, 0) with step dt.
 
-    The steps run in node space as kick-drift-kick Stormer-Verlet with the
-    half kicks merged, the same map as velocity Verlet: the state is the node
-    values p = S a and the scaled half-step velocity s = dt S b, and a step
-    is p += s, h = kick(p), s += h.  At an energy probe and at the last step
-    the kick is split in two and the whole-step state (a, b) is read between
-    the halves.
+    The state is z = a + i b/j, which the linear flow turns by exp(-i j dt).
+    The two half kicks between rotations are one kick b -= dt P f(S a),
+    split in two at a probe to read the state between the halves.
+    """
+    to_nodes, to_modes = transforms
+    j = np.arange(1, a0.size + 1)
+    turn = np.exp(-1j * dt * j)
+    # f(0) = 0, so f(p) = p (c_1 + p (c_2 + ... + p c_d)) by Horner, with dt
+    # folded into the coefficients
+    coeffs = np.trim_zeros(np.asarray(f.poly[1:], dtype=float), "b")
+    top, *rest = dt * coeffs[::-1]
+    z = a0.astype(complex)
+    zr, zi = z.real, z.imag
+    p, fv, g = np.empty(a0.size), np.empty(a0.size), np.empty(a0.size)
+
+    def kick():
+        to_nodes(zr, p)
+        np.multiply(p, top, out=fv)
+        for c in rest:              # a zero coefficient adds nothing
+            if c:
+                np.add(fv, c, out=fv)
+            np.multiply(fv, p, out=fv)
+        to_modes(fv, g)
+
+    states = []
+    kick()
+    g *= 0.5
+    zi -= g
+    for k in range(1, steps + 1):
+        z *= turn
+        kick()
+        if k in probe_at:
+            g *= 0.5
+            zi -= g
+            states.append((zr.copy(), j * zi))
+        zi -= g
+    return states
+
+
+def integrate(u, omega, f, t_final, config=None):
+    """The impulse method from the t = 0 slice of u up to physical time
+    t_final, on the grid of time_grid and on one twice as fine.
+
+    The fine run's state and energy drift are reported, and the relative L2
+    distance of the two position fields is the error bar.
     """
     config = config or EvolutionConfig()
     n_modes, steps, dt = time_grid(u, omega, t_final, config)
-    kick = _kick(n_modes, f, dt)
-    a, b = initial_state(u, n_modes)
-    energies = [_energy(a, b, f)]
-    p = _to_nodes(a)
-    h = np.empty(n_modes)
-    kick(p, h)
-    s = 0.5 * h
-    done = 0
-    for stop in _probe_steps(steps, config.energy_probes):
-        for _ in range(stop - done - 1):
-            p += s
-            kick(p, h)
-            s += h
-        p += s
-        kick(p, h)
-        h *= 0.5
-        s += h
-        a, b = _to_modes(p), _to_modes(s) / dt
-        energies.append(_energy(a, b, f))
-        s += h
-        done = stop
-    energies = np.asarray(energies)
+    transforms = _transforms(n_modes)
+    a0, b0 = initial_state(u, n_modes)
+    check = _impulse(a0, f, dt, steps, {steps}, transforms)[-1][0]
+    probe_at = set(_probe_steps(2 * steps, config.energy_probes))
+    states = _impulse(a0, f, 0.5 * dt, 2 * steps, probe_at, transforms)
+    energies = np.array([_energy(a0, b0, f)] + [_energy(a, b, f) for a, b in states])
     scale = max(float(np.max(np.abs(energies))), 1e-30)
     drift = float((energies.max() - energies.min()) / scale)
+    a, b = states[-1]
+    den = np.linalg.norm(a0)
+    bar = float(np.linalg.norm(a - check) / den) if den else 0.0
     return EvolutionResult(
-        t_final=float(t_final),
-        dt=float(dt),
-        steps=int(steps),
-        n_modes=int(n_modes),
-        a=a,
-        b=b,
-        energy_drift=drift,
+        t_final=float(t_final), dt=float(0.5 * dt), steps=3 * steps,
+        n_modes=n_modes, a=a, b=b, energy_drift=drift, error_bar=bar,
     )
 
 
@@ -225,7 +219,7 @@ def _state_distance(a, a0):
     sit at cosine peaks, so position errors cancel to second order in the
     per-mode phase error while velocity errors stay first order.  Position
     distance is the honest reading of "the solution returns"; integration
-    quality is certified separately by the energy drift.
+    quality is certified separately by the energy drift and the error bar.
     """
     den = np.sum(a0**2)
     if den == 0.0:
@@ -235,9 +229,7 @@ def _state_distance(a, a0):
 
 def return_error(u, omega, f, periods=1, config=None):
     """Relative L2 distance to the initial field after full periods."""
-    config = config or EvolutionConfig()
-    period = 2.0 * np.pi / omega
-    res = integrate(u, omega, f, periods * period, config)
+    res = integrate(u, omega, f, periods * 2.0 * np.pi / omega, config)
     a0, _ = initial_state(u, res.n_modes)
     return _state_distance(res.a, a0), res
 
@@ -249,7 +241,6 @@ def nonreturn_probe(u, omega, f, n, config=None):
     period, so the distance should be large; the ratio against the true
     return error is the contrast of the time-domain test.
     """
-    config = config or EvolutionConfig()
     res = integrate(u, omega, f, probe_time(omega, n), config)
     a0, _ = initial_state(u, res.n_modes)
     return _state_distance(res.a, a0), res

@@ -46,7 +46,6 @@ __all__ = [
     "initial_guess",
     "refine",
     "galerkin_residual",
-    "energy_certificate",
     "temporal_support_index",
     "involution_partner",
     "build_solution",
@@ -494,12 +493,6 @@ def _certify(U, ctx, frame):
 def galerkin_residual(v, w, ctx, f):
     """Weighted l2 norm of the equation residual on the solve truncation."""
     return _certify(kernel.embed(v) + w, ctx, _Frame(1, 1, f))[0]
-
-
-def energy_certificate(v, w, ctx, f):
-    """Energy at t = 0 and the relative drift across nine probes of the period 2 pi."""
-    _, _, energies, drift = _certify(kernel.embed(v) + w, ctx, _Frame(1, 1, f))
-    return float(energies[0]), drift
 
 
 def temporal_support_index(v, w):

@@ -226,11 +226,9 @@ _RECORD_DOC = {
     ("solve", {"lmax": 8, "n": 3, "dim": 3}),
     ("evolve", {"steps_per_period": 0}),
     ("evolve", {"min_modes": -3}),
-    ("evolve", {"steps_per_period": 1}),
-    ("evolve", {"steps_per_period": 64}),
-    ("evolve", {"min_modes": 2000}),
-    # stable at the return time, unstable at the half-period probe time
-    ("evolve", {"steps_per_period": 101}),
+    # more modes than evolve.MAX_MODES are refused before any allocation
+    ("evolve", {"min_modes": 10**12}),
+    ("evolve", {"mode_factor": 10**6}),
     # --periods is a flag, not a config key
     ("evolve", {"periods": 0}),
     ("evolve", {"periods": -1}),
@@ -291,12 +289,45 @@ def test_branch_refuses_level_truncations(tmp_path, capsys, override):
 
 
 def test_evolve_step_checked_only_at_the_times_it_integrates(tmp_path, capsys):
-    # 101 steps per period are stable over a full period; only the probe at
-    # half the period rounds to a step that is not
+    # the step is checked by the N- and 2N-step self-check of the return,
+    # the one time integrated here; an odd step count is no special case
     record = write_json(tmp_path / "rec.json", _RECORD_DOC)
     cfg = write_json(tmp_path / "ev.json", {"steps_per_period": 101})
     assert cli.main(["evolve", "--record", record, "--coeffs", "3=1", "--config", cfg]) != 2
     assert "return_error" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("override", [
+    {"steps_per_period": 1},
+    {"steps_per_period": 64},
+    {"steps_per_period": 101},
+    {"min_modes": 2000},
+], ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
+def test_evolve_has_no_step_bound(tmp_path, capsys, override):
+    # the linear flow is exact, so no step or mode count is unstable: these
+    # configs were refused by the CFL bound of the explicit scheme before.
+    # 2000 modes run on the sine-FFT path, with nothing of size N^2
+    record = write_json(tmp_path / "rec.json", _RECORD_DOC)
+    cfg = write_json(tmp_path / "ev.json", override)
+    argv = ["evolve", "--record", record, "--coeffs", "3=1",
+            "--probe-minimal-period", "--config", cfg]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert "return_error" in captured.out and "off_period_distance" in captured.out
+    assert captured.err == ""
+
+
+def test_evolve_too_coarse_for_the_record_exits_two(tmp_path, capsys):
+    # at amplitude 0.1 and 4 steps per period the N- and 2N-step returns
+    # differ by more than a tenth of the return bar: the oracle cannot decide
+    record = write_json(tmp_path / "rec.json", dict(_RECORD_DOC, xi=[0.1]))
+    argv = ["evolve", "--record", record, "--coeffs", "3=1", "--config"]
+    coarse = write_json(tmp_path / "coarse.json", {"steps_per_period": 4})
+    assert cli.main([*argv, coarse]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'steps_per_period' = 4" in err
+    assert cli.main([*argv, write_json(tmp_path / "ev.json", {})]) == 0
+    assert "error_bar" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("override", [

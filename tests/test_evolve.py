@@ -35,35 +35,33 @@ BOTH_BRANCHES = pytest.mark.parametrize(
 
 @BOTH_BRANCHES
 def test_kick_matches_sine_transform_formula(n_modes):
-    # one size on each side of the dense-matrix bound: the kick of the node
-    # values p is dt^2 S times the DST-I acceleration of a = S^-1 p.  A node
-    # Laplacian rounds at about eps N^2 max|p| however it is applied, so the
-    # error is measured against dt^2 N^2 max|p|, the size of its largest term
+    # one size on each side of the dense-matrix bound: the kick on b/j is
+    # (1/j) P f(S a), the nonlinear part of the DST-I acceleration over -j
     f = nonlinearity.classify({2: 0.5, 3: 1.0, 5: -0.3})
     rng = np.random.default_rng(n_modes)
     j = np.arange(1, n_modes + 1)
-    p = sfft.dst(rng.standard_normal(n_modes) / j**2, type=1) / 2.0
-    dt = 1e-3
-    a = sfft.dst(p, type=1) / (n_modes + 1)
-    want = dt**2 * sfft.dst(_sine_galerkin_acceleration(a, f), type=1) / 2.0
-    h = np.empty(n_modes)
-    evolve._kick(n_modes, f, dt)(p, h)
-    scale = dt**2 * n_modes**2 * np.max(np.abs(p))
-    assert np.max(np.abs(h - want)) <= 1e-13 * scale
+    a = rng.standard_normal(n_modes) / j**2
+    want = -(_sine_galerkin_acceleration(a, f) + j**2 * a) / j
+    to_nodes, to_modes = evolve._transforms(n_modes)
+    p, g = np.empty(n_modes), np.empty(n_modes)
+    to_nodes(a, p)
+    assert np.max(np.abs(p - sfft.dst(a, type=1) / 2.0)) <= 1e-13 * np.max(np.abs(p))
+    to_modes(sum(c * p**k for k, c in enumerate(f.poly)), g)
+    assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def _mode_space_verlet(a, f, dt, steps, probes):
-    """The mode-space velocity Verlet loop that integrate replaced, kept as
-    the reference for the node-space one: (a, b, energy drift) at the end."""
+def _mode_space_impulse(a, f, dt, steps, probes):
+    """The impulse method written out in sine modes, half kicks unmerged, as
+    the reference for integrate's loop: (a, b, energy drift) at the end."""
+    j = np.arange(1, a.size + 1)
+    cos, sin = np.cos(j * dt), np.sin(j * dt)
     b = np.zeros_like(a)
-    g = _sine_galerkin_acceleration(a, f)
     probe_at = set(evolve._probe_steps(steps, probes))
     energies = [evolve._energy(a, b, f)]
     for k in range(steps):
-        a = a + dt * b + 0.5 * dt * dt * g
-        g_new = _sine_galerkin_acceleration(a, f)
-        b = b + 0.5 * dt * (g + g_new)
-        g = g_new
+        b = b + 0.5 * dt * (_sine_galerkin_acceleration(a, f) + j**2 * a)
+        a, b = cos * a + sin * b / j, cos * b - j * sin * a
+        b = b + 0.5 * dt * (_sine_galerkin_acceleration(a, f) + j**2 * a)
         if k + 1 in probe_at:
             energies.append(evolve._energy(a, b, f))
     energies = np.asarray(energies)
@@ -71,30 +69,37 @@ def _mode_space_verlet(a, f, dt, steps, probes):
 
 
 @BOTH_BRANCHES
-def test_node_space_loop_matches_mode_space_verlet(n_modes):
-    # 200 steps at dt * jmax near 1.4 with every mode excited, so the energy
-    # drift is large enough to compare to rounding
+def test_loop_matches_mode_space_impulse(n_modes):
+    # 100 coarse and 200 fine steps at dt * jmax near 44 and 22, far past the
+    # CFL bound of an explicit scheme, with every mode excited.  The drift and
+    # the error bar are relative to the energy and the field, so they are
+    # compared to 1e-12 of those
     f = nonlinearity.classify({2: 0.5, 3: 1.0, 5: -0.3})
     rng = np.random.default_rng(n_modes)
     j = np.arange(1, n_modes + 1)
-    u = fields.SpectralField(0.1 * rng.standard_normal((1, n_modes)) / j)
+    u = fields.SpectralField(0.3 * rng.standard_normal((1, n_modes)) / j)
     cfg = evolve.EvolutionConfig(
-        steps_per_period=2048, mode_factor=1, min_modes=0
+        steps_per_period=64, mode_factor=1, min_modes=0
     )
-    res = evolve.integrate(u, 1.0, f, 200 * 2.0 * np.pi / 2048, cfg)
-    assert (res.steps, res.n_modes) == (200, n_modes)
+    res = evolve.integrate(u, 1.0, f, 100 * 2.0 * np.pi / 64, cfg)
+    assert (res.steps, res.n_modes) == (300, n_modes)
     a0, _ = evolve.initial_state(u, n_modes)
-    a, b, drift = _mode_space_verlet(
-        a0, f, res.dt, res.steps, cfg.energy_probes
+    a, b, drift = _mode_space_impulse(
+        a0, f, res.dt, 200, cfg.energy_probes
     )
+    check, _, _ = _mode_space_impulse(a0, f, 2.0 * res.dt, 100, 2)
+    bar = np.linalg.norm(a - check) / np.linalg.norm(a0)
     assert np.max(np.abs(res.a - a)) <= 1e-12 * np.max(np.abs(a))
     assert np.max(np.abs(res.b - b)) <= 1e-12 * np.max(np.abs(b))
-    assert abs(res.energy_drift - drift) <= 1e-12 * drift
+    assert abs(res.energy_drift - drift) <= 1e-12
+    assert abs(res.error_bar - bar) <= 1e-12
+    assert drift > 1e-6 and bar > 1e-5
 
 
 def test_linear_single_mode_reproduces_cosine():
     # with f = 0 unavailable, use a tiny amplitude so the linear part dominates:
-    # u(t, x) ~ c cos(j t) sin(j x) evolves exactly at frequency j
+    # u(t, x) ~ c cos(j t) sin(j x) evolves exactly at frequency j, and the
+    # rotation is exact, so what is left is the c^3 t nonlinearity
     f = nonlinearity.classify({3: 1.0})
     c = 1e-5
     coeffs = np.zeros((3, 2))
@@ -104,14 +109,13 @@ def test_linear_single_mode_reproduces_cosine():
     res = evolve.integrate(u, 1.0, f, t_final)
     expect = np.zeros(res.n_modes)
     expect[1] = c * np.cos(2.0 * t_final)
-    # the Verlet phase error c * 2 t (dt j)^2 / 24 is about 6e-12 here
     assert np.max(np.abs(res.a - expect)) < 2e-11
     assert res.energy_drift < 1e-5
 
 
 def test_self_convergence_order_two_at_generic_time():
     # coarse-vs-fine state differences at a generic (non-return) time scale
-    # like dt^2 for velocity Verlet, so successive halvings give ratio 4
+    # like dt^2 for the Strang splitting, so successive halvings give ratio 4
     f = nonlinearity.classify({3: 1.0})
     ctx = frequency.make_context(frequency.omega_for_eps(1e-3), L=24)
     br = search.solve_branch(ctx, f, n_max=1, dim=3, seed=0, restarts=3)
@@ -134,6 +138,7 @@ def test_catalogued_solution_returns():
     err, res = evolve.return_error(u, ctx.omega, f)
     assert err < 1e-6
     assert res.energy_drift < 1e-5
+    assert res.error_bar < 0.1 * 1e-6
     off, _ = evolve.nonreturn_probe(u, ctx.omega, f, br.records[0].n)
     assert off > 1e-3
     assert off / max(err, 1e-30) > 1e3
@@ -153,14 +158,31 @@ def test_energy_probes_see_a_level_four_oscillation():
     assert res.energy_drift >= 0.5 * ref.energy_drift
 
 
-def test_stability_guard_raises():
+def test_resonance_guard_flags_a_step_at_pi():
+    # one excited mode j = 4 and 8 steps per period, so the self-check's
+    # coarse step has j dt = pi: the impulse method is ten times less
+    # accurate there than at 7 or 9 steps, and the error bar shows it
+    # above a tenth of the return bar, which the neighbours stay below
     f = nonlinearity.classify({3: 1.0})
-    coeffs = np.zeros((2, 1))
-    coeffs[1, 0] = 0.1
+    coeffs = np.zeros((1, 4))
+    coeffs[0, 3] = 0.02
     u = fields.SpectralField(coeffs)
-    cfg = evolve.EvolutionConfig(steps_per_period=4, min_modes=64)
-    with pytest.raises(ResowaveError, match="unstable"):
-        evolve.integrate(u, 1.0, f, 10.0, cfg)
+    t_final = 1.37 * 2.0 * np.pi
+
+    def run(spp):
+        return evolve.integrate(
+            u, 1.0, f, t_final, evolve.EvolutionConfig(steps_per_period=spp)
+        )
+
+    res = run(8)
+    assert 4 * res.dt * 2 == pytest.approx(np.pi, rel=0.01)
+    a0, _ = evolve.initial_state(u, res.n_modes)
+    err = np.linalg.norm(res.a - run(1024).a) / np.linalg.norm(a0)
+    assert res.error_bar >= err
+    assert res.error_bar > 1e-5
+    for spp in (7, 9):
+        bar = run(spp).error_bar
+        assert bar < 1e-5 and 10.0 * bar < res.error_bar
 
 
 def test_step_is_retuned_to_hit_final_time():
@@ -169,7 +191,8 @@ def test_step_is_retuned_to_hit_final_time():
     coeffs[1, 0] = 1e-4
     u = fields.SpectralField(coeffs)
     res = evolve.integrate(u, 1.0, f, 1.0)
-    assert res.steps * res.dt == res.t_final
+    # the reported run takes two thirds of the steps, the self-check the rest
+    assert (2 * res.steps // 3) * res.dt == res.t_final
     assert res.t_final == 1.0
 
 

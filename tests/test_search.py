@@ -230,8 +230,8 @@ def test_build_solution_certificates_and_level():
     assert record.residual < 1e-12
     assert abs(record.phi - level) < 0.01 * level
     assert record.sup > 0.0
-    energy, drift = search.energy_certificate(v, w, ctx, F3)
-    assert record.energy == energy
+    _, _, energies, drift = certify_full(v, w, ctx, F3)
+    assert record.energy == energies[0]
     assert drift < 1e-12
 
 
@@ -448,7 +448,7 @@ def test_frame_solve_matches_full_lattice_solve(level_guesses, name, n):
         "xi": v_ref.xi,
         "w_coeffs": w_ref.coeffs,
         "h1": v_ref.h1(),
-        "energy": search.energy_certificate(v_ref, w_ref, C6_CTX, f)[0],
+        "energy": certify_full(v_ref, w_ref, C6_CTX, f)[2][0],
         "phi": reduced.phi(v_ref, C6_CTX, f, w=w_ref),
     }
     for key, want in reference.items():
