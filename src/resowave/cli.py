@@ -173,7 +173,8 @@ def _write_text(path, text):
 
 
 def _record_json(record):
-    return json.dumps(record.as_document(), indent=2) + "\n"
+    # one line: without indent json runs its C encoder, several times faster
+    return json.dumps(record.as_document()) + "\n"
 
 
 def _load_record(path):

@@ -38,12 +38,16 @@ __all__ = [
 ]
 
 
+# the energies the drift compares: the start, ENERGY_PROBES - 2 interior
+# steps of the reported run (_probe_steps) and its last step
+ENERGY_PROBES = 9
+
+
 @dataclass(frozen=True)
 class EvolutionConfig:
     steps_per_period: int = 64    # the self-check's N; the reported run takes 2N
     mode_factor: int = 4
     min_modes: int = 32
-    energy_probes: int = 9
 
 
 @dataclass
@@ -198,7 +202,7 @@ def integrate(u, omega, f, t_final, config=None):
     transforms = _transforms(n_modes)
     a0, b0 = initial_state(u, n_modes)
     check = _impulse(a0, f, dt, steps, {steps}, transforms)[-1][0]
-    probe_at = set(_probe_steps(2 * steps, config.energy_probes))
+    probe_at = set(_probe_steps(2 * steps, ENERGY_PROBES))
     states = _impulse(a0, f, 0.5 * dt, 2 * steps, probe_at, transforms)
     energies = np.array([_energy(a0, b0, f)] + [_energy(a, b, f) for a, b in states])
     scale = max(float(np.max(np.abs(energies))), 1e-30)

@@ -8,17 +8,21 @@ the natural basis for functions that are even and 2pi-periodic in time and
 satisfy Dirichlet conditions at x = 0, pi.  Coefficients are stored as a dense
 (Lt+1, Lx) array, row l, column j-1.
 
-Every sample of a field is taken by one node sampler, _node_values: the real
-inverse FFT on a uniform full-period grid in t, then the type-I discrete sine
-transform on the interior nodes x_k = pi k/(mx+1).  A field is a finite trig
-polynomial, so the samples are exact.  sup_norm reads its maximum off these
-samples.  Products of fields (needed for polynomial nonlinearities) leave the
-sine class -- even powers pick up cosine content in x whose sine-basis
-expansion is an infinite series -- so the products and projections extend the
-same samples oddly to a full 2pi torus in x (_torus_x_values), recover the
-exact cos/sin torus coefficients by FFT, and project them back onto the sine
-basis in closed form.  The coefficients `apply_polynomials` returns are the
-true L2 projections, with no aliasing, for any polynomial nonlinearity.
+Every sample of a field is taken on the full torus [0, 2pi) x [0, 2pi),
+where a sine series in x is its own odd extension.  _torus_values runs one
+inverse real FFT over the cosine rows in t and hands the rows to _x_values,
+one inverse real FFT of the spectrum -i nx/2 u_lj in x, which samples the
+interior, the boundary zeros and the odd half at once; integrate_x_poly
+calls _x_values on a single slice.  A field is a finite trig polynomial, so
+the samples are exact, and sup_norm reads its maximum off them.  Products of
+fields (needed for polynomial nonlinearities) leave the sine class -- even
+powers pick up cosine content in x whose sine-basis expansion is an infinite
+series -- so they are sampled on a grid of _grid(d) = next_fast_len(2d + 1)
+nodes along each axis, d the product's degree there, their exact cos/sin
+torus coefficients are read off by forward FFTs, and those are projected
+back onto the sine basis in closed form.  The coefficients
+`apply_polynomials` returns are the true L2 projections, with no aliasing,
+for any polynomial nonlinearity.
 """
 
 import functools
@@ -48,13 +52,6 @@ __all__ = [
     "multiply_poly_matrix",
     "temporal_weights",
 ]
-
-
-def _next_pow2(n):
-    p = 1
-    while p < n:
-        p *= 2
-    return p
 
 
 class SpectralField:
@@ -143,20 +140,47 @@ def temporal_weights(lt):
 # sampling
 
 
-def _node_values(u, nt, mx):
-    """Samples of u at t = 2pi i/nt, i < nt, and the interior x = pi k/(mx+1), k = 1..mx.
+def _grid(d):
+    """The torus length for trig degree d: the fast FFT length at least 2d + 1."""
+    return sfft.next_fast_len(2 * d + 1, real=True)
 
-    One inverse real FFT in t, then DST-I in x.  Exact for nt > 2 lt and
-    mx >= lx.
+
+def _x_values(rows, nx):
+    """Samples of the sine rows sum_j rows[..., j-1] sin(j x) at x = 2pi k/nx, k < nx.
+
+    sin(j x) is the imaginary part of e^{ijx}, so one inverse real FFT of the
+    spectrum -i nx/2 rows samples the odd extension over the whole torus in
+    x.  Exact for nx >= 2 lx; each row of a stack keeps the bits it has alone.
     """
-    spec = np.zeros((nt // 2 + 1, u.lx), dtype=complex)
+    spec = np.zeros(rows.shape[:-1] + (nx // 2 + 1,), dtype=complex)
+    spec[..., 1 : rows.shape[-1] + 1] = (-0.5j * nx) * rows
+    return sfft.irfft(spec, n=nx, axis=-1)
+
+
+def _torus_values(u, nt, nx):
+    """Samples of u at t = 2pi i/nt, i < nt, and x = 2pi k/nx, k < nx.
+
+    One inverse real FFT over the cosine rows in t, then _x_values.  Exact
+    for nt > 2 lt and nx >= 2 lx.
+    """
+    spec = np.zeros((nt // 2 + 1, u.lx))
     spec[0] = u.coeffs[0] * nt
     spec[1 : u.lt + 1] = u.coeffs[1:] * (nt / 2.0)
-    vals_t = sfft.irfft(spec, n=nt, axis=0)           # (nt, lx)
-    interior = np.zeros((nt, mx))
-    interior[:, : u.lx] = vals_t
-    # values(x_k) = sum_j s_j sin(pi j k/(mx+1)) = dst(s)/2
-    return sfft.dst(interior, type=1, axis=1) / 2.0
+    return _x_values(sfft.irfft(spec, n=nt, axis=0), nx)
+
+
+def _poly_at(vals, poly):
+    """poly(vals) by Horner's rule, accumulated in place in one array.
+
+    The same operations in the same order as numpy.polynomial's evaluation,
+    so the same bits, without a temporary per coefficient.
+    """
+    poly = np.asarray(poly, dtype=float)
+    out = np.full_like(vals, poly[-1])
+    for c in poly[-2::-1]:
+        out *= vals
+        out += c
+    return out
 
 
 def eval_field(u, t, x):
@@ -202,16 +226,16 @@ def inner_l2(u, v):
 
 
 def sup_norm(u):
-    """Max |u| over the node sampler's samples (a lower bound of the true sup).
+    """Max |u| over torus samples (a lower bound of the true sup).
 
-    The grid is at least twice the Nyquist rate in t and four times the
-    degree in x, with floors (nt >= 128, mx >= 127) so small fields are still
-    sampled finely; mx is odd so the midline x = pi/2 (where single-mode
-    fields peak) is always a node.
+    The grid is at least twice the Nyquist rate in t (a power of two) and
+    four times the degree in x, with floors (nt >= 128, nx >= 256) so small
+    fields are still sampled finely; nx is a multiple of 4 so the midline
+    x = pi/2 (where single-mode fields peak) is always a node.
     """
-    nt = max(_next_pow2(4 * u.lt + 1), 128)
-    mx = max(4 * u.lx + 1, 127)
-    return float(np.max(np.abs(_node_values(u, nt, mx))))
+    nt = max(1 << (4 * u.lt).bit_length(), 128)     # the power of two > 4 lt
+    nx = max(8 * u.lx + 4, 256)
+    return float(np.max(np.abs(_torus_values(u, nt, nx))))
 
 
 def norms(u, omega=1.0):
@@ -249,32 +273,14 @@ def _poly_degree(poly):
     return int(nz.max())
 
 
-def _torus_x_values(u, nt, mx):
-    """Sample u on nt x (2 mx + 2) nodes: full period in t, full torus in x.
-
-    The x nodes are pi k/(mx+1), k = 0..2mx+1: the mx interior sine nodes of
-    _node_values, the two boundary zeros, and the odd-extension mirror.  Since
-    u is a sine series in x, the extension costs nothing.
-    """
-    interior = _node_values(u, nt, mx)
-    full = np.zeros((nt, 2 * mx + 2))
-    full[:, 1 : mx + 1] = interior
-    full[:, mx + 2 :] = -interior[:, ::-1]
-    return full
-
-
 def _torus_cos_sin(u, polys, d_t, d_x):
     """Exact torus coefficients (A, B) of each poly(u), from one sample of u.
 
     poly(u) = sum_l cos(l t) [ sum_mu A[l,mu] cos(mu x) + B[l,mu] sin(mu x) ],
     rows l = 0..d_t, columns mu = 0..d_x (B[:,0] is identically zero).
     """
-    nt = _next_pow2(2 * max(d_t, u.lt, 1) + 1)
-    mx = max(d_x, u.lx, 1) + 1                # interior node count, torus 2mx+2
-    vals = _torus_x_values(u, nt, mx)
-    polyval = np.polynomial.polynomial.polyval
-    return [_cos_sin_coeffs(polyval(vals, np.asarray(p, dtype=float)), d_t, d_x)
-            for p in polys]
+    vals = _torus_values(u, _grid(max(d_t, u.lt, 1)), _grid(max(d_x, u.lx, 1)))
+    return [_cos_sin_coeffs(_poly_at(vals, p), d_t, d_x) for p in polys]
 
 
 def _cos_sin_coeffs(vals, d_t, d_x):
@@ -379,24 +385,15 @@ def integrate_poly(u, poly):
 def integrate_x_poly(a, poly):
     """Exact integral over (0, pi) of poly(g) for the sine series g = sum a_j sin(jx).
 
-    Works on a single spatial slice: sample the odd extension on a full-torus
-    grid fine enough for the composed degree (one inverse real FFT, since
-    sin(jx) is the imaginary part of e^{ijx}), read off the cos/sin
-    coefficients with the x half of the torus tail (_x_cos_sin), and
-    integrate them (_interval_integral).  The 1D sampler is kept over
-    _torus_cos_sin because its power-of-two length is faster than a DST of
-    length mx + 1, and the length-1 time transform of _cos_sin_coeffs is
-    skipped because it costs as much as the whole slice transform.
+    Works on a single spatial slice: sample the odd extension of g over the
+    torus grid of the composed degree (_x_values), read off the cos/sin
+    coefficients of poly(g) with the x half of the torus tail (_x_cos_sin),
+    and integrate them (_interval_integral).  No field is built and no time
+    transform is run.
     """
     a = np.asarray(a, dtype=float)
-    r = _poly_degree(poly)
-    deg = max(r * a.size, a.size, 1)
-    n = _next_pow2(2 * deg + 1)
-    spec = np.zeros(n // 2 + 1, dtype=complex)
-    spec[1 : a.size + 1] = (-0.5j * n) * a
-    g = sfft.irfft(spec, n=n)
-    vals = np.polynomial.polynomial.polyval(g, np.asarray(poly, dtype=float))
-    A, B = _x_cos_sin(vals, deg)
+    deg = max(_poly_degree(poly) * a.size, a.size, 1)
+    A, B = _x_cos_sin(_poly_at(_x_values(a, _grid(deg)), poly), deg)
     return _interval_integral(A[0], B)
 
 
@@ -414,12 +411,11 @@ def multiply_poly_project(u, poly, z, out_lt=None, out_lx=None):
         out_lt = d_t
     if out_lx is None:
         out_lx = d_x
-    nt = _next_pow2(2 * max(d_t, 1) + 1)
-    mx = max(d_x, out_lx, 1) + 1
-    vals_u = _torus_x_values(u, nt, mx)
-    vals = np.polynomial.polynomial.polyval(vals_u, np.asarray(poly, dtype=float))
-    vals *= _torus_x_values(z, nt, mx)
-    A, B = _cos_sin_coeffs(vals, d_t, mx)
+    d = max(d_x, out_lx, 1)
+    nt, nx = _grid(max(d_t, 1)), _grid(d)
+    vals = _poly_at(_torus_values(u, nt, nx), poly)
+    vals *= _torus_values(z, nt, nx)
+    A, B = _cos_sin_coeffs(vals, d_t, d)
     return _sine_projection(A, B, d_t, out_lt, out_lx)
 
 

@@ -132,6 +132,30 @@ class SolutionRecord:
         if missing:
             raise ResowaveError(f"missing record fields: {sorted(missing)}")
         data = dict(doc)
+        for name, least in _INT_FIELDS.items():
+            value = data[name]
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise ResowaveError(f"record field {name!r} must be an integer >= {least}, "
+                                    f"got {value!r}")
+        for name in _FLOAT_FIELDS:
+            value = data[name]
+            try:
+                finite = not isinstance(value, bool) and math.isfinite(value)
+            except (TypeError, OverflowError):     # not a number, or an int past float
+                finite = False
+            if not finite:
+                raise ResowaveError(f"record field {name!r} must be a finite number, "
+                                    f"got {value!r}")
+            data[name] = float(value)
+        lo, hi = frequency.OMEGA_RANGE
+        if not lo <= data["omega"] <= hi:
+            raise ResowaveError(f"record field 'omega' = {data['omega']} outside [{lo}, {hi}]")
+        if data["case"] not in nonlinearity.CASES:
+            raise ResowaveError(f"record field 'case' must be one of {nonlinearity.CASES}, "
+                                f"got {data['case']!r}")
+        if not isinstance(data["accepted"], bool):
+            raise ResowaveError(f"record field 'accepted' must be true or false, "
+                                f"got {data['accepted']!r}")
         for name, ndim in _ARRAY_FIELDS.items():
             try:
                 data[name] = np.asarray(data[name], dtype=float)
@@ -149,6 +173,10 @@ _DOCUMENT_FIELDS = tuple(
 )
 # the array fields and their dimensions
 _ARRAY_FIELDS = {"xi": 1, "w_coeffs": 2}
+# the integer fields and their least values, and the float fields
+_INT_FIELDS = {"version": 1, "n": 1, "q": 2}
+_FLOAT_FIELDS = ("omega", "eps", "gamma", "h1", "sup", "energy", "residual", "phi",
+                 "predicted_level")
 
 
 @dataclass

@@ -607,7 +607,24 @@ GOOD_RECORD = {
     (dict(GOOD_RECORD, w_coeffs=[[0.0, 0.0], [0.0]]), "'w_coeffs' is not a numeric array"),
     (dict(GOOD_RECORD, xi=[[0.1, 0.0]]), "'xi' must be 1-d"),
     (dict(GOOD_RECORD, w_coeffs=[0.0, 1e-5]), "'w_coeffs' must be 2-d"),
-], ids=["not-object", "xi-text", "w-text", "w-ragged", "xi-2d", "w-1d"])
+    (dict(GOOD_RECORD, omega="1.0001"), "'omega' must be a finite number"),
+    (dict(GOOD_RECORD, omega=None), "'omega' must be a finite number"),
+    (dict(GOOD_RECORD, omega=1e300), "'omega' = 1e+300 outside"),
+    (dict(GOOD_RECORD, h1=float("nan")), "'h1' must be a finite number"),
+    (dict(GOOD_RECORD, phi=True), "'phi' must be a finite number"),
+    (dict(GOOD_RECORD, energy=10**400), "'energy' must be a finite number"),
+    (dict(GOOD_RECORD, n="1"), "'n' must be an integer >= 1"),
+    (dict(GOOD_RECORD, n=-1), "'n' must be an integer >= 1"),
+    (dict(GOOD_RECORD, n=0), "'n' must be an integer >= 1"),
+    (dict(GOOD_RECORD, n=1.5), "'n' must be an integer >= 1"),
+    (dict(GOOD_RECORD, q=True), "'q' must be an integer >= 2"),
+    (dict(GOOD_RECORD, version=1.0), "'version' must be an integer >= 1"),
+    (dict(GOOD_RECORD, case="quartic"), "'case' must be one of"),
+    (dict(GOOD_RECORD, accepted="yes"), "'accepted' must be true or false"),
+], ids=["not-object", "xi-text", "w-text", "w-ragged", "xi-2d", "w-1d", "omega-text",
+        "omega-null", "omega-huge", "h1-nan", "phi-bool", "energy-huge-int", "n-text",
+        "n-negative", "n-zero", "n-fraction", "q-bool", "version-float", "case-unknown",
+        "accepted-text"])
 @pytest.mark.parametrize("command", ["export", "evolve"])
 def test_malformed_record_exits_two(tmp_path, capsys, command, doc, reason):
     path = write_json(tmp_path / "rec.json", doc)
@@ -615,6 +632,16 @@ def test_malformed_record_exits_two(tmp_path, capsys, command, doc, reason):
             "evolve": ["evolve", "--record", path, "--coeffs", "3=1"]}[command]
     assert cli.main(argv) == 2
     assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["export", "evolve"])
+def test_good_record_is_read(tmp_path, capsys, command):
+    path = write_json(tmp_path / "rec.json", GOOD_RECORD)
+    argv = {"export": ["export", "--record", path, "--format", "csv",
+                       "--out", str(tmp_path / "grid.csv")],
+            "evolve": ["evolve", "--record", path, "--coeffs", "3=1"]}[command]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_bad_flags_exit_two():

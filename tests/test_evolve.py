@@ -85,7 +85,7 @@ def test_loop_matches_mode_space_impulse(n_modes):
     assert (res.steps, res.n_modes) == (300, n_modes)
     a0, _ = evolve.initial_state(u, n_modes)
     a, b, drift = _mode_space_impulse(
-        a0, f, res.dt, 200, cfg.energy_probes
+        a0, f, res.dt, 200, evolve.ENERGY_PROBES
     )
     check, _, _ = _mode_space_impulse(a0, f, 2.0 * res.dt, 100, 2)
     bar = np.linalg.norm(a - check) / np.linalg.norm(a0)
@@ -144,7 +144,7 @@ def test_catalogued_solution_returns():
     assert off / max(err, 1e-30) > 1e3
 
 
-def test_energy_probes_see_a_level_four_oscillation():
+def test_energy_probes_see_a_level_four_oscillation(monkeypatch):
     # the energy error of a level-n return oscillates with period P/(2n);
     # evenly spaced probes at P/8 all see the same phase of it when 4 | n
     f = nonlinearity.classify({3: 1.0})
@@ -153,8 +153,8 @@ def test_energy_probes_see_a_level_four_oscillation():
     rec = search.solve_level(ctx, f, 4, maximizer)
     u = evolve.record_field(rec)
     _, res = evolve.return_error(u, rec.omega, f)
-    dense = evolve.EvolutionConfig(energy_probes=65)
-    _, ref = evolve.return_error(u, rec.omega, f, config=dense)
+    monkeypatch.setattr(evolve, "ENERGY_PROBES", 65)
+    _, ref = evolve.return_error(u, rec.omega, f)
     assert res.energy_drift >= 0.5 * ref.energy_drift
 
 

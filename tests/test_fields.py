@@ -41,17 +41,43 @@ def random_field(rng, lt, lx, scale=1.0):
 
 @pytest.mark.parametrize("lt, lx, nt, mx", [
     (0, 1, 2, 1), (0, 5, 8, 9), (3, 4, 8, 4), (5, 6, 16, 13), (7, 3, 128, 127),
+    (2, 3, 5, 3), (4, 6, 9, 7),
 ])
 def test_node_values_match_eval_field_at_their_nodes(lt, lx, nt, mx):
-    """The one node sampler is exact: irfft in t and DST-I in x hit eval_field."""
+    """The one torus sampler is exact: irfft in t and in x hit eval_field at
+    every node x = 2 pi k/nx, the mx interior nodes of (0, pi), the boundary
+    zeros and the odd half, for the odd and even lengths with mx interior
+    nodes and the 5-smooth product length _grid(mx).
+    """
     rng = np.random.default_rng(lt + 10 * lx)
-    for _ in range(3):
-        u = random_field(rng, lt, lx)
-        t = 2.0 * np.pi * np.arange(nt) / nt
-        x = np.pi * np.arange(1, mx + 1) / (mx + 1)
-        got = fields._node_values(u, nt, mx)
-        assert got.shape == (nt, mx)
-        assert np.max(np.abs(got - fields.eval_field(u, t, x))) <= 1e-13
+    t = 2.0 * np.pi * np.arange(nt) / nt
+    for nx in sorted({2 * mx + 1, 2 * mx + 2, fields._grid(mx)}):
+        x = 2.0 * np.pi * np.arange(nx) / nx
+        for _ in range(3):
+            u = random_field(rng, lt, lx)
+            got = fields._torus_values(u, nt, nx)
+            assert got.shape == (nt, nx)
+            assert np.max(np.abs(got - fields.eval_field(u, t, x))) <= 1e-13
+
+
+@pytest.mark.parametrize("nx", [7, 12, 20, 97])
+def test_x_values_of_a_stack_keep_each_rows_bits(nx):
+    # integrate_x_poly samples one slice, the torus sampler a stack of rows
+    rows = np.random.default_rng(nx).standard_normal((6, 3))
+    stacked = fields._x_values(rows, nx)
+    for row, got in zip(rows, stacked):
+        assert np.array_equal(got.view(np.int64), fields._x_values(row, nx).view(np.int64))
+
+
+@pytest.mark.parametrize("poly", [
+    [0.0, 0.0, 0.0], [1.5, 0.0, 0.0, -2.0], [0.0, 0.0, 1.0 / 3.0, -0.1, 0.25], [0.3],
+], ids=["zero", "interior-zero", "quartic", "constant"])
+def test_poly_at_has_the_bits_of_polyval(poly):
+    vals = np.random.default_rng(7).standard_normal((5, 8))
+    vals[0, :3] = [0.0, -0.0, 1.0]
+    want = np.polynomial.polynomial.polyval(vals, poly)
+    got = fields._poly_at(vals, poly)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_eval_field_matches_termwise_sum():

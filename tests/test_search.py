@@ -678,29 +678,29 @@ def test_certified_probe_energies_match_slice_energies(f):
 
 
 def test_build_solution_evaluates_f_on_the_field_once(level_guesses, monkeypatch):
-    # one node sampling for the certificates and one for sup, both of the
+    # one torus sampling for the certificates and one for sup, both of the
     # level-3 frame field (lt/3, lx/3) = (12, 12), not of the (36, 36) field;
     # no second Phi evaluation
     f, recipe, v0, level = level_guesses["u35", 3]
     v, w, rep = search.refine(v0, C6_CTX, f)
     assert (w.lt, w.lx) == (36, 36)
     samples = []
-    real = fields._node_values
+    real = fields._torus_values
 
-    def counted(u, nt, mx):
-        samples.append((u.lt, u.lx, nt, mx))
-        return real(u, nt, mx)
+    def counted(u, nt, nx):
+        samples.append((u.lt, u.lx, nt, nx))
+        return real(u, nt, nx)
 
-    monkeypatch.setattr(fields, "_node_values", counted)
+    monkeypatch.setattr(fields, "_torus_values", counted)
 
     def refused(*args, **kwargs):
         raise AssertionError("build_solution left its one evaluation")
 
     monkeypatch.setattr(reduced, "phi", refused)
     record = search.build_solution(v, w, C6_CTX, f, recipe, level, newton=rep)
-    # degree 5: the certificates sample 2*5*12 < 128 times by 5*12 + 1 = 61
-    # nodes, sup at its floors (128, 127)
-    assert record.accepted and samples == [(12, 12, 128, 61), (12, 12, 128, 127)]
+    # degree 5: the certificates sample the degree 5*12 = 60 on 125 = 5^3
+    # nodes in t and x, sup at its floors (128, 256)
+    assert record.accepted and samples == [(12, 12, 125, 125), (12, 12, 128, 256)]
 
 
 def test_refine_samples_no_field_for_its_guard(level_guesses, monkeypatch):
