@@ -62,7 +62,7 @@ from .search import (
     solve_level,
     solve_branch,
 )
-from .evolve import EvolutionConfig, EvolutionResult, integrate, return_error
+from .evolve import EvolutionResult, integrate, return_error
 from .verify import CheckReport, run_suite, suite_names
 from .errors import (
     ResowaveError,

@@ -93,15 +93,13 @@ def _validate(doc, schema, command):
 _NUM = (int, float)
 
 # range checks (predicate, description): counts are at least 1, seeds at
-# least 0, tolerances finite and strictly positive
+# least 0
 _COUNT = (lambda v: v >= 1, ">= 1")
 _NONNEGATIVE = (lambda v: v >= 0, ">= 0")
-_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 # C is the smallness constant the admissibility bound (|omega - 1| n^2)^e/gamma
 # is held to: above 1 the bound it admits is not small, and a huge C
 # overflows the level cap
 _SMALLNESS = (lambda v: 0 < v <= 1, "in (0, 1]")
-_SIDE = (lambda v: v in (-1, 1), "-1 or +1")
 
 SOLVE_SCHEMA = {
     "coeffs": ((str, list, dict), True, None, None),
@@ -109,15 +107,13 @@ SOLVE_SCHEMA = {
     "eps": (_NUM, False, None, None),
     "n": (int, False, None, _COUNT),
     "n_max": (int, False, None, _COUNT),
-    "side": (int, False, None, _SIDE),
     "lmax": (int, False, 48, _COUNT),
     "lt": (int, False, None, _COUNT),
     "lx": (int, False, None, _COUNT),
     "dim": (int, False, 8, _COUNT),
     "restarts": (int, False, 16, _COUNT),
     "seed": (int, False, 0, _NONNEGATIVE),
-    "C": (_NUM, False, 0.05, _SMALLNESS),
-    "residual_tol": (_NUM, False, 1e-8, _POSITIVE),
+    "C": (_NUM, False, frequency.DEFAULT_C, _SMALLNESS),
     "force": (bool, False, False, None),
     "output": (str, False, None, None),
 }
@@ -127,19 +123,16 @@ SCAN_SCHEMA = {
     "omega_range": (list, True, None, None),
     "lmax": (int, False, 32, _COUNT),
     "n_max": (int, False, 6, _COUNT),
-    "C": (_NUM, False, 0.05, _SMALLNESS),
+    "C": (_NUM, False, frequency.DEFAULT_C, _SMALLNESS),
     "solve": (bool, False, False, None),
     "dim": (int, False, 4, _COUNT),
     "restarts": (int, False, 4, _COUNT),
     "seed": (int, False, 0, _NONNEGATIVE),
-    "residual_tol": (_NUM, False, 1e-8, _POSITIVE),
     "output": (str, False, None, None),
 }
 
-# the integrator's own defaults, so that they are written down once
 EVOLVE_SCHEMA = {
-    key: (int, False, getattr(evolve.EvolutionConfig, key), _COUNT)
-    for key in ("steps_per_period", "mode_factor", "min_modes")
+    "steps_per_period": (int, False, evolve.STEPS_PER_PERIOD, _COUNT),
 }
 
 
@@ -270,18 +263,14 @@ def cmd_solve(args):
             print(f"n = {n}: not admissible ({_refusal(report)})")
             return 1
         maximizer = search.LevelMaximizer(cfg["dim"], cfg["seed"], cfg["restarts"])
-        record = search.solve_level(
-            ctx, f, n, maximizer, side=cfg["side"],
-            residual_tol=cfg["residual_tol"], lt=cfg["lt"], lx=cfg["lx"],
-        )
+        record = search.solve_level(ctx, f, n, maximizer, lt=cfg["lt"], lx=cfg["lx"])
         print(_summary_line(record))
         _write_text(cfg["output"], _record_json(record))
         return 0 if record.accepted else 1
 
     result = search.solve_branch(
-        ctx, f, n_max=cfg["n_max"], C=cfg["C"], side=cfg["side"],
-        dim=cfg["dim"], seed=cfg["seed"], restarts=cfg["restarts"],
-        residual_tol=cfg["residual_tol"], force_n_min=1 if cfg["force"] else None,
+        ctx, f, n_max=cfg["n_max"], C=cfg["C"], dim=cfg["dim"], seed=cfg["seed"],
+        restarts=cfg["restarts"], force_n_min=1 if cfg["force"] else None,
     )
     for record in result.records:
         print(_summary_line(record))
@@ -323,7 +312,8 @@ def cmd_scan(args):
         ["omega", "eps", "gamma", "n_admissible", "n", "status", "h1", "energy"]
     )
     # one maximizer for the whole scan: G does not depend on omega, and
-    # outside the quadratic-form cases not on n either
+    # outside the quadratic-form cases not on n either; it keeps one
+    # maximum per side of omega = 1
     maximizer = search.LevelMaximizer(cfg["dim"], cfg["seed"], cfg["restarts"])
     for row in rows:
         ctx = row["ctx"]
@@ -332,9 +322,7 @@ def cmd_scan(args):
             status, h1_txt, en_txt = "admissible", "", ""
             if cfg["solve"]:
                 try:
-                    record = search.solve_level(
-                        ctx, f, n, maximizer, residual_tol=cfg["residual_tol"]
-                    )
+                    record = search.solve_level(ctx, f, n, maximizer)
                     status = "accepted" if record.accepted else "rejected"
                     h1_txt, en_txt = _fmt(record.h1), _fmt(record.energy)
                 except ResowaveError:
@@ -371,17 +359,16 @@ def cmd_evolve(args):
     record = _load_record(args.record)
     f = _parse_coeffs(args.coeffs)
     doc = _load_config(args.config) if args.config is not None else {}
-    overrides = _validate(doc, EVOLVE_SCHEMA, "evolve")
-    config = evolve.EvolutionConfig(**overrides)
+    steps = _validate(doc, EVOLVE_SCHEMA, "evolve")["steps_per_period"]
     u = evolve.record_field(record)
     err, res = evolve.return_error(
-        u, record.omega, f, periods=args.periods, config=config
+        u, record.omega, f, periods=args.periods, steps_per_period=steps
     )
     bar = 1e-4 * args.periods
     # an oracle whose own error is not well below the bar decides nothing
     if not res.error_bar <= 0.1 * bar:
         raise ConfigError(
-            f"'steps_per_period' = {config.steps_per_period} is too coarse for "
+            f"'steps_per_period' = {steps} is too coarse for "
             f"this record: the N- and 2N-step returns differ by "
             f"{_fmt(res.error_bar)}, above a tenth of the bar {_fmt(bar)}"
         )
@@ -391,7 +378,8 @@ def cmd_evolve(args):
     print(f"return_error = {_fmt(err)}  bar = {_fmt(bar)}  "
           f"error_bar = {_fmt(res.error_bar)}")
     if args.probe_minimal_period:
-        off, _ = evolve.nonreturn_probe(u, record.omega, f, record.n, config=config)
+        off, _ = evolve.nonreturn_probe(u, record.omega, f, record.n,
+                                        steps_per_period=steps)
         print(f"off_period_distance = {_fmt(off)}")
     return 0 if err <= bar else 1
 
@@ -479,7 +467,7 @@ def _build_parser():
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--lmax", type=int, required=True)
     p.add_argument("--coeffs", default=None)
-    p.add_argument("--constant", type=float, default=0.05,
+    p.add_argument("--constant", type=float, default=frequency.DEFAULT_C,
                    help="smallness constant C for admissibility, in (0, 1]")
     p.set_defaults(func=cmd_freq)
 

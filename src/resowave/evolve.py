@@ -27,7 +27,6 @@ from . import fields, kernel
 from .errors import ConfigError, ResowaveError
 
 __all__ = [
-    "EvolutionConfig",
     "EvolutionResult",
     "initial_state",
     "time_grid",
@@ -41,13 +40,12 @@ __all__ = [
 # the energies the drift compares: the start, ENERGY_PROBES - 2 interior
 # steps of the reported run (_probe_steps) and its last step
 ENERGY_PROBES = 9
-
-
-@dataclass(frozen=True)
-class EvolutionConfig:
-    steps_per_period: int = 64    # the self-check's N; the reported run takes 2N
-    mode_factor: int = 4
-    min_modes: int = 32
+# the self-check's N; the reported run takes 2N
+STEPS_PER_PERIOD = 64
+# the integrator keeps MODE_FACTOR sine modes per column of the record, and
+# at least MIN_MODES
+MODE_FACTOR = 4
+MIN_MODES = 32
 
 
 @dataclass
@@ -76,7 +74,7 @@ def initial_state(u, n_modes):
 # pair of transforms (which win at N = 383, 384), and from N = 480 on the
 # transforms win (64 against 121 us at 480); from N = 767 on OpenBLAS runs
 # the product on two threads.  More than MAX_MODES are refused: a step takes
-# 2.4 ms at 2^14 modes and 55 ms at 2^16, where records need 4 lx.
+# 2.4 ms at 2^14 modes and 55 ms at 2^16, where records need MODE_FACTOR lx.
 DENSE_MAX_MODES = 448
 MAX_MODES = 2**14
 
@@ -106,18 +104,18 @@ def _energy(a, b, f):
     return quad + fields.integrate_x_poly(a, f.primitive)
 
 
-def time_grid(u, omega, t_final, config=None):
+def time_grid(u, omega, t_final, steps_per_period=STEPS_PER_PERIOD):
     """Mode count, step count and step (n_modes, steps, dt) up to t_final.
 
     The step is tuned so the final time is hit exactly.  This is the grid of
-    the self-check; the reported run takes 2 steps of dt/2 for each.
+    the self-check; the reported run takes 2 steps of dt/2 for each.  A
+    field too wide for MAX_MODES raises ConfigError.
     """
-    config = config or EvolutionConfig()
-    n_modes = max(config.min_modes, config.mode_factor * u.lx)
+    n_modes = max(MIN_MODES, MODE_FACTOR * u.lx)
     if n_modes > MAX_MODES:
-        raise ConfigError(f"'min_modes' and 'mode_factor' give {n_modes} modes, "
-                          f"above {MAX_MODES}")
-    steps = max(1, round(t_final * omega * config.steps_per_period / (2.0 * np.pi)))
+        raise ConfigError(f"a field of {u.lx} sine columns needs {n_modes} modes, "
+                          f"above MAX_MODES = {MAX_MODES}")
+    steps = max(1, round(t_final * omega * steps_per_period / (2.0 * np.pi)))
     return n_modes, steps, t_final / steps
 
 
@@ -190,15 +188,14 @@ def _impulse(a0, f, dt, steps, probe_at, transforms):
     return states
 
 
-def integrate(u, omega, f, t_final, config=None):
+def integrate(u, omega, f, t_final, steps_per_period=STEPS_PER_PERIOD):
     """The impulse method from the t = 0 slice of u up to physical time
     t_final, on the grid of time_grid and on one twice as fine.
 
     The fine run's state and energy drift are reported, and the relative L2
     distance of the two position fields is the error bar.
     """
-    config = config or EvolutionConfig()
-    n_modes, steps, dt = time_grid(u, omega, t_final, config)
+    n_modes, steps, dt = time_grid(u, omega, t_final, steps_per_period)
     transforms = _transforms(n_modes)
     a0, b0 = initial_state(u, n_modes)
     check = _impulse(a0, f, dt, steps, {steps}, transforms)[-1][0]
@@ -231,21 +228,21 @@ def _state_distance(a, a0):
     return float(np.sqrt(np.sum((a - a0) ** 2) / den))
 
 
-def return_error(u, omega, f, periods=1, config=None):
+def return_error(u, omega, f, periods=1, steps_per_period=STEPS_PER_PERIOD):
     """Relative L2 distance to the initial field after full periods."""
-    res = integrate(u, omega, f, periods * 2.0 * np.pi / omega, config)
+    res = integrate(u, omega, f, periods * 2.0 * np.pi / omega, steps_per_period)
     a0, _ = initial_state(u, res.n_modes)
     return _state_distance(res.a, a0), res
 
 
-def nonreturn_probe(u, omega, f, n, config=None):
+def nonreturn_probe(u, omega, f, n, steps_per_period=STEPS_PER_PERIOD):
     """State distance at the deliberately wrong time 2 pi/((n+1) omega).
 
     For a level-n solution this probe time is off the lattice of its minimal
     period, so the distance should be large; the ratio against the true
     return error is the contrast of the time-domain test.
     """
-    res = integrate(u, omega, f, probe_time(omega, n), config)
+    res = integrate(u, omega, f, probe_time(omega, n), steps_per_period)
     a0, _ = initial_state(u, res.n_modes)
     return _state_distance(res.a, a0), res
 

@@ -268,6 +268,7 @@ class GRecipe:
     case: str
     q: int
     n: int
+    side: int         # +1 (omega > 1) or -1 (omega < 1)
     value: object
     grad: object
     n_invariant: bool = False
@@ -297,6 +298,7 @@ def g_recipe(f, side, n=1):
         case=f.case,
         q=f.q,
         n=n,
+        side=side,
         value=lambda y: sign * G_eval(y, f, n),
         grad=lambda y: sign * G_eval(y, f, n, grad=True),
         n_invariant=not _uses_qform(f),

@@ -39,7 +39,6 @@ __all__ = [
     "NewtonReport",
     "SolutionRecord",
     "BranchResult",
-    "default_side",
     "maximize_U",
     "LevelMaximizer",
     "branch_prediction",
@@ -62,6 +61,9 @@ GTOL = 1e-12
 _NEWTON_MAX_ITER = 40
 # the energy drift across a period that an accepted record may show
 DRIFT_TOL = 1e-9
+# the Galerkin residual an accepted record may show; GTOL holds converged
+# records near 1e-12, so this bar only refuses an unconverged field
+RESIDUAL_TOL = 1e-8
 
 
 @dataclass
@@ -164,6 +166,10 @@ class SolutionRecord:
             if data[name].ndim != ndim:
                 raise ResowaveError(f"record field {name!r} must be {ndim}-d, "
                                     f"got shape {data[name].shape}")
+        # a level-n record has its kernel entries at j = n, 2n, ... of xi
+        if data["n"] > len(data["xi"]):
+            raise ResowaveError(f"record field 'n' = {data['n']} exceeds the "
+                                f"{len(data['xi'])} entries of 'xi'")
         return cls(**data)
 
 
@@ -183,11 +189,6 @@ _FLOAT_FIELDS = ("omega", "eps", "gamma", "h1", "sup", "energy", "residual", "ph
 class BranchResult:
     records: list
     failures: list            # (n, reason) pairs for non-fatal per-n failures
-
-
-def default_side(f):
-    """The side of omega = 1 the classified case bifurcates to by default."""
-    return -1 if frequency.side_required(f) == "omega<1" else +1
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +272,11 @@ def maximize_U(recipe, dim, seed=0, restarts=16):
 class LevelMaximizer:
     """The maximizer (y*, m, diagnostics) that seeds each level of a branch.
 
-    One instance serves one f and one side.  A recipe whose G does not
-    depend on the level (n_invariant) is maximized once, at the first level
-    asked for, with seed itself, and every later level reuses that (y*, m).
+    One instance serves one f on both sides of omega = 1.  A recipe whose G
+    does not depend on the level (n_invariant) is maximized once per side,
+    at the first level asked for, with seed itself, and every later level
+    on that side reuses that (y*, m), or the refusal when G has no positive
+    value there.
     The quadratic-form recipes carry the 1/n^2 transport, so each of their
     levels is maximized anew with seed + 1000 n.  Every call returns its own
     copy of the diagnostics, because initial_guess writes into them.
@@ -283,16 +286,22 @@ class LevelMaximizer:
         self.dim = dim
         self.seed = seed
         self.restarts = restarts
-        self._shared = None
+        self._shared = {}         # side -> (y*, m, diagnostics) or the refusal
 
     def __call__(self, recipe):
-        if recipe.n_invariant and self._shared is not None:
-            y, m, diag = self._shared
+        if recipe.n_invariant and recipe.side in self._shared:
+            found = self._shared[recipe.side]
         else:
             seed = self.seed if recipe.n_invariant else self.seed + 1000 * recipe.n
-            y, m, diag = maximize_U(recipe, self.dim, seed=seed, restarts=self.restarts)
+            try:
+                found = maximize_U(recipe, self.dim, seed=seed, restarts=self.restarts)
+            except ResowaveError as exc:
+                found = exc
             if recipe.n_invariant:
-                self._shared = (y, m, diag)
+                self._shared[recipe.side] = found
+        if isinstance(found, ResowaveError):
+            raise found
+        y, m, diag = found
         return y, m, dataclasses.replace(diag)
 
 
@@ -542,13 +551,14 @@ def involution_partner(u):
 
 
 def build_solution(v, w, ctx, f, recipe, predicted_level, newton=None,
-                   residual_tol=1e-8, outside_theorem=False):
+                   outside_theorem=False):
     """Assemble the certified record for a refined critical point.
 
     Of recipe only n, q and case are read, so a record serves as well; the
     certificates and sup are read off the level's frame field.  Acceptance
-    also asks the critical level to be of the predicted size: a level a
-    thousand times below it means the refinement found the trivial solution.
+    asks a residual at most RESIDUAL_TOL, a drift at most DRIFT_TOL, and a
+    critical level of the predicted size: a level a thousand times below it
+    means the refinement found the trivial solution.
     """
     frame = _dilation_frame(f, recipe.n)
     u = (kernel.embed(v) + w).coeffs
@@ -558,7 +568,7 @@ def build_solution(v, w, ctx, f, recipe, predicted_level, newton=None,
     res, phi_val, energies, drift = _certify(U, ctx, frame)
     n_obs = temporal_support_index(v, w)
     accepted = (
-        res <= residual_tol
+        res <= RESIDUAL_TOL
         and drift <= DRIFT_TOL
         and (newton is None or newton.converged)
         and n_obs == recipe.n
@@ -610,26 +620,26 @@ def partner_record(record, f):
     )
 
 
-def solve_level(ctx, f, n, maximizer, side=None, residual_tol=1e-8, lt=None, lx=None):
+def solve_level(ctx, f, n, maximizer, lt=None, lx=None):
     """The certified record of dilation level n: steps 1-4 of the pipeline.
 
-    maximizer is the LevelMaximizer shared by every level of f and side;
-    admissibility is the caller's to check.  A level below the case's minimal
-    index is flagged outside_theorem.  residual_tol is the only tolerance a
-    caller sets: the Newton stop (GTOL) and the drift bar (DRIFT_TOL) are
-    fixed.  Raises ResowaveError (ConvergenceError when the refinement fails).
+    The side of omega = 1 is the one ctx.omega is on; maximizer is the
+    LevelMaximizer shared by every level of f.  Admissibility is the
+    caller's to check, and g_recipe refuses a side the case does not
+    bifurcate to.  A level below the case's minimal index is flagged
+    outside_theorem.  Raises ResowaveError (ConvergenceError when the
+    refinement fails).
     """
-    recipe = reduced.g_recipe(f, default_side(f) if side is None else side, n=n)
+    recipe = reduced.g_recipe(f, 1 if ctx.omega > 1.0 else -1, n=n)
     y_star, m_val, diag = maximizer(recipe)
     v0, level = initial_guess(y_star, m_val, recipe, ctx, diag)
     v, w, rep = refine(v0, ctx, f, lt=lt, lx=lx)
     return build_solution(v, w, ctx, f, recipe, level, newton=rep,
-                          residual_tol=residual_tol,
                           outside_theorem=n < frequency.minimal_n(f))
 
 
-def solve_branch(ctx, f, n_max=None, C=0.05, side=None, dim=8, seed=0,
-                 restarts=16, residual_tol=1e-8, force_n_min=None):
+def solve_branch(ctx, f, n_max=None, C=frequency.DEFAULT_C, dim=8, seed=0,
+                 restarts=16, force_n_min=None):
     """One record per admissible dilation level; deterministic under seed.
 
     Levels run from the case's minimal n (or force_n_min, flagging records
@@ -637,11 +647,11 @@ def solve_branch(ctx, f, n_max=None, C=0.05, side=None, dim=8, seed=0,
     level below the minimal n needs no admissibility check of its own: a
     nonzero cap means the minimal level passes the side and smallness
     tests, and neither gets harder as n decreases.  Each level is one
-    solve_level, with residual_tol, and the LevelMaximizer of the branch:
-    one maximization, drawn from seed, serves every level unless G carries
-    the quadratic form, whose levels are maximized one by one with
-    seed + 1000 n.  Per-level failures are collected, not fatal.  A zero
-    non-resonance margin means no admissible levels at all.
+    solve_level with the LevelMaximizer of the branch: one maximization,
+    drawn from seed, serves every level unless G carries the quadratic
+    form, whose levels are maximized one by one with seed + 1000 n.
+    Per-level failures are collected, not fatal.  A zero non-resonance
+    margin means no admissible levels at all.
     """
     if ctx.gamma <= 0.0:
         return BranchResult(records=[], failures=[])
@@ -653,8 +663,7 @@ def solve_branch(ctx, f, n_max=None, C=0.05, side=None, dim=8, seed=0,
     failures = []
     for n in range(start, n_max + 1):
         try:
-            records.append(solve_level(ctx, f, n, maximizer, side=side,
-                                       residual_tol=residual_tol))
+            records.append(solve_level(ctx, f, n, maximizer))
         except ResowaveError as exc:
             failures.append((n, str(exc)))
     return BranchResult(records=records, failures=failures)

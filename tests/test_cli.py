@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resowave import cli
+from resowave import cli, evolve, search
 
 
 def write_json(path, doc):
@@ -198,6 +198,25 @@ _RECORD_DOC = {
 }
 
 
+def _override_id(p):
+    return p if isinstance(p, str) else ",".join(f"{k}={v}" for k, v in p.items())
+
+
+def _config_argv(tmp_path, command, override):
+    """The argv of command with override in its config (a flag for --periods)."""
+    if command == "solve":
+        return ["solve", "--config", solve_config(tmp_path, **override)]
+    if command == "scan":
+        doc = {"coeffs": "3=1", "omega_range": [1.001, 1.002, 0.001],
+               "solve": True, **override}
+        return ["scan", "--config", write_json(tmp_path / "scan.json", doc)]
+    record = write_json(tmp_path / "rec.json", _RECORD_DOC)
+    config = {k: v for k, v in override.items() if k != "periods"}
+    flags = [f"--periods={override['periods']}"] if "periods" in override else []
+    return ["evolve", "--record", record, "--coeffs", "3=1", "--probe-minimal-period",
+            *flags, "--config", write_json(tmp_path / "ev.json", config)]
+
+
 @pytest.mark.parametrize("command, override", [
     ("solve", {"restarts": 0}),
     ("solve", {"dim": 0}),
@@ -206,9 +225,7 @@ _RECORD_DOC = {
     ("solve", {"gtol": 1e-12}),
     ("solve", {"n": 0}),
     ("solve", {"lmax": 0}),
-    ("solve", {"side": 0}),
     ("solve", {"C": 0}),
-    ("solve", {"residual_tol": 0.0}),
     ("solve", {"C": float("inf")}),
     ("scan", {"C": float("inf")}),
     ("solve", {"C": 1.5}),
@@ -225,31 +242,37 @@ _RECORD_DOC = {
     ("solve", {"lt": 16, "lx": 20}),
     ("solve", {"lmax": 8, "n": 3, "dim": 3}),
     ("evolve", {"steps_per_period": 0}),
-    ("evolve", {"min_modes": -3}),
-    # more modes than evolve.MAX_MODES are refused before any allocation
-    ("evolve", {"min_modes": 10**12}),
-    ("evolve", {"mode_factor": 10**6}),
     # --periods is a flag, not a config key
     ("evolve", {"periods": 0}),
     ("evolve", {"periods": -1}),
-], ids=lambda p: p if isinstance(p, str) else ",".join(f"{k}={v}" for k, v in p.items()))
+], ids=_override_id)
 def test_out_of_range_config_exits_two(tmp_path, capsys, command, override):
-    if command == "solve":
-        argv = ["solve", "--config", solve_config(tmp_path, **override)]
-    elif command == "scan":
-        doc = {"coeffs": "3=1", "omega_range": [1.001, 1.002, 0.001],
-               "solve": True, **override}
-        argv = ["scan", "--config", write_json(tmp_path / "scan.json", doc)]
-    else:
-        record = write_json(tmp_path / "rec.json", _RECORD_DOC)
-        config = {k: v for k, v in override.items() if k != "periods"}
-        flags = [f"--periods={override['periods']}"] if "periods" in override else []
-        argv = ["evolve", "--record", record, "--coeffs", "3=1", "--probe-minimal-period",
-                *flags, "--config", write_json(tmp_path / "ev.json", config)]
-    assert cli.main(argv) == 2
+    assert cli.main(_config_argv(tmp_path, command, override)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert repr(next(iter(override))) in err
+
+
+@pytest.mark.parametrize("command, override", [
+    # the side is the one omega is on, the residual bar and the integrator's
+    # mode counts are constants: any value of these keys is refused as unknown
+    ("solve", {"side": 0}),
+    ("solve", {"side": -1}),
+    ("solve", {"residual_tol": 0.0}),
+    ("solve", {"residual_tol": 1e-8}),
+    ("scan", {"residual_tol": 1e-8}),
+    ("evolve", {"min_modes": -3}),
+    ("evolve", {"min_modes": 10**12}),
+    ("evolve", {"min_modes": 32}),
+    ("evolve", {"mode_factor": 10**6}),
+    ("evolve", {"mode_factor": 4}),
+], ids=_override_id)
+def test_removed_config_key_exits_two(tmp_path, capsys, command, override):
+    assert cli.main(_config_argv(tmp_path, command, override)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: unknown {command} config keys:")
+    assert repr(next(iter(override))) in captured.err and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("coeffs", ["3=x", "1=1", "1000000000000000=1"])
@@ -297,17 +320,23 @@ def test_evolve_step_checked_only_at_the_times_it_integrates(tmp_path, capsys):
     assert "return_error" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("override", [
-    {"steps_per_period": 1},
-    {"steps_per_period": 64},
-    {"steps_per_period": 101},
-    {"min_modes": 2000},
-], ids=lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
-def test_evolve_has_no_step_bound(tmp_path, capsys, override):
+def _wide_record(columns):
+    """_RECORD_DOC with a range part of zeros that many sine columns wide."""
+    return dict(_RECORD_DOC, w_coeffs=[[0.0] * columns] * 2)
+
+
+@pytest.mark.parametrize("override, columns", [
+    ({"steps_per_period": 1}, 1),
+    ({"steps_per_period": 64}, 1),
+    ({"steps_per_period": 101}, 1),
+    ({}, 500),
+], ids=["steps_per_period=1", "steps_per_period=64", "steps_per_period=101", "columns=500"])
+def test_evolve_has_no_step_bound(tmp_path, capsys, override, columns):
     # the linear flow is exact, so no step or mode count is unstable: these
     # configs were refused by the CFL bound of the explicit scheme before.
-    # 2000 modes run on the sine-FFT path, with nothing of size N^2
-    record = write_json(tmp_path / "rec.json", _RECORD_DOC)
+    # A 500-column record runs 2000 modes on the sine-FFT path, with nothing
+    # of size N^2
+    record = write_json(tmp_path / "rec.json", _wide_record(columns))
     cfg = write_json(tmp_path / "ev.json", override)
     argv = ["evolve", "--record", record, "--coeffs", "3=1",
             "--probe-minimal-period", "--config", cfg]
@@ -315,6 +344,21 @@ def test_evolve_has_no_step_bound(tmp_path, capsys, override):
     captured = capsys.readouterr()
     assert "return_error" in captured.out and "off_period_distance" in captured.out
     assert captured.err == ""
+
+
+def test_evolve_refuses_a_record_too_wide_for_max_modes(tmp_path, capsys, monkeypatch):
+    # 4097 sine columns need 4 x 4097 modes, above evolve.MAX_MODES: refused
+    # before the integrator builds its transforms or takes a step
+    def unreachable(*args):
+        raise AssertionError("the integrator ran")
+
+    monkeypatch.setattr(evolve, "_transforms", unreachable)
+    monkeypatch.setattr(evolve, "_impulse", unreachable)
+    record = write_json(tmp_path / "rec.json", _wide_record(4097))
+    assert cli.main(["evolve", "--record", record, "--coeffs", "3=1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "4097 sine columns" in captured.err
 
 
 def test_evolve_too_coarse_for_the_record_exits_two(tmp_path, capsys):
@@ -434,13 +478,49 @@ def test_branch_without_admissible_level_says_why(tmp_path, capsys, coeffs, eps,
 
 
 def test_forced_wrong_side_rejects_trivial_solution(tmp_path, capsys):
-    # no branch exists on this side: the refinement can only find u = 0,
-    # which must not be certified
+    # no branch exists on this side, where the refinement could only find
+    # u = 0: force waives admissibility, but the side is read off omega and
+    # g_recipe refuses it before anything is solved
     cfg = write_json(tmp_path / "forced.json", {
         "coeffs": "3=1", "eps": -1e-3, "n": 1, "lmax": 24, "dim": 3, "force": True,
     })
     assert cli.main(["solve", "--config", cfg]) == 1
-    assert capsys.readouterr().out.startswith("n = 1: rejected")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: case odd-power bifurcates to omega>1, not omega<1\n"
+
+
+def test_either_side_case_solves_on_the_side_of_omega(tmp_path, capsys, monkeypatch):
+    # 2=1,3=0.1 bifurcates to both sides of omega = 1 (n3 with small b > 0):
+    # below omega = 1 it is solved with the sign of omega < 1, no side key
+    cfg = write_json(tmp_path / "either.json", {
+        "coeffs": "2=1,3=0.1", "eps": -1e-4, "n": 1, "dim": 4, "restarts": 4,
+    })
+    assert cli.main(["solve", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[1])["accepted"] is True
+
+    sides = []
+    maximize = search.maximize_U
+
+    def counted(recipe, *args, **kwargs):
+        sides.append(recipe.side)
+        return maximize(recipe, *args, **kwargs)
+
+    monkeypatch.setattr(search, "maximize_U", counted)
+    table = tmp_path / "either.csv"
+    cfg = write_json(tmp_path / "scan.json", {
+        "coeffs": "2=1,3=0.1", "omega_range": [0.9998, 1.0002, 0.0001],
+        "n_max": 2, "solve": True, "output": str(table),
+    })
+    assert cli.main(["scan", "--config", cfg]) == 0
+    rows = [line.split(",") for line in table.read_text().splitlines()[1:]]
+    below = [row[5] for row in rows if float(row[0]) < 1.0]
+    above = [row[5] for row in rows if float(row[0]) > 1.0]
+    assert below == ["accepted"] * 4
+    # at dim 4 G has no positive value above omega = 1; the one refusal
+    # serves every row there
+    assert above == ["failed"] * 4
+    assert sorted(sides) == [-1, 1]
 
 
 def test_scan_table_shape_and_determinism(tmp_path, capsys):
@@ -617,13 +697,16 @@ GOOD_RECORD = {
     (dict(GOOD_RECORD, n=-1), "'n' must be an integer >= 1"),
     (dict(GOOD_RECORD, n=0), "'n' must be an integer >= 1"),
     (dict(GOOD_RECORD, n=1.5), "'n' must be an integer >= 1"),
+    # a level-n record keeps its kernel entries at j = n, 2n, ... of xi
+    (dict(GOOD_RECORD, n=len(GOOD_RECORD["xi"]) + 1), "'n' = 3 exceeds the 2 entries of 'xi'"),
+    (dict(GOOD_RECORD, n=10**30), f"'n' = {10**30} exceeds"),
     (dict(GOOD_RECORD, q=True), "'q' must be an integer >= 2"),
     (dict(GOOD_RECORD, version=1.0), "'version' must be an integer >= 1"),
     (dict(GOOD_RECORD, case="quartic"), "'case' must be one of"),
     (dict(GOOD_RECORD, accepted="yes"), "'accepted' must be true or false"),
 ], ids=["not-object", "xi-text", "w-text", "w-ragged", "xi-2d", "w-1d", "omega-text",
         "omega-null", "omega-huge", "h1-nan", "phi-bool", "energy-huge-int", "n-text",
-        "n-negative", "n-zero", "n-fraction", "q-bool", "version-float", "case-unknown",
+        "n-negative", "n-zero", "n-fraction", "n-beyond-xi", "n-huge", "q-bool", "version-float", "case-unknown",
         "accepted-text"])
 @pytest.mark.parametrize("command", ["export", "evolve"])
 def test_malformed_record_exits_two(tmp_path, capsys, command, doc, reason):
@@ -675,7 +758,6 @@ _COEFFS = st.sampled_from([
     # term orders above nonlinearity.MAX_ORDER, in each of the three forms
     "1000000000000000=1", "3=1,65=1", {"1000000000000000": 1}, [0] * 66 + [1],
 ])
-_TOL = st.sampled_from([1e-12, 1e-8, 1e-3])
 _OMEGA = st.one_of(st.floats(0.995, 1.005), st.floats(0.4, 1.6))
 _EPS = st.sampled_from([1e-3, 1e-4, -1e-3, -2e-4, 0.0, -0.7, 0.5])
 
@@ -697,7 +779,6 @@ def _merged(*parts):
 
 _SOLVE_DOCS = _merged(
     st.fixed_dictionaries({"coeffs": _or_junk(_COEFFS)}, optional={
-        "side": _or_junk(st.integers(-2, 2)),
         "lmax": _or_junk(st.integers(1, 32)),
         "lt": _or_junk(st.integers(1, 32)),
         "lx": _or_junk(st.integers(1, 32)),
@@ -705,7 +786,6 @@ _SOLVE_DOCS = _merged(
         "restarts": _or_junk(st.integers(1, 2)),
         "seed": _or_junk(st.integers(0, 6000)),
         "C": _or_junk(st.floats(0.001, 0.2)),
-        "residual_tol": _or_junk(_TOL),
         "force": _or_junk(st.booleans()),
     }),
     _exclusive(("omega", _OMEGA), ("eps", _EPS)),
@@ -727,13 +807,10 @@ _SCAN_DOCS = st.fixed_dictionaries({
     "dim": _or_junk(st.integers(1, 2)),
     "restarts": _or_junk(st.integers(1, 2)),
     "seed": _or_junk(st.integers(0, 6000)),
-    "residual_tol": _or_junk(_TOL),
 })
 
 _EVOLVE_DOCS = st.fixed_dictionaries({}, optional={
     "steps_per_period": _or_junk(st.integers(1, 256)),
-    "mode_factor": _or_junk(st.integers(1, 4)),
-    "min_modes": _or_junk(st.integers(1, 16)),
 })
 
 

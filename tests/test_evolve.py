@@ -69,7 +69,7 @@ def _mode_space_impulse(a, f, dt, steps, probes):
 
 
 @BOTH_BRANCHES
-def test_loop_matches_mode_space_impulse(n_modes):
+def test_loop_matches_mode_space_impulse(n_modes, monkeypatch):
     # 100 coarse and 200 fine steps at dt * jmax near 44 and 22, far past the
     # CFL bound of an explicit scheme, with every mode excited.  The drift and
     # the error bar are relative to the energy and the field, so they are
@@ -78,10 +78,9 @@ def test_loop_matches_mode_space_impulse(n_modes):
     rng = np.random.default_rng(n_modes)
     j = np.arange(1, n_modes + 1)
     u = fields.SpectralField(0.3 * rng.standard_normal((1, n_modes)) / j)
-    cfg = evolve.EvolutionConfig(
-        steps_per_period=64, mode_factor=1, min_modes=0
-    )
-    res = evolve.integrate(u, 1.0, f, 100 * 2.0 * np.pi / 64, cfg)
+    monkeypatch.setattr(evolve, "MODE_FACTOR", 1)
+    monkeypatch.setattr(evolve, "MIN_MODES", 0)
+    res = evolve.integrate(u, 1.0, f, 100 * 2.0 * np.pi / 64, steps_per_period=64)
     assert (res.steps, res.n_modes) == (300, n_modes)
     a0, _ = evolve.initial_state(u, n_modes)
     a, b, drift = _mode_space_impulse(
@@ -123,8 +122,7 @@ def test_self_convergence_order_two_at_generic_time():
     t_star = 0.37 * 2.0 * np.pi / ctx.omega
     states = []
     for spp in (256, 512, 1024):
-        cfg = evolve.EvolutionConfig(steps_per_period=spp)
-        states.append(evolve.integrate(u, ctx.omega, f, t_star, cfg).a)
+        states.append(evolve.integrate(u, ctx.omega, f, t_star, steps_per_period=spp).a)
     d1 = np.linalg.norm(states[1] - states[0])
     d2 = np.linalg.norm(states[2] - states[1])
     assert abs(d1 / d2 - 4.0) < 0.2
@@ -170,9 +168,7 @@ def test_resonance_guard_flags_a_step_at_pi():
     t_final = 1.37 * 2.0 * np.pi
 
     def run(spp):
-        return evolve.integrate(
-            u, 1.0, f, t_final, evolve.EvolutionConfig(steps_per_period=spp)
-        )
+        return evolve.integrate(u, 1.0, f, t_final, steps_per_period=spp)
 
     res = run(8)
     assert 4 * res.dt * 2 == pytest.approx(np.pi, rel=0.01)

@@ -38,7 +38,7 @@ def test_maximize_raises_on_infeasible_sign():
     # with a < 0 the recipe for omega < 1 has G(v) = -(a/4) int v^4... flipped
     # back by the side's sign, so force infeasibility with a hand-built recipe
     rec = reduced.GRecipe(
-        case="odd-power", q=3, n=1,
+        case="odd-power", q=3, n=1, side=+1,
         value=lambda y: -np.abs(reduced.G_eval(y, F3)),
         grad=lambda y: -reduced.G_eval(y, F3, grad=True),
     )
@@ -369,15 +369,6 @@ def test_solve_branch_forced_below_coverage_flags_record():
     assert plain.records == [] and plain.failures == []
 
 
-def test_default_side_per_case():
-    assert search.default_side(nonlinearity.classify({3: 1.0})) == +1
-    assert search.default_side(nonlinearity.classify({3: -1.0})) == -1
-    assert search.default_side(nonlinearity.classify({4: 1.0, 5: -2.0})) == -1
-    assert search.default_side(nonlinearity.classify({2: 1.0})) == -1
-    assert search.default_side(nonlinearity.classify({2: 1.0, 3: -1.0})) == -1
-    assert search.default_side(nonlinearity.classify({2: 1.0, 3: 5.0})) == +1
-
-
 # ---------------------------------------------------------------------------
 # the dilation frames
 
@@ -538,7 +529,7 @@ def even_level(coeffs, omega, n):
     """Recipe, guess t* L_n y* and level of an even f at omega (L = 24)."""
     f = nonlinearity.classify(coeffs)
     ctx = frequency.make_context(omega, L=24)
-    recipe = reduced.g_recipe(f, search.default_side(f), n=n)
+    recipe = reduced.g_recipe(f, 1 if ctx.omega > 1.0 else -1, n=n)
     y, m, diag = search.maximize_U(recipe, 6, seed=0, restarts=4)
     return (f, ctx, recipe, *search.initial_guess(y, m, recipe, ctx, diag))
 
