@@ -369,7 +369,7 @@ def cmd_evolve(args):
     if not res.error_bar <= 0.1 * bar:
         raise ConfigError(
             f"'steps_per_period' = {steps} is too coarse for "
-            f"this record: the N- and 2N-step returns differ by "
+            f"this record: its reported and check returns differ by "
             f"{_fmt(res.error_bar)}, above a tenth of the bar {_fmt(bar)}"
         )
     print(f"periods = {args.periods}")

@@ -5,17 +5,26 @@ construction: a catalogued solution is handed to a sine-pseudospectral
 integrator for u_tautau = u_xx - f(u) in physical time, and periodicity is
 judged by the state distance after one full period 2 pi/omega.  A genuine
 solution returns to its initial state; probing at a fraction of the period
-gives the non-return contrast that shows the test has teeth.
+gives the non-return contrast that shows the test has teeth.  Of fields it
+uses only SpectralField, to rebuild a record.
 
 In sine modes the linear flow turns each (a_j, b_j) by the angle j dt, so
 the integrator is the impulse method (Strang splitting): a half kick by f at
 the interior nodes x_k = pi k/(N+1), the exact rotation, a half kick.  It
-has no CFL bound, and its error scales with the nonlinearity.  It loses
-accuracy where j dt is near a multiple of pi on an excited mode, so every
-run is made at N and 2N steps: the 2N state is reported, and the distance
-between the two is the error bar.  A mode with j dt = 2 pi on the N grid is
-resonant on both and can escape the bar; at the default N = 64 per period
-that is j ~ 64 omega, which a record of odd f excites only from level 64 on.
+has no CFL bound, and its error scales with the nonlinearity.  It integrates
+the sine-collocation system, a Hamiltonian system whose energy
+
+    H = (pi/4) sum_j (b_j^2 + j^2 a_j^2) + h sum_k F(u_k),   h = pi/(N+1),
+
+the splitting nearly conserves; H is read off the node values u_k that each
+kick computes, and its spread over the run is the energy drift.  The method
+loses accuracy where j dt is near a multiple of pi on an excited mode, so
+every run over a time T is made at 2M steps, which are reported, and checked
+at M + 1 steps; the distance between the two is the error bar.  A resonance
+j dt = m pi of the reported run recurs in the check only for m >= (M+1)/2,
+at j >= pi M (M+1)/T (2080 omega over one period at M = 64), so the bar
+sees the resonances below.  M is at least 2, or the check would be the
+reported run.
 """
 
 from dataclasses import dataclass
@@ -38,9 +47,9 @@ __all__ = [
 
 
 # the energies the drift compares: the start, ENERGY_PROBES - 2 interior
-# steps of the reported run (_probe_steps) and its last step
+# steps of the reported run and its last step (_probe_steps)
 ENERGY_PROBES = 9
-# the self-check's N; the reported run takes 2N
+# M per period of time_grid: the reported run takes 2M steps, the check M + 1
 STEPS_PER_PERIOD = 64
 # the integrator keeps MODE_FACTOR sine modes per column of the record, and
 # at least MIN_MODES
@@ -50,14 +59,20 @@ MIN_MODES = 32
 
 @dataclass
 class EvolutionResult:
+    """The reported run's end state, with its energy drift and error bar.
+
+    For the M of time_grid the reported run takes 2M steps of dt and the
+    check M + 1 steps, so steps = 3M + 1.
+    """
+
     t_final: float
     dt: float                 # the step of the reported run
-    steps: int                # steps taken: N of the self-check and 2N reported
+    steps: int                # steps taken by both runs
     n_modes: int
     a: np.ndarray             # sine coefficients of u at t_final
     b: np.ndarray             # sine coefficients of u_tau at t_final
-    energy_drift: float
-    error_bar: float          # relative L2 distance of the N- and 2N-step fields
+    energy_drift: float       # spread of H over the probes, relative to max |H|
+    error_bar: float          # relative L2 distance of the 2M- and (M+1)-step fields
 
 
 def initial_state(u, n_modes):
@@ -98,24 +113,27 @@ def _transforms(n_modes):
             lambda v, out: np.multiply(sfft.dst(v, type=1), scale, out=out))
 
 
-def _energy(a, b, f):
+def _energy(a, b, nodes, f):
+    """H of the sine-collocation system at (a, b), from the node values S a."""
     j = np.arange(1, a.size + 1, dtype=float)
     quad = 0.25 * np.pi * float(np.sum(b * b) + np.sum((j * a) ** 2))
-    return quad + fields.integrate_x_poly(a, f.primitive)
+    potential = float(np.sum(np.polynomial.polynomial.polyval(nodes, f.primitive)))
+    return quad + np.pi / (a.size + 1) * potential
 
 
 def time_grid(u, omega, t_final, steps_per_period=STEPS_PER_PERIOD):
-    """Mode count, step count and step (n_modes, steps, dt) up to t_final.
+    """Mode count, step count and step (n_modes, M, dt) up to t_final.
 
-    The step is tuned so the final time is hit exactly.  This is the grid of
-    the self-check; the reported run takes 2 steps of dt/2 for each.  A
-    field too wide for MAX_MODES raises ConfigError.
+    M is steps_per_period per period, at least 2, and dt = t_final/M hits the
+    final time exactly.  The reported run takes 2M steps of dt/2 and the
+    check M + 1 steps of t_final/(M + 1).  A field too wide for MAX_MODES
+    raises ConfigError.
     """
     n_modes = max(MIN_MODES, MODE_FACTOR * u.lx)
     if n_modes > MAX_MODES:
         raise ConfigError(f"a field of {u.lx} sine columns needs {n_modes} modes, "
                           f"above MAX_MODES = {MAX_MODES}")
-    steps = max(1, round(t_final * omega * steps_per_period / (2.0 * np.pi)))
+    steps = max(2, round(t_final * omega * steps_per_period / (2.0 * np.pi)))
     return n_modes, steps, t_final / steps
 
 
@@ -125,7 +143,8 @@ def probe_time(omega, n):
 
 
 def _probe_steps(steps, probes):
-    """The steps after which the energy is probed, ending with the last one.
+    """The steps after which the energy is probed: 0, the interior probes
+    and the last one.
 
     Interior probe m = 1 .. probes-2 sits at the odd multiple of T/2^(m+1)
     next to m T/(probes-1), for a run of length T.  The energy error of a
@@ -142,16 +161,18 @@ def _probe_steps(steps, probes):
         den = 2 ** min(m + 1, steps.bit_length() + 1)
         num = 2 * (m * den // (2 * (probes - 1))) + 1
         interior.add(round(steps * num / den))
-    return sorted(interior - {0} | {steps})
+    return sorted(interior | {0, steps})
 
 
 def _impulse(a0, f, dt, steps, probe_at, transforms):
-    """The states (a, b) after the steps in the set probe_at, the last step
-    included, of the impulse method from (a0, 0) with step dt.
+    """The states (a, b, S a) after the steps in the set probe_at, the last
+    step included, of the impulse method from (a0, 0) with step dt.
 
     The state is z = a + i b/j, which the linear flow turns by exp(-i j dt).
     The two half kicks between rotations are one kick b -= dt P f(S a),
-    split in two at a probe to read the state between the halves.
+    split in two at a probe to read the state between the halves.  The
+    node values S a are the ones the kick has just computed; step 0 is the
+    start, read at the first kick.
     """
     to_nodes, to_modes = transforms
     j = np.arange(1, a0.size + 1)
@@ -175,6 +196,8 @@ def _impulse(a0, f, dt, steps, probe_at, transforms):
 
     states = []
     kick()
+    if 0 in probe_at:
+        states.append((zr.copy(), j * zi, p.copy()))
     g *= 0.5
     zi -= g
     for k in range(1, steps + 1):
@@ -183,32 +206,32 @@ def _impulse(a0, f, dt, steps, probe_at, transforms):
         if k in probe_at:
             g *= 0.5
             zi -= g
-            states.append((zr.copy(), j * zi))
+            states.append((zr.copy(), j * zi, p.copy()))
         zi -= g
     return states
 
 
 def integrate(u, omega, f, t_final, steps_per_period=STEPS_PER_PERIOD):
     """The impulse method from the t = 0 slice of u up to physical time
-    t_final, on the grid of time_grid and on one twice as fine.
+    t_final, in the 2M steps of dt/2 and the M + 1 steps of time_grid's M.
 
-    The fine run's state and energy drift are reported, and the relative L2
-    distance of the two position fields is the error bar.
+    The 2M-step run's state and energy drift are reported, and the relative
+    L2 distance of the two position fields is the error bar.
     """
     n_modes, steps, dt = time_grid(u, omega, t_final, steps_per_period)
     transforms = _transforms(n_modes)
-    a0, b0 = initial_state(u, n_modes)
-    check = _impulse(a0, f, dt, steps, {steps}, transforms)[-1][0]
+    a0, _ = initial_state(u, n_modes)
+    check = _impulse(a0, f, t_final / (steps + 1), steps + 1, {steps + 1}, transforms)[-1][0]
     probe_at = set(_probe_steps(2 * steps, ENERGY_PROBES))
     states = _impulse(a0, f, 0.5 * dt, 2 * steps, probe_at, transforms)
-    energies = np.array([_energy(a0, b0, f)] + [_energy(a, b, f) for a, b in states])
+    energies = np.array([_energy(a, b, p, f) for a, b, p in states])
     scale = max(float(np.max(np.abs(energies))), 1e-30)
     drift = float((energies.max() - energies.min()) / scale)
-    a, b = states[-1]
+    a, b, _ = states[-1]
     den = np.linalg.norm(a0)
     bar = float(np.linalg.norm(a - check) / den) if den else 0.0
     return EvolutionResult(
-        t_final=float(t_final), dt=float(0.5 * dt), steps=3 * steps,
+        t_final=float(t_final), dt=float(0.5 * dt), steps=3 * steps + 1,
         n_modes=n_modes, a=a, b=b, energy_drift=drift, error_bar=bar,
     )
 

@@ -12,15 +12,15 @@ Every sample of a field is taken on the full torus [0, 2pi) x [0, 2pi),
 where a sine series in x is its own odd extension.  _torus_values runs one
 inverse real FFT over the cosine rows in t and hands the rows to _x_values,
 one inverse real FFT of the spectrum -i nx/2 u_lj in x, which samples the
-interior, the boundary zeros and the odd half at once; integrate_x_poly
-calls _x_values on a single slice.  A field is a finite trig polynomial, so
-the samples are exact, and sup_norm reads its maximum off them.  Products of
-fields (needed for polynomial nonlinearities) leave the sine class -- even
-powers pick up cosine content in x whose sine-basis expansion is an infinite
-series -- so they are sampled on a grid of _grid(d) = next_fast_len(2d + 1)
-nodes along each axis, d the product's degree there, their exact cos/sin
-torus coefficients are read off by forward FFTs, and those are projected
-back onto the sine basis in closed form.  The coefficients
+interior, the boundary zeros and the odd half at once.  A field is a finite
+trig polynomial, so the samples are exact, and sup_norm reads its maximum
+off them.  Products of fields (needed for polynomial nonlinearities) leave
+the sine class -- even powers pick up cosine content in x whose sine-basis
+expansion is an infinite series -- so they are sampled on a grid of
+_grid(d) = next_fast_len(2d + 1) nodes along each axis, d the product's
+degree there, their exact cos/sin torus coefficients are read off by forward
+FFTs (_cos_sin_coeffs), and those are projected back onto the sine basis in
+closed form.  The coefficients
 `apply_polynomials` returns are the true L2 projections, with no aliasing,
 for any polynomial nonlinearity.
 """
@@ -38,7 +38,6 @@ __all__ = [
     "SpectralField",
     "NormBundle",
     "zeros",
-    "from_modes",
     "eval_field",
     "norms",
     "sup_norm",
@@ -113,20 +112,6 @@ class SpectralField:
 
 def zeros(lt, lx):
     return SpectralField(np.zeros((lt + 1, lx)))
-
-
-def from_modes(modes, lt=None, lx=None):
-    """Build a field from {(l, j): value} entries."""
-    mlt = max(l for l, _ in modes)
-    mlx = max(j for _, j in modes)
-    lt = max(mlt, 1) if lt is None else lt
-    lx = mlx if lx is None else lx
-    c = np.zeros((lt + 1, lx))
-    for (l, j), val in modes.items():
-        if l < 0 or j < 1:
-            raise ResowaveError(f"invalid mode (l={l}, j={j})")
-        c[l, j - 1] = val
-    return SpectralField(c)
 
 
 def temporal_weights(lt):
@@ -284,27 +269,22 @@ def _torus_cos_sin(u, polys, d_t, d_x):
 
 
 def _cos_sin_coeffs(vals, d_t, d_x):
-    """Torus samples -> cos/sin coefficients A, B, rows 0..d_t, columns 0..d_x."""
+    """Torus samples -> cos/sin coefficients A, B, rows 0..d_t, columns 0..d_x.
+
+    B[:, 0] is identically zero.
+    """
     # time direction: even in t, cosine rows are the real part of the rfft
     nt = vals.shape[0]
     spec_t = sfft.rfft(vals, axis=0)
     rows = np.empty((d_t + 1, vals.shape[1]))
     rows[0] = spec_t[0].real / nt
     rows[1:] = 2.0 * spec_t[1 : d_t + 1].real / nt
-    return _x_cos_sin(rows, d_x)
-
-
-def _x_cos_sin(rows, d_x):
-    """Samples over the 2pi torus in x (last axis) -> cos/sin coefficients A, B.
-
-    Columns mu = 0..d_x, with B[..., 0] identically zero.  The 2D tail
-    (_cos_sin_coeffs) and the 1D slice integral (integrate_x_poly) share it.
-    """
-    spec_x = sfft.rfft(rows, axis=-1) / rows.shape[-1]
-    A = 2.0 * spec_x[..., : d_x + 1].real
-    A[..., 0] = spec_x[..., 0].real
-    B = -2.0 * spec_x[..., : d_x + 1].imag
-    B[..., 0] = 0.0
+    # space direction: the rows sample the 2pi torus in x
+    spec_x = sfft.rfft(rows, axis=1) / rows.shape[1]
+    A = 2.0 * spec_x[:, : d_x + 1].real
+    A[:, 0] = spec_x[:, 0].real
+    B = -2.0 * spec_x[:, : d_x + 1].imag
+    B[:, 0] = 0.0
     return A, B
 
 
@@ -380,21 +360,6 @@ def integrate_poly(u, poly):
     r = _poly_degree(poly)
     ((A, B),) = _torus_cos_sin(u, [poly], max(r * u.lt, 1), max(r * u.lx, 1))
     return 2.0 * np.pi * _interval_integral(A[0, 0], B[0])
-
-
-def integrate_x_poly(a, poly):
-    """Exact integral over (0, pi) of poly(g) for the sine series g = sum a_j sin(jx).
-
-    Works on a single spatial slice: sample the odd extension of g over the
-    torus grid of the composed degree (_x_values), read off the cos/sin
-    coefficients of poly(g) with the x half of the torus tail (_x_cos_sin),
-    and integrate them (_interval_integral).  No field is built and no time
-    transform is run.
-    """
-    a = np.asarray(a, dtype=float)
-    deg = max(_poly_degree(poly) * a.size, a.size, 1)
-    A, B = _x_cos_sin(_poly_at(_x_values(a, _grid(deg)), poly), deg)
-    return _interval_integral(A[0], B)
 
 
 def multiply_poly_project(u, poly, z, out_lt=None, out_lx=None):

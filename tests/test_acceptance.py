@@ -271,7 +271,7 @@ def test_criterion_07_time_evolution(capsys):
     impulse method (the exact sine-mode rotation between half kicks of f,
     128 steps per period), and misses by at least ten times that bar at the
     foreign period 2 pi / ((n+1) omega).  The integrator's own error bar,
-    the distance to the same run at 64 steps per period, stays below a
+    the distance to the same run at 65 steps per period, stays below a
     tenth of the return bar.
     """
     ctx, br = _multiplicity_branch()

@@ -312,7 +312,7 @@ def test_branch_refuses_level_truncations(tmp_path, capsys, override):
 
 
 def test_evolve_step_checked_only_at_the_times_it_integrates(tmp_path, capsys):
-    # the step is checked by the N- and 2N-step self-check of the return,
+    # the step is checked by the 2M- and (M + 1)-step runs of the return,
     # the one time integrated here; an odd step count is no special case
     record = write_json(tmp_path / "rec.json", _RECORD_DOC)
     cfg = write_json(tmp_path / "ev.json", {"steps_per_period": 101})
@@ -362,14 +362,14 @@ def test_evolve_refuses_a_record_too_wide_for_max_modes(tmp_path, capsys, monkey
 
 
 def test_evolve_too_coarse_for_the_record_exits_two(tmp_path, capsys):
-    # at amplitude 0.1 and 4 steps per period the N- and 2N-step returns
+    # at amplitude 0.1 and 3 steps per period the 6- and 4-step returns
     # differ by more than a tenth of the return bar: the oracle cannot decide
     record = write_json(tmp_path / "rec.json", dict(_RECORD_DOC, xi=[0.1]))
     argv = ["evolve", "--record", record, "--coeffs", "3=1", "--config"]
-    coarse = write_json(tmp_path / "coarse.json", {"steps_per_period": 4})
+    coarse = write_json(tmp_path / "coarse.json", {"steps_per_period": 3})
     assert cli.main([*argv, coarse]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "'steps_per_period' = 4" in err
+    assert err.startswith("error:") and "'steps_per_period' = 3" in err
     assert cli.main([*argv, write_json(tmp_path / "ev.json", {})]) == 0
     assert "error_bar" in capsys.readouterr().out
 

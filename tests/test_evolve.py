@@ -50,6 +50,15 @@ def test_kick_matches_sine_transform_formula(n_modes):
     assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _collocation_energy(a, b, f):
+    """(pi/4) sum (b_j^2 + j^2 a_j^2) + h sum_k F(u_k), u_k = (DST-I a)_k/2."""
+    j = np.arange(1, a.size + 1)
+    vals = sfft.dst(a, type=1) / 2.0
+    potential = sum(c * vals**k for k, c in enumerate(f.primitive))
+    quad = 0.25 * np.pi * np.sum(b**2 + (j * a) ** 2)
+    return quad + np.pi / (a.size + 1) * np.sum(potential)
+
+
 def _mode_space_impulse(a, f, dt, steps, probes):
     """The impulse method written out in sine modes, half kicks unmerged, as
     the reference for integrate's loop: (a, b, energy drift) at the end."""
@@ -57,22 +66,22 @@ def _mode_space_impulse(a, f, dt, steps, probes):
     cos, sin = np.cos(j * dt), np.sin(j * dt)
     b = np.zeros_like(a)
     probe_at = set(evolve._probe_steps(steps, probes))
-    energies = [evolve._energy(a, b, f)]
+    energies = [_collocation_energy(a, b, f)]
     for k in range(steps):
         b = b + 0.5 * dt * (_sine_galerkin_acceleration(a, f) + j**2 * a)
         a, b = cos * a + sin * b / j, cos * b - j * sin * a
         b = b + 0.5 * dt * (_sine_galerkin_acceleration(a, f) + j**2 * a)
         if k + 1 in probe_at:
-            energies.append(evolve._energy(a, b, f))
+            energies.append(_collocation_energy(a, b, f))
     energies = np.asarray(energies)
     return a, b, (energies.max() - energies.min()) / np.max(np.abs(energies))
 
 
 @BOTH_BRANCHES
 def test_loop_matches_mode_space_impulse(n_modes, monkeypatch):
-    # 100 coarse and 200 fine steps at dt * jmax near 44 and 22, far past the
-    # CFL bound of an explicit scheme, with every mode excited.  The drift and
-    # the error bar are relative to the energy and the field, so they are
+    # 101 check and 200 reported steps at dt * jmax near 44 and 22, far past
+    # the CFL bound of an explicit scheme, with every mode excited.  The drift
+    # and the error bar are relative to the energy and the field, so they are
     # compared to 1e-12 of those
     f = nonlinearity.classify({2: 0.5, 3: 1.0, 5: -0.3})
     rng = np.random.default_rng(n_modes)
@@ -81,12 +90,12 @@ def test_loop_matches_mode_space_impulse(n_modes, monkeypatch):
     monkeypatch.setattr(evolve, "MODE_FACTOR", 1)
     monkeypatch.setattr(evolve, "MIN_MODES", 0)
     res = evolve.integrate(u, 1.0, f, 100 * 2.0 * np.pi / 64, steps_per_period=64)
-    assert (res.steps, res.n_modes) == (300, n_modes)
+    assert (res.steps, res.n_modes) == (301, n_modes)
     a0, _ = evolve.initial_state(u, n_modes)
     a, b, drift = _mode_space_impulse(
         a0, f, res.dt, 200, evolve.ENERGY_PROBES
     )
-    check, _, _ = _mode_space_impulse(a0, f, 2.0 * res.dt, 100, 2)
+    check, _, _ = _mode_space_impulse(a0, f, res.t_final / 101, 101, 2)
     bar = np.linalg.norm(a - check) / np.linalg.norm(a0)
     assert np.max(np.abs(res.a - a)) <= 1e-12 * np.max(np.abs(a))
     assert np.max(np.abs(res.b - b)) <= 1e-12 * np.max(np.abs(b))
@@ -157,13 +166,14 @@ def test_energy_probes_see_a_level_four_oscillation(monkeypatch):
 
 
 def test_resonance_guard_flags_a_step_at_pi():
-    # one excited mode j = 4 and 8 steps per period, so the self-check's
-    # coarse step has j dt = pi: the impulse method is ten times less
-    # accurate there than at 7 or 9 steps, and the error bar shows it
-    # above a tenth of the return bar, which the neighbours stay below
+    # one excited mode j = 8 and 8 steps per period, so the reported run's
+    # step has j dt = pi: the impulse method is twenty times less accurate
+    # there than at 9 steps.  The check at M + 1 steps is off the resonance,
+    # so the error bar reads the error, where at 9 steps it stays below a
+    # tenth of it
     f = nonlinearity.classify({3: 1.0})
-    coeffs = np.zeros((1, 4))
-    coeffs[0, 3] = 0.02
+    coeffs = np.zeros((1, 8))
+    coeffs[0, 7] = 0.02
     u = fields.SpectralField(coeffs)
     t_final = 1.37 * 2.0 * np.pi
 
@@ -171,14 +181,27 @@ def test_resonance_guard_flags_a_step_at_pi():
         return evolve.integrate(u, 1.0, f, t_final, steps_per_period=spp)
 
     res = run(8)
-    assert 4 * res.dt * 2 == pytest.approx(np.pi, rel=0.01)
+    assert 8 * res.dt == pytest.approx(np.pi, rel=0.01)
     a0, _ = evolve.initial_state(u, res.n_modes)
     err = np.linalg.norm(res.a - run(1024).a) / np.linalg.norm(a0)
-    assert res.error_bar >= err
+    assert res.error_bar >= 0.5 * err
     assert res.error_bar > 1e-5
-    for spp in (7, 9):
-        bar = run(spp).error_bar
-        assert bar < 1e-5 and 10.0 * bar < res.error_bar
+    bar = run(9).error_bar
+    assert bar < 1e-6 and 10.0 * bar < res.error_bar
+
+
+def test_error_bar_sees_the_step_resonance_of_level_64():
+    # u^3 excites j = 64 (odd) at level 64, and one period at 64 steps per
+    # period puts j dt at 2 pi on the M grid and pi on the 2M grid: a check
+    # at M steps lands on the reported run's wrong state (bar 7e-15 against
+    # an error of 1.5e-9), the check at M + 1 steps does not
+    f = nonlinearity.classify({3: 1.0})
+    ctx = frequency.make_context(1.0 + 1e-7, L=1024)
+    rec = search.solve_level(ctx, f, 64, search.LevelMaximizer(6, seed=0, restarts=8))
+    assert rec.accepted
+    err, res = evolve.return_error(evolve.record_field(rec), rec.omega, f)
+    assert err > 1e-9
+    assert res.error_bar >= 0.5 * err
 
 
 def test_step_is_retuned_to_hit_final_time():

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from resowave import fields
-from resowave.errors import ResowaveError
 
 
 def quad_strip(func, deg_t, deg_x):
@@ -62,7 +61,7 @@ def test_node_values_match_eval_field_at_their_nodes(lt, lx, nt, mx):
 
 @pytest.mark.parametrize("nx", [7, 12, 20, 97])
 def test_x_values_of_a_stack_keep_each_rows_bits(nx):
-    # integrate_x_poly samples one slice, the torus sampler a stack of rows
+    # a stack of rows is sampled as each row would be alone
     rows = np.random.default_rng(nx).standard_normal((6, 3))
     stacked = fields._x_values(rows, nx)
     for row, got in zip(rows, stacked):
@@ -118,7 +117,9 @@ def test_apply_nonlinearity_exact_degree_cubic():
     # cos(t)sin(x) cubed has closed-form projection; spot check one entry:
     # (cos t sin x)^3 contains (3/16) cos(t) sin(3 x) ... with the odd
     # half-interval correction folded in, quadrature is the referee
-    u = fields.from_modes({(1, 1): 1.0})
+    coeffs = np.zeros((2, 1))
+    coeffs[1, 0] = 1.0
+    u = fields.SpectralField(coeffs)
     F = fields.apply_nonlinearity(u, [0.0, 0.0, 0.0, 1.0])
 
     def f_vals(t, x):
@@ -142,28 +143,6 @@ def test_integrate_poly_matches_quadrature():
         want = quad_strip(f_vals, 4 * u.lt, 4 * u.lx)
         got = fields.integrate_poly(u, poly)
         assert abs(got - want) < 1e-11 * max(1.0, abs(want))
-
-
-def test_integrate_x_poly_matches_gauss_legendre():
-    rng = np.random.default_rng(4)
-    cases = [
-        (5, [0.3, 0.0, -1.2, 0.25], 64),
-        # the slice sizes evolve uses, with the degree-4 primitive of a cubic
-        # f; coefficients decay like 1/j^2, so 512 nodes resolve the composite
-        (48, [0.0, 0.0, 1.0 / 3.0, -0.1, 0.25], 512),
-        (192, [0.0, 0.0, 1.0 / 3.0, -0.1, 0.25], 512),
-    ]
-    for modes, poly, count in cases:
-        j = np.arange(1, modes + 1)
-        nodes, weights = np.polynomial.legendre.leggauss(count)
-        x = 0.5 * np.pi * (nodes + 1.0)
-        for _ in range(4):
-            a = rng.standard_normal(modes) / j**2
-            g = np.sin(np.outer(x, j)) @ a
-            vals = sum(c * g**k for k, c in enumerate(poly))
-            want = 0.5 * np.pi * float(np.sum(weights * vals))
-            got = fields.integrate_x_poly(a, poly)
-            assert abs(got - want) < 1e-12 * max(1.0, abs(want))
 
 
 def test_inner_h1_matches_gradient_quadrature():
@@ -208,9 +187,11 @@ def test_temporal_weights():
 
 
 def test_sup_norm_single_mode():
-    u = fields.from_modes({(0, 1): 1.0})
+    u = fields.SpectralField([[1.0]])
     assert abs(fields.sup_norm(u) - 1.0) < 1e-12
-    u2 = fields.from_modes({(2, 3): -0.7})
+    coeffs = np.zeros((3, 3))
+    coeffs[2, 2] = -0.7
+    u2 = fields.SpectralField(coeffs)
     assert abs(fields.sup_norm(u2) - 0.7) < 1e-10
 
 
@@ -290,13 +271,6 @@ def test_padded_and_add_shapes():
     p = a.padded(5, 4)
     assert p.shape == (6, 4)
     assert p[5, 3] == 0.0
-
-
-def test_from_modes_rejects_bad_indices():
-    with pytest.raises(ResowaveError):
-        fields.from_modes({(1, 0): 1.0})
-    with pytest.raises(ResowaveError):
-        fields.from_modes({(-1, 1): 1.0})
 
 
 def test_apply_polynomials_is_apply_nonlinearity_per_polynomial():

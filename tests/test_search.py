@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from resowave import evolve, fields, frequency, kernel, nonlinearity, psolve, reduced, search
 from resowave.errors import ConvergenceError, ResonanceError, ResowaveError
@@ -647,12 +648,29 @@ def test_certified_phi_matches_full_field_and_frame_law(f, n):
     assert abs(phi - law) <= 1e-13 * abs(full)
 
 
+def slice_energy(a, b, f):
+    """(pi/4) sum (b_j^2 + j^2 a_j^2) + int_0^pi F(g) for g = sum a_j sin(j x).
+
+    The potential is a 256-node Gauss-Legendre sum, which resolves F(g) for
+    the slices below (degree at most 6 * 12 = 72 in x).
+    """
+    j = np.arange(1, a.size + 1)
+    nodes, weights = np.polynomial.legendre.leggauss(256)
+    g = np.sin(np.outer(0.5 * np.pi * (nodes + 1.0), j)) @ a
+    potential = sum(c * g**k for k, c in enumerate(f.primitive))
+    quad = 0.25 * np.pi * np.sum(b**2 + (j * a) ** 2)
+    return quad + 0.5 * np.pi * np.sum(weights * potential)
+
+
 @pytest.mark.parametrize("f", [F35, F23], ids=["u3+u5/2", "u2-u3"])
 def test_certified_probe_energies_match_slice_energies(f):
-    # each probe energy equals the integrator's energy of that time slice,
-    # with the potential integrated independently (integrate_x_poly); the
-    # probes of level n sit at t = 2 pi k/(9 n), over the level's period
+    # each probe energy equals the energy of that time slice, with the
+    # potential integrated by Gauss-Legendre; the probes of level n sit at
+    # t = 2 pi k/(9 n), over the level's period.  For odd f, F(g) has
+    # frequencies up to 6 lx in x, so evolve's node sum on MODE_FACTOR lx
+    # modes (2 (N + 1) > 6 lx torus nodes) is the same integral
     ctx = ctx_cubic()
+    odd = not np.any(f.poly[::2])
     for n in (1, 2, 3):
         v, w, frame = frame_pair(f, n, 12, 12, seed=30 + n)
         u = kernel.embed(v) + w
@@ -663,9 +681,14 @@ def test_certified_probe_energies_match_slice_energies(f):
         for k, got in enumerate(energies):
             t = 2.0 * np.pi * k / (9 * n)
             a = np.cos(l * t) @ u.coeffs
-            b = -(l * np.sin(l * t)) @ u.coeffs
-            want = evolve._energy(a, ctx.omega * b, f)
+            b = -ctx.omega * (l * np.sin(l * t)) @ u.coeffs
+            want = slice_energy(a, b, f)
             assert abs(got - want) <= 1e-13 * abs(want)
+            if odd:
+                pad = np.zeros((2, evolve.MODE_FACTOR * u.lx))
+                pad[:, : u.lx] = a, b
+                nodes = sfft.dst(pad[0], type=1) / 2.0
+                assert abs(evolve._energy(*pad, nodes, f) - want) <= 1e-12 * abs(want)
 
 
 def test_build_solution_evaluates_f_on_the_field_once(level_guesses, monkeypatch):
