@@ -29,7 +29,7 @@ import functools
 
 import numpy as np
 from dataclasses import dataclass
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from scipy import fft as sfft
 
 from .errors import ResowaveError
@@ -49,6 +49,7 @@ __all__ = [
     "apply_polynomials",
     "integrate_poly",
     "multiply_poly_matrix",
+    "matrix_entries",
     "temporal_weights",
 ]
 
@@ -384,19 +385,49 @@ def multiply_poly_project(u, poly, z, out_lt=None, out_lx=None):
     return _sine_projection(A, B, d_t, out_lt, out_lx)
 
 
-def multiply_poly_matrix(u, poly, lt, lx):
+def matrix_entries(lt, lx, checkerboard=False):
+    """Flat indices l lx + j - 1 of the entries multiply_poly_matrix keeps, in its order.
+
+    Every entry of the (lt+1, lx) truncation, row-major; or on the
+    checkerboard only the entries with l + j even, first those of the even
+    rows, then those of the odd rows, each class row-major.
+    """
+    flat = np.arange((lt + 1) * lx).reshape(lt + 1, lx)
+    return np.concatenate([flat[rows, cols].ravel() for rows, cols in _entry_classes(checkerboard)])
+
+
+def _entry_classes(checkerboard):
+    """(rows, columns) slices of each class of kept entries, in matrix order."""
+    if checkerboard:
+        return [(np.s_[0::2], np.s_[1::2]), (np.s_[1::2], np.s_[0::2])]
+    return [(np.s_[:], np.s_[:])]
+
+
+def _windows(a, m):
+    """The read-only view [i, r, k, b] = a[i, r + b, k] of a 3-d array a, b < m.
+
+    numpy's sliding_window_view(a, m, axis=1), without the argument checks
+    that cost more than the view on the small blocks of multiply_poly_matrix.
+    """
+    shape = (a.shape[0], a.shape[1] - m + 1, a.shape[2], m)
+    return as_strided(a, shape, a.strides + a.strides[1:2], writeable=False)
+
+
+def multiply_poly_matrix(u, poly, lt, lx, checkerboard=False):
     """Dense matrix of z -> P_{lt,lx}[poly(u) z] on the (lt+1, lx) truncation.
 
-    Rows and columns index the entries (l, j), flattened as l lx + j - 1;
-    column by column this is the exact projection multiply_poly_project
-    computes.  Writing poly(u) = sum_r cos(r t) sum_mu [A cos(mu x) +
-    B sin(mu x)] and halving every index above zero (A^_0 = A_0, A^_r =
-    A_r/2), the time direction couples l, l' through A^_{|l-l'|} + A^_{l+l'}
-    (the second term only for l >= 1), and the cosine part in x through
-    A^_{|j-j'|} - A^_{j+j'}.  The sine part turns sin(j' x) into cosine
-    content, projected with _half_projection_matrix; it vanishes unless poly
-    has an odd-degree term, because u is odd in x.  The matrix is returned in
-    Fortran order so that an LU factorization can overwrite it without a copy.
+    Rows and columns index the entries matrix_entries(lt, lx, checkerboard)
+    names, every entry (l, j) or only those with l + j even; column by
+    column this is the exact projection multiply_poly_project computes,
+    restricted to those rows.  Writing poly(u) = sum_r cos(r t) sum_mu [A
+    cos(mu x) + B sin(mu x)] and halving every index above zero (A^_0 =
+    A_0, A^_r = A_r/2), the time direction couples l, l' through A^_{|l-l'|}
+    + A^_{l+l'} (the second term only for l >= 1), and the cosine part in x
+    through A^_{|j-j'|} - A^_{j+j'}.  The sine part turns sin(j' x) into
+    cosine content, projected with _half_projection_matrix; it vanishes
+    unless poly has an odd-degree term, because u is odd in x.  The matrix
+    is returned in Fortran order so that an LU factorization can overwrite
+    it without a copy.
     """
     poly = np.asarray(poly, dtype=float)
     r = _poly_degree(poly)
@@ -417,16 +448,30 @@ def multiply_poly_matrix(u, poly, lt, lx):
         Kd = 0.5 * (K[np.abs(mu - j[None, :])] - K[mu + j[None, :]])  # [mu, j'-1, j-1]
         Y = (B[: 2 * m - 1] * half_t) @ Kd.reshape(d_x + 1, lx * lx)
         X += Y.reshape(-1, lx, lx).transpose(0, 2, 1)
-    # block (a, b) is X[|a - b|] + X[a + b], or X[b] in the row a = 0.  With
-    # Z[s] = X[|s - m + 1|] both parts are sliding-window views, X[a + b] of
-    # X and X[|a - b|] = Z[m - 1 - a + b] of Z with the rows a reversed, and
-    # they are added straight into out: entry (a lx + i, b lx + k) is
-    # blocks[i, a, k, b], with no temporary of the output's size
-    out = np.empty((m * lx, m * lx), order="F")
-    blocks = out.reshape((lx, m, lx, m), order="F")
-    Xi = X.transpose(1, 0, 2)                            # [i, s, k]
-    hankel = sliding_window_view(Xi, m, axis=1)          # [i, a, k, b]
-    toeplitz = sliding_window_view(Xi[:, np.abs(np.arange(2 * m - 1) - m + 1)], m, axis=1)
-    blocks[:, 0] = hankel[:, 0]
-    np.add(toeplitz[:, -2::-1], hankel[:, 1:], out=blocks[:, 1:])
+    # Class p keeps the rows a = p + s alpha (s = 2 on the checkerboard, else
+    # 1) and its own columns; block (a, b) of the matrix is X[|a - b|] +
+    # X[a + b], or X[b] in the row a = 0.  For classes p, q, X[a + b] =
+    # X[p + q + s (alpha + beta)] is a sliding-window view of X[p + q :: s],
+    # and X[|a - b|] one of Z[t] = X[|q - p + s (t - m_p + 1)|] with the rows
+    # alpha reversed.  Both are added straight into out: entry (alpha n_p +
+    # i, beta n_q + k) of block (p, q) is blocks[i, alpha, k, beta], with no
+    # temporary of the output's size
+    Xi = X.transpose(1, 0, 2)                            # [i, t, k]
+    classes = [(len(range(m)[rows]), Xi[cols], cols) for rows, cols in _entry_classes(checkerboard)]
+    s = len(classes)                                     # one class per row parity mod s
+    ends = np.cumsum([0] + [m_p * len(range(lx)[cols]) for m_p, _, cols in classes])
+    out = np.empty((ends[-1], ends[-1]), order="F")
+    for p, (m_p, Xp, _) in enumerate(classes):
+        for q, (m_q, _, cols) in enumerate(classes):
+            Xpq = Xp[:, :, cols]
+            blocks = out[ends[p] : ends[p + 1], ends[q] : ends[q + 1]].reshape(
+                (Xpq.shape[0], m_p, Xpq.shape[2], m_q), order="F")
+            if not blocks.size:
+                continue
+            hankel = _windows(Xpq[:, p + q :: s], m_q)[:, :m_p]
+            z = np.abs(q - p + s * (np.arange(m_p + m_q - 1) - m_p + 1))
+            toeplitz = _windows(Xpq[:, z], m_q)[:, ::-1]
+            top = 1 - p                                  # the row a = 0 has no Toeplitz part
+            blocks[:, :top] = hankel[:, :top]
+            np.add(toeplitz[:, top:], hankel[:, top:], out=blocks[:, top:])
     return out

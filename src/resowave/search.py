@@ -16,13 +16,18 @@ The pipeline per dilation level n:
      its kernel rows are -grad Phi_eps and its range rows the range
      equation, so a zero is a critical point v with its w(v).  Each step
      assembles the Jacobian (the wave symbol plus multiplication by f'(u))
-     and solves it densely;
+     and solves it densely.  For odd f the unknowns are the checkerboard of
+     the frame, the entries k + m even: the fields fixed by the shift
+     (t, x) -> (t + pi, x + pi) of the frame's torus, which hold the guess
+     and which f keeps, so the other half stays an exact zero and the
+     Jacobian is assembled and factored on the half that remains;
   4. assemble u = v + w(v) with its certificates: the Galerkin residual,
      Phi_eps and the energy drift over the level's period, read off one
      evaluation of f and F/u, the sup of the samples, the minimal period.
 
 Steps 3 and 4 run in the level's dilation frame (_Frame): the rows l = n k and,
-for odd f, the columns j = n m, where level n > 1 is level 1 with f/n^2.
+for odd f, the columns j = n m, where level n > 1 is level 1 with f/n^2; for
+odd f step 3 solves on the frame's checkerboard.
 """
 
 import dataclasses
@@ -352,10 +357,15 @@ class _Frame:
     and d = 1 otherwise (an even power leaves the sine class in x).  U has
     the symbol m^2 - omega^2 (n k/d)^2 and the nonlinearity f/d^2, so that
     F_u(n k, d m) = d^2 F_U(k, m), and F_u has no other nonzero entry.
+    On the checkerboard (odd f) the Newton unknowns are only the entries
+    with k + m even: the fields fixed by the frame's shift (T, X) -> (T +
+    pi, X + pi), which multiplying by the even f'(U) and the sine
+    projection of the odd f(U) keep, and which hold every kernel entry.
     """
     n: int
     d: int
     f: object     # the frame nonlinearity f/d^2
+    checkerboard: bool = False
 
     def symbol(self, lt, lx, omega):
         """m^2 - omega^2 (n k/d)^2 on the (lt+1, lx) frame, from the integers n k/d."""
@@ -370,10 +380,11 @@ class _Frame:
 
 
 def _dilation_frame(f, n):
-    """The frame of level n of f: d = n for f without even-order terms, else 1."""
-    if n > 1 and not np.any(f.poly[::2]):
-        return _Frame(n, n, nonlinearity.classify(f.poly / n**2))
-    return _Frame(n, 1, f)
+    """The frame of level n of f: d = n and the checkerboard for f without
+    even-order terms, else d = 1 and every entry."""
+    if np.any(f.poly[::2]):
+        return _Frame(n, 1, f)
+    return _Frame(n, n, nonlinearity.classify(f.poly / n**2) if n > 1 else f, checkerboard=True)
 
 
 def _galerkin_F(u, ctx, frame):
@@ -383,23 +394,27 @@ def _galerkin_F(u, ctx, frame):
 
 
 def _galerkin_jacobian(u, ctx, frame):
-    """The Jacobian diag(symbol) + M of _galerkin_F, entries row-major.
+    """The Jacobian diag(symbol) + M of _galerkin_F on the unknowns, in
+    fields.matrix_entries order.
 
-    M is the matrix of z -> P[f'(u) z] on the frame.  A range entry (n k !=
-    d m) whose symbol vanishes and whose row of M is nonzero raises
-    ResonanceError naming the full-field mode, as apply_L_inv does.
+    M is the matrix of z -> P[f'(u) z] on the frame; entries off the
+    checkerboard are not unknowns and have no row or column.  A range
+    unknown (n k != d m) whose symbol vanishes and whose row of M is
+    nonzero raises ResonanceError naming the full-field mode, as
+    apply_L_inv does.
     """
     lt, lx = u.lt, u.lx
-    sym = frame.symbol(lt, lx, ctx.omega)
-    J = fields.multiply_poly_matrix(u, frame.f.fprime, lt, lx)
-    l = frame.n * np.arange(lt + 1)[:, None]
-    j = frame.d * np.arange(1, lx + 1)[None, :]
+    keep = fields.matrix_entries(lt, lx, frame.checkerboard)
+    sym = frame.symbol(lt, lx, ctx.omega).ravel()[keep]
+    J = fields.multiply_poly_matrix(u, frame.f.fprime, lt, lx, frame.checkerboard)
+    l, j = divmod(keep, lx)
+    l, j = frame.n * l, frame.d * (j + 1)
     resonant = np.flatnonzero((l != j) & (np.abs(sym) < psolve.RESONANCE_TOL))
     present = resonant[np.any(J[resonant] != 0.0, axis=1)]
     if present.size:
-        a, jm = divmod(int(present[0]), lx)
-        raise ResonanceError(l[a, 0], j[0, jm], -frame.d**2 * sym.flat[present[0]])
-    J[np.diag_indices_from(J)] += sym.ravel()
+        e = present[0]
+        raise ResonanceError(int(l[e]), int(j[e]), -frame.d**2 * sym[e])
+    J[np.diag_indices_from(J)] += sym
     return J
 
 
@@ -414,17 +429,20 @@ def refine(v0, ctx, f, lt=None, lx=None):
     zero is a critical point v with its w(v).  The result is written back at
     the frame's modes, every other entry an exact zero.  For odd f the frame
     divisors are n^2 (m^2 - omega^2 k^2), so the certified range is
-    k <= lt // n <= L/n.  Each step assembles the Jacobian once
-    (_galerkin_jacobian) and takes one dense solve; each line-search trial
-    costs one apply_nonlinearity.  The iteration stops when the last full
-    step was at rounding level and the residual is at most GTOL; the second
-    test is a safety check, since a settled step with a large residual is
-    not a solution.  When an iterate's kernel part, dilated to the full
-    truncation, leaves the contraction domain (psolve.contraction_domain
-    above psolve.DOMAIN_RHO) the refinement aborts rather than report a
-    solution the existence argument does not cover.  The guard reads
-    coefficients only and runs once per iterate, the first time before any
-    step, so it also refuses a resonant context and lt > ctx.L up front.
+    k <= lt // n <= L/n, and the unknowns are the frame's checkerboard k + m
+    even (_Frame): a Newton step moves no other entry, which stays an exact
+    zero, and the residual is measured on every entry.  Each step assembles
+    the Jacobian on the unknowns once (_galerkin_jacobian) and takes one
+    dense solve; each line-search trial costs one apply_nonlinearity.  The
+    iteration stops when the last full step was at rounding level and the
+    residual is at most GTOL; the second test is a safety check, since a
+    settled step with a large residual is not a solution.  When an
+    iterate's kernel part, dilated to the full truncation, leaves the
+    contraction domain (psolve.contraction_domain above psolve.DOMAIN_RHO)
+    the refinement aborts rather than report a solution the existence
+    argument does not cover.  The guard reads coefficients only and runs
+    once per iterate, the first time before any step, so it also refuses a
+    resonant context and lt > ctx.L up front.
     """
     n = kernel.minimal_time_period_index(v0)
     if lt is None:
@@ -437,6 +455,7 @@ def refine(v0, ctx, f, lt=None, lx=None):
         raise ResowaveError(f"temporal truncation lt={lt} below kernel reach {lx}")
     frame = _dilation_frame(f, n)
     u = fields.SpectralField(kernel.embed(v0).padded(lt, lx)[::n, frame.d - 1 :: frame.d])
+    keep = fields.matrix_entries(u.lt, u.lx, frame.checkerboard)
     scale = 0.5 * np.pi**2 * frame.d**2
     F = _galerkin_F(u, ctx, frame)
     gnorm = scale * float(np.linalg.norm(F))
@@ -461,8 +480,9 @@ def refine(v0, ctx, f, lt=None, lx=None):
             )
 
         J = _galerkin_jacobian(u, ctx, frame)
+        delta = np.zeros(F.shape)
         try:
-            delta = np.linalg.solve(J, -F.ravel()).reshape(F.shape)
+            delta.flat[keep] = np.linalg.solve(J, -F.flat[keep])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError("singular Newton Jacobian", trace=tuple(trace)) from exc
 

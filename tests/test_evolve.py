@@ -151,6 +151,37 @@ def test_catalogued_solution_returns():
     assert off / max(err, 1e-30) > 1e3
 
 
+def test_nonreturn_probe_makes_only_the_reported_run(monkeypatch):
+    # the off-period distance is integrate's to the bit, read off the 2M
+    # steps of the reported run alone: no check run and no energies
+    f = nonlinearity.classify({3: 1.0, 5: 0.5})
+    ctx = frequency.make_context(1.0001, L=48)
+    br = search.solve_branch(ctx, f, n_max=2, C=0.004, dim=4, seed=0, restarts=4)
+    assert [r.n for r in br.records] == [1, 2]
+    for rec in br.records:
+        u = evolve.record_field(rec)
+        t_probe = evolve.probe_time(rec.omega, rec.n)
+        res = evolve.integrate(u, rec.omega, f, t_probe)
+        a0, _ = evolve.initial_state(u, res.n_modes)
+        steps = []
+        real = evolve._impulse
+
+        def counted(a0, f, dt, n_steps, probe_at, transforms):
+            steps.append(n_steps)
+            return real(a0, f, dt, n_steps, probe_at, transforms)
+
+        def refused(*args):
+            raise AssertionError("nonreturn_probe computed an energy")
+
+        with monkeypatch.context() as m:
+            m.setattr(evolve, "_impulse", counted)
+            m.setattr(evolve, "_energy", refused)
+            off, a = evolve.nonreturn_probe(u, rec.omega, f, rec.n)
+        assert off == evolve._state_distance(res.a, a0)
+        assert np.array_equal(a, res.a)
+        assert steps == [2 * evolve.time_grid(u, rec.omega, t_probe)[1]]
+
+
 def test_energy_probes_see_a_level_four_oscillation(monkeypatch):
     # the energy error of a level-n return oscillates with period P/(2n);
     # evenly spaced probes at P/8 all see the same phase of it when 4 | n

@@ -248,6 +248,31 @@ def test_multiply_poly_matrix_columns_match_product(fprime):
             assert err <= 1e-13 * np.max(np.abs(col)), (l, j)
 
 
+@pytest.mark.parametrize("lt, lx", [(7, 6), (8, 9), (16, 16), (1, 1), (2, 1)])
+def test_multiply_poly_matrix_checkerboard_is_the_kept_block(lt, lx):
+    # the checkerboard matrix is the block of the full one on the entries
+    # l + j even, in matrix_entries order, bit for bit; an even-only
+    # polynomial couples no kept entry to a dropped one
+    rng = np.random.default_rng(12)
+    u = random_field(rng, lt, lx)
+    flat = np.arange((lt + 1) * lx).reshape(lt + 1, lx)
+    keep = fields.matrix_entries(lt, lx, checkerboard=True)
+    on = (np.arange(lt + 1)[:, None] + np.arange(1, lx + 1)) % 2 == 0
+    assert np.array_equal(np.sort(keep), flat[on])
+    assert np.array_equal(fields.matrix_entries(lt, lx), flat.ravel())
+    for fprime in ([0.0, 0.0, 3.0], [0.0, 2.0, 3.0]):
+        full = fields.multiply_poly_matrix(u, fprime, lt, lx)
+        M = fields.multiply_poly_matrix(u, fprime, lt, lx, checkerboard=True)
+        assert M.flags.f_contiguous
+        assert np.array_equal(M, full[np.ix_(keep, keep)])
+    # for u on the checkerboard, the rest of the full matrix's kept rows is
+    # rounding noise
+    c = np.where(on, u.coeffs, 0.0)
+    full = fields.multiply_poly_matrix(fields.SpectralField(c), [0.0, 0.0, 3.0], lt, lx)
+    dropped = np.setdiff1d(flat, keep)
+    assert np.max(np.abs(full[np.ix_(keep, dropped)]), initial=0.0) <= 1e-15 * np.max(np.abs(full))
+
+
 def test_diagonal_helpers():
     rng = np.random.default_rng(9)
     u = random_field(rng, 5, 5)

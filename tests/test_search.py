@@ -133,28 +133,32 @@ def test_refine_aborts_outside_contraction_domain():
                          ids=["odd", "even"])
 def test_galerkin_jacobian_matches_residual_differences(coeffs, d):
     # oracle: central differences of the Galerkin residual itself, in the
-    # level-2 frame; the odd f keeps rows and columns 2Z with f/4, the even
-    # one rows 2Z with the symbol m^2 - omega^2 (2k)^2.  The even f has an
-    # odd power too, so both the cosine and the sine part of the
-    # multiplication matrix are exercised
+    # level-2 frame; the odd f keeps rows and columns 2Z with f/4 and, of
+    # those, the checkerboard k + m even, the even one rows 2Z with the
+    # symbol m^2 - omega^2 (2k)^2 and every entry.  The even f has an odd
+    # power too, so both the cosine and the sine part of the multiplication
+    # matrix are exercised.  The field is not on the checkerboard: the kept
+    # block is exact at any field
     frame = search._dilation_frame(nonlinearity.classify(coeffs), 2)
-    assert (frame.n, frame.d) == (2, d)
+    assert (frame.n, frame.d, frame.checkerboard) == (2, d, d == 2)
     ctx = ctx_cubic()
     lt = lx = 8
+    keep = fields.matrix_entries(lt, lx, frame.checkerboard)
+    assert keep.size == (lt + 1) * lx // (1 + frame.checkerboard)
     rng = np.random.default_rng(3)
     c = 0.02 * rng.standard_normal((lt + 1, lx))
     J = search._galerkin_jacobian(fields.SpectralField(c), ctx, frame)
     h = 1e-5
     fd = np.zeros_like(J)
-    for k in range(J.shape[1]):
+    for col, k in enumerate(keep):
         step = np.zeros_like(c)
         step.flat[k] = h
         fp = search._galerkin_F(fields.SpectralField(c + step), ctx, frame)
         fm = search._galerkin_F(fields.SpectralField(c - step), ctx, frame)
-        fd[:, k] = (fp - fm).ravel() / (2.0 * h)
+        fd[:, col] = (fp - fm).ravel()[keep] / (2.0 * h)
     # measured against the f'(u) part, which the symbol on the diagonal
     # would otherwise swamp
-    nonlin = J - np.diag(frame.symbol(lt, lx, ctx.omega).ravel())
+    nonlin = J - np.diag(frame.symbol(lt, lx, ctx.omega).ravel()[keep])
     assert np.linalg.norm(fd - J) <= 1e-7 * np.linalg.norm(nonlin)
 
 
@@ -173,6 +177,32 @@ def test_galerkin_jacobian_names_resonant_range_entry():
     with pytest.raises(ResonanceError) as err:
         search._galerkin_jacobian(fields.SpectralField(kernel.embed(v2).coeffs[::2]), ctx, frame)
     assert (err.value.l, err.value.j) == (2, 3)
+
+
+def test_galerkin_jacobian_names_resonant_checkerboard_entry():
+    # omega = 5/3 makes omega^2 l^2 - j^2 vanish at (l, j) = (3, 5), where
+    # l + j is even: an unknown of the odd f's checkerboard, which f'(u) =
+    # 3u^2 couples to the kernel; in the level-2 frame that is the entry
+    # (3, 5), named as (6, 10)
+    ctx = frequency.FrequencyContext(omega=5.0 / 3.0, eps=8.0 / 9.0, gamma=0.1, L=16)
+    v = kernel.KernelVector([0.05, 0.02, 0.0, 0.0, 0.0, 0.0])
+    frame = search._dilation_frame(F3, 1)
+    assert frame.checkerboard
+    with pytest.raises(ResonanceError) as err:
+        search._galerkin_jacobian(kernel.embed(v), ctx, frame)
+    assert (err.value.l, err.value.j) == (3, 5)
+    v2 = kernel.rescale(v, 2)
+    with pytest.raises(ResonanceError) as err:
+        search._galerkin_jacobian(fields.SpectralField(kernel.embed(v2).coeffs[::2, 1::2]), ctx,
+                                  search._dilation_frame(F3, 2))
+    assert (err.value.l, err.value.j) == (6, 10)
+    # at omega = 3/2 the vanishing divisor of the (3, 3) truncation sits at
+    # (2, 3), off the checkerboard: not an unknown, so nothing to refuse
+    ctx = frequency.FrequencyContext(omega=1.5, eps=0.625, gamma=0.1, L=16)
+    u = kernel.embed(kernel.KernelVector(v.xi[:3]))
+    assert (u.lt, u.lx) == (3, 3)
+    J = search._galerkin_jacobian(u, ctx, frame)
+    assert J.shape == (checkerboard_size(4, 3),) * 2
 
 
 @pytest.mark.parametrize("f, side, n", [(F3, +1, 1), (F3, +1, 2),
@@ -415,24 +445,37 @@ def full_lattice_refine(v0, ctx, f, lt, lx):
     raise AssertionError("full-lattice Newton did not converge")
 
 
+def assert_zero_off_checkerboard(v, w, n):
+    """Every entry of u = v + w off the level-n frame's checkerboard, (n k, n m)
+    with k + m even, is an exact zero."""
+    u = (kernel.embed(v) + w).coeffs
+    l = np.arange(w.lt + 1)[:, None]
+    j = np.arange(1, w.lx + 1)[None, :]
+    on = (l % n == 0) & (j % n == 0) & ((l + j) % (2 * n) == 0)
+    assert not np.any(u[~on])
+
+
 @pytest.fixture(scope="module")
 def level_guesses():
-    """The criterion-6 guesses t* L_n y* at n = 2..6 for u^3 and u^3 + u^5/2."""
+    """The criterion-6 guesses t* L_n y* at n = 1..6 for u^3 and u^3 + u^5/2."""
     out = {}
     for name, f in (("u3", F3), ("u35", F35)):
         maximizer = search.LevelMaximizer(6, seed=0, restarts=8)
-        for n in range(2, 7):
+        for n in range(1, 7):
             recipe = reduced.g_recipe(f, +1, n=n)
             y, m, diag = maximizer(recipe)
             out[name, n] = (f, recipe, *search.initial_guess(y, m, recipe, C6_CTX, diag))
     return out
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("name", ["u3", "u35"])
 def test_frame_solve_matches_full_lattice_solve(level_guesses, name, n):
+    # the frame's checkerboard solve against the Newton on every entry of
+    # the rows nZ; off the checkerboard the solve leaves exact zeros
     f, recipe, v0, level = level_guesses[name, n]
     v, w, rep = search.refine(v0, C6_CTX, f)
+    assert_zero_off_checkerboard(v, w, n)
     record = search.build_solution(v, w, C6_CTX, f, recipe, level, newton=rep)
     v_ref, w_ref = full_lattice_refine(v0, C6_CTX, f, w.lt, w.lx)
     u_ref = kernel.embed(v_ref) + w_ref
@@ -522,17 +565,38 @@ def test_frame_guard_sees_the_full_field(level_guesses, monkeypatch):
 def test_dilation_frame_only_for_odd_f_above_level_one():
     f2 = nonlinearity.classify({2: 1.0})
     assert search._dilation_frame(f2, 2) == search._Frame(2, 1, f2)
-    assert search._dilation_frame(nonlinearity.classify({2: 1.0, 3: 1.0}), 3).d == 1
-    assert search._dilation_frame(F3, 1) == search._Frame(1, 1, F3)
+    f23 = nonlinearity.classify({2: 1.0, 3: 1.0})
+    assert search._dilation_frame(f23, 3) == search._Frame(3, 1, f23)
+    # odd f solves on the checkerboard at every level, level 1 included
+    assert search._dilation_frame(F3, 1) == search._Frame(1, 1, F3, checkerboard=True)
 
 
-def even_level(coeffs, omega, n):
-    """Recipe, guess t* L_n y* and level of an even f at omega (L = 24)."""
+def level_guess(coeffs, omega, n, L=24, dim=6, restarts=4):
+    """f, context, recipe, guess t* L_n y* and level of f at omega."""
     f = nonlinearity.classify(coeffs)
-    ctx = frequency.make_context(omega, L=24)
+    ctx = frequency.make_context(omega, L=L)
     recipe = reduced.g_recipe(f, 1 if ctx.omega > 1.0 else -1, n=n)
-    y, m, diag = search.maximize_U(recipe, 6, seed=0, restarts=4)
+    y, m, diag = search.maximize_U(recipe, dim, seed=0, restarts=restarts)
     return (f, ctx, recipe, *search.initial_guess(y, m, recipe, ctx, diag))
+
+
+ODD_LEVELS = {
+    "-u3-1": ({3: -1.0}, 0.9999, 1, 48, 6, 8),
+    "-u3-2": ({3: -1.0}, 0.9999, 2, 48, 6, 8),
+    # the README scan's first row, at its lmax, dim and restarts
+    "scan-1.001": ({3: 1.0}, 1.001, 1, 32, 4, 4),
+}
+
+
+@pytest.mark.parametrize("name", list(ODD_LEVELS))
+def test_checkerboard_solve_matches_full_lattice_solve(name):
+    f, ctx, recipe, v0, level = level_guess(*ODD_LEVELS[name])
+    v, w, rep = search.refine(v0, ctx, f)
+    assert rep.converged
+    assert_zero_off_checkerboard(v, w, recipe.n)
+    v_ref, w_ref = full_lattice_refine(v0, ctx, f, w.lt, w.lx)
+    assert np.max(np.abs(v.xi - v_ref.xi)) <= 1e-12 * np.max(np.abs(v_ref.xi))
+    assert np.max(np.abs(w.coeffs - w_ref.coeffs)) <= 1e-12 * np.max(np.abs(w_ref.coeffs))
 
 
 EVEN_LEVELS = {
@@ -547,7 +611,7 @@ def test_even_f_level_solves_in_the_time_frame(name):
     # even f keeps the rows nZ and every column: refine agrees with the
     # full-lattice Newton on nZ x {1..lx}, and the record's phi is the
     # full-field one
-    f, ctx, recipe, v0, level = even_level(*EVEN_LEVELS[name])
+    f, ctx, recipe, v0, level = level_guess(*EVEN_LEVELS[name])
     v, w, rep = search.refine(v0, ctx, f)
     v_ref, w_ref = full_lattice_refine(v0, ctx, f, w.lt, w.lx)
     assert np.max(np.abs(v.xi - v_ref.xi)) <= 1e-12 * np.max(np.abs(v_ref.xi))
@@ -571,32 +635,57 @@ def record_jacobian_sizes(monkeypatch):
     return sizes
 
 
+def checkerboard_size(rows, cols):
+    """The entries (k, m), k < rows, 1 <= m <= cols, with k + m even."""
+    k = np.arange(rows)[:, None]
+    m = np.arange(1, cols + 1)[None, :]
+    return int(np.count_nonzero((k + m) % 2 == 0))
+
+
 @pytest.mark.parametrize("name", ["u3", "u35", "u2"])
 def test_frame_jacobians_have_the_compressed_size(level_guesses, monkeypatch, name):
-    # odd f solves (lt//n + 1) (lx//n) unknowns at level n, even f
-    # (lt//n + 1) lx
+    # odd f solves the checkerboard of the (lt//n + 1, lx//n) frame at
+    # level n, about half its entries; even f all (lt//n + 1) lx
     sizes = record_jacobian_sizes(monkeypatch)
-    for n in range(2, 7) if name != "u2" else (2, 3):
+    for n in range(1, 7) if name != "u2" else (2, 3):
         if name == "u2":
-            f, ctx, _, v0, _ = even_level(*EVEN_LEVELS[f"u2-{n}"])
+            f, ctx, _, v0, _ = level_guess(*EVEN_LEVELS[f"u2-{n}"])
             d = 1
         else:
             (f, _, v0, _), ctx, d = level_guesses[name, n], C6_CTX, n
         sizes.clear()
         v, w, _ = search.refine(v0, ctx, f)
-        assert sizes and max(sizes) <= (w.lt // n + 1) * (w.lx // d)
+        rows, cols = w.lt // n + 1, w.lx // d
+        want = checkerboard_size(rows, cols) if d == n else rows * cols
+        assert sizes and set(sizes) == {want}
         # off the frame's rows and columns every entry is an exact zero
         off = np.ones(w.coeffs.shape, dtype=bool)
         off[::n, d - 1 :: d] = False
         assert not np.any(w.coeffs[off])
         assert not np.any(np.delete(v.xi, np.s_[n - 1 :: n]))
+        if d == n:
+            assert_zero_off_checkerboard(v, w, n)
 
 
 def test_criterion6_branch_jacobians_stay_small(monkeypatch):
+    # the n = 1 frame is the largest: the checkerboard of 17 x 16 entries
     sizes = record_jacobian_sizes(monkeypatch)
     br = search.solve_branch(C6_CTX, F3, C=0.004, dim=6, seed=0, restarts=8)
     assert [r.n for r in br.records] == [1, 2, 3, 4, 5, 6]
-    assert max(sizes) <= 300
+    assert max(sizes) == checkerboard_size(17, 16) == 136
+
+
+@pytest.mark.parametrize("coeffs, omega", [({2: 1.0, 3: 1.0}, 1.0001), ({2: 1.0, 3: 0.1}, 0.9999)],
+                         ids=["u2+u3", "u2+u3/10-below"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_even_order_f_keeps_every_frame_entry(monkeypatch, coeffs, omega, n):
+    # an even-order term leaves the sine class, so the shift of the torus
+    # does not commute with the sine projection: every entry of the (lt//n
+    # + 1, lx) time frame is an unknown, and a checkerboard would halve them
+    sizes = record_jacobian_sizes(monkeypatch)
+    f, ctx, _, v0, _ = level_guess(coeffs, omega, n)
+    v, w, rep = search.refine(v0, ctx, f)
+    assert rep.converged and set(sizes) == {(w.lt // n + 1) * w.lx}
 
 
 def test_frame_solve_certified_range_is_the_compressed_index():
