@@ -88,23 +88,40 @@ def _sine_table(dim, nodes):
     return table
 
 
-def eta_power_spectrum(v, kmax):
-    """Means and sine coefficients of the powers of the profile eta.
+def _powers(x, kmax):
+    """x^i for i = 0..kmax on a new axis before the last, by running products.
 
-    Returns (moments, sines): moments[i] = <eta^i> = (1/2pi) int eta^i and
-    sines[i, j-1] = (1/2pi) int eta^i sin(j s) ds, for i = 0..kmax and
-    j = 1..dim.  eta^i sin(j s) is a trig polynomial of degree at most
-    (kmax + 1) dim, so the trapezoid rule on one more node than that is
-    exact; one rfft of the sampled powers gives every entry.
+    One multiplication per power and sample; the powers of a row of a stack
+    are the powers of that row alone, bit for bit.
+    """
+    out = np.empty(x.shape[:-1] + (kmax + 1, x.shape[-1]))
+    out[..., 0, :] = 1.0
+    for i in range(1, kmax + 1):
+        np.multiply(out[..., i - 1, :], x, out=out[..., i, :])
+    return out
+
+
+def eta_power_spectrum(v, kmax):
+    """Means, sine and cosine coefficients of the powers of the profile eta.
+
+    Returns (moments, sines, cosines): moments[i] = <eta^i> = (1/2pi) int
+    eta^i, sines[i, j-1] = (1/2pi) int eta^i sin(j s) ds for i = 0..kmax and
+    j = 1..dim, and cosines[i, m] = (1/2pi) int eta^i cos(m s) ds for i =
+    0..kmax-1 and m = 0..2 dim.  eta^i sin(j s) is a trig polynomial of
+    degree at most (kmax + 1) dim, so the trapezoid rule on one more node
+    than that is exact; one rfft of the sampled powers gives every entry,
+    the cosines past the rfft's last mode by the symmetry C_m = C_(nodes-m).
     v may be a coefficient stack (..., dim): each row is taken as it is alone.
     """
     xi = np.asarray(getattr(v, "xi", v), dtype=float)
     dim = xi.shape[-1]
     # at least 2 dim + 1 nodes, so that the rfft reaches j = dim
     nodes = (max(kmax, 1) + 1) * dim + 1
-    eta = (_sine_table(dim, nodes) @ (xi / 2.0)[..., None])[..., None, :, 0]
-    spec = np.fft.rfft(eta ** np.arange(kmax + 1)[:, None], axis=-1) / nodes
-    return spec[..., 0].real, -spec[..., 1 : dim + 1].imag
+    eta = (_sine_table(dim, nodes) @ (xi / 2.0)[..., None])[..., 0]
+    spec = np.fft.rfft(_powers(eta, kmax), axis=-1) / nodes
+    m = np.arange(2 * dim + 1)
+    cosines = spec[..., :kmax, np.minimum(m, nodes - m)].real
+    return spec[..., 0].real, -spec[..., 1 : dim + 1].imag, cosines
 
 
 def rescale(v, n):

@@ -14,10 +14,11 @@ which in coefficients reads  g_j = eps pi^2 j^2 xi_j - (pi^2/2) (f(u))_{jj}.
 
 For small amplitudes Phi is governed by mu/2 ||v||^2 - G(v) with G the
 homogeneous leading term, one of five shapes depending on the nonlinearity
-class.  G_eval states that case table once, for the value and the
-xi-gradient at any dilation level n.  Power integrals int v^k and their
-gradients come from the means and sine coefficients of the powers of the
-profile eta.  For even leading power the quadratic-in-v^p form
+class.  G_eval states that case table once (_G_jet), for the value, the
+xi-gradient and the xi-Hessian at any dilation level n.  Power integrals
+int v^k, their gradients and their Hessians come from the means, sine and
+cosine coefficients of the powers of the profile eta.  For even leading
+power the quadratic-in-v^p form
 int v^p L^-1 v^p appears.  With v = eta(s1) - eta(s2), v^p = sum_i C(p,i)
 (-1)^(p-i) eta^i(s1) eta^(p-i)(s2) is a biperiodic map of rank p + 1, so
 every term of the five-term decomposition (linv_forms module docstring) is
@@ -45,6 +46,10 @@ __all__ = [
     "linv_qform",
     "power_integral",
 ]
+
+# the forward-difference step of the form's Hessian, relative to max|xi| of
+# the row: the square root of machine epsilon
+DIFF_STEP = 2.0**-26
 
 
 @functools.lru_cache(maxsize=None)
@@ -77,26 +82,90 @@ def _moment_sum_grad(mom, dmom, k):
     return _vecmat((c + c[::-1]) * mom[..., k::-1], dmom[..., : k + 1, :])
 
 
+class _Jet:
+    """A function of xi with its xi-gradient and xi-Hessian, as far as computed.
+
+    terms is (value,), (value, gradient) or (value, gradient, Hessian), of
+    shapes (...), (..., dim) and (..., dim, dim) over a stack of rows.  Sums,
+    scalar multiples and products follow the product rule term by term.
+    """
+
+    __slots__ = ("terms",)
+    __array_ufunc__ = None    # numpy scalars defer to __rmul__
+
+    def __init__(self, *terms):
+        self.terms = terms
+
+    def __add__(self, other):
+        return _Jet(*(a + b for a, b in zip(self.terms, other.terms)))
+
+    def __sub__(self, other):
+        return self + -1.0 * other
+
+    def __rmul__(self, c):
+        return _Jet(*(c * t for t in self.terms))
+
+    def __mul__(self, other):
+        (a, *da), (b, *db) = self.terms, other.terms
+        terms = [a * b]
+        if da:
+            terms.append(a[..., None] * db[0] + b[..., None] * da[0])
+        if da[1:]:
+            cross = da[0][..., :, None] * db[0][..., None, :]
+            terms.append(a[..., None, None] * db[1] + b[..., None, None] * da[1]
+                         + cross + np.swapaxes(cross, -1, -2))
+        return _Jet(*terms)
+
+
+@functools.lru_cache(maxsize=64)
+def _hessian_modes(dim):
+    """|a - b| and a + b for a, b = 1..dim: the cosine modes of sin(a s) sin(b s)."""
+    j = np.arange(1, dim + 1)
+    diff, total = np.abs(j[:, None] - j), j[:, None] + j
+    diff.flags.writeable = total.flags.writeable = False
+    return diff, total
+
+
+def _power_jet(v, k, order):
+    """int v^k and, up to order, its xi-gradient and xi-Hessian (a _Jet).
+
+    With mu_i = <eta^i>, int v^k = 2 pi^2 sum_i c_i mu_i mu_(k-i), c_i = C(k, i)
+    (-1)^(k-i).  As d eta/dxi_a = sin(a s)/2,
+
+        d mu_i/dxi_a = (i/2) S_a(eta^(i-1)),
+        d2 mu_i/dxi_a dxi_b = (i(i-1)/8) [C_|a-b|(eta^(i-2)) - C_(a+b)(eta^(i-2))],
+
+    with S and C the sine and cosine coefficients of eta_power_spectrum, one
+    call of which gives every term.  The pairs i, k - i fold into e_i = c_i +
+    c_(k-i): the gradient is 2 pi^2 sum_i e_i mu_(k-i) d mu_i and the Hessian
+    2 pi^2 sum_i e_i [mu_(k-i) d2 mu_i + d mu_i (x) d mu_(k-i)].
+    """
+    mom, sines, cosines = kernel.eta_power_spectrum(v, k)
+    terms = [2.0 * np.pi**2 * _moment_sum(mom, k)]
+    if order == 0:
+        return _Jet(*terms)
+    c = _binomial_signs(k)
+    e = c + c[::-1]
+    dmom = 0.5 * np.arange(1, k + 1)[:, None] * sines[..., :k, :]   # d mu_i, i = 1..k
+    terms.append(2.0 * np.pi**2 * _vecmat(e[1:] * mom[..., k - 1 :: -1], dmom))
+    if order == 2:
+        i = np.arange(2, k + 1)
+        cbar = _vecmat(e[2:] * i * (i - 1) / 8.0 * mom[..., k - 2 :: -1], cosines[..., : k - 1, :])
+        diff, total = _hessian_modes(sines.shape[-1])
+        cross = (np.swapaxes(e[1:k, None] * dmom[..., : k - 1, :], -1, -2)
+                 @ np.ascontiguousarray(dmom[..., k - 2 :: -1, :]))
+        terms.append(2.0 * np.pi**2 * (cbar[..., diff] - cbar[..., total] + cross))
+    return _Jet(*terms)
+
+
 def power_integral(v, k, grad=False):
     """Exact int over the domain of v^k for a kernel element v, or its xi-gradient.
 
     v = eta(t + x) - eta(t - x) and the domain is half the (s1, s2) torus, so
         int v^k = 2 pi^2 sum_i C(k, i) (-1)^(k-i) <eta^i> <eta^(k-i)>,
-    and d/dxi_j int v^k = k int v^(k-1) cos(j t) sin(j x) is
-
-        k pi^2 sum_{i<k} C(k-1, i) (-1)^(k-1-i)
-               [S_j(eta^i) <eta^(k-1-i)> - <eta^i> S_j(eta^(k-1-i))]
-
-    with S_j(g) = (1/2pi) int g sin(j s); the two halves are folded into one
-    sum over the sine coefficients.
+    whose xi-derivatives follow from those of the means (_power_jet).
     """
-    if not grad:
-        mom, _ = kernel.eta_power_spectrum(v, k)
-        return 2.0 * np.pi**2 * _moment_sum(mom, k)
-    mom, sines = kernel.eta_power_spectrum(v, k - 1)
-    # C(k-1, i) ((-1)^(k-1-i) - (-1)^i): twice the signs of k - 1 for even k, else 0
-    c = (1.0 - (-1.0) ** (k - 1)) * _binomial_signs(k - 1)
-    return k * np.pi**2 * _vecmat(c * mom[..., ::-1], sines)
+    return _power_jet(v, k, int(grad)).terms[-1]
 
 
 @functools.lru_cache(maxsize=64)
@@ -141,15 +210,16 @@ def _qform(v, p, kmax, grad=False):
     nodes = 2 * p * dim + 2
     sines, inv = _qform_tables(dim, nodes)
     k = np.arange(kmax + 1)
-    E = _vecmat(xi / 2.0, sines)[..., None, :] ** k[:, None]
+    E = kernel._powers(_vecmat(xi / 2.0, sines), kmax)
 
-    def means_and_primitives(x, axis):
-        # primitives only up to k = p (the power index is the given axis): the form needs no more
+    def means_and_primitives(x, axis, count):
+        # primitives only of the first count powers (the power index is the
+        # given axis): the form needs none past k = p
         spec = np.fft.rfft(x, axis=-1)
-        head = np.take(spec, np.arange(p + 1), axis=axis)
+        head = spec[(..., slice(count)) + (slice(None),) * (-1 - axis)]
         return spec[..., 0].real / nodes, np.fft.irfft(head * inv, n=nodes, axis=-1)
 
-    mu, Pi = means_and_primitives(E, -2)
+    mu, Pi = means_and_primitives(E, -2, p + 1)
     ds = 2.0 * np.pi / nodes
     c = _binomial_signs(p)
     Ep, mup = E[..., : p + 1, :], mu[..., : p + 1]
@@ -173,9 +243,11 @@ def _qform(v, p, kmax, grad=False):
     if not grad:
         return q, mu
 
+    # dE_0 = 0: only k >= 1 is transformed
     dE = np.zeros(xi.shape[:-1] + (kmax + 1, dim, nodes))
     dE[..., 1:, :, :] = 0.5 * k[1:, None, None] * E[..., :-1, None, :] * sines
-    dmu, dPi = means_and_primitives(dE, -3)
+    dmu, dPi = np.zeros(dE.shape[:-1]), np.zeros(dE[..., : p + 1, :, :].shape)
+    dmu[..., 1:, :], dPi[..., 1:, :, :] = means_and_primitives(dE[..., 1:, :, :], -3, p)
     dEp, dmup = dE[..., : p + 1, :, :], dmu[..., : p + 1, :]
     # c_i = c_(p-i), so the two B factors of t1 and the two primitives of
     # M(s,s) contribute alike
@@ -206,8 +278,9 @@ def _uses_qform(f):
     return f.case == "n2" or (f.case == "n3" and f.b < 0)
 
 
-def G_eval(v, f, n=1, grad=False):
-    """The case-resolved leading term G at L_n v, or its xi-gradient (grad).
+def G_eval(v, f, n=1, grad=False, hess=False):
+    """The case-resolved leading term G at L_n v, or its xi-gradient (grad),
+    or with hess the triple (value, xi-gradient, xi-Hessian).
 
     odd-power:  (a/(p+1)) int v^{p+1}
     n1:         (b/(d+1)) int v^{d+1}
@@ -219,35 +292,47 @@ def G_eval(v, f, n=1, grad=False):
     (cases n2 and n3 with b < 0) rescales exactly,
         Q(L_n v) = Q(v) / n^2 - (pi^4/6) alpha^2 (1 - 1/n^2),
     and alpha and int v^(2p) come from the same samples of eta as Q(v).
+    The Hessian of a power integral is exact (_power_jet); that of the
+    form is the forward difference of the exact gradient along each
+    coordinate, with the step DIFF_STEP max|xi| of the row, symmetrized, and
+    all dim + 1 gradients of a row come from one stacked evaluation.
     """
+    xi = np.asarray(getattr(v, "xi", v), dtype=float)
+    if hess and _uses_qform(f):
+        dim = xi.shape[-1]
+        pts = np.repeat(xi[..., None, :], dim + 1, axis=-2)
+        ahead = pts[..., 1:, :]
+        ahead[..., np.arange(dim), np.arange(dim)] += DIFF_STEP * np.max(np.abs(xi), axis=-1)[..., None]
+        step = np.diagonal(ahead, axis1=-2, axis2=-1) - xi   # the steps as rounded
+        value, g = _G_jet(pts, f, n, 1).terms
+        h = (g[..., 1:, :] - g[..., :1, :]) / step[..., None]
+        return value[..., 0], g[..., 0, :], 0.5 * (h + np.swapaxes(h, -1, -2))
+    jet = _G_jet(xi, f, n, 2 if hess else int(grad))
+    return jet.terms if hess else jet.terms[-1]
+
+
+def _G_jet(xi, f, n, order):
+    """G_eval's case table: G at L_n xi as a _Jet of the given order (at most 1
+    for the form)."""
     p = f.p
     if f.case == "odd-power":
-        return f.a / (p + 1.0) * power_integral(v, p + 1, grad)
+        return f.a / (p + 1.0) * _power_jet(xi, p + 1, order)
     if f.case == "n1":
-        return f.b / (f.d + 1.0) * power_integral(v, f.d + 1, grad)
+        return f.b / (f.d + 1.0) * _power_jet(xi, f.d + 1, order)
     if not _uses_qform(f):
-        if not grad:
-            return (f.b / (2.0 * p) * power_integral(v, 2 * p)
-                    - f.a * f.a / 48 * power_integral(v, p) ** 2)
-        return (
-            f.b / (2.0 * p) * power_integral(v, 2 * p, grad=True)
-            - f.a * f.a / 24.0 * power_integral(v, p)[..., None] * power_integral(v, p, grad=True)
-        )
-    kmax = 2 * p if f.case == "n3" else p
-    shift = 1.0 - 1.0 / n**2
-    if not grad:
-        q, mu = _qform(v, p, kmax)
-        alpha = _moment_sum(mu, p)
-        out = -0.5 * f.a * f.a * (q / n**2 - np.pi**4 / 6.0 * alpha**2 * shift)
-        if f.case == "n3":
-            out -= f.b / (2.0 * p) * 2.0 * np.pi**2 * _moment_sum(mu, 2 * p)
-        return out
-    _, mu, dq, dmu = _qform(v, p, kmax, grad=True)
-    alpha = _moment_sum(mu, p)
-    dalpha = _moment_sum_grad(mu, dmu, p)
-    out = -0.5 * f.a * f.a * (dq / n**2 - np.pi**4 / 3.0 * alpha[..., None] * dalpha * shift)
+        power_p = _power_jet(xi, p, order)
+        return f.b / (2.0 * p) * _power_jet(xi, 2 * p, order) - f.a * f.a / 48 * power_p * power_p
+    # grads is (dq, dmu) at order 1 and empty at order 0
+    q, mu, *grads = _qform(xi, p, 2 * p if f.case == "n3" else p, grad=order == 1)
+
+    def moment_sum(k):
+        return _Jet(_moment_sum(mu, k), *(_moment_sum_grad(mu, dmu, k) for dmu in grads[1:]))
+
+    alpha = moment_sum(p)
+    out = -0.5 * f.a * f.a * (n**-2.0 * _Jet(q, *grads[:1])
+                              - np.pi**4 / 6.0 * (1.0 - 1.0 / n**2) * alpha * alpha)
     if f.case == "n3":
-        out -= f.b / (2.0 * p) * 2.0 * np.pi**2 * _moment_sum_grad(mu, dmu, 2 * p)
+        out = out - f.b / (2.0 * p) * 2.0 * np.pi**2 * moment_sum(2 * p)
     return out
 
 
@@ -259,18 +344,18 @@ def G_eval(v, f, n=1, grad=False):
 class GRecipe:
     """Effective G of Phi (omega > 1) or -Phi (omega < 1) on the n-dilated kernel.
 
-    value/grad map a stack (r, dim) of gcd-1 vectors y, row by row, to
-    G_eff(L_n y) and its xi-gradient, (r,) and (r, dim); the sign that
-    g_recipe chose for the side is built into both.  mu = |eps| n^2 pairs
-    with these.  n_invariant says that value and grad do not depend on n.
+    hess maps a stack (r, dim) of gcd-1 vectors y, row by row, to G_eff(L_n
+    y), its xi-gradient and its xi-Hessian, (r,), (r, dim) and (r, dim,
+    dim) (G_eval's hess); the sign that g_recipe chose for the side is built
+    into all three.  mu = |eps| n^2 pairs with these.  n_invariant says that
+    they do not depend on n.
     """
 
     case: str
     q: int
     n: int
     side: int         # +1 (omega > 1) or -1 (omega < 1)
-    value: object
-    grad: object
+    hess: object
     n_invariant: bool = False
 
 
@@ -299,8 +384,7 @@ def g_recipe(f, side, n=1):
         q=f.q,
         n=n,
         side=side,
-        value=lambda y: sign * G_eval(y, f, n),
-        grad=lambda y: sign * G_eval(y, f, n, grad=True),
+        hess=lambda y: tuple(sign * t for t in G_eval(y, f, n, hess=True)),
         n_invariant=not _uses_qform(f),
     )
 

@@ -3,12 +3,14 @@
 The pipeline per dilation level n:
 
   1. maximize the (q+1)-homogeneous effective G over the unit H^1 sphere of
-     gcd-1 kernel vectors (one projected gradient ascent per restart, run
-     until the tangential gradient or the move on the sphere is at rounding
-     level); G and its gradient come from 1D moments and sine coefficients
-     of the powers of the profile eta.  Except in the quadratic-form cases
-     G does not depend on n, so one maximization seeds every level of a
-     branch (LevelMaximizer);
+     gcd-1 kernel vectors (one safeguarded Newton iteration per restart on
+     the sphere, run until the tangential gradient or the move on the
+     sphere is at rounding level); G, its gradient and its Hessian come
+     from 1D moments and sine and cosine coefficients of the powers of the
+     profile eta, the quadratic form's Hessian from differences of its
+     exact gradient.  Except in the quadratic-form cases G does not depend
+     on n, so one maximization seeds every level of a branch
+     (LevelMaximizer);
   2. turn the maximum m and mu = |eps| n^2 into the amplitude t* and the
      predicted critical level of the reduced functional;
   3. refine the dilated initial guess t* L_n y* (with w = 0) by damped Newton
@@ -59,7 +61,8 @@ __all__ = [
 ]
 
 RECORD_VERSION = 1
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+_EPS = np.finfo(float).eps
+_SQRT_EPS = math.sqrt(_EPS)
 # the scaled Galerkin residual a converged refinement must reach; a step at
 # rounding level with a larger residual does not count as converged
 GTOL = 1e-12
@@ -69,6 +72,12 @@ DRIFT_TOL = 1e-9
 # the Galerkin residual an accepted record may show; GTOL holds converged
 # records near 1e-12, so this bar only refuses an unconverged field
 RESIDUAL_TOL = 1e-8
+# maximize_U: the least curvature a Newton step assumes, relative to the
+# row's largest; the longest step on the unit sphere; the evaluations one
+# restart may take
+HESS_FLOOR = 1e-8
+MAX_STEP = 0.5
+MAX_EVALUATIONS = 400
 
 
 @dataclass
@@ -77,7 +86,7 @@ class SearchDiagnostics:
     y_star: object            # the sign-normalized maximizer
     restarts: int
     best_restart: int
-    iterations: int
+    iterations: int           # evaluations of the best restart: its draw and every trial
     grad_norm: float          # tangential gradient norm at the maximizer
     restart_values: tuple
     predicted_level: float = None
@@ -200,11 +209,32 @@ class BranchResult:
 # step 1: the constrained maximization
 
 
-def _sphere_normalize(xi, D):
-    nrm = np.sqrt(reduced._dot(D * xi, xi))
-    if np.any(nrm == 0.0):
-        raise ResowaveError("zero vector cannot be normalized")
-    return xi / nrm[..., None]
+def _newton_steps(z, grad, hess, sd):
+    """Tangential gradient norms and safeguarded Newton steps on the unit sphere.
+
+    z = sd xi, sd = sqrt(D), puts the H^1 sphere on the unit sphere; grad
+    and hess are G's at xi.  On the tangent space z^perp (the Householder
+    basis Q that maps z to -+e_1) the Hessian of the Lagrangian,
+    Q^T (H_z - (z . g_z) I) Q, is made negative definite row by row: its
+    eigenvalues become -max(|lambda|, HESS_FLOOR max|lambda|).  The step
+    solves that system against the tangential gradient, so it goes uphill,
+    and is shortened to MAX_STEP where it is longer.  Rows never mix.
+    """
+    gz = grad / sd
+    lam = reduced._dot(z, gz)
+    tang = gz - lam[:, None] * z
+    u = z.copy()
+    u[:, 0] += np.where(z[:, 0] < 0.0, -1.0, 1.0)
+    Q = np.eye(len(sd))[:, 1:] - (2.0 / reduced._dot(u, u))[:, None, None] * u[:, :, None] * u[:, None, 1:]
+    A = np.swapaxes(Q, 1, 2) @ (hess / np.outer(sd, sd)) @ Q
+    ev, V = np.linalg.eigh(A - lam[:, None, None] * np.eye(len(sd) - 1))
+    mod = np.maximum(np.abs(ev), HESS_FLOOR * np.max(np.abs(ev), axis=1, initial=0.0)[:, None])
+    QV = Q @ V
+    step = (QV @ (reduced._vecmat(tang, QV) / mod)[:, :, None])[:, :, 0]
+    length = np.sqrt(reduced._dot(step, step))
+    with np.errstate(over="ignore"):  # an overflow is inf, which the caller refuses
+        tnorm = np.sqrt(reduced._dot(tang, tang))
+    return tnorm, step * np.minimum(1.0, MAX_STEP / np.maximum(length, MAX_STEP))[:, None]
 
 
 def maximize_U(recipe, dim, seed=0, restarts=16):
@@ -213,55 +243,65 @@ def maximize_U(recipe, dim, seed=0, restarts=16):
     Returns (y_star, m_hat, diagnostics) with y_star sign-normalized.  The
     scale invariance U(v) = G(v)/|v|^(q+1) makes this equivalent to
     maximizing U; m_hat is what the amplitude and level formulas consume.
-    Each restart is one projected gradient ascent (step x1.3 after a gain,
-    x0.5 after a failed trial) that ends when the tangential gradient or the
-    trial move on the sphere reaches rounding level, or at 400 gradients;
-    the first best restart wins.  The restarts advance in lock-step rounds
-    of one stacked recipe.grad (rows that just stepped) and one stacked
-    recipe.value (rows with a trial pending); rows do not mix, so each
-    restart takes the steps it takes alone, in a working set linear in
-    restarts.  Raises when the best value is not positive (no branch on
-    this side) or G, its gradient or the gradient's norm is not finite.
+    Each restart, drawn with coefficients of size 1/j^2, is one safeguarded
+    Newton iteration on the sphere (_newton_steps), its step retracted by
+    normalizing.  A trial gains when its value is higher or, where the
+    value cannot resolve a gain, equal to rounding with a smaller
+    tangential gradient; a trial that does not gain is halved.  A restart
+    ends when the tangential gradient is at most 1e-13 max(1, |G|), when
+    the halved move on the sphere is below rounding, or after
+    MAX_EVALUATIONS evaluations.  The restarts advance in lock-step rounds
+    of one stacked recipe.hess (value, gradient and Hessian at the trial
+    point of every live row); rows do not mix, so each restart takes the
+    steps it takes alone, in a working set linear in restarts.  Every
+    restart reaches the same maximum to rounding, so the best restart is
+    the first whose value is within 1e-12 relative of the largest: the
+    winner does not turn on the last bit.  Raises when the best value is
+    not positive (no branch on this side) or G, its gradient, its Hessian
+    or the gradient's norm is not finite.
     """
     if restarts < 1:
         raise ResowaveError(f"maximize_U needs at least one restart, got {restarts}")
 
-    def finite(out):
-        if not np.all(np.isfinite(out)):
+    def finite(*arrays):
+        if not all(np.all(np.isfinite(a)) for a in arrays):
             raise ResowaveError("effective G is not finite; a coefficient is out of range")
-        return out
+        return arrays
 
-    D = np.pi**2 * np.arange(1, dim + 1, dtype=float) ** 2  # the H^1 metric
+    def evaluate(z):
+        # an overflow is inf and inf - inf is nan, which finite refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, grad, hess = finite(*recipe.hess(z / sd))
+        return (value, *finite(*_newton_steps(z, grad, hess, sd)))
+
+    def unit(z):
+        return z / np.sqrt(reduced._dot(z, z))[:, None]
+
+    sd = np.pi * np.arange(1, dim + 1)  # the H^1 norm is |sd xi|
     rng = np.random.default_rng(seed)
-    xi = _sphere_normalize(rng.standard_normal((restarts, dim)) / np.arange(1, dim + 1) ** 2, D)
-    val = finite(recipe.value(xi))
-    step, tnorm, iters = np.ones(restarts), np.zeros(restarts), np.zeros(restarts, dtype=int)
-    tang, live = np.zeros_like(xi), np.ones(restarts, dtype=bool)
-    g = np.arange(restarts)  # the rows due a gradient: every row, then those that just stepped
+    z = unit(rng.standard_normal((restarts, dim)) / np.arange(1, dim + 1))
+    val, tnorm, step = evaluate(z)
+    t, iters = np.ones(restarts), np.ones(restarts, dtype=int)
+    live = tnorm > 1e-13 * np.maximum(1.0, np.abs(val))
     while True:
-        if g.size:
-            gn = finite(recipe.grad(xi[g])) / D
-            tang[g] = gn - reduced._dot(D * gn, xi[g])[:, None] * xi[g]
-            with np.errstate(over="ignore"):  # an overflow is inf, which finite refuses
-                tnorm[g] = finite(np.sqrt(reduced._dot(D * tang[g], tang[g])))
-            iters[g] += 1
-            live[g] = (tnorm[g] > 1e-13 * np.maximum(1.0, np.abs(val[g]))) & (iters[g] < 400)
-        # backtracking stops once the move on the unit sphere is below rounding
-        live &= step * tnorm > 1e-16
-        t = np.flatnonzero(live)
-        if not t.size:
+        # a halved move below rounding on the unit sphere ends the restart
+        live &= (iters < MAX_EVALUATIONS) & (t * np.sqrt(reduced._dot(step, step)) > 1e-16)
+        r = np.flatnonzero(live)
+        if not r.size:
             break
-        cand = _sphere_normalize(xi[t] + step[t, None] * tang[t], D)
-        cval = finite(recipe.value(cand))
-        up = cval > val[t]
-        xi[t[up]], val[t[up]] = cand[up], cval[up]
-        step[t] *= np.where(up, 1.3, 0.5)
-        g = t[up]
-    best = int(np.argmax(val))
+        cand = unit(z[r] + t[r, None] * step[r])
+        cval, ctnorm, cstep = evaluate(cand)
+        iters[r] += 1
+        up = (cval > val[r]) | ((cval >= val[r] - 4.0 * _EPS * np.abs(val[r])) & (ctnorm < tnorm[r]))
+        k = r[up]
+        z[k], val[k], tnorm[k], step[k], t[k] = cand[up], cval[up], ctnorm[up], cstep[up], 1.0
+        live[k] = tnorm[k] > 1e-13 * np.maximum(1.0, np.abs(val[k]))
+        t[r[~up]] *= 0.5
+    best = int(np.flatnonzero(val >= np.max(val) - 1e-12 * np.abs(np.max(val)))[0])
     if val[best] <= 0.0:
         raise ResowaveError("effective G is nonpositive on the sphere; "
                             "branch infeasible on this side")
-    y = kernel.normalize_sign(kernel.KernelVector(xi[best]))
+    y = kernel.normalize_sign(kernel.KernelVector(z[best] / sd))
     diag = SearchDiagnostics(
         m_hat=float(val[best]),
         y_star=y,

@@ -52,18 +52,23 @@ def test_travelling_wave_identity():
 
 
 def test_eta_power_spectrum_against_quadrature():
-    """Means and sine coefficients of eta^i match a dense trapezoid sum."""
+    """Means, sine and cosine coefficients of eta^i match a dense trapezoid sum."""
     rng = np.random.default_rng(14)
     v = kernel.KernelVector(rng.standard_normal(5) / np.arange(1, 6))
     # an odd top power: its sine coefficients need every node
-    moments, sines = kernel.eta_power_spectrum(v, 5)
-    assert moments.shape == (6,) and sines.shape == (6, 5)
+    moments, sines, cosines = kernel.eta_power_spectrum(v, 5)
+    assert moments.shape == (6,) and sines.shape == (6, 5) and cosines.shape == (5, 11)
     s = 2.0 * np.pi * np.arange(512) / 512
     vals = eta(v, s)
     for i in range(6):
         assert abs(moments[i] - np.mean(vals**i)) < 1e-14
         for j in range(1, 6):
             assert abs(sines[i, j - 1] - np.mean(vals**i * np.sin(j * s))) < 1e-14
+    # the cosines reach m = 2 dim, past the rfft's last mode, for i < kmax
+    for i in range(5):
+        for m in range(11):
+            assert abs(cosines[i, m] - np.mean(vals**i * np.cos(m * s))) < 1e-14
+    assert np.array_equal(cosines[:, 0], moments[:5])
     # eta^0 = 1 and eta = sum (xi_j / 2) sin(j s): S_j(eta) = xi_j / 4
     assert moments[0] == pytest.approx(1.0, abs=1e-15)
     assert np.max(np.abs(sines[1] - v.xi / 4.0)) < 1e-15

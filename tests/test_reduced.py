@@ -133,7 +133,7 @@ def test_linv_qform_moments_come_from_eta():
     v = rand_vec(seed=71, dim=4, scale=0.8)
     q, mu = reduced._qform(v, 2, 4)
     assert q == reduced.linv_qform(v, 2)
-    mom, _ = kernel.eta_power_spectrum(v, 4)
+    mom = kernel.eta_power_spectrum(v, 4)[0]
     assert np.max(np.abs(mu - mom)) <= 1e-14 * np.max(np.abs(mom))
 
 
@@ -169,13 +169,13 @@ def test_qform_recipe_gradient_matches_central_differences(coeffs, n):
     f = nonlinearity.classify(coeffs)
     rec = reduced.g_recipe(f, -1, n=n)
     xi = rand_vec(seed=75, dim=4, scale=0.8).xi
-    g = rec.grad(xi)
+    g = rec.hess(xi)[1]
     h = 1e-6
     fd = np.zeros(4)
     for i in range(4):
         e = np.zeros(4)
         e[i] = h
-        fd[i] = (rec.value(xi + e) - rec.value(xi - e)) / (2 * h)
+        fd[i] = (rec.hess(xi + e)[0] - rec.hess(xi - e)[0]) / (2 * h)
     assert np.max(np.abs(fd - g)) <= 1e-8 * np.max(np.abs(g))
 
 
@@ -226,6 +226,25 @@ def test_G_is_homogeneous_at_every_level(coeffs, n):
         assert np.max(np.abs(dscaled - c**f.q * grad)) <= 1e-12 * np.max(np.abs(dscaled))
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("coeffs", SHAPES, ids=["odd-power", "n1", "n2", "n3-bneg", "n3-bpos"])
+def test_G_hessian_matches_gradient_differences(coeffs, n):
+    # exact for the power-integral shapes, forward differences of the exact
+    # gradient for the form; either way symmetric, and with hess the value
+    # and gradient are G_eval's own, bit for bit
+    f = nonlinearity.classify(coeffs)
+    xi = rand_vec(seed=19, dim=5, scale=0.7).xi
+    value, grad, hess = reduced.G_eval(xi, f, n, hess=True)
+    assert value == reduced.G_eval(xi, f, n)
+    assert np.array_equal(grad, reduced.G_eval(xi, f, n, grad=True))
+    h = 1e-5
+    fd = np.array([(reduced.G_eval(xi + h * e, f, n, grad=True)
+                    - reduced.G_eval(xi - h * e, f, n, grad=True)) / (2 * h) for e in np.eye(5)])
+    exact = not reduced._uses_qform(f)
+    assert np.max(np.abs(hess - fd)) <= (1e-9 if exact else 1e-6) * np.max(np.abs(hess))
+    assert np.max(np.abs(hess - hess.T)) <= 1e-15 * np.max(np.abs(hess))
+
+
 CASES = [
     ({3: 1.0}, +1),
     ({3: -1.0}, -1),
@@ -244,12 +263,12 @@ def test_recipe_gradient_matches_finite_differences(coeffs, side):
     f = nonlinearity.classify(coeffs)
     rec = reduced.g_recipe(f, side, n=2)
     xi = rand_vec(seed=17, dim=3, scale=0.8).xi
-    g = rec.grad(xi)
+    g = rec.hess(xi)[1]
     h = 1e-6
     for i in range(3):
         e = np.zeros(3)
         e[i] = h
-        fd = (rec.value(xi + e) - rec.value(xi - e)) / (2 * h)
+        fd = (rec.hess(xi + e)[0] - rec.hess(xi - e)[0]) / (2 * h)
         assert abs(fd - g[i]) < 1e-6 * max(1.0, abs(g[i]))
 
 
@@ -259,11 +278,12 @@ def test_recipe_stack_rows_equal_single_rows(coeffs, side, n):
     # a row of a stack is evaluated as it is alone, bit for bit
     rec = reduced.g_recipe(nonlinearity.classify(coeffs), side, n=n)
     stack = np.random.default_rng(41).standard_normal((5, 4))
-    values, grads = rec.value(stack), rec.grad(stack)
-    assert values.shape == (5,) and grads.shape == (5, 4)
-    for row, value, grad in zip(stack, values, grads):
-        assert rec.value(row) == value
-        assert np.array_equal(rec.grad(row), grad)
+    values, grads, hessians = rec.hess(stack)
+    assert values.shape == (5,) and grads.shape == (5, 4) and hessians.shape == (5, 4, 4)
+    for row, value, grad, hess in zip(stack, values, grads, hessians):
+        alone = rec.hess(row)
+        assert alone[0] == value
+        assert np.array_equal(alone[1], grad) and np.array_equal(alone[2], hess)
 
 
 def test_cached_tables_are_read_only():
@@ -299,7 +319,7 @@ def test_recipe_side_gating():
 def test_odd_case_recipe_ignores_dilation_level():
     f = nonlinearity.classify({3: 1.0})
     xi = rand_vec(seed=19, dim=2, scale=0.6).xi
-    vals = [reduced.g_recipe(f, +1, n=n).value(xi) for n in (1, 2, 5)]
+    vals = [reduced.g_recipe(f, +1, n=n).hess(xi)[0] for n in (1, 2, 5)]
     assert vals[0] == vals[1] == vals[2]
 
 
@@ -311,7 +331,7 @@ def test_qform_recipe_equals_G_at_dilated_vector():
         for n in (1, 2, 3, 4):
             rec = reduced.g_recipe(f, -1, n=n)
             direct = reduced.G_eval(kernel.rescale(y, n), f)
-            assert abs(rec.value(y.xi) - direct) <= 1e-13 * abs(direct)
+            assert abs(rec.hess(y.xi)[0] - direct) <= 1e-13 * abs(direct)
 
 
 def test_phi_decomposition_against_quadrature():

@@ -40,42 +40,69 @@ def test_maximize_raises_on_infeasible_sign():
     # back by the side's sign, so force infeasibility with a hand-built recipe
     rec = reduced.GRecipe(
         case="odd-power", q=3, n=1, side=+1,
-        value=lambda y: -np.abs(reduced.G_eval(y, F3)),
-        grad=lambda y: -reduced.G_eval(y, F3, grad=True),
+        hess=lambda y: tuple(-t for t in reduced.G_eval(y, F3, hess=True)),
     )
     with pytest.raises(ResowaveError):
         search.maximize_U(rec, 2, seed=0, restarts=2)
 
 
+def test_maximize_refuses_an_overflowing_hessian():
+    # G and its gradient finite, the Hessian not: refused like G itself
+    def hess(y):
+        value, grad, h = reduced.G_eval(y, F3, hess=True)
+        return value, grad, np.where(np.arange(h.shape[-1]) == 1, np.inf, h)
+
+    rec = dataclasses.replace(reduced.g_recipe(F3, +1, n=1), hess=hess)
+    with pytest.raises(ResowaveError, match="not finite"):
+        search.maximize_U(rec, 4, seed=0, restarts=3)
+
+
 @pytest.mark.parametrize("coeffs, side", [({3: 1.0}, +1), ({2: 1.0}, -1)])
 def test_maximize_call_budget(coeffs, side):
-    # one projected-gradient ascent per restart, whose backtracking stops
-    # once the move on the unit sphere is below rounding; the restarts run
-    # in lock-step, one stacked call per round
+    # one safeguarded Newton iteration per restart; the restarts run in
+    # lock-step, one stacked value-gradient-Hessian call per round
     recipe = reduced.g_recipe(nonlinearity.classify(coeffs), side, n=1)
-    calls = {"value": 0, "grad": 0}
-    rows = dict(calls)
+    calls, rows = [0], [0]
 
-    def counted(name):
-        def call(y):
-            calls[name] += 1
-            rows[name] += len(y)
-            return getattr(recipe, name)(y)
-        return call
+    def counted(y):
+        calls[0] += 1
+        rows[0] += len(y)
+        return recipe.hess(y)
 
-    counting = dataclasses.replace(recipe, value=counted("value"), grad=counted("grad"))
-    search.maximize_U(counting, 6, seed=0, restarts=8)
-    assert rows["value"] <= 70 * 8 and rows["grad"] <= 32 * 8, rows
-    assert calls["value"] <= 80 and calls["grad"] <= 50, calls
+    search.maximize_U(dataclasses.replace(recipe, hess=counted), 6, seed=0, restarts=8)
+    assert rows[0] <= 8 * 8 and calls[0] <= 12, (rows, calls)
+
+
+NEWTON_SHAPES = [({3: 1.0}, +1), ({2: 1.0}, -1), ({3: 1.0, 5: 0.5}, +1), ({2: 1.0, 3: -1.0}, -1)]
 
 
 def test_maximize_restarts_are_independent():
-    # lock-step restarts: fewer restarts give the leading values bit for bit
-    for coeffs, side in [({3: 1.0}, +1), ({2: 1.0}, -1)]:
+    # lock-step restarts: fewer restarts give the leading values bit for
+    # bit, and a row of a stacked Hessian call is the row alone
+    stack = np.random.default_rng(43).standard_normal((4, 6))
+    for coeffs, side in NEWTON_SHAPES:
         rec = reduced.g_recipe(nonlinearity.classify(coeffs), side, n=1)
         three = search.maximize_U(rec, 6, seed=5, restarts=3)[2].restart_values
         eight = search.maximize_U(rec, 6, seed=5, restarts=8)[2].restart_values
         assert three == eight[:3]
+        values, grads, hessians = rec.hess(stack)
+        assert hessians.shape == (4, 6, 6)
+        for row, value, grad, hess in zip(stack, values, grads, hessians):
+            alone = rec.hess(row[None])
+            assert alone[0][0] == value and np.array_equal(alone[1][0], grad)
+            assert np.array_equal(alone[2][0], hess)
+
+
+@pytest.mark.parametrize("coeffs, side", NEWTON_SHAPES)
+def test_best_restart_is_the_first_at_the_maximum(coeffs, side):
+    # every restart ends at the same maximum to rounding, so the winner is
+    # the first restart within 1e-12 relative of the largest value, not the
+    # one whose last bit happens to be highest
+    rec = reduced.g_recipe(nonlinearity.classify(coeffs), side, n=1)
+    _, m, diag = search.maximize_U(rec, 6, seed=5, restarts=8)
+    values = np.array(diag.restart_values)
+    assert np.ptp(values) <= 1e-12 * m
+    assert diag.best_restart == 0 and m == values[0]
 
 
 def test_maximize_needs_a_restart():
