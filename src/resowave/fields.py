@@ -29,7 +29,6 @@ import functools
 
 import numpy as np
 from dataclasses import dataclass
-from numpy.lib.stride_tricks import as_strided
 from scipy import fft as sfft
 
 from .errors import ResowaveError
@@ -390,27 +389,33 @@ def matrix_entries(lt, lx, checkerboard=False):
 
     Every entry of the (lt+1, lx) truncation, row-major; or on the
     checkerboard only the entries with l + j even, first those of the even
-    rows, then those of the odd rows, each class row-major.
+    rows, then those of the odd rows, each class row-major.  An LU of the
+    matrix eliminates in this order, so the order is part of the results.
     """
     flat = np.arange((lt + 1) * lx).reshape(lt + 1, lx)
-    return np.concatenate([flat[rows, cols].ravel() for rows, cols in _entry_classes(checkerboard)])
+    if not checkerboard:
+        return flat.ravel()
+    return np.concatenate([flat[0::2, 1::2].ravel(), flat[1::2, 0::2].ravel()])
 
 
-def _entry_classes(checkerboard):
-    """(rows, columns) slices of each class of kept entries, in matrix order."""
-    if checkerboard:
-        return [(np.s_[0::2], np.s_[1::2]), (np.s_[1::2], np.s_[0::2])]
-    return [(np.s_[:], np.s_[:])]
+@functools.lru_cache(maxsize=4)
+def _matrix_gather(lt, lx, checkerboard):
+    """Flat indices into the slabs X[t, i, k] of multiply_poly_matrix, transposed.
 
-
-def _windows(a, m):
-    """The read-only view [i, r, k, b] = a[i, r + b, k] of a 3-d array a, b < m.
-
-    numpy's sliding_window_view(a, m, axis=1), without the argument checks
-    that cost more than the view on the small blocks of multiply_poly_matrix.
+    For the row entry (a_r, i_r) and the column entry (a_s, i_s) of
+    matrix_entries, [s, r] of the first array points at X[|a_r - a_s|,
+    i_r, i_s] and of the second at X[a_r + a_s, i_r, i_s], or at the zero
+    slab t = 2 lt + 1 in the rows a_r = 0, which have no Hankel term.  The
+    arrays are cached and shared by every caller, so they are read-only;
+    they hold 16 bytes per matrix entry.
     """
-    shape = (a.shape[0], a.shape[1] - m + 1, a.shape[2], m)
-    return as_strided(a, shape, a.strides + a.strides[1:2], writeable=False)
+    a, i = divmod(matrix_entries(lt, lx, checkerboard), lx)   # rows r along axis 1
+    slab = i * lx + i[:, None]                                # i_r lx + i_s
+    toeplitz = np.abs(a - a[:, None]) * lx**2 + slab
+    hankel = np.where(a == 0, 2 * lt + 1, a + a[:, None]) * lx**2 + slab
+    for index in (toeplitz, hankel):
+        index.flags.writeable = False
+    return toeplitz, hankel
 
 
 def multiply_poly_matrix(u, poly, lt, lx, checkerboard=False):
@@ -425,9 +430,11 @@ def multiply_poly_matrix(u, poly, lt, lx, checkerboard=False):
     + A^_{l+l'} (the second term only for l >= 1), and the cosine part in x
     through A^_{|j-j'|} - A^_{j+j'}.  The sine part turns sin(j' x) into
     cosine content, projected with _half_projection_matrix; it vanishes
-    unless poly has an odd-degree term, because u is odd in x.  The matrix
-    is returned in Fortran order so that an LU factorization can overwrite
-    it without a copy.
+    unless poly has an odd-degree term, because u is odd in x.  So entry
+    ((l, j), (l', j')) is X[|l - l'|] + X[l + l'] of the slabs X[t, j-1,
+    j'-1], read by one gather of the indices _matrix_gather caches.  The
+    matrix is returned in Fortran order so that an LU factorization can
+    overwrite it without a copy.
     """
     poly = np.asarray(poly, dtype=float)
     r = _poly_degree(poly)
@@ -441,37 +448,19 @@ def multiply_poly_matrix(u, poly, lt, lx, checkerboard=False):
     Ah[:, 1:] *= 0.5
     j = np.arange(1, lx + 1)
     diff = np.abs(j[:, None] - j[None, :])
-    X = Ah[:, diff] - Ah[:, j[:, None] + j[None, :]]     # X[k, j-1, j'-1]
+    # X[t, j-1, j'-1] for t <= 2 lt, then the zero slab t = 2 lt + 1; it is
+    # -0.0, which added to any x gives x bit for bit, the sign of a zero too
+    X = np.empty((2 * m, lx, lx))
+    np.subtract(Ah[:, diff], Ah[:, j[:, None] + j[None, :]], out=X[:-1])
+    X[-1] = -0.0
     if np.any(poly[1::2] != 0.0):
         K = _half_projection_matrix(d_x + lx, lx)
         mu = np.arange(d_x + 1)[:, None]
         Kd = 0.5 * (K[np.abs(mu - j[None, :])] - K[mu + j[None, :]])  # [mu, j'-1, j-1]
         Y = (B[: 2 * m - 1] * half_t) @ Kd.reshape(d_x + 1, lx * lx)
-        X += Y.reshape(-1, lx, lx).transpose(0, 2, 1)
-    # Class p keeps the rows a = p + s alpha (s = 2 on the checkerboard, else
-    # 1) and its own columns; block (a, b) of the matrix is X[|a - b|] +
-    # X[a + b], or X[b] in the row a = 0.  For classes p, q, X[a + b] =
-    # X[p + q + s (alpha + beta)] is a sliding-window view of X[p + q :: s],
-    # and X[|a - b|] one of Z[t] = X[|q - p + s (t - m_p + 1)|] with the rows
-    # alpha reversed.  Both are added straight into out: entry (alpha n_p +
-    # i, beta n_q + k) of block (p, q) is blocks[i, alpha, k, beta], with no
-    # temporary of the output's size
-    Xi = X.transpose(1, 0, 2)                            # [i, t, k]
-    classes = [(len(range(m)[rows]), Xi[cols], cols) for rows, cols in _entry_classes(checkerboard)]
-    s = len(classes)                                     # one class per row parity mod s
-    ends = np.cumsum([0] + [m_p * len(range(lx)[cols]) for m_p, _, cols in classes])
-    out = np.empty((ends[-1], ends[-1]), order="F")
-    for p, (m_p, Xp, _) in enumerate(classes):
-        for q, (m_q, _, cols) in enumerate(classes):
-            Xpq = Xp[:, :, cols]
-            blocks = out[ends[p] : ends[p + 1], ends[q] : ends[q + 1]].reshape(
-                (Xpq.shape[0], m_p, Xpq.shape[2], m_q), order="F")
-            if not blocks.size:
-                continue
-            hankel = _windows(Xpq[:, p + q :: s], m_q)[:, :m_p]
-            z = np.abs(q - p + s * (np.arange(m_p + m_q - 1) - m_p + 1))
-            toeplitz = _windows(Xpq[:, z], m_q)[:, ::-1]
-            top = 1 - p                                  # the row a = 0 has no Toeplitz part
-            blocks[:, :top] = hankel[:, :top]
-            np.add(toeplitz[:, top:], hankel[:, top:], out=blocks[:, top:])
-    return out
+        X[:-1] += Y.reshape(-1, lx, lx).transpose(0, 2, 1)
+    toeplitz, hankel = _matrix_gather(lt, lx, checkerboard)
+    flat = X.ravel()
+    out = flat[toeplitz]
+    out += flat[hankel]
+    return out.T

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields, frequency, kernel, nonlinearity, psolve, reduced
-from .errors import ConvergenceError, ResonanceError, ResowaveError
+from .errors import ConfigError, ConvergenceError, ResonanceError, ResowaveError
 
 __all__ = [
     "SearchDiagnostics",
@@ -78,6 +78,9 @@ RESIDUAL_TOL = 1e-8
 HESS_FLOOR = 1e-8
 MAX_STEP = 0.5
 MAX_EVALUATIONS = 400
+# refine: the most Newton unknowns a level may have; the dense Jacobian at
+# the cap is 128 MiB and one solve of it takes about a second
+MAX_UNKNOWNS = 4096
 
 
 @dataclass
@@ -482,7 +485,8 @@ def refine(v0, ctx, f, lt=None, lx=None):
     the refinement aborts rather than report a solution the existence
     argument does not cover.  The guard reads coefficients only and runs
     once per iterate, the first time before any step, so it also refuses a
-    resonant context and lt > ctx.L up front.
+    resonant context and lt > ctx.L up front.  A truncation with more than
+    MAX_UNKNOWNS unknowns raises ConfigError before anything is sampled.
     """
     n = kernel.minimal_time_period_index(v0)
     if lt is None:
@@ -496,6 +500,9 @@ def refine(v0, ctx, f, lt=None, lx=None):
     frame = _dilation_frame(f, n)
     u = fields.SpectralField(kernel.embed(v0).padded(lt, lx)[::n, frame.d - 1 :: frame.d])
     keep = fields.matrix_entries(u.lt, u.lx, frame.checkerboard)
+    if keep.size > MAX_UNKNOWNS:
+        raise ConfigError(f"refinement truncation lt={lt}, lx={lx} has {keep.size} Newton "
+                          f"unknowns, above MAX_UNKNOWNS = {MAX_UNKNOWNS}")
     scale = 0.5 * np.pi**2 * frame.d**2
     F = _galerkin_F(u, ctx, frame)
     gnorm = scale * float(np.linalg.norm(F))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resowave import cli, evolve, search
+from resowave import cli, evolve, fields, search
 
 
 def write_json(path, doc):
@@ -385,6 +385,21 @@ def test_unreadable_solve_inputs_exit_two(tmp_path, capsys, override):
     assert cli.main(["solve", "--config", solve_config(tmp_path, **override)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("override", [{"lt": 400, "lx": 400}, {"dim": 200}], ids=lambda d: json.dumps(d))
+def test_oversized_newton_system_exits_two(tmp_path, capsys, monkeypatch, override):
+    # 80200 checkerboard unknowns: refused before anything is sampled
+    def never(*args, **kw):
+        raise AssertionError("sampled a refused truncation")
+
+    monkeypatch.setattr(fields, "apply_nonlinearity", never)
+    monkeypatch.setattr(fields, "multiply_poly_matrix", never)
+    cfg = solve_config(tmp_path, **{"eps": 4e-4, "dim": 4, "restarts": 2, "lmax": 400, **override})
+    assert cli.main(["solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "lt=400, lx=400 has 80200 Newton unknowns" in err
 
 
 def test_explicit_truncation_in_range_is_solved(tmp_path, capsys):

@@ -225,6 +225,11 @@ def test_multiply_poly_project_matches_quadrature():
         assert abs(got - want) < 1e-12, (l, j)
 
 
+# the checkerboard test's shapes, the single entry (0, 1), whose row a = 0
+# has only the zero Hankel slab, and lt < lx
+MATRIX_SHAPES = [(7, 6), (8, 9), (16, 16), (1, 1), (2, 1), (0, 1), (3, 5)]
+
+
 @pytest.mark.parametrize("fprime", [
     [0.0, 0.0, 3.0],          # f = u^3
     [0.0, 2.0],               # f = u^2
@@ -232,23 +237,24 @@ def test_multiply_poly_project_matches_quadrature():
 ])
 def test_multiply_poly_matrix_columns_match_product(fprime):
     rng = np.random.default_rng(11)
-    lt, lx = 7, 6
-    u = random_field(rng, lt, lx)
-    M = fields.multiply_poly_matrix(u, fprime, lt, lx)
-    assert M.shape == ((lt + 1) * lx, (lt + 1) * lx)
-    for l in range(lt + 1):
-        for j in range(1, lx + 1):
-            z = np.zeros((lt + 1, lx))
-            z[l, j - 1] = 1.0
-            P = fields.multiply_poly_project(
-                u, fprime, fields.SpectralField(z), out_lt=lt, out_lx=lx
-            )
-            col = P.coeffs.ravel()
-            err = np.max(np.abs(M[:, l * lx + j - 1] - col))
-            assert err <= 1e-13 * np.max(np.abs(col)), (l, j)
+    for lt, lx in MATRIX_SHAPES:
+        u = random_field(rng, lt, lx)
+        M = fields.multiply_poly_matrix(u, fprime, lt, lx)
+        assert M.shape == ((lt + 1) * lx, (lt + 1) * lx)
+        for l in range(lt + 1):
+            for j in range(1, lx + 1):
+                z = np.zeros((lt + 1, lx))
+                z[l, j - 1] = 1.0
+                P = fields.multiply_poly_project(
+                    u, fprime, fields.SpectralField(z), out_lt=lt, out_lx=lx
+                )
+                # a projection keeps at least two rows, so lt = 0 reads the first
+                col = P.coeffs[: lt + 1].ravel()
+                err = np.max(np.abs(M[:, l * lx + j - 1] - col))
+                assert err <= 1e-13 * np.max(np.abs(col)), (lt, lx, l, j)
 
 
-@pytest.mark.parametrize("lt, lx", [(7, 6), (8, 9), (16, 16), (1, 1), (2, 1)])
+@pytest.mark.parametrize("lt, lx", MATRIX_SHAPES[:5])
 def test_multiply_poly_matrix_checkerboard_is_the_kept_block(lt, lx):
     # the checkerboard matrix is the block of the full one on the entries
     # l + j even, in matrix_entries order, bit for bit; an even-only

@@ -8,7 +8,7 @@ import pytest
 import scipy.fft as sfft
 
 from resowave import evolve, fields, frequency, kernel, nonlinearity, psolve, reduced, search
-from resowave.errors import ConvergenceError, ResonanceError, ResowaveError
+from resowave.errors import ConfigError, ConvergenceError, ResonanceError, ResowaveError
 
 F3 = nonlinearity.classify({3: 1.0})
 
@@ -700,6 +700,84 @@ def test_criterion6_branch_jacobians_stay_small(monkeypatch):
     br = search.solve_branch(C6_CTX, F3, C=0.004, dim=6, seed=0, restarts=8)
     assert [r.n for r in br.records] == [1, 2, 3, 4, 5, 6]
     assert max(sizes) == checkerboard_size(17, 16) == 136
+
+
+def test_refine_refuses_too_many_unknowns_before_sampling(monkeypatch):
+    # 80200 checkerboard unknowns would be a 51 GB Jacobian: refused before
+    # f(u) is sampled or the Jacobian assembled
+    def never(*args, **kw):
+        raise AssertionError("sampled a refused truncation")
+
+    monkeypatch.setattr(fields, "apply_nonlinearity", never)
+    monkeypatch.setattr(fields, "multiply_poly_matrix", never)
+    v0 = kernel.KernelVector([1e-3, 0.0, 0.0, 1e-5])
+    ctx = frequency.make_context(frequency.omega_for_eps(4e-4), L=400)
+    with pytest.raises(ConfigError, match=r"lt=400, lx=400 has 80200 .* MAX_UNKNOWNS = 4096"):
+        search.refine(v0, ctx, F3, lt=400, lx=400)
+    f2, ctx2 = nonlinearity.classify({2: 1.0}), frequency.make_context(0.9998, L=100)
+    with pytest.raises(ConfigError, match=r"lt=100, lx=100 has 10100 "):
+        search.refine(v0, ctx2, f2, lt=100, lx=100)
+    # the cap itself is admitted: refine goes on to sample f(u)
+    monkeypatch.setattr(search, "MAX_UNKNOWNS", 10100)
+    with pytest.raises(AssertionError, match="sampled"):
+        search.refine(v0, ctx2, f2, lt=100, lx=100)
+
+
+def test_solve_branch_lists_a_refused_level_as_failed(monkeypatch):
+    # with the cap below the n = 1 frame (136 unknowns) only that level fails
+    monkeypatch.setattr(search, "MAX_UNKNOWNS", 100)
+    br = search.solve_branch(C6_CTX, F3, C=0.004, dim=6, seed=0, restarts=8)
+    assert [r.n for r in br.records] == [2, 3, 4, 5, 6]
+    assert len(br.failures) == 1 and br.failures[0][0] == 1
+    assert "136 Newton unknowns, above MAX_UNKNOWNS = 100" in br.failures[0][1]
+
+
+HOMOGENEOUS = {"u3": ({3: 1.0}, 1.0001), "u5": ({5: 1.0}, 1.0001), "-u3-below": ({3: -1.0}, 0.9999)}
+
+
+def homogeneity_gaps(coeffs, omega):
+    """Relative distance of each frame field U_n, n = 2..6, from n^(2/(p-1)) U_1.
+
+    For f = c u^p the frame of level n solves level 1 with f/n^2, whose
+    solution is n^(2/(p-1)) times level 1's; U_1 is a level-1 refine on
+    the same frame truncation.
+    """
+    f = nonlinearity.classify(coeffs)
+    p = max(coeffs)
+    ctx = frequency.make_context(omega, L=48)
+    assert frequency.max_admissible_n(ctx, f, C=0.004) >= 6
+    maximizer = search.LevelMaximizer(6, seed=0, restarts=8)
+
+    def solve(n, lt=None, lx=None):
+        recipe = reduced.g_recipe(f, 1 if omega > 1.0 else -1, n=n)
+        y, m, diag = maximizer(recipe)
+        v0, _ = search.initial_guess(y, m, recipe, ctx, diag)
+        v, w, _ = search.refine(v0, ctx, f, lt=lt, lx=lx)
+        return (kernel.embed(v) + w).coeffs
+
+    gaps = {}
+    for n in range(2, 7):
+        U = solve(n)[::n, n - 1 :: n]
+        want = n ** (2 / (p - 1)) * solve(1, lt=U.shape[0] - 1, lx=U.shape[1])
+        gaps[n] = np.max(np.abs(U - want)) / np.max(np.abs(want))
+    return gaps
+
+
+@pytest.mark.parametrize("name", list(HOMOGENEOUS))
+def test_homogeneity_law_of_the_frame_levels(name):
+    # U_n = n^(2/(p-1)) U_1 to rounding on the criterion-6 branch, on each
+    # of its frame shapes (13 x 12, 10 x 9, 9 x 8)
+    gaps = homogeneity_gaps(*HOMOGENEOUS[name])
+    assert max(gaps.values()) <= 1e-12, gaps
+
+
+@pytest.mark.parametrize("name", list(HOMOGENEOUS))
+def test_homogeneity_law_fails_without_the_frame_division(monkeypatch, name):
+    # the frame f not divided by n^2: every level lands on U_1 itself
+    real = search._dilation_frame
+    monkeypatch.setattr(search, "_dilation_frame", lambda f, n: dataclasses.replace(real(f, n), f=f))
+    gaps = homogeneity_gaps(*HOMOGENEOUS[name])
+    assert min(gaps.values()) > 0.1, gaps
 
 
 @pytest.mark.parametrize("coeffs, omega", [({2: 1.0, 3: 1.0}, 1.0001), ({2: 1.0, 3: 0.1}, 0.9999)],
