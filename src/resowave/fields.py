@@ -389,8 +389,11 @@ def matrix_entries(lt, lx, checkerboard=False):
 
     Every entry of the (lt+1, lx) truncation, row-major; or on the
     checkerboard only the entries with l + j even, first those of the even
-    rows, then those of the odd rows, each class row-major.  An LU of the
-    matrix eliminates in this order, so the order is part of the results.
+    rows, then those of the odd rows, each class row-major.  The two classes
+    are the parts of a checkerboard field odd and even under the reflection
+    x -> pi - x, since sin(j (pi - x)) = (-1)^(j+1) sin(j x): (l, j) both
+    even, then both odd.  An LU of the matrix eliminates in this order, so
+    the order is part of the results.
     """
     flat = np.arange((lt + 1) * lx).reshape(lt + 1, lx)
     if not checkerboard:
@@ -398,15 +401,18 @@ def matrix_entries(lt, lx, checkerboard=False):
     return np.concatenate([flat[0::2, 1::2].ravel(), flat[1::2, 0::2].ravel()])
 
 
-@functools.lru_cache(maxsize=4)
-def _matrix_gather(lt, lx, checkerboard):
+# the most unknowns whose gather indices _matrix_gather keeps: 16 MiB a shape
+GATHER_CACHE_UNKNOWNS = 1024
+
+
+def _gather_indices(lt, lx, checkerboard):
     """Flat indices into the slabs X[t, i, k] of multiply_poly_matrix, transposed.
 
     For the row entry (a_r, i_r) and the column entry (a_s, i_s) of
     matrix_entries, [s, r] of the first array points at X[|a_r - a_s|,
     i_r, i_s] and of the second at X[a_r + a_s, i_r, i_s], or at the zero
     slab t = 2 lt + 1 in the rows a_r = 0, which have no Hankel term.  The
-    arrays are cached and shared by every caller, so they are read-only;
+    arrays may be cached and shared by every caller, so they are read-only;
     they hold 16 bytes per matrix entry.
     """
     a, i = divmod(matrix_entries(lt, lx, checkerboard), lx)   # rows r along axis 1
@@ -416,6 +422,24 @@ def _matrix_gather(lt, lx, checkerboard):
     for index in (toeplitz, hankel):
         index.flags.writeable = False
     return toeplitz, hankel
+
+
+_cached_gather_indices = functools.lru_cache(maxsize=4)(_gather_indices)
+
+
+def _matrix_gather(lt, lx, checkerboard):
+    """_gather_indices, cached for shapes of at most GATHER_CACHE_UNKNOWNS unknowns.
+
+    A larger shape builds its indices on each call, so the cache never
+    holds more than four shapes of 16 MiB, whatever the Newton cap allows.
+    """
+    # the size of matrix_entries(lt, lx, checkerboard), without building it
+    size = (lt + 1) * lx
+    if checkerboard:
+        size = (lt // 2 + 1) * (lx // 2) + (lt + 1) // 2 * ((lx + 1) // 2)
+    if size <= GATHER_CACHE_UNKNOWNS:
+        return _cached_gather_indices(lt, lx, checkerboard)
+    return _gather_indices(lt, lx, checkerboard)
 
 
 def multiply_poly_matrix(u, poly, lt, lx, checkerboard=False):

@@ -22,7 +22,9 @@ The pipeline per dilation level n:
      the frame, the entries k + m even: the fields fixed by the shift
      (t, x) -> (t + pi, x + pi) of the frame's torus, which hold the guess
      and which f keeps, so the other half stays an exact zero and the
-     Jacobian is assembled and factored on the half that remains;
+     Jacobian is assembled on the half that remains.  It is solved one
+     reflection class (x -> pi - x) at a time: the entries with k and m
+     even, then the Schur complement on those with k and m odd;
   4. assemble u = v + w(v) with its certificates: the Galerkin residual,
      Phi_eps and the energy drift over the level's period, read off one
      evaluation of f and F/u, the sup of the samples, the minimal period.
@@ -101,7 +103,7 @@ class NewtonReport:
     iterations: int
     converged: bool
     grad_norm: float
-    # always 0 since each step is one dense solve; kept because the
+    # always 0 since each step is a direct dense solve; kept because the
     # benchmark tracer (perfbench/tracer.py) reads it
     krylov_fails: int = 0
     damped: int = 0
@@ -461,6 +463,24 @@ def _galerkin_jacobian(u, ctx, frame):
     return J
 
 
+def _newton_solve(J, rhs, split):
+    """x with J x = rhs: one LU of J when split is None, else block
+    elimination over the classes [:split] and [split:] of the unknowns.
+
+    With J = [[A, B], [C, D]] in those classes, one LU of A gives A^-1 [B,
+    rhs[:split]], one LU of the Schur complement D - C A^-1 B gives x[split:],
+    and x[:split] follows.  The coupling blocks B and C are kept, so the
+    step is exact for any J; only the factored sizes shrink.
+    """
+    if split is None:
+        return np.linalg.solve(J, rhs)
+    A, B = J[:split, :split], J[:split, split:]
+    C, D = J[split:, :split], J[split:, split:]
+    Y = np.linalg.solve(A, np.column_stack([B, rhs[:split]]))
+    x2 = np.linalg.solve(D - C @ Y[:, :-1], rhs[split:] - C @ Y[:, -1])
+    return np.concatenate([Y[:, -1] - Y[:, :-1] @ x2, x2])
+
+
 def refine(v0, ctx, f, lt=None, lx=None):
     """Damped Newton on the truncated Galerkin system, from the dilated guess.
 
@@ -475,18 +495,25 @@ def refine(v0, ctx, f, lt=None, lx=None):
     k <= lt // n <= L/n, and the unknowns are the frame's checkerboard k + m
     even (_Frame): a Newton step moves no other entry, which stays an exact
     zero, and the residual is measured on every entry.  Each step assembles
-    the Jacobian on the unknowns once (_galerkin_jacobian) and takes one
-    dense solve; each line-search trial costs one apply_nonlinearity.  The
-    iteration stops when the last full step was at rounding level and the
-    residual is at most GTOL; the second test is a safety check, since a
-    settled step with a large residual is not a solution.  When an
-    iterate's kernel part, dilated to the full truncation, leaves the
-    contraction domain (psolve.contraction_domain above psolve.DOMAIN_RHO)
-    the refinement aborts rather than report a solution the existence
-    argument does not cover.  The guard reads coefficients only and runs
-    once per iterate, the first time before any step, so it also refuses a
-    resonant context and lt > ctx.L up front.  A truncation with more than
-    MAX_UNKNOWNS unknowns raises ConfigError before anything is sampled.
+    the Jacobian on the unknowns once (_galerkin_jacobian) and solves it
+    densely (_newton_solve): by one LU for even f, and for odd f by block
+    elimination over the checkerboard's two reflection classes, the entries
+    with k even and then the Schur complement on those with k odd.  The
+    classes couple only through the field's part odd under X -> pi - X, at
+    rounding level on a branch, and each LU is about half the unknowns:
+    numpy's OpenBLAS factors 100 or more on a second thread, which then
+    spins through the rest of the pass.  Each line-search trial costs one
+    apply_nonlinearity.  The iteration stops when the last full step was at
+    rounding level and the residual is at most GTOL; the second test is a
+    safety check, since a settled step with a large residual is not a
+    solution.  When an iterate's kernel part, dilated to the full
+    truncation, leaves the contraction domain (psolve.contraction_domain
+    above psolve.DOMAIN_RHO) the refinement aborts rather than report a
+    solution the existence argument does not cover.  The guard reads
+    coefficients only and runs once per iterate, the first time before any
+    step, so it also refuses a resonant context and lt > ctx.L up front.  A
+    truncation with more than MAX_UNKNOWNS unknowns raises ConfigError
+    before anything is sampled.
     """
     n = kernel.minimal_time_period_index(v0)
     if lt is None:
@@ -503,6 +530,9 @@ def refine(v0, ctx, f, lt=None, lx=None):
     if keep.size > MAX_UNKNOWNS:
         raise ConfigError(f"refinement truncation lt={lt}, lx={lx} has {keep.size} Newton "
                           f"unknowns, above MAX_UNKNOWNS = {MAX_UNKNOWNS}")
+    # on the checkerboard, matrix_entries lists one reflection class, the
+    # entries with k even, before the other
+    split = int(np.count_nonzero(keep // u.lx % 2 == 0)) if frame.checkerboard else None
     scale = 0.5 * np.pi**2 * frame.d**2
     F = _galerkin_F(u, ctx, frame)
     gnorm = scale * float(np.linalg.norm(F))
@@ -529,7 +559,7 @@ def refine(v0, ctx, f, lt=None, lx=None):
         J = _galerkin_jacobian(u, ctx, frame)
         delta = np.zeros(F.shape)
         try:
-            delta.flat[keep] = np.linalg.solve(J, -F.flat[keep])
+            delta.flat[keep] = _newton_solve(J, -F.flat[keep], split)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError("singular Newton Jacobian", trace=tuple(trace)) from exc
 

@@ -279,6 +279,25 @@ def test_multiply_poly_matrix_checkerboard_is_the_kept_block(lt, lx):
     assert np.max(np.abs(full[np.ix_(keep, dropped)]), initial=0.0) <= 1e-15 * np.max(np.abs(full))
 
 
+@pytest.mark.parametrize("lt, lx, checkerboard", [
+    (31, 32, False), (32, 32, False), (44, 44, True), (46, 46, True),
+])
+def test_matrix_gather_caches_only_small_shapes(monkeypatch, lt, lx, checkerboard):
+    # 1024, 1056, 990 and 1081 unknowns: a shape above GATHER_CACHE_UNKNOWNS
+    # builds its gather indices on each call and leaves the cache as it was,
+    # with the matrix the cached build gives
+    cached = fields._cached_gather_indices
+    cached.cache_clear()
+    u = random_field(np.random.default_rng(13), 3, 3)
+    M = fields.multiply_poly_matrix(u, [0.0, 2.0, 3.0], lt, lx, checkerboard)
+    small = fields.matrix_entries(lt, lx, checkerboard).size <= fields.GATHER_CACHE_UNKNOWNS
+    assert cached.cache_info().currsize == small
+    monkeypatch.setattr(fields, "GATHER_CACHE_UNKNOWNS", M.shape[0])
+    assert np.array_equal(fields.multiply_poly_matrix(u, [0.0, 2.0, 3.0], lt, lx, checkerboard), M)
+    assert cached.cache_info().currsize == 1
+    cached.cache_clear()
+
+
 def test_diagonal_helpers():
     rng = np.random.default_rng(9)
     u = random_field(rng, 5, 5)

@@ -694,12 +694,103 @@ def test_frame_jacobians_have_the_compressed_size(level_guesses, monkeypatch, na
             assert_zero_off_checkerboard(v, w, n)
 
 
+def record_solve_sizes(monkeypatch):
+    """The sizes of the LUs np.linalg.solve makes; refine is its only caller."""
+    sizes = []
+    real = np.linalg.solve
+
+    def recording(a, b):
+        sizes.append(a.shape[0])
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    return sizes
+
+
+def class_split(lt, lx):
+    """The checkerboard unknowns of the (lt+1, lx) frame with k even, which
+    matrix_entries lists first: the class odd under X -> pi - X."""
+    return int(np.count_nonzero(fields.matrix_entries(lt, lx, checkerboard=True) // lx % 2 == 0))
+
+
+def coupling(J, split):
+    """The largest entry of the blocks coupling the two classes, relative to |J|."""
+    return max(np.max(np.abs(J[:split, split:])), np.max(np.abs(J[split:, :split]))) / np.max(np.abs(J))
+
+
 def test_criterion6_branch_jacobians_stay_small(monkeypatch):
-    # the n = 1 frame is the largest: the checkerboard of 17 x 16 entries
+    # the n = 1 frame is the largest: the checkerboard of 17 x 16 entries,
+    # solved one reflection class at a time, so no LU exceeds its 72 entries
+    # with k and m even
     sizes = record_jacobian_sizes(monkeypatch)
+    lus = record_solve_sizes(monkeypatch)
     br = search.solve_branch(C6_CTX, F3, C=0.004, dim=6, seed=0, restarts=8)
     assert [r.n for r in br.records] == [1, 2, 3, 4, 5, 6]
     assert max(sizes) == checkerboard_size(17, 16) == 136
+    assert max(lus) == class_split(16, 16) == 72
+    # each solution is even under X -> pi - X, so the blocks coupling the
+    # classes are rounding noise there
+    for r in br.records:
+        u = (kernel.embed(kernel.KernelVector(r.xi)) + fields.SpectralField(r.w_coeffs)).coeffs
+        U = fields.SpectralField(u[:: r.n, r.n - 1 :: r.n])
+        J = search._galerkin_jacobian(U, C6_CTX, search._dilation_frame(F3, r.n))
+        assert coupling(J, class_split(U.lt, U.lx)) <= 1e-12
+    # an even f keeps one LU of its whole frame: at u^2 level 1, one solve
+    # of 17 x 16 entries per Newton step
+    f, ctx, _, v0, _ = level_guess({2: 1.0}, frequency.omega_for_eps(-4e-4), 1)
+    lus.clear()
+    _, _, rep = search.refine(v0, ctx, f)
+    assert rep.converged and lus == [272] * rep.iterations
+
+
+RANDOM_CHECKERBOARDS = [({3: 1.0}, 1.0001, 16, 16), ({3: 1.0}, 1.0001, 16, 15),
+                        ({3: 1.0, 5: 0.5}, 1.001, 12, 12), ({3: -1.0}, 0.999, 9, 8)]
+
+
+@pytest.mark.parametrize("coeffs, omega, lt, lx", RANDOM_CHECKERBOARDS)
+def test_class_elimination_matches_one_solve(coeffs, omega, lt, lx):
+    # at random checkerboard fields, whose part odd under X -> pi - X is as
+    # large as the even part, the classes are coupled, and the elimination
+    # still gives the one-LU step; without the coupling blocks it does not
+    rng = np.random.default_rng(21)
+    keep = fields.matrix_entries(lt, lx, checkerboard=True)
+    c = np.zeros((lt + 1) * lx)
+    c[keep] = 0.2 * rng.standard_normal(keep.size) / (1.0 + keep // lx + keep % lx)
+    u = fields.SpectralField(c.reshape(lt + 1, lx))
+    frame = search._dilation_frame(nonlinearity.classify(coeffs), 1)
+    J = search._galerkin_jacobian(u, frequency.make_context(omega, L=lt), frame)
+    split = class_split(lt, lx)
+    assert coupling(J, split) >= 1e-6
+    b = rng.standard_normal(keep.size)
+    want = np.linalg.solve(J, b)
+
+    def error(x):
+        return np.max(np.abs(x - want)) / np.max(np.abs(want))
+
+    assert error(search._newton_solve(J, b, split)) <= 1e-12
+    uncoupled = J.copy()
+    uncoupled[:split, split:] = 0.0
+    uncoupled[split:, :split] = 0.0
+    assert error(search._newton_solve(uncoupled, b, split)) > 1e-3
+
+
+@pytest.mark.parametrize("block", ["class", "schur"])
+def test_singular_class_solve_is_a_convergence_error(monkeypatch, block):
+    # a singular first class block, or a singular Schur complement, is the
+    # singular Jacobian it would be in one LU
+    def singular(u, ctx, frame):
+        size = fields.matrix_entries(u.lt, u.lx, checkerboard=True).size
+        split = class_split(u.lt, u.lx)
+        E = np.eye(split, size - split)
+        if block == "class":
+            return np.block([[np.zeros((split, split)), E], [E.T, np.eye(size - split)]])
+        # D - C A^-1 B = E^T E - E^T E = 0
+        return np.block([[np.eye(split), E], [E.T, E.T @ E]])
+
+    monkeypatch.setattr(search, "_galerkin_jacobian", singular)
+    v0 = kernel.KernelVector([1e-3])
+    with pytest.raises(ConvergenceError, match="singular Newton Jacobian"):
+        search.refine(v0, ctx_cubic(), F3)
 
 
 def test_refine_refuses_too_many_unknowns_before_sampling(monkeypatch):
