@@ -49,6 +49,7 @@ __all__ = [
     "integrate_poly",
     "multiply_poly_matrix",
     "matrix_entries",
+    "EntryRule",
     "temporal_weights",
 ]
 
@@ -384,81 +385,114 @@ def multiply_poly_project(u, poly, z, out_lt=None, out_lx=None):
     return _sine_projection(A, B, d_t, out_lt, out_lx)
 
 
-def matrix_entries(lt, lx, checkerboard=False):
-    """Flat indices l lx + j - 1 of the entries multiply_poly_matrix keeps, in its order.
+@dataclass(frozen=True)
+class EntryRule:
+    """The entries (l, j) of an (lt+1, lx) truncation that a matrix keeps.
 
-    Every entry of the (lt+1, lx) truncation, row-major; or on the
-    checkerboard only the entries with l + j even, first those of the even
-    rows, then those of the odd rows, each class row-major.  The two classes
-    are the parts of a checkerboard field odd and even under the reflection
-    x -> pi - x, since sin(j (pi - x)) = (-1)^(j+1) sin(j x): (l, j) both
-    even, then both odd.  An LU of the matrix eliminates in this order, so
-    the order is part of the results.
+    checkerboard keeps only l + j even: the fields fixed by the shift (t, x)
+    -> (t + pi, x + pi).  reflection keeps only j odd: the fields even under
+    x -> pi - x, since sin(j (pi - x)) = (-1)^(j+1) sin(j x).  Together they
+    keep l and j odd; the default keeps every entry.
     """
-    flat = np.arange((lt + 1) * lx).reshape(lt + 1, lx)
-    if not checkerboard:
-        return flat.ravel()
-    return np.concatenate([flat[0::2, 1::2].ravel(), flat[1::2, 0::2].ravel()])
+    checkerboard: bool = False
+    reflection: bool = False
+
+    def mask(self, lt, lx):
+        """The kept entries of the (lt+1, lx) truncation, as a boolean array."""
+        l = np.arange(lt + 1)[:, None]
+        j = np.arange(1, lx + 1)
+        keep = np.ones((lt + 1, lx), dtype=bool)
+        if self.checkerboard:
+            keep &= (l + j) % 2 == 0
+        if self.reflection:
+            keep &= j % 2 == 1
+        return keep
 
 
-# the most unknowns whose gather indices _matrix_gather keeps: 16 MiB a shape
+EVERY_ENTRY = EntryRule()
+# the most unknowns whose entries and gather indices are cached: 16 MiB a shape
 GATHER_CACHE_UNKNOWNS = 1024
 
 
-def _gather_indices(lt, lx, checkerboard):
+@functools.lru_cache(maxsize=64)
+def _entry_count(lt, lx, rule):
+    """The number of entries rule keeps in the (lt+1, lx) truncation."""
+    return int(np.count_nonzero(rule.mask(lt, lx)))
+
+
+def _small_shape_cache(build):
+    """build(lt, lx, rule), cached for shapes of at most GATHER_CACHE_UNKNOWNS kept entries.
+
+    A larger shape is built on each call, so the cache never holds more
+    than four shapes, whatever the Newton cap allows.
+    """
+    cached = functools.lru_cache(maxsize=4)(build)
+
+    @functools.wraps(build)
+    def lookup(lt, lx, rule=EVERY_ENTRY):
+        if _entry_count(lt, lx, rule) <= GATHER_CACHE_UNKNOWNS:
+            return cached(lt, lx, rule)
+        return build(lt, lx, rule)
+
+    lookup.cache = cached
+    return lookup
+
+
+@_small_shape_cache
+def matrix_entries(lt, lx, rule=EVERY_ENTRY):
+    """Flat indices l lx + j - 1 of the entries rule keeps, in multiply_poly_matrix's order.
+
+    First the kept entries of the even rows l, then those of the odd rows,
+    each class row-major, so a solve can eliminate one row parity before
+    the other at a single boundary.  An LU of the matrix eliminates in this
+    order, so the order is part of the results.  The array may be cached
+    and shared, so it is read-only.
+    """
+    keep = rule.mask(lt, lx)
+    flat = np.arange(keep.size).reshape(keep.shape)
+    entries = np.concatenate([flat[0::2][keep[0::2]], flat[1::2][keep[1::2]]])
+    entries.flags.writeable = False
+    return entries
+
+
+@_small_shape_cache
+def _matrix_gather(lt, lx, rule):
     """Flat indices into the slabs X[t, i, k] of multiply_poly_matrix, transposed.
 
-    For the row entry (a_r, i_r) and the column entry (a_s, i_s) of
-    matrix_entries, [s, r] of the first array points at X[|a_r - a_s|,
-    i_r, i_s] and of the second at X[a_r + a_s, i_r, i_s], or at the zero
-    slab t = 2 lt + 1 in the rows a_r = 0, which have no Hankel term.  The
-    arrays may be cached and shared by every caller, so they are read-only;
-    they hold 16 bytes per matrix entry.
+    i and k count the kept columns j (every column, or the odd ones under
+    the reflection rule).  For the row entry (a_r, i_r) and the column
+    entry (a_s, i_s) of matrix_entries, [s, r] of the first array points at
+    X[|a_r - a_s|, i_r, i_s] and of the second at X[a_r + a_s, i_r, i_s],
+    or at the zero slab t = 2 lt + 1 in the rows a_r = 0, which have no
+    Hankel term.  The arrays may be cached and shared by every caller, so
+    they are read-only; they hold 16 bytes per matrix entry.
     """
-    a, i = divmod(matrix_entries(lt, lx, checkerboard), lx)   # rows r along axis 1
-    slab = i * lx + i[:, None]                                # i_r lx + i_s
-    toeplitz = np.abs(a - a[:, None]) * lx**2 + slab
-    hankel = np.where(a == 0, 2 * lt + 1, a + a[:, None]) * lx**2 + slab
+    a, j = divmod(matrix_entries(lt, lx, rule), lx)           # rows r along axis 1
+    i, nc = (j // 2, (lx + 1) // 2) if rule.reflection else (j, lx)
+    slab = i * nc + i[:, None]                                # i_r nc + i_s
+    toeplitz = np.abs(a - a[:, None]) * nc**2 + slab
+    hankel = np.where(a == 0, 2 * lt + 1, a + a[:, None]) * nc**2 + slab
     for index in (toeplitz, hankel):
         index.flags.writeable = False
     return toeplitz, hankel
 
 
-_cached_gather_indices = functools.lru_cache(maxsize=4)(_gather_indices)
-
-
-def _matrix_gather(lt, lx, checkerboard):
-    """_gather_indices, cached for shapes of at most GATHER_CACHE_UNKNOWNS unknowns.
-
-    A larger shape builds its indices on each call, so the cache never
-    holds more than four shapes of 16 MiB, whatever the Newton cap allows.
-    """
-    # the size of matrix_entries(lt, lx, checkerboard), without building it
-    size = (lt + 1) * lx
-    if checkerboard:
-        size = (lt // 2 + 1) * (lx // 2) + (lt + 1) // 2 * ((lx + 1) // 2)
-    if size <= GATHER_CACHE_UNKNOWNS:
-        return _cached_gather_indices(lt, lx, checkerboard)
-    return _gather_indices(lt, lx, checkerboard)
-
-
-def multiply_poly_matrix(u, poly, lt, lx, checkerboard=False):
+def multiply_poly_matrix(u, poly, lt, lx, rule=EVERY_ENTRY):
     """Dense matrix of z -> P_{lt,lx}[poly(u) z] on the (lt+1, lx) truncation.
 
-    Rows and columns index the entries matrix_entries(lt, lx, checkerboard)
-    names, every entry (l, j) or only those with l + j even; column by
-    column this is the exact projection multiply_poly_project computes,
-    restricted to those rows.  Writing poly(u) = sum_r cos(r t) sum_mu [A
-    cos(mu x) + B sin(mu x)] and halving every index above zero (A^_0 =
-    A_0, A^_r = A_r/2), the time direction couples l, l' through A^_{|l-l'|}
-    + A^_{l+l'} (the second term only for l >= 1), and the cosine part in x
-    through A^_{|j-j'|} - A^_{j+j'}.  The sine part turns sin(j' x) into
-    cosine content, projected with _half_projection_matrix; it vanishes
-    unless poly has an odd-degree term, because u is odd in x.  So entry
-    ((l, j), (l', j')) is X[|l - l'|] + X[l + l'] of the slabs X[t, j-1,
-    j'-1], read by one gather of the indices _matrix_gather caches.  The
-    matrix is returned in Fortran order so that an LU factorization can
-    overwrite it without a copy.
+    Rows and columns index the entries matrix_entries(lt, lx, rule) names;
+    column by column this is the exact projection multiply_poly_project
+    computes, restricted to those rows.  Writing poly(u) = sum_r cos(r t)
+    sum_mu [A cos(mu x) + B sin(mu x)] and halving every index above zero
+    (A^_0 = A_0, A^_r = A_r/2), the time direction couples l, l' through
+    A^_{|l-l'|} + A^_{l+l'} (the second term only for l >= 1), and the
+    cosine part in x through A^_{|j-j'|} - A^_{j+j'}.  The sine part turns
+    sin(j' x) into cosine content, projected with _half_projection_matrix;
+    it vanishes unless poly has an odd-degree term, because u is odd in x.
+    So entry ((l, j), (l', j')) is X[|l - l'|] + X[l + l'] of the slabs X[t,
+    j, j'], built on the columns the rule keeps and read by one gather of
+    the indices _matrix_gather caches.  The matrix is returned in Fortran
+    order so that an LU factorization can overwrite it without a copy.
     """
     poly = np.asarray(poly, dtype=float)
     r = _poly_degree(poly)
@@ -470,20 +504,20 @@ def multiply_poly_matrix(u, poly, lt, lx, checkerboard=False):
     half_t = np.where(np.arange(2 * m - 1) == 0, 1.0, 0.5)[:, None]
     Ah = A[: 2 * m - 1] * half_t          # every |l - l'| and l + l'
     Ah[:, 1:] *= 0.5
-    j = np.arange(1, lx + 1)
+    j = np.arange(1, lx + 1, 2 if rule.reflection else 1)    # the kept columns
     diff = np.abs(j[:, None] - j[None, :])
-    # X[t, j-1, j'-1] for t <= 2 lt, then the zero slab t = 2 lt + 1; it is
+    # X[t, j, j'] for t <= 2 lt, then the zero slab t = 2 lt + 1; it is
     # -0.0, which added to any x gives x bit for bit, the sign of a zero too
-    X = np.empty((2 * m, lx, lx))
+    X = np.empty((2 * m, j.size, j.size))
     np.subtract(Ah[:, diff], Ah[:, j[:, None] + j[None, :]], out=X[:-1])
     X[-1] = -0.0
     if np.any(poly[1::2] != 0.0):
-        K = _half_projection_matrix(d_x + lx, lx)
+        K = _half_projection_matrix(d_x + lx, lx)[:, j - 1]
         mu = np.arange(d_x + 1)[:, None]
-        Kd = 0.5 * (K[np.abs(mu - j[None, :])] - K[mu + j[None, :]])  # [mu, j'-1, j-1]
-        Y = (B[: 2 * m - 1] * half_t) @ Kd.reshape(d_x + 1, lx * lx)
-        X[:-1] += Y.reshape(-1, lx, lx).transpose(0, 2, 1)
-    toeplitz, hankel = _matrix_gather(lt, lx, checkerboard)
+        Kd = 0.5 * (K[np.abs(mu - j[None, :])] - K[mu + j[None, :]])  # [mu, j', j]
+        Y = (B[: 2 * m - 1] * half_t) @ Kd.reshape(d_x + 1, j.size**2)
+        X[:-1] += Y.reshape(-1, j.size, j.size).transpose(0, 2, 1)
+    toeplitz, hankel = _matrix_gather(lt, lx, rule)
     flat = X.ravel()
     out = flat[toeplitz]
     out += flat[hankel]

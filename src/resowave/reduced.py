@@ -182,7 +182,7 @@ def _qform_tables(dim, nodes):
     return sines, inv
 
 
-def _qform(v, p, kmax, grad=False):
+def _qform(v, p, kmax, along=None):
     """Q = int v^p L^-1 v^p and mu_k = <eta^k>, k = 0..kmax, from one sampling.
 
     Let E_k = eta^k, mu_k its mean, Pi_k the zero-mean primitive of E_k - mu_k
@@ -196,9 +196,10 @@ def _qform(v, p, kmax, grad=False):
 
     Every integrand, and eta^k for p <= kmax <= 2p, is a trig polynomial of
     degree at most 2p dim, so the trapezoid rule on 2p dim + 2 nodes is
-    exact and one rfft gives every mean and primitive.  With grad, the
-    tangents dE_k/dxi_j = (k/2) eta^(k-1) sin(j s) are carried through the
-    same steps for all j at once, and (Q, mu, dQ, dmu) is returned.  The
+    exact and one rfft gives every mean and primitive.  With along (an
+    index or slice of the coordinates), the tangents dE_k/dxi_j = (k/2)
+    eta^(k-1) sin(j s) are carried through the same steps for those j at
+    once, and (Q, mu, dQ, dmu) is returned, the gradients along them.  The
     rows of a stack v of shape (..., dim) are never mixed.
     """
     if p % 2 != 0:
@@ -240,12 +241,13 @@ def _qform(v, p, kmax, grad=False):
         - 8.0 * np.pi * ds * _dot(A, A)
         - alpha**2 * np.pi**4 / 6.0
     )
-    if not grad:
+    if along is None:
         return q, mu
 
     # dE_0 = 0: only k >= 1 is transformed
-    dE = np.zeros(xi.shape[:-1] + (kmax + 1, dim, nodes))
-    dE[..., 1:, :, :] = 0.5 * k[1:, None, None] * E[..., :-1, None, :] * sines
+    tangents = sines[along]
+    dE = np.zeros(xi.shape[:-1] + (kmax + 1,) + tangents.shape)
+    dE[..., 1:, :, :] = 0.5 * k[1:, None, None] * E[..., :-1, None, :] * tangents
     dmu, dPi = np.zeros(dE.shape[:-1]), np.zeros(dE[..., : p + 1, :, :].shape)
     dmu[..., 1:, :], dPi[..., 1:, :, :] = means_and_primitives(dE[..., 1:, :, :], -3, p)
     dEp, dmup = dE[..., : p + 1, :, :], dmu[..., : p + 1, :]
@@ -293,27 +295,38 @@ def G_eval(v, f, n=1, grad=False, hess=False):
         Q(L_n v) = Q(v) / n^2 - (pi^4/6) alpha^2 (1 - 1/n^2),
     and alpha and int v^(2p) come from the same samples of eta as Q(v).
     The Hessian of a power integral is exact (_power_jet); that of the
-    form is the forward difference of the exact gradient along each
-    coordinate, with the step DIFF_STEP max|xi| of the row, symmetrized, and
-    all dim + 1 gradients of a row come from one stacked evaluation.
+    form is the forward difference of the exact gradient (_G_hess).
     """
     xi = np.asarray(getattr(v, "xi", v), dtype=float)
-    if hess and _uses_qform(f):
-        dim = xi.shape[-1]
-        pts = np.repeat(xi[..., None, :], dim + 1, axis=-2)
-        ahead = pts[..., 1:, :]
-        ahead[..., np.arange(dim), np.arange(dim)] += DIFF_STEP * np.max(np.abs(xi), axis=-1)[..., None]
-        step = np.diagonal(ahead, axis1=-2, axis2=-1) - xi   # the steps as rounded
-        value, g = _G_jet(pts, f, n, 1).terms
-        h = (g[..., 1:, :] - g[..., :1, :]) / step[..., None]
-        return value[..., 0], g[..., 0, :], 0.5 * (h + np.swapaxes(h, -1, -2))
-    jet = _G_jet(xi, f, n, 2 if hess else int(grad))
-    return jet.terms if hess else jet.terms[-1]
+    if hess:
+        return _G_hess(xi, f, n, np.arange(xi.shape[-1]))
+    return _G_jet(xi, f, n, int(grad)).terms[-1]
 
 
-def _G_jet(xi, f, n, order):
+def _G_hess(xi, f, n, along):
+    """G at L_n xi with its gradient and Hessian along the coordinates along.
+
+    along is an index array.  The form's Hessian is the forward difference
+    of its exact gradient along each of those coordinates, with the step
+    DIFF_STEP max|xi| of the row, symmetrized; all len(along) + 1 gradients
+    of a row come from one stacked evaluation.
+    """
+    if not _uses_qform(f):
+        value, grad, hess = _G_jet(xi, f, n, 2).terms
+        return value, grad[..., along], hess[..., along[:, None], along]
+    pts = np.repeat(xi[..., None, :], len(along) + 1, axis=-2)
+    ahead = pts[..., 1:, :]
+    rows = np.arange(len(along))
+    ahead[..., rows, along] += DIFF_STEP * np.max(np.abs(xi), axis=-1)[..., None]
+    step = ahead[..., rows, along] - xi[..., along]   # the steps as rounded
+    value, g = _G_jet(pts, f, n, 1, along).terms
+    h = (g[..., 1:, :] - g[..., :1, :]) / step[..., None]
+    return value[..., 0], g[..., 0, :], 0.5 * (h + np.swapaxes(h, -1, -2))
+
+
+def _G_jet(xi, f, n, order, along=slice(None)):
     """G_eval's case table: G at L_n xi as a _Jet of the given order (at most 1
-    for the form)."""
+    for the form, whose gradient is taken along the coordinates along)."""
     p = f.p
     if f.case == "odd-power":
         return f.a / (p + 1.0) * _power_jet(xi, p + 1, order)
@@ -323,7 +336,7 @@ def _G_jet(xi, f, n, order):
         power_p = _power_jet(xi, p, order)
         return f.b / (2.0 * p) * _power_jet(xi, 2 * p, order) - f.a * f.a / 48 * power_p * power_p
     # grads is (dq, dmu) at order 1 and empty at order 0
-    q, mu, *grads = _qform(xi, p, 2 * p if f.case == "n3" else p, grad=order == 1)
+    q, mu, *grads = _qform(xi, p, 2 * p if f.case == "n3" else p, along if order == 1 else None)
 
     def moment_sum(k):
         return _Jet(_moment_sum(mu, k), *(_moment_sum_grad(mu, dmu, k) for dmu in grads[1:]))
@@ -344,11 +357,13 @@ def _G_jet(xi, f, n, order):
 class GRecipe:
     """Effective G of Phi (omega > 1) or -Phi (omega < 1) on the n-dilated kernel.
 
-    hess maps a stack (r, dim) of gcd-1 vectors y, row by row, to G_eff(L_n
-    y), its xi-gradient and its xi-Hessian, (r,), (r, dim) and (r, dim,
-    dim) (G_eval's hess); the sign that g_recipe chose for the side is built
-    into all three.  mu = |eps| n^2 pairs with these.  n_invariant says that
-    they do not depend on n.
+    hess maps a stack (r, h) of coordinates y of reflection-even gcd-1
+    vectors, row by row, to G_eff(L_n xi), its gradient and its Hessian in
+    y, (r,), (r, h) and (r, h, h).  xi has y_i at j = 2i - 1 and zeros at
+    every even j: the vectors even under x -> pi - x (_reflection_even).
+    The sign that g_recipe chose for the side is built into all three.  mu
+    = |eps| n^2 pairs with these.  n_invariant says that they do not depend
+    on n.
     """
 
     case: str
@@ -357,6 +372,15 @@ class GRecipe:
     side: int         # +1 (omega > 1) or -1 (omega < 1)
     hess: object
     n_invariant: bool = False
+
+
+def _reflection_even(y):
+    """The vectors xi with y_i at j = 2i - 1 and zeros at every even j, and
+    the indices of those odd j: (xi, along) for _G_hess."""
+    y = np.asarray(y, dtype=float)
+    xi = np.zeros(y.shape[:-1] + (2 * y.shape[-1] - 1,))
+    xi[..., ::2] = y
+    return xi, np.arange(0, xi.shape[-1], 2)
 
 
 def g_recipe(f, side, n=1):
@@ -379,12 +403,17 @@ def g_recipe(f, side, n=1):
         raise ResowaveError(f"case {f.case} bifurcates to {required}, not {asked}")
 
     sign = 1 if _uses_qform(f) else side
+
+    def hess(y):
+        xi, along = _reflection_even(y)
+        return tuple(sign * t for t in _G_hess(xi, f, n, along))
+
     return GRecipe(
         case=f.case,
         q=f.q,
         n=n,
         side=side,
-        hess=lambda y: tuple(sign * t for t in G_eval(y, f, n, hess=True)),
+        hess=hess,
         n_invariant=not _uses_qform(f),
     )
 

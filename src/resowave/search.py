@@ -3,14 +3,14 @@
 The pipeline per dilation level n:
 
   1. maximize the (q+1)-homogeneous effective G over the unit H^1 sphere of
-     gcd-1 kernel vectors (one safeguarded Newton iteration per restart on
-     the sphere, run until the tangential gradient or the move on the
-     sphere is at rounding level); G, its gradient and its Hessian come
-     from 1D moments and sine and cosine coefficients of the powers of the
-     profile eta, the quadratic form's Hessian from differences of its
-     exact gradient.  Except in the quadratic-form cases G does not depend
-     on n, so one maximization seeds every level of a branch
-     (LevelMaximizer);
+     reflection-even gcd-1 kernel vectors, odd j only (one safeguarded
+     Newton iteration per restart on the sphere, run until the tangential
+     gradient or the move on the sphere is at rounding level); G, its
+     gradient and its Hessian come from 1D moments and sine and cosine
+     coefficients of the powers of the profile eta, the quadratic form's
+     Hessian from differences of its exact gradient.  Except in the
+     quadratic-form cases G does not depend on n, so one maximization
+     seeds every level of a branch (LevelMaximizer);
   2. turn the maximum m and mu = |eps| n^2 into the amplitude t* and the
      predicted critical level of the reduced functional;
   3. refine the dilated initial guess t* L_n y* (with w = 0) by damped Newton
@@ -18,20 +18,22 @@ The pipeline per dilation level n:
      its kernel rows are -grad Phi_eps and its range rows the range
      equation, so a zero is a critical point v with its w(v).  Each step
      assembles the Jacobian (the wave symbol plus multiplication by f'(u))
-     and solves it densely.  For odd f the unknowns are the checkerboard of
-     the frame, the entries k + m even: the fields fixed by the shift
-     (t, x) -> (t + pi, x + pi) of the frame's torus, which hold the guess
-     and which f keeps, so the other half stays an exact zero and the
-     Jacobian is assembled on the half that remains.  It is solved one
-     reflection class (x -> pi - x) at a time: the entries with k and m
-     even, then the Schur complement on those with k and m odd;
+     and solves it densely.  The unknowns are the entries of one class of
+     fields that holds the guess and that f keeps (_Frame.keep), so the
+     rest stays an exact zero and the Jacobian is assembled on the class
+     alone: for odd f the checkerboard of the frame, the entries k + m even
+     fixed by the shift (t, x) -> (t + pi, x + pi) of the frame's torus;
+     and the fields even under the reflection x -> pi - x (odd m), which
+     hold y* and so the guess at every odd-f level and at the odd even-f
+     levels.  For odd f that leaves the entries with k and m odd, solved by
+     one LU; for even f the solve eliminates the rows k even and then the
+     Schur complement on the rows k odd;
   4. assemble u = v + w(v) with its certificates: the Galerkin residual,
      Phi_eps and the energy drift over the level's period, read off one
      evaluation of f and F/u, the sup of the samples, the minimal period.
 
 Steps 3 and 4 run in the level's dilation frame (_Frame): the rows l = n k and,
-for odd f, the columns j = n m, where level n > 1 is level 1 with f/n^2; for
-odd f step 3 solves on the frame's checkerboard.
+for odd f, the columns j = n m, where level n > 1 is level 1 with f/n^2.
 """
 
 import dataclasses
@@ -243,11 +245,19 @@ def _newton_steps(z, grad, hess, sd):
 
 
 def maximize_U(recipe, dim, seed=0, restarts=16):
-    """Maximum of the effective G over the unit H^1 sphere in dimension dim.
+    """Maximum of the effective G over the unit H^1 sphere of the
+    reflection-even kernel vectors in dimension dim.
 
-    Returns (y_star, m_hat, diagnostics) with y_star sign-normalized.  The
-    scale invariance U(v) = G(v)/|v|^(q+1) makes this equivalent to
-    maximizing U; m_hat is what the amplitude and level formulas consume.
+    Returns (y_star, m_hat, diagnostics) with y_star sign-normalized, of
+    length dim.  The scale invariance U(v) = G(v)/|v|^(q+1) makes this
+    equivalent to maximizing U; m_hat is what the amplitude and level
+    formulas consume.  The coordinates are xi_j at the odd j <= dim (the
+    recipe's y), the vectors even under x -> pi - x, and every even entry
+    of y_star is an exact zero.  G is even under the reflection, so by the
+    principle of symmetric criticality a critical point on that sphere is
+    one on the whole sphere; that the maximum is the whole sphere's is
+    checked against an unrestricted ascent in the tests.  With dim <= 2 the
+    sphere is the point +-e_1.
     Each restart, drawn with coefficients of size 1/j^2, is one safeguarded
     Newton iteration on the sphere (_newton_steps), its step retracted by
     normalizing.  A trial gains when its value is higher or, where the
@@ -282,9 +292,10 @@ def maximize_U(recipe, dim, seed=0, restarts=16):
     def unit(z):
         return z / np.sqrt(reduced._dot(z, z))[:, None]
 
-    sd = np.pi * np.arange(1, dim + 1)  # the H^1 norm is |sd xi|
+    j = np.arange(1, dim + 1, 2)
+    sd = np.pi * j  # the H^1 norm is |sd y|
     rng = np.random.default_rng(seed)
-    z = unit(rng.standard_normal((restarts, dim)) / np.arange(1, dim + 1))
+    z = unit(rng.standard_normal((restarts, j.size)) / j)
     val, tnorm, step = evaluate(z)
     t, iters = np.ones(restarts), np.ones(restarts, dtype=int)
     live = tnorm > 1e-13 * np.maximum(1.0, np.abs(val))
@@ -306,7 +317,9 @@ def maximize_U(recipe, dim, seed=0, restarts=16):
     if val[best] <= 0.0:
         raise ResowaveError("effective G is nonpositive on the sphere; "
                             "branch infeasible on this side")
-    y = kernel.normalize_sign(kernel.KernelVector(z[best] / sd))
+    xi = np.zeros(dim)
+    xi[::2] = z[best] / sd
+    y = kernel.normalize_sign(kernel.KernelVector(xi))
     diag = SearchDiagnostics(
         m_hat=float(val[best]),
         y_star=y,
@@ -402,15 +415,21 @@ class _Frame:
     and d = 1 otherwise (an even power leaves the sine class in x).  U has
     the symbol m^2 - omega^2 (n k/d)^2 and the nonlinearity f/d^2, so that
     F_u(n k, d m) = d^2 F_U(k, m), and F_u has no other nonzero entry.
-    On the checkerboard (odd f) the Newton unknowns are only the entries
-    with k + m even: the fields fixed by the frame's shift (T, X) -> (T +
-    pi, X + pi), which multiplying by the even f'(U) and the sine
-    projection of the odd f(U) keep, and which hold every kernel entry.
+    keep is the one rule for the Newton unknowns, the frame entries a
+    class of fields that holds the guess and that U -> P f(U) maps into
+    itself, so that a Newton step leaves every other entry an exact zero:
+    - for odd f, the checkerboard k + m even, the fields fixed by the
+      frame's shift (T, X) -> (T + pi, X + pi);
+    - the reflection-even class m odd, the fields even under X -> pi - X,
+      wherever the level's kernel lies in it.  f(U) is even under the
+      reflection when U is, for every f.
+    F(U) has no entry outside the class for U in it, so a zero of the kept
+    rows is a zero of the whole Galerkin system.
     """
     n: int
     d: int
     f: object     # the frame nonlinearity f/d^2
-    checkerboard: bool = False
+    keep: fields.EntryRule = fields.EVERY_ENTRY
 
     def symbol(self, lt, lx, omega):
         """m^2 - omega^2 (n k/d)^2 on the (lt+1, lx) frame, from the integers n k/d."""
@@ -424,12 +443,22 @@ class _Frame:
         return fields.SpectralField(c)
 
 
-def _dilation_frame(f, n):
-    """The frame of level n of f: d = n and the checkerboard for f without
-    even-order terms, else d = 1 and every entry."""
-    if np.any(f.poly[::2]):
-        return _Frame(n, 1, f)
-    return _Frame(n, n, nonlinearity.classify(f.poly / n**2) if n > 1 else f, checkerboard=True)
+def _dilation_frame(f, n, v=None):
+    """The frame of level n of f: d = n, f/n^2 and the checkerboard for f
+    without even-order terms, else d = 1 and f.
+
+    The frame keeps only the reflection-even class m odd when every kernel
+    entry j of the guess v sits at an odd frame column j/d; without v, when
+    the guess t* L_n y* of a reflection-even y* does, whose kernel starts
+    at j = n.  That is every level for odd f and the odd levels for even f.
+    """
+    odd = not np.any(f.poly[::2])
+    d = n if odd else 1
+    j = np.flatnonzero(v.xi) + 1 if v is not None else np.array([n])
+    keep = fields.EntryRule(checkerboard=odd, reflection=bool(np.all(j // d % 2 == 1)))
+    if odd and n > 1:
+        f = nonlinearity.classify(f.poly / n**2)
+    return _Frame(n, d, f, keep)
 
 
 def _galerkin_F(u, ctx, frame):
@@ -442,37 +471,39 @@ def _galerkin_jacobian(u, ctx, frame):
     """The Jacobian diag(symbol) + M of _galerkin_F on the unknowns, in
     fields.matrix_entries order.
 
-    M is the matrix of z -> P[f'(u) z] on the frame; entries off the
-    checkerboard are not unknowns and have no row or column.  A range
+    M is the matrix of z -> P[f'(u) z] on the frame; entries frame.keep
+    drops are not unknowns and have no row or column.  A range
     unknown (n k != d m) whose symbol vanishes and whose row of M is
-    nonzero raises ResonanceError naming the full-field mode, as
-    apply_L_inv does.
+    nonzero raises ResonanceError naming the full-field mode, the first
+    such row-major, as apply_L_inv does.
     """
     lt, lx = u.lt, u.lx
-    keep = fields.matrix_entries(lt, lx, frame.checkerboard)
+    keep = fields.matrix_entries(lt, lx, frame.keep)
     sym = frame.symbol(lt, lx, ctx.omega).ravel()[keep]
-    J = fields.multiply_poly_matrix(u, frame.f.fprime, lt, lx, frame.checkerboard)
+    J = fields.multiply_poly_matrix(u, frame.f.fprime, lt, lx, frame.keep)
     l, j = divmod(keep, lx)
     l, j = frame.n * l, frame.d * (j + 1)
     resonant = np.flatnonzero((l != j) & (np.abs(sym) < psolve.RESONANCE_TOL))
     present = resonant[np.any(J[resonant] != 0.0, axis=1)]
     if present.size:
-        e = present[0]
+        e = present[np.argmin(keep[present])]   # the lowest mode, row-major
         raise ResonanceError(int(l[e]), int(j[e]), -frame.d**2 * sym[e])
     J[np.diag_indices_from(J)] += sym
     return J
 
 
 def _newton_solve(J, rhs, split):
-    """x with J x = rhs: one LU of J when split is None, else block
-    elimination over the classes [:split] and [split:] of the unknowns.
+    """x with J x = rhs: block elimination over the unknowns [:split] and
+    [split:] when both are nonempty, else one LU of J.
 
-    With J = [[A, B], [C, D]] in those classes, one LU of A gives A^-1 [B,
-    rhs[:split]], one LU of the Schur complement D - C A^-1 B gives x[split:],
-    and x[:split] follows.  The coupling blocks B and C are kept, so the
-    step is exact for any J; only the factored sizes shrink.
+    refine splits at the boundary of the frame rows k even and k odd
+    (fields.matrix_entries lists the even rows first).  With J = [[A, B],
+    [C, D]] in those classes, one LU of A gives A^-1 [B, rhs[:split]], one
+    LU of the Schur complement D - C A^-1 B gives x[split:], and x[:split]
+    follows.  The coupling blocks B and C are kept, so the step is exact
+    for any J; only the factored sizes shrink.
     """
-    if split is None:
+    if not 0 < split < len(rhs):
         return np.linalg.solve(J, rhs)
     A, B = J[:split, :split], J[:split, split:]
     C, D = J[split:, :split], J[split:, split:]
@@ -492,20 +523,22 @@ def refine(v0, ctx, f, lt=None, lx=None):
     zero is a critical point v with its w(v).  The result is written back at
     the frame's modes, every other entry an exact zero.  For odd f the frame
     divisors are n^2 (m^2 - omega^2 k^2), so the certified range is
-    k <= lt // n <= L/n, and the unknowns are the frame's checkerboard k + m
-    even (_Frame): a Newton step moves no other entry, which stays an exact
-    zero, and the residual is measured on every entry.  Each step assembles
-    the Jacobian on the unknowns once (_galerkin_jacobian) and solves it
-    densely (_newton_solve): by one LU for even f, and for odd f by block
-    elimination over the checkerboard's two reflection classes, the entries
-    with k even and then the Schur complement on those with k odd.  The
-    classes couple only through the field's part odd under X -> pi - X, at
-    rounding level on a branch, and each LU is about half the unknowns:
-    numpy's OpenBLAS factors 100 or more on a second thread, which then
-    spins through the rest of the pass.  Each line-search trial costs one
-    apply_nonlinearity.  The iteration stops when the last full step was at
-    rounding level and the residual is at most GTOL; the second test is a
-    safety check, since a settled step with a large residual is not a
+    k <= lt // n <= L/n.  The unknowns are the entries the frame keeps
+    (_Frame.keep, read off v0 by _dilation_frame): for odd f the
+    checkerboard k + m even, and of it only the class k and m odd, even
+    under X -> pi - X; for even f every entry, or at odd levels those with
+    m odd.  A Newton step moves no other entry, which stays an exact zero,
+    and the residual is measured on every entry.  Each step assembles the
+    Jacobian on the unknowns once (_galerkin_jacobian) and solves it
+    densely (_newton_solve): one LU where the unknowns have one row parity
+    (odd f), else block elimination, the rows k even and then the Schur
+    complement on the rows k odd.  So at a 17 x 16 level-1 frame no LU
+    reaches the 100 or so unknowns from which numpy's OpenBLAS wakes a
+    second thread that spins through the rest of the pass: 64 for odd f,
+    72 and 64 for even f.  Each line-search trial costs one
+    apply_nonlinearity.  The iteration stops when the last full step was
+    at rounding level and the residual is at most GTOL; the second test is
+    a safety check, since a settled step with a large residual is not a
     solution.  When an iterate's kernel part, dilated to the full
     truncation, leaves the contraction domain (psolve.contraction_domain
     above psolve.DOMAIN_RHO) the refinement aborts rather than report a
@@ -524,15 +557,14 @@ def refine(v0, ctx, f, lt=None, lx=None):
         raise ResowaveError("refinement truncation smaller than the guess")
     if lt < lx:
         raise ResowaveError(f"temporal truncation lt={lt} below kernel reach {lx}")
-    frame = _dilation_frame(f, n)
+    frame = _dilation_frame(f, n, v0)
     u = fields.SpectralField(kernel.embed(v0).padded(lt, lx)[::n, frame.d - 1 :: frame.d])
-    keep = fields.matrix_entries(u.lt, u.lx, frame.checkerboard)
+    keep = fields.matrix_entries(u.lt, u.lx, frame.keep)
     if keep.size > MAX_UNKNOWNS:
         raise ConfigError(f"refinement truncation lt={lt}, lx={lx} has {keep.size} Newton "
                           f"unknowns, above MAX_UNKNOWNS = {MAX_UNKNOWNS}")
-    # on the checkerboard, matrix_entries lists one reflection class, the
-    # entries with k even, before the other
-    split = int(np.count_nonzero(keep // u.lx % 2 == 0)) if frame.checkerboard else None
+    # matrix_entries lists the unknowns of the rows k even first
+    split = int(np.count_nonzero(keep // u.lx % 2 == 0))
     scale = 0.5 * np.pi**2 * frame.d**2
     F = _galerkin_F(u, ctx, frame)
     gnorm = scale * float(np.linalg.norm(F))

@@ -389,7 +389,8 @@ def test_unreadable_solve_inputs_exit_two(tmp_path, capsys, override):
 
 @pytest.mark.parametrize("override", [{"lt": 400, "lx": 400}, {"dim": 200}], ids=lambda d: json.dumps(d))
 def test_oversized_newton_system_exits_two(tmp_path, capsys, monkeypatch, override):
-    # 80200 checkerboard unknowns: refused before anything is sampled
+    # 40000 unknowns, the entries k and m odd of the 401 x 400 frame:
+    # refused before anything is sampled
     def never(*args, **kw):
         raise AssertionError("sampled a refused truncation")
 
@@ -399,7 +400,7 @@ def test_oversized_newton_system_exits_two(tmp_path, capsys, monkeypatch, overri
     assert cli.main(["solve", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    assert "lt=400, lx=400 has 80200 Newton unknowns" in err
+    assert "lt=400, lx=400 has 40000 Newton unknowns" in err
 
 
 def test_explicit_truncation_in_range_is_solved(tmp_path, capsys):

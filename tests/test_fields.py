@@ -225,9 +225,11 @@ def test_multiply_poly_project_matches_quadrature():
         assert abs(got - want) < 1e-12, (l, j)
 
 
-# the checkerboard test's shapes, the single entry (0, 1), whose row a = 0
+# the kept-block test's shapes, the single entry (0, 1), whose row a = 0
 # has only the zero Hankel slab, and lt < lx
 MATRIX_SHAPES = [(7, 6), (8, 9), (16, 16), (1, 1), (2, 1), (0, 1), (3, 5)]
+RULES = [fields.EntryRule(), fields.EntryRule(checkerboard=True), fields.EntryRule(reflection=True),
+         fields.EntryRule(checkerboard=True, reflection=True)]
 
 
 @pytest.mark.parametrize("fprime", [
@@ -241,42 +243,50 @@ def test_multiply_poly_matrix_columns_match_product(fprime):
         u = random_field(rng, lt, lx)
         M = fields.multiply_poly_matrix(u, fprime, lt, lx)
         assert M.shape == ((lt + 1) * lx, (lt + 1) * lx)
-        for l in range(lt + 1):
-            for j in range(1, lx + 1):
-                z = np.zeros((lt + 1, lx))
-                z[l, j - 1] = 1.0
-                P = fields.multiply_poly_project(
-                    u, fprime, fields.SpectralField(z), out_lt=lt, out_lx=lx
-                )
-                # a projection keeps at least two rows, so lt = 0 reads the first
-                col = P.coeffs[: lt + 1].ravel()
-                err = np.max(np.abs(M[:, l * lx + j - 1] - col))
-                assert err <= 1e-13 * np.max(np.abs(col)), (lt, lx, l, j)
+        # every entry, the even rows first
+        order = fields.matrix_entries(lt, lx)
+        for col, k in enumerate(order):
+            z = np.zeros((lt + 1) * lx)
+            z[k] = 1.0
+            P = fields.multiply_poly_project(
+                u, fprime, fields.SpectralField(z.reshape(lt + 1, lx)), out_lt=lt, out_lx=lx
+            )
+            # a projection keeps at least two rows, so lt = 0 reads the first
+            want = P.coeffs[: lt + 1].ravel()[order]
+            err = np.max(np.abs(M[:, col] - want))
+            assert err <= 1e-13 * np.max(np.abs(want)), (lt, lx, divmod(k, lx))
 
 
 @pytest.mark.parametrize("lt, lx", MATRIX_SHAPES[:5])
 def test_multiply_poly_matrix_checkerboard_is_the_kept_block(lt, lx):
-    # the checkerboard matrix is the block of the full one on the entries
-    # l + j even, in matrix_entries order, bit for bit; an even-only
-    # polynomial couples no kept entry to a dropped one
+    # each rule's matrix is the block of the full one on its entries, the
+    # even rows first, each row parity row-major, bit for bit.  A field in
+    # the kept class couples no kept entry to a dropped one beyond rounding
     rng = np.random.default_rng(12)
     u = random_field(rng, lt, lx)
     flat = np.arange((lt + 1) * lx).reshape(lt + 1, lx)
-    keep = fields.matrix_entries(lt, lx, checkerboard=True)
-    on = (np.arange(lt + 1)[:, None] + np.arange(1, lx + 1)) % 2 == 0
-    assert np.array_equal(np.sort(keep), flat[on])
-    assert np.array_equal(fields.matrix_entries(lt, lx), flat.ravel())
-    for fprime in ([0.0, 0.0, 3.0], [0.0, 2.0, 3.0]):
-        full = fields.multiply_poly_matrix(u, fprime, lt, lx)
-        M = fields.multiply_poly_matrix(u, fprime, lt, lx, checkerboard=True)
-        assert M.flags.f_contiguous
-        assert np.array_equal(M, full[np.ix_(keep, keep)])
-    # for u on the checkerboard, the rest of the full matrix's kept rows is
-    # rounding noise
-    c = np.where(on, u.coeffs, 0.0)
-    full = fields.multiply_poly_matrix(fields.SpectralField(c), [0.0, 0.0, 3.0], lt, lx)
-    dropped = np.setdiff1d(flat, keep)
-    assert np.max(np.abs(full[np.ix_(keep, dropped)]), initial=0.0) <= 1e-15 * np.max(np.abs(full))
+    l, j = np.arange(lt + 1)[:, None], np.arange(1, lx + 1)
+    every = fields.matrix_entries(lt, lx)
+    assert np.array_equal(every, np.concatenate([flat[0::2].ravel(), flat[1::2].ravel()]))
+    where = np.argsort(every)     # flat index -> row of the full matrix
+    for rule, on in zip(RULES[1:], [(l + j) % 2 == 0, np.tile(j % 2 == 1, (lt + 1, 1)),
+                                    (l % 2 == 1) & (j % 2 == 1)]):
+        keep = fields.matrix_entries(lt, lx, rule)
+        assert np.array_equal(np.sort(keep), flat[on])
+        assert np.all(np.diff(keep // lx % 2) >= 0)          # the even rows first
+        for fprime in ([0.0, 0.0, 3.0], [0.0, 2.0, 3.0]):
+            full = fields.multiply_poly_matrix(u, fprime, lt, lx)[np.ix_(where[keep], where[keep])]
+            M = fields.multiply_poly_matrix(u, fprime, lt, lx, rule)
+            assert M.flags.f_contiguous
+            assert np.array_equal(M, full)
+        # for u in the class, the rest of the full matrix's kept rows is
+        # rounding noise; an odd power leaves the checkerboard class
+        fprime = [0.0, 0.0, 3.0] if rule.checkerboard else [0.0, 2.0, 3.0]
+        c = np.where(on, u.coeffs, 0.0)
+        full = fields.multiply_poly_matrix(fields.SpectralField(c), fprime, lt, lx)
+        dropped = where[np.setdiff1d(flat, keep)]
+        coupled = full[np.ix_(where[keep], dropped)]
+        assert np.max(np.abs(coupled), initial=0.0) <= 1e-15 * np.max(np.abs(full))
 
 
 @pytest.mark.parametrize("lt, lx, checkerboard", [
@@ -286,16 +296,25 @@ def test_matrix_gather_caches_only_small_shapes(monkeypatch, lt, lx, checkerboar
     # 1024, 1056, 990 and 1081 unknowns: a shape above GATHER_CACHE_UNKNOWNS
     # builds its gather indices on each call and leaves the cache as it was,
     # with the matrix the cached build gives
-    cached = fields._cached_gather_indices
+    rule = fields.EntryRule(checkerboard=checkerboard)
+    cached = fields._matrix_gather.cache
     cached.cache_clear()
     u = random_field(np.random.default_rng(13), 3, 3)
-    M = fields.multiply_poly_matrix(u, [0.0, 2.0, 3.0], lt, lx, checkerboard)
-    small = fields.matrix_entries(lt, lx, checkerboard).size <= fields.GATHER_CACHE_UNKNOWNS
+    M = fields.multiply_poly_matrix(u, [0.0, 2.0, 3.0], lt, lx, rule)
+    small = fields.matrix_entries(lt, lx, rule).size <= fields.GATHER_CACHE_UNKNOWNS
     assert cached.cache_info().currsize == small
     monkeypatch.setattr(fields, "GATHER_CACHE_UNKNOWNS", M.shape[0])
-    assert np.array_equal(fields.multiply_poly_matrix(u, [0.0, 2.0, 3.0], lt, lx, checkerboard), M)
+    assert np.array_equal(fields.multiply_poly_matrix(u, [0.0, 2.0, 3.0], lt, lx, rule), M)
     assert cached.cache_info().currsize == 1
     cached.cache_clear()
+
+
+@pytest.mark.parametrize("rule", RULES, ids=["every", "checkerboard", "reflection", "both"])
+def test_cache_size_is_the_rules_entry_count(rule):
+    # the caches decide by the count of the entries the rule keeps, on the
+    # shapes above and on both sides of GATHER_CACHE_UNKNOWNS
+    for lt, lx in MATRIX_SHAPES + [(31, 32), (32, 32), (44, 44), (46, 46)]:
+        assert fields._entry_count(lt, lx, rule) == len(fields.matrix_entries(lt, lx, rule))
 
 
 def test_diagonal_helpers():

@@ -324,13 +324,15 @@ def test_odd_case_recipe_ignores_dilation_level():
 
 
 def test_qform_recipe_equals_G_at_dilated_vector():
-    # the 1/n^2 rescaling law reproduces G(L_n y) without forming L_n y
+    # the 1/n^2 rescaling law reproduces G(L_n xi) without forming L_n xi;
+    # the recipe's coordinates y are xi at the odd j
     y = rand_vec(seed=23, dim=2, scale=0.7)
+    xi = kernel.KernelVector([y.xi[0], 0.0, y.xi[1]])
     for coeffs in QFORM_CASES:
         f = nonlinearity.classify(coeffs)
         for n in (1, 2, 3, 4):
             rec = reduced.g_recipe(f, -1, n=n)
-            direct = reduced.G_eval(kernel.rescale(y, n), f)
+            direct = reduced.G_eval(kernel.rescale(xi, n), f)
             assert abs(rec.hess(y.xi)[0] - direct) <= 1e-13 * abs(direct)
 
 

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 import scipy.fft as sfft
+from scipy import optimize
 
 from resowave import evolve, fields, frequency, kernel, nonlinearity, psolve, reduced, search
 from resowave.errors import ConfigError, ConvergenceError, ResonanceError, ResowaveError
@@ -70,7 +71,56 @@ def test_maximize_call_budget(coeffs, side):
         return recipe.hess(y)
 
     search.maximize_U(dataclasses.replace(recipe, hess=counted), 6, seed=0, restarts=8)
-    assert rows[0] <= 8 * 8 and calls[0] <= 12, (rows, calls)
+    assert rows[0] <= 6 * 8 and calls[0] <= 8, (rows, calls)
+
+
+# the shapes of G in test_reduced, each on a side where it has a branch
+ORACLE_SHAPES = {"odd-power": ({3: 1.0}, +1), "n1": ({4: 1.0, 5: 1.0}, +1), "n2": ({2: 1.0}, -1),
+                 "n3-bneg": ({2: 1.0, 3: -1.0}, -1), "n3-bpos": ({2: 1.0, 3: 0.2}, -1)}
+
+
+@pytest.mark.parametrize("dim", [6, 12])
+@pytest.mark.parametrize("name", list(ORACLE_SHAPES))
+def test_reflection_even_maximum_is_the_whole_spheres(name, dim):
+    # maximize_U searches only the odd j; an independent, seeded BFGS
+    # ascent of U = G/|v|_H1^(q+1) over all dim coordinates, from G_eval's
+    # value and gradient, reaches the same maximum
+    coeffs, side = ORACLE_SHAPES[name]
+    f = nonlinearity.classify(coeffs)
+    recipe = reduced.g_recipe(f, side, n=1)
+    # the side's sign, read off the recipe at xi = e_1
+    sign = recipe.hess(np.ones((1, 1)))[0][0] / reduced.G_eval(np.ones(1), f)
+    j2 = (np.pi * np.arange(1, dim + 1)) ** 2
+
+    def minus_u(xi):
+        norm = np.sqrt(np.sum(j2 * xi * xi))
+        G, g = sign * reduced.G_eval(xi, f), sign * reduced.G_eval(xi, f, grad=True)
+        grad = g / norm ** (f.q + 1) - (f.q + 1) * G * j2 * xi / norm ** (f.q + 3)
+        return -G / norm ** (f.q + 1), -grad
+
+    rng = np.random.default_rng(7)
+    whole = max(-optimize.minimize(minus_u, rng.standard_normal(dim) / np.arange(1, dim + 1),
+                                   jac=True, method="BFGS", options={"gtol": 1e-12}).fun
+                for _ in range(3))
+    y, m, _ = search.maximize_U(recipe, dim, seed=0, restarts=8)
+    assert abs(m - whole) <= 1e-12 * whole
+    assert len(y) == dim and not np.any(y.xi[1::2])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("name", list(ORACLE_SHAPES))
+def test_maximize_on_a_single_odd_coordinate(name, dim):
+    # dim 1 and 2 leave only j = 1: the sphere is the point +-e_1/pi, whose
+    # tangent space is empty, and the maximum is G there
+    coeffs, side = ORACLE_SHAPES[name]
+    f = nonlinearity.classify(coeffs)
+    recipe = reduced.g_recipe(f, side, n=1)
+    y, m, diag = search.maximize_U(recipe, dim, seed=0, restarts=3)
+    e1 = np.zeros(dim)
+    e1[0] = 1.0 / np.pi
+    assert np.array_equal(y.xi, e1)
+    assert m == recipe.hess(np.full((1, 1), 1.0 / np.pi))[0][0]
+    assert diag.iterations == 1 and diag.grad_norm == 0.0
 
 
 NEWTON_SHAPES = [({3: 1.0}, +1), ({2: 1.0}, -1), ({3: 1.0, 5: 0.5}, +1), ({2: 1.0, 3: -1.0}, -1)]
@@ -161,17 +211,18 @@ def test_refine_aborts_outside_contraction_domain():
 def test_galerkin_jacobian_matches_residual_differences(coeffs, d):
     # oracle: central differences of the Galerkin residual itself, in the
     # level-2 frame; the odd f keeps rows and columns 2Z with f/4 and, of
-    # those, the checkerboard k + m even, the even one rows 2Z with the
-    # symbol m^2 - omega^2 (2k)^2 and every entry.  The even f has an odd
-    # power too, so both the cosine and the sine part of the multiplication
-    # matrix are exercised.  The field is not on the checkerboard: the kept
-    # block is exact at any field
+    # those, the entries k and m odd, the even one rows 2Z with the symbol
+    # m^2 - omega^2 (2k)^2 and every entry (level 2 is even).  The even f
+    # has an odd power too, so both the cosine and the sine part of the
+    # multiplication matrix are exercised.  The field is not in the kept
+    # class: the kept block is exact at any field
     frame = search._dilation_frame(nonlinearity.classify(coeffs), 2)
-    assert (frame.n, frame.d, frame.checkerboard) == (2, d, d == 2)
+    odd = d == 2
+    assert (frame.n, frame.d, frame.keep) == (2, d, fields.EntryRule(odd, odd))
     ctx = ctx_cubic()
     lt = lx = 8
-    keep = fields.matrix_entries(lt, lx, frame.checkerboard)
-    assert keep.size == (lt + 1) * lx // (1 + frame.checkerboard)
+    keep = fields.matrix_entries(lt, lx, frame.keep)
+    assert keep.size == (4 * 4 if odd else 9 * 8)
     rng = np.random.default_rng(3)
     c = 0.02 * rng.standard_normal((lt + 1, lx))
     J = search._galerkin_jacobian(fields.SpectralField(c), ctx, frame)
@@ -208,13 +259,13 @@ def test_galerkin_jacobian_names_resonant_range_entry():
 
 def test_galerkin_jacobian_names_resonant_checkerboard_entry():
     # omega = 5/3 makes omega^2 l^2 - j^2 vanish at (l, j) = (3, 5), where
-    # l + j is even: an unknown of the odd f's checkerboard, which f'(u) =
-    # 3u^2 couples to the kernel; in the level-2 frame that is the entry
-    # (3, 5), named as (6, 10)
+    # l and j are odd: an unknown of the odd f's frame, which f'(u) = 3u^2
+    # couples to the kernel; in the level-2 frame that is the entry (3, 5),
+    # named as (6, 10)
     ctx = frequency.FrequencyContext(omega=5.0 / 3.0, eps=8.0 / 9.0, gamma=0.1, L=16)
     v = kernel.KernelVector([0.05, 0.02, 0.0, 0.0, 0.0, 0.0])
     frame = search._dilation_frame(F3, 1)
-    assert frame.checkerboard
+    assert frame.keep == fields.EntryRule(checkerboard=True, reflection=True)
     with pytest.raises(ResonanceError) as err:
         search._galerkin_jacobian(kernel.embed(v), ctx, frame)
     assert (err.value.l, err.value.j) == (3, 5)
@@ -224,12 +275,13 @@ def test_galerkin_jacobian_names_resonant_checkerboard_entry():
                                   search._dilation_frame(F3, 2))
     assert (err.value.l, err.value.j) == (6, 10)
     # at omega = 3/2 the vanishing divisor of the (3, 3) truncation sits at
-    # (2, 3), off the checkerboard: not an unknown, so nothing to refuse
+    # (2, 3), off the kept entries k and m odd: not an unknown, so nothing
+    # to refuse
     ctx = frequency.FrequencyContext(omega=1.5, eps=0.625, gamma=0.1, L=16)
     u = kernel.embed(kernel.KernelVector(v.xi[:3]))
     assert (u.lt, u.lx) == (3, 3)
     J = search._galerkin_jacobian(u, ctx, frame)
-    assert J.shape == (checkerboard_size(4, 3),) * 2
+    assert J.shape == (kept_size(4, 3, odd_k=True, odd_m=True),) * 2
 
 
 @pytest.mark.parametrize("f, side, n", [(F3, +1, 1), (F3, +1, 2),
@@ -258,9 +310,8 @@ def test_refine_stops_at_a_rounding_level_step():
     v0, _ = search.initial_guess(y, m, rec, ctx, diag)
     v, w, _ = search.refine(v0, ctx, F3)
     u = fields.SpectralField((kernel.embed(v) + w).padded(w.lt, w.lx))
-    full = search._Frame(1, 1, F3)
-    F = search._galerkin_F(u, ctx, full)
-    step = np.linalg.solve(search._galerkin_jacobian(u, ctx, full), -F.ravel())
+    F = search._galerkin_F(u, ctx, search._Frame(1, 1, F3))
+    step = np.linalg.solve(row_major_jacobian(u, ctx, F3), -F.ravel())
     assert np.max(np.abs(step)) <= 1e-14 * np.max(np.abs(v.xi))
 
 
@@ -435,6 +486,12 @@ F35 = nonlinearity.classify({3: 1.0, 5: 0.5})
 C6_CTX = frequency.make_context(1.0001, L=48)
 
 
+def row_major_jacobian(u, ctx, f):
+    """_galerkin_jacobian on every entry of u, its rows and columns row-major."""
+    where = np.argsort(fields.matrix_entries(u.lt, u.lx))
+    return search._galerkin_jacobian(u, ctx, search._Frame(1, 1, f))[np.ix_(where, where)]
+
+
 def full_lattice_refine(v0, ctx, f, lt, lx):
     """refine without the dilation frame: damped Newton on the whole nZ x {1..lx}.
 
@@ -456,7 +513,7 @@ def full_lattice_refine(v0, ctx, f, lt, lx):
         if gnorm <= search.GTOL and settled:
             return kernel.project_V(u), fields.zero_diagonal(u)
         delta = np.zeros_like(u.coeffs)
-        J = search._galerkin_jacobian(u, ctx, full)[np.ix_(keep, keep)]
+        J = row_major_jacobian(u, ctx, f)[np.ix_(keep, keep)]
         delta[rows] = np.linalg.solve(J, -F)
         t = 1.0
         while t >= 1e-6:
@@ -472,13 +529,13 @@ def full_lattice_refine(v0, ctx, f, lt, lx):
     raise AssertionError("full-lattice Newton did not converge")
 
 
-def assert_zero_off_checkerboard(v, w, n):
-    """Every entry of u = v + w off the level-n frame's checkerboard, (n k, n m)
-    with k + m even, is an exact zero."""
+def assert_zero_off_kept_class(v, w, n):
+    """Every entry of u = v + w off the entries the level-n frame of an odd f
+    keeps, (n k, n m) with k and m odd, is an exact zero."""
     u = (kernel.embed(v) + w).coeffs
     l = np.arange(w.lt + 1)[:, None]
     j = np.arange(1, w.lx + 1)[None, :]
-    on = (l % n == 0) & (j % n == 0) & ((l + j) % (2 * n) == 0)
+    on = (l % n == 0) & (j % n == 0) & (l // n % 2 == 1) & (j // n % 2 == 1)
     assert not np.any(u[~on])
 
 
@@ -498,11 +555,11 @@ def level_guesses():
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("name", ["u3", "u35"])
 def test_frame_solve_matches_full_lattice_solve(level_guesses, name, n):
-    # the frame's checkerboard solve against the Newton on every entry of
-    # the rows nZ; off the checkerboard the solve leaves exact zeros
+    # the frame's solve on the entries k and m odd against the Newton on
+    # every entry of the rows nZ; off those the solve leaves exact zeros
     f, recipe, v0, level = level_guesses[name, n]
     v, w, rep = search.refine(v0, C6_CTX, f)
-    assert_zero_off_checkerboard(v, w, n)
+    assert_zero_off_kept_class(v, w, n)
     record = search.build_solution(v, w, C6_CTX, f, recipe, level, newton=rep)
     v_ref, w_ref = full_lattice_refine(v0, C6_CTX, f, w.lt, w.lx)
     u_ref = kernel.embed(v_ref) + w_ref
@@ -590,12 +647,26 @@ def test_frame_guard_sees_the_full_field(level_guesses, monkeypatch):
 
 
 def test_dilation_frame_only_for_odd_f_above_level_one():
+    # even f keeps every entry at even levels, whose kernel sits at even m,
+    # and the reflection-even half m odd at odd levels
     f2 = nonlinearity.classify({2: 1.0})
     assert search._dilation_frame(f2, 2) == search._Frame(2, 1, f2)
     f23 = nonlinearity.classify({2: 1.0, 3: 1.0})
-    assert search._dilation_frame(f23, 3) == search._Frame(3, 1, f23)
-    # odd f solves on the checkerboard at every level, level 1 included
-    assert search._dilation_frame(F3, 1) == search._Frame(1, 1, F3, checkerboard=True)
+    reflection = fields.EntryRule(reflection=True)
+    assert search._dilation_frame(f23, 3) == search._Frame(3, 1, f23, reflection)
+    # odd f solves on the checkerboard's entries k and m odd at every
+    # level, level 1 included
+    both = fields.EntryRule(checkerboard=True, reflection=True)
+    assert search._dilation_frame(F3, 1) == search._Frame(1, 1, F3, both)
+    # a guess with a kernel entry at an even frame column keeps both
+    # reflection classes; one at odd columns only does not
+    with_even = kernel.KernelVector([1e-3, 0.0, 0.0, 1e-5])
+    assert search._dilation_frame(F3, 1, with_even).keep == fields.EntryRule(checkerboard=True)
+    assert search._dilation_frame(f2, 1, with_even).keep == fields.EntryRule()
+    odd_only = kernel.rescale(kernel.KernelVector([1.0, 0.0, 2.0]), 3)
+    assert search._dilation_frame(f2, 3, odd_only).keep == reflection
+    at_m_two = kernel.KernelVector([0.0, 1.0, 0.0, 1.0])
+    assert search._dilation_frame(F3, 2, at_m_two).keep == fields.EntryRule(checkerboard=True)
 
 
 def level_guess(coeffs, omega, n, L=24, dim=6, restarts=4):
@@ -620,7 +691,7 @@ def test_checkerboard_solve_matches_full_lattice_solve(name):
     f, ctx, recipe, v0, level = level_guess(*ODD_LEVELS[name])
     v, w, rep = search.refine(v0, ctx, f)
     assert rep.converged
-    assert_zero_off_checkerboard(v, w, recipe.n)
+    assert_zero_off_kept_class(v, w, recipe.n)
     v_ref, w_ref = full_lattice_refine(v0, ctx, f, w.lt, w.lx)
     assert np.max(np.abs(v.xi - v_ref.xi)) <= 1e-12 * np.max(np.abs(v_ref.xi))
     assert np.max(np.abs(w.coeffs - w_ref.coeffs)) <= 1e-12 * np.max(np.abs(w_ref.coeffs))
@@ -662,17 +733,19 @@ def record_jacobian_sizes(monkeypatch):
     return sizes
 
 
-def checkerboard_size(rows, cols):
-    """The entries (k, m), k < rows, 1 <= m <= cols, with k + m even."""
+def kept_size(rows, cols, odd_k, odd_m):
+    """The entries (k, m), k < rows, 1 <= m <= cols, with k odd where odd_k
+    and m odd where odd_m."""
     k = np.arange(rows)[:, None]
     m = np.arange(1, cols + 1)[None, :]
-    return int(np.count_nonzero((k + m) % 2 == 0))
+    return int(np.count_nonzero(((k % 2 == 1) | (not odd_k)) & ((m % 2 == 1) | (not odd_m))))
 
 
 @pytest.mark.parametrize("name", ["u3", "u35", "u2"])
 def test_frame_jacobians_have_the_compressed_size(level_guesses, monkeypatch, name):
-    # odd f solves the checkerboard of the (lt//n + 1, lx//n) frame at
-    # level n, about half its entries; even f all (lt//n + 1) lx
+    # odd f solves the entries k and m odd of the (lt//n + 1, lx//n) frame
+    # at level n, about a quarter of them; even f all (lt//n + 1) lx at
+    # even n and the half m odd at odd n
     sizes = record_jacobian_sizes(monkeypatch)
     for n in range(1, 7) if name != "u2" else (2, 3):
         if name == "u2":
@@ -683,7 +756,7 @@ def test_frame_jacobians_have_the_compressed_size(level_guesses, monkeypatch, na
         sizes.clear()
         v, w, _ = search.refine(v0, ctx, f)
         rows, cols = w.lt // n + 1, w.lx // d
-        want = checkerboard_size(rows, cols) if d == n else rows * cols
+        want = kept_size(rows, cols, odd_k=d == n, odd_m=d == n or n % 2 == 1)
         assert sizes and set(sizes) == {want}
         # off the frame's rows and columns every entry is an exact zero
         off = np.ones(w.coeffs.shape, dtype=bool)
@@ -691,7 +764,7 @@ def test_frame_jacobians_have_the_compressed_size(level_guesses, monkeypatch, na
         assert not np.any(w.coeffs[off])
         assert not np.any(np.delete(v.xi, np.s_[n - 1 :: n]))
         if d == n:
-            assert_zero_off_checkerboard(v, w, n)
+            assert_zero_off_kept_class(v, w, n)
 
 
 def record_solve_sizes(monkeypatch):
@@ -707,10 +780,9 @@ def record_solve_sizes(monkeypatch):
     return sizes
 
 
-def class_split(lt, lx):
-    """The checkerboard unknowns of the (lt+1, lx) frame with k even, which
-    matrix_entries lists first: the class odd under X -> pi - X."""
-    return int(np.count_nonzero(fields.matrix_entries(lt, lx, checkerboard=True) // lx % 2 == 0))
+def row_split(lt, lx, rule):
+    """The unknowns of rule in the rows k even, which matrix_entries lists first."""
+    return int(np.count_nonzero(fields.matrix_entries(lt, lx, rule) // lx % 2 == 0))
 
 
 def coupling(J, split):
@@ -719,48 +791,54 @@ def coupling(J, split):
 
 
 def test_criterion6_branch_jacobians_stay_small(monkeypatch):
-    # the n = 1 frame is the largest: the checkerboard of 17 x 16 entries,
-    # solved one reflection class at a time, so no LU exceeds its 72 entries
-    # with k and m even
+    # the n = 1 frame is the largest: of its 17 x 16 entries, the 8 x 8 with
+    # k and m odd, solved by one LU per Newton step with no Schur step
     sizes = record_jacobian_sizes(monkeypatch)
     lus = record_solve_sizes(monkeypatch)
     br = search.solve_branch(C6_CTX, F3, C=0.004, dim=6, seed=0, restarts=8)
     assert [r.n for r in br.records] == [1, 2, 3, 4, 5, 6]
-    assert max(sizes) == checkerboard_size(17, 16) == 136
-    assert max(lus) == class_split(16, 16) == 72
-    # each solution is even under X -> pi - X, so the blocks coupling the
-    # classes are rounding noise there
+    assert max(sizes) == kept_size(17, 16, odd_k=True, odd_m=True) == 64
+    assert lus == sizes
+    # each solution is even under X -> pi - X, so on the whole checkerboard
+    # the blocks coupling its two reflection classes, the rows k even and
+    # k odd, are rounding noise there: the odd class is a Newton system alone
+    checkerboard = fields.EntryRule(checkerboard=True)
     for r in br.records:
         u = (kernel.embed(kernel.KernelVector(r.xi)) + fields.SpectralField(r.w_coeffs)).coeffs
         U = fields.SpectralField(u[:: r.n, r.n - 1 :: r.n])
-        J = search._galerkin_jacobian(U, C6_CTX, search._dilation_frame(F3, r.n))
-        assert coupling(J, class_split(U.lt, U.lx)) <= 1e-12
-    # an even f keeps one LU of its whole frame: at u^2 level 1, one solve
-    # of 17 x 16 entries per Newton step
+        frame = dataclasses.replace(search._dilation_frame(F3, r.n), keep=checkerboard)
+        J = search._galerkin_jacobian(U, C6_CTX, frame)
+        assert coupling(J, row_split(U.lt, U.lx, checkerboard)) <= 1e-12
+    # an even f at level 1 keeps the half m odd of its 17 x 16 frame, and
+    # eliminates its 72 unknowns with k even before the Schur complement on
+    # the 64 with k odd
     f, ctx, _, v0, _ = level_guess({2: 1.0}, frequency.omega_for_eps(-4e-4), 1)
+    sizes.clear()
     lus.clear()
     _, _, rep = search.refine(v0, ctx, f)
-    assert rep.converged and lus == [272] * rep.iterations
+    assert rep.converged and sizes == [136] * rep.iterations and lus == [72, 64] * rep.iterations
 
 
-RANDOM_CHECKERBOARDS = [({3: 1.0}, 1.0001, 16, 16), ({3: 1.0}, 1.0001, 16, 15),
-                        ({3: 1.0, 5: 0.5}, 1.001, 12, 12), ({3: -1.0}, 0.999, 9, 8)]
+RANDOM_FIELDS = [({2: 1.0}, 1.0001, 16, 16), ({2: 1.0}, 1.0001, 16, 15),
+                 ({2: 1.0, 3: -1.0}, 1.001, 12, 12), ({4: 1.0, 5: -1.0}, 0.999, 9, 8)]
 
 
-@pytest.mark.parametrize("coeffs, omega, lt, lx", RANDOM_CHECKERBOARDS)
+@pytest.mark.parametrize("coeffs, omega, lt, lx", RANDOM_FIELDS)
 def test_class_elimination_matches_one_solve(coeffs, omega, lt, lx):
-    # at random checkerboard fields, whose part odd under X -> pi - X is as
-    # large as the even part, the classes are coupled, and the elimination
-    # still gives the one-LU step; without the coupling blocks it does not
+    # an even f at level 1 keeps both row parities of its reflection-even
+    # half m odd, and f'(u) couples them fully; the elimination of the rows
+    # k even, then the Schur complement on the rows k odd, gives the one-LU
+    # step, and without the coupling blocks it does not
     rng = np.random.default_rng(21)
-    keep = fields.matrix_entries(lt, lx, checkerboard=True)
+    frame = search._dilation_frame(nonlinearity.classify(coeffs), 1)
+    assert frame.keep == fields.EntryRule(reflection=True)
+    keep = fields.matrix_entries(lt, lx, frame.keep)
     c = np.zeros((lt + 1) * lx)
     c[keep] = 0.2 * rng.standard_normal(keep.size) / (1.0 + keep // lx + keep % lx)
     u = fields.SpectralField(c.reshape(lt + 1, lx))
-    frame = search._dilation_frame(nonlinearity.classify(coeffs), 1)
     J = search._galerkin_jacobian(u, frequency.make_context(omega, L=lt), frame)
-    split = class_split(lt, lx)
-    assert coupling(J, split) >= 1e-6
+    split = row_split(lt, lx, frame.keep)
+    assert 0 < split < keep.size and coupling(J, split) >= 1e-6
     b = rng.standard_normal(keep.size)
     want = np.linalg.solve(J, b)
 
@@ -774,28 +852,37 @@ def test_class_elimination_matches_one_solve(coeffs, omega, lt, lx):
     assert error(search._newton_solve(uncoupled, b, split)) > 1e-3
 
 
-@pytest.mark.parametrize("block", ["class", "schur"])
+@pytest.mark.parametrize("block", ["class", "schur", "one"])
 def test_singular_class_solve_is_a_convergence_error(monkeypatch, block):
-    # a singular first class block, or a singular Schur complement, is the
-    # singular Jacobian it would be in one LU
+    # a singular first class block or a singular Schur complement (even f,
+    # both row parities), or a singular one-LU system (odd f, one parity),
+    # is the singular Jacobian it would be in one LU
     def singular(u, ctx, frame):
-        size = fields.matrix_entries(u.lt, u.lx, checkerboard=True).size
-        split = class_split(u.lt, u.lx)
-        E = np.eye(split, size - split)
+        keep = fields.matrix_entries(u.lt, u.lx, frame.keep)
+        split = row_split(u.lt, u.lx, frame.keep)
+        E = np.eye(split, keep.size - split)
         if block == "class":
-            return np.block([[np.zeros((split, split)), E], [E.T, np.eye(size - split)]])
-        # D - C A^-1 B = E^T E - E^T E = 0
-        return np.block([[np.eye(split), E], [E.T, E.T @ E]])
+            return np.block([[np.zeros((split, split)), E], [E.T, np.eye(keep.size - split)]])
+        if block == "schur":
+            # D - C A^-1 B = E^T E - E^T E = 0
+            return np.block([[np.eye(split), E], [E.T, E.T @ E]])
+        assert split == 0
+        return np.zeros((keep.size, keep.size))
 
     monkeypatch.setattr(search, "_galerkin_jacobian", singular)
     v0 = kernel.KernelVector([1e-3])
+    if block == "one":
+        f, ctx = F3, ctx_cubic()
+    else:
+        f, ctx = nonlinearity.classify({2: 1.0}), ctx_cubic(eps=-1e-3)
     with pytest.raises(ConvergenceError, match="singular Newton Jacobian"):
-        search.refine(v0, ctx_cubic(), F3)
+        search.refine(v0, ctx, f)
 
 
 def test_refine_refuses_too_many_unknowns_before_sampling(monkeypatch):
-    # 80200 checkerboard unknowns would be a 51 GB Jacobian: refused before
-    # f(u) is sampled or the Jacobian assembled
+    # a guess with a kernel entry at an even column keeps both reflection
+    # classes: 80200 checkerboard unknowns would be a 51 GB Jacobian, refused
+    # before f(u) is sampled or the Jacobian assembled
     def never(*args, **kw):
         raise AssertionError("sampled a refused truncation")
 
@@ -815,12 +902,12 @@ def test_refine_refuses_too_many_unknowns_before_sampling(monkeypatch):
 
 
 def test_solve_branch_lists_a_refused_level_as_failed(monkeypatch):
-    # with the cap below the n = 1 frame (136 unknowns) only that level fails
-    monkeypatch.setattr(search, "MAX_UNKNOWNS", 100)
+    # with the cap below the n = 1 frame (64 unknowns) only that level fails
+    monkeypatch.setattr(search, "MAX_UNKNOWNS", 63)
     br = search.solve_branch(C6_CTX, F3, C=0.004, dim=6, seed=0, restarts=8)
     assert [r.n for r in br.records] == [2, 3, 4, 5, 6]
     assert len(br.failures) == 1 and br.failures[0][0] == 1
-    assert "136 Newton unknowns, above MAX_UNKNOWNS = 100" in br.failures[0][1]
+    assert "64 Newton unknowns, above MAX_UNKNOWNS = 63" in br.failures[0][1]
 
 
 HOMOGENEOUS = {"u3": ({3: 1.0}, 1.0001), "u5": ({5: 1.0}, 1.0001), "-u3-below": ({3: -1.0}, 0.9999)}
@@ -866,7 +953,8 @@ def test_homogeneity_law_of_the_frame_levels(name):
 def test_homogeneity_law_fails_without_the_frame_division(monkeypatch, name):
     # the frame f not divided by n^2: every level lands on U_1 itself
     real = search._dilation_frame
-    monkeypatch.setattr(search, "_dilation_frame", lambda f, n: dataclasses.replace(real(f, n), f=f))
+    monkeypatch.setattr(search, "_dilation_frame",
+                        lambda f, n, v=None: dataclasses.replace(real(f, n, v), f=f))
     gaps = homogeneity_gaps(*HOMOGENEOUS[name])
     assert min(gaps.values()) > 0.1, gaps
 
@@ -876,12 +964,16 @@ def test_homogeneity_law_fails_without_the_frame_division(monkeypatch, name):
 @pytest.mark.parametrize("n", [1, 2])
 def test_even_order_f_keeps_every_frame_entry(monkeypatch, coeffs, omega, n):
     # an even-order term leaves the sine class, so the shift of the torus
-    # does not commute with the sine projection: every entry of the (lt//n
-    # + 1, lx) time frame is an unknown, and a checkerboard would halve them
+    # does not commute with the sine projection: every row parity of the
+    # (lt//n + 1, lx) time frame is kept, and a checkerboard would halve
+    # them.  At level 1 the guess is even under x -> pi - x and the frame
+    # keeps the columns m odd; at level 2 its kernel sits at even m, and the
+    # frame keeps every entry
     sizes = record_jacobian_sizes(monkeypatch)
     f, ctx, _, v0, _ = level_guess(coeffs, omega, n)
     v, w, rep = search.refine(v0, ctx, f)
-    assert rep.converged and set(sizes) == {(w.lt // n + 1) * w.lx}
+    cols = (w.lx + 1) // 2 if n == 1 else w.lx
+    assert rep.converged and set(sizes) == {(w.lt // n + 1) * cols}
 
 
 def test_frame_solve_certified_range_is_the_compressed_index():
