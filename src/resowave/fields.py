@@ -397,84 +397,47 @@ class EntryRule:
     checkerboard: bool = False
     reflection: bool = False
 
-    def mask(self, lt, lx):
-        """The kept entries of the (lt+1, lx) truncation, as a boolean array."""
-        l = np.arange(lt + 1)[:, None]
-        j = np.arange(1, lx + 1)
-        keep = np.ones((lt + 1, lx), dtype=bool)
-        if self.checkerboard:
-            keep &= (l + j) % 2 == 0
-        if self.reflection:
-            keep &= j % 2 == 1
-        return keep
+    @functools.lru_cache(maxsize=16)
+    def lattice(self, lt, lx):
+        """The kept entries of the (lt+1, lx) truncation: (rows, cols, select).
+
+        rows lists the kept rows l, the even ones first, and cols the kept
+        columns j, ascending.  The entries are the pairs (rows[r], cols[i]),
+        r-major, at the positions select names; select is None when the
+        rule keeps the whole product.  Only the checkerboard alone needs
+        it: it keeps the columns j even on the rows l even, j odd on l odd.
+        The arrays are cached, so they are read-only.
+        """
+        l = np.arange(lt + 1)
+        if self.checkerboard and self.reflection:
+            rows = l[1::2]
+        else:
+            rows = np.concatenate([l[0::2], l[1::2]])
+        cols = np.arange(1, lx + 1, 2 if self.reflection else 1)
+        rows.flags.writeable = cols.flags.writeable = False
+        select = None
+        if self.checkerboard and not self.reflection:
+            select = np.flatnonzero((rows[:, None] + cols) % 2 == 0)
+            select.flags.writeable = False
+        return rows, cols, select
 
 
 EVERY_ENTRY = EntryRule()
-# the most unknowns whose entries and gather indices are cached: 16 MiB a shape
-GATHER_CACHE_UNKNOWNS = 1024
 
 
-@functools.lru_cache(maxsize=64)
-def _entry_count(lt, lx, rule):
-    """The number of entries rule keeps in the (lt+1, lx) truncation."""
-    return int(np.count_nonzero(rule.mask(lt, lx)))
-
-
-def _small_shape_cache(build):
-    """build(lt, lx, rule), cached for shapes of at most GATHER_CACHE_UNKNOWNS kept entries.
-
-    A larger shape is built on each call, so the cache never holds more
-    than four shapes, whatever the Newton cap allows.
-    """
-    cached = functools.lru_cache(maxsize=4)(build)
-
-    @functools.wraps(build)
-    def lookup(lt, lx, rule=EVERY_ENTRY):
-        if _entry_count(lt, lx, rule) <= GATHER_CACHE_UNKNOWNS:
-            return cached(lt, lx, rule)
-        return build(lt, lx, rule)
-
-    lookup.cache = cached
-    return lookup
-
-
-@_small_shape_cache
 def matrix_entries(lt, lx, rule=EVERY_ENTRY):
     """Flat indices l lx + j - 1 of the entries rule keeps, in multiply_poly_matrix's order.
 
     First the kept entries of the even rows l, then those of the odd rows,
     each class row-major, so a solve can eliminate one row parity before
     the other at a single boundary.  An LU of the matrix eliminates in this
-    order, so the order is part of the results.  The array may be cached
-    and shared, so it is read-only.
+    order, so the order is part of the results.
     """
-    keep = rule.mask(lt, lx)
-    flat = np.arange(keep.size).reshape(keep.shape)
-    entries = np.concatenate([flat[0::2][keep[0::2]], flat[1::2][keep[1::2]]])
-    entries.flags.writeable = False
+    rows, cols, select = rule.lattice(lt, lx)
+    entries = (rows[:, None] * lx + cols - 1).ravel()
+    if select is not None:
+        entries = entries[select]
     return entries
-
-
-@_small_shape_cache
-def _matrix_gather(lt, lx, rule):
-    """Flat indices into the slabs X[t, i, k] of multiply_poly_matrix, transposed.
-
-    i and k count the kept columns j (every column, or the odd ones under
-    the reflection rule).  For the row entry (a_r, i_r) and the column
-    entry (a_s, i_s) of matrix_entries, [s, r] of the first array points at
-    X[|a_r - a_s|, i_r, i_s] and of the second at X[a_r + a_s, i_r, i_s],
-    or at the zero slab t = 2 lt + 1 in the rows a_r = 0, which have no
-    Hankel term.  The arrays may be cached and shared by every caller, so
-    they are read-only; they hold 16 bytes per matrix entry.
-    """
-    a, j = divmod(matrix_entries(lt, lx, rule), lx)           # rows r along axis 1
-    i, nc = (j // 2, (lx + 1) // 2) if rule.reflection else (j, lx)
-    slab = i * nc + i[:, None]                                # i_r nc + i_s
-    toeplitz = np.abs(a - a[:, None]) * nc**2 + slab
-    hankel = np.where(a == 0, 2 * lt + 1, a + a[:, None]) * nc**2 + slab
-    for index in (toeplitz, hankel):
-        index.flags.writeable = False
-    return toeplitz, hankel
 
 
 def multiply_poly_matrix(u, poly, lt, lx, rule=EVERY_ENTRY):
@@ -490,9 +453,12 @@ def multiply_poly_matrix(u, poly, lt, lx, rule=EVERY_ENTRY):
     sin(j' x) into cosine content, projected with _half_projection_matrix;
     it vanishes unless poly has an odd-degree term, because u is odd in x.
     So entry ((l, j), (l', j')) is X[|l - l'|] + X[l + l'] of the slabs X[t,
-    j, j'], built on the columns the rule keeps and read by one gather of
-    the indices _matrix_gather caches.  The matrix is returned in Fortran
-    order so that an LU factorization can overwrite it without a copy.
+    j, j'], built on the columns the rule keeps: the block of the rows l =
+    a_r, l' = a_s is X[|a_r - a_s|] + X[a_r + a_s], read by one gather over
+    the pairs of kept rows.  The checkerboard alone keeps no product of rows
+    and columns, so its matrix is the every-entry one restricted to its
+    entries.  The matrix is returned in Fortran order, the layout LAPACK
+    factors, which saves np.linalg.solve a transpose in its copy.
     """
     poly = np.asarray(poly, dtype=float)
     r = _poly_degree(poly)
@@ -504,21 +470,32 @@ def multiply_poly_matrix(u, poly, lt, lx, rule=EVERY_ENTRY):
     half_t = np.where(np.arange(2 * m - 1) == 0, 1.0, 0.5)[:, None]
     Ah = A[: 2 * m - 1] * half_t          # every |l - l'| and l + l'
     Ah[:, 1:] *= 0.5
-    j = np.arange(1, lx + 1, 2 if rule.reflection else 1)    # the kept columns
+    a, j, select = rule.lattice(lt, lx)       # the kept rows and columns
     diff = np.abs(j[:, None] - j[None, :])
-    # X[t, j, j'] for t <= 2 lt, then the zero slab t = 2 lt + 1; it is
-    # -0.0, which added to any x gives x bit for bit, the sign of a zero too
-    X = np.empty((2 * m, j.size, j.size))
-    np.subtract(Ah[:, diff], Ah[:, j[:, None] + j[None, :]], out=X[:-1])
-    X[-1] = -0.0
+    # XT[t, j', j] = X[t, j, j'] (the cosine part is symmetric) for t <= 2
+    # lt, then the zero slab t = 2 lt + 1; it is -0.0, which added to any x
+    # gives x bit for bit, the sign of a zero too
+    XT = np.empty((2 * m, j.size, j.size))
+    np.subtract(Ah[:, diff], Ah[:, j[:, None] + j[None, :]], out=XT[:-1])
+    XT[-1] = -0.0
     if np.any(poly[1::2] != 0.0):
         K = _half_projection_matrix(d_x + lx, lx)[:, j - 1]
         mu = np.arange(d_x + 1)[:, None]
         Kd = 0.5 * (K[np.abs(mu - j[None, :])] - K[mu + j[None, :]])  # [mu, j', j]
         Y = (B[: 2 * m - 1] * half_t) @ Kd.reshape(d_x + 1, j.size**2)
-        X[:-1] += Y.reshape(-1, j.size, j.size).transpose(0, 2, 1)
-    toeplitz, hankel = _matrix_gather(lt, lx, rule)
-    flat = X.ravel()
-    out = flat[toeplitz]
-    out += flat[hankel]
+        XT[:-1] += Y.reshape(-1, j.size, j.size)
+    # the matrix transposed, row (r, i) the entry (a_r, j_i): out[s, k, r,
+    # i] = X[|a_r - a_s|, i, k] + X[a_r + a_s, i, k] (the zero slab in the
+    # rows a_r = 0), for each (s, k, r) the row t C + k of XT in C columns
+    C = j.size
+    slab_rows = XT.reshape(-1, C)
+    k = np.arange(C)[:, None]
+    ac = a * C
+    out = np.take(slab_rows, np.abs(ac - ac[:, None])[:, None] + k, axis=0)
+    hankel = np.where(a == 0, (2 * lt + 1) * C, ac + ac[:, None])
+    out += np.take(slab_rows, hankel[:, None] + k, axis=0)
+    n = a.size * C
+    out = out.reshape(n, n)
+    if select is not None:
+        out = out[np.ix_(select, select)]
     return out.T

@@ -225,8 +225,8 @@ def test_multiply_poly_project_matches_quadrature():
         assert abs(got - want) < 1e-12, (l, j)
 
 
-# the kept-block test's shapes, the single entry (0, 1), whose row a = 0
-# has only the zero Hankel slab, and lt < lx
+# the single entry (0, 1), whose row a = 0 has only the zero Hankel slab
+# and which the checkerboard and reflection together empty, and lt < lx
 MATRIX_SHAPES = [(7, 6), (8, 9), (16, 16), (1, 1), (2, 1), (0, 1), (3, 5)]
 RULES = [fields.EntryRule(), fields.EntryRule(checkerboard=True), fields.EntryRule(reflection=True),
          fields.EntryRule(checkerboard=True, reflection=True)]
@@ -257,7 +257,8 @@ def test_multiply_poly_matrix_columns_match_product(fprime):
             assert err <= 1e-13 * np.max(np.abs(want)), (lt, lx, divmod(k, lx))
 
 
-@pytest.mark.parametrize("lt, lx", MATRIX_SHAPES[:5])
+# (31, 32) and (44, 44): 1024 and 1980 unknowns of the every-entry matrix
+@pytest.mark.parametrize("lt, lx", MATRIX_SHAPES + [(31, 32), (44, 44)])
 def test_multiply_poly_matrix_checkerboard_is_the_kept_block(lt, lx):
     # each rule's matrix is the block of the full one on its entries, the
     # even rows first, each row parity row-major, bit for bit.  A field in
@@ -287,34 +288,6 @@ def test_multiply_poly_matrix_checkerboard_is_the_kept_block(lt, lx):
         dropped = where[np.setdiff1d(flat, keep)]
         coupled = full[np.ix_(where[keep], dropped)]
         assert np.max(np.abs(coupled), initial=0.0) <= 1e-15 * np.max(np.abs(full))
-
-
-@pytest.mark.parametrize("lt, lx, checkerboard", [
-    (31, 32, False), (32, 32, False), (44, 44, True), (46, 46, True),
-])
-def test_matrix_gather_caches_only_small_shapes(monkeypatch, lt, lx, checkerboard):
-    # 1024, 1056, 990 and 1081 unknowns: a shape above GATHER_CACHE_UNKNOWNS
-    # builds its gather indices on each call and leaves the cache as it was,
-    # with the matrix the cached build gives
-    rule = fields.EntryRule(checkerboard=checkerboard)
-    cached = fields._matrix_gather.cache
-    cached.cache_clear()
-    u = random_field(np.random.default_rng(13), 3, 3)
-    M = fields.multiply_poly_matrix(u, [0.0, 2.0, 3.0], lt, lx, rule)
-    small = fields.matrix_entries(lt, lx, rule).size <= fields.GATHER_CACHE_UNKNOWNS
-    assert cached.cache_info().currsize == small
-    monkeypatch.setattr(fields, "GATHER_CACHE_UNKNOWNS", M.shape[0])
-    assert np.array_equal(fields.multiply_poly_matrix(u, [0.0, 2.0, 3.0], lt, lx, rule), M)
-    assert cached.cache_info().currsize == 1
-    cached.cache_clear()
-
-
-@pytest.mark.parametrize("rule", RULES, ids=["every", "checkerboard", "reflection", "both"])
-def test_cache_size_is_the_rules_entry_count(rule):
-    # the caches decide by the count of the entries the rule keeps, on the
-    # shapes above and on both sides of GATHER_CACHE_UNKNOWNS
-    for lt, lx in MATRIX_SHAPES + [(31, 32), (32, 32), (44, 44), (46, 46)]:
-        assert fields._entry_count(lt, lx, rule) == len(fields.matrix_entries(lt, lx, rule))
 
 
 def test_diagonal_helpers():
