@@ -48,8 +48,6 @@ __all__ = [
     "apply_polynomials",
     "integrate_poly",
     "multiply_poly_matrix",
-    "matrix_entries",
-    "EntryRule",
     "temporal_weights",
 ]
 
@@ -385,81 +383,27 @@ def multiply_poly_project(u, poly, z, out_lt=None, out_lx=None):
     return _sine_projection(A, B, d_t, out_lt, out_lx)
 
 
-@dataclass(frozen=True)
-class EntryRule:
-    """The entries (l, j) of an (lt+1, lx) truncation that a matrix keeps.
+def multiply_poly_matrix(u, poly, rows, cols):
+    """Dense matrix of z -> P[poly(u) z] on the entries rows x cols of u's truncation.
 
-    checkerboard keeps only l + j even: the fields fixed by the shift (t, x)
-    -> (t + pi, x + pi).  reflection keeps only j odd: the fields even under
-    x -> pi - x, since sin(j (pi - x)) = (-1)^(j+1) sin(j x).  Together they
-    keep l and j odd; the default keeps every entry.
+    rows and cols are integer arrays of rows l <= u.lt and columns 1 <= j <=
+    u.lx.  The matrix's rows and columns index the entries (rows[r],
+    cols[i]), r-major, in the order given; column by column it is the exact
+    projection multiply_poly_project computes at u's truncation, read on
+    those entries.  Writing poly(u) = sum_r cos(r t) sum_mu [A cos(mu x) + B
+    sin(mu x)] and halving every index above zero (A^_0 = A_0, A^_r =
+    A_r/2), the time direction couples l, l' through A^_{|l-l'|} +
+    A^_{l+l'} (the second term only for l >= 1), and the cosine part in x
+    through A^_{|j-j'|} - A^_{j+j'}.  The sine part turns sin(j' x) into
+    cosine content, projected with _half_projection_matrix; it vanishes
+    unless poly has an odd-degree term, because u is odd in x.  So entry
+    ((l, j), (l', j')) is X[|l - l'|] + X[l + l'] of the slabs X[t, j, j'],
+    built on cols: the block of the rows l = a_r, l' = a_s is X[|a_r - a_s|]
+    + X[a_r + a_s], read by one gather over the pairs of rows.  The matrix
+    is returned in Fortran order, the layout LAPACK factors, which saves
+    np.linalg.solve a transpose in its copy.
     """
-    checkerboard: bool = False
-    reflection: bool = False
-
-    @functools.lru_cache(maxsize=16)
-    def lattice(self, lt, lx):
-        """The kept entries of the (lt+1, lx) truncation: (rows, cols, select).
-
-        rows lists the kept rows l, the even ones first, and cols the kept
-        columns j, ascending.  The entries are the pairs (rows[r], cols[i]),
-        r-major, at the positions select names; select is None when the
-        rule keeps the whole product.  Only the checkerboard alone needs
-        it: it keeps the columns j even on the rows l even, j odd on l odd.
-        The arrays are cached, so they are read-only.
-        """
-        l = np.arange(lt + 1)
-        if self.checkerboard and self.reflection:
-            rows = l[1::2]
-        else:
-            rows = np.concatenate([l[0::2], l[1::2]])
-        cols = np.arange(1, lx + 1, 2 if self.reflection else 1)
-        rows.flags.writeable = cols.flags.writeable = False
-        select = None
-        if self.checkerboard and not self.reflection:
-            select = np.flatnonzero((rows[:, None] + cols) % 2 == 0)
-            select.flags.writeable = False
-        return rows, cols, select
-
-
-EVERY_ENTRY = EntryRule()
-
-
-def matrix_entries(lt, lx, rule=EVERY_ENTRY):
-    """Flat indices l lx + j - 1 of the entries rule keeps, in multiply_poly_matrix's order.
-
-    First the kept entries of the even rows l, then those of the odd rows,
-    each class row-major, so a solve can eliminate one row parity before
-    the other at a single boundary.  An LU of the matrix eliminates in this
-    order, so the order is part of the results.
-    """
-    rows, cols, select = rule.lattice(lt, lx)
-    entries = (rows[:, None] * lx + cols - 1).ravel()
-    if select is not None:
-        entries = entries[select]
-    return entries
-
-
-def multiply_poly_matrix(u, poly, lt, lx, rule=EVERY_ENTRY):
-    """Dense matrix of z -> P_{lt,lx}[poly(u) z] on the (lt+1, lx) truncation.
-
-    Rows and columns index the entries matrix_entries(lt, lx, rule) names;
-    column by column this is the exact projection multiply_poly_project
-    computes, restricted to those rows.  Writing poly(u) = sum_r cos(r t)
-    sum_mu [A cos(mu x) + B sin(mu x)] and halving every index above zero
-    (A^_0 = A_0, A^_r = A_r/2), the time direction couples l, l' through
-    A^_{|l-l'|} + A^_{l+l'} (the second term only for l >= 1), and the
-    cosine part in x through A^_{|j-j'|} - A^_{j+j'}.  The sine part turns
-    sin(j' x) into cosine content, projected with _half_projection_matrix;
-    it vanishes unless poly has an odd-degree term, because u is odd in x.
-    So entry ((l, j), (l', j')) is X[|l - l'|] + X[l + l'] of the slabs X[t,
-    j, j'], built on the columns the rule keeps: the block of the rows l =
-    a_r, l' = a_s is X[|a_r - a_s|] + X[a_r + a_s], read by one gather over
-    the pairs of kept rows.  The checkerboard alone keeps no product of rows
-    and columns, so its matrix is the every-entry one restricted to its
-    entries.  The matrix is returned in Fortran order, the layout LAPACK
-    factors, which saves np.linalg.solve a transpose in its copy.
-    """
+    lt, lx = u.lt, u.lx
     poly = np.asarray(poly, dtype=float)
     r = _poly_degree(poly)
     # resolve the full degree of poly(u), not only the rows and columns used,
@@ -470,7 +414,7 @@ def multiply_poly_matrix(u, poly, lt, lx, rule=EVERY_ENTRY):
     half_t = np.where(np.arange(2 * m - 1) == 0, 1.0, 0.5)[:, None]
     Ah = A[: 2 * m - 1] * half_t          # every |l - l'| and l + l'
     Ah[:, 1:] *= 0.5
-    a, j, select = rule.lattice(lt, lx)       # the kept rows and columns
+    a, j = rows, cols
     diff = np.abs(j[:, None] - j[None, :])
     # XT[t, j', j] = X[t, j, j'] (the cosine part is symmetric) for t <= 2
     # lt, then the zero slab t = 2 lt + 1; it is -0.0, which added to any x
@@ -495,7 +439,4 @@ def multiply_poly_matrix(u, poly, lt, lx, rule=EVERY_ENTRY):
     hankel = np.where(a == 0, (2 * lt + 1) * C, ac + ac[:, None])
     out += np.take(slab_rows, hankel[:, None] + k, axis=0)
     n = a.size * C
-    out = out.reshape(n, n)
-    if select is not None:
-        out = out[np.ix_(select, select)]
-    return out.T
+    return out.reshape(n, n).T

@@ -18,16 +18,17 @@ The pipeline per dilation level n:
      its kernel rows are -grad Phi_eps and its range rows the range
      equation, so a zero is a critical point v with its w(v).  Each step
      assembles the Jacobian (the wave symbol plus multiplication by f'(u))
-     and solves it densely.  The unknowns are the entries of one class of
-     fields that holds the guess and that f keeps (_Frame.keep), so the
-     rest stays an exact zero and the Jacobian is assembled on the class
-     alone: for odd f the checkerboard of the frame, the entries k + m even
-     fixed by the shift (t, x) -> (t + pi, x + pi) of the frame's torus;
-     and the fields even under the reflection x -> pi - x (odd m), which
-     hold y* and so the guess at every odd-f level and at the odd even-f
-     levels.  For odd f that leaves the entries with k and m odd, solved by
-     one LU; for even f the solve eliminates the rows k even and then the
-     Schur complement on the rows k odd;
+     and solves it densely.  The unknowns are the product of the kept rows
+     and kept columns of the level's frame (_Frame.lattice): a class of
+     fields that holds the guess and that f maps into itself, so the rest
+     stays an exact zero and the Jacobian is assembled on the class alone.
+     The reflection x -> pi - x keeps the fields even under it (odd m) for
+     every f, and these hold y* and so the guess at every odd-f level and
+     at the odd even-f levels; for odd f, whose f also keeps the
+     checkerboard k + m even fixed by the shift (t, x) -> (t + pi, x + pi)
+     of the frame's torus, that leaves the entries with k and m odd, solved
+     by one LU.  For even f the solve eliminates the rows k even and then
+     the Schur complement on the rows k odd;
   4. assemble u = v + w(v) with its certificates: the Galerkin residual,
      Phi_eps and the energy drift over the level's period, read off one
      evaluation of f and F/u, the sup of the samples, the minimal period.
@@ -187,6 +188,10 @@ class SolutionRecord:
             if data[name].ndim != ndim:
                 raise ResowaveError(f"record field {name!r} must be {ndim}-d, "
                                     f"got shape {data[name].shape}")
+            if not np.all(np.isfinite(data[name])):   # json reads NaN and Infinity
+                raise ResowaveError(f"record field {name!r} has a non-finite entry")
+        if data["w_coeffs"].shape[1] < 1:
+            raise ResowaveError("record field 'w_coeffs' must have at least one column")
         # a level-n record has its kernel entries at j = n, 2n, ... of xi
         if data["n"] > len(data["xi"]):
             raise ResowaveError(f"record field 'n' = {data['n']} exceeds the "
@@ -415,21 +420,18 @@ class _Frame:
     and d = 1 otherwise (an even power leaves the sine class in x).  U has
     the symbol m^2 - omega^2 (n k/d)^2 and the nonlinearity f/d^2, so that
     F_u(n k, d m) = d^2 F_U(k, m), and F_u has no other nonzero entry.
-    keep is the one rule for the Newton unknowns, the frame entries a
-    class of fields that holds the guess and that U -> P f(U) maps into
-    itself, so that a Newton step leaves every other entry an exact zero:
-    - for odd f, the checkerboard k + m even, the fields fixed by the
-      frame's shift (T, X) -> (T + pi, X + pi);
-    - the reflection-even class m odd, the fields even under X -> pi - X,
-      wherever the level's kernel lies in it.  f(U) is even under the
-      reflection when U is, for every f.
-    F(U) has no entry outside the class for U in it, so a zero of the kept
-    rows is a zero of the whole Galerkin system.
+    The Newton unknowns are the product of the kept rows k (odd_rows: k odd
+    only) and the kept columns m (odd_cols: m odd only), a class of fields
+    that holds the guess and that U -> P f(U) maps into itself, so that a
+    Newton step leaves every other entry an exact zero.  F(U) has no entry
+    outside the class for U in it, so a zero of the kept rows is a zero of
+    the whole Galerkin system.
     """
     n: int
     d: int
     f: object     # the frame nonlinearity f/d^2
-    keep: fields.EntryRule = fields.EVERY_ENTRY
+    odd_rows: bool = False
+    odd_cols: bool = False
 
     def symbol(self, lt, lx, omega):
         """m^2 - omega^2 (n k/d)^2 on the (lt+1, lx) frame, from the integers n k/d."""
@@ -442,23 +444,43 @@ class _Frame:
         c[:: self.n, self.d - 1 :: self.d] = u.coeffs
         return fields.SpectralField(c)
 
+    def lattice(self, lt, lx):
+        """The Newton unknowns of the (lt+1, lx) frame: (rows, cols, flat).
+
+        rows lists the kept rows k, the even ones first, and cols the kept
+        columns m, ascending; the unknowns are the entries (rows[r],
+        cols[i]), r-major, at the flat indices k lx + m - 1 of flat.  An LU
+        eliminates in this order, so the order is part of the results, and
+        a solve can eliminate the rows k even before the odd ones at a
+        single boundary.
+        """
+        k = np.arange(lt + 1)
+        rows = k[1::2] if self.odd_rows else np.concatenate([k[0::2], k[1::2]])
+        cols = np.arange(1, lx + 1, 2 if self.odd_cols else 1)
+        return rows, cols, (rows[:, None] * lx + cols - 1).ravel()
+
 
 def _dilation_frame(f, n, v=None):
-    """The frame of level n of f: d = n, f/n^2 and the checkerboard for f
-    without even-order terms, else d = 1 and f.
+    """The frame of level n of f: d = n and f/n^2 for f without even-order
+    terms, else d = 1 and f.
 
-    The frame keeps only the reflection-even class m odd when every kernel
-    entry j of the guess v sits at an odd frame column j/d; without v, when
-    the guess t* L_n y* of a reflection-even y* does, whose kernel starts
-    at j = n.  That is every level for odd f and the odd levels for even f.
+    The frame keeps only the reflection-even columns m odd, the fields even
+    under X -> pi - X, when every kernel entry j of the guess v sits at an
+    odd frame column j/d; without v, when the guess t* L_n y* of a
+    reflection-even y* does, whose kernel starts at j = n.  That is every
+    level for odd f and the odd levels for even f.  f(U) is even under the
+    reflection when U is, for every f.  For odd f, whose f(U) also keeps
+    the checkerboard k + m even (the fields fixed by the frame's shift (T,
+    X) -> (T + pi, X + pi)), the reflection-even frame keeps the rows k odd
+    only as well.  Otherwise every frame entry is kept.
     """
     odd = not np.any(f.poly[::2])
     d = n if odd else 1
     j = np.flatnonzero(v.xi) + 1 if v is not None else np.array([n])
-    keep = fields.EntryRule(checkerboard=odd, reflection=bool(np.all(j // d % 2 == 1)))
+    reflection = bool(np.all(j // d % 2 == 1))
     if odd and n > 1:
         f = nonlinearity.classify(f.poly / n**2)
-    return _Frame(n, d, f, keep)
+    return _Frame(n, d, f, odd_rows=odd and reflection, odd_cols=reflection)
 
 
 def _galerkin_F(u, ctx, frame):
@@ -469,18 +491,18 @@ def _galerkin_F(u, ctx, frame):
 
 def _galerkin_jacobian(u, ctx, frame):
     """The Jacobian diag(symbol) + M of _galerkin_F on the unknowns, in
-    fields.matrix_entries order.
+    frame.lattice order.
 
-    M is the matrix of z -> P[f'(u) z] on the frame; entries frame.keep
-    drops are not unknowns and have no row or column.  A range
-    unknown (n k != d m) whose symbol vanishes and whose row of M is
-    nonzero raises ResonanceError naming the full-field mode, the first
-    such row-major, as apply_L_inv does.
+    M is the matrix of z -> P[f'(u) z] on the kept rows and columns of the
+    frame; the entries the frame drops are not unknowns and have no row or
+    column.  A range unknown (n k != d m) whose symbol vanishes and whose
+    row of M is nonzero raises ResonanceError naming the full-field mode,
+    the first such row-major, as apply_L_inv does.
     """
     lt, lx = u.lt, u.lx
-    keep = fields.matrix_entries(lt, lx, frame.keep)
+    rows, cols, keep = frame.lattice(lt, lx)
     sym = frame.symbol(lt, lx, ctx.omega).ravel()[keep]
-    J = fields.multiply_poly_matrix(u, frame.f.fprime, lt, lx, frame.keep)
+    J = fields.multiply_poly_matrix(u, frame.f.fprime, rows, cols)
     l, j = divmod(keep, lx)
     l, j = frame.n * l, frame.d * (j + 1)
     resonant = np.flatnonzero((l != j) & (np.abs(sym) < psolve.RESONANCE_TOL))
@@ -497,7 +519,7 @@ def _newton_solve(J, rhs, split):
     [split:] when both are nonempty, else one LU of J.
 
     refine splits at the boundary of the frame rows k even and k odd
-    (fields.matrix_entries lists the even rows first).  With J = [[A, B],
+    (_Frame.lattice lists the even rows first).  With J = [[A, B],
     [C, D]] in those classes, one LU of A gives A^-1 [B, rhs[:split]], one
     LU of the Schur complement D - C A^-1 B gives x[split:], and x[:split]
     follows.  The coupling blocks B and C are kept, so the step is exact
@@ -523,16 +545,18 @@ def refine(v0, ctx, f, lt=None, lx=None):
     zero is a critical point v with its w(v).  The result is written back at
     the frame's modes, every other entry an exact zero.  For odd f the frame
     divisors are n^2 (m^2 - omega^2 k^2), so the certified range is
-    k <= lt // n <= L/n.  The unknowns are the entries the frame keeps
-    (_Frame.keep, read off v0 by _dilation_frame): for odd f the
-    checkerboard k + m even, and of it only the class k and m odd, even
-    under X -> pi - X; for even f every entry, or at odd levels those with
-    m odd.  A Newton step moves no other entry, which stays an exact zero,
-    and the residual is measured on every entry.  Each step assembles the
-    Jacobian on the unknowns once (_galerkin_jacobian) and solves it
-    densely (_newton_solve): one LU where the unknowns have one row parity
-    (odd f), else block elimination, the rows k even and then the Schur
-    complement on the rows k odd.  So at a 17 x 16 level-1 frame no LU
+    k <= lt // n <= L/n.  The unknowns are the product of the rows and
+    columns the frame keeps (_Frame.lattice, read off v0 by
+    _dilation_frame): for odd f the entries k and m odd, fixed by the
+    frame's torus shift and even under X -> pi - X; for even f every entry,
+    or at odd levels those with m odd; every entry for a guess that is not
+    reflection-even.  A Newton step moves no other entry, which stays an
+    exact zero, and the residual is measured on every entry.  Each step
+    assembles the Jacobian on the unknowns once (_galerkin_jacobian) and
+    solves it densely (_newton_solve) split at the count of unknowns in the
+    rows k even: one LU where the unknowns have one row parity (odd f),
+    else block elimination, the rows k even and then the Schur complement
+    on the rows k odd.  So at a 17 x 16 level-1 frame no LU
     reaches the 100 or so unknowns from which numpy's OpenBLAS wakes a
     second thread that spins through the rest of the pass: 64 for odd f,
     72 and 64 for even f.  Each line-search trial costs one
@@ -559,12 +583,12 @@ def refine(v0, ctx, f, lt=None, lx=None):
         raise ResowaveError(f"temporal truncation lt={lt} below kernel reach {lx}")
     frame = _dilation_frame(f, n, v0)
     u = fields.SpectralField(kernel.embed(v0).padded(lt, lx)[::n, frame.d - 1 :: frame.d])
-    keep = fields.matrix_entries(u.lt, u.lx, frame.keep)
+    rows, cols, keep = frame.lattice(u.lt, u.lx)
     if keep.size > MAX_UNKNOWNS:
         raise ConfigError(f"refinement truncation lt={lt}, lx={lx} has {keep.size} Newton "
                           f"unknowns, above MAX_UNKNOWNS = {MAX_UNKNOWNS}")
-    # matrix_entries lists the unknowns of the rows k even first
-    split = int(np.count_nonzero(keep // u.lx % 2 == 0))
+    # the lattice lists the unknowns of the rows k even first
+    split = int(np.count_nonzero(rows % 2 == 0)) * cols.size
     scale = 0.5 * np.pi**2 * frame.d**2
     F = _galerkin_F(u, ctx, frame)
     gnorm = scale * float(np.linalg.norm(F))

@@ -10,6 +10,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from resowave import (
     evolve,
@@ -306,8 +307,9 @@ def test_criterion_08_involution_symmetry(capsys):
     ctx = frequency.make_context(frequency.omega_for_eps(-4e-4), L=24)
     rng = np.random.default_rng(3)
     v = kernel.KernelVector(0.02 * rng.standard_normal(3))
-    w, _ = psolve.solve_P(v, ctx, F2, tol=1e-14)
-    w_neg, _ = psolve.solve_P(kernel.KernelVector(-v.xi), ctx, F2, tol=1e-14)
+    with pytest.warns(UserWarning, match="above rho"):
+        w, _ = psolve.solve_P(v, ctx, F2, tol=1e-14)
+        w_neg, _ = psolve.solve_P(kernel.KernelVector(-v.xi), ctx, F2, tol=1e-14)
     predicted = fields.zero_diagonal(search.involution_partner(kernel.embed(v) + w))
     sym_dev = float(np.max(np.abs((w_neg - predicted).coeffs)))
 

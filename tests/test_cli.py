@@ -703,6 +703,11 @@ GOOD_RECORD = {
     (dict(GOOD_RECORD, w_coeffs=[[0.0, 0.0], [0.0]]), "'w_coeffs' is not a numeric array"),
     (dict(GOOD_RECORD, xi=[[0.1, 0.0]]), "'xi' must be 1-d"),
     (dict(GOOD_RECORD, w_coeffs=[0.0, 1e-5]), "'w_coeffs' must be 2-d"),
+    # json reads NaN and Infinity into arrays
+    (dict(GOOD_RECORD, xi=[float("nan"), 0.0]), "'xi' has a non-finite entry"),
+    (dict(GOOD_RECORD, w_coeffs=[[0.0, float("inf")], [0.0, 0.0], [0.0, 0.0]]),
+     "'w_coeffs' has a non-finite entry"),
+    (dict(GOOD_RECORD, w_coeffs=[[], [], []]), "'w_coeffs' must have at least one column"),
     (dict(GOOD_RECORD, omega="1.0001"), "'omega' must be a finite number"),
     (dict(GOOD_RECORD, omega=None), "'omega' must be a finite number"),
     (dict(GOOD_RECORD, omega=1e300), "'omega' = 1e+300 outside"),
@@ -720,7 +725,8 @@ GOOD_RECORD = {
     (dict(GOOD_RECORD, version=1.0), "'version' must be an integer >= 1"),
     (dict(GOOD_RECORD, case="quartic"), "'case' must be one of"),
     (dict(GOOD_RECORD, accepted="yes"), "'accepted' must be true or false"),
-], ids=["not-object", "xi-text", "w-text", "w-ragged", "xi-2d", "w-1d", "omega-text",
+], ids=["not-object", "xi-text", "w-text", "w-ragged", "xi-2d", "w-1d", "xi-nan", "w-inf",
+        "w-no-column", "omega-text",
         "omega-null", "omega-huge", "h1-nan", "phi-bool", "energy-huge-int", "n-text",
         "n-negative", "n-zero", "n-fraction", "n-beyond-xi", "n-huge", "q-bool", "version-float", "case-unknown",
         "accepted-text"])

@@ -226,10 +226,21 @@ def test_multiply_poly_project_matches_quadrature():
 
 
 # the single entry (0, 1), whose row a = 0 has only the zero Hankel slab
-# and which the checkerboard and reflection together empty, and lt < lx
+# and which the rows and columns odd together empty, and lt < lx
 MATRIX_SHAPES = [(7, 6), (8, 9), (16, 16), (1, 1), (2, 1), (0, 1), (3, 5)]
-RULES = [fields.EntryRule(), fields.EntryRule(checkerboard=True), fields.EntryRule(reflection=True),
-         fields.EntryRule(checkerboard=True, reflection=True)]
+
+
+def lattice(lt, lx, odd_rows=False, odd_cols=False):
+    """The rows l, the even ones first (or the odd ones alone), and the
+    columns j (or the odd ones alone) of an (lt+1, lx) truncation."""
+    l = np.arange(lt + 1)
+    rows = l[1::2] if odd_rows else np.concatenate([l[0::2], l[1::2]])
+    return rows, np.arange(1, lx + 1, 2 if odd_cols else 1)
+
+
+def flat_entries(rows, cols, lx):
+    """Flat indices l lx + j - 1 of the entries (rows[r], cols[i]), r-major."""
+    return (rows[:, None] * lx + cols - 1).ravel()
 
 
 @pytest.mark.parametrize("fprime", [
@@ -241,10 +252,10 @@ def test_multiply_poly_matrix_columns_match_product(fprime):
     rng = np.random.default_rng(11)
     for lt, lx in MATRIX_SHAPES:
         u = random_field(rng, lt, lx)
-        M = fields.multiply_poly_matrix(u, fprime, lt, lx)
+        M = fields.multiply_poly_matrix(u, fprime, *lattice(lt, lx))
         assert M.shape == ((lt + 1) * lx, (lt + 1) * lx)
         # every entry, the even rows first
-        order = fields.matrix_entries(lt, lx)
+        order = flat_entries(*lattice(lt, lx), lx)
         for col, k in enumerate(order):
             z = np.zeros((lt + 1) * lx)
             z[k] = 1.0
@@ -260,34 +271,43 @@ def test_multiply_poly_matrix_columns_match_product(fprime):
 # (31, 32) and (44, 44): 1024 and 1980 unknowns of the every-entry matrix
 @pytest.mark.parametrize("lt, lx", MATRIX_SHAPES + [(31, 32), (44, 44)])
 def test_multiply_poly_matrix_checkerboard_is_the_kept_block(lt, lx):
-    # each rule's matrix is the block of the full one on its entries, the
-    # even rows first, each row parity row-major, bit for bit.  A field in
-    # the kept class couples no kept entry to a dropped one beyond rounding
+    # the matrix on the rows and columns given is the block of the
+    # every-entry one on their entries, in their order, bit for bit: the
+    # reflection-even columns j odd, and of them the rows l odd, the
+    # checkerboard's part.  A field in the kept class couples no kept entry
+    # to a dropped one beyond rounding
     rng = np.random.default_rng(12)
     u = random_field(rng, lt, lx)
     flat = np.arange((lt + 1) * lx).reshape(lt + 1, lx)
     l, j = np.arange(lt + 1)[:, None], np.arange(1, lx + 1)
-    every = fields.matrix_entries(lt, lx)
+    every = flat_entries(*lattice(lt, lx), lx)
     assert np.array_equal(every, np.concatenate([flat[0::2].ravel(), flat[1::2].ravel()]))
     where = np.argsort(every)     # flat index -> row of the full matrix
-    for rule, on in zip(RULES[1:], [(l + j) % 2 == 0, np.tile(j % 2 == 1, (lt + 1, 1)),
-                                    (l % 2 == 1) & (j % 2 == 1)]):
-        keep = fields.matrix_entries(lt, lx, rule)
+    for odd_rows, on in [(False, np.tile(j % 2 == 1, (lt + 1, 1))),
+                         (True, (l % 2 == 1) & (j % 2 == 1))]:
+        rows, cols = lattice(lt, lx, odd_rows, odd_cols=True)
+        keep = flat_entries(rows, cols, lx)
         assert np.array_equal(np.sort(keep), flat[on])
-        assert np.all(np.diff(keep // lx % 2) >= 0)          # the even rows first
         for fprime in ([0.0, 0.0, 3.0], [0.0, 2.0, 3.0]):
-            full = fields.multiply_poly_matrix(u, fprime, lt, lx)[np.ix_(where[keep], where[keep])]
-            M = fields.multiply_poly_matrix(u, fprime, lt, lx, rule)
+            full = fields.multiply_poly_matrix(u, fprime, *lattice(lt, lx))
+            M = fields.multiply_poly_matrix(u, fprime, rows, cols)
             assert M.flags.f_contiguous
-            assert np.array_equal(M, full)
+            assert np.array_equal(M, full[np.ix_(where[keep], where[keep])])
         # for u in the class, the rest of the full matrix's kept rows is
-        # rounding noise; an odd power leaves the checkerboard class
-        fprime = [0.0, 0.0, 3.0] if rule.checkerboard else [0.0, 2.0, 3.0]
+        # rounding noise; an odd power leaves the class l and j odd
+        fprime = [0.0, 0.0, 3.0] if odd_rows else [0.0, 2.0, 3.0]
         c = np.where(on, u.coeffs, 0.0)
-        full = fields.multiply_poly_matrix(fields.SpectralField(c), fprime, lt, lx)
+        full = fields.multiply_poly_matrix(fields.SpectralField(c), fprime, *lattice(lt, lx))
         dropped = where[np.setdiff1d(flat, keep)]
         coupled = full[np.ix_(where[keep], dropped)]
         assert np.max(np.abs(coupled), initial=0.0) <= 1e-15 * np.max(np.abs(full))
+    # rows in any order: the every-entry matrix with its rows and columns
+    # permuted alike
+    rows = rng.permutation(lt + 1)
+    order = where[flat_entries(rows, np.arange(1, lx + 1), lx)]
+    full = fields.multiply_poly_matrix(u, [0.0, 2.0, 3.0], *lattice(lt, lx))
+    M = fields.multiply_poly_matrix(u, [0.0, 2.0, 3.0], rows, np.arange(1, lx + 1))
+    assert np.array_equal(M, full[np.ix_(order, order)])
 
 
 def test_diagonal_helpers():

@@ -218,10 +218,10 @@ def test_galerkin_jacobian_matches_residual_differences(coeffs, d):
     # class: the kept block is exact at any field
     frame = search._dilation_frame(nonlinearity.classify(coeffs), 2)
     odd = d == 2
-    assert (frame.n, frame.d, frame.keep) == (2, d, fields.EntryRule(odd, odd))
+    assert (frame.n, frame.d, frame.odd_rows, frame.odd_cols) == (2, d, odd, odd)
     ctx = ctx_cubic()
     lt = lx = 8
-    keep = fields.matrix_entries(lt, lx, frame.keep)
+    keep = frame.lattice(lt, lx)[2]
     assert keep.size == (4 * 4 if odd else 9 * 8)
     rng = np.random.default_rng(3)
     c = 0.02 * rng.standard_normal((lt + 1, lx))
@@ -265,7 +265,7 @@ def test_galerkin_jacobian_names_resonant_checkerboard_entry():
     ctx = frequency.FrequencyContext(omega=5.0 / 3.0, eps=8.0 / 9.0, gamma=0.1, L=16)
     v = kernel.KernelVector([0.05, 0.02, 0.0, 0.0, 0.0, 0.0])
     frame = search._dilation_frame(F3, 1)
-    assert frame.keep == fields.EntryRule(checkerboard=True, reflection=True)
+    assert frame.odd_rows and frame.odd_cols
     with pytest.raises(ResonanceError) as err:
         search._galerkin_jacobian(kernel.embed(v), ctx, frame)
     assert (err.value.l, err.value.j) == (3, 5)
@@ -385,8 +385,9 @@ def test_partner_matches_range_solve_at_reflected_kernel():
     ctx = frequency.make_context(frequency.omega_for_eps(-4e-4), L=24)
     rng = np.random.default_rng(3)
     v = kernel.KernelVector(0.02 * rng.standard_normal(3))
-    w, _ = psolve.solve_P(v, ctx, f2, tol=1e-14)
-    w_neg, _ = psolve.solve_P(kernel.KernelVector(-v.xi), ctx, f2, tol=1e-14)
+    with pytest.warns(UserWarning, match="above rho"):
+        w, _ = psolve.solve_P(v, ctx, f2, tol=1e-14)
+        w_neg, _ = psolve.solve_P(kernel.KernelVector(-v.xi), ctx, f2, tol=1e-14)
     u = kernel.embed(v) + w
     predicted = fields.zero_diagonal(search.involution_partner(u))
     diff = fields.norms(w_neg - predicted).h1
@@ -488,8 +489,9 @@ C6_CTX = frequency.make_context(1.0001, L=48)
 
 def row_major_jacobian(u, ctx, f):
     """_galerkin_jacobian on every entry of u, its rows and columns row-major."""
-    where = np.argsort(fields.matrix_entries(u.lt, u.lx))
-    return search._galerkin_jacobian(u, ctx, search._Frame(1, 1, f))[np.ix_(where, where)]
+    full = search._Frame(1, 1, f)
+    where = np.argsort(full.lattice(u.lt, u.lx)[2])
+    return search._galerkin_jacobian(u, ctx, full)[np.ix_(where, where)]
 
 
 def full_lattice_refine(v0, ctx, f, lt, lx):
@@ -652,21 +654,39 @@ def test_dilation_frame_only_for_odd_f_above_level_one():
     f2 = nonlinearity.classify({2: 1.0})
     assert search._dilation_frame(f2, 2) == search._Frame(2, 1, f2)
     f23 = nonlinearity.classify({2: 1.0, 3: 1.0})
-    reflection = fields.EntryRule(reflection=True)
-    assert search._dilation_frame(f23, 3) == search._Frame(3, 1, f23, reflection)
-    # odd f solves on the checkerboard's entries k and m odd at every
-    # level, level 1 included
-    both = fields.EntryRule(checkerboard=True, reflection=True)
-    assert search._dilation_frame(F3, 1) == search._Frame(1, 1, F3, both)
-    # a guess with a kernel entry at an even frame column keeps both
-    # reflection classes; one at odd columns only does not
+    assert search._dilation_frame(f23, 3) == search._Frame(3, 1, f23, odd_cols=True)
+    # odd f solves on the entries k and m odd at every level, level 1
+    # included
+    assert search._dilation_frame(F3, 1) == search._Frame(1, 1, F3, odd_rows=True, odd_cols=True)
+
+    def kept(frame):
+        return frame.odd_rows, frame.odd_cols
+
+    # a guess with a kernel entry at an even frame column keeps every frame
+    # entry; one at odd columns only does not
     with_even = kernel.KernelVector([1e-3, 0.0, 0.0, 1e-5])
-    assert search._dilation_frame(F3, 1, with_even).keep == fields.EntryRule(checkerboard=True)
-    assert search._dilation_frame(f2, 1, with_even).keep == fields.EntryRule()
+    assert kept(search._dilation_frame(F3, 1, with_even)) == (False, False)
+    assert kept(search._dilation_frame(f2, 1, with_even)) == (False, False)
     odd_only = kernel.rescale(kernel.KernelVector([1.0, 0.0, 2.0]), 3)
-    assert search._dilation_frame(f2, 3, odd_only).keep == reflection
+    assert kept(search._dilation_frame(f2, 3, odd_only)) == (False, True)
     at_m_two = kernel.KernelVector([0.0, 1.0, 0.0, 1.0])
-    assert search._dilation_frame(F3, 2, at_m_two).keep == fields.EntryRule(checkerboard=True)
+    assert kept(search._dilation_frame(F3, 2, at_m_two)) == (False, False)
+
+
+def test_frame_lattice_is_a_product_of_rows_and_columns():
+    # the 17 x 16 level-1 frame: the entries k and m odd (odd f), the
+    # reflection-even half m odd, and every entry; the rows k even come
+    # first, each row parity and the columns ascending, and the unknowns
+    # are their pairs r-major
+    for odd_rows, odd_cols, size in [(True, True, 64), (False, True, 136), (False, False, 272)]:
+        rows, cols, flat = search._Frame(1, 1, F3, odd_rows, odd_cols).lattice(16, 16)
+        assert rows.size * cols.size == flat.size == size
+        parity = rows % 2
+        assert np.all(np.diff(parity) >= 0)
+        assert all(np.all(np.diff(rows[parity == p]) > 0) for p in (0, 1))
+        assert np.array_equal(np.sort(rows), np.arange(1 if odd_rows else 0, 17, 2 if odd_rows else 1))
+        assert np.array_equal(cols, np.arange(1, 17, 2 if odd_cols else 1))
+        assert np.array_equal(flat, (rows[:, None] * 16 + cols - 1).ravel())
 
 
 def level_guess(coeffs, omega, n, L=24, dim=6, restarts=4):
@@ -693,6 +713,24 @@ def test_checkerboard_solve_matches_full_lattice_solve(name):
     assert rep.converged
     assert_zero_off_kept_class(v, w, recipe.n)
     v_ref, w_ref = full_lattice_refine(v0, ctx, f, w.lt, w.lx)
+    assert np.max(np.abs(v.xi - v_ref.xi)) <= 1e-12 * np.max(np.abs(v_ref.xi))
+    assert np.max(np.abs(w.coeffs - w_ref.coeffs)) <= 1e-12 * np.max(np.abs(w_ref.coeffs))
+
+
+def test_guess_off_the_reflection_class_keeps_every_frame_entry(level_guesses, monkeypatch):
+    # the criterion-6 level-1 guess with xi_2 = 1e-3 xi_1 has a kernel entry
+    # at an even frame column, so it is not reflection-even: the frame
+    # keeps every entry of its 17 x 16 truncation, and the solve agrees
+    # with the full-lattice Newton
+    f, _, v0, _ = level_guesses["u3", 1]
+    xi = v0.xi.copy()
+    xi[1] = 1e-3 * xi[0]
+    guess = kernel.KernelVector(xi)
+    assert not search._dilation_frame(f, 1, guess).odd_cols
+    sizes = record_jacobian_sizes(monkeypatch)
+    v, w, rep = search.refine(guess, C6_CTX, f)
+    assert rep.converged and set(sizes) == {(w.lt + 1) * w.lx} == {272}
+    v_ref, w_ref = full_lattice_refine(guess, C6_CTX, f, w.lt, w.lx)
     assert np.max(np.abs(v.xi - v_ref.xi)) <= 1e-12 * np.max(np.abs(v_ref.xi))
     assert np.max(np.abs(w.coeffs - w_ref.coeffs)) <= 1e-12 * np.max(np.abs(w_ref.coeffs))
 
@@ -780,9 +818,9 @@ def record_solve_sizes(monkeypatch):
     return sizes
 
 
-def row_split(lt, lx, rule):
-    """The unknowns of rule in the rows k even, which matrix_entries lists first."""
-    return int(np.count_nonzero(fields.matrix_entries(lt, lx, rule) // lx % 2 == 0))
+def row_split(lt, lx, frame):
+    """The unknowns of frame in the rows k even, which its lattice lists first."""
+    return int(np.count_nonzero(frame.lattice(lt, lx)[2] // lx % 2 == 0))
 
 
 def coupling(J, split):
@@ -799,16 +837,17 @@ def test_criterion6_branch_jacobians_stay_small(monkeypatch):
     assert [r.n for r in br.records] == [1, 2, 3, 4, 5, 6]
     assert max(sizes) == kept_size(17, 16, odd_k=True, odd_m=True) == 64
     assert lus == sizes
-    # each solution is even under X -> pi - X, so on the whole checkerboard
-    # the blocks coupling its two reflection classes, the rows k even and
-    # k odd, are rounding noise there: the odd class is a Newton system alone
-    checkerboard = fields.EntryRule(checkerboard=True)
+    # each solution has k and m odd only, so f'(U) keeps both the parity of
+    # k + m and that of m, and with them that of k: on every frame entry
+    # the blocks coupling the rows k even and k odd are rounding noise
+    # there, and the rows k odd are a Newton system alone
     for r in br.records:
         u = (kernel.embed(kernel.KernelVector(r.xi)) + fields.SpectralField(r.w_coeffs)).coeffs
         U = fields.SpectralField(u[:: r.n, r.n - 1 :: r.n])
-        frame = dataclasses.replace(search._dilation_frame(F3, r.n), keep=checkerboard)
+        frame = dataclasses.replace(search._dilation_frame(F3, r.n), odd_rows=False,
+                                    odd_cols=False)
         J = search._galerkin_jacobian(U, C6_CTX, frame)
-        assert coupling(J, row_split(U.lt, U.lx, checkerboard)) <= 1e-12
+        assert coupling(J, row_split(U.lt, U.lx, frame)) <= 1e-12
     # an even f at level 1 keeps the half m odd of its 17 x 16 frame, and
     # eliminates its 72 unknowns with k even before the Schur complement on
     # the 64 with k odd
@@ -831,13 +870,13 @@ def test_class_elimination_matches_one_solve(coeffs, omega, lt, lx):
     # step, and without the coupling blocks it does not
     rng = np.random.default_rng(21)
     frame = search._dilation_frame(nonlinearity.classify(coeffs), 1)
-    assert frame.keep == fields.EntryRule(reflection=True)
-    keep = fields.matrix_entries(lt, lx, frame.keep)
+    assert (frame.odd_rows, frame.odd_cols) == (False, True)
+    keep = frame.lattice(lt, lx)[2]
     c = np.zeros((lt + 1) * lx)
     c[keep] = 0.2 * rng.standard_normal(keep.size) / (1.0 + keep // lx + keep % lx)
     u = fields.SpectralField(c.reshape(lt + 1, lx))
     J = search._galerkin_jacobian(u, frequency.make_context(omega, L=lt), frame)
-    split = row_split(lt, lx, frame.keep)
+    split = row_split(lt, lx, frame)
     assert 0 < split < keep.size and coupling(J, split) >= 1e-6
     b = rng.standard_normal(keep.size)
     want = np.linalg.solve(J, b)
@@ -858,8 +897,8 @@ def test_singular_class_solve_is_a_convergence_error(monkeypatch, block):
     # both row parities), or a singular one-LU system (odd f, one parity),
     # is the singular Jacobian it would be in one LU
     def singular(u, ctx, frame):
-        keep = fields.matrix_entries(u.lt, u.lx, frame.keep)
-        split = row_split(u.lt, u.lx, frame.keep)
+        keep = frame.lattice(u.lt, u.lx)[2]
+        split = row_split(u.lt, u.lx, frame)
         E = np.eye(split, keep.size - split)
         if block == "class":
             return np.block([[np.zeros((split, split)), E], [E.T, np.eye(keep.size - split)]])
@@ -880,9 +919,9 @@ def test_singular_class_solve_is_a_convergence_error(monkeypatch, block):
 
 
 def test_refine_refuses_too_many_unknowns_before_sampling(monkeypatch):
-    # a guess with a kernel entry at an even column keeps both reflection
-    # classes: 80200 checkerboard unknowns would be a 51 GB Jacobian, refused
-    # before f(u) is sampled or the Jacobian assembled
+    # a guess with a kernel entry at an even column keeps every frame
+    # entry: 160400 unknowns would be a 206 GB Jacobian, refused before f(u)
+    # is sampled or the Jacobian assembled
     def never(*args, **kw):
         raise AssertionError("sampled a refused truncation")
 
@@ -890,7 +929,7 @@ def test_refine_refuses_too_many_unknowns_before_sampling(monkeypatch):
     monkeypatch.setattr(fields, "multiply_poly_matrix", never)
     v0 = kernel.KernelVector([1e-3, 0.0, 0.0, 1e-5])
     ctx = frequency.make_context(frequency.omega_for_eps(4e-4), L=400)
-    with pytest.raises(ConfigError, match=r"lt=400, lx=400 has 80200 .* MAX_UNKNOWNS = 4096"):
+    with pytest.raises(ConfigError, match=r"lt=400, lx=400 has 160400 .* MAX_UNKNOWNS = 4096"):
         search.refine(v0, ctx, F3, lt=400, lx=400)
     f2, ctx2 = nonlinearity.classify({2: 1.0}), frequency.make_context(0.9998, L=100)
     with pytest.raises(ConfigError, match=r"lt=100, lx=100 has 10100 "):
