@@ -121,10 +121,10 @@ def _energy(a, b, nodes, f):
     return quad + np.pi / (a.size + 1) * potential
 
 
-def time_grid(u, omega, t_final, steps_per_period=STEPS_PER_PERIOD):
+def time_grid(u, omega, t_final):
     """Mode count, step count and step (n_modes, M, dt) up to t_final.
 
-    M is steps_per_period per period, at least 2, and dt = t_final/M hits the
+    M is STEPS_PER_PERIOD per period, at least 2, and dt = t_final/M hits the
     final time exactly.  The reported run takes 2M steps of dt/2 and the
     check M + 1 steps of t_final/(M + 1).  A field too wide for MAX_MODES
     raises ConfigError.
@@ -133,7 +133,7 @@ def time_grid(u, omega, t_final, steps_per_period=STEPS_PER_PERIOD):
     if n_modes > MAX_MODES:
         raise ConfigError(f"a field of {u.lx} sine columns needs {n_modes} modes, "
                           f"above MAX_MODES = {MAX_MODES}")
-    steps = max(2, round(t_final * omega * steps_per_period / (2.0 * np.pi)))
+    steps = max(2, round(t_final * omega * STEPS_PER_PERIOD / (2.0 * np.pi)))
     return n_modes, steps, t_final / steps
 
 
@@ -211,28 +211,28 @@ def _impulse(a0, f, dt, steps, probe_at, transforms):
     return states
 
 
-def _reported_run(u, omega, f, t_final, steps_per_period):
+def _reported_run(u, omega, f, t_final):
     """The reported run: the 2M steps of dt/2 from the t = 0 slice of u up
     to t_final, for time_grid's M and dt.
 
     Returns (a0, states, M, dt, transforms), states read after the steps of
     _probe_steps, the last one included.
     """
-    n_modes, steps, dt = time_grid(u, omega, t_final, steps_per_period)
+    n_modes, steps, dt = time_grid(u, omega, t_final)
     transforms = _transforms(n_modes)
     a0, _ = initial_state(u, n_modes)
     probe_at = set(_probe_steps(2 * steps, ENERGY_PROBES))
     return a0, _impulse(a0, f, 0.5 * dt, 2 * steps, probe_at, transforms), steps, dt, transforms
 
 
-def integrate(u, omega, f, t_final, steps_per_period=STEPS_PER_PERIOD):
+def integrate(u, omega, f, t_final):
     """The impulse method from the t = 0 slice of u up to physical time
     t_final, in the 2M steps of dt/2 and the M + 1 steps of time_grid's M.
 
     The 2M-step run's state and energy drift are reported, and the relative
     L2 distance of the two position fields is the error bar.
     """
-    a0, states, steps, dt, transforms = _reported_run(u, omega, f, t_final, steps_per_period)
+    a0, states, steps, dt, transforms = _reported_run(u, omega, f, t_final)
     check = _impulse(a0, f, t_final / (steps + 1), steps + 1, {steps + 1}, transforms)[-1][0]
     energies = np.array([_energy(a, b, p, f) for a, b, p in states])
     scale = max(float(np.max(np.abs(energies))), 1e-30)
@@ -261,14 +261,14 @@ def _state_distance(a, a0):
     return float(np.sqrt(np.sum((a - a0) ** 2) / den))
 
 
-def return_error(u, omega, f, periods=1, steps_per_period=STEPS_PER_PERIOD):
-    """Relative L2 distance to the initial field after full periods."""
-    res = integrate(u, omega, f, periods * 2.0 * np.pi / omega, steps_per_period)
+def return_error(u, omega, f):
+    """Relative L2 distance to the initial field after one period 2 pi/omega."""
+    res = integrate(u, omega, f, 2.0 * np.pi / omega)
     a0, _ = initial_state(u, res.n_modes)
     return _state_distance(res.a, a0), res
 
 
-def nonreturn_probe(u, omega, f, n, steps_per_period=STEPS_PER_PERIOD):
+def nonreturn_probe(u, omega, f, n):
     """State distance at the deliberately wrong time 2 pi/((n+1) omega), and
     the sine coefficients a of the position there.
 
@@ -279,7 +279,7 @@ def nonreturn_probe(u, omega, f, n, steps_per_period=STEPS_PER_PERIOD):
     probe steps, whose split kicks round as integrate's do, so the distance
     is integrate's to the bit.
     """
-    a0, states, *_ = _reported_run(u, omega, f, probe_time(omega, n), steps_per_period)
+    a0, states, *_ = _reported_run(u, omega, f, probe_time(omega, n))
     a = states[-1][0]
     return _state_distance(a, a0), a
 

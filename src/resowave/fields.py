@@ -97,14 +97,6 @@ class SpectralField:
         lx = max(self.lx, other.lx)
         return SpectralField(self.padded(lt, lx) - other.padded(lt, lx))
 
-    def __mul__(self, scalar):
-        return SpectralField(self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return SpectralField(-self.coeffs)
-
     def __repr__(self):
         return f"SpectralField(lt={self.lt}, lx={self.lx})"
 

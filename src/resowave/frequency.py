@@ -32,6 +32,12 @@ __all__ = [
 
 OMEGA_RANGE = (0.5, 1.5)
 DEFAULT_C = 0.05
+# the largest temporal truncation L: gamma^(L) costs one pass over L rows, and
+# the widest branch documented (omega = 1 + 1e-7, 199 levels) uses L = 3200
+MAX_L = 2**16
+# the most frequencies one scan grid may hold, counted from its bounds before
+# numpy is asked for them (a step of 1e-12 over the README window is 9e9)
+MAX_SCAN_ROWS = 10**4
 
 
 @dataclass(frozen=True)
@@ -51,17 +57,18 @@ class AdmissibilityReport:
 
 
 def truncated_gamma(omega, L):
-    """Exact gamma^(L); zero signals a resonance inside the truncation."""
-    if L < 1:
-        raise ResowaveError(f"temporal truncation must be >= 1, got {L}")
-    best = np.inf
-    for l in range(1, L + 1):
-        target = omega * l
-        cand = {int(np.floor(target)), int(np.ceil(target))}
-        cand |= {c + 1 for c in cand} | {c - 1 for c in cand}
-        gaps = [abs(target - j) for j in cand if j >= 1 and j != l]
-        best = min(best, l * min(gaps))
-    return float(best)
+    """Exact gamma^(L); zero signals a resonance inside the truncation.
+
+    The nearest j to omega l is among floor(omega l) - 1 .. floor(omega l) + 2,
+    whichever of them are >= 1 and != l; all L rows are read in one pass.
+    """
+    if not 1 <= L <= MAX_L:
+        raise ResowaveError(f"temporal truncation must be in [1, MAX_L = {MAX_L}], got {L}")
+    l = np.arange(1, L + 1)
+    target = omega * l
+    j = np.floor(target)[:, None] + np.arange(-1.0, 3.0)
+    gaps = np.where((j >= 1) & (j != l[:, None]), np.abs(target[:, None] - j), np.inf)
+    return float(np.min(l * gaps.min(axis=1)))
 
 
 def make_context(omega, L):
@@ -185,6 +192,9 @@ def scan_frequencies(omega_lo, omega_hi, step, L, f, C=DEFAULT_C):
         raise ResowaveError("grid bounds and step must be finite")
     if step <= 0:
         raise ResowaveError("step must be positive")
+    if (omega_hi - omega_lo) / step + 0.5 > MAX_SCAN_ROWS:
+        raise ResowaveError(f"a step of {step} over [{omega_lo}, {omega_hi}] makes more "
+                            f"than MAX_SCAN_ROWS = {MAX_SCAN_ROWS} frequencies")
     omegas = np.arange(omega_lo, omega_hi + 0.5 * step, step)
     rows = []
     for om in omegas:

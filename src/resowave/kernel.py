@@ -49,9 +49,6 @@ class KernelVector:
     def __len__(self):
         return self.xi.size
 
-    def __eq__(self, other):
-        return isinstance(other, KernelVector) and np.array_equal(self.xi, other.xi)
-
     def __repr__(self):
         return f"KernelVector(dim={len(self)})"
 

@@ -102,44 +102,6 @@ class BiperiodicMap:
             c += coef * np.outer(powers[k], powers[p - k])
         return cls(c)
 
-    @classmethod
-    def from_field(cls, w):
-        """Exact biperiodic profile of a field with even-parity support.
-
-        cos(l t) sin(j x) is of travelling-wave form only when l + j is even;
-        a field with content on odd-parity modes is not representable as
-        m(t+x, t-x) and is rejected (this is the reconstruction-residual error
-        contract: the parity defect *is* the residual).
-        """
-        coeffs = w.coeffs
-        scale = np.max(np.abs(coeffs)) or 1.0
-        K = (w.lt + w.lx + 1) // 2
-        c = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
-        for l in range(w.lt + 1):
-            for j in range(1, w.lx + 1):
-                val = coeffs[l, j - 1]
-                if val == 0.0:
-                    continue
-                if (l + j) % 2 == 1:
-                    if abs(val) > 1e-12 * scale:
-                        raise ResowaveError(
-                            f"field has odd-parity content at (l={l}, j={j}); "
-                            "not of travelling-wave form"
-                        )
-                    continue
-                k1 = (l + j) // 2
-                l1 = (l - j) // 2
-                # cos(l t) sin(j x) = 1/2 [sin(k1 s1 + l1 s2) - sin(l1 s1 + k1 s2)]
-                q = val / 4.0j
-                c[K + k1, K + l1] += q
-                c[K - k1, K - l1] -= q
-                c[K + l1, K + k1] -= q
-                c[K - l1, K - k1] += q
-        return cls(c)
-
-    def mean(self):
-        return float(self.c[self.K, self.K].real)
-
     def eval_pairs(self, s1, s2):
         s1 = np.atleast_1d(np.asarray(s1, dtype=float))
         s2 = np.atleast_1d(np.asarray(s2, dtype=float))
@@ -147,11 +109,6 @@ class BiperiodicMap:
         e1 = np.exp(1j * np.outer(s1, freqs))
         e2 = np.exp(1j * np.outer(s2, freqs))
         return np.einsum("pk,kl,pl->p", e1, self.c, e2).real
-
-    def as_wave_values(self, t, x):
-        """Values of m(t + x, t - x) on the outer grid t x x."""
-        tt, xx = np.meshgrid(t, x, indexing="ij")
-        return self.eval_pairs((tt + xx).ravel(), (tt - xx).ravel()).reshape(tt.shape)
 
 
 @dataclass
@@ -166,12 +123,9 @@ class DecomposedM:
 def decompose_m(m):
     """Split m = mtilde + a(s1) + a(s2) + alpha and build the primitives A, M.
 
-    Accepts a BiperiodicMap (use BiperiodicMap.from_field to start from a
-    spectral field).  Raises when the two marginal profiles differ, i.e. the
-    input is not a symmetric map and the split does not apply.
+    Raises when the two marginal profiles differ, i.e. the input is not a
+    symmetric map and the split does not apply.
     """
-    if not isinstance(m, BiperiodicMap):
-        m = BiperiodicMap.from_field(m)
     K = m.K
     c = m.c
     alpha = float(c[K, K].real)

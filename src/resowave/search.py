@@ -171,6 +171,9 @@ class SolutionRecord:
                 raise ResowaveError(f"record field {name!r} must be a finite number, "
                                     f"got {value!r}")
             data[name] = float(value)
+        if data["version"] != RECORD_VERSION:
+            raise ResowaveError(f"record field 'version' = {data['version']}: this reader "
+                                f"knows version {RECORD_VERSION} only")
         lo, hi = frequency.OMEGA_RANGE
         if not lo <= data["omega"] <= hi:
             raise ResowaveError(f"record field 'omega' = {data['omega']} outside [{lo}, {hi}]")

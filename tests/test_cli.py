@@ -6,6 +6,7 @@ import json
 import os
 import re
 import tempfile
+import time
 import warnings
 
 import pytest
@@ -203,18 +204,12 @@ def _override_id(p):
 
 
 def _config_argv(tmp_path, command, override):
-    """The argv of command with override in its config (a flag for --periods)."""
+    """The argv of solve or scan with override in its config."""
     if command == "solve":
         return ["solve", "--config", solve_config(tmp_path, **override)]
-    if command == "scan":
-        doc = {"coeffs": "3=1", "omega_range": [1.001, 1.002, 0.001],
-               "solve": True, **override}
-        return ["scan", "--config", write_json(tmp_path / "scan.json", doc)]
-    record = write_json(tmp_path / "rec.json", _RECORD_DOC)
-    config = {k: v for k, v in override.items() if k != "periods"}
-    flags = [f"--periods={override['periods']}"] if "periods" in override else []
-    return ["evolve", "--record", record, "--coeffs", "3=1", "--probe-minimal-period",
-            *flags, "--config", write_json(tmp_path / "ev.json", config)]
+    doc = {"coeffs": "3=1", "omega_range": [1.001, 1.002, 0.001],
+           "solve": True, **override}
+    return ["scan", "--config", write_json(tmp_path / "scan.json", doc)]
 
 
 @pytest.mark.parametrize("command, override", [
@@ -241,10 +236,6 @@ def _config_argv(tmp_path, command, override):
     ("solve", {"lx": 5, "dim": 3, "n": 2}),
     ("solve", {"lt": 16, "lx": 20}),
     ("solve", {"lmax": 8, "n": 3, "dim": 3}),
-    ("evolve", {"steps_per_period": 0}),
-    # --periods is a flag, not a config key
-    ("evolve", {"periods": 0}),
-    ("evolve", {"periods": -1}),
 ], ids=_override_id)
 def test_out_of_range_config_exits_two(tmp_path, capsys, command, override):
     assert cli.main(_config_argv(tmp_path, command, override)) == 2
@@ -254,18 +245,13 @@ def test_out_of_range_config_exits_two(tmp_path, capsys, command, override):
 
 
 @pytest.mark.parametrize("command, override", [
-    # the side is the one omega is on, the residual bar and the integrator's
-    # mode counts are constants: any value of these keys is refused as unknown
+    # the side is the one omega is on and the residual bar is a constant:
+    # any value of these keys is refused as unknown
     ("solve", {"side": 0}),
     ("solve", {"side": -1}),
     ("solve", {"residual_tol": 0.0}),
     ("solve", {"residual_tol": 1e-8}),
     ("scan", {"residual_tol": 1e-8}),
-    ("evolve", {"min_modes": -3}),
-    ("evolve", {"min_modes": 10**12}),
-    ("evolve", {"min_modes": 32}),
-    ("evolve", {"mode_factor": 10**6}),
-    ("evolve", {"mode_factor": 4}),
 ], ids=_override_id)
 def test_removed_config_key_exits_two(tmp_path, capsys, command, override):
     assert cli.main(_config_argv(tmp_path, command, override)) == 2
@@ -273,6 +259,29 @@ def test_removed_config_key_exits_two(tmp_path, capsys, command, override):
     assert captured.out == ""
     assert captured.err.startswith(f"error: unknown {command} config keys:")
     assert repr(next(iter(override))) in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--periods", "2"],
+    ["--periods", "1"],
+    ["--periods", "0"],
+    ["--periods", "-1"],
+    ["--config", "ev.json"],
+], ids=lambda flags: flags[0].lstrip("-") + "=" + flags[1])
+def test_removed_evolve_option_exits_two(tmp_path, capsys, monkeypatch, flags):
+    # evolve checks one period at evolve.STEPS_PER_PERIOD: it has no period
+    # count and no config, and argparse refuses either flag before a record
+    # is read
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "ev.json", {"steps_per_period": 64})
+    record = write_json(tmp_path / "rec.json", _RECORD_DOC)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["evolve", "--record", record, "--coeffs", "3=1", *flags])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: unrecognized arguments: {' '.join(flags)}" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("coeffs", ["3=x", "1=1", "1000000000000000=1"])
@@ -311,12 +320,41 @@ def test_branch_refuses_level_truncations(tmp_path, capsys, override):
         assert repr(key) in captured.err
 
 
-def test_evolve_step_checked_only_at_the_times_it_integrates(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["freq", "solve", "scan"])
+def test_lmax_above_max_l_exits_two_at_once(tmp_path, capsys, command):
+    # gamma^(L) reads every row up to L, so 10^8 rows would take minutes;
+    # the key is refused before any is read
+    if command == "freq":
+        argv = ["freq", "--omega", "1.01", "--lmax", "100000000"]
+    elif command == "solve":
+        argv = ["solve", "--config", solve_config(tmp_path, lmax=10**8)]
+    else:
+        doc = {"coeffs": "3=1", "omega_range": [1.001, 1.01, 0.001], "lmax": 10**8}
+        argv = ["scan", "--config", write_json(tmp_path / "scan.json", doc)]
+    start = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "'lmax' must be in [1, MAX_L = 65536]" in captured.err
+
+
+def test_scan_grid_too_fine_exits_two(tmp_path, capsys):
+    # 9e9 frequencies: refused before numpy is asked for them
+    doc = {"coeffs": "3=1", "omega_range": [1.001, 1.01, 1e-12]}
+    assert cli.main(["scan", "--config", write_json(tmp_path / "scan.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 'omega_range': ")
+    assert "MAX_SCAN_ROWS" in captured.err and "Traceback" not in captured.err
+
+
+def test_evolve_step_checked_only_at_the_times_it_integrates(tmp_path, capsys, monkeypatch):
     # the step is checked by the 2M- and (M + 1)-step runs of the return,
     # the one time integrated here; an odd step count is no special case
+    monkeypatch.setattr(evolve, "STEPS_PER_PERIOD", 101)
     record = write_json(tmp_path / "rec.json", _RECORD_DOC)
-    cfg = write_json(tmp_path / "ev.json", {"steps_per_period": 101})
-    assert cli.main(["evolve", "--record", record, "--coeffs", "3=1", "--config", cfg]) != 2
+    assert cli.main(["evolve", "--record", record, "--coeffs", "3=1"]) != 2
     assert "return_error" in capsys.readouterr().out
 
 
@@ -325,21 +363,20 @@ def _wide_record(columns):
     return dict(_RECORD_DOC, w_coeffs=[[0.0] * columns] * 2)
 
 
-@pytest.mark.parametrize("override, columns", [
-    ({"steps_per_period": 1}, 1),
-    ({"steps_per_period": 64}, 1),
-    ({"steps_per_period": 101}, 1),
-    ({}, 500),
+@pytest.mark.parametrize("steps, columns", [
+    (1, 1),
+    (64, 1),
+    (101, 1),
+    (evolve.STEPS_PER_PERIOD, 500),
 ], ids=["steps_per_period=1", "steps_per_period=64", "steps_per_period=101", "columns=500"])
-def test_evolve_has_no_step_bound(tmp_path, capsys, override, columns):
+def test_evolve_has_no_step_bound(tmp_path, capsys, monkeypatch, steps, columns):
     # the linear flow is exact, so no step or mode count is unstable: these
-    # configs were refused by the CFL bound of the explicit scheme before.
+    # steps were refused by the CFL bound of the explicit scheme before.
     # A 500-column record runs 2000 modes on the sine-FFT path, with nothing
     # of size N^2
+    monkeypatch.setattr(evolve, "STEPS_PER_PERIOD", steps)
     record = write_json(tmp_path / "rec.json", _wide_record(columns))
-    cfg = write_json(tmp_path / "ev.json", override)
-    argv = ["evolve", "--record", record, "--coeffs", "3=1",
-            "--probe-minimal-period", "--config", cfg]
+    argv = ["evolve", "--record", record, "--coeffs", "3=1", "--probe-minimal-period"]
     assert cli.main(argv) == 0
     captured = capsys.readouterr()
     assert "return_error" in captured.out and "off_period_distance" in captured.out
@@ -362,15 +399,19 @@ def test_evolve_refuses_a_record_too_wide_for_max_modes(tmp_path, capsys, monkey
 
 
 def test_evolve_too_coarse_for_the_record_exits_two(tmp_path, capsys):
-    # at amplitude 0.1 and 3 steps per period the 6- and 4-step returns
-    # differ by more than a tenth of the return bar: the oracle cannot decide
-    record = write_json(tmp_path / "rec.json", dict(_RECORD_DOC, xi=[0.1]))
-    argv = ["evolve", "--record", record, "--coeffs", "3=1", "--config"]
-    coarse = write_json(tmp_path / "coarse.json", {"steps_per_period": 3})
-    assert cli.main([*argv, coarse]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "'steps_per_period' = 3" in err
-    assert cli.main([*argv, write_json(tmp_path / "ev.json", {})]) == 0
+    # at amplitude 0.5 the 128- and 65-step returns differ by more than a
+    # tenth of the return bar (3.6e-5): the oracle cannot decide.  At 0.1
+    # they agree to well below it
+    def evolve_one_mode(amplitude):
+        record = write_json(tmp_path / "rec.json", dict(_RECORD_DOC, xi=[amplitude]))
+        return cli.main(["evolve", "--record", record, "--coeffs", "3=1"])
+
+    assert evolve_one_mode(0.5) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the return check cannot decide this record")
+    assert "a tenth of the return bar 0.0001" in captured.err
+    assert evolve_one_mode(0.1) == 0
     assert "error_bar" in capsys.readouterr().out
 
 
@@ -491,6 +532,22 @@ def test_branch_without_admissible_level_says_why(tmp_path, capsys, coeffs, eps,
     })
     assert cli.main(["solve", "--config", cfg]) == 1
     assert capsys.readouterr().out == f"no admissible level ({reason})\n"
+
+
+def test_branch_without_output_writes_one_record_per_line(tmp_path, capsys):
+    # with no output directory every record is one JSON line on stdout,
+    # after its summary line, with the bytes record_n<k>.json would hold
+    doc = {"coeffs": "3=1", "eps": 1e-3, "n_max": 2, "lmax": 24, "dim": 3, "restarts": 3}
+    assert cli.main(["solve", "--config", write_json(tmp_path / "branch.json", doc)]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    out_dir = tmp_path / "records"
+    doc["output"] = str(out_dir)
+    assert cli.main(["solve", "--config", write_json(tmp_path / "branch.json", doc)]) == 0
+    summaries = capsys.readouterr().out.splitlines(keepends=True)
+    assert lines[0::2] == summaries and len(summaries) == 2
+    assert lines[1::2] == [(out_dir / f"record_n{n}.json").read_text() for n in (1, 2)]
+    for line in lines[1::2]:
+        assert search.SolutionRecord.from_document(json.loads(line)).accepted
 
 
 def test_forced_wrong_side_rejects_trivial_solution(tmp_path, capsys):
@@ -723,12 +780,14 @@ GOOD_RECORD = {
     (dict(GOOD_RECORD, n=10**30), f"'n' = {10**30} exceeds"),
     (dict(GOOD_RECORD, q=True), "'q' must be an integer >= 2"),
     (dict(GOOD_RECORD, version=1.0), "'version' must be an integer >= 1"),
+    (dict(GOOD_RECORD, version=2), "'version' = 2: this reader knows version 1 only"),
     (dict(GOOD_RECORD, case="quartic"), "'case' must be one of"),
     (dict(GOOD_RECORD, accepted="yes"), "'accepted' must be true or false"),
 ], ids=["not-object", "xi-text", "w-text", "w-ragged", "xi-2d", "w-1d", "xi-nan", "w-inf",
         "w-no-column", "omega-text",
         "omega-null", "omega-huge", "h1-nan", "phi-bool", "energy-huge-int", "n-text",
-        "n-negative", "n-zero", "n-fraction", "n-beyond-xi", "n-huge", "q-bool", "version-float", "case-unknown",
+        "n-negative", "n-zero", "n-fraction", "n-beyond-xi", "n-huge", "q-bool", "version-float",
+        "version-2", "case-unknown",
         "accepted-text"])
 @pytest.mark.parametrize("command", ["export", "evolve"])
 def test_malformed_record_exits_two(tmp_path, capsys, command, doc, reason):
@@ -831,10 +890,6 @@ _SCAN_DOCS = st.fixed_dictionaries({
     "seed": _or_junk(st.integers(0, 6000)),
 })
 
-_EVOLVE_DOCS = st.fixed_dictionaries({}, optional={
-    "steps_per_period": _or_junk(st.integers(1, 256)),
-})
-
 
 def _run_quietly(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -850,7 +905,7 @@ def _assert_contract(code, err):
 
 def _fuzz(examples):
     # derandomized, so tier-1 runs the same documents every time; together
-    # the three tests take about 15 s on 2 cores
+    # the two tests take about 15 s on 2 cores
     return settings(max_examples=examples, deadline=None, derandomize=True,
                     database=None)
 
@@ -875,17 +930,3 @@ def test_fuzzed_scan_config_exits_cleanly(doc):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         _assert_contract(*_run_quietly(["scan", "--config", path]))
-
-
-@_fuzz(40)
-@given(doc=_EVOLVE_DOCS)
-def test_fuzzed_evolve_config_exits_cleanly(doc):
-    with tempfile.TemporaryDirectory() as tmp:
-        record = os.path.join(tmp, "rec.json")
-        config = os.path.join(tmp, "ev.json")
-        for path, content in ((record, _RECORD_DOC), (config, doc)):
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(content, fh)
-        _assert_contract(*_run_quietly(
-            ["evolve", "--record", record, "--coeffs", "3=1", "--config", config]
-        ))

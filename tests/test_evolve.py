@@ -89,7 +89,8 @@ def test_loop_matches_mode_space_impulse(n_modes, monkeypatch):
     u = fields.SpectralField(0.3 * rng.standard_normal((1, n_modes)) / j)
     monkeypatch.setattr(evolve, "MODE_FACTOR", 1)
     monkeypatch.setattr(evolve, "MIN_MODES", 0)
-    res = evolve.integrate(u, 1.0, f, 100 * 2.0 * np.pi / 64, steps_per_period=64)
+    monkeypatch.setattr(evolve, "STEPS_PER_PERIOD", 64)
+    res = evolve.integrate(u, 1.0, f, 100 * 2.0 * np.pi / 64)
     assert (res.steps, res.n_modes) == (301, n_modes)
     a0, _ = evolve.initial_state(u, n_modes)
     a, b, drift = _mode_space_impulse(
@@ -121,7 +122,7 @@ def test_linear_single_mode_reproduces_cosine():
     assert res.energy_drift < 1e-5
 
 
-def test_self_convergence_order_two_at_generic_time():
+def test_self_convergence_order_two_at_generic_time(monkeypatch):
     # coarse-vs-fine state differences at a generic (non-return) time scale
     # like dt^2 for the Strang splitting, so successive halvings give ratio 4
     f = nonlinearity.classify({3: 1.0})
@@ -131,7 +132,8 @@ def test_self_convergence_order_two_at_generic_time():
     t_star = 0.37 * 2.0 * np.pi / ctx.omega
     states = []
     for spp in (256, 512, 1024):
-        states.append(evolve.integrate(u, ctx.omega, f, t_star, steps_per_period=spp).a)
+        monkeypatch.setattr(evolve, "STEPS_PER_PERIOD", spp)
+        states.append(evolve.integrate(u, ctx.omega, f, t_star).a)
     d1 = np.linalg.norm(states[1] - states[0])
     d2 = np.linalg.norm(states[2] - states[1])
     assert abs(d1 / d2 - 4.0) < 0.2
@@ -196,7 +198,7 @@ def test_energy_probes_see_a_level_four_oscillation(monkeypatch):
     assert res.energy_drift >= 0.5 * ref.energy_drift
 
 
-def test_resonance_guard_flags_a_step_at_pi():
+def test_resonance_guard_flags_a_step_at_pi(monkeypatch):
     # one excited mode j = 8 and 8 steps per period, so the reported run's
     # step has j dt = pi: the impulse method is twenty times less accurate
     # there than at 9 steps.  The check at M + 1 steps is off the resonance,
@@ -209,7 +211,8 @@ def test_resonance_guard_flags_a_step_at_pi():
     t_final = 1.37 * 2.0 * np.pi
 
     def run(spp):
-        return evolve.integrate(u, 1.0, f, t_final, steps_per_period=spp)
+        monkeypatch.setattr(evolve, "STEPS_PER_PERIOD", spp)
+        return evolve.integrate(u, 1.0, f, t_final)
 
     res = run(8)
     assert 8 * res.dt == pytest.approx(np.pi, rel=0.01)

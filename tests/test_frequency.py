@@ -28,6 +28,37 @@ def test_truncated_gamma_matches_brute_force():
         assert abs(frequency.truncated_gamma(omega, L) - gamma_brute(omega, L)) < 1e-12
 
 
+def gamma_candidate_loop(omega, L):
+    """gamma^(L) row by row over the j next to omega l, in Python floats."""
+    best = np.inf
+    for l in range(1, L + 1):
+        target = omega * l
+        cand = {int(np.floor(target)), int(np.ceil(target))}
+        cand |= {c + 1 for c in cand} | {c - 1 for c in cand}
+        gaps = [abs(target - j) for j in cand if j >= 1 and j != l]
+        best = min(best, l * min(gaps))
+    return float(best)
+
+
+def test_truncated_gamma_is_the_candidate_loop_bit_for_bit():
+    rng = np.random.default_rng(21)
+    omegas = np.concatenate([rng.uniform(0.5, 1.5, 60), 1.0 + 10.0 ** -rng.uniform(1, 12, 20),
+                             1.0 - 10.0 ** -rng.uniform(1, 12, 20),
+                             [0.5, 2 / 3, 0.75, 1.0, 1.25, 4 / 3, 1.5]])
+    for omega in omegas:
+        for L in (1, 2, 3, 7, 48, 320):
+            assert frequency.truncated_gamma(omega, L) == gamma_candidate_loop(omega, L)
+
+
+def test_truncated_gamma_refuses_more_than_max_l():
+    # MAX_L covers the widest documented branch (L = 3200)
+    assert frequency.MAX_L >= 3200
+    assert frequency.truncated_gamma(1.0 + 1e-7, frequency.MAX_L) > 0.0
+    for L in (0, frequency.MAX_L + 1, 10**8):
+        with pytest.raises(ResowaveError, match="MAX_L"):
+            frequency.truncated_gamma(1.01, L)
+
+
 def test_gamma_known_values():
     # omega = 3/2 resonates at l = 2 (omega l = 3)
     assert frequency.truncated_gamma(1.5, 2) == 0.0
@@ -135,6 +166,28 @@ def test_max_admissible_n_matches_brute_force_at_the_threshold():
         assert frequency.max_admissible_n(ctx, f, C) == brute
 
 
+def test_max_admissible_n_walks_down_from_an_estimate_that_overshoots(monkeypatch):
+    # the closed-form estimate only starts the walk: admissible decides.  An
+    # admissible at C/4 leaves the estimate for C above the cap, which the
+    # walk down must reach
+    f = nonlinearity.classify({3: 1.0})
+    ctx = frequency.make_context(1.0001, L=32)
+    cap = frequency.max_admissible_n(ctx, f, C=0.05)
+    strict_cap = frequency.max_admissible_n(ctx, f, C=0.05 / 4)
+    assert strict_cap < cap
+    real = frequency.admissible
+    asked = []
+
+    def strict(ctx, n, f, C=frequency.DEFAULT_C):
+        asked.append(n)
+        return real(ctx, n, f, C / 4)
+
+    monkeypatch.setattr(frequency, "admissible", strict)
+    assert frequency.max_admissible_n(ctx, f, C=0.05) == strict_cap
+    # n_min, then the estimate and every level down to the cap, then cap + 1
+    assert asked[1:] == [*range(cap, strict_cap - 1, -1), strict_cap + 1]
+
+
 @pytest.mark.parametrize("C", [np.nan, 0.0, -1.0, np.inf, 1e200])
 def test_smallness_constant_outside_the_usable_range_is_refused(C):
     # nan, 0 and -1 once gave the cap 0 in silence; inf and 1e200 overflowed
@@ -164,3 +217,18 @@ def test_scan_rows_sorted_and_bounded():
     assert all(r["n_max"] >= 1 for r in rows)
     with pytest.raises(ResowaveError):
         frequency.scan_frequencies(1.0, 1.1, -0.1, L=8, f=f)
+
+
+def test_scan_grid_is_bounded_before_it_is_built(monkeypatch):
+    f = nonlinearity.classify({3: 1.0})
+    monkeypatch.setattr(frequency, "MAX_SCAN_ROWS", 5)
+    assert len(frequency.scan_frequencies(1.001, 1.005, 0.001, L=16, f=f)) == 5
+    with pytest.raises(ResowaveError, match="MAX_SCAN_ROWS = 5"):
+        frequency.scan_frequencies(1.001, 1.006, 0.001, L=16, f=f)
+    # 9e9 frequencies are refused without asking numpy for them
+    def unreachable(*args):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(frequency.np, "arange", unreachable)
+    with pytest.raises(ResowaveError, match="MAX_SCAN_ROWS"):
+        frequency.scan_frequencies(1.001, 1.01, 1e-12, L=16, f=f)

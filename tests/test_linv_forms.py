@@ -5,7 +5,6 @@ import pytest
 
 from resowave import kernel, linv_forms, reduced
 from resowave.errors import ResowaveError
-from resowave.fields import SpectralField
 from resowave.linv_forms import BiperiodicMap
 
 
@@ -28,27 +27,6 @@ def test_from_eta_power_pointwise():
         m = BiperiodicMap.from_eta_power(v, p)
         expect = (eta_at(v, s1) - eta_at(v, s2)) ** p
         assert np.max(np.abs(m.eval_pairs(s1, s2) - expect)) < 1e-12
-
-
-def test_from_field_round_trip_even_parity():
-    coeffs = np.zeros((5, 4))
-    coeffs[1, 0] = 0.7    # (l, j) = (1, 1)
-    coeffs[3, 0] = -0.2   # (3, 1)
-    coeffs[2, 3] = 0.4    # (2, 4)
-    w = SpectralField(coeffs)
-    m = BiperiodicMap.from_field(w)
-    t = np.linspace(0, 2 * np.pi, 9)
-    x = np.linspace(0, np.pi, 7)
-    from resowave import fields
-    direct = fields.eval_field(w, t, x)
-    assert np.max(np.abs(m.as_wave_values(t, x) - direct)) < 1e-12
-
-
-def test_from_field_rejects_odd_parity_content():
-    coeffs = np.zeros((3, 3))
-    coeffs[1, 1] = 1.0    # (l, j) = (1, 2), l + j odd
-    with pytest.raises(ResowaveError):
-        BiperiodicMap.from_field(SpectralField(coeffs))
 
 
 def test_decompose_worked_example():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from resowave import fields, frequency, kernel, nonlinearity, psolve
-from resowave.errors import ResonanceError, ResowaveError
+from resowave.errors import ConvergenceError, ResonanceError, ResowaveError
 
 
 def single_mode(l, j, c=1.0, lt=6, lx=6):
@@ -137,6 +137,31 @@ def test_domain_ratio_monitored_not_fatal():
     assert rep.converged
     assert not rep.domain_ok
     assert rep.domain_ratio > psolve.DOMAIN_RHO
+
+
+def test_diverging_range_iteration_is_an_error():
+    # far outside the contraction domain the sweeps grow: at xi_1 = 3 the
+    # fourth update is more than four times the second, and above 1
+    f = nonlinearity.classify({3: 1.0})
+    ctx = frequency.make_context(frequency.omega_for_eps(1e-3), L=16)
+    with pytest.warns(UserWarning, match="contraction not guaranteed"):
+        with pytest.raises(ConvergenceError, match="range iteration diverging") as exc:
+            psolve.solve_P(kernel.KernelVector([3.0, 0.0]), ctx, f)
+    trace = exc.value.trace
+    assert len(trace) == 4 and trace[-1] > 4.0 * trace[-3] and trace[-1] > 1.0
+
+
+def test_range_iteration_out_of_sweeps_is_an_error(monkeypatch):
+    # a contracting iteration that needs more sweeps than it is given
+    f = nonlinearity.classify({3: 1.0})
+    ctx = frequency.make_context(frequency.omega_for_eps(1e-3), L=16)
+    v = kernel.KernelVector([0.2, 0.0])
+    _, rep = psolve.solve_P(v, ctx, f)
+    assert rep.domain_ok and rep.iterations > 3
+    monkeypatch.setattr(psolve, "_MAX_SWEEPS", 3)
+    with pytest.raises(ConvergenceError, match="no convergence in 3 steps") as exc:
+        psolve.solve_P(v, ctx, f)
+    assert len(exc.value.trace) == 3
 
 
 def test_report_diagnostics_are_consistent():

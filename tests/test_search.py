@@ -206,6 +206,20 @@ def test_refine_aborts_outside_contraction_domain():
         search.refine(big, ctx, F3)
 
 
+def test_refine_stalls_on_a_step_that_does_not_descend(monkeypatch):
+    # a zero Newton step never lowers the residual, so the line search
+    # halves it down to 1e-6 and gives up on the first iterate
+    rec = reduced.g_recipe(F3, +1, n=1)
+    ctx = ctx_cubic()
+    y, m, diag = search.maximize_U(rec, 4, seed=0, restarts=4)
+    v0, _ = search.initial_guess(y, m, rec, ctx, diag)
+    monkeypatch.setattr(search, "_newton_solve", lambda J, rhs, split: np.zeros_like(rhs))
+    with pytest.raises(ConvergenceError, match="stalled without reaching the tolerance") as exc:
+        search.refine(v0, ctx, F3)
+    first, last = exc.value.trace
+    assert first == last > search.GTOL
+
+
 @pytest.mark.parametrize("coeffs, d", [({3: 1.0, 5: 0.5}, 2), ({2: 0.5, 3: 1.0}, 1)],
                          ids=["odd", "even"])
 def test_galerkin_jacobian_matches_residual_differences(coeffs, d):
