@@ -204,12 +204,28 @@ def _override_id(p):
 
 
 def _config_argv(tmp_path, command, override):
-    """The argv of solve or scan with override in its config."""
+    """The argv of command with override in its config."""
     if command == "solve":
         return ["solve", "--config", solve_config(tmp_path, **override)]
-    doc = {"coeffs": "3=1", "omega_range": [1.001, 1.002, 0.001],
-           "solve": True, **override}
-    return ["scan", "--config", write_json(tmp_path / "scan.json", doc)]
+    if command == "scan":
+        doc = {"coeffs": "3=1", "omega_range": [1.001, 1.002, 0.001],
+               "solve": True, **override}
+        return ["scan", "--config", write_json(tmp_path / "scan.json", doc)]
+    record = write_json(tmp_path / "rec.json", _RECORD_DOC)
+    return ["evolve", "--record", record, "--coeffs", "3=1", "--probe-minimal-period",
+            "--config", write_json(tmp_path / "ev.json", override)]
+
+
+def _assert_evolve_config_refused(tmp_path, capsys, override):
+    # evolve has no config: argparse refuses --config, whatever the document
+    # holds, before the record or the document is read
+    with pytest.raises(SystemExit) as exc:
+        cli.main(_config_argv(tmp_path, "evolve", override))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: unrecognized arguments: --config" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("command, override", [
@@ -236,8 +252,11 @@ def _config_argv(tmp_path, command, override):
     ("solve", {"lx": 5, "dim": 3, "n": 2}),
     ("solve", {"lt": 16, "lx": 20}),
     ("solve", {"lmax": 8, "n": 3, "dim": 3}),
+    ("evolve", {"steps_per_period": 0}),
 ], ids=_override_id)
 def test_out_of_range_config_exits_two(tmp_path, capsys, command, override):
+    if command == "evolve":
+        return _assert_evolve_config_refused(tmp_path, capsys, override)
     assert cli.main(_config_argv(tmp_path, command, override)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
@@ -245,15 +264,22 @@ def test_out_of_range_config_exits_two(tmp_path, capsys, command, override):
 
 
 @pytest.mark.parametrize("command, override", [
-    # the side is the one omega is on and the residual bar is a constant:
-    # any value of these keys is refused as unknown
+    # the side is the one omega is on, the residual bar and the integrator's
+    # mode counts are constants: any value of these keys is refused
     ("solve", {"side": 0}),
     ("solve", {"side": -1}),
     ("solve", {"residual_tol": 0.0}),
     ("solve", {"residual_tol": 1e-8}),
     ("scan", {"residual_tol": 1e-8}),
+    ("evolve", {"min_modes": -3}),
+    ("evolve", {"min_modes": 10**12}),
+    ("evolve", {"min_modes": 32}),
+    ("evolve", {"mode_factor": 10**6}),
+    ("evolve", {"mode_factor": 4}),
 ], ids=_override_id)
 def test_removed_config_key_exits_two(tmp_path, capsys, command, override):
+    if command == "evolve":
+        return _assert_evolve_config_refused(tmp_path, capsys, override)
     assert cli.main(_config_argv(tmp_path, command, override)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -266,14 +292,10 @@ def test_removed_config_key_exits_two(tmp_path, capsys, command, override):
     ["--periods", "1"],
     ["--periods", "0"],
     ["--periods", "-1"],
-    ["--config", "ev.json"],
 ], ids=lambda flags: flags[0].lstrip("-") + "=" + flags[1])
-def test_removed_evolve_option_exits_two(tmp_path, capsys, monkeypatch, flags):
-    # evolve checks one period at evolve.STEPS_PER_PERIOD: it has no period
-    # count and no config, and argparse refuses either flag before a record
-    # is read
-    monkeypatch.chdir(tmp_path)
-    write_json(tmp_path / "ev.json", {"steps_per_period": 64})
+def test_removed_evolve_option_exits_two(tmp_path, capsys, flags):
+    # evolve checks one period: it has no period count, and argparse refuses
+    # the flag before a record is read
     record = write_json(tmp_path / "rec.json", _RECORD_DOC)
     with pytest.raises(SystemExit) as exc:
         cli.main(["evolve", "--record", record, "--coeffs", "3=1", *flags])
