@@ -20,7 +20,6 @@ from .fields import (
 from .kernel import (
     KernelVector,
     embed,
-    project_V,
     rescale,
     minimal_time_period_index,
 )

@@ -100,8 +100,11 @@ _NONNEGATIVE = (lambda v: v >= 0, ">= 0")
 # is held to: above 1 the bound it admits is not small, and a huge C
 # overflows the level cap
 _SMALLNESS = (lambda v: 0 < v <= 1, "in (0, 1]")
-# the temporal truncation gamma is computed over
+# the temporal truncation gamma is computed over, and search.maximize_U's sphere
 _LMAX = (lambda v: 1 <= v <= frequency.MAX_L, f"in [1, MAX_L = {frequency.MAX_L}]")
+_DIM = (lambda v: 1 <= v <= search.MAX_DIM, f"in [1, MAX_DIM = {search.MAX_DIM}]")
+_RESTARTS = (lambda v: 1 <= v <= search.MAX_RESTARTS,
+             f"in [1, MAX_RESTARTS = {search.MAX_RESTARTS}]")
 
 SOLVE_SCHEMA = {
     "coeffs": ((str, list, dict), True, None, None),
@@ -112,8 +115,8 @@ SOLVE_SCHEMA = {
     "lmax": (int, False, 48, _LMAX),
     "lt": (int, False, None, _COUNT),
     "lx": (int, False, None, _COUNT),
-    "dim": (int, False, 8, _COUNT),
-    "restarts": (int, False, 16, _COUNT),
+    "dim": (int, False, 8, _DIM),
+    "restarts": (int, False, 16, _RESTARTS),
     "seed": (int, False, 0, _NONNEGATIVE),
     "C": (_NUM, False, frequency.DEFAULT_C, _SMALLNESS),
     "force": (bool, False, False, None),
@@ -127,8 +130,8 @@ SCAN_SCHEMA = {
     "n_max": (int, False, 6, _COUNT),
     "C": (_NUM, False, frequency.DEFAULT_C, _SMALLNESS),
     "solve": (bool, False, False, None),
-    "dim": (int, False, 4, _COUNT),
-    "restarts": (int, False, 4, _COUNT),
+    "dim": (int, False, 4, _DIM),
+    "restarts": (int, False, 4, _RESTARTS),
     "seed": (int, False, 0, _NONNEGATIVE),
     "output": (str, False, None, None),
 }

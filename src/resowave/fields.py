@@ -223,17 +223,13 @@ def norms(u, omega=1.0):
 
 def diagonal_of(u):
     """Coefficients u_{jj}, j = 1..min(lt, lx)."""
-    m = min(u.lt, u.lx)
-    if m < 1:
-        return np.zeros(0)
-    return np.array([u.coeffs[j, j - 1] for j in range(1, m + 1)])
+    return np.diagonal(u.coeffs[1:]).copy()
 
 
 def zero_diagonal(u):
     """Copy of u with the resonant diagonal u_{jj} pinned to zero."""
     c = u.coeffs.copy()
-    for j in range(1, min(u.lt, u.lx) + 1):
-        c[j, j - 1] = 0.0
+    np.fill_diagonal(c[1:], 0.0)
     return SpectralField(c)
 
 

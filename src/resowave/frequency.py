@@ -160,9 +160,10 @@ def admissible(ctx, n, f, C=DEFAULT_C):
 def max_admissible_n(ctx, f, C=DEFAULT_C):
     """Largest admissible n (0 if none); the bound is monotone in n.
 
-    The closed-form estimate ignores the rounding slack of admissible, so
-    it is corrected by walking down, then up, to the last admissible level.
-    A C so large that the estimate overflows a float raises ResowaveError.
+    The closed-form estimate has the bound C exactly, and about 1e-16 more
+    in floats, inside the slack C (1 + 1e-12) of admissible: so once n_min
+    is admissible, so is the estimate, and the cap walks up from it.  A C
+    so large that the estimate overflows a float raises ResowaveError.
     """
     n_min = minimal_n(f)
     if not admissible(ctx, n_min, f, C).ok:
@@ -173,8 +174,6 @@ def max_admissible_n(ctx, f, C=DEFAULT_C):
     except OverflowError as exc:
         raise ResowaveError(f"the level cap for C = {C} overflows") from exc
     n_cap = max(n_min, estimate)
-    while not admissible(ctx, n_cap, f, C).ok:
-        n_cap -= 1
     while admissible(ctx, n_cap + 1, f, C).ok:
         n_cap += 1
     return n_cap

@@ -22,7 +22,6 @@ from .errors import ResowaveError
 __all__ = [
     "KernelVector",
     "embed",
-    "project_V",
     "eta_power_spectrum",
     "rescale",
     "normalize_sign",
@@ -62,19 +61,9 @@ class KernelVector:
 
 def embed(v):
     """The kernel vector as a SpectralField on the diagonal l = j."""
-    n = len(v)
-    c = np.zeros((n + 1, n))
-    for j in range(1, n + 1):
-        c[j, j - 1] = v.xi[j - 1]
+    c = np.zeros((len(v) + 1, len(v)))
+    np.fill_diagonal(c[1:], v.xi)
     return fields.SpectralField(c)
-
-
-def project_V(u):
-    """Diagonal part of a field, as a KernelVector (length min(lt, lx))."""
-    d = fields.diagonal_of(u)
-    if d.size == 0:
-        d = np.zeros(1)
-    return KernelVector(d)
 
 
 @functools.lru_cache(maxsize=64)

@@ -191,7 +191,7 @@ def l_inv_quadratic_form(m):
 # rectangle-kernel oracle
 
 
-def kernel_M_oracle(v, p, n_t=None, n_x=None):
+def kernel_M_oracle(v, p):
     """(1/8) int_Omega M(t+x, t-x) v^p dt dx and the sampled minimum of M.
 
     M(s1, s2) is the integral of m over the rectangle [s1, s2 + 2pi] x [s2, s1];
@@ -225,10 +225,8 @@ def kernel_M_oracle(v, p, n_t=None, n_x=None):
             cent[D - nu] = spec[n_nodes - nu] / (-1j * nu)
         per_coeffs.append(cent)
 
-    if n_t is None:
-        n_t = 4 * p * deg + 9
-    if n_x is None:
-        n_x = max(96, 4 * p * deg)
+    n_t = 4 * p * deg + 9
+    n_x = max(96, 4 * p * deg)
     t = 2.0 * np.pi * np.arange(n_t) / n_t
     nodes, weights = np.polynomial.legendre.leggauss(n_x)
     x = 0.5 * np.pi * (nodes + 1.0)

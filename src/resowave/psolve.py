@@ -59,8 +59,7 @@ def apply_L_inv(w, omega, out_lt=None, out_lx=None):
     c = w.padded(max(lt, w.lt), max(lx, w.lx))[: lt + 1, :lx]
     den = _denominators(lt, lx, omega)
     mask_diag = np.zeros_like(c, dtype=bool)
-    for j in range(1, min(lt, lx) + 1):
-        mask_diag[j, j - 1] = True
+    np.fill_diagonal(mask_diag[1:], True)
     bad = (np.abs(den) < RESONANCE_TOL) & ~mask_diag & (c != 0.0)
     if np.any(bad):
         l_bad, j_bad = np.argwhere(bad)[0]

@@ -86,6 +86,10 @@ MAX_EVALUATIONS = 400
 # refine: the most Newton unknowns a level may have; the dense Jacobian at
 # the cap is 128 MiB and one solve of it takes about a second
 MAX_UNKNOWNS = 4096
+# maximize_U: the largest sphere and restart count.  u^3 at both takes 2 s
+# and 200 MB; the difference Hessian of u^2 takes memory ~ restarts dim^3
+MAX_DIM = 256
+MAX_RESTARTS = 64
 
 
 @dataclass
@@ -283,8 +287,9 @@ def maximize_U(recipe, dim, seed=0, restarts=16):
     not positive (no branch on this side) or G, its gradient, its Hessian
     or the gradient's norm is not finite.
     """
-    if restarts < 1:
-        raise ResowaveError(f"maximize_U needs at least one restart, got {restarts}")
+    if not (1 <= dim <= MAX_DIM and 1 <= restarts <= MAX_RESTARTS):
+        raise ConfigError(f"maximize_U needs 1 <= dim <= MAX_DIM = {MAX_DIM} and 1 <= restarts "
+                          f"<= MAX_RESTARTS = {MAX_RESTARTS}, got {dim} and {restarts}")
 
     def finite(*arrays):
         if not all(np.all(np.isfinite(a)) for a in arrays):
@@ -447,6 +452,13 @@ class _Frame:
         c[:: self.n, self.d - 1 :: self.d] = u.coeffs
         return fields.SpectralField(c)
 
+    def kernel(self, u, lx):
+        """The diagonal j = n k = d m <= lx of the dilated frame field u."""
+        xi = np.zeros(lx)
+        k = np.arange(1, lx // self.n + 1)
+        xi[self.n * k - 1] = u.coeffs[k, (self.n // self.d) * k - 1]
+        return kernel.KernelVector(xi)
+
     def lattice(self, lt, lx):
         """The Newton unknowns of the (lt+1, lx) frame: (rows, cols, flat).
 
@@ -545,8 +557,8 @@ def refine(v0, ctx, f, lt=None, lx=None):
     from u = v0 (w = 0).  The residual is (pi^2/2) F(u), F(u) = (j^2 -
     omega^2 l^2) u + P f(u), which is d^2 times the frame's; its kernel rows
     are exactly -grad Phi_eps and its range rows the range equation, so a
-    zero is a critical point v with its w(v).  The result is written back at
-    the frame's modes, every other entry an exact zero.  For odd f the frame
+    zero is a critical point v with its w(v).  The Newton runs on the frame
+    field, written once at its modes, the rest exact zeros.  For odd f the frame
     divisors are n^2 (m^2 - omega^2 k^2), so the certified range is
     k <= lt // n <= L/n.  The unknowns are the product of the rows and
     columns the frame keeps (_Frame.lattice, read off v0 by
@@ -566,8 +578,8 @@ def refine(v0, ctx, f, lt=None, lx=None):
     apply_nonlinearity.  The iteration stops when the last full step was
     at rounding level and the residual is at most GTOL; the second test is
     a safety check, since a settled step with a large residual is not a
-    solution.  When an iterate's kernel part, dilated to the full
-    truncation, leaves the contraction domain (psolve.contraction_domain
+    solution.  When an iterate's kernel part, read off the frame field
+    (_Frame.kernel), leaves the contraction domain (psolve.contraction_domain
     above psolve.DOMAIN_RHO) the refinement aborts rather than report a
     solution the existence argument does not cover.  The guard reads
     coefficients only and runs once per iterate, the first time before any
@@ -585,7 +597,10 @@ def refine(v0, ctx, f, lt=None, lx=None):
     if lt < lx:
         raise ResowaveError(f"temporal truncation lt={lt} below kernel reach {lx}")
     frame = _dilation_frame(f, n, v0)
-    u = fields.SpectralField(kernel.embed(v0).padded(lt, lx)[::n, frame.d - 1 :: frame.d])
+    k = np.arange(1, len(v0) // n + 1)   # v0's entries j = n k, at frame column j/d
+    c = np.zeros((lt // n + 1, lx // frame.d))
+    c[k, (n // frame.d) * k - 1] = v0.xi[n * k - 1]
+    u = fields.SpectralField(c)
     rows, cols, keep = frame.lattice(u.lt, u.lx)
     if keep.size > MAX_UNKNOWNS:
         raise ConfigError(f"refinement truncation lt={lt}, lx={lx} has {keep.size} Newton "
@@ -606,7 +621,7 @@ def refine(v0, ctx, f, lt=None, lx=None):
         if gnorm <= GTOL and settled:
             report.converged = True
             break
-        ratio = psolve.contraction_domain(kernel.project_V(frame.dilate(u, lt, lx)), ctx, f, lt)
+        ratio = psolve.contraction_domain(frame.kernel(u, lx), ctx, f, lt)
         if it == _NEWTON_MAX_ITER:
             raise ConvergenceError("Newton refinement did not converge", trace=tuple(trace))
         if ratio > psolve.DOMAIN_RHO:
@@ -643,8 +658,10 @@ def refine(v0, ctx, f, lt=None, lx=None):
         # eps) relative leaves an error at rounding level behind it
         settled = t == 1.0 and step <= _SQRT_EPS * float(np.max(np.abs(u.coeffs)))
 
-    u = frame.dilate(u, lt, lx)
-    return kernel.project_V(u), fields.zero_diagonal(u), report
+    w = np.zeros((lt + 1, lx))
+    w[::n, frame.d - 1 :: frame.d] = u.coeffs
+    np.fill_diagonal(w[1:], 0.0)
+    return frame.kernel(u, lx), fields.SpectralField(w), report
 
 
 # ---------------------------------------------------------------------------
@@ -688,14 +705,17 @@ def galerkin_residual(v, w, ctx, f):
     return _certify(kernel.embed(v) + w, ctx, _Frame(1, 1, f))[0]
 
 
-def temporal_support_index(v, w):
-    """Largest n with all temporal frequencies of v + w in n Z.
-
-    Rows below 1e-9 of the largest coefficient count as empty.
-    """
-    peak = np.max(np.abs((kernel.embed(v) + w).coeffs), axis=1)
+def _support_index(c, n=1):
+    """n times the gcd of the rows k >= 1 of c above 1e-9 of its largest entry."""
+    peak = np.max(np.abs(c), axis=1)
     rows = np.flatnonzero(peak[1:] > 1e-9 * peak.max()) + 1
-    return int(np.gcd.reduce(rows)) if rows.size else 0
+    return n * int(np.gcd.reduce(rows)) if rows.size else 0
+
+
+def temporal_support_index(v, w):
+    """Largest n with all temporal frequencies of v + w in n Z; rows below
+    1e-9 of the largest coefficient count as empty."""
+    return _support_index((kernel.embed(v) + w).coeffs)
 
 
 def involution_partner(u):
@@ -711,7 +731,8 @@ def build_solution(v, w, ctx, f, recipe, predicted_level, newton=None,
     """Assemble the certified record for a refined critical point.
 
     Of recipe only n, q and case are read, so a record serves as well; the
-    certificates and sup are read off the level's frame field.  Acceptance
+    certificates, sup and the support index are read off the level's frame
+    field.  Acceptance
     asks a residual at most RESIDUAL_TOL, a drift at most DRIFT_TOL, and a
     critical level of the predicted size: a level a thousand times below it
     means the refinement found the trivial solution.
@@ -722,7 +743,7 @@ def build_solution(v, w, ctx, f, recipe, predicted_level, newton=None,
         frame = _Frame(1, 1, f)  # an entry off the frame: certify the whole field
     U = fields.SpectralField(u[:: frame.n, frame.d - 1 :: frame.d])
     res, phi_val, energies, drift = _certify(U, ctx, frame)
-    n_obs = temporal_support_index(v, w)
+    n_obs = _support_index(U.coeffs, frame.n)
     accepted = (
         res <= RESIDUAL_TOL
         and drift <= DRIFT_TOL

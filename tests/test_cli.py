@@ -371,6 +371,28 @@ def test_scan_grid_too_fine_exits_two(tmp_path, capsys):
     assert "MAX_SCAN_ROWS" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command, doc, key", [
+    ("solve", {"coeffs": "3=1", "eps": 4e-4, "n_max": 2, "dim": 10**8}, "dim"),
+    ("solve", {"coeffs": "3=1", "eps": 4e-4, "n_max": 2, "restarts": 10**9}, "restarts"),
+    ("scan", {"coeffs": "3=1", "omega_range": [1.001, 1.002, 0.001], "solve": True,
+              "dim": 10**8}, "dim"),
+], ids=["solve-branch-dim", "solve-branch-restarts", "scan-dim"])
+def test_sphere_above_its_caps_exits_two(tmp_path, capsys, monkeypatch, command, doc, key):
+    # no truncation check reads dim or restarts in a branch or a scan: the
+    # maximizer's random starts once asked numpy for restarts x dim/2 floats
+    def never(*args, **kw):
+        raise AssertionError("maximized on a refused sphere")
+
+    monkeypatch.setattr(search, "maximize_U", never)
+    path = write_json(tmp_path / f"{command}.json", doc)
+    assert cli.main([command, "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    cap = {"dim": "MAX_DIM = 256", "restarts": "MAX_RESTARTS = 64"}[key]
+    assert captured.err.startswith(f"error: config key {key!r} must be in [1, {cap}]")
+    assert "Traceback" not in captured.err
+
+
 def test_evolve_step_checked_only_at_the_times_it_integrates(tmp_path, capsys, monkeypatch):
     # the step is checked by the 2M- and (M + 1)-step runs of the return,
     # the one time integrated here; an odd step count is no special case

@@ -323,6 +323,33 @@ def test_diagonal_helpers():
     assert w.coeffs[2, 0] == u.coeffs[2, 0]
 
 
+def _diagonal_loop(u):
+    """diagonal_of as a loop over j = 1..min(lt, lx): the reference."""
+    m = min(u.lt, u.lx)
+    return np.array([u.coeffs[j, j - 1] for j in range(1, m + 1)], dtype=float)
+
+
+def _zero_diagonal_loop(u):
+    """zero_diagonal as a loop over j = 1..min(lt, lx): the reference."""
+    c = u.coeffs.copy()
+    for j in range(1, min(u.lt, u.lx) + 1):
+        c[j, j - 1] = 0.0
+    return c
+
+
+@pytest.mark.parametrize("lt, lx", [(0, 4), (2, 6), (6, 3), (4, 5), (5, 5), (1, 1)])
+def test_diagonal_helpers_are_the_loops_bit_for_bit(lt, lx):
+    # square, wide (lt < lx), tall and single-row (lt = 0) truncations; a
+    # -0.0 on the diagonal keeps its sign in diagonal_of
+    u = random_field(np.random.default_rng(lt * 10 + lx), lt, lx)
+    c = u.coeffs.copy()
+    if min(lt, lx) >= 1:
+        c[1, 0] = -0.0
+    u = fields.SpectralField(c)
+    assert fields.diagonal_of(u).tobytes() == _diagonal_loop(u).tobytes()
+    assert fields.zero_diagonal(u).coeffs.tobytes() == _zero_diagonal_loop(u).tobytes()
+
+
 def test_padded_and_add_shapes():
     a = fields.SpectralField(np.ones((2, 2)))
     b = fields.SpectralField(np.ones((4, 3)))

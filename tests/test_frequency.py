@@ -166,26 +166,29 @@ def test_max_admissible_n_matches_brute_force_at_the_threshold():
         assert frequency.max_admissible_n(ctx, f, C) == brute
 
 
-def test_max_admissible_n_walks_down_from_an_estimate_that_overshoots(monkeypatch):
-    # the closed-form estimate only starts the walk: admissible decides.  An
-    # admissible at C/4 leaves the estimate for C above the cap, which the
-    # walk down must reach
-    f = nonlinearity.classify({3: 1.0})
-    ctx = frequency.make_context(1.0001, L=32)
-    cap = frequency.max_admissible_n(ctx, f, C=0.05)
-    strict_cap = frequency.max_admissible_n(ctx, f, C=0.05 / 4)
-    assert strict_cap < cap
-    real = frequency.admissible
-    asked = []
-
-    def strict(ctx, n, f, C=frequency.DEFAULT_C):
-        asked.append(n)
-        return real(ctx, n, f, C / 4)
-
-    monkeypatch.setattr(frequency, "admissible", strict)
-    assert frequency.max_admissible_n(ctx, f, C=0.05) == strict_cap
-    # n_min, then the estimate and every level down to the cap, then cap + 1
-    assert asked[1:] == [*range(cap, strict_cap - 1, -1), strict_cap + 1]
+def test_max_admissible_n_is_the_last_level_walking_up_from_minimal_n():
+    # the cap starts at the closed-form estimate and only walks up, so an
+    # estimate above the last admissible level would show here: ten shapes
+    # of f, offsets 1e-9..1e-1, C random or within the 1e-12 slack of a
+    # level's bound
+    rng = np.random.default_rng(29)
+    for coeffs in _CAP_CASES + [{5: -2.0}]:
+        f = nonlinearity.classify(coeffs)
+        side = frequency.side_required(f)
+        n_min = frequency.minimal_n(f)
+        for offset in 10.0 ** -np.arange(1.0, 10.0):
+            below = side == "omega<1" or (side == "either" and rng.random() < 0.5)
+            omega = 1.0 - offset if below else 1.0 + offset
+            ctx = frequency.FrequencyContext(
+                omega=omega, eps=0.5 * (omega**2 - 1.0), gamma=rng.uniform(0.5, 1.0), L=32,
+            )
+            level = int(rng.integers(n_min, 30))
+            near = frequency.admissible(ctx, level, f, C=1.0).bound
+            for C in (10.0 ** rng.uniform(-6.0, 0.0), near * (1.0 + rng.uniform(-2e-12, 2e-12))):
+                walk, n = 0, n_min
+                while frequency.admissible(ctx, n, f, C).ok:
+                    walk, n = n, n + 1
+                assert frequency.max_admissible_n(ctx, f, C) == walk
 
 
 @pytest.mark.parametrize("C", [np.nan, 0.0, -1.0, np.inf, 1e200])

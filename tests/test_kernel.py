@@ -109,17 +109,28 @@ def test_minimal_time_period_index():
     assert kernel.minimal_time_period_index(kernel.KernelVector([1e-12, 1.0])) == 1
 
 
+@pytest.mark.parametrize("dim", [1, 2, 7])
+def test_embed_is_the_loop_bit_for_bit(dim):
+    # the (dim + 1, dim) field with xi_j at (j, j - 1), as a loop writes it
+    xi = np.random.default_rng(dim).standard_normal(dim)
+    xi[0] = -0.0
+    c = np.zeros((dim + 1, dim))
+    for j in range(1, dim + 1):
+        c[j, j - 1] = xi[j - 1]
+    assert kernel.embed(kernel.KernelVector(xi)).coeffs.tobytes() == c.tobytes()
+
+
 def test_projections_split_fields():
     rng = np.random.default_rng(13)
     arr = rng.standard_normal((5, 5))
     u = fields.SpectralField(arr)
-    v = kernel.project_V(u)
+    v = kernel.KernelVector(fields.diagonal_of(u))
     w = fields.zero_diagonal(u)
     back = kernel.embed(v) + w
     assert np.max(np.abs(back.padded(4, 5) - arr)) < 1e-14
     assert np.all(fields.diagonal_of(w) == 0.0)
     # projection of a pure range field has no kernel part
-    assert np.all(kernel.project_V(w).xi == 0.0)
+    assert np.all(kernel.KernelVector(fields.diagonal_of(w)).xi == 0.0)
 
 
 def test_normalize_sign():

@@ -39,6 +39,30 @@ def test_symbol_matches_definition_off_diagonal():
                 assert abs(out.coeffs[l, j - 1] - expect) < 1e-13
 
 
+def _apply_L_inv_loop(w, omega, lt, lx):
+    """apply_L_inv with its diagonal mask written by a loop: the reference."""
+    c = w.padded(max(lt, w.lt), max(lx, w.lx))[: lt + 1, :lx]
+    den = omega**2 * np.arange(lt + 1.0)[:, None] ** 2 - np.arange(1.0, lx + 1) ** 2
+    mask_diag = np.zeros_like(c, dtype=bool)
+    for j in range(1, min(lt, lx) + 1):
+        mask_diag[j, j - 1] = True
+    out = np.zeros_like(c)
+    safe = ~mask_diag & (np.abs(den) >= psolve.RESONANCE_TOL)
+    out[safe] = c[safe] / den[safe]
+    return out
+
+
+@pytest.mark.parametrize("shape, out", [
+    ((5, 5), (4, 5)), ((3, 6), (2, 6)), ((7, 3), (6, 3)), ((1, 4), (0, 4)),
+    ((7, 6), (0, 3)), ((3, 4), (6, 6)),
+])
+def test_apply_L_inv_is_the_loop_bit_for_bit(shape, out):
+    # input and output truncations square, wide (lt < lx), tall and lt = 0
+    u = fields.SpectralField(np.random.default_rng(sum(shape)).standard_normal(shape))
+    got = psolve.apply_L_inv(u, 1.07, *out)
+    assert got.coeffs.tobytes() == _apply_L_inv_loop(u, 1.07, *out).tobytes()
+
+
 def test_diagonal_always_pinned_to_zero():
     out = psolve.apply_L_inv(single_mode(4, 4), 1.3)
     assert np.all(out.coeffs == 0.0)

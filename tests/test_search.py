@@ -161,6 +161,21 @@ def test_maximize_needs_a_restart():
         search.maximize_U(rec, 2, seed=0, restarts=0)
 
 
+@pytest.mark.parametrize("dim, restarts, cap", [
+    (search.MAX_DIM + 1, 1, "MAX_DIM"), (0, 1, "MAX_DIM"),
+    (2, search.MAX_RESTARTS + 1, "MAX_RESTARTS"),
+])
+def test_maximize_refuses_a_sphere_above_its_caps(monkeypatch, dim, restarts, cap):
+    # refused before a restart is drawn
+    def never(*args, **kw):
+        raise AssertionError("drew restarts on a refused sphere")
+
+    monkeypatch.setattr(np.random, "default_rng", never)
+    rec = reduced.g_recipe(F3, +1, n=1)
+    with pytest.raises(ConfigError, match=cap):
+        search.maximize_U(rec, dim, seed=0, restarts=restarts)
+
+
 def test_branch_prediction_formulas():
     m, q, eps, n = 0.007, 3, 1e-3, 2
     t_star, level, h1 = search.branch_prediction(m, q, eps, n)
@@ -527,7 +542,7 @@ def full_lattice_refine(v0, ctx, f, lt, lx):
     settled = False
     for _ in range(search._NEWTON_MAX_ITER):
         if gnorm <= search.GTOL and settled:
-            return kernel.project_V(u), fields.zero_diagonal(u)
+            return kernel.KernelVector(fields.diagonal_of(u)), fields.zero_diagonal(u)
         delta = np.zeros_like(u.coeffs)
         J = row_major_jacobian(u, ctx, f)[np.ix_(keep, keep)]
         delta[rows] = np.linalg.solve(J, -F)
@@ -612,8 +627,9 @@ def test_dilation_frame_scaling_laws(n, lt, lx):
     F_law = n**2 * frame.dilate(
         fields.SpectralField(search._galerkin_F(U, ctx, frame)), lt, lx).coeffs
     assert np.max(np.abs(F_full - F_law)) <= 1e-14 * np.max(np.abs(F_full))
-    phi_full = reduced.phi(kernel.project_V(u), ctx, F35, w=fields.zero_diagonal(u))
-    phi_law = n**2 * reduced.phi(kernel.project_V(U), ctx, frame.f,
+    phi_full = reduced.phi(kernel.KernelVector(fields.diagonal_of(u)), ctx, F35,
+                           w=fields.zero_diagonal(u))
+    phi_law = n**2 * reduced.phi(kernel.KernelVector(fields.diagonal_of(U)), ctx, frame.f,
                                  w=fields.zero_diagonal(U))
     assert abs(phi_full - phi_law) <= 1e-14 * abs(phi_full)
 
@@ -1054,7 +1070,7 @@ def frame_pair(f, n, lt, lx, seed):
     rng = np.random.default_rng(seed)
     U = fields.SpectralField(0.05 * rng.standard_normal((lt // n + 1, lx // frame.d)))
     u = frame.dilate(U, lt, lx)
-    return kernel.project_V(u), fields.zero_diagonal(u), frame
+    return kernel.KernelVector(fields.diagonal_of(u)), fields.zero_diagonal(u), frame
 
 
 def certify_full(v, w, ctx, f):
@@ -1213,6 +1229,76 @@ def test_build_solution_certifies_off_frame_fields_whole(level_guesses):
     record = search.build_solution(v, off, C6_CTX, f, recipe, level, newton=rep)
     assert record.residual == search.galerkin_residual(v, off, C6_CTX, f) > 1e-8
     assert not record.accepted
+
+
+def frame_level(level_guesses, name):
+    """(f, ctx, recipe, guess, level) of a level refine solves in its frame."""
+    if name == "u3-off-reflection":
+        # the hand-made guess of test_guess_off_the_reflection_class_keeps_every_frame_entry
+        f, recipe, v0, level = level_guesses["u3", 1]
+        xi = v0.xi.copy()
+        xi[1] = 1e-3 * xi[0]
+        return f, C6_CTX, recipe, kernel.KernelVector(xi), level
+    if name.startswith("u3-"):
+        f, recipe, v0, level = level_guesses["u3", int(name[-1])]
+        return f, C6_CTX, recipe, v0, level
+    return level_guess({2: 1.0}, frequency.omega_for_eps(-4e-4), int(name[-1]))
+
+
+FRAME_LEVELS = ["u3-1", "u3-2", "u3-3", "u2-1", "u2-2", "u3-off-reflection"]
+
+
+@pytest.mark.parametrize("name", FRAME_LEVELS)
+def test_refine_writes_the_dilated_frame_field(level_guesses, monkeypatch, name):
+    # the frame field U of every iterate, recorded where the guard reads
+    # its kernel entries: the guard's vector and the returned (v, w) are
+    # the diagonal and the rest of u = frame.dilate(U), bit for bit
+    f, ctx, _, v0, _ = frame_level(level_guesses, name)
+    seen = []
+    real = search._Frame.kernel
+
+    def recording(frame, U, lx):
+        out = real(frame, U, lx)
+        seen.append((frame, U, out))
+        return out
+
+    monkeypatch.setattr(search._Frame, "kernel", recording)
+    v, w, rep = search.refine(v0, ctx, f)
+    assert rep.converged and len(seen) == rep.iterations + 1
+    frame = seen[0][0]
+    start = frame.dilate(seen[0][1], w.lt, w.lx).coeffs
+    # the first iterate is the guess placed on the frame
+    assert start.tobytes() == kernel.embed(v0).padded(w.lt, w.lx).tobytes()
+    for _, U, guarded in seen:
+        u = frame.dilate(U, w.lt, w.lx)
+        assert guarded.xi.tobytes() == fields.diagonal_of(u).tobytes()
+    assert v.xi.tobytes() == fields.diagonal_of(u).tobytes()
+    assert w.coeffs.tobytes() == fields.zero_diagonal(u).coeffs.tobytes()
+
+
+@pytest.mark.parametrize("name", FRAME_LEVELS + ["off-frame"])
+def test_build_solution_support_index_is_the_full_fields(level_guesses, monkeypatch, name):
+    # the index read off the frame field U is the one temporal_support_index
+    # reads off the whole field, also when an entry off the frame makes the
+    # record certify the whole field
+    f, ctx, recipe, v0, level = frame_level(level_guesses, "u3-2" if name == "off-frame" else name)
+    v, w, rep = search.refine(v0, ctx, f)
+    if name == "off-frame":
+        c = w.coeffs.copy()
+        c[1, 1] = 1e-6
+        w = fields.SpectralField(c)
+    want = search.temporal_support_index(v, w)
+    assert want == (1 if name == "off-frame" else recipe.n)
+    seen = []
+    real = search._support_index
+
+    def recording(c, n=1):
+        seen.append(real(c, n))
+        return seen[-1]
+
+    monkeypatch.setattr(search, "_support_index", recording)
+    search.build_solution(v, w, ctx, f, recipe, level, newton=rep)
+    assert seen == [want]
 
 
 @pytest.mark.parametrize("coeffs, omega, n_max", [
