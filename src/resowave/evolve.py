@@ -27,6 +27,7 @@ sees the resonances below.  M is at least 2, or the check would be the
 reported run.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,18 +95,22 @@ DENSE_MAX_MODES = 448
 MAX_MODES = 2**14
 
 
+@functools.lru_cache(maxsize=4)
 def _transforms(n_modes):
     """(to_nodes, to_modes), writing S a and (1/j) P v into their out array.
 
     S[k, j] = sin(pi k j/(N+1)) maps sine coefficients to the node values and
     P = 2/(N+1) S inverts it.  The dense S is gathered from sin(pi m/(N+1))
-    at m = k j mod 2(N+1), so each entry is rounded once.
+    at m = k j mod 2(N+1), so each entry is rounded once.  The pair is
+    cached per N (a run and its check, and the records of a branch, share
+    N), so S and P are read-only; four pairs at DENSE_MAX_MODES hold 13 MB.
     """
     j = np.arange(1, n_modes + 1)
     if n_modes <= DENSE_MAX_MODES:
         period = 2 * n_modes + 2
         S = np.sin(np.arange(period) * (np.pi / (n_modes + 1)))[np.outer(j, j) % period]
         P = S * (2.0 / ((n_modes + 1) * j))[:, None]
+        S.flags.writeable = P.flags.writeable = False
         return (lambda a, out: np.dot(S, a, out=out),
                 lambda v, out: np.dot(P, v, out=out))
     scale = 1.0 / ((n_modes + 1) * j)

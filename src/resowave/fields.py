@@ -9,20 +9,30 @@ satisfy Dirichlet conditions at x = 0, pi.  Coefficients are stored as a dense
 (Lt+1, Lx) array, row l, column j-1.
 
 Every sample of a field is taken on the full torus [0, 2pi) x [0, 2pi),
-where a sine series in x is its own odd extension.  _torus_values runs one
-inverse real FFT over the cosine rows in t and hands the rows to _x_values,
-one inverse real FFT of the spectrum -i nx/2 u_lj in x, which samples the
-interior, the boundary zeros and the odd half at once.  A field is a finite
-trig polynomial, so the samples are exact, and sup_norm reads its maximum
-off them.  Products of fields (needed for polynomial nonlinearities) leave
-the sine class -- even powers pick up cosine content in x whose sine-basis
-expansion is an infinite series -- so they are sampled on a grid of
-_grid(d) = next_fast_len(2d + 1) nodes along each axis, d the product's
-degree there, their exact cos/sin torus coefficients are read off by forward
-FFTs (_cos_sin_coeffs), and those are projected back onto the sine basis in
-closed form.  The coefficients
-`apply_polynomials` returns are the true L2 projections, with no aliasing,
-for any polynomial nonlinearity.
+where a sine series in x is its own odd extension.  _torus_values samples
+the interior, the boundary zeros and the odd half at once, and
+_cos_sin_coeffs reads exact cos/sin torus coefficients off samples; each
+computes only the rows its caller keeps.  Both are exact quadratures with
+one of two paths, chosen from the size of the work (_plan):
+
+- small fields, every frame of an odd f among them: two chained matrix
+  products with cached cos/sin tables (_trig_table), in the cheaper order
+  and in at most DENSE_MAX_BLOCKS row blocks, each product at most
+  DENSE_MAX_MADDS multiply-adds so that OpenBLAS keeps it on one thread;
+- larger ones, such as the even-f frames whose x axis grows with the
+  level: scipy.fft, whose n log n cost the cubic cost of the products
+  would outrun, and which runs on one thread at any size.
+
+A field is a finite trig polynomial, so the samples are exact, and
+sup_norm reads its maximum off them.  Products of fields (needed for
+polynomial nonlinearities) leave the sine class -- even powers pick up
+cosine content in x whose sine-basis expansion is an infinite series -- so
+they are sampled on a grid of _grid(d) = next_fast_len(2d + 1) nodes along
+each axis, d the product's degree there, their exact cos/sin torus
+coefficients are read off (_cos_sin_coeffs), and those are projected back
+onto the sine basis in closed form.  The coefficients `apply_polynomials`
+returns are the true L2 projections, with no aliasing, for any polynomial
+nonlinearity.
 """
 
 import functools
@@ -115,10 +125,86 @@ def temporal_weights(lt):
 # ---------------------------------------------------------------------------
 # sampling
 
+# A sampling or a projection is a chain of two matrix products with cached
+# trig tables when _plan finds an order and at most DENSE_MAX_BLOCKS row
+# blocks in which each product stays at or below DENSE_MAX_MADDS
+# multiply-adds (m n k), and scipy.fft calls otherwise.  2^18 is the size up
+# to which OpenBLAS runs a GEMM on one thread (its SMP_THRESHOLD_MIN 65536
+# times the default GEMM_MULTITHREAD_THRESHOLD 4); above it a second thread
+# may wake and spin through the rest of the pass.  On a 2-core x86 host
+# with OpenBLAS 0.3.31 (CPU time, best of five), on the 17 x 16 level-1
+# frame of u^3: P f(U) takes 92 us against 194 us through the FFTs, its
+# certificates (two blocks) 252 against 364 us and sup_norm (two blocks)
+# 66 against 149 us.  With more blocks the products stop winning on fields
+# whose x axis grows: u^2 of a 5 x 96 field took 247 us with up to four
+# blocks and 389 us with up to eight, against 199 us through the FFTs.
+DENSE_MAX_MADDS = 2**18
+DENSE_MAX_BLOCKS = 2
+# the matrix product every dense sampling and projection runs through
+_matmul = np.matmul
+
 
 def _grid(d):
     """The torus length for trig degree d: the fast FFT length at least 2d + 1."""
     return sfft.next_fast_len(2 * d + 1, real=True)
+
+
+@functools.lru_cache(maxsize=32)
+def _trig_table(n, deg, weighted=False):
+    """[cos | sin](2 pi i l/n) at rows i < n, columns l = 0..deg, read-only.
+
+    The phase is gathered from 2 pi m/n at m = i l mod n, so each entry is
+    rounded once.  weighted scales column l by 1/n at l = 0 and 2/n above,
+    the weights that read a cos/sin coefficient off n samples.  Only dense
+    chains build tables, a factor of one has at most DENSE_MAX_BLOCKS
+    DENSE_MAX_MADDS entries and a table is at most two factors, so each of
+    the 32 cached tables is at most 8 MB; the 27 that the criterion-6
+    branch builds hold 0.7 MB in all.
+    """
+    phase = np.arange(n) * (2.0 * np.pi / n)
+    m = np.outer(np.arange(n), np.arange(deg + 1)) % n
+    table = np.concatenate([np.cos(phase)[m], np.sin(phase)[m]], axis=1)
+    if weighted:
+        w = np.full(deg + 1, 2.0 / n)
+        w[0] = 1.0 / n
+        table *= np.tile(w, 2)
+    table.flags.writeable = False
+    return table
+
+
+def _plan(m, k, p, n):
+    """How to form an (m, k) @ (k, p) @ (p, n) chain dense, or None.
+
+    (left, rows): (a b) c if left else a (b c), in blocks of `rows` rows of
+    a so that no GEMM exceeds DENSE_MAX_MADDS multiply-adds and there are
+    at most DENSE_MAX_BLOCKS blocks; of the orders that allow it, the one
+    with fewer multiply-adds.
+    """
+    best = None
+    for left, per_row, fixed in ((True, p * max(k, n), 0), (False, k * n, k * p * n)):
+        rows = min(m, DENSE_MAX_MADDS // per_row)
+        if fixed > DENSE_MAX_MADDS or rows < 1 or m > DENSE_MAX_BLOCKS * rows:
+            continue
+        cost = m * (p * (k + n) if left else k * n) + fixed
+        if best is None or cost < best[0]:
+            best = (cost, left, rows)
+    return None if best is None else best[1:]
+
+
+def _chain(a, b, c, plan):
+    """a @ b @ c by the plan of _plan."""
+    left, rows = plan
+    bc = None if left else _matmul(b, c)
+
+    def product(block, out=None):
+        return _matmul(_matmul(block, b), c, out=out) if left else _matmul(block, bc, out=out)
+
+    if rows >= a.shape[0]:
+        return product(a)
+    out = np.empty((a.shape[0], c.shape[1]))
+    for i in range(0, a.shape[0], rows):
+        product(a[i : i + rows], out[i : i + rows])
+    return out
 
 
 def _x_values(rows, nx):
@@ -136,9 +222,15 @@ def _x_values(rows, nx):
 def _torus_values(u, nt, nx):
     """Samples of u at t = 2pi i/nt, i < nt, and x = 2pi k/nx, k < nx.
 
-    One inverse real FFT over the cosine rows in t, then _x_values.  Exact
-    for nt > 2 lt and nx >= 2 lx.
+    Dense, cos(l t_i) @ u @ sin(j x_k) with the cached tables, when _plan
+    allows; else one inverse real FFT over the cosine rows in t, then
+    _x_values.  Exact for nt > 2 lt and nx >= 2 lx.
     """
+    plan = _plan(nt, u.lt + 1, u.lx, nx)
+    if plan is not None:
+        ct = _trig_table(nt, u.lt)[:, : u.lt + 1]
+        sx = _trig_table(nx, u.lx)[:, u.lx + 2 :].T
+        return _chain(ct, u.coeffs, sx, plan)
     spec = np.zeros((nt // 2 + 1, u.lx))
     spec[0] = u.coeffs[0] * nt
     spec[1 : u.lt + 1] = u.coeffs[1:] * (nt / 2.0)
@@ -245,29 +337,41 @@ def _poly_degree(poly):
     return int(nz.max())
 
 
-def _torus_cos_sin(u, polys, d_t, d_x):
+def _torus_cos_sin(u, polys, d_t, d_x, top):
     """Exact torus coefficients (A, B) of each poly(u), from one sample of u.
 
     poly(u) = sum_l cos(l t) [ sum_mu A[l,mu] cos(mu x) + B[l,mu] sin(mu x) ],
-    rows l = 0..d_t, columns mu = 0..d_x (B[:,0] is identically zero).
+    l <= d_t and mu <= d_x, sampled on the grid those degrees need; the
+    rows l = 0..top <= d_t and columns mu = 0..d_x are returned (B[:,0] is
+    identically zero).
     """
     vals = _torus_values(u, _grid(max(d_t, u.lt, 1)), _grid(max(d_x, u.lx, 1)))
-    return [_cos_sin_coeffs(_poly_at(vals, p), d_t, d_x) for p in polys]
+    return [_cos_sin_coeffs(_poly_at(vals, p), top, d_x) for p in polys]
 
 
-def _cos_sin_coeffs(vals, d_t, d_x):
-    """Torus samples -> cos/sin coefficients A, B, rows 0..d_t, columns 0..d_x.
+def _cos_sin_coeffs(vals, top, d_x):
+    """Torus samples -> cos/sin coefficients A, B, rows 0..top, columns 0..d_x.
 
-    B[:, 0] is identically zero.
+    Dense, the weighted cos(l t_i) table @ vals @ [cos | sin](mu x_k), when
+    _plan allows: only the rows kept are formed.  Else forward real FFTs,
+    in t over every row and in x over the rows kept.  B[:, 0] is
+    identically zero.
     """
+    nt, nx = vals.shape
+    plan = _plan(top + 1, nt, nx, 2 * d_x + 2)
+    if plan is not None:
+        wt = _trig_table(nt, top, True)[:, : top + 1].T
+        AB = _chain(wt, vals, _trig_table(nx, d_x, True), plan)
+        A, B = AB[:, : d_x + 1], AB[:, d_x + 1 :]
+        B[:, 0] = 0.0
+        return A, B
     # time direction: even in t, cosine rows are the real part of the rfft
-    nt = vals.shape[0]
     spec_t = sfft.rfft(vals, axis=0)
-    rows = np.empty((d_t + 1, vals.shape[1]))
+    rows = np.empty((top + 1, nx))
     rows[0] = spec_t[0].real / nt
-    rows[1:] = 2.0 * spec_t[1 : d_t + 1].real / nt
+    rows[1:] = 2.0 * spec_t[1 : top + 1].real / nt
     # space direction: the rows sample the 2pi torus in x
-    spec_x = sfft.rfft(rows, axis=1) / rows.shape[1]
+    spec_x = sfft.rfft(rows, axis=1) / nx
     A = 2.0 * spec_x[:, : d_x + 1].real
     A[:, 0] = spec_x[:, 0].real
     B = -2.0 * spec_x[:, : d_x + 1].imag
@@ -312,8 +416,8 @@ def apply_polynomials(u, polys, out_lt=None, out_lx=None):
         out_lt = d_t
     if out_lx is None:
         out_lx = d_x
-    return [_sine_projection(A, B, d_t, out_lt, out_lx)
-            for A, B in _torus_cos_sin(u, polys, d_t, max(d_x, out_lx))]
+    return [_sine_projection(A, B, out_lt, out_lx)
+            for A, B in _torus_cos_sin(u, polys, d_t, max(d_x, out_lx), min(out_lt, d_t))]
 
 
 def apply_nonlinearity(u, poly, out_lt=None, out_lx=None):
@@ -321,13 +425,12 @@ def apply_nonlinearity(u, poly, out_lt=None, out_lx=None):
     return apply_polynomials(u, [poly], out_lt, out_lx)[0]
 
 
-def _sine_projection(A, B, d_t, out_lt, out_lx):
-    """Exact sine-basis field up to (out_lt, out_lx) from torus coefficients."""
+def _sine_projection(A, B, out_lt, out_lx):
+    """Exact sine-basis field up to (out_lt, out_lx) from the torus
+    coefficients of its rows l < len(A) <= out_lt + 1; the rows above are zero."""
     K = _half_projection_matrix(A.shape[1] - 1, out_lx)
-    b = B[:, 1 : out_lx + 1] + A @ K
     coeffs = np.zeros((max(out_lt, 1) + 1, out_lx))
-    keep = min(out_lt, d_t) + 1
-    coeffs[:keep] = b[:keep]
+    np.add(B[:, 1 : out_lx + 1], A @ K, out=coeffs[: A.shape[0]])
     return SpectralField(coeffs)
 
 
@@ -345,7 +448,7 @@ def _interval_integral(A0, B):
 def integrate_poly(u, poly):
     """Exact integral of poly(u) over the domain [0,2pi) x (0,pi)."""
     r = _poly_degree(poly)
-    ((A, B),) = _torus_cos_sin(u, [poly], max(r * u.lt, 1), max(r * u.lx, 1))
+    ((A, B),) = _torus_cos_sin(u, [poly], max(r * u.lt, 1), max(r * u.lx, 1), 0)
     return 2.0 * np.pi * _interval_integral(A[0, 0], B[0])
 
 
@@ -367,8 +470,8 @@ def multiply_poly_project(u, poly, z, out_lt=None, out_lx=None):
     nt, nx = _grid(max(d_t, 1)), _grid(d)
     vals = _poly_at(_torus_values(u, nt, nx), poly)
     vals *= _torus_values(z, nt, nx)
-    A, B = _cos_sin_coeffs(vals, d_t, d)
-    return _sine_projection(A, B, d_t, out_lt, out_lx)
+    A, B = _cos_sin_coeffs(vals, min(out_lt, d_t), d)
+    return _sine_projection(A, B, out_lt, out_lx)
 
 
 def multiply_poly_matrix(u, poly, rows, cols):
@@ -397,10 +500,10 @@ def multiply_poly_matrix(u, poly, rows, cols):
     # resolve the full degree of poly(u), not only the rows and columns used,
     # so that no higher harmonic aliases onto them
     d_x = max(2 * lx, r * u.lx)
-    ((A, B),) = _torus_cos_sin(u, [poly], max(2 * lt, r * u.lt), d_x)
+    ((A, B),) = _torus_cos_sin(u, [poly], max(2 * lt, r * u.lt), d_x, 2 * lt)
     m = lt + 1
     half_t = np.where(np.arange(2 * m - 1) == 0, 1.0, 0.5)[:, None]
-    Ah = A[: 2 * m - 1] * half_t          # every |l - l'| and l + l'
+    Ah = A * half_t                       # every |l - l'| and l + l'
     Ah[:, 1:] *= 0.5
     a, j = rows, cols
     diff = np.abs(j[:, None] - j[None, :])
@@ -414,7 +517,7 @@ def multiply_poly_matrix(u, poly, rows, cols):
         K = _half_projection_matrix(d_x + lx, lx)[:, j - 1]
         mu = np.arange(d_x + 1)[:, None]
         Kd = 0.5 * (K[np.abs(mu - j[None, :])] - K[mu + j[None, :]])  # [mu, j', j]
-        Y = (B[: 2 * m - 1] * half_t) @ Kd.reshape(d_x + 1, j.size**2)
+        Y = (B * half_t) @ Kd.reshape(d_x + 1, j.size**2)
         XT[:-1] += Y.reshape(-1, j.size, j.size)
     # the matrix transposed, row (r, i) the entry (a_r, j_i): out[s, k, r,
     # i] = X[|a_r - a_s|, i, k] + X[a_r + a_s, i, k] (the zero slab in the

@@ -256,6 +256,13 @@ def _newton_steps(z, grad, hess, sd):
     return tnorm, step * np.minimum(1.0, MAX_STEP / np.maximum(length, MAX_STEP))[:, None]
 
 
+def _check_sphere(who, dim, restarts):
+    """Refuse a sphere or a restart count above MAX_DIM or MAX_RESTARTS."""
+    if not (1 <= dim <= MAX_DIM and 1 <= restarts <= MAX_RESTARTS):
+        raise ConfigError(f"{who} needs 1 <= dim <= MAX_DIM = {MAX_DIM} and 1 <= restarts "
+                          f"<= MAX_RESTARTS = {MAX_RESTARTS}, got {dim} and {restarts}")
+
+
 def maximize_U(recipe, dim, seed=0, restarts=16):
     """Maximum of the effective G over the unit H^1 sphere of the
     reflection-even kernel vectors in dimension dim.
@@ -287,9 +294,7 @@ def maximize_U(recipe, dim, seed=0, restarts=16):
     not positive (no branch on this side) or G, its gradient, its Hessian
     or the gradient's norm is not finite.
     """
-    if not (1 <= dim <= MAX_DIM and 1 <= restarts <= MAX_RESTARTS):
-        raise ConfigError(f"maximize_U needs 1 <= dim <= MAX_DIM = {MAX_DIM} and 1 <= restarts "
-                          f"<= MAX_RESTARTS = {MAX_RESTARTS}, got {dim} and {restarts}")
+    _check_sphere("maximize_U", dim, restarts)
 
     def finite(*arrays):
         if not all(np.all(np.isfinite(a)) for a in arrays):
@@ -356,9 +361,12 @@ class LevelMaximizer:
     The quadratic-form recipes carry the 1/n^2 transport, so each of their
     levels is maximized anew with seed + 1000 n.  Every call returns its own
     copy of the diagnostics, because initial_guess writes into them.
+    A sphere or restart count above its cap raises ConfigError here, once,
+    and not at every level of a branch.
     """
 
     def __init__(self, dim, seed=0, restarts=16):
+        _check_sphere("LevelMaximizer", dim, restarts)
         self.dim = dim
         self.seed = seed
         self.restarts = restarts
@@ -827,8 +835,9 @@ def solve_branch(ctx, f, n_max=None, C=frequency.DEFAULT_C, dim=8, seed=0,
     solve_level with the LevelMaximizer of the branch: one maximization,
     drawn from seed, serves every level unless G carries the quadratic
     form, whose levels are maximized one by one with seed + 1000 n.
-    Per-level failures are collected, not fatal.  A zero non-resonance
-    margin means no admissible levels at all.
+    Per-level failures are collected, not fatal; a dim or restarts above
+    its cap is no level's failure and raises ConfigError once.  A zero
+    non-resonance margin means no admissible levels at all.
     """
     if ctx.gamma <= 0.0:
         return BranchResult(records=[], failures=[])

@@ -5,6 +5,8 @@ oracles here are deliberately dumb: dense grids, Gauss-Legendre in x, and
 termwise evaluation, sharing no code with the implementation.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -32,12 +34,29 @@ def eval_direct(coeffs, t, x):
     return out
 
 
+def both_paths(test):
+    """Run test on each path: each sampling and projection takes its path
+    from its size, so a bound above every product here sends them all to
+    the cached-table matrix products, and a zero bound all to scipy.fft."""
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        for path, bound in (("dense", 2**40), ("fft", 0)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fields, "DENSE_MAX_MADDS", bound)
+                try:
+                    test(*args, **kwargs)
+                except AssertionError as exc:
+                    raise AssertionError(f"on the {path} path: {exc}") from exc
+    return run
+
+
 def random_field(rng, lt, lx, scale=1.0):
     arr = rng.standard_normal((lt + 1, lx)) * scale
     arr /= (1.0 + np.arange(lt + 1)[:, None] + np.arange(1, lx + 1)[None, :]) ** 2
     return fields.SpectralField(arr)
 
 
+@both_paths
 @pytest.mark.parametrize("lt, lx, nt, mx", [
     (0, 1, 2, 1), (0, 5, 8, 9), (3, 4, 8, 4), (5, 6, 16, 13), (7, 3, 128, 127),
     (2, 3, 5, 3), (4, 6, 9, 7),
@@ -90,6 +109,7 @@ def test_eval_field_matches_termwise_sum():
     assert np.max(np.abs(got - want)) < 1e-13
 
 
+@both_paths
 def test_apply_nonlinearity_matches_quadrature_projection():
     """Coefficients of poly(u) agree with the L2 projection done by quadrature."""
     rng = np.random.default_rng(2)
@@ -113,6 +133,7 @@ def test_apply_nonlinearity_matches_quadrature_projection():
             assert abs(got - want) < 1e-12, (l, j)
 
 
+@both_paths
 def test_apply_nonlinearity_exact_degree_cubic():
     # cos(t)sin(x) cubed has closed-form projection; spot check one entry:
     # (cos t sin x)^3 contains (3/16) cos(t) sin(3 x) ... with the odd
@@ -130,6 +151,7 @@ def test_apply_nonlinearity_exact_degree_cubic():
     assert abs(F.coeffs[1, 2] - want) < 1e-13
 
 
+@both_paths
 def test_integrate_poly_matches_quadrature():
     rng = np.random.default_rng(3)
     for _ in range(4):
@@ -186,6 +208,7 @@ def test_temporal_weights():
     assert w[0] == 2.0 and np.all(w[1:] == 1.0)
 
 
+@both_paths
 def test_sup_norm_single_mode():
     u = fields.SpectralField([[1.0]])
     assert abs(fields.sup_norm(u) - 1.0) < 1e-12
@@ -195,6 +218,7 @@ def test_sup_norm_single_mode():
     assert abs(fields.sup_norm(u2) - 0.7) < 1e-10
 
 
+@both_paths
 def test_sup_norm_is_lower_bound_of_true_sup():
     rng = np.random.default_rng(7)
     u = random_field(rng, 4, 4)
@@ -205,6 +229,7 @@ def test_sup_norm_is_lower_bound_of_true_sup():
     assert sup >= np.max(samples) - 1e-9
 
 
+@both_paths
 def test_multiply_poly_project_matches_quadrature():
     rng = np.random.default_rng(8)
     u = random_field(rng, 2, 3)
@@ -243,6 +268,7 @@ def flat_entries(rows, cols, lx):
     return (rows[:, None] * lx + cols - 1).ravel()
 
 
+@both_paths
 @pytest.mark.parametrize("fprime", [
     [0.0, 0.0, 3.0],          # f = u^3
     [0.0, 2.0],               # f = u^2
@@ -269,6 +295,7 @@ def test_multiply_poly_matrix_columns_match_product(fprime):
 
 
 # (31, 32) and (44, 44): 1024 and 1980 unknowns of the every-entry matrix
+@both_paths
 @pytest.mark.parametrize("lt, lx", MATRIX_SHAPES + [(31, 32), (44, 44)])
 def test_multiply_poly_matrix_checkerboard_is_the_kept_block(lt, lx):
     # the matrix on the rows and columns given is the block of the
@@ -362,6 +389,7 @@ def test_padded_and_add_shapes():
     assert p[5, 3] == 0.0
 
 
+@both_paths
 def test_apply_polynomials_is_apply_nonlinearity_per_polynomial():
     # one sample of u serves every polynomial; polynomials of one degree (as
     # f and F/u are) keep the bits of their own one-polynomial calls
@@ -376,6 +404,7 @@ def test_apply_polynomials_is_apply_nonlinearity_per_polynomial():
             assert np.array_equal(field.coeffs, want.coeffs)
 
 
+@both_paths
 def test_potential_is_the_pairing_of_f_over_u_with_u():
     # int F(u) = <P g(u), u> with g = F/u, exact because u lies in the truncation
     rng = np.random.default_rng(9)
@@ -385,3 +414,62 @@ def test_potential_is_the_pairing_of_f_over_u_with_u():
         g = fields.apply_polynomials(u, [primitive[1:]], out_lt=lt, out_lx=lx)[0]
         want = fields.integrate_poly(u, primitive)
         assert abs(fields.inner_l2(g, u) - want) <= 1e-13 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("lt, lx", [(16, 16), (12, 12), (8, 8), (4, 24), (9, 3), (0, 5)])
+def test_dense_and_fft_paths_agree(monkeypatch, lt, lx):
+    # every product as one dense chain, as the bound plans it (the level-1
+    # frame's certificates and sup in two row blocks) and as FFTs: the same
+    # exact quantities, so the same to rounding
+    u = random_field(np.random.default_rng(100 + lt), lt, lx, scale=0.5)
+    rows, cols = lattice(lt, lx)
+
+    def run():
+        return [*(p.coeffs for p in fields.apply_polynomials(u, [[0.0, 0.0, 0.0, 1.0],
+                                                                 [0.0, 0.5, 1.0]])),
+                fields.apply_nonlinearity(u, [0.0, 0.0, 1.0, 1.0], out_lt=lt, out_lx=lx).coeffs,
+                fields.multiply_poly_matrix(u, [0.0, 0.0, 3.0], rows, cols),
+                fields.multiply_poly_project(u, [0.0, 2.0], u).coeffs,
+                np.array([fields.integrate_poly(u, [0.0, 0.0, 0.0, 0.0, 0.25]),
+                          fields.sup_norm(u)])]
+
+    planned = run()
+    monkeypatch.setattr(fields, "DENSE_MAX_MADDS", 2**40)
+    dense = run()
+    monkeypatch.setattr(fields, "DENSE_MAX_MADDS", 0)
+    for want, *got in zip(run(), dense, planned):
+        for g in got:
+            assert g.shape == want.shape
+            assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m, k, p, n", [(100, 17, 16, 100), (49, 100, 100, 98),
+                                        (128, 17, 16, 256), (5, 3, 40, 2), (1, 9, 4, 1)])
+def test_chain_in_row_blocks_is_the_product(m, k, p, n):
+    # either association, in blocks of any number of rows of a
+    rng = np.random.default_rng(m + k + p + n)
+    a, b, c = rng.standard_normal((m, k)), rng.standard_normal((k, p)), rng.standard_normal((p, n))
+    want = a @ b @ c
+    for left in (True, False):
+        for rows in sorted({1, 7, (m + 1) // 2, m}):
+            got = fields._chain(a, b, c, (left, rows))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m, k, p, n, blocks", [
+    (100, 17, 16, 100, 1),       # sampling the 17 x 16 level-1 frame
+    (17, 100, 100, 98, 1),       # the 17 rows of P f(U) it keeps
+    (49, 100, 100, 98, 2),       # the 49 rows of its certificates
+    (128, 17, 16, 256, 2),       # its sup_norm grid
+    (97, 100, 100, 98, None),    # four blocks
+    (1, 800, 800, 802, None),    # one row too many multiply-adds
+])
+def test_plan_keeps_each_product_under_the_bound(m, k, p, n, blocks):
+    plan = fields._plan(m, k, p, n)
+    if blocks is None:
+        assert plan is None
+        return
+    left, rows = plan
+    assert -(-m // rows) == blocks <= fields.DENSE_MAX_BLOCKS
+    products = [rows * k * p, rows * p * n] if left else [k * p * n, rows * k * n]
+    assert max(products) <= fields.DENSE_MAX_MADDS

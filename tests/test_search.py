@@ -835,6 +835,30 @@ def test_frame_jacobians_have_the_compressed_size(level_guesses, monkeypatch, na
             assert_zero_off_kept_class(v, w, n)
 
 
+def test_dense_field_products_stay_under_the_blas_thread_bound(monkeypatch):
+    # every matrix product of a dense sampling or projection, over the
+    # criterion-6 u^3 branch and one quadratic-offsets record, stays at or
+    # below fields.DENSE_MAX_MADDS multiply-adds, up to which OpenBLAS runs a
+    # GEMM on one thread: a grid change must not quietly wake a second one.
+    # The level-1 frame's certificates and sup come close, in two row blocks
+    madds = []
+
+    def recording(a, b, out=None):
+        madds.append(a.shape[0] * a.shape[1] * b.shape[1])
+        return np.matmul(a, b, out=out)
+
+    monkeypatch.setattr(fields, "_matmul", recording)
+    br = search.solve_branch(C6_CTX, F3, C=0.004, dim=6, seed=0, restarts=8)
+    assert [r.n for r in br.records] == [1, 2, 3, 4, 5, 6]
+    recipe = reduced.g_recipe(F2, -1, 1)
+    y, m, diag = search.maximize_U(recipe, 6, seed=0, restarts=8)
+    ctx = frequency.make_context(1.0 - 2e-4, L=48)
+    v0, level = search.initial_guess(y, m, recipe, ctx, diag)
+    v, w, rep = search.refine(v0, ctx, F2)
+    assert search.build_solution(v, w, ctx, F2, recipe, level, newton=rep).accepted
+    assert fields.DENSE_MAX_MADDS // 2 < max(madds) <= fields.DENSE_MAX_MADDS
+
+
 def record_solve_sizes(monkeypatch):
     """The sizes of the LUs np.linalg.solve makes; refine is its only caller."""
     sizes = []
@@ -977,6 +1001,22 @@ def test_solve_branch_lists_a_refused_level_as_failed(monkeypatch):
     assert [r.n for r in br.records] == [2, 3, 4, 5, 6]
     assert len(br.failures) == 1 and br.failures[0][0] == 1
     assert "64 Newton unknowns, above MAX_UNKNOWNS = 63" in br.failures[0][1]
+
+
+@pytest.mark.parametrize("dim, restarts, cap", [
+    (300, 8, "MAX_DIM"), (6, search.MAX_RESTARTS + 1, "MAX_RESTARTS"),
+])
+def test_solve_branch_refuses_a_sphere_above_its_caps_once(monkeypatch, dim, restarts, cap):
+    # the sphere is the branch's, not a level's: one ConfigError before any
+    # level is solved, not one identical failure per level
+    def never(*args, **kw):
+        raise AssertionError("solved a level on a refused sphere")
+
+    monkeypatch.setattr(search, "solve_level", never)
+    with pytest.raises(ConfigError, match=f"LevelMaximizer needs .*{cap}"):
+        search.solve_branch(C6_CTX, F3, C=0.004, dim=dim, restarts=restarts)
+    with pytest.raises(ConfigError, match=cap):
+        search.LevelMaximizer(dim, restarts=restarts)
 
 
 HOMOGENEOUS = {"u3": ({3: 1.0}, 1.0001), "u5": ({5: 1.0}, 1.0001), "-u3-below": ({3: -1.0}, 0.9999)}
