@@ -337,16 +337,16 @@ def _poly_degree(poly):
     return int(nz.max())
 
 
-def _torus_cos_sin(u, polys, d_t, d_x, top):
+def _torus_cos_sin(u, polys, d_t, d_x, tops):
     """Exact torus coefficients (A, B) of each poly(u), from one sample of u.
 
     poly(u) = sum_l cos(l t) [ sum_mu A[l,mu] cos(mu x) + B[l,mu] sin(mu x) ],
-    l <= d_t and mu <= d_x, sampled on the grid those degrees need; the
-    rows l = 0..top <= d_t and columns mu = 0..d_x are returned (B[:,0] is
-    identically zero).
+    l <= d_t and mu <= d_x, sampled on the grid those degrees need; for each
+    poly the rows l = 0..top <= d_t of its entry of tops and the columns mu
+    = 0..d_x are returned (B[:,0] is identically zero).
     """
     vals = _torus_values(u, _grid(max(d_t, u.lt, 1)), _grid(max(d_x, u.lx, 1)))
-    return [_cos_sin_coeffs(_poly_at(vals, p), top, d_x) for p in polys]
+    return [_cos_sin_coeffs(_poly_at(vals, p), top, d_x) for p, top in zip(polys, tops)]
 
 
 def _cos_sin_coeffs(vals, top, d_x):
@@ -403,21 +403,21 @@ def apply_polynomials(u, polys, out_lt=None, out_lx=None):
 
     Each poly is an ascending coefficient array [c0, c1, ...], all evaluated
     at the same samples of u; the defaults are the full degree (r lt, r lx),
-    r the largest.  The returned coefficients are the true L2 projections of
-    poly(u) onto cos(l t) sin(j x): finite and exact in time, the exact
-    half-interval projection of the torus expansion in space (even powers of
-    u generate cosine content in x whose sine series is infinite; out_lx
-    selects how much of it to keep).
+    r the largest.  out_lt may also be a list, one entry (None or a row
+    count) per poly, and only those rows are formed.  The returned
+    coefficients are the true L2 projections of poly(u) onto cos(l t)
+    sin(j x): finite and exact in time, the exact half-interval projection
+    of the torus expansion in space (even powers of u generate cosine
+    content in x whose sine series is infinite; out_lx selects how much of
+    it to keep).
     """
     r = max(_poly_degree(p) for p in polys)
-    d_t = r * u.lt
-    d_x = r * u.lx
-    if out_lt is None:
-        out_lt = d_t
-    if out_lx is None:
-        out_lx = d_x
-    return [_sine_projection(A, B, out_lt, out_lx)
-            for A, B in _torus_cos_sin(u, polys, d_t, max(d_x, out_lx), min(out_lt, d_t))]
+    d_t, d_x = r * u.lt, r * u.lx
+    out_lx = d_x if out_lx is None else out_lx
+    lts = [d_t if lt is None else lt
+           for lt in (out_lt if isinstance(out_lt, list) else [out_lt] * len(polys))]
+    return [_sine_projection(A, B, lt, out_lx) for lt, (A, B) in zip(
+        lts, _torus_cos_sin(u, polys, d_t, max(d_x, out_lx), [min(lt, d_t) for lt in lts]))]
 
 
 def apply_nonlinearity(u, poly, out_lt=None, out_lx=None):
@@ -448,7 +448,7 @@ def _interval_integral(A0, B):
 def integrate_poly(u, poly):
     """Exact integral of poly(u) over the domain [0,2pi) x (0,pi)."""
     r = _poly_degree(poly)
-    ((A, B),) = _torus_cos_sin(u, [poly], max(r * u.lt, 1), max(r * u.lx, 1), 0)
+    ((A, B),) = _torus_cos_sin(u, [poly], max(r * u.lt, 1), max(r * u.lx, 1), [0])
     return 2.0 * np.pi * _interval_integral(A[0, 0], B[0])
 
 
@@ -500,7 +500,7 @@ def multiply_poly_matrix(u, poly, rows, cols):
     # resolve the full degree of poly(u), not only the rows and columns used,
     # so that no higher harmonic aliases onto them
     d_x = max(2 * lx, r * u.lx)
-    ((A, B),) = _torus_cos_sin(u, [poly], max(2 * lt, r * u.lt), d_x, 2 * lt)
+    ((A, B),) = _torus_cos_sin(u, [poly], max(2 * lt, r * u.lt), d_x, [2 * lt])
     m = lt + 1
     half_t = np.where(np.arange(2 * m - 1) == 0, 1.0, 0.5)[:, None]
     Ah = A * half_t                       # every |l - l'| and l + l'

@@ -80,7 +80,7 @@ def _powers(x, kmax):
     One multiplication per power and sample; the powers of a row of a stack
     are the powers of that row alone, bit for bit.
     """
-    out = np.empty(x.shape[:-1] + (kmax + 1, x.shape[-1]))
+    out = np.empty(x.shape[:-1] + (kmax + 1, x.shape[-1]), dtype=x.dtype)
     out[..., 0, :] = 1.0
     for i in range(1, kmax + 1):
         np.multiply(out[..., i - 1, :], x, out=out[..., i, :])

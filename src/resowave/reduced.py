@@ -23,9 +23,12 @@ int v^p L^-1 v^p appears.  With v = eta(s1) - eta(s2), v^p = sum_i C(p,i)
 (-1)^(p-i) eta^i(s1) eta^(p-i)(s2) is a biperiodic map of rank p + 1, so
 every term of the five-term decomposition (linv_forms module docstring) is
 a short sum of exact 1D integrals of eta^k and of its zero-mean primitive;
-nothing is truncated.  On dilated kernels the form obeys an exact 1/n^2
-rescaling law with an alpha^2 offset, which is how n enters G_eval, so the
-level-n objective never needs the dilated vector.
+nothing is truncated.  Its gradient is one reverse pass over the same
+samples, and its Hessian the complex step of that gradient, exact to
+rounding like the power integrals' (_form_jet).  On dilated kernels the
+form obeys an exact 1/n^2 rescaling law with an alpha^2 offset, which is
+how n enters G_eval, so the level-n objective never needs the dilated
+vector.
 """
 
 import functools
@@ -47,9 +50,8 @@ __all__ = [
     "power_integral",
 ]
 
-# the forward-difference step of the form's Hessian, relative to max|xi| of
-# the row: the square root of machine epsilon
-DIFF_STEP = 2.0**-26
+# the imaginary step h of the form's complex-step Hessian (_G_jet)
+_COMPLEX_STEP = 2.0**-60
 
 
 @functools.lru_cache(maxsize=None)
@@ -182,92 +184,88 @@ def _qform_tables(dim, nodes):
     return sines, inv
 
 
-def _qform(v, p, kmax, along=None):
+def _qform(v, p, kmax, grad=False):
     """Q = int v^p L^-1 v^p and mu_k = <eta^k>, k = 0..kmax, from one sampling.
 
-    Let E_k = eta^k, mu_k its mean, Pi_k the zero-mean primitive of E_k - mu_k
-    and c_i = C(p,i) (-1)^(p-i).  The decomposition m = mtilde + a(s1) + a(s2)
-    + alpha of m = v^p has, with B[i,k] = int Pi_i E_k,
+    Let E_k = eta^k, mu_k its mean, Pi_k = P E_k the zero-mean primitive of
+    E_k - mu_k and c_i = C(p,i) (-1)^(p-i).  The decomposition m = mtilde +
+    a(s1) + a(s2) + alpha of m = v^p has, with B[i,k] = int Pi_i E_k
+    (antisymmetric, as P^T = -P),
 
         intint M mtilde = 1/4 sum_{i,i'} c_i c_i' B[i,i'] B[p-i,p-i'],
         M(s,s) = 1/4 sum_i c_i Pi_i Pi_(p-i),
-        a = sum_i c_i mu_(p-i) (E_i - mu_i),   A = 1/4 sum_i c_i mu_(p-i) Pi_i,
-        alpha = sum_i c_i mu_i mu_(p-i).
+        a + alpha = sum_i c_i mu_(p-i) E_i,   A = 1/4 sum_i c_i mu_(p-i) Pi_i,
+        alpha = sum_i c_i mu_i mu_(p-i),
 
+    and the alpha int M(s,s) terms of the linv_forms formula make its a
+    into a + alpha.
     Every integrand, and eta^k for p <= kmax <= 2p, is a trig polynomial of
     degree at most 2p dim, so the trapezoid rule on 2p dim + 2 nodes is
-    exact and one rfft gives every mean and primitive.  With along (an
-    index or slice of the coordinates), the tangents dE_k/dxi_j = (k/2)
-    eta^(k-1) sin(j s) are carried through the same steps for those j at
-    once, and (Q, mu, dQ, dmu) is returned, the gradients along them.  The
-    rows of a stack v of shape (..., dim) are never mixed.
+    exact and one rfft gives every mean and primitive.  With grad, (Q, mu,
+    dQ, dmu) is returned with the xi-gradients: one reverse pass takes
+    dQ/dE_k on the nodes, and as dE_k/dxi_j = (k/2) E_(k-1) sin(j s),
+
+        dQ_j = sum_k (k/2) <dQ/dE_k E_(k-1), sin(j s)>,
+        dmu_k,j = (k/2) <E_(k-1) sin(j s)> / nodes,
+
+    with <, > the sum over the nodes, all from one product with the sines.
+    xi may be complex, and every step is complex-analytic in it.  The rows
+    of a stack v of shape (..., dim) are never mixed.
     """
     if p % 2 != 0:
         raise ResowaveError("the form int v^p L^-1 v^p needs an even power p")
     if not p <= kmax <= 2 * p:
         raise ResowaveError(f"moments up to {kmax} are not exact with p = {p}")
-    xi = np.asarray(getattr(v, "xi", v), dtype=float)
+    xi = np.asarray(getattr(v, "xi", v))
     dim = xi.shape[-1]
     nodes = 2 * p * dim + 2
     sines, inv = _qform_tables(dim, nodes)
-    k = np.arange(kmax + 1)
     E = kernel._powers(_vecmat(xi / 2.0, sines), kmax)
 
-    def means_and_primitives(x, axis, count):
-        # primitives only of the first count powers (the power index is the
-        # given axis): the form needs none past k = p
-        spec = np.fft.rfft(x, axis=-1)
-        head = spec[(..., slice(count)) + (slice(None),) * (-1 - axis)]
-        return spec[..., 0].real / nodes, np.fft.irfft(head * inv, n=nodes, axis=-1)
+    def means_and_primitives(x):
+        # primitives only of the powers k <= p: the form needs none past it.
+        # The real FFTs take the parts of a complex x apart: a complex FFT
+        # would round the real part into the far smaller imaginary one
+        parts = np.stack([x.real, x.imag]) if np.iscomplexobj(x) else x
+        spec = np.fft.rfft(parts, axis=-1)
+        mu, Pi = spec[..., 0].real / nodes, np.fft.irfft(spec[..., : p + 1, :] * inv, n=nodes, axis=-1)
+        return (mu, Pi) if parts is x else (mu[0] + 1j * mu[1], Pi[0] + 1j * Pi[1])
 
-    mu, Pi = means_and_primitives(E, -2, p + 1)
+    mu, Pi = means_and_primitives(E)
     ds = 2.0 * np.pi / nodes
     c = _binomial_signs(p)
-    Ep, mup = E[..., : p + 1, :], mu[..., : p + 1]
+    Ep = E[..., : p + 1, :]
     B = ds * Pi @ np.swapaxes(Ep, -1, -2)
     W = np.outer(c, c) * B[..., ::-1, ::-1]
-    t1 = 0.25 * np.sum(W * B, axis=(-2, -1))
     Md = _vecmat(0.25 * c, Pi * Pi[..., ::-1, :])
-    cm = c * mup[..., ::-1]
-    Ez = Ep - mup[..., None]
-    a = _vecmat(cm, Ez)
+    cm = c * mu[..., p::-1]
+    b = _vecmat(cm, Ep)
     A = _vecmat(0.25 * cm, Pi)
     alpha = _moment_sum(mu, p)
-    int_Md = ds * np.sum(Md, axis=-1)
-    q = (
-        -0.5 * t1
-        + 2.0 * np.pi * ds * _dot(Md, a)
-        + 2.0 * np.pi * alpha * int_Md
-        - 8.0 * np.pi * ds * _dot(A, A)
-        - alpha**2 * np.pi**4 / 6.0
-    )
-    if along is None:
+    q = (-0.125 * np.sum(W * B, axis=(-2, -1))
+         + 2.0 * np.pi * ds * (_dot(Md, b) - 4.0 * _dot(A, A))
+         - np.pi**4 / 6.0 * alpha**2)
+    if not grad:
         return q, mu
 
-    # dE_0 = 0: only k >= 1 is transformed
-    tangents = sines[along]
-    dE = np.zeros(xi.shape[:-1] + (kmax + 1,) + tangents.shape)
-    dE[..., 1:, :, :] = 0.5 * k[1:, None, None] * E[..., :-1, None, :] * tangents
-    dmu, dPi = np.zeros(dE.shape[:-1]), np.zeros(dE[..., : p + 1, :, :].shape)
-    dmu[..., 1:, :], dPi[..., 1:, :, :] = means_and_primitives(dE[..., 1:, :, :], -3, p)
-    dEp, dmup = dE[..., : p + 1, :, :], dmu[..., : p + 1, :]
-    # c_i = c_(p-i), so the two B factors of t1 and the two primitives of
-    # M(s,s) contribute alike
-    dt1 = 0.5 * ds * (np.einsum("...ijn,...in->...j", dPi, W @ Ep)
-                      + np.einsum("...ijn,...in->...j", dEp, np.swapaxes(W, -1, -2) @ Pi))
-    dMd = 0.5 * np.einsum("i,...ijn,...in->...jn", c, dPi, Pi[..., ::-1, :])
-    dcmT = np.swapaxes(c[:, None] * dmup[..., ::-1, :], -1, -2)
-    da = dcmT @ Ez + np.einsum("...i,...ijn->...jn", cm, dEp - dmup[..., None])
-    dA = 0.25 * (dcmT @ Pi + np.einsum("...i,...ijn->...jn", cm, dPi))
-    dalpha = _moment_sum_grad(mu, dmu, p)
-    dq = (
-        -0.5 * dt1
-        + 2.0 * np.pi * ds * (dMd @ a[..., None] + da @ Md[..., None])[..., 0]
-        + 2.0 * np.pi * (dalpha * int_Md[..., None] + alpha[..., None] * ds * np.sum(dMd, axis=-1))
-        - 16.0 * np.pi * ds * (dA @ A[..., None])[..., 0]
-        - alpha[..., None] * dalpha * np.pi**4 / 3.0
-    )
-    return q, mu, dq, dmu
+    # the reverse pass, g_X = dQ/dX.  c_i = c_(p-i), so the two factors B of
+    # the first term contribute alike, and so do the two primitives of
+    # M(s,s); B and W are antisymmetric, so B's part of g_E, through E and
+    # through Pi, is ds/4 (W - W^T) Pi = ds/2 W Pi
+    w = 2.0 * np.pi * ds
+    gPi = w * (0.5 * c[:, None] * Pi[..., ::-1, :] * b[..., None, :] - 2.0 * cm[..., None] * A[..., None, :])
+    gcm = w * (Ep @ Md[..., None] - 2.0 * Pi @ A[..., None])[..., 0]
+    # mu_(p-i) enters through cm_i and alpha
+    gmu = (c * gcm)[..., ::-1] - 2.0 * np.pi**4 / 3.0 * alpha[..., None] * cm
+    gE = (0.5 * ds * W @ Pi + w * cm[..., None] * Md[..., None, :]
+          - means_and_primitives(gPi)[1] + gmu[..., None] / nodes)
+    k = np.arange(1, kmax + 1)
+    # rows: dmu_0 = 0, dmu_1..dmu_kmax, dQ
+    rows = np.zeros(E.shape[:-2] + (kmax + 2, nodes), dtype=E.dtype)
+    rows[..., 1:-1, :] = (0.5 / nodes) * k[:, None] * E[..., :-1, :]
+    rows[..., -1, :] = _vecmat(0.5 * k[:p], gE[..., 1:, :] * E[..., :p, :])
+    d = rows @ sines.T
+    return q, mu, d[..., -1, :], d[..., :-1, :]
 
 
 def linv_qform(v, p):
@@ -294,59 +292,63 @@ def G_eval(v, f, n=1, grad=False, hess=False):
     (cases n2 and n3 with b < 0) rescales exactly,
         Q(L_n v) = Q(v) / n^2 - (pi^4/6) alpha^2 (1 - 1/n^2),
     and alpha and int v^(2p) come from the same samples of eta as Q(v).
-    The Hessian of a power integral is exact (_power_jet); that of the
-    form is the forward difference of the exact gradient (_G_hess).
+    Every Hessian is exact to rounding (_G_jet).
     """
     xi = np.asarray(getattr(v, "xi", v), dtype=float)
-    if hess:
-        return _G_hess(xi, f, n, np.arange(xi.shape[-1]))
-    return _G_jet(xi, f, n, int(grad)).terms[-1]
-
-
-def _G_hess(xi, f, n, along):
-    """G at L_n xi with its gradient and Hessian along the coordinates along.
-
-    along is an index array.  The form's Hessian is the forward difference
-    of its exact gradient along each of those coordinates, with the step
-    DIFF_STEP max|xi| of the row, symmetrized; all len(along) + 1 gradients
-    of a row come from one stacked evaluation.
-    """
-    if not _uses_qform(f):
-        value, grad, hess = _G_jet(xi, f, n, 2).terms
-        return value, grad[..., along], hess[..., along[:, None], along]
-    pts = np.repeat(xi[..., None, :], len(along) + 1, axis=-2)
-    ahead = pts[..., 1:, :]
-    rows = np.arange(len(along))
-    ahead[..., rows, along] += DIFF_STEP * np.max(np.abs(xi), axis=-1)[..., None]
-    step = ahead[..., rows, along] - xi[..., along]   # the steps as rounded
-    value, g = _G_jet(pts, f, n, 1, along).terms
-    h = (g[..., 1:, :] - g[..., :1, :]) / step[..., None]
-    return value[..., 0], g[..., 0, :], 0.5 * (h + np.swapaxes(h, -1, -2))
+    terms = _G_jet(xi, f, n, 2 if hess else int(grad)).terms
+    return terms if hess else terms[-1]
 
 
 def _G_jet(xi, f, n, order, along=slice(None)):
-    """G_eval's case table: G at L_n xi as a _Jet of the given order (at most 1
-    for the form, whose gradient is taken along the coordinates along)."""
+    """G_eval's case table: G at L_n xi as a _Jet of the given order, its
+    gradient and Hessian along the coordinates along (a slice)."""
+    if _uses_qform(f):
+        return _form_jet(xi, f, n, order, along)
     p = f.p
     if f.case == "odd-power":
-        return f.a / (p + 1.0) * _power_jet(xi, p + 1, order)
-    if f.case == "n1":
-        return f.b / (f.d + 1.0) * _power_jet(xi, f.d + 1, order)
-    if not _uses_qform(f):
+        jet = f.a / (p + 1.0) * _power_jet(xi, p + 1, order)
+    elif f.case == "n1":
+        jet = f.b / (f.d + 1.0) * _power_jet(xi, f.d + 1, order)
+    else:
         power_p = _power_jet(xi, p, order)
-        return f.b / (2.0 * p) * _power_jet(xi, 2 * p, order) - f.a * f.a / 48 * power_p * power_p
-    # grads is (dq, dmu) at order 1 and empty at order 0
-    q, mu, *grads = _qform(xi, p, 2 * p if f.case == "n3" else p, along if order == 1 else None)
+        jet = f.b / (2.0 * p) * _power_jet(xi, 2 * p, order) - f.a * f.a / 48 * power_p * power_p
+    # the gradient along along on the last axis, the Hessian on the last two
+    value, *derivs = jet.terms
+    return _Jet(value, *(t[(...,) + (along,) * i] for i, t in enumerate(derivs, 1)))
+
+
+def _form_jet(xi, f, n, order, along):
+    """_G_jet for the form shapes (n2, n3 with b < 0), from one complex
+    evaluation of G and its gradient (_qform) at the rows xi + i h s_r.
+
+    Row 0, s_0 = 0, gives the value and the gradient.  At order 2 the rows
+    s_r = e_j, one for every j of along, give the Hessian by the complex
+    step, H[j] = Im grad G(xi + i h e_j) / h, symmetrized.  The gradient is
+    complex-analytic in xi and nothing is subtracted, so H is exact to
+    rounding for any small h; the power of two _COMPLEX_STEP makes xi + i h
+    e_j exact too.  Row 0 is evaluated alike at every order, so the value
+    and gradient keep their bits whether the Hessian is asked for or not.
+    """
+    dim, p = xi.shape[-1], f.p
+    steps = np.concatenate([np.zeros((1, dim))] + ([np.eye(dim)[along]] if order == 2 else []))
+    # grads is (dq, dmu) at order 1 and above, and empty at order 0
+    q, mu, *grads = _qform(xi[..., None, :] + 1j * _COMPLEX_STEP * steps,
+                           p, 2 * p if f.case == "n3" else p, order > 0)
 
     def moment_sum(k):
         return _Jet(_moment_sum(mu, k), *(_moment_sum_grad(mu, dmu, k) for dmu in grads[1:]))
 
     alpha = moment_sum(p)
-    out = -0.5 * f.a * f.a * (n**-2.0 * _Jet(q, *grads[:1])
-                              - np.pi**4 / 6.0 * (1.0 - 1.0 / n**2) * alpha * alpha)
+    G = -0.5 * f.a * f.a * (n**-2.0 * _Jet(q, *grads[:1])
+                            - np.pi**4 / 6.0 * (1.0 - 1.0 / n**2) * alpha * alpha)
     if f.case == "n3":
-        out = out - f.b / (2.0 * p) * 2.0 * np.pi**2 * moment_sum(2 * p)
-    return out
+        G = G - f.b / (2.0 * p) * 2.0 * np.pi**2 * moment_sum(2 * p)
+    value, *grad = G.terms
+    terms = [value[..., 0].real] + [g[..., 0, along].real for g in grad]
+    if order == 2:
+        hess = grad[0][..., 1:, along].imag / _COMPLEX_STEP
+        terms.append(0.5 * (hess + np.swapaxes(hess, -1, -2)))
+    return _Jet(*terms)
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +377,11 @@ class GRecipe:
 
 
 def _reflection_even(y):
-    """The vectors xi with y_i at j = 2i - 1 and zeros at every even j, and
-    the indices of those odd j: (xi, along) for _G_hess."""
+    """The vectors xi with y_i at j = 2i - 1 and zeros at every even j."""
     y = np.asarray(y, dtype=float)
     xi = np.zeros(y.shape[:-1] + (2 * y.shape[-1] - 1,))
     xi[..., ::2] = y
-    return xi, np.arange(0, xi.shape[-1], 2)
+    return xi
 
 
 def g_recipe(f, side, n=1):
@@ -405,8 +406,8 @@ def g_recipe(f, side, n=1):
     sign = 1 if _uses_qform(f) else side
 
     def hess(y):
-        xi, along = _reflection_even(y)
-        return tuple(sign * t for t in _G_hess(xi, f, n, along))
+        # the odd j, where y sits
+        return tuple(sign * t for t in _G_jet(_reflection_even(y), f, n, 2, slice(0, None, 2)).terms)
 
     return GRecipe(
         case=f.case,

@@ -8,7 +8,7 @@ The pipeline per dilation level n:
      gradient or the move on the sphere is at rounding level); G, its
      gradient and its Hessian come from 1D moments and sine and cosine
      coefficients of the powers of the profile eta, the quadratic form's
-     Hessian from differences of its exact gradient.  Except in the
+     Hessian from the complex step of its exact gradient.  Except in the
      quadratic-form cases G does not depend on n, so one maximization
      seeds every level of a branch (LevelMaximizer);
   2. turn the maximum m and mu = |eps| n^2 into the amplitude t* and the
@@ -87,7 +87,8 @@ MAX_EVALUATIONS = 400
 # the cap is 128 MiB and one solve of it takes about a second
 MAX_UNKNOWNS = 4096
 # maximize_U: the largest sphere and restart count.  u^3 at both takes 2 s
-# and 200 MB; the difference Hessian of u^2 takes memory ~ restarts dim^3
+# and 200 MB; u^2, whose Hessian takes memory ~ restarts dim^2, takes 2.5 s
+# and 300 MB at dim 128 with 16 restarts (2-core x86 host)
 MAX_DIM = 256
 MAX_RESTARTS = 64
 
@@ -454,12 +455,6 @@ class _Frame:
         l = (self.n // self.d) * np.arange(lt + 1, dtype=float)[:, None]
         return np.arange(1, lx + 1, dtype=float) ** 2 - omega**2 * l**2
 
-    def dilate(self, u, lt, lx):
-        """The frame field u placed at its modes (n k, d m) of an (lt+1, lx) field."""
-        c = np.zeros((lt + 1, lx))
-        c[:: self.n, self.d - 1 :: self.d] = u.coeffs
-        return fields.SpectralField(c)
-
     def kernel(self, u, lx):
         """The diagonal j = n k = d m <= lx of the dilated frame field u."""
         xi = np.zeros(lx)
@@ -679,8 +674,9 @@ def refine(v0, ctx, f, lt=None, lx=None):
 def _certify(U, ctx, frame):
     """Residual, Phi_eps, probe energies and drift of u(t, x) = U(n t, d x), from one sampling.
 
-    frame.f and g = F/u (F(0) = 0) are projected exactly on the columns m <= lx
-    and every row k <= r lt they reach (r = deg f).  As U lies in the
+    frame.f and g = F/u (F(0) = 0) are projected exactly on the columns m <=
+    lx, f on the rows k <= lt that the residual and Phi read and g on every
+    row k <= r lt it reaches (r = deg f).  As U lies in the
     truncation, int F(U) = <P g(U), U>, so each certificate is exact; each is
     d^2 times the frame's.  The residual is _galerkin_F's, Phi_eps = (eps/2)
     |v|_H1^2 + (1/2)<P f(u), w> - <P g(u), u> with v on the entries n k = d m,
@@ -690,7 +686,7 @@ def _certify(U, ctx, frame):
     """
     lt, lx, d2 = U.lt, U.lx, frame.d**2
     fu, gu = (p.coeffs for p in fields.apply_polynomials(
-        U, [frame.f.poly, frame.f.primitive[1:]], out_lx=lx))
+        U, [frame.f.poly, frame.f.primitive[1:]], out_lt=[lt, None], out_lx=lx))
     u = U.coeffs
     R = fu[: lt + 1] + frame.symbol(lt, lx, ctx.omega) * u
     cl = fields.temporal_weights(lt)[:, None]

@@ -402,6 +402,11 @@ def test_apply_polynomials_is_apply_nonlinearity_per_polynomial():
         for poly, field in zip(polys, got):
             want = fields.apply_nonlinearity(u, poly, **out)
             assert np.array_equal(field.coeffs, want.coeffs)
+    # a row count per polynomial, None for the full degree
+    got = fields.apply_polynomials(u, polys, out_lt=[4, None], out_lx=7)
+    for lt, poly, field in zip([4, None], polys, got):
+        want = fields.apply_nonlinearity(u, poly, out_lt=lt, out_lx=7)
+        assert np.array_equal(field.coeffs, want.coeffs)
 
 
 @both_paths

@@ -229,9 +229,9 @@ def test_G_is_homogeneous_at_every_level(coeffs, n):
 @pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize("coeffs", SHAPES, ids=["odd-power", "n1", "n2", "n3-bneg", "n3-bpos"])
 def test_G_hessian_matches_gradient_differences(coeffs, n):
-    # exact for the power-integral shapes, forward differences of the exact
-    # gradient for the form; either way symmetric, and with hess the value
-    # and gradient are G_eval's own, bit for bit
+    # exact for every shape (the power integrals' from cosine coefficients,
+    # the form's by the complex step of its gradient) and symmetric, and
+    # with hess the value and gradient are G_eval's own, bit for bit
     f = nonlinearity.classify(coeffs)
     xi = rand_vec(seed=19, dim=5, scale=0.7).xi
     value, grad, hess = reduced.G_eval(xi, f, n, hess=True)
@@ -240,9 +240,33 @@ def test_G_hessian_matches_gradient_differences(coeffs, n):
     h = 1e-5
     fd = np.array([(reduced.G_eval(xi + h * e, f, n, grad=True)
                     - reduced.G_eval(xi - h * e, f, n, grad=True)) / (2 * h) for e in np.eye(5)])
-    exact = not reduced._uses_qform(f)
-    assert np.max(np.abs(hess - fd)) <= (1e-9 if exact else 1e-6) * np.max(np.abs(hess))
+    assert np.max(np.abs(hess - fd)) <= 1e-9 * np.max(np.abs(hess))
     assert np.max(np.abs(hess - hess.T)) <= 1e-15 * np.max(np.abs(hess))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("coeffs", SHAPES, ids=["odd-power", "n1", "n2", "n3-bneg", "n3-bpos"])
+def test_G_hessian_satisfies_euler_identity(coeffs, n):
+    # G is homogeneous of degree q + 1, so H xi = q grad G: a difference
+    # Hessian misses it by its truncation error, an exact one only by rounding
+    f = nonlinearity.classify(coeffs)
+    xi = rand_vec(seed=19, dim=5, scale=0.7).xi
+    _, grad, hess = reduced.G_eval(xi, f, n, hess=True)
+    assert np.max(np.abs(hess @ xi - f.q * grad)) <= 1e-13 * np.max(np.abs(grad))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("coeffs", QFORM_CASES)
+def test_form_hessian_does_not_depend_on_the_complex_step(monkeypatch, coeffs, n):
+    # the complex step subtracts nothing, so any small power of two gives
+    # the same Hessian, bit for bit: the step is no tuned setting
+    f = nonlinearity.classify(coeffs)
+    xi = np.random.default_rng(29).standard_normal((3, 6))
+    hessians = []
+    for step in (2.0**-60, 2.0**-80):
+        monkeypatch.setattr(reduced, "_COMPLEX_STEP", step)
+        hessians.append(reduced.G_eval(xi, f, n, hess=True)[2])
+    assert np.array_equal(*hessians)
 
 
 CASES = [

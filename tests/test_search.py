@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,13 @@ F3 = nonlinearity.classify({3: 1.0})
 
 def ctx_cubic(eps=1e-3, L=24):
     return frequency.make_context(frequency.omega_for_eps(eps), L=L)
+
+
+def dilate(frame, u, lt, lx):
+    """The frame field u placed at its modes (n k, d m) of an (lt+1, lx) field."""
+    c = np.zeros((lt + 1, lx))
+    c[:: frame.n, frame.d - 1 :: frame.d] = u.coeffs
+    return fields.SpectralField(c)
 
 
 def test_maximize_dim1_value_is_exact():
@@ -72,6 +80,21 @@ def test_maximize_call_budget(coeffs, side):
 
     search.maximize_U(dataclasses.replace(recipe, hess=counted), 6, seed=0, restarts=8)
     assert rows[0] <= 6 * 8 and calls[0] <= 8, (rows, calls)
+
+
+def test_maximize_u2_peak_memory_at_dim_32():
+    # the form's complex-step Hessian stacks dim/2 + 1 rows per restart,
+    # each of the size of one gradient evaluation: u^2 at dim 32 with 16
+    # restarts peaks near 15 MiB, where a difference Hessian that carries
+    # dim/2 tangents through each of dim/2 + 1 gradients needs 54 MiB
+    recipe = reduced.g_recipe(nonlinearity.classify({2: 1.0}), -1, n=1)
+    tracemalloc.start()
+    try:
+        search.maximize_U(recipe, 32, seed=0, restarts=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20, peak
 
 
 # the shapes of G in test_reduced, each on a side where it has a branch
@@ -622,10 +645,10 @@ def test_dilation_frame_scaling_laws(n, lt, lx):
     frame = search._dilation_frame(F35, n)
     assert (frame.n, frame.d) == (n, n) and np.array_equal(frame.f.poly, F35.poly / n**2)
     U = fields.SpectralField(0.05 * rng.standard_normal((lt // n + 1, lx // n)))
-    u = frame.dilate(U, lt, lx)
+    u = dilate(frame, U, lt, lx)
     F_full = search._galerkin_F(u, ctx, search._Frame(1, 1, F35))
-    F_law = n**2 * frame.dilate(
-        fields.SpectralField(search._galerkin_F(U, ctx, frame)), lt, lx).coeffs
+    F_law = n**2 * dilate(
+        frame, fields.SpectralField(search._galerkin_F(U, ctx, frame)), lt, lx).coeffs
     assert np.max(np.abs(F_full - F_law)) <= 1e-14 * np.max(np.abs(F_full))
     phi_full = reduced.phi(kernel.KernelVector(fields.diagonal_of(u)), ctx, F35,
                            w=fields.zero_diagonal(u))
@@ -637,9 +660,9 @@ def test_dilation_frame_scaling_laws(n, lt, lx):
     frame = search._dilation_frame(f23, n)
     assert (frame.n, frame.d, frame.f) == (n, 1, f23)
     U = fields.SpectralField(0.05 * rng.standard_normal((lt // n + 1, lx)))
-    u = frame.dilate(U, lt, lx)
+    u = dilate(frame, U, lt, lx)
     F_full = search._galerkin_F(u, ctx, search._Frame(1, 1, f23))
-    F_law = frame.dilate(fields.SpectralField(search._galerkin_F(U, ctx, frame)), lt, lx).coeffs
+    F_law = dilate(frame, fields.SpectralField(search._galerkin_F(U, ctx, frame)), lt, lx).coeffs
     assert np.max(np.abs(F_full - F_law)) <= 1e-14 * np.max(np.abs(F_full))
 
 
@@ -1109,13 +1132,30 @@ def frame_pair(f, n, lt, lx, seed):
     frame = search._dilation_frame(f, n)
     rng = np.random.default_rng(seed)
     U = fields.SpectralField(0.05 * rng.standard_normal((lt // n + 1, lx // frame.d)))
-    u = frame.dilate(U, lt, lx)
+    u = dilate(frame, U, lt, lx)
     return kernel.KernelVector(fields.diagonal_of(u)), fields.zero_diagonal(u), frame
 
 
 def certify_full(v, w, ctx, f):
     """_certify on the whole field u = v + w: the identity frame."""
     return search._certify(kernel.embed(v) + w, ctx, search._Frame(1, 1, f))
+
+
+def test_certify_projects_f_on_the_rows_it_reads(monkeypatch):
+    # the residual and Phi read f(U) on the rows k <= lt, and the energy
+    # reads g(U) on every row k <= 3 lt it reaches: on the 17 x 16 frame of
+    # u^3 that is 17 rows of f(U) and 49 of g(U), from one sampling of U
+    tops = []
+    real = fields._cos_sin_coeffs
+
+    def recording(vals, top, d_x):
+        tops.append(top)
+        return real(vals, top, d_x)
+
+    monkeypatch.setattr(fields, "_cos_sin_coeffs", recording)
+    U = fields.SpectralField(0.05 * np.random.default_rng(6).standard_normal((17, 16)))
+    search._certify(U, ctx_cubic(), search._Frame(1, 1, F3))
+    assert tops == [16, 48]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -1292,7 +1332,7 @@ FRAME_LEVELS = ["u3-1", "u3-2", "u3-3", "u2-1", "u2-2", "u3-off-reflection"]
 def test_refine_writes_the_dilated_frame_field(level_guesses, monkeypatch, name):
     # the frame field U of every iterate, recorded where the guard reads
     # its kernel entries: the guard's vector and the returned (v, w) are
-    # the diagonal and the rest of u = frame.dilate(U), bit for bit
+    # the diagonal and the rest of u = dilate(frame, U), bit for bit
     f, ctx, _, v0, _ = frame_level(level_guesses, name)
     seen = []
     real = search._Frame.kernel
@@ -1306,11 +1346,11 @@ def test_refine_writes_the_dilated_frame_field(level_guesses, monkeypatch, name)
     v, w, rep = search.refine(v0, ctx, f)
     assert rep.converged and len(seen) == rep.iterations + 1
     frame = seen[0][0]
-    start = frame.dilate(seen[0][1], w.lt, w.lx).coeffs
+    start = dilate(frame, seen[0][1], w.lt, w.lx).coeffs
     # the first iterate is the guess placed on the frame
     assert start.tobytes() == kernel.embed(v0).padded(w.lt, w.lx).tobytes()
     for _, U, guarded in seen:
-        u = frame.dilate(U, w.lt, w.lx)
+        u = dilate(frame, U, w.lt, w.lx)
         assert guarded.xi.tobytes() == fields.diagonal_of(u).tobytes()
     assert v.xi.tobytes() == fields.diagonal_of(u).tobytes()
     assert w.coeffs.tobytes() == fields.zero_diagonal(u).coeffs.tobytes()
