@@ -371,7 +371,6 @@ def cmd_evolve(args):
         )
     print("periods = 1")
     print(f"dt = {_fmt(res.dt)}  steps = {res.steps}  modes = {res.n_modes}")
-    print(f"energy_drift = {_fmt(res.energy_drift)}")
     print(f"return_error = {_fmt(err)}  bar = {_fmt(bar)}  "
           f"error_bar = {_fmt(res.error_bar)}")
     if args.probe_minimal_period:

@@ -11,20 +11,14 @@ uses only SpectralField, to rebuild a record.
 In sine modes the linear flow turns each (a_j, b_j) by the angle j dt, so
 the integrator is the impulse method (Strang splitting): a half kick by f at
 the interior nodes x_k = pi k/(N+1), the exact rotation, a half kick.  It
-has no CFL bound, and its error scales with the nonlinearity.  It integrates
-the sine-collocation system, a Hamiltonian system whose energy
-
-    H = (pi/4) sum_j (b_j^2 + j^2 a_j^2) + h sum_k F(u_k),   h = pi/(N+1),
-
-the splitting nearly conserves; H is read off the node values u_k that each
-kick computes, and its spread over the run is the energy drift.  The method
-loses accuracy where j dt is near a multiple of pi on an excited mode, so
-every run over a time T is made at 2M steps, which are reported, and checked
-at M + 1 steps; the distance between the two is the error bar.  A resonance
-j dt = m pi of the reported run recurs in the check only for m >= (M+1)/2,
-at j >= pi M (M+1)/T (2080 omega over one period at M = 64), so the bar
-sees the resonances below.  M is at least 2, or the check would be the
-reported run.
+has no CFL bound, and its error scales with the nonlinearity.  Its one
+accuracy certificate is a step refinement: the method loses accuracy where
+j dt is near a multiple of pi on an excited mode, so every run over a time
+T is made at 2M steps, which are reported, and checked at M + 1 steps; the
+distance between the two is the error bar.  A resonance j dt = m pi of the
+reported run recurs in the check only for m >= (M+1)/2, at j >= pi M
+(M+1)/T (2080 omega over one period at M = 64), so the bar sees the
+resonances below.  M is at least 2, or the check would be the reported run.
 """
 
 import functools
@@ -47,9 +41,6 @@ __all__ = [
 ]
 
 
-# the energies the drift compares: the start, ENERGY_PROBES - 2 interior
-# steps of the reported run and its last step (_probe_steps)
-ENERGY_PROBES = 9
 # M per period of time_grid: the reported run takes 2M steps, the check M + 1
 STEPS_PER_PERIOD = 64
 # the integrator keeps MODE_FACTOR sine modes per column of the record, and
@@ -60,7 +51,7 @@ MIN_MODES = 32
 
 @dataclass
 class EvolutionResult:
-    """The reported run's end state, with its energy drift and error bar.
+    """The reported run's end state and its error bar.
 
     For the M of time_grid the reported run takes 2M steps of dt and the
     check M + 1 steps, so steps = 3M + 1.
@@ -72,7 +63,6 @@ class EvolutionResult:
     n_modes: int
     a: np.ndarray             # sine coefficients of u at t_final
     b: np.ndarray             # sine coefficients of u_tau at t_final
-    energy_drift: float       # spread of H over the probes, relative to max |H|
     error_bar: float          # relative L2 distance of the 2M- and (M+1)-step fields
 
 
@@ -118,14 +108,6 @@ def _transforms(n_modes):
             lambda v, out: np.multiply(sfft.dst(v, type=1), scale, out=out))
 
 
-def _energy(a, b, nodes, f):
-    """H of the sine-collocation system at (a, b), from the node values S a."""
-    j = np.arange(1, a.size + 1, dtype=float)
-    quad = 0.25 * np.pi * float(np.sum(b * b) + np.sum((j * a) ** 2))
-    potential = float(np.sum(np.polynomial.polynomial.polyval(nodes, f.primitive)))
-    return quad + np.pi / (a.size + 1) * potential
-
-
 def time_grid(u, omega, t_final):
     """Mode count, step count and step (n_modes, M, dt) up to t_final.
 
@@ -147,37 +129,13 @@ def probe_time(omega, n):
     return 2.0 * np.pi / ((n + 1) * omega)
 
 
-def _probe_steps(steps, probes):
-    """The steps after which the energy is probed: 0, the interior probes
-    and the last one.
-
-    Interior probe m = 1 .. probes-2 sits at the odd multiple of T/2^(m+1)
-    next to m T/(probes-1), for a run of length T.  The energy error of a
-    time-symmetric solution that oscillates q times over the run is extremal
-    at t = 0 and at every odd multiple of T/(2q), and probe m hits one of
-    those (to the nearest step) whenever q has exactly m factors of 2.  A
-    return over one period of a level-n solution has q = 2n, so this catches
-    every n not divisible by 2^(probes-2).  Evenly spaced probes would not:
-    at spacing T/8 all of them see phase 0 whenever 4 divides n.
-    """
-    interior = set()
-    for m in range(1, probes - 1):
-        # a multiple of T/2^(m+1) finer than a step would add nothing
-        den = 2 ** min(m + 1, steps.bit_length() + 1)
-        num = 2 * (m * den // (2 * (probes - 1))) + 1
-        interior.add(round(steps * num / den))
-    return sorted(interior | {0, steps})
-
-
-def _impulse(a0, f, dt, steps, probe_at, transforms):
-    """The states (a, b, S a) after the steps in the set probe_at, the last
-    step included, of the impulse method from (a0, 0) with step dt.
+def _impulse(a0, f, dt, steps, transforms):
+    """The state (a, b) after steps of the impulse method from (a0, 0) with
+    step dt.
 
     The state is z = a + i b/j, which the linear flow turns by exp(-i j dt).
-    The two half kicks between rotations are one kick b -= dt P f(S a),
-    split in two at a probe to read the state between the halves.  The
-    node values S a are the ones the kick has just computed; step 0 is the
-    start, read at the first kick.
+    The two half kicks between rotations are one kick b -= dt P f(S a);
+    the run starts and ends with a half kick.
     """
     to_nodes, to_modes = transforms
     j = np.arange(1, a0.size + 1)
@@ -199,55 +157,32 @@ def _impulse(a0, f, dt, steps, probe_at, transforms):
             np.multiply(fv, p, out=fv)
         to_modes(fv, g)
 
-    states = []
     kick()
-    if 0 in probe_at:
-        states.append((zr.copy(), j * zi, p.copy()))
-    g *= 0.5
-    zi -= g
+    zi -= 0.5 * g
     for k in range(1, steps + 1):
         z *= turn
         kick()
-        if k in probe_at:
-            g *= 0.5
-            zi -= g
-            states.append((zr.copy(), j * zi, p.copy()))
-        zi -= g
-    return states
-
-
-def _reported_run(u, omega, f, t_final):
-    """The reported run: the 2M steps of dt/2 from the t = 0 slice of u up
-    to t_final, for time_grid's M and dt.
-
-    Returns (a0, states, M, dt, transforms), states read after the steps of
-    _probe_steps, the last one included.
-    """
-    n_modes, steps, dt = time_grid(u, omega, t_final)
-    transforms = _transforms(n_modes)
-    a0, _ = initial_state(u, n_modes)
-    probe_at = set(_probe_steps(2 * steps, ENERGY_PROBES))
-    return a0, _impulse(a0, f, 0.5 * dt, 2 * steps, probe_at, transforms), steps, dt, transforms
+        zi -= g if k < steps else 0.5 * g
+    return zr.copy(), j * zi
 
 
 def integrate(u, omega, f, t_final):
     """The impulse method from the t = 0 slice of u up to physical time
     t_final, in the 2M steps of dt/2 and the M + 1 steps of time_grid's M.
 
-    The 2M-step run's state and energy drift are reported, and the relative
-    L2 distance of the two position fields is the error bar.
+    The 2M-step run's state is reported, and the relative L2 distance of
+    the two runs' position fields is its error bar.
     """
-    a0, states, steps, dt, transforms = _reported_run(u, omega, f, t_final)
-    check = _impulse(a0, f, t_final / (steps + 1), steps + 1, {steps + 1}, transforms)[-1][0]
-    energies = np.array([_energy(a, b, p, f) for a, b, p in states])
-    scale = max(float(np.max(np.abs(energies))), 1e-30)
-    drift = float((energies.max() - energies.min()) / scale)
-    a, b, _ = states[-1]
+    n_modes, steps, dt = time_grid(u, omega, t_final)
+    transforms = _transforms(n_modes)
+    a0, _ = initial_state(u, n_modes)
+    a, b = _impulse(a0, f, 0.5 * dt, 2 * steps, transforms)
+    check, _ = _impulse(a0, f, t_final / (steps + 1), steps + 1, transforms)
     den = np.linalg.norm(a0)
     bar = float(np.linalg.norm(a - check) / den) if den else 0.0
     return EvolutionResult(
         t_final=float(t_final), dt=float(0.5 * dt), steps=3 * steps + 1,
-        n_modes=a0.size, a=a, b=b, energy_drift=drift, error_bar=bar,
+        n_modes=n_modes, a=a, b=b, error_bar=bar,
     )
 
 
@@ -257,8 +192,8 @@ def _state_distance(a, a0):
     The velocity is deliberately excluded: at a return time the modal phases
     sit at cosine peaks, so position errors cancel to second order in the
     per-mode phase error while velocity errors stay first order.  Position
-    distance is the honest reading of "the solution returns"; integration
-    quality is certified separately by the energy drift and the error bar.
+    distance is the honest reading of "the solution returns"; the error bar
+    is the integrator's certificate for it.
     """
     den = np.sum(a0**2)
     if den == 0.0:
@@ -280,12 +215,12 @@ def nonreturn_probe(u, omega, f, n):
     For a level-n solution this probe time is off the lattice of its minimal
     period, so the distance should be large; the ratio against the true
     return error is the contrast of the time-domain test.  Only integrate's
-    reported run is made, with no check run and no energies; it keeps its
-    probe steps, whose split kicks round as integrate's do, so the distance
-    is integrate's to the bit.
+    reported run is made, with no check run, so the distance is integrate's
+    to the bit.
     """
-    a0, states, *_ = _reported_run(u, omega, f, probe_time(omega, n))
-    a = states[-1][0]
+    n_modes, steps, dt = time_grid(u, omega, probe_time(omega, n))
+    a0, _ = initial_state(u, n_modes)
+    a, _ = _impulse(a0, f, 0.5 * dt, 2 * steps, _transforms(n_modes))
     return _state_distance(a, a0), a
 
 

@@ -185,20 +185,26 @@ def scan_frequencies(omega_lo, omega_hi, step, L, f, C=DEFAULT_C):
     Each row is a dict with the context ("ctx", also unpacked as omega, eps
     and gamma) and the largest admissible index "n_max": every n from
     minimal_n(f) to n_max is admissible, and n_max is 0 at omega = 1 and at
-    resonant frequencies.
+    resonant frequencies.  Grid points outside OMEGA_RANGE get no row; a
+    reversed window, or a grid with no point in OMEGA_RANGE, raises.
     """
     if not np.all(np.isfinite([omega_lo, omega_hi, step])):
         raise ResowaveError("grid bounds and step must be finite")
     if step <= 0:
         raise ResowaveError("step must be positive")
+    if omega_lo > omega_hi:
+        raise ResowaveError(f"the window [{omega_lo}, {omega_hi}] is reversed")
     if (omega_hi - omega_lo) / step + 0.5 > MAX_SCAN_ROWS:
         raise ResowaveError(f"a step of {step} over [{omega_lo}, {omega_hi}] makes more "
                             f"than MAX_SCAN_ROWS = {MAX_SCAN_ROWS} frequencies")
+    lo, hi = OMEGA_RANGE
     omegas = np.arange(omega_lo, omega_hi + 0.5 * step, step)
+    omegas = omegas[(lo <= omegas) & (omegas <= hi)]
+    if not omegas.size:
+        raise ResowaveError(f"no frequency of the grid over [{omega_lo}, {omega_hi}] "
+                            f"lies in OMEGA_RANGE = [{lo}, {hi}]")
     rows = []
     for om in omegas:
-        if not (OMEGA_RANGE[0] <= om <= OMEGA_RANGE[1]):
-            continue
         ctx = make_context(float(om), L)
         rows.append({
             "ctx": ctx,

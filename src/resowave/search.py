@@ -86,11 +86,15 @@ MAX_EVALUATIONS = 400
 # refine: the most Newton unknowns a level may have; the dense Jacobian at
 # the cap is 128 MiB and one solve of it takes about a second
 MAX_UNKNOWNS = 4096
-# maximize_U: the largest sphere and restart count.  u^3 at both takes 2 s
-# and 200 MB; u^2, whose Hessian takes memory ~ restarts dim^2, takes 2.5 s
-# and 300 MB at dim 128 with 16 restarts (2-core x86 host)
+# maximize_U: the largest sphere and restart count.  At both, u^3 takes
+# 1.5 s and 114 MB peak RSS, u^2 58 s and 307 MB (2-core x86 host)
 MAX_DIM = 256
 MAX_RESTARTS = 64
+# maximize_U: the most Hessian entries, rows times (dim/2)^2, of one stacked
+# evaluation; the live rows of a round are evaluated in chunks under it.  The
+# form's complex-step Hessian takes memory ~ dim^2 per row, and this keeps
+# u^2 near 300 MB at any restart count: 16 rows at dim 128, 4 at dim 256
+MAX_HESS_ENTRIES = 2**16
 
 
 @dataclass
@@ -286,9 +290,10 @@ def maximize_U(recipe, dim, seed=0, restarts=16):
     ends when the tangential gradient is at most 1e-13 max(1, |G|), when
     the halved move on the sphere is below rounding, or after
     MAX_EVALUATIONS evaluations.  The restarts advance in lock-step rounds
-    of one stacked recipe.hess (value, gradient and Hessian at the trial
-    point of every live row); rows do not mix, so each restart takes the
-    steps it takes alone, in a working set linear in restarts.  Every
+    of stacked recipe.hess calls (value, gradient and Hessian at the trial
+    point of every live row), each of at most MAX_HESS_ENTRIES Hessian
+    entries, so the working set does not grow with restarts; rows do not
+    mix, so each restart takes the steps it takes alone.  Every
     restart reaches the same maximum to rounding, so the best restart is
     the first whose value is within 1e-12 relative of the largest: the
     winner does not turn on the last bit.  Raises when the best value is
@@ -305,7 +310,8 @@ def maximize_U(recipe, dim, seed=0, restarts=16):
     def evaluate(z):
         # an overflow is inf and inf - inf is nan, which finite refuses
         with np.errstate(over="ignore", invalid="ignore"):
-            value, grad, hess = finite(*recipe.hess(z / sd))
+            chunks = [recipe.hess(z[i : i + chunk] / sd) for i in range(0, len(z), chunk)]
+            value, grad, hess = finite(*(np.concatenate(parts) for parts in zip(*chunks)))
         return (value, *finite(*_newton_steps(z, grad, hess, sd)))
 
     def unit(z):
@@ -313,6 +319,7 @@ def maximize_U(recipe, dim, seed=0, restarts=16):
 
     j = np.arange(1, dim + 1, 2)
     sd = np.pi * j  # the H^1 norm is |sd y|
+    chunk = max(1, MAX_HESS_ENTRIES // j.size**2)
     rng = np.random.default_rng(seed)
     z = unit(rng.standard_normal((restarts, j.size)) / j)
     val, tnorm, step = evaluate(z)

@@ -271,9 +271,9 @@ def test_criterion_07_time_evolution(capsys):
     period 2 pi / omega with relative L^2 error at most 1e-4 under the
     impulse method (the exact sine-mode rotation between half kicks of f,
     128 steps per period), and misses by at least ten times that bar at the
-    foreign period 2 pi / ((n+1) omega).  The integrator's own error bar,
-    the distance to the same run at 65 steps per period, stays below a
-    tenth of the return bar.
+    foreign period 2 pi / ((n+1) omega).  The integrator's accuracy is
+    certified by step refinement alone: its error bar, the distance to the
+    same run at 65 steps per period, stays below a tenth of the return bar.
     """
     ctx, br = _multiplicity_branch()
     worst_err = worst_bar = 0.0

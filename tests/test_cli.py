@@ -246,6 +246,9 @@ def _assert_evolve_config_refused(tmp_path, capsys, override):
     ("scan", {"gtol": -1e-12}),
     ("scan", {"gtol": 1e-12}),
     ("scan", {"omega_range": [1.001, float("nan"), 0.001]}),
+    # a reversed window and one wholly outside frequency.OMEGA_RANGE
+    ("scan", {"omega_range": [1.01, 1.001, 0.001]}),
+    ("scan", {"omega_range": [0.1, 0.2, 0.01]}),
     ("solve", {"seed": -5000}),
     ("scan", {"seed": -1}),
     ("solve", {"lt": 4, "n": 2, "dim": 6}),
@@ -711,12 +714,15 @@ def test_evolve_and_export_round_trip(tmp_path, capsys):
     assert cli.main(["solve", "--config", cfg]) == 0
     capsys.readouterr()
 
-    assert cli.main([
-        "evolve", "--record", str(record_path), "--coeffs", "3=1",
-        "--probe-minimal-period",
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "return_error" in out and "off_period_distance" in out
+    # evolve prints these keys in this order, each "key = value", and the
+    # off-period distance only when asked for
+    keys = ["periods", "dt", "steps", "modes", "return_error", "bar", "error_bar"]
+    for flags, want in [([], keys), (["--probe-minimal-period"], keys + ["off_period_distance"])]:
+        argv = ["evolve", "--record", str(record_path), "--coeffs", "3=1", *flags]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        pairs = [item.split(" = ") for line in out.splitlines() for item in line.split("  ")]
+        assert [key for key, _ in pairs] == want
 
     grid = tmp_path / "grid.csv"
     assert cli.main(["export", "--record", str(record_path),

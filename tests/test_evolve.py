@@ -50,39 +50,24 @@ def test_kick_matches_sine_transform_formula(n_modes):
     assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def _collocation_energy(a, b, f):
-    """(pi/4) sum (b_j^2 + j^2 a_j^2) + h sum_k F(u_k), u_k = (DST-I a)_k/2."""
-    j = np.arange(1, a.size + 1)
-    vals = sfft.dst(a, type=1) / 2.0
-    potential = sum(c * vals**k for k, c in enumerate(f.primitive))
-    quad = 0.25 * np.pi * np.sum(b**2 + (j * a) ** 2)
-    return quad + np.pi / (a.size + 1) * np.sum(potential)
-
-
-def _mode_space_impulse(a, f, dt, steps, probes):
+def _mode_space_impulse(a, f, dt, steps):
     """The impulse method written out in sine modes, half kicks unmerged, as
-    the reference for integrate's loop: (a, b, energy drift) at the end."""
+    the reference for integrate's loop: (a, b) at the end."""
     j = np.arange(1, a.size + 1)
     cos, sin = np.cos(j * dt), np.sin(j * dt)
     b = np.zeros_like(a)
-    probe_at = set(evolve._probe_steps(steps, probes))
-    energies = [_collocation_energy(a, b, f)]
-    for k in range(steps):
+    for _ in range(steps):
         b = b + 0.5 * dt * (_sine_galerkin_acceleration(a, f) + j**2 * a)
         a, b = cos * a + sin * b / j, cos * b - j * sin * a
         b = b + 0.5 * dt * (_sine_galerkin_acceleration(a, f) + j**2 * a)
-        if k + 1 in probe_at:
-            energies.append(_collocation_energy(a, b, f))
-    energies = np.asarray(energies)
-    return a, b, (energies.max() - energies.min()) / np.max(np.abs(energies))
+    return a, b
 
 
 @BOTH_BRANCHES
 def test_loop_matches_mode_space_impulse(n_modes, monkeypatch):
     # 101 check and 200 reported steps at dt * jmax near 44 and 22, far past
-    # the CFL bound of an explicit scheme, with every mode excited.  The drift
-    # and the error bar are relative to the energy and the field, so they are
-    # compared to 1e-12 of those
+    # the CFL bound of an explicit scheme, with every mode excited.  The error
+    # bar is relative to the field, so it is compared to 1e-12 of that
     f = nonlinearity.classify({2: 0.5, 3: 1.0, 5: -0.3})
     rng = np.random.default_rng(n_modes)
     j = np.arange(1, n_modes + 1)
@@ -93,16 +78,13 @@ def test_loop_matches_mode_space_impulse(n_modes, monkeypatch):
     res = evolve.integrate(u, 1.0, f, 100 * 2.0 * np.pi / 64)
     assert (res.steps, res.n_modes) == (301, n_modes)
     a0, _ = evolve.initial_state(u, n_modes)
-    a, b, drift = _mode_space_impulse(
-        a0, f, res.dt, 200, evolve.ENERGY_PROBES
-    )
-    check, _, _ = _mode_space_impulse(a0, f, res.t_final / 101, 101, 2)
+    a, b = _mode_space_impulse(a0, f, res.dt, 200)
+    check, _ = _mode_space_impulse(a0, f, res.t_final / 101, 101)
     bar = np.linalg.norm(a - check) / np.linalg.norm(a0)
     assert np.max(np.abs(res.a - a)) <= 1e-12 * np.max(np.abs(a))
     assert np.max(np.abs(res.b - b)) <= 1e-12 * np.max(np.abs(b))
-    assert abs(res.energy_drift - drift) <= 1e-12
     assert abs(res.error_bar - bar) <= 1e-12
-    assert drift > 1e-6 and bar > 1e-5
+    assert bar > 1e-5
 
 
 def test_linear_single_mode_reproduces_cosine():
@@ -119,7 +101,6 @@ def test_linear_single_mode_reproduces_cosine():
     expect = np.zeros(res.n_modes)
     expect[1] = c * np.cos(2.0 * t_final)
     assert np.max(np.abs(res.a - expect)) < 2e-11
-    assert res.energy_drift < 1e-5
 
 
 def test_self_convergence_order_two_at_generic_time(monkeypatch):
@@ -146,7 +127,6 @@ def test_catalogued_solution_returns():
     u = evolve.record_field(br.records[0])
     err, res = evolve.return_error(u, ctx.omega, f)
     assert err < 1e-6
-    assert res.energy_drift < 1e-5
     assert res.error_bar < 0.1 * 1e-6
     off, _ = evolve.nonreturn_probe(u, ctx.omega, f, br.records[0].n)
     assert off > 1e-3
@@ -155,7 +135,7 @@ def test_catalogued_solution_returns():
 
 def test_nonreturn_probe_makes_only_the_reported_run(monkeypatch):
     # the off-period distance is integrate's to the bit, read off the 2M
-    # steps of the reported run alone: no check run and no energies
+    # steps of the reported run alone: no check run
     f = nonlinearity.classify({3: 1.0, 5: 0.5})
     ctx = frequency.make_context(1.0001, L=48)
     br = search.solve_branch(ctx, f, n_max=2, C=0.004, dim=4, seed=0, restarts=4)
@@ -168,34 +148,16 @@ def test_nonreturn_probe_makes_only_the_reported_run(monkeypatch):
         steps = []
         real = evolve._impulse
 
-        def counted(a0, f, dt, n_steps, probe_at, transforms):
+        def counted(a0, f, dt, n_steps, transforms):
             steps.append(n_steps)
-            return real(a0, f, dt, n_steps, probe_at, transforms)
-
-        def refused(*args):
-            raise AssertionError("nonreturn_probe computed an energy")
+            return real(a0, f, dt, n_steps, transforms)
 
         with monkeypatch.context() as m:
             m.setattr(evolve, "_impulse", counted)
-            m.setattr(evolve, "_energy", refused)
             off, a = evolve.nonreturn_probe(u, rec.omega, f, rec.n)
         assert off == evolve._state_distance(res.a, a0)
         assert np.array_equal(a, res.a)
         assert steps == [2 * evolve.time_grid(u, rec.omega, t_probe)[1]]
-
-
-def test_energy_probes_see_a_level_four_oscillation(monkeypatch):
-    # the energy error of a level-n return oscillates with period P/(2n);
-    # evenly spaced probes at P/8 all see the same phase of it when 4 | n
-    f = nonlinearity.classify({3: 1.0})
-    ctx = frequency.make_context(1.0001, L=48)
-    maximizer = search.LevelMaximizer(dim=6, seed=0, restarts=8)
-    rec = search.solve_level(ctx, f, 4, maximizer)
-    u = evolve.record_field(rec)
-    _, res = evolve.return_error(u, rec.omega, f)
-    monkeypatch.setattr(evolve, "ENERGY_PROBES", 65)
-    _, ref = evolve.return_error(u, rec.omega, f)
-    assert res.energy_drift >= 0.5 * ref.energy_drift
 
 
 def test_resonance_guard_flags_a_step_at_pi(monkeypatch):

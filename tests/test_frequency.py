@@ -222,6 +222,18 @@ def test_scan_rows_sorted_and_bounded():
         frequency.scan_frequencies(1.0, 1.1, -0.1, L=8, f=f)
 
 
+def test_scan_window_without_a_frequency_in_range_is_refused():
+    # a window partly outside OMEGA_RANGE skips its outside points; a
+    # reversed one, or one wholly outside, raises instead of giving no rows
+    f = nonlinearity.classify({3: 1.0})
+    rows = frequency.scan_frequencies(1.47, 1.53, 0.02, L=8, f=f)
+    assert [r["omega"] for r in rows] == pytest.approx([1.47, 1.49])
+    with pytest.raises(ResowaveError, match="reversed"):
+        frequency.scan_frequencies(1.01, 1.001, 0.001, L=16, f=f)
+    with pytest.raises(ResowaveError, match="OMEGA_RANGE"):
+        frequency.scan_frequencies(0.1, 0.2, 0.01, L=16, f=f)
+
+
 def test_scan_grid_is_bounded_before_it_is_built(monkeypatch):
     f = nonlinearity.classify({3: 1.0})
     monkeypatch.setattr(frequency, "MAX_SCAN_ROWS", 5)

@@ -6,10 +6,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.fft as sfft
 from scipy import optimize
 
-from resowave import evolve, fields, frequency, kernel, nonlinearity, psolve, reduced, search
+from resowave import fields, frequency, kernel, nonlinearity, psolve, reduced, search
 from resowave.errors import ConfigError, ConvergenceError, ResonanceError, ResowaveError
 
 F3 = nonlinearity.classify({3: 1.0})
@@ -95,6 +94,29 @@ def test_maximize_u2_peak_memory_at_dim_32():
     finally:
         tracemalloc.stop()
     assert peak <= 24 * 2**20, peak
+
+
+def test_maximize_u2_peak_memory_does_not_grow_with_restarts(monkeypatch):
+    # the live rows are evaluated in chunks of MAX_HESS_ENTRIES // (dim/2)^2
+    # rows: in chunks of 3 rows, u^2 at dim 32 peaks alike at 4 and 32
+    # restarts (one stack of 32 rows takes eight times the memory of 4), and
+    # rows never mix, so chunking leaves every result bit for bit
+    recipe = reduced.g_recipe(nonlinearity.classify({2: 1.0}), -1, n=1)
+
+    def run(restarts):
+        tracemalloc.start()
+        try:
+            y, _, diag = search.maximize_U(recipe, 32, seed=0, restarts=restarts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return y.xi, dataclasses.replace(diag, y_star=None), peak
+
+    xi, diag, _ = run(32)
+    monkeypatch.setattr(search, "MAX_HESS_ENTRIES", 3 * 16**2)
+    chunked_xi, chunked_diag, peak = run(32)
+    assert np.array_equal(chunked_xi, xi) and chunked_diag == diag
+    assert peak <= 1.1 * run(4)[2], peak
 
 
 # the shapes of G in test_reduced, each on a side where it has a branch
@@ -1192,11 +1214,8 @@ def slice_energy(a, b, f):
 def test_certified_probe_energies_match_slice_energies(f):
     # each probe energy equals the energy of that time slice, with the
     # potential integrated by Gauss-Legendre; the probes of level n sit at
-    # t = 2 pi k/(9 n), over the level's period.  For odd f, F(g) has
-    # frequencies up to 6 lx in x, so evolve's node sum on MODE_FACTOR lx
-    # modes (2 (N + 1) > 6 lx torus nodes) is the same integral
+    # t = 2 pi k/(9 n), over the level's period
     ctx = ctx_cubic()
-    odd = not np.any(f.poly[::2])
     for n in (1, 2, 3):
         v, w, frame = frame_pair(f, n, 12, 12, seed=30 + n)
         u = kernel.embed(v) + w
@@ -1210,11 +1229,6 @@ def test_certified_probe_energies_match_slice_energies(f):
             b = -ctx.omega * (l * np.sin(l * t)) @ u.coeffs
             want = slice_energy(a, b, f)
             assert abs(got - want) <= 1e-13 * abs(want)
-            if odd:
-                pad = np.zeros((2, evolve.MODE_FACTOR * u.lx))
-                pad[:, : u.lx] = a, b
-                nodes = sfft.dst(pad[0], type=1) / 2.0
-                assert abs(evolve._energy(*pad, nodes, f) - want) <= 1e-12 * abs(want)
 
 
 def test_build_solution_evaluates_f_on_the_field_once(level_guesses, monkeypatch):
