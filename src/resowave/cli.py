@@ -146,15 +146,6 @@ def _context_from(cfg):
         raise ConfigError(str(exc)) from exc
 
 
-def _check_truncation(cfg, n):
-    """Refine needs n * dim <= lx <= lt <= lmax over the keys that are given."""
-    chain = [("n * dim", n * cfg["dim"])]
-    chain += [(key, cfg[key]) for key in ("lx", "lt", "lmax") if cfg[key] is not None]
-    for (low_name, low), (key, val) in zip(chain, chain[1:]):
-        if val < low:
-            raise ConfigError(f"config key {key!r} must be >= {low_name} = {low}, got {val!r}")
-
-
 def _write_text(path, text):
     if path is None:
         sys.stdout.write(text)
@@ -259,7 +250,7 @@ def cmd_solve(args):
 
     if cfg["n"] is not None:
         n = cfg["n"]
-        _check_truncation(cfg, n)
+        search.level_truncation(ctx, f, n, n * cfg["dim"], cfg["lt"], cfg["lx"])
         report = frequency.admissible(ctx, n, f, C=cfg["C"])
         if not report.ok and not cfg["force"]:
             print(f"n = {n}: not admissible ({_refusal(report)})")
@@ -300,7 +291,7 @@ def cmd_scan(args):
     cfg = _validate(_load_config(args.config), SCAN_SCHEMA, "scan")
     f = _parse_coeffs(cfg["coeffs"])
     rng = cfg["omega_range"]
-    if len(rng) != 3 or not all(isinstance(v, _NUM) for v in rng):
+    if len(rng) != 3 or not all(isinstance(v, _NUM) and not isinstance(v, bool) for v in rng):
         raise ConfigError("'omega_range' must be [lo, hi, step]")
     try:
         lo, hi, step = (float(v) for v in rng)

@@ -16,8 +16,8 @@ computes only the rows its caller keeps.  Both are exact quadratures with
 one of two paths, chosen from the size of the work (_plan):
 
 - small fields, every frame of an odd f among them: two chained matrix
-  products with cached cos/sin tables (_trig_table), in the cheaper order
-  and in at most DENSE_MAX_BLOCKS row blocks, each product at most
+  products with cached cos/sin tables (_trig_table), left to right and in
+  at most DENSE_MAX_BLOCKS row blocks, each product at most
   DENSE_MAX_MADDS multiply-adds so that OpenBLAS keeps it on one thread;
 - larger ones, such as the even-f frames whose x axis grows with the
   level: scipy.fft, whose n log n cost the cubic cost of the products
@@ -126,8 +126,8 @@ def temporal_weights(lt):
 # sampling
 
 # A sampling or a projection is a chain of two matrix products with cached
-# trig tables when _plan finds an order and at most DENSE_MAX_BLOCKS row
-# blocks in which each product stays at or below DENSE_MAX_MADDS
+# trig tables when _plan finds at most DENSE_MAX_BLOCKS row blocks in which
+# each product stays at or below DENSE_MAX_MADDS
 # multiply-adds (m n k), and scipy.fft calls otherwise.  2^18 is the size up
 # to which OpenBLAS runs a GEMM on one thread (its SMP_THRESHOLD_MIN 65536
 # times the default GEMM_MULTITHREAD_THRESHOLD 4); above it a second thread
@@ -173,37 +173,23 @@ def _trig_table(n, deg, weighted=False):
 
 
 def _plan(m, k, p, n):
-    """How to form an (m, k) @ (k, p) @ (p, n) chain dense, or None.
+    """The rows per block to form an (m, k) @ (k, p) @ (p, n) chain dense, or None.
 
-    (left, rows): (a b) c if left else a (b c), in blocks of `rows` rows of
-    a so that no GEMM exceeds DENSE_MAX_MADDS multiply-adds and there are
-    at most DENSE_MAX_BLOCKS blocks; of the orders that allow it, the one
-    with fewer multiply-adds.
+    The chain is (a b) c in blocks of rows of a, each GEMM at most
+    DENSE_MAX_MADDS multiply-adds; None when that takes more than
+    DENSE_MAX_BLOCKS blocks.
     """
-    best = None
-    for left, per_row, fixed in ((True, p * max(k, n), 0), (False, k * n, k * p * n)):
-        rows = min(m, DENSE_MAX_MADDS // per_row)
-        if fixed > DENSE_MAX_MADDS or rows < 1 or m > DENSE_MAX_BLOCKS * rows:
-            continue
-        cost = m * (p * (k + n) if left else k * n) + fixed
-        if best is None or cost < best[0]:
-            best = (cost, left, rows)
-    return None if best is None else best[1:]
+    rows = min(m, DENSE_MAX_MADDS // (p * max(k, n)))
+    return rows if rows >= 1 and m <= DENSE_MAX_BLOCKS * rows else None
 
 
-def _chain(a, b, c, plan):
-    """a @ b @ c by the plan of _plan."""
-    left, rows = plan
-    bc = None if left else _matmul(b, c)
-
-    def product(block, out=None):
-        return _matmul(_matmul(block, b), c, out=out) if left else _matmul(block, bc, out=out)
-
+def _chain(a, b, c, rows):
+    """(a @ b) @ c in blocks of `rows` rows of a (_plan)."""
     if rows >= a.shape[0]:
-        return product(a)
+        return _matmul(_matmul(a, b), c)
     out = np.empty((a.shape[0], c.shape[1]))
     for i in range(0, a.shape[0], rows):
-        product(a[i : i + rows], out[i : i + rows])
+        _matmul(_matmul(a[i : i + rows], b), c, out=out[i : i + rows])
     return out
 
 

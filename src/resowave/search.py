@@ -55,6 +55,7 @@ __all__ = [
     "LevelMaximizer",
     "branch_prediction",
     "initial_guess",
+    "level_truncation",
     "refine",
     "galerkin_residual",
     "temporal_support_index",
@@ -83,8 +84,8 @@ RESIDUAL_TOL = 1e-8
 HESS_FLOOR = 1e-8
 MAX_STEP = 0.5
 MAX_EVALUATIONS = 400
-# refine: the most Newton unknowns a level may have; the dense Jacobian at
-# the cap is 128 MiB and one solve of it takes about a second
+# level_truncation: the most Newton unknowns a level may have; the dense
+# Jacobian at the cap is 128 MiB and one solve of it takes about a second
 MAX_UNKNOWNS = 4096
 # maximize_U: the largest sphere and restart count.  At both, u^3 takes
 # 1.5 s and 114 MB peak RSS, u^2 58 s and 307 MB (2-core x86 host)
@@ -361,14 +362,16 @@ def maximize_U(recipe, dim, seed=0, restarts=16):
 class LevelMaximizer:
     """The maximizer (y*, m, diagnostics) that seeds each level of a branch.
 
-    One instance serves one f on both sides of omega = 1.  A recipe whose G
-    does not depend on the level (n_invariant) is maximized once per side,
-    at the first level asked for, with seed itself, and every later level
-    on that side reuses that (y*, m), or the refusal when G has no positive
-    value there.
-    The quadratic-form recipes carry the 1/n^2 transport, so each of their
-    levels is maximized anew with seed + 1000 n.  Every call returns its own
-    copy of the diagnostics, because initial_guess writes into them.
+    One instance serves one f on both sides of omega = 1, at any omega,
+    since G does not depend on it.  Each maximum is kept under what G
+    depends on: the side for a recipe whose G does not depend on the level
+    (n_invariant), maximized with seed itself, and the side and n for the
+    quadratic-form recipes, which carry the 1/n^2 transport, maximized with
+    seed + 1000 n.  Each key is maximized once, at the first call that asks
+    for it, and every later call reuses that (y*, m), or the refusal when G
+    has no positive value there; so a scan maximizes each level once, not
+    at every frequency.  Every call returns its own copy of the
+    diagnostics, because initial_guess writes into them.
     A sphere or restart count above its cap raises ConfigError here, once,
     and not at every level of a branch.
     """
@@ -378,19 +381,17 @@ class LevelMaximizer:
         self.dim = dim
         self.seed = seed
         self.restarts = restarts
-        self._shared = {}         # side -> (y*, m, diagnostics) or the refusal
+        self._found = {}          # (side,) or (side, n) -> (y*, m, diagnostics) or the refusal
 
     def __call__(self, recipe):
-        if recipe.n_invariant and recipe.side in self._shared:
-            found = self._shared[recipe.side]
-        else:
+        key = (recipe.side,) if recipe.n_invariant else (recipe.side, recipe.n)
+        if key not in self._found:
             seed = self.seed if recipe.n_invariant else self.seed + 1000 * recipe.n
             try:
-                found = maximize_U(recipe, self.dim, seed=seed, restarts=self.restarts)
+                self._found[key] = maximize_U(recipe, self.dim, seed=seed, restarts=self.restarts)
             except ResowaveError as exc:
-                found = exc
-            if recipe.n_invariant:
-                self._shared[recipe.side] = found
+                self._found[key] = exc
+        found = self._found[key]
         if isinstance(found, ResowaveError):
             raise found
         y, m, diag = found
@@ -485,6 +486,14 @@ class _Frame:
         return rows, cols, (rows[:, None] * lx + cols - 1).ravel()
 
 
+def _frame_class(f, n, v=None):
+    """(d, odd_rows, odd_cols) of the frame of level n of f (_dilation_frame)."""
+    odd = not np.any(f.poly[::2])
+    j = np.flatnonzero(v.xi) + 1 if v is not None else np.array([n])
+    reflection = bool(np.all(j // (n if odd else 1) % 2 == 1))
+    return (n if odd else 1), odd and reflection, reflection
+
+
 def _dilation_frame(f, n, v=None):
     """The frame of level n of f: d = n and f/n^2 for f without even-order
     terms, else d = 1 and f.
@@ -499,13 +508,36 @@ def _dilation_frame(f, n, v=None):
     X) -> (T + pi, X + pi)), the reflection-even frame keeps the rows k odd
     only as well.  Otherwise every frame entry is kept.
     """
-    odd = not np.any(f.poly[::2])
-    d = n if odd else 1
-    j = np.flatnonzero(v.xi) + 1 if v is not None else np.array([n])
-    reflection = bool(np.all(j // d % 2 == 1))
-    if odd and n > 1:
-        f = nonlinearity.classify(f.poly / n**2)
-    return _Frame(n, d, f, odd_rows=odd and reflection, odd_cols=reflection)
+    d, odd_rows, odd_cols = _frame_class(f, n, v)
+    return _Frame(n, d, nonlinearity.classify(f.poly / n**2) if d > 1 else f, odd_rows, odd_cols)
+
+
+def level_truncation(ctx, f, n, reach, lt=None, lx=None, v=None):
+    """The truncation (lt, lx) of dilation level n, checked before any work.
+
+    reach is the length n dim of the level's guess t* L_n y*.  The keys
+    given must satisfy reach <= lx <= lt <= ctx.L; a missing lt is min(L,
+    max(2 reach, 16, lx)) and a missing lx is lt, which keeps the chain.
+    The Newton unknowns are counted from the frame's shape and parity class
+    (_frame_class): the rows k <= lt/n, only the odd ones with odd_rows,
+    times the columns m <= lx/d, only the odd ones with odd_cols.  The class
+    is read off the guess v when it is given, else off the guess of a
+    reflection-even y*.  Raises ConfigError naming the first key out of
+    order, or when the unknowns are more than MAX_UNKNOWNS.
+    """
+    chain = [c for c in [("n * dim", reach), ("lx", lx), ("lt", lt), ("lmax", ctx.L)] if c[1] is not None]
+    for (low_name, low), (key, val) in zip(chain, chain[1:]):
+        if val < low:
+            raise ConfigError(f"config key {key!r} must be >= {low_name} = {low}, got {val!r}")
+    lt = min(ctx.L, max(2 * reach, 16, lx or 0)) if lt is None else lt
+    lx = lt if lx is None else lx
+    d, odd_rows, odd_cols = _frame_class(f, n, v)
+    rows, cols = lt // n + 1, lx // d
+    unknowns = (rows // 2 if odd_rows else rows) * ((cols + 1) // 2 if odd_cols else cols)
+    if unknowns > MAX_UNKNOWNS:
+        raise ConfigError(f"refinement truncation lt={lt}, lx={lx} has {unknowns} Newton "
+                          f"unknowns, above MAX_UNKNOWNS = {MAX_UNKNOWNS}")
+    return lt, lx
 
 
 def _galerkin_F(u, ctx, frame):
@@ -593,28 +625,19 @@ def refine(v0, ctx, f, lt=None, lx=None):
     above psolve.DOMAIN_RHO) the refinement aborts rather than report a
     solution the existence argument does not cover.  The guard reads
     coefficients only and runs once per iterate, the first time before any
-    step, so it also refuses a resonant context and lt > ctx.L up front.  A
-    truncation with more than MAX_UNKNOWNS unknowns raises ConfigError
-    before anything is sampled.
+    step, so it also refuses a resonant context up front.  The truncation
+    is level_truncation's for the guess v0 (reach len(v0)): defaults, the
+    chain len(v0) <= lx <= lt <= ctx.L and the MAX_UNKNOWNS cap, which
+    raise ConfigError before anything is sampled.
     """
     n = kernel.minimal_time_period_index(v0)
-    if lt is None:
-        lt = min(ctx.L, max(2 * len(v0), 16, lx or 0))
-    if lx is None:
-        lx = lt
-    if lx < len(v0):
-        raise ResowaveError("refinement truncation smaller than the guess")
-    if lt < lx:
-        raise ResowaveError(f"temporal truncation lt={lt} below kernel reach {lx}")
+    lt, lx = level_truncation(ctx, f, n, len(v0), lt, lx, v0)
     frame = _dilation_frame(f, n, v0)
     k = np.arange(1, len(v0) // n + 1)   # v0's entries j = n k, at frame column j/d
     c = np.zeros((lt // n + 1, lx // frame.d))
     c[k, (n // frame.d) * k - 1] = v0.xi[n * k - 1]
     u = fields.SpectralField(c)
     rows, cols, keep = frame.lattice(u.lt, u.lx)
-    if keep.size > MAX_UNKNOWNS:
-        raise ConfigError(f"refinement truncation lt={lt}, lx={lx} has {keep.size} Newton "
-                          f"unknowns, above MAX_UNKNOWNS = {MAX_UNKNOWNS}")
     # the lattice lists the unknowns of the rows k even first
     split = int(np.count_nonzero(rows % 2 == 0)) * cols.size
     scale = 0.5 * np.pi**2 * frame.d**2
@@ -812,12 +835,15 @@ def solve_level(ctx, f, n, maximizer, lt=None, lx=None):
     """The certified record of dilation level n: steps 1-4 of the pipeline.
 
     The side of omega = 1 is the one ctx.omega is on; maximizer is the
-    LevelMaximizer shared by every level of f.  Admissibility is the
-    caller's to check, and g_recipe refuses a side the case does not
-    bifurcate to.  A level below the case's minimal index is flagged
-    outside_theorem.  Raises ResowaveError (ConvergenceError when the
-    refinement fails).
+    LevelMaximizer shared by every level of f.  The truncation is sized
+    first, by level_truncation with reach n * maximizer.dim, so a level it
+    refuses (ConfigError) is never maximized, and refine gets the resolved
+    (lt, lx).  Admissibility is the caller's to check, and g_recipe refuses
+    a side the case does not bifurcate to.  A level below the case's
+    minimal index is flagged outside_theorem.  Raises ResowaveError
+    (ConvergenceError when the refinement fails).
     """
+    lt, lx = level_truncation(ctx, f, n, n * maximizer.dim, lt, lx)
     recipe = reduced.g_recipe(f, 1 if ctx.omega > 1.0 else -1, n=n)
     y_star, m_val, diag = maximizer(recipe)
     v0, level = initial_guess(y_star, m_val, recipe, ctx, diag)
@@ -838,9 +864,11 @@ def solve_branch(ctx, f, n_max=None, C=frequency.DEFAULT_C, dim=8, seed=0,
     solve_level with the LevelMaximizer of the branch: one maximization,
     drawn from seed, serves every level unless G carries the quadratic
     form, whose levels are maximized one by one with seed + 1000 n.
-    Per-level failures are collected, not fatal; a dim or restarts above
-    its cap is no level's failure and raises ConfigError once.  A zero
-    non-resonance margin means no admissible levels at all.
+    Per-level failures are collected, not fatal, a level whose truncation
+    level_truncation refuses among them, with the message a single level
+    gets and without a maximization; a dim or restarts above its cap is no
+    level's failure and raises ConfigError once.  A zero non-resonance
+    margin means no admissible levels at all.
     """
     if ctx.gamma <= 0.0:
         return BranchResult(records=[], failures=[])

@@ -249,6 +249,8 @@ def _assert_evolve_config_refused(tmp_path, capsys, override):
     # a reversed window and one wholly outside frequency.OMEGA_RANGE
     ("scan", {"omega_range": [1.01, 1.001, 0.001]}),
     ("scan", {"omega_range": [0.1, 0.2, 0.01]}),
+    # a boolean is no frequency, though Python counts it as an int
+    ("scan", {"omega_range": [True, 1.01, 0.001]}),
     ("solve", {"seed": -5000}),
     ("scan", {"seed": -1}),
     ("solve", {"lt": 4, "n": 2, "dim": 6}),
@@ -484,11 +486,61 @@ def test_oversized_newton_system_exits_two(tmp_path, capsys, monkeypatch, overri
 
     monkeypatch.setattr(fields, "apply_nonlinearity", never)
     monkeypatch.setattr(fields, "multiply_poly_matrix", never)
+    monkeypatch.setattr(search, "maximize_U", never)
     cfg = solve_config(tmp_path, **{"eps": 4e-4, "dim": 4, "restarts": 2, "lmax": 400, **override})
     assert cli.main(["solve", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert "lt=400, lx=400 has 40000 Newton unknowns" in err
+
+
+def test_branch_level_refused_by_its_truncation_fails_as_a_single_level(tmp_path, capsys,
+                                                                        monkeypatch):
+    # lmax 8 holds level 1 of dim 8 but not n * dim at levels 2 and 3: the
+    # branch lists them as failed, unmaximized, with the message and the
+    # exit 2 that the single level gets
+    doc = {"coeffs": "3=1", "omega": 1.001, "dim": 8, "lmax": 8}
+    assert cli.main(["solve", "--config", write_json(tmp_path / "one.json", {**doc, "n": 2})]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: config key 'lmax' must be >= n * dim = 16, got 8\n"
+    maximized = []
+    real = search.maximize_U
+    monkeypatch.setattr(search, "maximize_U",
+                        lambda recipe, *a, **kw: maximized.append(recipe.n) or real(recipe, *a, **kw))
+    assert cli.main(["solve", "--config", write_json(tmp_path / "br.json", {**doc, "n_max": 3})]) == 1
+    out = capsys.readouterr().out
+    assert "n = 1: accepted " in out
+    assert out.endswith(f"n = 2: failed ({err[7:-1]})\n"
+                        "n = 3: failed (config key 'lmax' must be >= n * dim = 24, got 8)\n")
+    assert maximized == [1]
+
+
+def test_scan_maximizes_each_level_once(tmp_path, capsys, monkeypatch):
+    # G does not depend on omega: over the five frequencies each u^2 level
+    # (the quadratic form: one maximum per n) is maximized once, and the
+    # table is the one a new maximizer at every row writes
+    doc = {"coeffs": "2=1", "omega_range": [0.999, 0.9998, 0.0002], "n_max": 3,
+           "solve": True, "dim": 8, "restarts": 8}
+    maximized = []
+    real = search.maximize_U
+    monkeypatch.setattr(search, "maximize_U",
+                        lambda recipe, *a, **kw: maximized.append(recipe.n) or real(recipe, *a, **kw))
+
+    def scan(name):
+        out = tmp_path / f"{name}.csv"
+        argv = ["scan", "--config", write_json(tmp_path / "scan.json", {**doc, "output": str(out)})]
+        assert cli.main(argv) == 0
+        return out.read_bytes()
+
+    shared = scan("shared")
+    assert maximized == [1, 2, 3]
+    assert shared.count(b"\n") == 10 and shared.count(b",accepted,") == 7
+    level = search.solve_level
+    monkeypatch.setattr(search, "solve_level", lambda ctx, f, n, m: level(
+        ctx, f, n, search.LevelMaximizer(m.dim, m.seed, m.restarts)))
+    maximized.clear()
+    assert scan("fresh") == shared
+    assert len(maximized) == 9
 
 
 def test_explicit_truncation_in_range_is_solved(tmp_path, capsys):

@@ -451,14 +451,13 @@ def test_dense_and_fft_paths_agree(monkeypatch, lt, lx):
 @pytest.mark.parametrize("m, k, p, n", [(100, 17, 16, 100), (49, 100, 100, 98),
                                         (128, 17, 16, 256), (5, 3, 40, 2), (1, 9, 4, 1)])
 def test_chain_in_row_blocks_is_the_product(m, k, p, n):
-    # either association, in blocks of any number of rows of a
+    # in blocks of any number of rows of a
     rng = np.random.default_rng(m + k + p + n)
     a, b, c = rng.standard_normal((m, k)), rng.standard_normal((k, p)), rng.standard_normal((p, n))
     want = a @ b @ c
-    for left in (True, False):
-        for rows in sorted({1, 7, (m + 1) // 2, m}):
-            got = fields._chain(a, b, c, (left, rows))
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    for rows in sorted({1, 7, (m + 1) // 2, m}):
+        got = fields._chain(a, b, c, rows)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("m, k, p, n, blocks", [
@@ -470,11 +469,9 @@ def test_chain_in_row_blocks_is_the_product(m, k, p, n):
     (1, 800, 800, 802, None),    # one row too many multiply-adds
 ])
 def test_plan_keeps_each_product_under_the_bound(m, k, p, n, blocks):
-    plan = fields._plan(m, k, p, n)
+    rows = fields._plan(m, k, p, n)
     if blocks is None:
-        assert plan is None
+        assert rows is None
         return
-    left, rows = plan
     assert -(-m // rows) == blocks <= fields.DENSE_MAX_BLOCKS
-    products = [rows * k * p, rows * p * n] if left else [k * p * n, rows * k * n]
-    assert max(products) <= fields.DENSE_MAX_MADDS
+    assert max(rows * k * p, rows * p * n) <= fields.DENSE_MAX_MADDS

@@ -1048,6 +1048,48 @@ def test_solve_branch_lists_a_refused_level_as_failed(monkeypatch):
     assert "64 Newton unknowns, above MAX_UNKNOWNS = 63" in br.failures[0][1]
 
 
+def test_solve_branch_maximizes_no_level_its_truncation_refuses(monkeypatch):
+    # u^2 at L = 160 and dim 64: 129 x 64 unknowns at level 1 and 81 x 160
+    # at level 2, both refused before the maximizer runs
+    def never(*args, **kw):
+        raise AssertionError("maximized a refused level")
+
+    monkeypatch.setattr(search, "maximize_U", never)
+    ctx = frequency.make_context(frequency.omega_for_eps(-4e-4), L=160)
+    br = search.solve_branch(ctx, nonlinearity.classify({2: 1.0}), dim=64, seed=0, restarts=8)
+    assert not br.records and [n for n, _ in br.failures] == [1, 2]
+    assert [reason.split(" has ")[1] for _, reason in br.failures] == [
+        "8256 Newton unknowns, above MAX_UNKNOWNS = 4096",
+        "12960 Newton unknowns, above MAX_UNKNOWNS = 4096",
+    ]
+
+
+@pytest.mark.parametrize("coeffs", [{3: 1.0}, {2: 1.0}, {2: 1.0, 3: -1.0}], ids=["u3", "u2", "u2-u3"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("guess", ["reflection-even", "any"])
+def test_level_truncation_counts_the_frame_lattice(monkeypatch, coeffs, n, guess):
+    # the count read off the frame's shape and parity class is the size of
+    # the lattice refine solves on: the cap admits it and refuses one less
+    f = nonlinearity.classify(coeffs)
+    ctx = frequency.make_context(1.0001, L=40)
+    xi = np.zeros(3 * n)
+    xi[n - 1 :: 2 * n] = 1e-3
+    if guess == "any":
+        xi[2 * n - 1] = 1e-5
+    v = kernel.KernelVector(xi)
+    frame = search._dilation_frame(f, n, v if guess == "any" else None)
+    for lt, lx in [(9, 9), (17, 16), (23, 12), (40, 40), (33, 31)]:
+        if lx < len(v):
+            continue
+        size = frame.lattice(lt // n, lx // frame.d)[2].size
+        args = (ctx, f, n, len(v), lt, lx, v if guess == "any" else None)
+        monkeypatch.setattr(search, "MAX_UNKNOWNS", size)
+        assert search.level_truncation(*args) == (lt, lx)
+        monkeypatch.setattr(search, "MAX_UNKNOWNS", size - 1)
+        with pytest.raises(ConfigError, match=f"has {size} Newton unknowns"):
+            search.level_truncation(*args)
+
+
 @pytest.mark.parametrize("dim, restarts, cap", [
     (300, 8, "MAX_DIM"), (6, search.MAX_RESTARTS + 1, "MAX_RESTARTS"),
 ])
@@ -1141,8 +1183,11 @@ def test_frame_solve_certified_range_is_the_compressed_index():
     assert rep.converged and w.lt == ctx.L
     assert psolve.contraction_domain(v, ctx, F3, ctx.L) <= psolve.DOMAIN_RHO
     with pytest.raises(ResowaveError, match="certified range"):
+        psolve.contraction_domain(v, ctx, F3, ctx.L + 1)
+    # refine sizes its truncation by level_truncation, before the guard runs
+    with pytest.raises(ConfigError, match=r"'lmax' must be >= lt = 25, got 24"):
         search.refine(v0, ctx, F3, lt=ctx.L + 1)
-    with pytest.raises(ResowaveError, match="below kernel reach"):
+    with pytest.raises(ConfigError, match=f"'lt' must be >= lx = {len(v0) + 1}, got {len(v0)}"):
         search.refine(v0, ctx, F3, lt=len(v0), lx=len(v0) + 1)
 
 
