@@ -2,7 +2,8 @@
 
 Every command is deterministic under a fixed config and seed; reruns produce
 byte-identical files.  Exit codes: 0 success, 1 compute failure or refusal,
-2 configuration or usage error.
+2 configuration or usage error, which includes an input file that cannot be
+read (each is read through _read_input) and an output that cannot be written.
 """
 
 import argparse
@@ -50,17 +51,29 @@ def _parse_coeffs(value):
 
 
 # ---------------------------------------------------------------------------
-# config documents
+# input files and config documents
+
+
+def _read_input(path, what, parse=json.load):
+    """Read the input file at path (a config, a record or a scan table) with parse.
+
+    `what` names the file in messages.  Every failure to read it is a
+    ConfigError: a missing file, a directory, an unreadable file, bytes that
+    are not UTF-8, or text that parse refuses.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{what} not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _load_config(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    doc = _read_input(path, "config file")
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     return doc
@@ -150,10 +163,12 @@ def _write_text(path, text):
     if path is None:
         sys.stdout.write(text)
         return
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _record_json(record):
@@ -162,13 +177,7 @@ def _record_json(record):
 
 
 def _load_record(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"record file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"record file is not valid JSON: {exc}") from exc
+    doc = _read_input(path, "record file")
     try:
         return search.SolutionRecord.from_document(doc)
     except ResowaveError as exc:
@@ -302,7 +311,7 @@ def cmd_scan(args):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
-        ["omega", "eps", "gamma", "n_admissible", "n", "status", "h1", "energy"]
+        ["omega", "eps", "gamma", "n_admissible", "n", "status", "h1", "energy", "reason"]
     )
     # one maximizer for the whole scan: G does not depend on omega, and
     # outside the quadratic-form cases not on n either; it keeps one
@@ -312,17 +321,17 @@ def cmd_scan(args):
         ctx = row["ctx"]
         # every level up to the row's cap is admissible: the bound is monotone in n
         for n in range(frequency.minimal_n(f), min(row["n_max"], cfg["n_max"]) + 1):
-            status, h1_txt, en_txt = "admissible", "", ""
+            status, h1_txt, en_txt, reason = "admissible", "", "", ""
             if cfg["solve"]:
                 try:
                     record = search.solve_level(ctx, f, n, maximizer)
                     status = "accepted" if record.accepted else "rejected"
                     h1_txt, en_txt = _fmt(record.h1), _fmt(record.energy)
-                except ResowaveError:
-                    status = "failed"
+                except ResowaveError as exc:
+                    status, reason = "failed", str(exc)
             writer.writerow(
                 [_fmt(ctx.omega), _fmt(ctx.eps), _fmt(ctx.gamma), row["n_max"], n,
-                 status, h1_txt, en_txt]
+                 status, h1_txt, en_txt, reason]
             )
     _write_text(cfg["output"], buf.getvalue())
     return 0
@@ -396,12 +405,7 @@ def _export_spectrum(record):
     return buf.getvalue()
 
 
-def _export_loglog(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-    except FileNotFoundError as exc:
-        raise ConfigError(f"scan table not found: {path}") from exc
+def _export_loglog(rows):
     if rows and not {"eps", "h1"} <= set(rows[0]):
         raise ConfigError("log-log export needs a scan table with eps and h1 columns")
     buf = io.StringIO()
@@ -424,7 +428,8 @@ def _export_loglog(path):
 
 def cmd_export(args):
     if args.format == "loglog":
-        text = _export_loglog(args.record)
+        text = _export_loglog(_read_input(args.record, "scan table",
+                                          lambda fh: list(csv.DictReader(fh))))
     else:
         record = _load_record(args.record)
         text = _export_grid(record) if args.format == "csv" else _export_spectrum(record)
@@ -499,10 +504,6 @@ def main(argv=None):
     except ResowaveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def run():
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

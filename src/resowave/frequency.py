@@ -182,8 +182,8 @@ def max_admissible_n(ctx, f, C=DEFAULT_C):
 def scan_frequencies(omega_lo, omega_hi, step, L, f, C=DEFAULT_C):
     """Admissibility survey over a frequency grid; rows sorted by omega.
 
-    Each row is a dict with the context ("ctx", also unpacked as omega, eps
-    and gamma) and the largest admissible index "n_max": every n from
+    Each row is a dict of the context "ctx" and the largest admissible
+    index "n_max": every n from
     minimal_n(f) to n_max is admissible, and n_max is 0 at omega = 1 and at
     resonant frequencies.  Grid points outside OMEGA_RANGE get no row; a
     reversed window, or a grid with no point in OMEGA_RANGE, raises.
@@ -203,14 +203,5 @@ def scan_frequencies(omega_lo, omega_hi, step, L, f, C=DEFAULT_C):
     if not omegas.size:
         raise ResowaveError(f"no frequency of the grid over [{omega_lo}, {omega_hi}] "
                             f"lies in OMEGA_RANGE = [{lo}, {hi}]")
-    rows = []
-    for om in omegas:
-        ctx = make_context(float(om), L)
-        rows.append({
-            "ctx": ctx,
-            "omega": ctx.omega,
-            "eps": ctx.eps,
-            "gamma": ctx.gamma,
-            "n_max": max_admissible_n(ctx, f, C),
-        })
-    return rows
+    ctxs = [make_context(float(om), L) for om in omegas]
+    return [{"ctx": ctx, "n_max": max_admissible_n(ctx, f, C)} for ctx in ctxs]

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, determinism, file formats."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -116,6 +117,11 @@ def test_extreme_leading_coefficient_scan_rows_fail(tmp_path, capsys):
     assert rows and all(row[5] == "failed" for row in rows)
 
 
+def scan_rows(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_readme_scan_leaves_stderr_empty(tmp_path, capsys):
     # the levels the contraction guard refuses are failed rows of the table,
     # not warnings on stderr
@@ -129,8 +135,30 @@ def test_readme_scan_leaves_stderr_empty(tmp_path, capsys):
         warnings.simplefilter("always")
         assert cli.main(["scan", "--config", cfg]) == 0
     assert caught == [] and capsys.readouterr().err == ""
-    statuses = [line.split(",")[5] for line in out.read_text().splitlines()[1:]]
-    assert statuses.count("failed") == 11
+    rows = scan_rows(out)
+    assert [row["status"] for row in rows].count("failed") == 11
+    # each failed row says why: here every one is a contraction-domain abort
+    assert {row["reason"] for row in rows if row["status"] == "failed"} == {
+        "iterate left the contraction domain during refinement"}
+    assert all(row["reason"] == "" for row in rows if row["status"] != "failed")
+
+
+def test_scan_failed_rows_keep_their_reason(tmp_path, capsys):
+    # levels 2 and 3 do not fit lmax 8 at dim 8: their rows name the
+    # truncation refusal, not only "failed"
+    out = tmp_path / "scan.csv"
+    cfg = write_json(tmp_path / "scan.json", {
+        "coeffs": "3=1", "omega_range": [1.001, 1.01, 0.001], "n_max": 3,
+        "solve": True, "lmax": 8, "dim": 8, "output": str(out),
+    })
+    assert cli.main(["scan", "--config", cfg]) == 0
+    capsys.readouterr()
+    rows = scan_rows(out)
+    failed = [row["reason"] for row in rows if row["status"] == "failed"]
+    assert sorted(failed) == (
+        ["config key 'lmax' must be >= n * dim = 16, got 8"] * 10
+        + ["config key 'lmax' must be >= n * dim = 24, got 8"] * 5)
+    assert all(row["reason"] == "" for row in rows if row["status"] != "failed")
 
 
 def solve_config(tmp_path, **over):
@@ -705,7 +733,7 @@ def test_scan_table_shape_and_determinism(tmp_path, capsys):
     assert cli.main(["scan", "--config", cfg]) == 0
     capsys.readouterr()
     lines = out1.read_text().splitlines()
-    assert lines[0] == "omega,eps,gamma,n_admissible,n,status,h1,energy"
+    assert lines[0] == "omega,eps,gamma,n_admissible,n,status,h1,energy,reason"
     assert len(lines) > 1
     assert all(line.split(",")[5] == "admissible" for line in lines[1:])
     omegas = [float(line.split(",")[0]) for line in lines[1:]]
@@ -732,7 +760,7 @@ def test_scan_empty_range_gives_header_only(tmp_path, capsys):
     })
     assert cli.main(["scan", "--config", cfg]) == 0
     capsys.readouterr()
-    assert out.read_text() == "omega,eps,gamma,n_admissible,n,status,h1,energy\n"
+    assert out.read_text() == "omega,eps,gamma,n_admissible,n,status,h1,energy,reason\n"
 
 
 def test_scan_bad_range_rejected(tmp_path, capsys):
@@ -908,6 +936,70 @@ def test_good_record_is_read(tmp_path, capsys, command):
             "evolve": ["evolve", "--record", path, "--coeffs", "3=1"]}[command]
     assert cli.main(argv) == 0
     assert capsys.readouterr().err == ""
+
+
+def _input_argv(command, path):
+    return {"solve": ["solve", "--config", path],
+            "scan": ["scan", "--config", path],
+            "evolve": ["evolve", "--record", path, "--coeffs", "3=1"],
+            "export-csv": ["export", "--record", path, "--format", "csv"],
+            "export-loglog": ["export", "--record", path, "--format", "loglog"]}[command]
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+@pytest.mark.parametrize("command", ["solve", "scan", "evolve", "export-csv", "export-loglog"])
+def test_unreadable_input_file_exits_two(tmp_path, capsys, command, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        # a UTF-16 byte-order mark: no UTF-8 text starts with 0xff
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert cli.main(_input_argv(command, str(path))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = "not found: " if kind == "missing" else "cannot read "
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert str(path) in captured.err and "Traceback" not in captured.err
+
+
+def test_scan_table_with_an_oversized_cell_exits_two(tmp_path, capsys):
+    # a cell beyond the csv module's field limit is a read failure
+    scan = tmp_path / "scan.csv"
+    scan.write_text("eps,h1\n" + "1" * 200000 + ",1\n")
+    assert cli.main(_input_argv("export-loglog", str(scan))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read scan table ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "scan", "evolve", "export-csv"])
+def test_input_file_that_is_not_json_exits_two(tmp_path, capsys, command):
+    path = tmp_path / "input.json"
+    path.write_text("{")
+    assert cli.main(_input_argv(command, str(path))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "is not valid JSON: " in err
+
+
+@pytest.mark.parametrize("case", ["solve", "branch", "export"])
+def test_unwritable_output_exits_two(tmp_path, capsys, case):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    if case == "solve":
+        # a directory where the record file should go; the level is solved first
+        argv = ["solve", "--config", solve_config(tmp_path, output=str(tmp_path))]
+    elif case == "branch":
+        # a file where the branch's record directory should go
+        argv = ["solve", "--config", write_json(tmp_path / "branch.json", {
+            "coeffs": "3=1", "eps": 1e-3, "n_max": 2, "lmax": 24,
+            "dim": 3, "restarts": 3, "output": str(taken)})]
+    else:
+        record = write_json(tmp_path / "rec.json", GOOD_RECORD)
+        argv = ["export", "--record", record, "--format", "csv", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and "Traceback" not in err
+    assert taken.read_text() == ""
 
 
 def test_bad_flags_exit_two():

@@ -215,7 +215,8 @@ def test_resonant_frequency_blocks_everything():
 def test_scan_rows_sorted_and_bounded():
     f = nonlinearity.classify({3: 1.0})
     rows = frequency.scan_frequencies(1.0005, 1.002, 0.0005, L=16, f=f)
-    oms = [r["omega"] for r in rows]
+    assert all(set(r) == {"ctx", "n_max"} for r in rows)
+    oms = [r["ctx"].omega for r in rows]
     assert oms == sorted(oms)
     assert all(r["n_max"] >= 1 for r in rows)
     with pytest.raises(ResowaveError):
@@ -227,7 +228,7 @@ def test_scan_window_without_a_frequency_in_range_is_refused():
     # reversed one, or one wholly outside, raises instead of giving no rows
     f = nonlinearity.classify({3: 1.0})
     rows = frequency.scan_frequencies(1.47, 1.53, 0.02, L=8, f=f)
-    assert [r["omega"] for r in rows] == pytest.approx([1.47, 1.49])
+    assert [r["ctx"].omega for r in rows] == pytest.approx([1.47, 1.49])
     with pytest.raises(ResowaveError, match="reversed"):
         frequency.scan_frequencies(1.01, 1.001, 0.001, L=16, f=f)
     with pytest.raises(ResowaveError, match="OMEGA_RANGE"):
