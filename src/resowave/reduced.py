@@ -15,18 +15,19 @@ which in coefficients reads  g_j = eps pi^2 j^2 xi_j - (pi^2/2) (f(u))_{jj}.
 For small amplitudes Phi is governed by mu/2 ||v||^2 - G(v) with G the
 homogeneous leading term, one of five shapes depending on the nonlinearity
 class.  G_eval states that case table once (_G_jet), for the value, the
-xi-gradient and the xi-Hessian at any dilation level n.  Power integrals
-int v^k, their gradients and their Hessians come from the means, sine and
-cosine coefficients of the powers of the profile eta.  For even leading
-power the quadratic-in-v^p form
+xi-gradient and the xi-Hessian at any dilation level n.  Every power
+integral int v^k in G, with its gradient and its Hessian, comes from the
+means, sine and cosine coefficients of the powers of the profile eta
+(_power_jet).  For even leading power the quadratic-in-v^p form
 int v^p L^-1 v^p appears.  With v = eta(s1) - eta(s2), v^p = sum_i C(p,i)
 (-1)^(p-i) eta^i(s1) eta^(p-i)(s2) is a biperiodic map of rank p + 1, so
 every term of the five-term decomposition (linv_forms module docstring) is
 a short sum of exact 1D integrals of eta^k and of its zero-mean primitive;
 nothing is truncated.  Its gradient is one reverse pass over the same
 samples, and its Hessian the complex step of that gradient, exact to
-rounding like the power integrals' (_form_jet).  On dilated kernels the
-form obeys an exact 1/n^2 rescaling law with an alpha^2 offset, which is
+rounding like the power integrals' (_form_jet); the complex step covers
+the form alone.  On dilated kernels the form obeys an exact 1/n^2
+rescaling law with an alpha^2 offset, evaluated only at n > 1, which is
 how n enters G_eval, so the level-n objective never needs the dilated
 vector.
 """
@@ -50,7 +51,7 @@ __all__ = [
     "power_integral",
 ]
 
-# the imaginary step h of the form's complex-step Hessian (_G_jet)
+# the imaginary step h of the form's complex-step Hessian (_form_jet)
 _COMPLEX_STEP = 2.0**-60
 
 
@@ -76,12 +77,6 @@ def _moment_sum(mom, k):
     """sum_i c_i <eta^i> <eta^(k-i)> = int v^k / (2 pi^2), from the means of eta^i."""
     # reversed into a contiguous copy: matmul sums a strided operand outside BLAS, in another order
     return _dot(_binomial_signs(k) * mom[..., : k + 1], np.ascontiguousarray(mom[..., k::-1]))
-
-
-def _moment_sum_grad(mom, dmom, k):
-    """xi-gradient of _moment_sum, given dmom[..., i, :] = d<eta^i>/dxi."""
-    c = _binomial_signs(k)
-    return _vecmat((c + c[::-1]) * mom[..., k::-1], dmom[..., : k + 1, :])
 
 
 class _Jet:
@@ -171,21 +166,16 @@ def power_integral(v, k, grad=False):
 
 
 @functools.lru_cache(maxsize=64)
-def _qform_tables(dim, nodes):
-    """sin(j s) on the nodes and 1/(i m) on the rfft modes; read-only.
-
-    The sines are laid out (dim, nodes), not as kernel._sine_table's transpose:
-    the layout fixes the BLAS kernel, and with it the bits, of xi @ sines.
-    """
-    sines = np.sin(np.outer(np.arange(1, dim + 1), 2.0 * np.pi * np.arange(nodes) / nodes))
+def _primitive_symbol(nodes):
+    """1/(i m) on the rfft modes m of nodes samples, 0 at m = 0 and at Nyquist; read-only."""
     inv = np.zeros(nodes // 2 + 1, dtype=complex)
     inv[1 : nodes // 2] = 1.0 / (1j * np.arange(1, nodes // 2))
-    sines.flags.writeable = inv.flags.writeable = False
-    return sines, inv
+    inv.flags.writeable = False
+    return inv
 
 
-def _qform(v, p, kmax, grad=False):
-    """Q = int v^p L^-1 v^p and mu_k = <eta^k>, k = 0..kmax, from one sampling.
+def _qform(v, p, grad=False):
+    """Q = int v^p L^-1 v^p, or with grad (Q, dQ), from one sampling of eta.
 
     Let E_k = eta^k, mu_k its mean, Pi_k = P E_k the zero-mean primitive of
     E_k - mu_k and c_i = C(p,i) (-1)^(p-i).  The decomposition m = mtilde +
@@ -199,54 +189,48 @@ def _qform(v, p, kmax, grad=False):
 
     and the alpha int M(s,s) terms of the linv_forms formula make its a
     into a + alpha.
-    Every integrand, and eta^k for p <= kmax <= 2p, is a trig polynomial of
-    degree at most 2p dim, so the trapezoid rule on 2p dim + 2 nodes is
-    exact and one rfft gives every mean and primitive.  With grad, (Q, mu,
-    dQ, dmu) is returned with the xi-gradients: one reverse pass takes
-    dQ/dE_k on the nodes, and as dE_k/dxi_j = (k/2) E_(k-1) sin(j s),
+    Every integrand is a trig polynomial of degree at most 2p dim, so the
+    trapezoid rule on 2p dim + 2 nodes is exact and one rfft gives every
+    mean and primitive.  The xi-gradient dQ is one reverse pass: dQ/dE_k on
+    the nodes, and as dE_k/dxi_j = (k/2) E_(k-1) sin(j s),
 
         dQ_j = sum_k (k/2) <dQ/dE_k E_(k-1), sin(j s)>,
-        dmu_k,j = (k/2) <E_(k-1) sin(j s)> / nodes,
 
-    with <, > the sum over the nodes, all from one product with the sines.
+    with <, > the sum over the nodes, one product with the sines per row.
     xi may be complex, and every step is complex-analytic in it.  The rows
     of a stack v of shape (..., dim) are never mixed.
     """
     if p % 2 != 0:
         raise ResowaveError("the form int v^p L^-1 v^p needs an even power p")
-    if not p <= kmax <= 2 * p:
-        raise ResowaveError(f"moments up to {kmax} are not exact with p = {p}")
     xi = np.asarray(getattr(v, "xi", v))
     dim = xi.shape[-1]
     nodes = 2 * p * dim + 2
-    sines, inv = _qform_tables(dim, nodes)
-    E = kernel._powers(_vecmat(xi / 2.0, sines), kmax)
+    sines, inv = kernel._sine_table(dim, nodes), _primitive_symbol(nodes)
+    E = kernel._powers((sines @ (xi / 2.0)[..., None])[..., 0], p)
 
     def means_and_primitives(x):
-        # primitives only of the powers k <= p: the form needs none past it.
-        # The real FFTs take the parts of a complex x apart: a complex FFT
+        # the real FFTs take the parts of a complex x apart: a complex FFT
         # would round the real part into the far smaller imaginary one
         parts = np.stack([x.real, x.imag]) if np.iscomplexobj(x) else x
         spec = np.fft.rfft(parts, axis=-1)
-        mu, Pi = spec[..., 0].real / nodes, np.fft.irfft(spec[..., : p + 1, :] * inv, n=nodes, axis=-1)
+        mu, Pi = spec[..., 0].real / nodes, np.fft.irfft(spec * inv, n=nodes, axis=-1)
         return (mu, Pi) if parts is x else (mu[0] + 1j * mu[1], Pi[0] + 1j * Pi[1])
 
     mu, Pi = means_and_primitives(E)
     ds = 2.0 * np.pi / nodes
     c = _binomial_signs(p)
-    Ep = E[..., : p + 1, :]
-    B = ds * Pi @ np.swapaxes(Ep, -1, -2)
+    B = ds * Pi @ np.swapaxes(E, -1, -2)
     W = np.outer(c, c) * B[..., ::-1, ::-1]
     Md = _vecmat(0.25 * c, Pi * Pi[..., ::-1, :])
-    cm = c * mu[..., p::-1]
-    b = _vecmat(cm, Ep)
+    cm = c * mu[..., ::-1]
+    b = _vecmat(cm, E)
     A = _vecmat(0.25 * cm, Pi)
     alpha = _moment_sum(mu, p)
     q = (-0.125 * np.sum(W * B, axis=(-2, -1))
          + 2.0 * np.pi * ds * (_dot(Md, b) - 4.0 * _dot(A, A))
          - np.pi**4 / 6.0 * alpha**2)
     if not grad:
-        return q, mu
+        return q
 
     # the reverse pass, g_X = dQ/dX.  c_i = c_(p-i), so the two factors B of
     # the first term contribute alike, and so do the two primitives of
@@ -254,24 +238,20 @@ def _qform(v, p, kmax, grad=False):
     # through Pi, is ds/4 (W - W^T) Pi = ds/2 W Pi
     w = 2.0 * np.pi * ds
     gPi = w * (0.5 * c[:, None] * Pi[..., ::-1, :] * b[..., None, :] - 2.0 * cm[..., None] * A[..., None, :])
-    gcm = w * (Ep @ Md[..., None] - 2.0 * Pi @ A[..., None])[..., 0]
+    gcm = w * (E @ Md[..., None] - 2.0 * Pi @ A[..., None])[..., 0]
     # mu_(p-i) enters through cm_i and alpha
     gmu = (c * gcm)[..., ::-1] - 2.0 * np.pi**4 / 3.0 * alpha[..., None] * cm
     gE = (0.5 * ds * W @ Pi + w * cm[..., None] * Md[..., None, :]
           - means_and_primitives(gPi)[1] + gmu[..., None] / nodes)
-    k = np.arange(1, kmax + 1)
-    # rows: dmu_0 = 0, dmu_1..dmu_kmax, dQ
-    rows = np.zeros(E.shape[:-2] + (kmax + 2, nodes), dtype=E.dtype)
-    rows[..., 1:-1, :] = (0.5 / nodes) * k[:, None] * E[..., :-1, :]
-    rows[..., -1, :] = _vecmat(0.5 * k[:p], gE[..., 1:, :] * E[..., :p, :])
-    d = rows @ sines.T
-    return q, mu, d[..., -1, :], d[..., :-1, :]
+    k = np.arange(1, p + 1)
+    geta = _vecmat(0.5 * k, gE[..., 1:, :] * E[..., :-1, :])
+    return q, _vecmat(geta, sines)
 
 
 def linv_qform(v, p):
     """int v^p L^-1 v^p for even p, exact (negative: minus this form has a
     pointwise nonnegative rectangle kernel)."""
-    return _qform(v, p, p)[0]
+    return _qform(v, p)
 
 
 def _uses_qform(f):
@@ -291,8 +271,9 @@ def G_eval(v, f, n=1, grad=False, hess=False):
     The power integrals do not change under the dilation L_n; the form
     (cases n2 and n3 with b < 0) rescales exactly,
         Q(L_n v) = Q(v) / n^2 - (pi^4/6) alpha^2 (1 - 1/n^2),
-    and alpha and int v^(2p) come from the same samples of eta as Q(v).
-    Every Hessian is exact to rounding (_G_jet).
+    with alpha = int v^p / (2 pi^2); the alpha^2 term is evaluated only at
+    n > 1.  Every int v^k comes from _power_jet, and the complex step
+    covers Q(v) alone (_form_jet).  Every Hessian is exact to rounding.
     """
     xi = np.asarray(getattr(v, "xi", v), dtype=float)
     terms = _G_jet(xi, f, n, 2 if hess else int(grad)).terms
@@ -302,49 +283,48 @@ def G_eval(v, f, n=1, grad=False, hess=False):
 def _G_jet(xi, f, n, order, along=slice(None)):
     """G_eval's case table: G at L_n xi as a _Jet of the given order, its
     gradient and Hessian along the coordinates along (a slice)."""
-    if _uses_qform(f):
-        return _form_jet(xi, f, n, order, along)
     p = f.p
+
+    def power(k):
+        # the gradient along along on the last axis, the Hessian on the last two
+        value, *derivs = _power_jet(xi, k, order).terms
+        return _Jet(value, *(t[(...,) + (along,) * i] for i, t in enumerate(derivs, 1)))
+
     if f.case == "odd-power":
-        jet = f.a / (p + 1.0) * _power_jet(xi, p + 1, order)
-    elif f.case == "n1":
-        jet = f.b / (f.d + 1.0) * _power_jet(xi, f.d + 1, order)
-    else:
-        power_p = _power_jet(xi, p, order)
-        jet = f.b / (2.0 * p) * _power_jet(xi, 2 * p, order) - f.a * f.a / 48 * power_p * power_p
-    # the gradient along along on the last axis, the Hessian on the last two
-    value, *derivs = jet.terms
-    return _Jet(value, *(t[(...,) + (along,) * i] for i, t in enumerate(derivs, 1)))
+        return f.a / (p + 1.0) * power(p + 1)
+    if f.case == "n1":
+        return f.b / (f.d + 1.0) * power(f.d + 1)
+    if not _uses_qform(f):
+        power_p = power(p)
+        return f.b / (2.0 * p) * power(2 * p) - f.a * f.a / 48 * power_p * power_p
+    # -(a^2/2) Q(L_n xi); (pi^4/6) alpha^2 = (int v^p)^2 / 24
+    G = -0.5 * f.a * f.a * n**-2.0 * _form_jet(xi, p, order, along)
+    if n > 1:
+        power_p = power(p)
+        G = G + f.a * f.a / 48 * (1.0 - 1.0 / n**2) * power_p * power_p
+    if f.case == "n3":
+        G = G - f.b / (2.0 * p) * power(2 * p)
+    return G
 
 
-def _form_jet(xi, f, n, order, along):
-    """_G_jet for the form shapes (n2, n3 with b < 0), from one complex
-    evaluation of G and its gradient (_qform) at the rows xi + i h s_r.
+def _form_jet(xi, p, order, along):
+    """Q = int v^p L^-1 v^p at xi as a _Jet of the given order, its gradient
+    and Hessian along along, from one complex evaluation of _qform at the
+    rows xi + i h s_r.
 
     Row 0, s_0 = 0, gives the value and the gradient.  At order 2 the rows
     s_r = e_j, one for every j of along, give the Hessian by the complex
-    step, H[j] = Im grad G(xi + i h e_j) / h, symmetrized.  The gradient is
+    step, H[j] = Im grad Q(xi + i h e_j) / h, symmetrized.  The gradient is
     complex-analytic in xi and nothing is subtracted, so H is exact to
     rounding for any small h; the power of two _COMPLEX_STEP makes xi + i h
     e_j exact too.  Row 0 is evaluated alike at every order, so the value
     and gradient keep their bits whether the Hessian is asked for or not.
     """
-    dim, p = xi.shape[-1], f.p
+    dim = xi.shape[-1]
     steps = np.concatenate([np.zeros((1, dim))] + ([np.eye(dim)[along]] if order == 2 else []))
-    # grads is (dq, dmu) at order 1 and above, and empty at order 0
-    q, mu, *grads = _qform(xi[..., None, :] + 1j * _COMPLEX_STEP * steps,
-                           p, 2 * p if f.case == "n3" else p, order > 0)
-
-    def moment_sum(k):
-        return _Jet(_moment_sum(mu, k), *(_moment_sum_grad(mu, dmu, k) for dmu in grads[1:]))
-
-    alpha = moment_sum(p)
-    G = -0.5 * f.a * f.a * (n**-2.0 * _Jet(q, *grads[:1])
-                            - np.pi**4 / 6.0 * (1.0 - 1.0 / n**2) * alpha * alpha)
-    if f.case == "n3":
-        G = G - f.b / (2.0 * p) * 2.0 * np.pi**2 * moment_sum(2 * p)
-    value, *grad = G.terms
-    terms = [value[..., 0].real] + [g[..., 0, along].real for g in grad]
+    rows = xi[..., None, :] + 1j * _COMPLEX_STEP * steps
+    q, *grad = _qform(rows, p, grad=True) if order else (_qform(rows, p),)
+    terms = [q[..., 0].real] + [g[..., 0, along].real for g in grad]
     if order == 2:
         hess = grad[0][..., 1:, along].imag / _COMPLEX_STEP
         terms.append(0.5 * (hess + np.swapaxes(hess, -1, -2)))

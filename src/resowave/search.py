@@ -88,13 +88,14 @@ MAX_EVALUATIONS = 400
 # Jacobian at the cap is 128 MiB and one solve of it takes about a second
 MAX_UNKNOWNS = 4096
 # maximize_U: the largest sphere and restart count.  At both, u^3 takes
-# 1.5 s and 114 MB peak RSS, u^2 58 s and 307 MB (2-core x86 host)
+# 1.6 s and 112 MB peak RSS, u^2 47 s and 305 MB (2-core x86 host)
 MAX_DIM = 256
 MAX_RESTARTS = 64
 # maximize_U: the most Hessian entries, rows times (dim/2)^2, of one stacked
 # evaluation; the live rows of a round are evaluated in chunks under it.  The
 # form's complex-step Hessian takes memory ~ dim^2 per row, and this keeps
-# u^2 near 300 MB at any restart count: 16 rows at dim 128, 4 at dim 256
+# u^2 near 300 MB peak RSS at any restart count: 292 MB with 16 rows at dim
+# 128, 305 MB with 4 at dim 256
 MAX_HESS_ENTRIES = 2**16
 
 

@@ -262,7 +262,7 @@ def check_qform_profile(rng):
                 u, [0.0] * (p - 1) + [1.0], linv_power, out_lt=len(v), out_lx=len(v)
             )
             grad_oracle = p * np.pi**2 * fields.diagonal_of(z)
-            value, _, grad, _ = reduced._qform(v, p, p, grad=True)
+            value, grad = reduced._qform(v, p, grad=True)
             worst_value = max(worst_value, abs(value - oracle) / abs(oracle))
             dev = np.max(np.abs(grad - grad_oracle))
             worst_grad = max(worst_grad, float(dev) / float(np.max(np.abs(grad_oracle))))

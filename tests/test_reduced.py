@@ -129,22 +129,11 @@ def test_linv_qform_p4_matches_decomposition_formula():
         assert abs(reduced.linv_qform(v, 4) - want) <= 1e-13 * abs(want)
 
 
-def test_linv_qform_moments_come_from_eta():
-    v = rand_vec(seed=71, dim=4, scale=0.8)
-    q, mu = reduced._qform(v, 2, 4)
-    assert q == reduced.linv_qform(v, 2)
-    mom = kernel.eta_power_spectrum(v, 4)[0]
-    assert np.max(np.abs(mu - mom)) <= 1e-14 * np.max(np.abs(mom))
-
-
-def test_linv_qform_refuses_odd_power_and_inexact_moments():
+def test_linv_qform_refuses_odd_power():
     v = rand_vec(seed=72, dim=3, scale=0.8)
     for p in (1, 3, 5):
         with pytest.raises(ResowaveError):
             reduced.linv_qform(v, p)
-    for kmax in (1, 5):
-        with pytest.raises(ResowaveError):
-            reduced._qform(v, 2, kmax)
 
 
 @pytest.mark.parametrize("p", [2, 4])
@@ -226,7 +215,7 @@ def test_G_is_homogeneous_at_every_level(coeffs, n):
         assert np.max(np.abs(dscaled - c**f.q * grad)) <= 1e-12 * np.max(np.abs(dscaled))
 
 
-@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("coeffs", SHAPES, ids=["odd-power", "n1", "n2", "n3-bneg", "n3-bpos"])
 def test_G_hessian_matches_gradient_differences(coeffs, n):
     # exact for every shape (the power integrals' from cosine coefficients,
@@ -244,7 +233,7 @@ def test_G_hessian_matches_gradient_differences(coeffs, n):
     assert np.max(np.abs(hess - hess.T)) <= 1e-15 * np.max(np.abs(hess))
 
 
-@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("coeffs", SHAPES, ids=["odd-power", "n1", "n2", "n3-bneg", "n3-bpos"])
 def test_G_hessian_satisfies_euler_identity(coeffs, n):
     # G is homogeneous of degree q + 1, so H xi = q grad G: a difference
@@ -313,7 +302,7 @@ def test_recipe_stack_rows_equal_single_rows(coeffs, side, n):
 def test_cached_tables_are_read_only():
     tables = [
         reduced._binomial_signs(4),
-        *reduced._qform_tables(6, 26),
+        reduced._primitive_symbol(26),
         kernel._sine_table(6, 31),
     ]
     for table in tables:
