@@ -308,11 +308,7 @@ def cmd_scan(args):
     except ResowaveError as exc:
         raise ConfigError(f"'omega_range': {exc}") from exc
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["omega", "eps", "gamma", "n_admissible", "n", "status", "h1", "energy", "reason"]
-    )
+    table = []
     # one maximizer for the whole scan: G does not depend on omega, and
     # outside the quadratic-form cases not on n either; it keeps one
     # maximum per side of omega = 1
@@ -329,11 +325,10 @@ def cmd_scan(args):
                     h1_txt, en_txt = _fmt(record.h1), _fmt(record.energy)
                 except ResowaveError as exc:
                     status, reason = "failed", str(exc)
-            writer.writerow(
-                [_fmt(ctx.omega), _fmt(ctx.eps), _fmt(ctx.gamma), row["n_max"], n,
-                 status, h1_txt, en_txt, reason]
-            )
-    _write_text(cfg["output"], buf.getvalue())
+            table.append([_fmt(ctx.omega), _fmt(ctx.eps), _fmt(ctx.gamma), row["n_max"], n,
+                          status, h1_txt, en_txt, reason])
+    _write_text(cfg["output"], _csv_text(
+        ["omega", "eps", "gamma", "n_admissible", "n", "status", "h1", "energy", "reason"], table))
     return 0
 
 
@@ -379,38 +374,35 @@ def cmd_evolve(args):
     return 0 if err <= bar else 1
 
 
+def _csv_text(header, rows):
+    """A header row and rows as CSV text, one line each."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _export_grid(record):
     nt, nx = 64, 64
     t = 2.0 * np.pi * np.arange(nt) / nt
     x = np.pi * np.arange(nx + 1) / nx
     vals = fields.eval_field(evolve.record_field(record), t, x)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "x", "u"])
-    for i in range(nt):
-        for k in range(nx + 1):
-            writer.writerow([_fmt(t[i]), _fmt(x[k]), _fmt(vals[i, k])])
-    return buf.getvalue()
+    return _csv_text(["t", "x", "u"], ([_fmt(t[i]), _fmt(x[k]), _fmt(vals[i, k])]
+                                       for i in range(nt) for k in range(nx + 1)))
 
 
 def _export_spectrum(record):
-    u = evolve.record_field(record)
-    arr = u.coeffs
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["l", "j", "coeff"])
-    for l in range(arr.shape[0]):
-        for j in range(1, arr.shape[1] + 1):
-            writer.writerow([l, j, _fmt(arr[l, j - 1])])
-    return buf.getvalue()
+    arr = evolve.record_field(record).coeffs
+    return _csv_text(["l", "j", "coeff"], ([l, j, _fmt(arr[l, j - 1])]
+                                           for l in range(arr.shape[0])
+                                           for j in range(1, arr.shape[1] + 1)))
 
 
 def _export_loglog(rows):
     if rows and not {"eps", "h1"} <= set(rows[0]):
         raise ConfigError("log-log export needs a scan table with eps and h1 columns")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["log10_abs_eps", "log10_h1"])
+    table = []
     for row in rows:
         if not row["h1"]:
             continue
@@ -422,8 +414,8 @@ def _export_loglog(rows):
                               f"(eps={row['eps']!r}, h1={row['h1']!r})") from exc
         if eps <= 0.0 or h1 <= 0.0:
             continue
-        writer.writerow([_fmt(math.log10(eps)), _fmt(math.log10(h1))])
-    return buf.getvalue()
+        table.append([_fmt(math.log10(eps)), _fmt(math.log10(h1))])
+    return _csv_text(["log10_abs_eps", "log10_h1"], table)
 
 
 def cmd_export(args):

@@ -51,7 +51,7 @@ MIN_MODES = 32
 
 @dataclass
 class EvolutionResult:
-    """The reported run's end state and its error bar.
+    """The reported run's end position and its error bar.
 
     For the M of time_grid the reported run takes 2M steps of dt and the
     check M + 1 steps, so steps = 3M + 1.
@@ -62,16 +62,15 @@ class EvolutionResult:
     steps: int                # steps taken by both runs
     n_modes: int
     a: np.ndarray             # sine coefficients of u at t_final
-    b: np.ndarray             # sine coefficients of u_tau at t_final
     error_bar: float          # relative L2 distance of the 2M- and (M+1)-step fields
 
 
 def initial_state(u, n_modes):
-    """State (a, b) at t = 0: cosine rows sum to a, the velocity vanishes."""
+    """Sine coefficients of u at t = 0, its cosine rows summed; the velocity vanishes."""
     a = np.zeros(n_modes)
     cols = min(u.lx, n_modes)
     a[:cols] = u.coeffs[:, :cols].sum(axis=0)
-    return a, np.zeros(n_modes)
+    return a
 
 
 # Up to this many modes the sine transforms are products with a dense N x N
@@ -130,12 +129,13 @@ def probe_time(omega, n):
 
 
 def _impulse(a0, f, dt, steps, transforms):
-    """The state (a, b) after steps of the impulse method from (a0, 0) with
+    """The position a after steps of the impulse method from (a0, 0) with
     step dt.
 
     The state is z = a + i b/j, which the linear flow turns by exp(-i j dt).
     The two half kicks between rotations are one kick b -= dt P f(S a);
-    the run starts and ends with a half kick.
+    the run starts with a half kick and ends on a rotation, since the
+    closing half kick would move only the velocity, which is not returned.
     """
     to_nodes, to_modes = transforms
     j = np.arange(1, a0.size + 1)
@@ -159,11 +159,12 @@ def _impulse(a0, f, dt, steps, transforms):
 
     kick()
     zi -= 0.5 * g
-    for k in range(1, steps + 1):
+    for _ in range(steps - 1):
         z *= turn
         kick()
-        zi -= g if k < steps else 0.5 * g
-    return zr.copy(), j * zi
+        zi -= g
+    z *= turn
+    return zr.copy()
 
 
 def integrate(u, omega, f, t_final):
@@ -175,14 +176,14 @@ def integrate(u, omega, f, t_final):
     """
     n_modes, steps, dt = time_grid(u, omega, t_final)
     transforms = _transforms(n_modes)
-    a0, _ = initial_state(u, n_modes)
-    a, b = _impulse(a0, f, 0.5 * dt, 2 * steps, transforms)
-    check, _ = _impulse(a0, f, t_final / (steps + 1), steps + 1, transforms)
+    a0 = initial_state(u, n_modes)
+    a = _impulse(a0, f, 0.5 * dt, 2 * steps, transforms)
+    check = _impulse(a0, f, t_final / (steps + 1), steps + 1, transforms)
     den = np.linalg.norm(a0)
     bar = float(np.linalg.norm(a - check) / den) if den else 0.0
     return EvolutionResult(
         t_final=float(t_final), dt=float(0.5 * dt), steps=3 * steps + 1,
-        n_modes=n_modes, a=a, b=b, error_bar=bar,
+        n_modes=n_modes, a=a, error_bar=bar,
     )
 
 
@@ -204,8 +205,7 @@ def _state_distance(a, a0):
 def return_error(u, omega, f):
     """Relative L2 distance to the initial field after one period 2 pi/omega."""
     res = integrate(u, omega, f, 2.0 * np.pi / omega)
-    a0, _ = initial_state(u, res.n_modes)
-    return _state_distance(res.a, a0), res
+    return _state_distance(res.a, initial_state(u, res.n_modes)), res
 
 
 def nonreturn_probe(u, omega, f, n):
@@ -219,8 +219,8 @@ def nonreturn_probe(u, omega, f, n):
     to the bit.
     """
     n_modes, steps, dt = time_grid(u, omega, probe_time(omega, n))
-    a0, _ = initial_state(u, n_modes)
-    a, _ = _impulse(a0, f, 0.5 * dt, 2 * steps, _transforms(n_modes))
+    a0 = initial_state(u, n_modes)
+    a = _impulse(a0, f, 0.5 * dt, 2 * steps, _transforms(n_modes))
     return _state_distance(a, a0), a
 
 

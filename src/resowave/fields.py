@@ -38,17 +38,14 @@ nonlinearity.
 import functools
 
 import numpy as np
-from dataclasses import dataclass
 from scipy import fft as sfft
 
 from .errors import ResowaveError
 
 __all__ = [
     "SpectralField",
-    "NormBundle",
-    "zeros",
     "eval_field",
-    "norms",
+    "omega_norm",
     "sup_norm",
     "inner_h1",
     "inner_l2",
@@ -109,10 +106,6 @@ class SpectralField:
 
     def __repr__(self):
         return f"SpectralField(lt={self.lt}, lx={self.lx})"
-
-
-def zeros(lt, lx):
-    return SpectralField(np.zeros((lt + 1, lx)))
 
 
 def temporal_weights(lt):
@@ -252,14 +245,6 @@ def eval_field(u, t, x):
 # norms, inner products, projections
 
 
-@dataclass(frozen=True)
-class NormBundle:
-    h1: float
-    l2: float
-    sup: float
-    omega: float
-
-
 def inner_h1(u, v):
     lt = max(u.lt, v.lt)
     lx = max(u.lx, v.lx)
@@ -292,11 +277,12 @@ def sup_norm(u):
     return float(np.max(np.abs(_torus_values(u, nt, nx))))
 
 
-def norms(u, omega=1.0):
-    h1 = np.sqrt(inner_h1(u, u))
-    l2 = np.sqrt(inner_l2(u, u))
-    sup = sup_norm(u)
-    return NormBundle(h1=h1, l2=l2, sup=sup, omega=sup + np.sqrt(abs(omega - 1.0)) * h1)
+def omega_norm(u, omega):
+    """|u|_omega = sup|u| + sqrt(|omega - 1|) ||u||_H1 from above, read off coefficients.
+
+    sup|u| is bounded by sum |u_lj|, so no field is sampled.
+    """
+    return float(np.sum(np.abs(u.coeffs))) + np.sqrt(abs(omega - 1.0)) * np.sqrt(inner_h1(u, u))
 
 
 def diagonal_of(u):

@@ -44,10 +44,6 @@ class NonlinearitySpec:
     b: float | None = None
 
     @property
-    def degree(self):
-        return len(self.poly) - 1
-
-    @property
     def fprime(self):
         k = np.arange(1, len(self.poly))
         return self.poly[1:] * k

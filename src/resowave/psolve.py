@@ -5,7 +5,8 @@ and a bifurcation part on the diagonal (the reduced functional).  Away from
 resonances the inverse wave operator divides mode (l, j) by omega^2 l^2 - j^2,
 and for small v the right-hand side is a contraction in the blended norm
 |u|_omega = sup|u| + sqrt(|omega - 1|) ||u||_H1; Picard iteration from w = 0
-converges geometrically with ratio O(|v|_omega^{p-1} / gamma).
+converges geometrically with ratio O(|v|_omega^{p-1} / gamma).  Every
+omega-norm here bounds sup|u| from above by sum |u_lj| (fields.omega_norm).
 
 Everything here works on a fixed Galerkin truncation (lt, lx).  The converged
 w satisfies the truncated range system to the requested tolerance; tail modes
@@ -33,9 +34,9 @@ _MAX_SWEEPS = 200
 class PSolveReport:
     iterations: int
     converged: bool
-    final_update: float        # |w_{k+1} - w_k|_omega at exit
+    final_update: float        # |w_{k+1} - w_k|_omega at exit, from above
     contraction_ratio: float   # last observed update ratio
-    w_omega_norm: float
+    w_omega_norm: float        # |w|_omega at exit, from above
     domain_ratio: float        # |v|_omega^{p-1} / gamma
     domain_ok: bool
 
@@ -101,10 +102,11 @@ def solve_P(v, ctx, f, tol=1e-12, lt=None, lx=None):
     """Solve the truncated range equation for the kernel element v.
 
     Returns (w, PSolveReport).  The iteration starts at w = 0 and stops when
-    the omega-norm of the update drops below tol * max(1, |w|_omega).  The
-    contraction-domain quantity |v|_omega^{p-1}/gamma is only monitored
-    (warn above DOMAIN_RHO); genuine divergence, or no convergence in 200
-    sweeps, raises ConvergenceError with the update trace attached.
+    the omega-norm of the update drops below tol * max(1, |w|_omega), both
+    upper bounds, so a sweep samples only f(v + w).  The contraction-domain
+    quantity |v|_omega^{p-1}/gamma is only monitored (warn above
+    DOMAIN_RHO); genuine divergence, or no convergence in 200 sweeps,
+    raises ConvergenceError with the update trace attached.
     """
     dim = len(v)
     if lt is None:
@@ -125,18 +127,18 @@ def solve_P(v, ctx, f, tol=1e-12, lt=None, lx=None):
     except ResowaveError:
         n = 1
 
-    w = fields.zeros(lt, lx)
+    w = fields.SpectralField(np.zeros((lt + 1, lx)))
     updates = []
     ratio = 0.0
     for it in range(1, _MAX_SWEEPS + 1):
         rhs = _masked_rhs(u_v + w, f, lt, lx, n)
         w_next = apply_L_inv(rhs, ctx.omega, lt, lx)
-        upd = fields.norms(w_next - w, ctx.omega).omega
+        upd = fields.omega_norm(w_next - w, ctx.omega)
         updates.append(upd)
         w = w_next
         if len(updates) >= 2 and updates[-2] > 0.0:
             ratio = updates[-1] / updates[-2]
-        w_norm = fields.norms(w, ctx.omega).omega
+        w_norm = fields.omega_norm(w, ctx.omega)
         if upd <= tol * max(1.0, w_norm):
             return w, PSolveReport(
                 iterations=it,

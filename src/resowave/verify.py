@@ -417,10 +417,10 @@ def check_operator_estimates(rng):
             diff = fields.SpectralField(a.coeffs - b.coeffs)
             # fit the norm of the difference: a signed pairing can lose its
             # linear coefficient to cancellation for unlucky probe draws
-            devs.append(fields.norms(diff).l2)
+            devs.append(np.sqrt(fields.inner_l2(diff, diff)))
             gam = frequency.truncated_gamma(om, lt)
-            nr = fields.norms(r, om).omega
-            ns = fields.norms(s, om).omega
+            nr = fields.omega_norm(r, om)
+            ns = fields.omega_norm(s, om)
             pairing = abs(fields.inner_l2(r, diff))
             monitored = max(monitored, pairing * gam / (eps * nr * ns))
         slope = _fit_slope(eps_ladder, devs)
@@ -460,9 +460,9 @@ def check_w_properties(rng):
     closure = float(np.max(np.abs(w_d.coeffs[off]))) if off.any() else 0.0
 
     bound_ratio = (
-        fields.norms(w_plus, ctx3.omega).omega
+        fields.omega_norm(w_plus, ctx3.omega)
         * ctx3.gamma
-        / fields.norms(kernel.embed(v), ctx3.omega).omega ** 3
+        / fields.omega_norm(kernel.embed(v), ctx3.omega) ** 3
     )
 
     slope_devs = []
@@ -479,7 +479,7 @@ def check_w_properties(rng):
                 kernel.embed(vt), f.poly, out_lt=w_t.lt, out_lx=w_t.lx
             )
             w1 = psolve.apply_L_inv(rhs, ctx.omega, w_t.lt, w_t.lx)
-            gaps.append(fields.norms(w_t - w1, ctx.omega).omega)
+            gaps.append(fields.omega_norm(w_t - w1, ctx.omega))
         slope = _fit_slope(amps, gaps)
         slope_devs.append(abs(slope - (2 * p - 1)))
     worst_slope = max(slope_devs)

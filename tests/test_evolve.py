@@ -13,9 +13,8 @@ def test_initial_state_sums_cosine_rows():
     coeffs[0, 0] = 0.5
     coeffs[2, 0] = -0.2    # cos(2t) contributes at t = 0
     coeffs[1, 1] = 0.3
-    a, b = evolve.initial_state(fields.SpectralField(coeffs), 5)
+    a = evolve.initial_state(fields.SpectralField(coeffs), 5)
     assert np.allclose(a, [0.3, 0.3, 0.0, 0.0, 0.0])
-    assert np.all(b == 0.0)
 
 
 def _sine_galerkin_acceleration(a, f):
@@ -52,7 +51,7 @@ def test_kick_matches_sine_transform_formula(n_modes):
 
 def _mode_space_impulse(a, f, dt, steps):
     """The impulse method written out in sine modes, half kicks unmerged, as
-    the reference for integrate's loop: (a, b) at the end."""
+    the reference for integrate's loop: the position a at the end."""
     j = np.arange(1, a.size + 1)
     cos, sin = np.cos(j * dt), np.sin(j * dt)
     b = np.zeros_like(a)
@@ -60,7 +59,7 @@ def _mode_space_impulse(a, f, dt, steps):
         b = b + 0.5 * dt * (_sine_galerkin_acceleration(a, f) + j**2 * a)
         a, b = cos * a + sin * b / j, cos * b - j * sin * a
         b = b + 0.5 * dt * (_sine_galerkin_acceleration(a, f) + j**2 * a)
-    return a, b
+    return a
 
 
 @BOTH_BRANCHES
@@ -77,12 +76,11 @@ def test_loop_matches_mode_space_impulse(n_modes, monkeypatch):
     monkeypatch.setattr(evolve, "STEPS_PER_PERIOD", 64)
     res = evolve.integrate(u, 1.0, f, 100 * 2.0 * np.pi / 64)
     assert (res.steps, res.n_modes) == (301, n_modes)
-    a0, _ = evolve.initial_state(u, n_modes)
-    a, b = _mode_space_impulse(a0, f, res.dt, 200)
-    check, _ = _mode_space_impulse(a0, f, res.t_final / 101, 101)
+    a0 = evolve.initial_state(u, n_modes)
+    a = _mode_space_impulse(a0, f, res.dt, 200)
+    check = _mode_space_impulse(a0, f, res.t_final / 101, 101)
     bar = np.linalg.norm(a - check) / np.linalg.norm(a0)
     assert np.max(np.abs(res.a - a)) <= 1e-12 * np.max(np.abs(a))
-    assert np.max(np.abs(res.b - b)) <= 1e-12 * np.max(np.abs(b))
     assert abs(res.error_bar - bar) <= 1e-12
     assert bar > 1e-5
 
@@ -144,7 +142,7 @@ def test_nonreturn_probe_makes_only_the_reported_run(monkeypatch):
         u = evolve.record_field(rec)
         t_probe = evolve.probe_time(rec.omega, rec.n)
         res = evolve.integrate(u, rec.omega, f, t_probe)
-        a0, _ = evolve.initial_state(u, res.n_modes)
+        a0 = evolve.initial_state(u, res.n_modes)
         steps = []
         real = evolve._impulse
 
@@ -178,7 +176,7 @@ def test_resonance_guard_flags_a_step_at_pi(monkeypatch):
 
     res = run(8)
     assert 8 * res.dt == pytest.approx(np.pi, rel=0.01)
-    a0, _ = evolve.initial_state(u, res.n_modes)
+    a0 = evolve.initial_state(u, res.n_modes)
     err = np.linalg.norm(res.a - run(1024).a) / np.linalg.norm(a0)
     assert res.error_bar >= 0.5 * err
     assert res.error_bar > 1e-5

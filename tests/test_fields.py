@@ -230,6 +230,21 @@ def test_sup_norm_is_lower_bound_of_true_sup():
 
 
 @both_paths
+def test_omega_norm_bounds_the_sampled_blend_from_above():
+    # sum |u_lj| >= sup |u|, so omega_norm is never below the blend with the
+    # sampled sup; on 0.5 sin x it is 0.5 + sqrt(|omega - 1|) pi/2
+    u = fields.SpectralField([[0.5]])
+    assert abs(fields.omega_norm(u, 1.04) - (0.5 + 0.2 * 0.5 * np.pi)) <= 1e-15
+    rng = np.random.default_rng(11)
+    for lt, lx in ((0, 1), (2, 3), (5, 4), (8, 12)):
+        u = random_field(rng, lt, lx)
+        h1 = np.sqrt(fields.inner_h1(u, u))
+        for omega in (1.0, 1.004, 0.97):
+            sampled = fields.sup_norm(u) + np.sqrt(abs(omega - 1.0)) * h1
+            assert fields.omega_norm(u, omega) >= sampled
+
+
+@both_paths
 def test_multiply_poly_project_matches_quadrature():
     rng = np.random.default_rng(8)
     u = random_field(rng, 2, 3)

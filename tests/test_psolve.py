@@ -147,8 +147,12 @@ def test_w_scales_cubically_in_v():
     w1, _ = psolve.solve_P(v, ctx, f)
     half = kernel.KernelVector(0.5 * v.xi)
     w2, _ = psolve.solve_P(half, ctx, f)
-    r1 = fields.norms(w1).h1 / fields.norms(kernel.embed(v)).h1 ** 3
-    r2 = fields.norms(w2).h1 / fields.norms(kernel.embed(half)).h1 ** 3
+
+    def h1(u):
+        return np.sqrt(fields.inner_h1(u, u))
+
+    r1 = h1(w1) / h1(kernel.embed(v)) ** 3
+    r2 = h1(w2) / h1(kernel.embed(half)) ** 3
     assert abs(r1 - r2) / r1 < 0.05
 
 
@@ -199,6 +203,39 @@ def test_report_diagnostics_are_consistent():
     assert rep.domain_ok
 
 
+@pytest.mark.parametrize("coeffs, eps", [({3: 1.0}, 1e-3), ({2: 1.0}, -1e-3)],
+                         ids=["u3", "u2"])
+def test_solve_P_samples_the_torus_once_per_sweep(coeffs, eps, monkeypatch):
+    # f(v + w) is a sweep's one sample: the update and iterate norms are
+    # read off coefficients
+    calls = []
+    real = fields._torus_values
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fields, "_torus_values", counted)
+    ctx = frequency.make_context(frequency.omega_for_eps(eps), L=24)
+    v = kernel_vector(seed=3, dim=3, scale=0.01)
+    _, rep = psolve.solve_P(v, ctx, nonlinearity.classify(coeffs))
+    assert rep.converged and rep.iterations >= 2
+    assert len(calls) == rep.iterations
+
+
+def test_omega_norm_of_an_embedding_is_the_guards_blend():
+    # the guard blends sum |xi_j| and |v|_H1 off xi without building the
+    # field (for p = 2 it is the blend over gamma); omega_norm of the
+    # embedded field is the same number
+    f = nonlinearity.classify({2: 1.0})
+    ctx = frequency.make_context(1.004, L=24)
+    for seed in range(12):
+        v = kernel_vector(seed, dim=1 + seed % 6, scale=0.05)
+        got = psolve.contraction_domain(v, ctx, f, 12)
+        want = fields.omega_norm(kernel.embed(v), ctx.omega) / ctx.gamma
+        assert abs(got - want) <= 1e-15 * got
+
+
 def test_contraction_domain_bounds_the_sampled_ratio_from_above():
     # sum |xi_j| >= sup |v|, so the coefficient quantity is never below the
     # one with the sampled sup it replaced
@@ -209,5 +246,6 @@ def test_contraction_domain_bounds_the_sampled_ratio_from_above():
         got = psolve.contraction_domain(v, ctx, f, 12)
         blended = np.sum(np.abs(v.xi)) + np.sqrt(ctx.omega - 1.0) * v.h1()
         assert got == blended ** 2 / ctx.gamma
-        sampled = fields.norms(kernel.embed(v), ctx.omega).omega ** 2 / ctx.gamma
-        assert got >= sampled
+        u = kernel.embed(v)
+        sampled_sup = fields.sup_norm(u) + np.sqrt(ctx.omega - 1.0) * np.sqrt(fields.inner_h1(u, u))
+        assert got >= sampled_sup ** 2 / ctx.gamma
