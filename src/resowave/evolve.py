@@ -19,6 +19,15 @@ distance between the two is the error bar.  A resonance j dt = m pi of the
 reported run recurs in the check only for m >= (M+1)/2, at j >= pi M
 (M+1)/T (2080 omega over one period at M = 64), so the bar sees the
 resonances below.  M is at least 2, or the check would be the reported run.
+
+The equation commutes with the reflection x -> pi - x, which maps sin(j x)
+to (-1)^(j+1) sin(j x).  A state on the odd modes j stays there under any f,
+and a state on the even modes j under an odd f.  A run integrates only the
+reflection class of its initial state, on half the modes and half the
+nodes, so its two products per step are a quarter of the full ones; its
+position is reported on every mode, zero off the class.  The class is read
+off the initial state and f alone, by exact zeros, never off a record's
+level or frame: it is a symmetry of the equation, not the solver's law.
 """
 
 import functools
@@ -73,32 +82,65 @@ def initial_state(u, n_modes):
     return a
 
 
-# Up to this many modes the sine transforms are products with a dense N x N
-# matrix, above it scipy.fft.dst calls.  On a 2-core x86 host with OpenBLAS
-# a pair of products takes 3-80 us at N = 64..448 against 19-178 us for a
-# pair of transforms (which win at N = 383, 384), and from N = 480 on the
-# transforms win (64 against 121 us at 480); from N = 767 on OpenBLAS runs
-# the product on two threads.  More than MAX_MODES are refused: a step takes
-# 2.4 ms at 2^14 modes and 55 ms at 2^16, where records need MODE_FACTOR lx.
+# Up to this many integrated modes the sine transforms are products with a
+# dense matrix, above it scipy.fft.dst calls on every mode.  On a 2-core x86
+# host with OpenBLAS a pair of N x N products takes 3-80 us at N = 64..448
+# against 19-178 us for a pair of transforms (which win at N = 383, 384),
+# and from N = 480 on the transforms win (64 against 121 us at 480); from
+# N = 767 on OpenBLAS runs the product on two threads.  More than MAX_MODES
+# are refused: a step takes 2.4 ms at 2^14 modes and 55 ms at 2^16, where
+# records need MODE_FACTOR lx.
 DENSE_MAX_MODES = 448
 MAX_MODES = 2**14
 
 
-@functools.lru_cache(maxsize=4)
-def _transforms(n_modes):
-    """(to_nodes, to_modes), writing S a and (1/j) P v into their out array.
-
-    S[k, j] = sin(pi k j/(N+1)) maps sine coefficients to the node values and
-    P = 2/(N+1) S inverts it.  The dense S is gathered from sin(pi m/(N+1))
-    at m = k j mod 2(N+1), so each entry is rounded once.  The pair is
-    cached per N (a run and its check, and the records of a branch, share
-    N), so S and P are read-only; four pairs at DENSE_MAX_MODES hold 13 MB.
-    """
+def _modes(n_modes, parity):
+    """The sine modes j of a class: those with j % 2 == parity, or all of
+    1..n_modes when parity is None."""
     j = np.arange(1, n_modes + 1)
-    if n_modes <= DENSE_MAX_MODES:
+    return j if parity is None else j[j % 2 == parity]
+
+
+def _reflection_class(a0, f):
+    """The parity of the modes a run from (a0, 0) stays on, or None.
+
+    1 (odd j) when every even-j entry of a0 is zero, 0 (even j) when every
+    odd-j entry is and f has no even-order term, None (every j) otherwise.
+    Also None when the class has more than DENSE_MAX_MODES modes, since the
+    DSTs run on every mode, and for an odd mode count, whose middle node is
+    its own mirror.
+    """
+    if a0.size % 2 or a0.size // 2 > DENSE_MAX_MODES:
+        return None
+    if not a0[1::2].any():
+        return 1
+    if not a0[::2].any() and not np.any(f.poly[::2]):
+        return 0
+    return None
+
+
+@functools.lru_cache(maxsize=8)
+def _transforms(n_modes, parity=None):
+    """(to_nodes, to_modes) of the class of parity, writing S a and (1/j) P v
+    into their out array.
+
+    S[k, j] = sin(pi k j/(N+1)) maps the sine coefficients of the modes j to
+    the node values and P = 2/(N+1) S^T inverts it.  For even N, node N+1-k
+    carries (-1)^(j+1) times the value at node k, and no node is its own
+    mirror: a class integrates on its N/2 modes and the nodes k <= N/2,
+    each of which stands for its mirror too, so its P is 4/(N+1) S^T.  The
+    dense S is gathered from sin(pi m/(N+1)) at m = k j mod 2(N+1), so each
+    entry is rounded once.  Only the pair of the class is built, cached per
+    (N, parity) (a run and its check, and the records of a branch, share
+    it), so S and P are read-only; eight pairs at DENSE_MAX_MODES hold 26 MB.
+    """
+    j = _modes(n_modes, parity)
+    if j.size <= DENSE_MAX_MODES:
         period = 2 * n_modes + 2
-        S = np.sin(np.arange(period) * (np.pi / (n_modes + 1)))[np.outer(j, j) % period]
-        P = S * (2.0 / ((n_modes + 1) * j))[:, None]
+        k = np.arange(1, j.size + 1)
+        S = np.sin(np.arange(period) * (np.pi / (n_modes + 1)))[np.outer(k, j) % period]
+        weight = 2.0 if parity is None else 4.0
+        P = np.multiply(S.T, (weight / ((n_modes + 1) * j))[:, None], order="C")
         S.flags.writeable = P.flags.writeable = False
         return (lambda a, out: np.dot(S, a, out=out),
                 lambda v, out: np.dot(P, v, out=out))
@@ -128,25 +170,25 @@ def probe_time(omega, n):
     return 2.0 * np.pi / ((n + 1) * omega)
 
 
-def _impulse(a0, f, dt, steps, transforms):
+def _impulse(a0, f, dt, steps, parity):
     """The position a after steps of the impulse method from (a0, 0) with
-    step dt.
+    step dt, integrated on the modes of the class parity.
 
     The state is z = a + i b/j, which the linear flow turns by exp(-i j dt).
     The two half kicks between rotations are one kick b -= dt P f(S a);
     the run starts with a half kick and ends on a rotation, since the
     closing half kick would move only the velocity, which is not returned.
     """
-    to_nodes, to_modes = transforms
-    j = np.arange(1, a0.size + 1)
+    to_nodes, to_modes = _transforms(a0.size, parity)
+    j = _modes(a0.size, parity)
     turn = np.exp(-1j * dt * j)
     # f(0) = 0, so f(p) = p (c_1 + p (c_2 + ... + p c_d)) by Horner, with dt
     # folded into the coefficients
     coeffs = np.trim_zeros(np.asarray(f.poly[1:], dtype=float), "b")
     top, *rest = dt * coeffs[::-1]
-    z = a0.astype(complex)
+    z = a0[j - 1].astype(complex)
     zr, zi = z.real, z.imag
-    p, fv, g = np.empty(a0.size), np.empty(a0.size), np.empty(a0.size)
+    p, fv, g = np.empty(j.size), np.empty(j.size), np.empty(j.size)
 
     def kick():
         to_nodes(zr, p)
@@ -164,7 +206,9 @@ def _impulse(a0, f, dt, steps, transforms):
         kick()
         zi -= g
     z *= turn
-    return zr.copy()
+    a = np.zeros(a0.size)
+    a[j - 1] = zr
+    return a
 
 
 def integrate(u, omega, f, t_final):
@@ -175,10 +219,10 @@ def integrate(u, omega, f, t_final):
     the two runs' position fields is its error bar.
     """
     n_modes, steps, dt = time_grid(u, omega, t_final)
-    transforms = _transforms(n_modes)
     a0 = initial_state(u, n_modes)
-    a = _impulse(a0, f, 0.5 * dt, 2 * steps, transforms)
-    check = _impulse(a0, f, t_final / (steps + 1), steps + 1, transforms)
+    parity = _reflection_class(a0, f)
+    a = _impulse(a0, f, 0.5 * dt, 2 * steps, parity)
+    check = _impulse(a0, f, t_final / (steps + 1), steps + 1, parity)
     den = np.linalg.norm(a0)
     bar = float(np.linalg.norm(a - check) / den) if den else 0.0
     return EvolutionResult(
@@ -220,7 +264,7 @@ def nonreturn_probe(u, omega, f, n):
     """
     n_modes, steps, dt = time_grid(u, omega, probe_time(omega, n))
     a0 = initial_state(u, n_modes)
-    a = _impulse(a0, f, 0.5 * dt, 2 * steps, _transforms(n_modes))
+    a = _impulse(a0, f, 0.5 * dt, 2 * steps, _reflection_class(a0, f))
     return _state_distance(a, a0), a
 
 

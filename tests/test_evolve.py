@@ -1,5 +1,8 @@
 """Time-domain integrator and the return/non-return contrast."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
@@ -223,3 +226,152 @@ def test_record_field_reconstruction():
     assert fields.sup_norm(u) == rec.sup
     d = fields.diagonal_of(u)
     assert np.allclose(d, rec.xi[: d.size])
+
+
+F3 = nonlinearity.classify({3: 1.0})
+
+
+@pytest.fixture(scope="module")
+def criterion6_records():
+    # the criterion-6 branch: levels 1, 3, 5 sit on the odd modes j, and
+    # levels 2, 4, 6 on the even ones
+    ctx = frequency.make_context(1.0001, L=48)
+    br = search.solve_branch(ctx, F3, C=0.004, dim=6, seed=0, restarts=8)
+    assert [r.n for r in br.records] == [1, 2, 3, 4, 5, 6]
+    return br.records
+
+
+@pytest.fixture
+def fresh_transforms():
+    # a test that moves DENSE_MAX_MODES or counts cache misses starts and
+    # leaves with an empty table cache
+    evolve._transforms.cache_clear()
+    yield evolve._transforms
+    evolve._transforms.cache_clear()
+
+
+def _table_key(rec):
+    """(n_modes, parity): the key of the tables a record's runs use."""
+    u = evolve.record_field(rec)
+    n_modes = evolve.time_grid(u, rec.omega, 1.0)[0]
+    return n_modes, evolve._reflection_class(evolve.initial_state(u, n_modes), F3)
+
+
+def test_criterion6_records_run_on_their_reflection_class(criterion6_records):
+    # the return run's state and the probe's distance, each made on one
+    # class, agree with the full mode-space reference
+    assert [_table_key(r)[1] for r in criterion6_records] == [1, 0, 1, 0, 1, 0]
+    for rec in criterion6_records:
+        u = evolve.record_field(rec)
+        err, res = evolve.return_error(u, rec.omega, F3)
+        a0 = evolve.initial_state(u, res.n_modes)
+        a = _mode_space_impulse(a0, F3, res.dt, 2 * (res.steps - 1) // 3)
+        assert np.max(np.abs(res.a - a)) <= 1e-12 * np.max(np.abs(a))
+        assert abs(err - evolve._state_distance(a, a0)) <= 1e-12
+        n_modes, steps, dt = evolve.time_grid(u, rec.omega, evolve.probe_time(rec.omega, rec.n))
+        off, _ = evolve.nonreturn_probe(u, rec.omega, F3, rec.n)
+        want = evolve._state_distance(_mode_space_impulse(a0, F3, 0.5 * dt, 2 * steps), a0)
+        assert abs(off - want) <= 1e-12 * want
+
+
+def test_even_f_or_mixed_data_take_the_full_path(monkeypatch):
+    # u^2 maps even-j data onto odd modes at the first kick, so a run on the
+    # even class would be wrong there; mixed data has no class either
+    f2 = nonlinearity.classify({2: 1.0})
+    coeffs = np.zeros((1, 8))
+    coeffs[0, 1], coeffs[0, 5] = 0.1, 0.05     # j = 2, 6
+    even = fields.SpectralField(coeffs)
+    coeffs = coeffs.copy()
+    coeffs[0, 2] = 0.02                         # j = 3
+    mixed = fields.SpectralField(coeffs)
+    parities = []
+    real = evolve._impulse
+
+    def spied(a0, f, dt, steps, parity):
+        parities.append(parity)
+        return real(a0, f, dt, steps, parity)
+
+    monkeypatch.setattr(evolve, "_impulse", spied)
+    evolve.integrate(even, 1.0, f2, 1.0)
+    evolve.integrate(mixed, 1.0, F3, 1.0)
+    assert parities == [None] * 4
+    evolve.integrate(even, 1.0, F3, 1.0)
+    assert parities[4:] == [0, 0]
+    a0 = evolve.initial_state(even, 32)
+    a = real(a0, f2, 0.01, 1, None)
+    assert np.max(np.abs(a[::2])) > 1e-6 * np.max(np.abs(a))
+
+
+@pytest.mark.parametrize("n_modes", [192, 2 * evolve.DENSE_MAX_MODES])
+@pytest.mark.parametrize("parity", [1, 0], ids=["odd", "even"])
+def test_class_kick_is_the_full_kick_on_its_modes(parity, n_modes):
+    # the class products on the nodes k <= N/2 give the full DST-I kick,
+    # read on the class's modes, for data on that class and an f that keeps
+    # it (an even-order term only on the odd class)
+    f = nonlinearity.classify({2: 0.5, 3: 1.0, 5: -0.3} if parity else {3: 1.0, 5: -0.3})
+    rng = np.random.default_rng(n_modes + parity)
+    j = evolve._modes(n_modes, parity)
+    a = np.zeros(n_modes)
+    a[j - 1] = rng.standard_normal(j.size) * (j[0] / j) ** 2
+    want = -(_sine_galerkin_acceleration(a, f) + np.arange(1, n_modes + 1) ** 2 * a)
+    want = want[j - 1] / j
+    to_nodes, to_modes = evolve._transforms(n_modes, parity)
+    p, g = np.empty(j.size), np.empty(j.size)
+    to_nodes(a[j - 1], p)
+    full = sfft.dst(a, type=1) / 2.0
+    assert np.max(np.abs(p - full[: j.size])) <= 1e-13 * np.max(np.abs(full))
+    to_modes(sum(c * p**k for k, c in enumerate(f.poly)), g)
+    assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_dense_class_and_dst_paths_agree(criterion6_records, monkeypatch, fresh_transforms):
+    # levels 4 and 5 run on 96 modes of one class against 192 modes through
+    # the DSTs once DENSE_MAX_MODES is below both
+    dense = {}
+    for rec in criterion6_records[3:5]:
+        u = evolve.record_field(rec)
+        dense[rec.n] = (evolve.return_error(u, rec.omega, F3),
+                        evolve.nonreturn_probe(u, rec.omega, F3, rec.n)[0])
+    monkeypatch.setattr(evolve, "DENSE_MAX_MODES", 64)
+    fresh_transforms.cache_clear()
+    for rec in criterion6_records[3:5]:
+        u = evolve.record_field(rec)
+        (err, res), off = (evolve.return_error(u, rec.omega, F3),
+                           evolve.nonreturn_probe(u, rec.omega, F3, rec.n)[0])
+        assert _table_key(rec) == (192, None)
+        (err0, res0), off0 = dense[rec.n]
+        assert np.max(np.abs(res.a - res0.a)) <= 1e-12 * np.max(np.abs(res0.a))
+        assert abs(err - err0) <= 1e-12 and abs(res.error_bar - res0.error_bar) <= 1e-12
+        assert abs(off - off0) <= 1e-12 * off0
+
+
+def test_branch_builds_each_table_once(criterion6_records, fresh_transforms):
+    # two passes over the branch, run and probe, build each (N, class) pair
+    # once: five of them, within the cache
+    keys = {_table_key(r) for r in criterion6_records}
+    assert len(keys) == 5
+    for _ in range(2):
+        for rec in criterion6_records:
+            u = evolve.record_field(rec)
+            evolve.return_error(u, rec.omega, F3)
+            evolve.nonreturn_probe(u, rec.omega, F3, rec.n)
+    assert fresh_transforms.cache_info().misses == len(keys)
+
+
+def test_evolve_imports_no_solver_module():
+    # the time-domain oracle stays independent of the spectral solve: of the
+    # package it reads only the field types, the kernel embedding and errors
+    tree = ast.parse(inspect.getsource(evolve))
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            package |= ({node.module.split(".")[0]} if node.module
+                        else {a.name for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("resowave"):
+            rest = node.module.split(".")[1:]
+            package |= {rest[0]} if rest else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            package |= {a.name.split(".")[1] for a in node.names
+                        if a.name.startswith("resowave.")}
+    assert package <= {"fields", "kernel", "errors"}
+    assert {"fields", "kernel", "errors"} <= package
