@@ -8,8 +8,9 @@ and for small v the right-hand side is a contraction in the blended norm
 converges geometrically with ratio O(|v|_omega^{p-1} / gamma).  Every
 omega-norm here bounds sup|u| from above by sum |u_lj| (fields.omega_norm).
 
-Everything here works on a fixed Galerkin truncation (lt, lx).  The converged
-w satisfies the truncated range system to the requested tolerance; tail modes
+Everything here works on a fixed Galerkin truncation (lt, lx), which
+search.level_truncation sizes as it sizes every level.  The converged w
+satisfies the truncated range system to the requested tolerance; tail modes
 are a diagnostic, not part of the solution contract.  When v has temporal
 period 2pi/n (support on indices divisible by n) the iteration preserves that
 subspace exactly: off-support temporal rows are pinned to exact zeros.
@@ -71,21 +72,15 @@ def apply_L_inv(w, omega, out_lt=None, out_lx=None):
     return fields.SpectralField(out)
 
 
-def contraction_domain(v, ctx, f, lt):
+def contraction_domain(v, ctx, f):
     """The a priori contraction quantity |v|_omega^(p-1)/gamma, from above.
 
-    sup|v| is bounded by sum |xi_j|, so no field is sampled.  Refuses a
-    resonant context and a truncation lt outside [len(v), ctx.L]; solve_P
-    warns above DOMAIN_RHO and search.refine aborts.
+    It depends on v, omega and gamma only, not on the truncation.  sup|v| is
+    bounded by sum |xi_j|, so no field is sampled.  Refuses a resonant
+    context; solve_P warns above DOMAIN_RHO and search.refine aborts.
     """
     if ctx.gamma <= 0.0:
         raise ResonanceError(omega=ctx.omega)
-    if lt < len(v):
-        raise ResowaveError(f"temporal truncation lt={lt} below kernel reach {len(v)}")
-    if lt > ctx.L:
-        raise ResowaveError(
-            f"truncation lt={lt} exceeds the context's certified range L={ctx.L}"
-        )
     return (np.sum(np.abs(v.xi)) + np.sqrt(abs(ctx.omega - 1.0)) * v.h1()) ** (f.p - 1) / ctx.gamma
 
 
@@ -101,19 +96,22 @@ def _masked_rhs(u, f, lt, lx, n):
 def solve_P(v, ctx, f, tol=1e-12, lt=None, lx=None):
     """Solve the truncated range equation for the kernel element v.
 
-    Returns (w, PSolveReport).  The iteration starts at w = 0 and stops when
-    the omega-norm of the update drops below tol * max(1, |w|_omega), both
-    upper bounds, so a sweep samples only f(v + w).  The contraction-domain
-    quantity |v|_omega^{p-1}/gamma is only monitored (warn above
-    DOMAIN_RHO); genuine divergence, or no convergence in 200 sweeps,
-    raises ConvergenceError with the update trace attached.
+    Returns (w, PSolveReport).  (lt, lx) is search.level_truncation's for
+    v at reach len(v), which refuses before any sweep as it does for a
+    level.  The iteration starts at w = 0 and stops when the omega-norm of
+    the update drops below tol * max(1, |w|_omega), both upper bounds, so a
+    sweep samples only f(v + w).  The contraction-domain quantity
+    |v|_omega^{p-1}/gamma is only monitored (warn above DOMAIN_RHO); genuine
+    divergence, or no convergence in 200 sweeps, raises ConvergenceError
+    with the update trace attached.
     """
-    dim = len(v)
-    if lt is None:
-        lt = max(2 * dim, 16)
-    if lx is None:
-        lx = max(2 * dim, 16)
-    domain_ratio = contraction_domain(v, ctx, f, lt)
+    from .search import level_truncation   # search imports psolve as it loads
+    try:
+        n = kernel.minimal_time_period_index(v)
+    except ResowaveError:
+        n = 1
+    lt, lx = level_truncation(ctx, f, n, len(v), lt, lx, v)
+    domain_ratio = contraction_domain(v, ctx, f)
     domain_ok = domain_ratio <= DOMAIN_RHO
     if not domain_ok:
         warnings.warn(
@@ -122,11 +120,6 @@ def solve_P(v, ctx, f, tol=1e-12, lt=None, lx=None):
             stacklevel=2,
         )
     u_v = kernel.embed(v)
-    try:
-        n = kernel.minimal_time_period_index(v)
-    except ResowaveError:
-        n = 1
-
     w = fields.SpectralField(np.zeros((lt + 1, lx)))
     updates = []
     ratio = 0.0

@@ -523,9 +523,12 @@ def level_truncation(ctx, f, n, reach, lt=None, lx=None, v=None):
     (_frame_class): the rows k <= lt/n, only the odd ones with odd_rows,
     times the columns m <= lx/d, only the odd ones with odd_cols.  The class
     is read off the guess v when it is given, else off the guess of a
-    reflection-even y*.  Raises ConfigError naming the first key out of
-    order, or when the unknowns are more than MAX_UNKNOWNS.
+    reflection-even y*.  Raises ResonanceError on a resonant context, then
+    ConfigError naming the first key out of order, or when the unknowns
+    are more than MAX_UNKNOWNS.
     """
+    if ctx.gamma <= 0.0:
+        raise ResonanceError(omega=ctx.omega)
     chain = [c for c in [("n * dim", reach), ("lx", lx), ("lt", lt), ("lmax", ctx.L)] if c[1] is not None]
     for (low_name, low), (key, val) in zip(chain, chain[1:]):
         if val < low:
@@ -626,10 +629,10 @@ def refine(v0, ctx, f, lt=None, lx=None):
     above psolve.DOMAIN_RHO) the refinement aborts rather than report a
     solution the existence argument does not cover.  The guard reads
     coefficients only and runs once per iterate, the first time before any
-    step, so it also refuses a resonant context up front.  The truncation
-    is level_truncation's for the guess v0 (reach len(v0)): defaults, the
-    chain len(v0) <= lx <= lt <= ctx.L and the MAX_UNKNOWNS cap, which
-    raise ConfigError before anything is sampled.
+    step.  The truncation is level_truncation's for the guess v0 (reach
+    len(v0)): defaults, the chain len(v0) <= lx <= lt <= ctx.L and the
+    MAX_UNKNOWNS cap, which raise ConfigError, and a resonant context,
+    which raises ResonanceError, before anything is sampled.
     """
     n = kernel.minimal_time_period_index(v0)
     lt, lx = level_truncation(ctx, f, n, len(v0), lt, lx, v0)
@@ -655,7 +658,7 @@ def refine(v0, ctx, f, lt=None, lx=None):
         if gnorm <= GTOL and settled:
             report.converged = True
             break
-        ratio = psolve.contraction_domain(frame.kernel(u, lx), ctx, f, lt)
+        ratio = psolve.contraction_domain(frame.kernel(u, lx), ctx, f)
         if it == _NEWTON_MAX_ITER:
             raise ConvergenceError("Newton refinement did not converge", trace=tuple(trace))
         if ratio > psolve.DOMAIN_RHO:
@@ -838,11 +841,11 @@ def solve_level(ctx, f, n, maximizer, lt=None, lx=None):
     The side of omega = 1 is the one ctx.omega is on; maximizer is the
     LevelMaximizer shared by every level of f.  The truncation is sized
     first, by level_truncation with reach n * maximizer.dim, so a level it
-    refuses (ConfigError) is never maximized, and refine gets the resolved
-    (lt, lx).  Admissibility is the caller's to check, and g_recipe refuses
-    a side the case does not bifurcate to.  A level below the case's
-    minimal index is flagged outside_theorem.  Raises ResowaveError
-    (ConvergenceError when the refinement fails).
+    refuses (ConfigError; ResonanceError at gamma = 0) is never maximized,
+    and refine gets the resolved (lt, lx).  Admissibility is the caller's to
+    check, and g_recipe refuses a side the case does not bifurcate to.  A
+    level below the case's minimal index is flagged outside_theorem.  Raises
+    ResowaveError (ConvergenceError when the refinement fails).
     """
     lt, lx = level_truncation(ctx, f, n, n * maximizer.dim, lt, lx)
     recipe = reduced.g_recipe(f, 1 if ctx.omega > 1.0 else -1, n=n)
@@ -869,10 +872,8 @@ def solve_branch(ctx, f, n_max=None, C=frequency.DEFAULT_C, dim=8, seed=0,
     level_truncation refuses among them, with the message a single level
     gets and without a maximization; a dim or restarts above its cap is no
     level's failure and raises ConfigError once.  A zero non-resonance
-    margin means no admissible levels at all.
+    margin admits no level (frequency.admissible), so no level runs.
     """
-    if ctx.gamma <= 0.0:
-        return BranchResult(records=[], failures=[])
     cap = frequency.max_admissible_n(ctx, f, C=C)
     n_max = cap if n_max is None else min(n_max, cap)
     start = frequency.minimal_n(f) if force_n_min is None else force_n_min

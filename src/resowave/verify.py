@@ -1,10 +1,11 @@
 """Identity suite: every checkable statement behind the construction.
 
 Each check draws its own deterministically seeded random inputs, measures the
-worst deviation of an identity or the fit of a predicted exponent, and
-returns a CheckReport.  Quantities labelled "monitored" are recorded without
-an asserted bound; they are the constants the a priori estimates say exist,
-and watching them stay sane across releases is the point of reporting them.
+worst deviation of an identity or the fit of a predicted exponent, and returns
+the fields of a CheckReport, which run_suite names after the check.
+Quantities labelled "monitored" are recorded without an asserted bound; they
+are the constants the a priori estimates say exist, and watching them stay
+sane across releases is the point of reporting them.
 
 run_suite is byte-deterministic: a fixed seed reproduces every measured
 number exactly, and reports are always ordered by check name.
@@ -116,8 +117,7 @@ def check_change_of_variables(rng):
     const_dev = abs(const_val - 2.0 * np.pi**2)
 
     passed = worst <= tol and const_dev <= tol
-    return CheckReport(
-        name="check_change_of_variables",
+    return dict(
         passed=passed,
         measured=(("worst_relative_deviation", worst),
                   ("constant_map_value", const_val),
@@ -149,8 +149,7 @@ def check_orthogonality(rng):
         w = _random_w_field(rng, 8, 8)
         cross = max(cross, abs(fields.inner_h1(kernel.embed(v), w)))
     passed = worst <= tol and cross == 0.0
-    return CheckReport(
-        name="check_orthogonality",
+    return dict(
         passed=passed,
         measured=(("worst_diagonal_fraction", worst),
                   ("kernel_range_h1_pairing", cross)),
@@ -191,8 +190,7 @@ def check_rescaling_identity(rng):
         qn = reduced.linv_qform(kernel.rescale(v, n), 2)
         worst_q = max(worst_q, abs(qn - law) / max(1.0, abs(law)))
     passed = max(worst_int, worst_norm, worst_q) <= tol
-    return CheckReport(
-        name="check_rescaling_identity",
+    return dict(
         passed=passed,
         measured=(("worst_power_integral_deviation", worst_int),
                   ("worst_norm_law_deviation", worst_norm),
@@ -228,8 +226,7 @@ def check_eta_integrals(rng):
         dev = np.max(np.abs(reduced.power_integral(v, k, grad=True) - grad_oracle))
         worst_grad = max(worst_grad, float(dev) / (k * 2.0 * np.pi**2 * sup ** (k - 1)))
     passed = max(worst_value, worst_grad) <= tol
-    return CheckReport(
-        name="check_eta_integrals",
+    return dict(
         passed=passed,
         measured=(("worst_value_deviation", worst_value),
                   ("worst_gradient_deviation", worst_grad)),
@@ -267,8 +264,7 @@ def check_qform_profile(rng):
             dev = np.max(np.abs(grad - grad_oracle))
             worst_grad = max(worst_grad, float(dev) / float(np.max(np.abs(grad_oracle))))
     passed = max(worst_value, worst_grad) <= tol
-    return CheckReport(
-        name="check_qform_profile",
+    return dict(
         passed=passed,
         measured=(("worst_value_deviation", worst_value),
                   ("worst_gradient_deviation", worst_grad)),
@@ -305,8 +301,7 @@ def check_G_positivity(rng):
         worst_rel = max(worst_rel, abs(q4 - value) / max(1.0, abs(value)))
         min_M = min(min_M, M_min / max(1.0, value))
     passed = min_G >= floor and worst_rel <= rel and min_M >= floor
-    return CheckReport(
-        name="check_G_positivity",
+    return dict(
         passed=passed,
         measured=(("min_form_value", float(min_G)),
                   ("worst_oracle_relative_gap", worst_rel),
@@ -333,8 +328,7 @@ def check_kappa(rng):
         v = _random_kernel(rng, dim)
         worst_random = max(worst_random, linv_forms.kappa_ratio(v, 2))
     passed = lo <= sup_val <= hi and increasing and worst_random <= hi
-    return CheckReport(
-        name="check_kappa",
+    return dict(
         passed=passed,
         measured=(("square_wave_sup", float(sup_val)),
                   ("square_wave_monotone", float(increasing)),
@@ -384,8 +378,7 @@ def check_decomposition_formula(rng):
     )
     example_dev = max(ex_alpha, ex_a, ex_mt, ex_const, pinned)
     passed = worst <= tol and example_dev <= 1e-11
-    return CheckReport(
-        name="check_decomposition_formula",
+    return dict(
         passed=passed,
         measured=(("worst_relative_gap", worst),
                   ("worked_example_deviation", example_dev)),
@@ -426,8 +419,7 @@ def check_operator_estimates(rng):
         slope = _fit_slope(eps_ladder, devs)
         worst_slope_dev = max(worst_slope_dev, abs(slope - 1.0))
     passed = worst_slope_dev <= slope_win[1] - 1.0
-    return CheckReport(
-        name="check_operator_estimates",
+    return dict(
         passed=passed,
         measured=(("worst_slope_deviation", float(worst_slope_dev)),
                   ("monitored_constant", float(monitored)),),
@@ -484,8 +476,7 @@ def check_w_properties(rng):
         slope_devs.append(abs(slope - (2 * p - 1)))
     worst_slope = max(slope_devs)
     passed = sym_dev <= sym_tol and closure == 0.0 and worst_slope <= slope_tol
-    return CheckReport(
-        name="check_w_properties",
+    return dict(
         passed=passed,
         measured=(("symmetry_deviation", sym_dev),
                   ("off_sublattice_maximum", closure),
@@ -530,8 +521,7 @@ def check_scalings(rng):
         and worst_n <= n_tol
         and energy_increasing
     )
-    return CheckReport(
-        name="check_scalings",
+    return dict(
         passed=passed,
         measured=(("amplitude_slope", amp_slope),
                   ("level_slope", level_slope),
@@ -590,5 +580,5 @@ def run_suite(selection="all", seed=0):
     reports = []
     for name in sorted(names):
         rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
-        reports.append(_REGISTRY[name](rng))
+        reports.append(CheckReport(name=name, **_REGISTRY[name](rng)))
     return reports

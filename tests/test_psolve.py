@@ -1,9 +1,14 @@
 """Inverse wave operator and range-equation fixed point."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from resowave import fields, frequency, kernel, nonlinearity, psolve
+import resowave
+from resowave import fields, frequency, kernel, nonlinearity, psolve, search
 from resowave.errors import ConvergenceError, ResonanceError, ResowaveError
 
 
@@ -231,7 +236,7 @@ def test_omega_norm_of_an_embedding_is_the_guards_blend():
     ctx = frequency.make_context(1.004, L=24)
     for seed in range(12):
         v = kernel_vector(seed, dim=1 + seed % 6, scale=0.05)
-        got = psolve.contraction_domain(v, ctx, f, 12)
+        got = psolve.contraction_domain(v, ctx, f)
         want = fields.omega_norm(kernel.embed(v), ctx.omega) / ctx.gamma
         assert abs(got - want) <= 1e-15 * got
 
@@ -243,9 +248,44 @@ def test_contraction_domain_bounds_the_sampled_ratio_from_above():
     ctx = frequency.make_context(1.004, L=24)
     for seed in range(12):
         v = kernel_vector(seed, dim=1 + seed % 6, scale=0.05)
-        got = psolve.contraction_domain(v, ctx, f, 12)
+        got = psolve.contraction_domain(v, ctx, f)
         blended = np.sum(np.abs(v.xi)) + np.sqrt(ctx.omega - 1.0) * v.h1()
         assert got == blended ** 2 / ctx.gamma
         u = kernel.embed(v)
         sampled_sup = fields.sup_norm(u) + np.sqrt(ctx.omega - 1.0) * np.sqrt(fields.inner_h1(u, u))
         assert got >= sampled_sup ** 2 / ctx.gamma
+
+
+@pytest.mark.parametrize("L", [12, 16, 24])
+def test_solve_P_is_sized_by_level_truncation(L):
+    # the reference range solve has no truncation rule of its own: below
+    # max(2 dim, 16) it solves at lt = lx = L, as refine does
+    f = nonlinearity.classify({3: 1.0})
+    ctx = frequency.make_context(1.001, L=L)
+    for dim in range(2, 9):
+        v = kernel_vector(seed=dim, dim=dim, scale=0.01)
+        n = kernel.minimal_time_period_index(v)
+        lt, lx = search.level_truncation(ctx, f, n, len(v), v=v)
+        w, rep = psolve.solve_P(v, ctx, f)
+        assert rep.converged and w.coeffs.shape == (lt + 1, lx)
+
+
+def test_solve_P_reads_the_gate_at_call_time():
+    # search imports psolve as it loads, so psolve imports nothing from
+    # search at module level; a fresh interpreter that never imports search
+    # can still solve
+    code = (
+        "import sys\n"
+        "import resowave.psolve as psolve\n"
+        "assert 'resowave.search' not in sys.modules\n"
+        "from resowave import frequency, kernel, nonlinearity\n"
+        "ctx = frequency.make_context(1.001, L=24)\n"
+        "w, rep = psolve.solve_P(kernel.KernelVector([0.01, 0.0, 0.002]), ctx,\n"
+        "                        nonlinearity.classify({3: 1.0}))\n"
+        "assert rep.converged and w.coeffs.shape == (17, 16)\n"
+    )
+    root = os.path.dirname(os.path.dirname(resowave.__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr

@@ -709,9 +709,9 @@ def test_frame_guard_sees_the_full_field(level_guesses, monkeypatch):
     seen = []
     real = psolve.contraction_domain
 
-    def recording(v, ctx, f, lt):
+    def recording(v, ctx, f):
         seen.append(v.xi)
-        return real(v, ctx, f, lt)
+        return real(v, ctx, f)
 
     f, _, v0, _ = level_guesses["u3", 3]
     monkeypatch.setattr(psolve, "contraction_domain", recording)
@@ -1181,14 +1181,38 @@ def test_frame_solve_certified_range_is_the_compressed_index():
     v0, _ = search.initial_guess(y, m, recipe, ctx, diag)
     v, w, rep = search.refine(v0, ctx, F3, lt=ctx.L)
     assert rep.converged and w.lt == ctx.L
-    assert psolve.contraction_domain(v, ctx, F3, ctx.L) <= psolve.DOMAIN_RHO
-    with pytest.raises(ResowaveError, match="certified range"):
-        psolve.contraction_domain(v, ctx, F3, ctx.L + 1)
+    assert psolve.contraction_domain(v, ctx, F3) <= psolve.DOMAIN_RHO
     # refine sizes its truncation by level_truncation, before the guard runs
     with pytest.raises(ConfigError, match=r"'lmax' must be >= lt = 25, got 24"):
         search.refine(v0, ctx, F3, lt=ctx.L + 1)
     with pytest.raises(ConfigError, match=f"'lt' must be >= lx = {len(v0) + 1}, got {len(v0)}"):
         search.refine(v0, ctx, F3, lt=len(v0), lx=len(v0) + 1)
+
+
+def test_refine_and_solve_P_refuse_lt_above_L_alike():
+    # one gate sizes both: the reference range solve refuses a truncation
+    # past ctx.L with level_truncation's words, before any sweep
+    ctx = ctx_cubic(eps=1e-4, L=24)
+    v0 = kernel.KernelVector([0.01, 0.0, 0.002])
+    for solve in (search.refine, psolve.solve_P):
+        with pytest.raises(ConfigError, match=r"^config key 'lmax' must be >= lt = 25, got 24$"):
+            solve(v0, ctx, F3, lt=ctx.L + 1)
+
+
+def test_solve_level_refuses_a_resonant_context_before_maximizing(monkeypatch):
+    calls = []
+    real = search.maximize_U
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(search, "maximize_U", counted)
+    ctx = frequency.make_context(1.5, L=8)
+    assert ctx.gamma == 0.0
+    with pytest.raises(ResonanceError, match=r"resonant \(gamma = 0\)"):
+        search.solve_level(ctx, F3, 1, search.LevelMaximizer(3, seed=0, restarts=2))
+    assert calls == []
 
 
 F23 = nonlinearity.classify({2: 1.0, 3: -1.0})
