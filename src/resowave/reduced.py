@@ -174,8 +174,10 @@ def _primitive_symbol(nodes):
     return inv
 
 
-def _qform(v, p, grad=False):
-    """Q = int v^p L^-1 v^p, or with grad (Q, dQ), from one sampling of eta.
+def linv_qform(v, p, grad=False):
+    """Q = int v^p L^-1 v^p for even p, exact, or with grad (Q, dQ), from one
+    sampling of eta.  Q is negative: -Q has a pointwise nonnegative
+    rectangle kernel.
 
     Let E_k = eta^k, mu_k its mean, Pi_k = P E_k the zero-mean primitive of
     E_k - mu_k and c_i = C(p,i) (-1)^(p-i).  The decomposition m = mtilde +
@@ -248,12 +250,6 @@ def _qform(v, p, grad=False):
     return q, _vecmat(geta, sines)
 
 
-def linv_qform(v, p):
-    """int v^p L^-1 v^p for even p, exact (negative: minus this form has a
-    pointwise nonnegative rectangle kernel)."""
-    return _qform(v, p)
-
-
 def _uses_qform(f):
     return f.case == "n2" or (f.case == "n3" and f.b < 0)
 
@@ -309,7 +305,7 @@ def _G_jet(xi, f, n, order, along=slice(None)):
 
 def _form_jet(xi, p, order, along):
     """Q = int v^p L^-1 v^p at xi as a _Jet of the given order, its gradient
-    and Hessian along along, from one complex evaluation of _qform at the
+    and Hessian along along, from one complex evaluation of linv_qform at the
     rows xi + i h s_r.
 
     Row 0, s_0 = 0, gives the value and the gradient.  At order 2 the rows
@@ -323,7 +319,7 @@ def _form_jet(xi, p, order, along):
     dim = xi.shape[-1]
     steps = np.concatenate([np.zeros((1, dim))] + ([np.eye(dim)[along]] if order == 2 else []))
     rows = xi[..., None, :] + 1j * _COMPLEX_STEP * steps
-    q, *grad = _qform(rows, p, grad=True) if order else (_qform(rows, p),)
+    q, *grad = linv_qform(rows, p, grad=True) if order else (linv_qform(rows, p),)
     terms = [q[..., 0].real] + [g[..., 0, along].real for g in grad]
     if order == 2:
         hess = grad[0][..., 1:, along].imag / _COMPLEX_STEP

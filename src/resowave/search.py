@@ -33,8 +33,8 @@ The pipeline per dilation level n:
      Phi_eps and the energy drift over the level's period, read off one
      evaluation of f and F/u, the sup of the samples, the minimal period.
 
-Steps 3 and 4 run in the level's dilation frame (_Frame): the rows l = n k and,
-for odd f, the columns j = n m, where level n > 1 is level 1 with f/n^2.
+Steps 3 and 4 run in the level's dilation frame (_Frame), an index map onto
+the rows l = n k and, for odd f, the columns j = n m of the level's own field.
 """
 
 import dataclasses
@@ -440,12 +440,12 @@ def initial_guess(y_star, m_value, recipe, ctx, diagnostics=None):
 
 @dataclass(frozen=True)
 class _Frame:
-    """The lattice of level n: frame entry (k, m) is the mode (n k, d m).
+    """The lattice of level n: frame entry (k, m) is the mode (l, j) = (n k, d m).
 
-    A level-n field is U(n t, d x), with d = n when f has no even-order term
-    and d = 1 otherwise (an even power leaves the sine class in x).  U has
-    the symbol m^2 - omega^2 (n k/d)^2 and the nonlinearity f/d^2, so that
-    F_u(n k, d m) = d^2 F_U(k, m), and F_u has no other nonzero entry.
+    A level-n field is u(t, x) = U(n t, d x), with d = n when f has no
+    even-order term and d = 1 otherwise (an even power leaves the sine class
+    in x).  So F_u(n k, d m) is F(U) with the level's f and the symbol j^2 -
+    omega^2 l^2 read at (n k, d m), and F_u has no other nonzero entry.
     The Newton unknowns are the product of the kept rows k (odd_rows: k odd
     only) and the kept columns m (odd_cols: m odd only), a class of fields
     that holds the guess and that U -> P f(U) maps into itself, so that a
@@ -455,14 +455,14 @@ class _Frame:
     """
     n: int
     d: int
-    f: object     # the frame nonlinearity f/d^2
+    f: object     # the level's nonlinearity
     odd_rows: bool = False
     odd_cols: bool = False
 
     def symbol(self, lt, lx, omega):
-        """m^2 - omega^2 (n k/d)^2 on the (lt+1, lx) frame, from the integers n k/d."""
-        l = (self.n // self.d) * np.arange(lt + 1, dtype=float)[:, None]
-        return np.arange(1, lx + 1, dtype=float) ** 2 - omega**2 * l**2
+        """j^2 - omega^2 l^2 at the modes (n k, d m) of the (lt+1, lx) frame."""
+        l = self.n * np.arange(lt + 1, dtype=float)[:, None]
+        return (self.d * np.arange(1, lx + 1, dtype=float)) ** 2 - omega**2 * l**2
 
     def kernel(self, u, lx):
         """The diagonal j = n k = d m <= lx of the dilated frame field u."""
@@ -487,17 +487,9 @@ class _Frame:
         return rows, cols, (rows[:, None] * lx + cols - 1).ravel()
 
 
-def _frame_class(f, n, v=None):
-    """(d, odd_rows, odd_cols) of the frame of level n of f (_dilation_frame)."""
-    odd = not np.any(f.poly[::2])
-    j = np.flatnonzero(v.xi) + 1 if v is not None else np.array([n])
-    reflection = bool(np.all(j // (n if odd else 1) % 2 == 1))
-    return (n if odd else 1), odd and reflection, reflection
-
-
 def _dilation_frame(f, n, v=None):
-    """The frame of level n of f: d = n and f/n^2 for f without even-order
-    terms, else d = 1 and f.
+    """The frame of level n of f: d = n for f without even-order terms, else
+    d = 1.
 
     The frame keeps only the reflection-even columns m odd, the fields even
     under X -> pi - X, when every kernel entry j of the guess v sits at an
@@ -509,35 +501,39 @@ def _dilation_frame(f, n, v=None):
     X) -> (T + pi, X + pi)), the reflection-even frame keeps the rows k odd
     only as well.  Otherwise every frame entry is kept.
     """
-    d, odd_rows, odd_cols = _frame_class(f, n, v)
-    return _Frame(n, d, nonlinearity.classify(f.poly / n**2) if d > 1 else f, odd_rows, odd_cols)
+    odd = not np.any(f.poly[::2])
+    d = n if odd else 1
+    j = np.flatnonzero(v.xi) + 1 if v is not None else np.array([n])
+    reflection = bool(np.all(j // d % 2 == 1))
+    return _Frame(n, d, f, odd and reflection, reflection)
 
 
 def level_truncation(ctx, f, n, reach, lt=None, lx=None, v=None):
     """The truncation (lt, lx) of dilation level n, checked before any work.
 
-    reach is the length n dim of the level's guess t* L_n y*.  The keys
-    given must satisfy reach <= lx <= lt <= ctx.L; a missing lt is min(L,
-    max(2 reach, 16, lx)) and a missing lx is lt, which keeps the chain.
-    The Newton unknowns are counted from the frame's shape and parity class
-    (_frame_class): the rows k <= lt/n, only the odd ones with odd_rows,
-    times the columns m <= lx/d, only the odd ones with odd_cols.  The class
-    is read off the guess v when it is given, else off the guess of a
-    reflection-even y*.  Raises ResonanceError on a resonant context, then
-    ConfigError naming the first key out of order, or when the unknowns
-    are more than MAX_UNKNOWNS.
+    reach is the length of the level's guess: len(v) for a guess v, else n
+    dim for t* L_n y*, and a refusal names it so.  The keys given must
+    satisfy reach <= lx <= lt <= ctx.L; a missing lt is min(L, max(2 reach,
+    16, lx)) and a missing lx is lt, which keeps the chain.  The Newton
+    unknowns are counted from the shape and parity class of the level's
+    frame (_dilation_frame, of v when it is given): the rows k <= lt/n,
+    only the odd ones with odd_rows, times the columns m <= lx/d, only the
+    odd ones with odd_cols.  Raises ResonanceError on a resonant context,
+    then ConfigError naming the first key out of order, or when the
+    unknowns are more than MAX_UNKNOWNS.
     """
     if ctx.gamma <= 0.0:
         raise ResonanceError(omega=ctx.omega)
-    chain = [c for c in [("n * dim", reach), ("lx", lx), ("lt", lt), ("lmax", ctx.L)] if c[1] is not None]
+    chain = [("n * dim" if v is None else "len(v)", reach), ("lx", lx), ("lt", lt), ("lmax", ctx.L)]
+    chain = [c for c in chain if c[1] is not None]
     for (low_name, low), (key, val) in zip(chain, chain[1:]):
         if val < low:
             raise ConfigError(f"config key {key!r} must be >= {low_name} = {low}, got {val!r}")
     lt = min(ctx.L, max(2 * reach, 16, lx or 0)) if lt is None else lt
     lx = lt if lx is None else lx
-    d, odd_rows, odd_cols = _frame_class(f, n, v)
-    rows, cols = lt // n + 1, lx // d
-    unknowns = (rows // 2 if odd_rows else rows) * ((cols + 1) // 2 if odd_cols else cols)
+    frame = _dilation_frame(f, n, v)
+    rows, cols = lt // n + 1, lx // frame.d
+    unknowns = (rows // 2 if frame.odd_rows else rows) * ((cols + 1) // 2 if frame.odd_cols else cols)
     if unknowns > MAX_UNKNOWNS:
         raise ConfigError(f"refinement truncation lt={lt}, lx={lx} has {unknowns} Newton "
                           f"unknowns, above MAX_UNKNOWNS = {MAX_UNKNOWNS}")
@@ -545,7 +541,7 @@ def level_truncation(ctx, f, n, reach, lt=None, lx=None, v=None):
 
 
 def _galerkin_F(u, ctx, frame):
-    """F(u) = symbol * u + P f(u) on the frame field u (frame.f, frame.symbol)."""
+    """F(u) = symbol * u + P f(u) on the frame field u: the level's F at the frame's modes."""
     fu = fields.apply_nonlinearity(u, frame.f.poly, out_lt=u.lt, out_lx=u.lx)
     return fu.coeffs + frame.symbol(u.lt, u.lx, ctx.omega) * u.coeffs
 
@@ -556,9 +552,9 @@ def _galerkin_jacobian(u, ctx, frame):
 
     M is the matrix of z -> P[f'(u) z] on the kept rows and columns of the
     frame; the entries the frame drops are not unknowns and have no row or
-    column.  A range unknown (n k != d m) whose symbol vanishes and whose
-    row of M is nonzero raises ResonanceError naming the full-field mode,
-    the first such row-major, as apply_L_inv does.
+    column.  A range unknown (n k != d m) with |symbol| < RESONANCE_TOL and a
+    nonzero row of M raises ResonanceError naming the mode and omega^2 l^2 -
+    j^2, the first such row-major, as apply_L_inv does.
     """
     lt, lx = u.lt, u.lx
     rows, cols, keep = frame.lattice(lt, lx)
@@ -570,7 +566,7 @@ def _galerkin_jacobian(u, ctx, frame):
     present = resonant[np.any(J[resonant] != 0.0, axis=1)]
     if present.size:
         e = present[np.argmin(keep[present])]   # the lowest mode, row-major
-        raise ResonanceError(int(l[e]), int(j[e]), -frame.d**2 * sym[e])
+        raise ResonanceError(int(l[e]), int(j[e]), -sym[e])
     J[np.diag_indices_from(J)] += sym
     return J
 
@@ -601,13 +597,12 @@ def refine(v0, ctx, f, lt=None, lx=None):
     The unknowns are the entries of the (lt, lx) truncation that the level's
     dilation frame keeps (_Frame), kernel (l = j) and range alike, starting
     from u = v0 (w = 0).  The residual is (pi^2/2) F(u), F(u) = (j^2 -
-    omega^2 l^2) u + P f(u), which is d^2 times the frame's; its kernel rows
-    are exactly -grad Phi_eps and its range rows the range equation, so a
-    zero is a critical point v with its w(v).  The Newton runs on the frame
-    field, written once at its modes, the rest exact zeros.  For odd f the frame
-    divisors are n^2 (m^2 - omega^2 k^2), so the certified range is
-    k <= lt // n <= L/n.  The unknowns are the product of the rows and
-    columns the frame keeps (_Frame.lattice, read off v0 by
+    omega^2 l^2) u + P f(u); its kernel rows are exactly -grad Phi_eps and
+    its range rows the range equation, so a zero is a critical point v with
+    its w(v).  The Newton runs on the frame field, written once at its modes
+    (n k, d m), the rest exact zeros, where it reads F unscaled: the
+    certified range is l = n k <= lt <= L.  The unknowns are the product of
+    the rows and columns the frame keeps (_Frame.lattice, read off v0 by
     _dilation_frame): for odd f the entries k and m odd, fixed by the
     frame's torus shift and even under X -> pi - X; for even f every entry,
     or at odd levels those with m odd; every entry for a guess that is not
@@ -644,7 +639,7 @@ def refine(v0, ctx, f, lt=None, lx=None):
     rows, cols, keep = frame.lattice(u.lt, u.lx)
     # the lattice lists the unknowns of the rows k even first
     split = int(np.count_nonzero(rows % 2 == 0)) * cols.size
-    scale = 0.5 * np.pi**2 * frame.d**2
+    scale = 0.5 * np.pi**2
     F = _galerkin_F(u, ctx, frame)
     gnorm = scale * float(np.linalg.norm(F))
     report = NewtonReport(iterations=0, converged=False, grad_norm=np.inf)
@@ -708,33 +703,34 @@ def refine(v0, ctx, f, lt=None, lx=None):
 def _certify(U, ctx, frame):
     """Residual, Phi_eps, probe energies and drift of u(t, x) = U(n t, d x), from one sampling.
 
-    frame.f and g = F/u (F(0) = 0) are projected exactly on the columns m <=
-    lx, f on the rows k <= lt that the residual and Phi read and g on every
-    row k <= r lt it reaches (r = deg f).  As U lies in the
-    truncation, int F(U) = <P g(U), U>, so each certificate is exact; each is
-    d^2 times the frame's.  The residual is _galerkin_F's, Phi_eps = (eps/2)
-    |v|_H1^2 + (1/2)<P f(u), w> - <P g(u), u> with v on the entries n k = d m,
-    and the energy at the frame probe T = 2 pi k/9 (t = T/n: over the level's
-    period) is (pi/4) sum_m [(omega n/d)^2 b_m^2 + m^2 a_m^2 + 2 a_m g_m], with
-    a, b the sine coefficients of U, U_T there and g_m = sum_k P g(U)[k, m] cos(k T).
+    f and g = F/u (F(0) = 0) are projected exactly on the columns m <= lx,
+    f on the rows k <= lt that the residual and Phi read and g on every row
+    k <= r lt it reaches (r = deg f).  As U lies in the truncation, int F(U)
+    = <P g(U), U>, so each certificate is exact, read at u's modes (n k, d
+    m).  The residual is _galerkin_F's, Phi_eps = (eps/2) |v|_H1^2 +
+    (1/2)<P f(u), w> - <P g(u), u> with v on the entries n k = d m, and the
+    energy at the frame probe T = 2 pi k/9 (t = T/n: over the level's
+    period) is (pi/4) sum_m [(omega n)^2 b_m^2 + (d m)^2 a_m^2 + 2 a_m g_m],
+    with a, b the sine coefficients of U, U_T there and g_m = sum_k P
+    g(U)[k, m] cos(k T).
     """
-    lt, lx, d2 = U.lt, U.lx, frame.d**2
+    lt, lx = U.lt, U.lx
     fu, gu = (p.coeffs for p in fields.apply_polynomials(
         U, [frame.f.poly, frame.f.primitive[1:]], out_lt=[lt, None], out_lx=lx))
     u = U.coeffs
     R = fu[: lt + 1] + frame.symbol(lt, lx, ctx.omega) * u
     cl = fields.temporal_weights(lt)[:, None]
-    res = d2 * float(np.sqrt(0.5 * np.pi**2 * np.sum(cl * R * R)))
-    m2 = np.arange(1, lx + 1, dtype=float) ** 2
+    res = float(np.sqrt(0.5 * np.pi**2 * np.sum(cl * R * R)))
+    j2 = (frame.d * np.arange(1, lx + 1, dtype=float)) ** 2
     v = np.where(frame.n * np.arange(lt + 1)[:, None] == frame.d * np.arange(1, lx + 1), u, 0.0)
-    phi = d2 * 0.5 * np.pi**2 * float(np.sum(
-        cl * (ctx.eps * m2 * v * v + 0.5 * fu[: lt + 1] * (u - v) - gu[: lt + 1] * u)))
+    phi = 0.5 * np.pi**2 * float(np.sum(
+        cl * (ctx.eps * j2 * v * v + 0.5 * fu[: lt + 1] * (u - v) - gu[: lt + 1] * u)))
     phase = np.outer(2.0 * np.pi * np.arange(9) / 9, np.arange(gu.shape[0]))  # k T
     cos = np.cos(phase)
     a = cos[:, : lt + 1] @ u
     b = (np.sin(phase[:, : lt + 1]) * -np.arange(lt + 1)) @ u
-    energies = d2 * 0.25 * np.pi * np.sum((ctx.omega * (frame.n // frame.d)) ** 2 * b * b
-                                          + m2 * a * a + 2.0 * a * (cos @ gu), axis=1)
+    energies = 0.25 * np.pi * np.sum((ctx.omega * frame.n) ** 2 * b * b
+                                     + j2 * a * a + 2.0 * a * (cos @ gu), axis=1)
     return res, phi, energies, float(np.ptp(energies) / max(np.max(np.abs(energies)), 1e-30))
 
 

@@ -259,7 +259,7 @@ def check_qform_profile(rng):
                 u, [0.0] * (p - 1) + [1.0], linv_power, out_lt=len(v), out_lx=len(v)
             )
             grad_oracle = p * np.pi**2 * fields.diagonal_of(z)
-            value, grad = reduced._qform(v, p, grad=True)
+            value, grad = reduced.linv_qform(v, p, grad=True)
             worst_value = max(worst_value, abs(value - oracle) / abs(oracle))
             dev = np.max(np.abs(grad - grad_oracle))
             worst_grad = max(worst_grad, float(dev) / float(np.max(np.abs(grad_oracle))))
@@ -459,8 +459,7 @@ def check_w_properties(rng):
 
     slope_devs = []
     # the asserted order uses the omega-norm distance to the first Picard
-    # iterate, rebuilt here from scratch; the weak-probe gap in the solver
-    # report mixes components too unevenly for a stable fitted slope
+    # iterate, rebuilt here from scratch: the solver reports no such gap
     for f, ctx, p, base in ((f3, ctx3, 3, 0.22), (f2, ctx2, 2, 0.08)):
         amps = [base * (2.0 ** (-0.5 * k)) for k in range(4)]
         gaps = []

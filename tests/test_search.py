@@ -358,6 +358,33 @@ def test_galerkin_jacobian_names_resonant_checkerboard_entry():
     assert J.shape == (kept_size(4, 3, odd_k=True, odd_m=True),) * 2
 
 
+def test_galerkin_jacobian_resonance_window_is_apply_L_inv():
+    # the mode (9, 15) is the entry (3, 5) of the level-3 frame of an odd f.
+    # Near omega = 5/3 its divisor j^2 - omega^2 l^2 is a few 1e-10, above
+    # RESONANCE_TOL: neither apply_L_inv nor the frame refuses it.  Nearer
+    # still both refuse it, with the value omega^2 l^2 - j^2
+    frame = search._dilation_frame(F3, 3)
+    assert (frame.d, frame.odd_rows, frame.odd_cols) == (3, True, True)
+    U = kernel.embed(kernel.KernelVector([0.05, 0.0, 0.02, 0.0, 0.0, 0.0]))
+    mode = np.zeros((10, 18))
+    mode[9, 14] = 1.0
+    for gap, refused in [(5e-11, False), (5e-12, True)]:
+        omega = np.sqrt((25.0 - gap) / 9.0)
+        ctx = frequency.FrequencyContext(omega=omega, eps=0.5 * (omega**2 - 1.0), gamma=0.1, L=24)
+        value = omega**2 * 81.0 - 225.0
+        assert (abs(value) < psolve.RESONANCE_TOL) == refused and abs(value) < 9e-10
+        if refused:
+            with pytest.raises(ResonanceError) as err:
+                search._galerkin_jacobian(U, ctx, frame)
+            with pytest.raises(ResonanceError) as ref:
+                psolve.apply_L_inv(fields.SpectralField(mode), omega)
+            for e in (err.value, ref.value):
+                assert (e.l, e.j, e.value) == (9, 15, value)
+        else:
+            search._galerkin_jacobian(U, ctx, frame)
+            psolve.apply_L_inv(fields.SpectralField(mode), omega)
+
+
 @pytest.mark.parametrize("f, side, n", [(F3, +1, 1), (F3, +1, 2),
                                         (nonlinearity.classify({2: 1.0}), -1, 1)])
 def test_refine_returns_the_range_solution(f, side, n):
@@ -659,23 +686,23 @@ def test_frame_solve_matches_full_lattice_solve(level_guesses, name, n):
 
 @pytest.mark.parametrize("n, lt, lx", [(2, 8, 8), (3, 13, 10), (6, 24, 24)])
 def test_dilation_frame_scaling_laws(n, lt, lx):
-    # odd f: F_u(n k, n m) = n^2 F_U(k, m) with every other entry of F_u
-    # zero, and phi_u = n^2 phi_U[f/n^2]; even f: F_u(n k, j) = F_U(k, j) in
-    # the time frame; each against the full-field value
+    # odd f: the frame reads F_u at (n k, n m) with the level's own f, and
+    # every other entry of F_u is zero; phi_u = n^2 phi_U[f/n^2], the
+    # level-1 functional of f/n^2; even f: F_u(n k, j) = F_U(k, j) in the
+    # time frame; each against the full-field value
     ctx = ctx_cubic()
     rng = np.random.default_rng(n)
     frame = search._dilation_frame(F35, n)
-    assert (frame.n, frame.d) == (n, n) and np.array_equal(frame.f.poly, F35.poly / n**2)
+    assert (frame.n, frame.d, frame.f) == (n, n, F35)
     U = fields.SpectralField(0.05 * rng.standard_normal((lt // n + 1, lx // n)))
     u = dilate(frame, U, lt, lx)
     F_full = search._galerkin_F(u, ctx, search._Frame(1, 1, F35))
-    F_law = n**2 * dilate(
-        frame, fields.SpectralField(search._galerkin_F(U, ctx, frame)), lt, lx).coeffs
+    F_law = dilate(frame, fields.SpectralField(search._galerkin_F(U, ctx, frame)), lt, lx).coeffs
     assert np.max(np.abs(F_full - F_law)) <= 1e-14 * np.max(np.abs(F_full))
     phi_full = reduced.phi(kernel.KernelVector(fields.diagonal_of(u)), ctx, F35,
                            w=fields.zero_diagonal(u))
-    phi_law = n**2 * reduced.phi(kernel.KernelVector(fields.diagonal_of(U)), ctx, frame.f,
-                                 w=fields.zero_diagonal(U))
+    phi_law = n**2 * reduced.phi(kernel.KernelVector(fields.diagonal_of(U)), ctx,
+                                 nonlinearity.classify(F35.poly / n**2), w=fields.zero_diagonal(U))
     assert abs(phi_full - phi_law) <= 1e-14 * abs(phi_full)
 
     f23 = nonlinearity.classify({2: 1.0, 3: 1.0})
@@ -721,6 +748,36 @@ def test_frame_guard_sees_the_full_field(level_guesses, monkeypatch):
     for xi in seen:
         assert len(xi) == w.lx and np.all(xi[off] == 0.0) and np.any(xi != 0.0)
     assert np.array_equal(seen[0], np.pad(v0.xi, (0, w.lx - len(v0))))
+
+
+@pytest.mark.parametrize("coeffs, levels", [({3: 1.0, 5: 0.5}, range(1, 7)),
+                                             ({2: 1.0, 3: -1.0}, range(1, 4))],
+                         ids=["odd", "even"])
+def test_frame_symbol_is_the_full_divisor_at_its_modes(coeffs, levels):
+    # the frame is an index map: its symbol is the full field's, bit for
+    # bit, at the modes (n k, d m)
+    f = nonlinearity.classify(coeffs)
+    full = search._Frame(1, 1, f).symbol(48, 48, C6_CTX.omega)
+    for n in levels:
+        frame = search._dilation_frame(f, n)
+        got = frame.symbol(48 // n, 48 // frame.d, C6_CTX.omega)
+        assert np.array_equal(got, full[::n, frame.d - 1 :: frame.d])
+
+
+def test_building_a_frame_classifies_nothing(level_guesses, monkeypatch):
+    # the frame carries the level's own f, so no second nonlinearity is
+    # classified for it, at a level above 1 of an odd f
+    f, _, v0, _ = level_guesses["u35", 3]
+
+    def refuse(*args, **kw):
+        raise AssertionError("a frame classified a nonlinearity")
+
+    monkeypatch.setattr(nonlinearity, "classify", refuse)
+    frame = search._dilation_frame(f, 3, v0)
+    assert (frame.n, frame.d) == (3, 3) and frame.f is f
+    assert search.level_truncation(C6_CTX, f, 3, len(v0), v=v0) == (36, 36)
+    _, _, rep = search.refine(v0, C6_CTX, f)
+    assert rep.converged
 
 
 def test_dilation_frame_only_for_odd_f_above_level_one():
@@ -1112,9 +1169,9 @@ HOMOGENEOUS = {"u3": ({3: 1.0}, 1.0001), "u5": ({5: 1.0}, 1.0001), "-u3-below": 
 def homogeneity_gaps(coeffs, omega):
     """Relative distance of each frame field U_n, n = 2..6, from n^(2/(p-1)) U_1.
 
-    For f = c u^p the frame of level n solves level 1 with f/n^2, whose
-    solution is n^(2/(p-1)) times level 1's; U_1 is a level-1 refine on
-    the same frame truncation.
+    For f = c u^p level n is, in its frame's variables (n t, n x), level 1
+    with f/n^2, whose solution is n^(2/(p-1)) times level 1's; U_1 is a
+    level-1 refine on the same frame truncation.
     """
     f = nonlinearity.classify(coeffs)
     p = max(coeffs)
@@ -1146,11 +1203,14 @@ def test_homogeneity_law_of_the_frame_levels(name):
 
 
 @pytest.mark.parametrize("name", list(HOMOGENEOUS))
-def test_homogeneity_law_fails_without_the_frame_division(monkeypatch, name):
-    # the frame f not divided by n^2: every level lands on U_1 itself
-    real = search._dilation_frame
-    monkeypatch.setattr(search, "_dilation_frame",
-                        lambda f, n, v=None: dataclasses.replace(real(f, n, v), f=f))
+def test_homogeneity_law_fails_with_the_frame_unit_symbol(monkeypatch, name):
+    # the frame-unit symbol m^2 - omega^2 (n k/d)^2 with the level's own f
+    # is level 1's system: every level lands on U_1 itself
+    def frame_units(self, lt, lx, omega):
+        l = (self.n // self.d) * np.arange(lt + 1, dtype=float)[:, None]
+        return np.arange(1, lx + 1, dtype=float) ** 2 - omega**2 * l**2
+
+    monkeypatch.setattr(search._Frame, "symbol", frame_units)
     gaps = homogeneity_gaps(*HOMOGENEOUS[name])
     assert min(gaps.values()) > 0.1, gaps
 
@@ -1197,6 +1257,16 @@ def test_refine_and_solve_P_refuse_lt_above_L_alike():
     for solve in (search.refine, psolve.solve_P):
         with pytest.raises(ConfigError, match=r"^config key 'lmax' must be >= lt = 25, got 24$"):
             solve(v0, ctx, F3, lt=ctx.L + 1)
+
+
+def test_a_guess_refusal_names_the_guess_length():
+    # refine and solve_P size a kernel vector v, not a level's n * dim: a
+    # refusal names the reach len(v)
+    ctx = ctx_cubic(eps=1e-4, L=24)
+    v = kernel.KernelVector([0.01, 0.002])
+    for solve in (search.refine, psolve.solve_P):
+        with pytest.raises(ConfigError, match=r"^config key 'lt' must be >= len\(v\) = 2, got 1$"):
+            solve(v, ctx, F3, lt=1)
 
 
 def test_solve_level_refuses_a_resonant_context_before_maximizing(monkeypatch):
@@ -1253,13 +1323,15 @@ def test_certify_projects_f_on_the_rows_it_reads(monkeypatch):
 @pytest.mark.parametrize("f", [F35, F23], ids=["u3+u5/2", "u2-u3"])
 def test_certified_phi_matches_full_field_and_frame_law(f, n):
     # Phi read off the one evaluation equals reduced.phi on the full field
-    # and the frame law d^2 Phi_U[f/d^2] (d = n for odd f, d = 1 for even f)
+    # and the dilation law d^2 Phi_U[f/d^2] (d = n for odd f, d = 1 for
+    # even f)
     ctx = ctx_cubic()
     v, w, frame = frame_pair(f, n, 12, 12, seed=20 + n)
     phi = certify_full(v, w, ctx, f)[1]
     full = reduced.phi(v, ctx, f, w=w)
     d = frame.d
-    law = d * d * reduced.phi(kernel.KernelVector(v.xi[d - 1 :: d]), ctx, frame.f,
+    law = d * d * reduced.phi(kernel.KernelVector(v.xi[d - 1 :: d]), ctx,
+                              nonlinearity.classify(f.poly / d**2),
                               w=fields.SpectralField(w.coeffs[::d, d - 1 :: d]))
     assert abs(phi - full) <= 1e-13 * abs(full)
     assert abs(phi - law) <= 1e-13 * abs(full)
@@ -1349,7 +1421,7 @@ F2 = nonlinearity.classify({2: 1.0})
 def test_frame_certificate_laws(f, n):
     # on a random frame field (a converged record's residual is rounding
     # noise), the frame certificate is the full-field one of the dilated
-    # field: residual and Phi (d^2 times the frame's), and the energy at
+    # field: residual and Phi (read at the frame's modes), and the energy at
     # equal times: full-field probe t = 2 pi k/9 is frame time n t, which is
     # the frame probe (n k) mod 9
     ctx = ctx_cubic()
@@ -1488,3 +1560,30 @@ def test_branch_near_resonance_accepts_every_level():
     assert br.failures == []
     assert [r.n for r in br.records] == list(range(1, 20))
     assert all(r.accepted for r in br.records)
+
+
+def test_two_term_branch_at_levels_off_the_powers_of_two(monkeypatch):
+    # u^3 + u^5/2 at omega = 1.0001 on lmax 320: every level 1..12, most of
+    # whose frames are not a power-of-two dilation, is accepted on its
+    # temporal sublattice n Z.  Newton takes 2 iterations at level 1, 3 up
+    # to level 11 and 4 at level 12, and at most 3 on every level of the
+    # criterion-6 branch of u^3
+    iterations = []
+    real = search.refine
+
+    def recording(*args, **kw):
+        v, w, rep = real(*args, **kw)
+        iterations.append(rep.iterations)
+        return v, w, rep
+
+    monkeypatch.setattr(search, "refine", recording)
+    for f, L, levels, most in [(F35, 320, range(1, 13), 4), (F3, 48, range(1, 7), 3)]:
+        ctx = frequency.make_context(1.0001, L=L)
+        maximizer = search.LevelMaximizer(6, seed=0, restarts=8)
+        iterations.clear()
+        for n in levels:
+            r = search.solve_level(ctx, f, n, maximizer)
+            v, w = kernel.KernelVector(r.xi), fields.SpectralField(r.w_coeffs)
+            assert r.accepted and r.residual <= 1e-8, n
+            assert search.temporal_support_index(v, w) == n
+        assert len(iterations) == len(levels) and max(iterations) <= most, iterations
