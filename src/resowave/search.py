@@ -13,8 +13,10 @@ The pipeline per dilation level n:
      seeds every level of a branch (LevelMaximizer);
   2. turn the maximum m and mu = |eps| n^2 into the amplitude t* and the
      predicted critical level of the reduced functional;
-  3. refine the dilated initial guess t* L_n y* (with w = 0) by damped Newton
-     on the truncated Galerkin system, kernel and range entries together;
+  3. refine the dilated initial guess t* L_n y* by damped Newton on the
+     truncated Galerkin system, kernel and range entries together, from
+     w = 0, or where G carries the quadratic form from the range equation's
+     first iterate w_1 = L^-1 P_W f(t* L_n y*), off by O(eps) and not O(|v|);
      its kernel rows are -grad Phi_eps and its range rows the range
      equation, so a zero is a critical point v with its w(v).  Each step
      assembles the Jacobian (the wave symbol plus multiplication by f'(u))
@@ -546,27 +548,40 @@ def _galerkin_F(u, ctx, frame):
     return fu.coeffs + frame.symbol(u.lt, u.lx, ctx.omega) * u.coeffs
 
 
+def _range_resonance(frame, keep, lx, sym, rows):
+    """Refuse a range unknown (n k != d m) with |symbol| < RESONANCE_TOL whose
+    row of the matrix rows, one row per unknown in frame.lattice order, is
+    nonzero.
+
+    Raises ResonanceError naming the mode and omega^2 l^2 - j^2 of the first
+    such unknown, row-major, as psolve.apply_L_inv does; else returns the
+    mask of the range unknowns that are not resonant.
+    """
+    l, j = divmod(keep, lx)
+    l, j = frame.n * l, frame.d * (j + 1)
+    small = np.abs(sym) < psolve.RESONANCE_TOL
+    resonant = np.flatnonzero((l != j) & small)
+    present = resonant[np.any(rows[resonant] != 0.0, axis=1)]
+    if present.size:
+        e = present[np.argmin(keep[present])]   # the lowest mode, row-major
+        raise ResonanceError(int(l[e]), int(j[e]), -sym[e])
+    return (l != j) & ~small
+
+
 def _galerkin_jacobian(u, ctx, frame):
     """The Jacobian diag(symbol) + M of _galerkin_F on the unknowns, in
     frame.lattice order.
 
     M is the matrix of z -> P[f'(u) z] on the kept rows and columns of the
     frame; the entries the frame drops are not unknowns and have no row or
-    column.  A range unknown (n k != d m) with |symbol| < RESONANCE_TOL and a
-    nonzero row of M raises ResonanceError naming the mode and omega^2 l^2 -
-    j^2, the first such row-major, as apply_L_inv does.
+    column.  A resonant range unknown with a nonzero row of M raises
+    ResonanceError (_range_resonance).
     """
     lt, lx = u.lt, u.lx
     rows, cols, keep = frame.lattice(lt, lx)
     sym = frame.symbol(lt, lx, ctx.omega).ravel()[keep]
     J = fields.multiply_poly_matrix(u, frame.f.fprime, rows, cols)
-    l, j = divmod(keep, lx)
-    l, j = frame.n * l, frame.d * (j + 1)
-    resonant = np.flatnonzero((l != j) & (np.abs(sym) < psolve.RESONANCE_TOL))
-    present = resonant[np.any(J[resonant] != 0.0, axis=1)]
-    if present.size:
-        e = present[np.argmin(keep[present])]   # the lowest mode, row-major
-        raise ResonanceError(int(l[e]), int(j[e]), -sym[e])
+    _range_resonance(frame, keep, lx, sym, J)
     J[np.diag_indices_from(J)] += sym
     return J
 
@@ -595,13 +610,24 @@ def refine(v0, ctx, f, lt=None, lx=None):
     """Damped Newton on the truncated Galerkin system, from the dilated guess.
 
     The unknowns are the entries of the (lt, lx) truncation that the level's
-    dilation frame keeps (_Frame), kernel (l = j) and range alike, starting
-    from u = v0 (w = 0).  The residual is (pi^2/2) F(u), F(u) = (j^2 -
-    omega^2 l^2) u + P f(u); its kernel rows are exactly -grad Phi_eps and
-    its range rows the range equation, so a zero is a critical point v with
-    its w(v).  The Newton runs on the frame field, written once at its modes
-    (n k, d m), the rest exact zeros, where it reads F unscaled: the
-    certified range is l = n k <= lt <= L.  The unknowns are the product of
+    dilation frame keeps (_Frame), kernel (l = j) and range alike.  The
+    residual is (pi^2/2) F(u), F(u) = (j^2 - omega^2 l^2) u + P f(u); its
+    kernel rows are exactly -grad Phi_eps and its range rows the range
+    equation, so a zero is a critical point v with its w(v).  The Newton
+    starts from u = v0 (w = 0), except where G carries the quadratic form
+    (reduced._uses_qform: n2, and n3 with b < 0).  There the leading term
+    of the reduced functional is built from the range equation's first
+    iterate w_1(v) = L^-1 P_W f(v), and w = 0 is off by O(|v|); so the
+    range unknowns (n k != d m) are set to -P f(v0)/symbol, read off the
+    guess's F, and the Newton starts from v0 + w_1(v0), off by O(eps).
+    That range step is the first sweep of psolve.solve_P: it leaves the
+    kernel entries as they are, costs one more evaluation of F, is not
+    counted as an iteration, and refuses a resonant range unknown with a
+    nonzero entry of P f(v0) as the Jacobian does (_range_resonance).
+    Elsewhere w_1(v0) is the size of the guess's own error in the kernel
+    and saves no step.  The Newton runs on the frame field, written once at
+    its modes (n k, d m), the rest exact zeros, where it reads F unscaled:
+    the certified range is l = n k <= lt <= L.  The unknowns are the product of
     the rows and columns the frame keeps (_Frame.lattice, read off v0 by
     _dilation_frame): for odd f the entries k and m odd, fixed by the
     frame's torus shift and even under X -> pi - X; for even f every entry,
@@ -623,11 +649,13 @@ def refine(v0, ctx, f, lt=None, lx=None):
     (_Frame.kernel), leaves the contraction domain (psolve.contraction_domain
     above psolve.DOMAIN_RHO) the refinement aborts rather than report a
     solution the existence argument does not cover.  The guard reads
-    coefficients only and runs once per iterate, the first time before any
-    step.  The truncation is level_truncation's for the guess v0 (reach
-    len(v0)): defaults, the chain len(v0) <= lx <= lt <= ctx.L and the
-    MAX_UNKNOWNS cap, which raise ConfigError, and a resonant context,
-    which raises ResonanceError, before anything is sampled.
+    coefficients only and runs once per iterate; it reads the guess before
+    F is first evaluated, so a refused guess samples nothing, takes no range
+    step and leaves an empty trace.  The truncation is level_truncation's
+    for the guess v0 (reach len(v0)): defaults, the chain len(v0) <= lx <=
+    lt <= ctx.L and the MAX_UNKNOWNS cap, which raise ConfigError, and a
+    resonant context, which raises ResonanceError, before anything is
+    sampled.
     """
     n = kernel.minimal_time_period_index(v0)
     lt, lx = level_truncation(ctx, f, n, len(v0), lt, lx, v0)
@@ -636,14 +664,29 @@ def refine(v0, ctx, f, lt=None, lx=None):
     c = np.zeros((lt // n + 1, lx // frame.d))
     c[k, (n // frame.d) * k - 1] = v0.xi[n * k - 1]
     u = fields.SpectralField(c)
+    trace = []
+
+    def guard(u):
+        if psolve.contraction_domain(frame.kernel(u, lx), ctx, f) > psolve.DOMAIN_RHO:
+            raise ConvergenceError("iterate left the contraction domain during refinement",
+                                   trace=tuple(trace))
+
+    guard(u)
     rows, cols, keep = frame.lattice(u.lt, u.lx)
     # the lattice lists the unknowns of the rows k even first
     split = int(np.count_nonzero(rows % 2 == 0)) * cols.size
     scale = 0.5 * np.pi**2
     F = _galerkin_F(u, ctx, frame)
+    if reduced._uses_qform(f):
+        # the range unknowns, zero in u, read P f(v0) off F: start at v0 + w_1(v0)
+        sym = frame.symbol(u.lt, u.lx, ctx.omega).ravel()[keep]
+        fv = F.flat[keep]
+        safe = _range_resonance(frame, keep, u.lx, sym, fv[:, None])
+        c.flat[keep[safe]] = -fv[safe] / sym[safe]
+        u = fields.SpectralField(c)
+        F = _galerkin_F(u, ctx, frame)
     gnorm = scale * float(np.linalg.norm(F))
     report = NewtonReport(iterations=0, converged=False, grad_norm=np.inf)
-    trace = []
     settled = False
 
     for it in range(_NEWTON_MAX_ITER + 1):
@@ -653,14 +696,10 @@ def refine(v0, ctx, f, lt=None, lx=None):
         if gnorm <= GTOL and settled:
             report.converged = True
             break
-        ratio = psolve.contraction_domain(frame.kernel(u, lx), ctx, f)
         if it == _NEWTON_MAX_ITER:
             raise ConvergenceError("Newton refinement did not converge", trace=tuple(trace))
-        if ratio > psolve.DOMAIN_RHO:
-            raise ConvergenceError(
-                "iterate left the contraction domain during refinement",
-                trace=tuple(trace),
-            )
+        if it:
+            guard(u)
 
         J = _galerkin_jacobian(u, ctx, frame)
         delta = np.zeros(F.shape)

@@ -259,11 +259,22 @@ def test_refine_reaches_tolerance_and_small_residual():
     assert np.linalg.norm(g) < 1e-11
 
 
-def test_refine_aborts_outside_contraction_domain():
+def test_refine_aborts_outside_contraction_domain(monkeypatch):
+    # the guard reads the guess's kernel entries before anything is
+    # sampled: a refused guess evaluates no F and leaves an empty trace
+    calls = []
+    real = search._galerkin_F
+
+    def counting(u, ctx, frame):
+        calls.append(u)
+        return real(u, ctx, frame)
+
+    monkeypatch.setattr(search, "_galerkin_F", counting)
     ctx = ctx_cubic()
     big = kernel.KernelVector([0.9])
-    with pytest.raises(ConvergenceError, match="contraction domain"):
+    with pytest.raises(ConvergenceError, match="contraction domain") as err:
         search.refine(big, ctx, F3)
+    assert calls == [] and err.value.trace == ()
 
 
 def test_refine_stalls_on_a_step_that_does_not_descend(monkeypatch):
@@ -329,6 +340,25 @@ def test_galerkin_jacobian_names_resonant_range_entry():
     with pytest.raises(ResonanceError) as err:
         search._galerkin_jacobian(fields.SpectralField(kernel.embed(v2).coeffs[::2]), ctx, frame)
     assert (err.value.l, err.value.j) == (2, 3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 2])
+def test_refine_range_step_names_resonant_range_entry(monkeypatch, n):
+    # the same resonance met by refine's first move for u^2: the range step
+    # divides P f(v0), which has an entry at (2, 3), by the frame's symbol,
+    # so it refuses that mode with omega^2 l^2 - j^2, before any Jacobian
+    # and without dividing by zero.  The guess sits inside the contraction
+    # domain, so the guard lets it through
+    f2 = nonlinearity.classify({2: 1.0})
+    ctx = frequency.FrequencyContext(omega=1.5, eps=0.625, gamma=0.1, L=16)
+    v0 = kernel.rescale(kernel.KernelVector([1e-3, 4e-4, 0.0, 0.0, 0.0, 0.0]), n)
+    assert psolve.contraction_domain(v0, ctx, f2) <= psolve.DOMAIN_RHO
+    monkeypatch.setattr(search, "_galerkin_jacobian", None)
+    with pytest.raises(ResonanceError) as err:
+        search.refine(v0, ctx, f2)
+    assert (err.value.l, err.value.j) == (2, 3)
+    assert err.value.value == ctx.omega**2 * 2**2 - 3**2
 
 
 def test_galerkin_jacobian_names_resonant_checkerboard_entry():
@@ -1483,11 +1513,24 @@ def frame_level(level_guesses, name):
 FRAME_LEVELS = ["u3-1", "u3-2", "u3-3", "u2-1", "u2-2", "u3-off-reflection"]
 
 
+def record_jacobian_fields(monkeypatch):
+    """The frame field of every Newton iterate, where its Jacobian is assembled."""
+    fields_seen = []
+    real = search._galerkin_jacobian
+
+    def recording(u, ctx, frame):
+        fields_seen.append(u)
+        return real(u, ctx, frame)
+
+    monkeypatch.setattr(search, "_galerkin_jacobian", recording)
+    return fields_seen
+
+
 @pytest.mark.parametrize("name", FRAME_LEVELS)
 def test_refine_writes_the_dilated_frame_field(level_guesses, monkeypatch, name):
-    # the frame field U of every iterate, recorded where the guard reads
-    # its kernel entries: the guard's vector and the returned (v, w) are
-    # the diagonal and the rest of u = dilate(frame, U), bit for bit
+    # the frame field U of every Newton iterate and of every field the
+    # guard reads: the guard's vector and the returned (v, w) are the
+    # diagonal and the rest of u = dilate(frame, U), bit for bit
     f, ctx, _, v0, _ = frame_level(level_guesses, name)
     seen = []
     real = search._Frame.kernel
@@ -1498,13 +1541,29 @@ def test_refine_writes_the_dilated_frame_field(level_guesses, monkeypatch, name)
         return out
 
     monkeypatch.setattr(search._Frame, "kernel", recording)
+    iterates = record_jacobian_fields(monkeypatch)
     v, w, rep = search.refine(v0, ctx, f)
-    assert rep.converged and len(seen) == rep.iterations + 1
+    assert rep.converged and len(seen) == rep.iterations + 1 == len(iterates) + 1
     frame = seen[0][0]
-    start = dilate(frame, seen[0][1], w.lt, w.lx).coeffs
-    # the first iterate is the guess placed on the frame
-    assert start.tobytes() == kernel.embed(v0).padded(w.lt, w.lx).tobytes()
-    for _, U, guarded in seen:
+    guess = kernel.embed(v0).padded(w.lt, w.lx)
+    start = dilate(frame, iterates[0], w.lt, w.lx).coeffs
+    if name.startswith("u2"):
+        # the form cases' first iterate is v0 + w_1(v0), w_1 = L^-1 P_W f(v0)
+        u0 = fields.SpectralField(guess)
+        pf = fields.apply_nonlinearity(u0, f.poly, out_lt=w.lt, out_lx=w.lx)
+        want = (u0 + psolve.apply_L_inv(pf, ctx.omega)).coeffs
+        assert np.max(np.abs(start - want)) <= 1e-15 * np.max(np.abs(want))
+        assert np.count_nonzero(start) > np.count_nonzero(guess)
+    else:
+        # elsewhere it is the guess placed on the frame
+        assert start.tobytes() == guess.tobytes()
+    # the guard reads the guess first, then each later iterate and the last
+    # field; the range step leaves the guess's kernel entries as they are
+    assert seen[0][2].xi.tobytes() == fields.diagonal_of(fields.SpectralField(guess)).tobytes()
+    assert fields.diagonal_of(fields.SpectralField(start)).tobytes() == seen[0][2].xi.tobytes()
+    assert all(U.coeffs.tobytes() == it.coeffs.tobytes()
+               for (_, U, _), it in zip(seen[1:], iterates[1:]))
+    for _, U, guarded in seen[1:]:
         u = dilate(frame, U, w.lt, w.lx)
         assert guarded.xi.tobytes() == fields.diagonal_of(u).tobytes()
     assert v.xi.tobytes() == fields.diagonal_of(u).tobytes()
@@ -1587,3 +1646,25 @@ def test_two_term_branch_at_levels_off_the_powers_of_two(monkeypatch):
             assert r.accepted and r.residual <= 1e-8, n
             assert search.temporal_support_index(v, w) == n
         assert len(iterations) == len(levels) and max(iterations) <= most, iterations
+
+
+def test_newton_steps_from_the_lyapunov_schmidt_start(level_guesses):
+    # the form cases start at v0 + w_1(v0), whose error is O(eps), not the
+    # O(|v|) of w = 0: criterion 5's offsets 2e-4 and 4e-4 take 2 Newton
+    # steps each (4 from w = 0) and no offset more than 3.  The second step
+    # at 8e-4 is 1.4e-8, next to the stop at 1.49e-8, so that count is not
+    # pinned.  Criterion 6 (u^3, no range step) keeps 2 steps per level
+    recipe = reduced.g_recipe(F2, -1, 1)
+    y, m, diag = search.maximize_U(recipe, 6, seed=0, restarts=8)
+    steps = {}
+    for e in (2e-4, 4e-4, 8e-4, 1.6e-3):
+        ctx = frequency.make_context(1.0 - e, L=48)
+        v0, _ = search.initial_guess(y, m, recipe, ctx, diag)
+        _, _, rep = search.refine(v0, ctx, F2)
+        assert rep.converged
+        steps[e] = rep.iterations
+    assert steps[2e-4] == steps[4e-4] == 2 and max(steps.values()) <= 3, steps
+    for n in range(1, 7):
+        f, _, v0, _ = level_guesses["u3", n]
+        _, _, rep = search.refine(v0, C6_CTX, f)
+        assert rep.converged and rep.iterations == 2, n
