@@ -77,7 +77,7 @@ def contraction_domain(v, ctx, f):
 
     It depends on v, omega and gamma only, not on the truncation.  sup|v| is
     bounded by sum |xi_j|, so no field is sampled.  Refuses a resonant
-    context; solve_P warns above DOMAIN_RHO and search.refine aborts.
+    context; solve_P warns above DOMAIN_RHO and search._newton aborts.
     """
     if ctx.gamma <= 0.0:
         raise ResonanceError(omega=ctx.omega)

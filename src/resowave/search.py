@@ -31,9 +31,9 @@ The pipeline per dilation level n:
      of the frame's torus, that leaves the entries with k and m odd, solved
      by one LU.  For even f the solve eliminates the rows k even and then
      the Schur complement on the rows k odd;
-  4. assemble u = v + w(v) with its certificates: the Galerkin residual,
-     Phi_eps and the energy drift over the level's period, read off one
-     evaluation of f and F/u, the sup of the samples, the minimal period.
+  4. certify the Newton's frame field: the Galerkin residual, Phi_eps and
+     the energy drift over the level's period, read off one evaluation of f
+     and F/u, the sup of the samples, the minimal period.
 
 Steps 3 and 4 run in the level's dilation frame (_Frame), an index map onto
 the rows l = n k and, for odd f, the columns j = n m of the level's own field.
@@ -590,7 +590,7 @@ def _newton_solve(J, rhs, split):
     """x with J x = rhs: block elimination over the unknowns [:split] and
     [split:] when both are nonempty, else one LU of J.
 
-    refine splits at the boundary of the frame rows k even and k odd
+    _newton splits at the boundary of the frame rows k even and k odd
     (_Frame.lattice lists the even rows first).  With J = [[A, B],
     [C, D]] in those classes, one LU of A gives A^-1 [B, rhs[:split]], one
     LU of the Schur complement D - C A^-1 B gives x[split:], and x[:split]
@@ -606,11 +606,12 @@ def _newton_solve(J, rhs, split):
     return np.concatenate([Y[:, -1] - Y[:, :-1] @ x2, x2])
 
 
-def refine(v0, ctx, f, lt=None, lx=None):
+def _newton(v0, ctx, f, lt=None, lx=None):
     """Damped Newton on the truncated Galerkin system, from the dilated guess.
 
-    The unknowns are the entries of the (lt, lx) truncation that the level's
-    dilation frame keeps (_Frame), kernel (l = j) and range alike.  The
+    Returns the frame field U, its _Frame, the truncation (lt, lx) and the
+    NewtonReport.  The unknowns are the entries of the truncation that the
+    level's dilation frame keeps (_Frame), kernel (l = j) and range alike.  The
     residual is (pi^2/2) F(u), F(u) = (j^2 - omega^2 l^2) u + P f(u); its
     kernel rows are exactly -grad Phi_eps and its range rows the range
     equation, so a zero is a critical point v with its w(v).  The Newton
@@ -647,15 +648,13 @@ def refine(v0, ctx, f, lt=None, lx=None):
     a safety check, since a settled step with a large residual is not a
     solution.  When an iterate's kernel part, read off the frame field
     (_Frame.kernel), leaves the contraction domain (psolve.contraction_domain
-    above psolve.DOMAIN_RHO) the refinement aborts rather than report a
+    above psolve.DOMAIN_RHO) the Newton aborts rather than report a
     solution the existence argument does not cover.  The guard reads
     coefficients only and runs once per iterate; it reads the guess before
     F is first evaluated, so a refused guess samples nothing, takes no range
     step and leaves an empty trace.  The truncation is level_truncation's
-    for the guess v0 (reach len(v0)): defaults, the chain len(v0) <= lx <=
-    lt <= ctx.L and the MAX_UNKNOWNS cap, which raise ConfigError, and a
-    resonant context, which raises ResonanceError, before anything is
-    sampled.
+    for the guess v0 (reach len(v0)), whose refusals (ConfigError,
+    ResonanceError) come before anything is sampled.
     """
     n = kernel.minimal_time_period_index(v0)
     lt, lx = level_truncation(ctx, f, n, len(v0), lt, lx, v0)
@@ -729,14 +728,29 @@ def refine(v0, ctx, f, lt=None, lx=None):
         # eps) relative leaves an error at rounding level behind it
         settled = t == 1.0 and step <= _SQRT_EPS * float(np.max(np.abs(u.coeffs)))
 
-    w = np.zeros((lt + 1, lx))
-    w[::n, frame.d - 1 :: frame.d] = u.coeffs
-    np.fill_diagonal(w[1:], 0.0)
-    return frame.kernel(u, lx), fields.SpectralField(w), report
+    return u, frame, (lt, lx), report
+
+
+def refine(v0, ctx, f):
+    """(v, w, NewtonReport) of the guess v0: _newton at the default truncation, dilated."""
+    U, frame, (lt, lx), report = _newton(v0, ctx, f)
+    xi, w = _dilate(U, frame, lt, lx)
+    return kernel.KernelVector(xi), fields.SpectralField(w), report
 
 
 # ---------------------------------------------------------------------------
-# step 4: assembly and certification
+# step 4: certification and the record
+
+
+def _dilate(U, frame, lt, lx):
+    """The record's (xi, w_coeffs) of u(t, x) = U(n t, d x), the only full-size write:
+    w holds U at the modes (n k, d m) but for its kernel entries n k = d m, in xi."""
+    w = np.zeros((lt + 1, lx))
+    w[:: frame.n, frame.d - 1 :: frame.d] = U.coeffs
+    j = np.arange(frame.n, lx + 1, frame.n)
+    xi = np.zeros(lx)
+    xi[j - 1], w[j, j - 1] = w[j, j - 1], 0.0
+    return xi, w
 
 
 def _certify(U, ctx, frame):
@@ -799,22 +813,14 @@ def involution_partner(u):
     return fields.SpectralField(u.coeffs * (-1.0) ** (l + j + 1) + 0.0)
 
 
-def build_solution(v, w, ctx, f, recipe, predicted_level, newton=None,
-                   outside_theorem=False):
-    """Assemble the certified record for a refined critical point.
+def _record(U, frame, xi, w_coeffs, ctx, recipe, predicted_level, newton, outside_theorem):
+    """The record of the frame field U, certified on U and stored as (xi, w_coeffs).
 
-    Of recipe only n, q and case are read, so a record serves as well; the
-    certificates, sup and the support index are read off the level's frame
-    field.  Acceptance
-    asks a residual at most RESIDUAL_TOL, a drift at most DRIFT_TOL, and a
-    critical level of the predicted size: a level a thousand times below it
-    means the refinement found the trivial solution.
+    Of recipe only n, q and case are read, so a record serves as well.
+    Acceptance asks a residual at most RESIDUAL_TOL, a drift at most
+    DRIFT_TOL, and a critical level of the predicted size: a level a
+    thousand times below it means the refinement found the trivial solution.
     """
-    frame = _dilation_frame(f, recipe.n)
-    u = (kernel.embed(v) + w).coeffs
-    if np.count_nonzero(u[:: frame.n, frame.d - 1 :: frame.d]) < np.count_nonzero(u):
-        frame = _Frame(1, 1, f)  # an entry off the frame: certify the whole field
-    U = fields.SpectralField(u[:: frame.n, frame.d - 1 :: frame.d])
     res, phi_val, energies, drift = _certify(U, ctx, frame)
     n_obs = _support_index(U.coeffs, frame.n)
     accepted = (
@@ -832,9 +838,9 @@ def build_solution(v, w, ctx, f, recipe, predicted_level, newton=None,
         n=int(recipe.n),
         q=int(recipe.q),
         case=recipe.case,
-        xi=v.xi.copy(),
-        w_coeffs=w.coeffs.copy(),
-        h1=float(v.h1()),
+        xi=xi,
+        w_coeffs=w_coeffs,
+        h1=float(kernel.KernelVector(xi).h1()),
         sup=fields.sup_norm(U),
         energy=float(energies[0]),
         residual=res,
@@ -843,6 +849,19 @@ def build_solution(v, w, ctx, f, recipe, predicted_level, newton=None,
         accepted=bool(accepted),
         outside_theorem=bool(outside_theorem),
     )
+
+
+def build_solution(v, w, ctx, f, recipe, predicted_level, newton=None,
+                   outside_theorem=False):
+    """_record of a pair (v, w): refine's, a partner's, a read record's.  It is certified
+    on level recipe.n's frame, or whole where embed(v) + w has an entry off it."""
+    frame = _dilation_frame(f, recipe.n)
+    u = (kernel.embed(v) + w).coeffs
+    if np.count_nonzero(u[:: frame.n, frame.d - 1 :: frame.d]) < np.count_nonzero(u):
+        frame = _Frame(1, 1, f)  # an entry off the frame: certify the whole field
+    U = fields.SpectralField(u[:: frame.n, frame.d - 1 :: frame.d])
+    return _record(U, frame, v.xi.copy(), w.coeffs.copy(), ctx, recipe, predicted_level,
+                   newton, outside_theorem)
 
 
 def partner_record(record, f):
@@ -877,18 +896,19 @@ def solve_level(ctx, f, n, maximizer, lt=None, lx=None):
     LevelMaximizer shared by every level of f.  The truncation is sized
     first, by level_truncation with reach n * maximizer.dim, so a level it
     refuses (ConfigError; ResonanceError at gamma = 0) is never maximized,
-    and refine gets the resolved (lt, lx).  Admissibility is the caller's to
-    check, and g_recipe refuses a side the case does not bifurcate to.  A
-    level below the case's minimal index is flagged outside_theorem.  Raises
-    ResowaveError (ConvergenceError when the refinement fails).
+    and _newton gets the resolved (lt, lx); _record certifies its frame field
+    and _dilate writes it once.  Admissibility is the caller's to check, and
+    g_recipe refuses a side the case does not bifurcate to.  A level below
+    the case's minimal index is flagged outside_theorem.  Raises
+    ResowaveError (ConvergenceError when the Newton fails).
     """
     lt, lx = level_truncation(ctx, f, n, n * maximizer.dim, lt, lx)
     recipe = reduced.g_recipe(f, 1 if ctx.omega > 1.0 else -1, n=n)
     y_star, m_val, diag = maximizer(recipe)
     v0, level = initial_guess(y_star, m_val, recipe, ctx, diag)
-    v, w, rep = refine(v0, ctx, f, lt=lt, lx=lx)
-    return build_solution(v, w, ctx, f, recipe, level, newton=rep,
-                          outside_theorem=n < frequency.minimal_n(f))
+    U, frame, (lt, lx), rep = _newton(v0, ctx, f, lt, lx)
+    return _record(U, frame, *_dilate(U, frame, lt, lx), ctx, recipe, level, rep,
+                   n < frequency.minimal_n(f))
 
 
 def solve_branch(ctx, f, n_max=None, C=frequency.DEFAULT_C, dim=8, seed=0,

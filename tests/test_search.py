@@ -1116,14 +1116,14 @@ def test_refine_refuses_too_many_unknowns_before_sampling(monkeypatch):
     v0 = kernel.KernelVector([1e-3, 0.0, 0.0, 1e-5])
     ctx = frequency.make_context(frequency.omega_for_eps(4e-4), L=400)
     with pytest.raises(ConfigError, match=r"lt=400, lx=400 has 160400 .* MAX_UNKNOWNS = 4096"):
-        search.refine(v0, ctx, F3, lt=400, lx=400)
+        search._newton(v0, ctx, F3, lt=400, lx=400)
     f2, ctx2 = nonlinearity.classify({2: 1.0}), frequency.make_context(0.9998, L=100)
     with pytest.raises(ConfigError, match=r"lt=100, lx=100 has 10100 "):
-        search.refine(v0, ctx2, f2, lt=100, lx=100)
-    # the cap itself is admitted: refine goes on to sample f(u)
+        search._newton(v0, ctx2, f2, lt=100, lx=100)
+    # the cap itself is admitted: the Newton goes on to sample f(u)
     monkeypatch.setattr(search, "MAX_UNKNOWNS", 10100)
     with pytest.raises(AssertionError, match="sampled"):
-        search.refine(v0, ctx2, f2, lt=100, lx=100)
+        search._newton(v0, ctx2, f2, lt=100, lx=100)
 
 
 def test_solve_branch_lists_a_refused_level_as_failed(monkeypatch):
@@ -1201,7 +1201,7 @@ def homogeneity_gaps(coeffs, omega):
 
     For f = c u^p level n is, in its frame's variables (n t, n x), level 1
     with f/n^2, whose solution is n^(2/(p-1)) times level 1's; U_1 is a
-    level-1 refine on the same frame truncation.
+    level-1 Newton on the same frame truncation.
     """
     f = nonlinearity.classify(coeffs)
     p = max(coeffs)
@@ -1213,12 +1213,11 @@ def homogeneity_gaps(coeffs, omega):
         recipe = reduced.g_recipe(f, 1 if omega > 1.0 else -1, n=n)
         y, m, diag = maximizer(recipe)
         v0, _ = search.initial_guess(y, m, recipe, ctx, diag)
-        v, w, _ = search.refine(v0, ctx, f, lt=lt, lx=lx)
-        return (kernel.embed(v) + w).coeffs
+        return search._newton(v0, ctx, f, lt=lt, lx=lx)[0].coeffs
 
     gaps = {}
     for n in range(2, 7):
-        U = solve(n)[::n, n - 1 :: n]
+        U = solve(n)
         want = n ** (2 / (p - 1)) * solve(1, lt=U.shape[0] - 1, lx=U.shape[1])
         gaps[n] = np.max(np.abs(U - want)) / np.max(np.abs(want))
     return gaps
@@ -1269,14 +1268,14 @@ def test_frame_solve_certified_range_is_the_compressed_index():
     recipe = reduced.g_recipe(F3, +1, n=3)
     y, m, diag = search.maximize_U(recipe, 3, seed=0, restarts=3)
     v0, _ = search.initial_guess(y, m, recipe, ctx, diag)
-    v, w, rep = search.refine(v0, ctx, F3, lt=ctx.L)
-    assert rep.converged and w.lt == ctx.L
-    assert psolve.contraction_domain(v, ctx, F3) <= psolve.DOMAIN_RHO
-    # refine sizes its truncation by level_truncation, before the guard runs
+    U, frame, (lt, lx), rep = search._newton(v0, ctx, F3, lt=ctx.L)
+    assert rep.converged and lt == ctx.L
+    assert psolve.contraction_domain(frame.kernel(U, lx), ctx, F3) <= psolve.DOMAIN_RHO
+    # the Newton sizes its truncation by level_truncation, before the guard runs
     with pytest.raises(ConfigError, match=r"'lmax' must be >= lt = 25, got 24"):
-        search.refine(v0, ctx, F3, lt=ctx.L + 1)
+        search._newton(v0, ctx, F3, lt=ctx.L + 1)
     with pytest.raises(ConfigError, match=f"'lt' must be >= lx = {len(v0) + 1}, got {len(v0)}"):
-        search.refine(v0, ctx, F3, lt=len(v0), lx=len(v0) + 1)
+        search._newton(v0, ctx, F3, lt=len(v0), lx=len(v0) + 1)
 
 
 def test_refine_and_solve_P_refuse_lt_above_L_alike():
@@ -1284,17 +1283,17 @@ def test_refine_and_solve_P_refuse_lt_above_L_alike():
     # past ctx.L with level_truncation's words, before any sweep
     ctx = ctx_cubic(eps=1e-4, L=24)
     v0 = kernel.KernelVector([0.01, 0.0, 0.002])
-    for solve in (search.refine, psolve.solve_P):
+    for solve in (search._newton, psolve.solve_P):
         with pytest.raises(ConfigError, match=r"^config key 'lmax' must be >= lt = 25, got 24$"):
             solve(v0, ctx, F3, lt=ctx.L + 1)
 
 
 def test_a_guess_refusal_names_the_guess_length():
-    # refine and solve_P size a kernel vector v, not a level's n * dim: a
-    # refusal names the reach len(v)
+    # the Newton and solve_P size a kernel vector v, not a level's n * dim:
+    # a refusal names the reach len(v)
     ctx = ctx_cubic(eps=1e-4, L=24)
     v = kernel.KernelVector([0.01, 0.002])
-    for solve in (search.refine, psolve.solve_P):
+    for solve in (search._newton, psolve.solve_P):
         with pytest.raises(ConfigError, match=r"^config key 'lt' must be >= len\(v\) = 2, got 1$"):
             solve(v, ctx, F3, lt=1)
 
@@ -1528,22 +1527,28 @@ def record_jacobian_fields(monkeypatch):
 
 @pytest.mark.parametrize("name", FRAME_LEVELS)
 def test_refine_writes_the_dilated_frame_field(level_guesses, monkeypatch, name):
-    # the frame field U of every Newton iterate and of every field the
-    # guard reads: the guard's vector and the returned (v, w) are the
-    # diagonal and the rest of u = dilate(frame, U), bit for bit
+    # the frame field U of every Newton iterate, of every field the guard
+    # reads and of the one field _dilate writes: the guard's vector and the
+    # returned (v, w) are the diagonal and the rest of u = dilate(frame, U),
+    # bit for bit
     f, ctx, _, v0, _ = frame_level(level_guesses, name)
-    seen = []
-    real = search._Frame.kernel
+    seen, written = [], []
+    real, real_dilate = search._Frame.kernel, search._dilate
 
     def recording(frame, U, lx):
         out = real(frame, U, lx)
         seen.append((frame, U, out))
         return out
 
+    def writing(U, frame, lt, lx):
+        written.append(U)
+        return real_dilate(U, frame, lt, lx)
+
     monkeypatch.setattr(search._Frame, "kernel", recording)
+    monkeypatch.setattr(search, "_dilate", writing)
     iterates = record_jacobian_fields(monkeypatch)
     v, w, rep = search.refine(v0, ctx, f)
-    assert rep.converged and len(seen) == rep.iterations + 1 == len(iterates) + 1
+    assert rep.converged and len(seen) == rep.iterations == len(iterates) and len(written) == 1
     frame = seen[0][0]
     guess = kernel.embed(v0).padded(w.lt, w.lx)
     start = dilate(frame, iterates[0], w.lt, w.lx).coeffs
@@ -1557,8 +1562,8 @@ def test_refine_writes_the_dilated_frame_field(level_guesses, monkeypatch, name)
     else:
         # elsewhere it is the guess placed on the frame
         assert start.tobytes() == guess.tobytes()
-    # the guard reads the guess first, then each later iterate and the last
-    # field; the range step leaves the guess's kernel entries as they are
+    # the guard reads the guess first, then each later iterate; the range
+    # step leaves the guess's kernel entries as they are
     assert seen[0][2].xi.tobytes() == fields.diagonal_of(fields.SpectralField(guess)).tobytes()
     assert fields.diagonal_of(fields.SpectralField(start)).tobytes() == seen[0][2].xi.tobytes()
     assert all(U.coeffs.tobytes() == it.coeffs.tobytes()
@@ -1566,6 +1571,7 @@ def test_refine_writes_the_dilated_frame_field(level_guesses, monkeypatch, name)
     for _, U, guarded in seen[1:]:
         u = dilate(frame, U, w.lt, w.lx)
         assert guarded.xi.tobytes() == fields.diagonal_of(u).tobytes()
+    u = dilate(frame, written[0], w.lt, w.lx)
     assert v.xi.tobytes() == fields.diagonal_of(u).tobytes()
     assert w.coeffs.tobytes() == fields.zero_diagonal(u).coeffs.tobytes()
 
@@ -1611,6 +1617,46 @@ def test_partner_twice_is_bitwise_identity_at_every_level(coeffs, omega, n_max):
         assert json.dumps(again.as_document()) == json.dumps(rec.as_document())
 
 
+BOTH_ENTRIES = {
+    **{f"u3-{n}": ({3: 1.0}, 1.0001, 48, n) for n in range(1, 7)},
+    "u2-2e-4": ({2: 1.0}, 1.0 - 2e-4, 48, 1),
+    "u2-4e-4": ({2: 1.0}, 1.0 - 4e-4, 48, 1),
+    "u3+u5/2-3": ({3: 1.0, 5: 0.5}, 1.0001, 320, 3),
+    "u3+u5/2-5": ({3: 1.0, 5: 0.5}, 1.0001, 320, 5),
+    "u2-u3-below-2": ({2: 1.0, 3: -1.0}, frequency.omega_for_eps(-4e-4), 24, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(BOTH_ENTRIES))
+def test_solve_level_and_build_solution_write_the_same_record(name):
+    # the frame path (_newton, _dilate, _record) and the (v, w) entry
+    # (refine, build_solution) write the same document, byte for byte
+    coeffs, omega, L, n = BOTH_ENTRIES[name]
+    f, ctx = nonlinearity.classify(coeffs), frequency.make_context(omega, L=L)
+    maximizer = search.LevelMaximizer(6, seed=0, restarts=8)
+    record = search.solve_level(ctx, f, n, maximizer)
+    recipe = reduced.g_recipe(f, 1 if omega > 1.0 else -1, n=n)
+    y, m, diag = maximizer(recipe)
+    v0, level = search.initial_guess(y, m, recipe, ctx, diag)
+    v, w, rep = search.refine(v0, ctx, f)
+    again = search.build_solution(v, w, ctx, f, recipe, level, newton=rep)
+    assert record.accepted
+    assert json.dumps(again.as_document()) == json.dumps(record.as_document())
+
+
+def test_solve_branch_builds_no_full_field(monkeypatch):
+    # every level is solved, certified and written from its frame field:
+    # no kernel.embed and no sum of full-size fields on the way
+    def refused(*args, **kwargs):
+        raise AssertionError("built a full-size field")
+
+    monkeypatch.setattr(kernel, "embed", refused)
+    monkeypatch.setattr(fields.SpectralField, "__add__", refused)
+    br = search.solve_branch(C6_CTX, F3, C=0.004, dim=6, seed=0, restarts=8)
+    assert br.failures == [] and [r.n for r in br.records] == list(range(1, 7))
+    assert all(r.accepted for r in br.records)
+
+
 def test_branch_near_resonance_accepts_every_level():
     # the paper's N_omega -> infinity: at omega = 1.00001 the admissible
     # levels are 1..19, each certified on its frame
@@ -1628,14 +1674,14 @@ def test_two_term_branch_at_levels_off_the_powers_of_two(monkeypatch):
     # to level 11 and 4 at level 12, and at most 3 on every level of the
     # criterion-6 branch of u^3
     iterations = []
-    real = search.refine
+    real = search._newton
 
     def recording(*args, **kw):
-        v, w, rep = real(*args, **kw)
-        iterations.append(rep.iterations)
-        return v, w, rep
+        out = real(*args, **kw)
+        iterations.append(out[3].iterations)
+        return out
 
-    monkeypatch.setattr(search, "refine", recording)
+    monkeypatch.setattr(search, "_newton", recording)
     for f, L, levels, most in [(F35, 320, range(1, 13), 4), (F3, 48, range(1, 7), 3)]:
         ctx = frequency.make_context(1.0001, L=L)
         maximizer = search.LevelMaximizer(6, seed=0, restarts=8)
