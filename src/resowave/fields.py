@@ -446,6 +446,52 @@ def multiply_poly_project(u, poly, z, out_lt=None, out_lx=None):
     return _sine_projection(A, B, out_lt, out_lx)
 
 
+def _odd_projection(d_x, lx, j):
+    """Kd[mu, (j', j)] = (K[|mu - j|, j'] - K[mu + j, j'])/2 at mu <= d_x, K
+    = _half_projection_matrix(d_x + lx, lx) on the columns j: the
+    projection of the sine part of poly(u) in multiply_poly_matrix."""
+    K = _half_projection_matrix(d_x + lx, lx)[:, j - 1]
+    mu = np.arange(d_x + 1)[:, None]
+    return (0.5 * (K[np.abs(mu - j[None, :])] - K[mu + j[None, :]])).reshape(d_x + 1, j.size**2)
+
+
+# the largest _matrix_plan that is kept: 8 of them hold at most 8 MiB
+PLAN_CACHE_BYTES = 1 << 20
+
+
+@functools.lru_cache(maxsize=8)
+def _matrix_plan(lt, lx, rows, cols, d_x, odd):
+    """The u-independent tables of multiply_poly_matrix on the entries rows x
+    cols (tuples) of an (lt+1, lx) field, read-only.
+
+    Returns (half_t, diff, tsum, Kd, toeplitz, hankel): the half weights of
+    the rows t <= 2 lt of the slabs; the column maps |j - j'| and j + j';
+    the odd-term projection _odd_projection when odd, else None; and the
+    (R, R) row maps, R = len(rows), C = len(cols): the Toeplitz |a_r - a_s|
+    C and the Hankel (a_r + a_s) C, or the zero slab's (2 lt + 1) C in the
+    rows a_r = 0.  Each table is one that a call built before, so a plan
+    holds 8 (2 lt + 1 + 2 R^2 + (2 + (d_x + 1) odd) C^2) bytes.  The levels
+    of one branch and the rows of one scan share frame shapes (the
+    criterion-6 branch reads 4 plans for 6 levels, the 63-level branch 2),
+    so 8 plans are kept, each at most PLAN_CACHE_BYTES: the level-1 plans
+    of u^3 and u^2 at lt = lx = 16 hold 2.3 KB and 23 KB.  A larger plan, as
+    every entry of lt = lx = 63 for an even f (4032 unknowns, the largest
+    level-1 frame under search.MAX_UNKNOWNS: 4.2 MB, Kd 4.0 MB) or an
+    even-f level above a few, is built per call through __wrapped__ and
+    not kept.
+    """
+    a, j = np.array(rows, dtype=int), np.array(cols, dtype=int)
+    half_t = np.where(np.arange(2 * lt + 1) == 0, 1.0, 0.5)[:, None]
+    ac = a * j.size
+    plan = [half_t, np.abs(j[:, None] - j[None, :]), j[:, None] + j[None, :],
+            _odd_projection(d_x, lx, j) if odd else None,
+            np.abs(ac - ac[:, None]), np.where(a == 0, (2 * lt + 1) * j.size, ac + ac[:, None])]
+    for table in plan:
+        if table is not None:
+            table.flags.writeable = False
+    return tuple(plan)
+
+
 def multiply_poly_matrix(u, poly, rows, cols):
     """Dense matrix of z -> P[poly(u) z] on the entries rows x cols of u's truncation.
 
@@ -462,9 +508,13 @@ def multiply_poly_matrix(u, poly, rows, cols):
     unless poly has an odd-degree term, because u is odd in x.  So entry
     ((l, j), (l', j')) is X[|l - l'|] + X[l + l'] of the slabs X[t, j, j'],
     built on cols: the block of the rows l = a_r, l' = a_s is X[|a_r - a_s|]
-    + X[a_r + a_s], read by one gather over the pairs of rows.  The matrix
-    is returned in Fortran order, the layout LAPACK factors, which saves
-    np.linalg.solve a transpose in its copy.
+    + X[a_r + a_s], read by one gather over the pairs of rows.  Every table
+    that does not depend on u, the column and row maps, the half weights
+    and the odd-term projection, is the _matrix_plan of the frame shape,
+    kept when it holds at most PLAN_CACHE_BYTES, so a call samples poly(u)
+    for the slabs and gathers them.  The matrix is returned in Fortran
+    order, the layout LAPACK factors, which saves np.linalg.solve a
+    transpose in its copy.
     """
     lt, lx = u.lt, u.lx
     poly = np.asarray(poly, dtype=float)
@@ -472,34 +522,28 @@ def multiply_poly_matrix(u, poly, rows, cols):
     # resolve the full degree of poly(u), not only the rows and columns used,
     # so that no higher harmonic aliases onto them
     d_x = max(2 * lx, r * u.lx)
+    odd = bool(np.any(poly[1::2] != 0.0))
+    R, C = len(rows), len(cols)
+    kept = 8 * (2 * lt + 1 + 2 * R * R + (2 + (d_x + 1) * odd) * C * C) <= PLAN_CACHE_BYTES
+    plan = _matrix_plan if kept else _matrix_plan.__wrapped__
+    half_t, diff, tsum, Kd, toeplitz, hankel = plan(
+        lt, lx, tuple(np.asarray(rows).tolist()), tuple(np.asarray(cols).tolist()), d_x, odd)
     ((A, B),) = _torus_cos_sin(u, [poly], max(2 * lt, r * u.lt), d_x, [2 * lt])
-    m = lt + 1
-    half_t = np.where(np.arange(2 * m - 1) == 0, 1.0, 0.5)[:, None]
     Ah = A * half_t                       # every |l - l'| and l + l'
     Ah[:, 1:] *= 0.5
-    a, j = rows, cols
-    diff = np.abs(j[:, None] - j[None, :])
     # XT[t, j', j] = X[t, j, j'] (the cosine part is symmetric) for t <= 2
     # lt, then the zero slab t = 2 lt + 1; it is -0.0, which added to any x
     # gives x bit for bit, the sign of a zero too
-    XT = np.empty((2 * m, j.size, j.size))
-    np.subtract(Ah[:, diff], Ah[:, j[:, None] + j[None, :]], out=XT[:-1])
+    XT = np.empty((2 * lt + 2, C, C))
+    np.subtract(Ah[:, diff], Ah[:, tsum], out=XT[:-1])
     XT[-1] = -0.0
-    if np.any(poly[1::2] != 0.0):
-        K = _half_projection_matrix(d_x + lx, lx)[:, j - 1]
-        mu = np.arange(d_x + 1)[:, None]
-        Kd = 0.5 * (K[np.abs(mu - j[None, :])] - K[mu + j[None, :]])  # [mu, j', j]
-        Y = (B * half_t) @ Kd.reshape(d_x + 1, j.size**2)
-        XT[:-1] += Y.reshape(-1, j.size, j.size)
+    if odd:
+        XT[:-1] += ((B * half_t) @ Kd).reshape(-1, C, C)
     # the matrix transposed, row (r, i) the entry (a_r, j_i): out[s, k, r,
     # i] = X[|a_r - a_s|, i, k] + X[a_r + a_s, i, k] (the zero slab in the
     # rows a_r = 0), for each (s, k, r) the row t C + k of XT in C columns
-    C = j.size
     slab_rows = XT.reshape(-1, C)
     k = np.arange(C)[:, None]
-    ac = a * C
-    out = np.take(slab_rows, np.abs(ac - ac[:, None])[:, None] + k, axis=0)
-    hankel = np.where(a == 0, (2 * lt + 1) * C, ac + ac[:, None])
+    out = np.take(slab_rows, toeplitz[:, None] + k, axis=0)
     out += np.take(slab_rows, hankel[:, None] + k, axis=0)
-    n = a.size * C
-    return out.reshape(n, n).T
+    return out.reshape(R * C, R * C).T

@@ -12,6 +12,8 @@ The effective homogeneity q of the reduced variational problem is p, d,
 2p - 1, 2p - 1 respectively.
 """
 
+import functools
+
 import numpy as np
 from dataclasses import dataclass
 
@@ -32,7 +34,8 @@ class NonlinearitySpec:
 
     poly is the full ascending coefficient array [0, 0, c_2, c_3, ...], so
     numpy polynomial helpers consume it directly.  fprime and primitive are
-    the ascending arrays of f'(u) and F(u) = int_0^u f.
+    the ascending arrays of f'(u) and F(u) = int_0^u f, built once per spec
+    and read-only, since every Jacobian and certificate reads them.
     """
 
     poly: np.ndarray
@@ -43,15 +46,19 @@ class NonlinearitySpec:
     d: int | None = None
     b: float | None = None
 
-    @property
+    @functools.cached_property
     def fprime(self):
         k = np.arange(1, len(self.poly))
-        return self.poly[1:] * k
+        fprime = self.poly[1:] * k
+        fprime.flags.writeable = False
+        return fprime
 
-    @property
+    @functools.cached_property
     def primitive(self):
         k = np.arange(len(self.poly))
-        return np.concatenate([[0.0], self.poly / (k + 1.0)])
+        primitive = np.concatenate([[0.0], self.poly / (k + 1.0)])
+        primitive.flags.writeable = False
+        return primitive
 
     def describe(self):
         terms = [

@@ -461,10 +461,25 @@ class _Frame:
     odd_rows: bool = False
     odd_cols: bool = False
 
+    # the tables of the frame that no iterate changes, built on first use
+    # for each truncation and omega; a frame is made for one level
+    # (_dilation_frame), so its tables go with it
+    tables: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
+
+    def _once(self, key, build):
+        """build(), an array or a tuple of them, the first time key is read, then
+        the same arrays, read-only since the Newton and the certificates share them."""
+        if key not in self.tables:
+            tables = build()
+            for table in tables if isinstance(tables, tuple) else (tables,):
+                table.flags.writeable = False
+            self.tables[key] = tables
+        return self.tables[key]
+
     def symbol(self, lt, lx, omega):
-        """j^2 - omega^2 l^2 at the modes (n k, d m) of the (lt+1, lx) frame."""
-        l = self.n * np.arange(lt + 1, dtype=float)[:, None]
-        return (self.d * np.arange(1, lx + 1, dtype=float)) ** 2 - omega**2 * l**2
+        """j^2 - omega^2 l^2 at the modes (n k, d m) of the (lt+1, lx) frame (_symbol)."""
+        return self._once(("symbol", lt, lx, omega),
+                          lambda: _symbol(self.n, self.d, lt, lx, omega))
 
     def kernel(self, u, lx):
         """The diagonal j = n k = d m <= lx of the dilated frame field u."""
@@ -474,19 +489,45 @@ class _Frame:
         return kernel.KernelVector(xi)
 
     def lattice(self, lt, lx):
-        """The Newton unknowns of the (lt+1, lx) frame: (rows, cols, flat).
+        """The Newton unknowns of the (lt+1, lx) frame: (rows, cols, flat) (_lattice)."""
+        return self._once(("lattice", lt, lx),
+                          lambda: _lattice(lt, lx, self.odd_rows, self.odd_cols))
 
-        rows lists the kept rows k, the even ones first, and cols the kept
-        columns m, ascending; the unknowns are the entries (rows[r],
-        cols[i]), r-major, at the flat indices k lx + m - 1 of flat.  An LU
-        eliminates in this order, so the order is part of the results, and
-        a solve can eliminate the rows k even before the odd ones at a
-        single boundary.
-        """
-        k = np.arange(lt + 1)
-        rows = k[1::2] if self.odd_rows else np.concatenate([k[0::2], k[1::2]])
-        cols = np.arange(1, lx + 1, 2 if self.odd_cols else 1)
-        return rows, cols, (rows[:, None] * lx + cols - 1).ravel()
+    def resonance(self, lt, lx, omega):
+        """(sym, resonant, safe) on the unknowns of the (lt+1, lx) frame, in
+        lattice order: the symbol, the indices of the range unknowns (n k
+        != d m) with |sym| < RESONANCE_TOL, and the mask of those that are
+        not resonant."""
+        def build():
+            keep = self.lattice(lt, lx)[2]
+            l, j = divmod(keep, lx)
+            l, j = self.n * l, self.d * (j + 1)
+            sym = self.symbol(lt, lx, omega).ravel()[keep]
+            small = np.abs(sym) < psolve.RESONANCE_TOL
+            return sym, np.flatnonzero((l != j) & small), (l != j) & ~small
+        return self._once(("resonance", lt, lx, omega), build)
+
+
+def _symbol(n, d, lt, lx, omega):
+    """j^2 - omega^2 l^2 at the modes (n k, d m) of the (lt+1, lx) frame of level n."""
+    l = n * np.arange(lt + 1, dtype=float)[:, None]
+    return (d * np.arange(1, lx + 1, dtype=float)) ** 2 - omega**2 * l**2
+
+
+def _lattice(lt, lx, odd_rows, odd_cols):
+    """The Newton unknowns of the (lt+1, lx) frame: (rows, cols, flat).
+
+    rows lists the kept rows k (odd_rows: the odd ones only), the even ones
+    first, and cols the kept columns m (odd_cols: the odd ones only),
+    ascending; the unknowns are the entries (rows[r], cols[i]), r-major, at
+    the flat indices k lx + m - 1 of flat.  An LU eliminates in this order,
+    so the order is part of the results, and a solve can eliminate the rows
+    k even before the odd ones at a single boundary.
+    """
+    k = np.arange(lt + 1)
+    rows = k[1::2] if odd_rows else np.concatenate([k[0::2], k[1::2]])
+    cols = np.arange(1, lx + 1, 2 if odd_cols else 1)
+    return rows, cols, (rows[:, None] * lx + cols - 1).ravel()
 
 
 def _dilation_frame(f, n, v=None):
@@ -548,24 +589,24 @@ def _galerkin_F(u, ctx, frame):
     return fu.coeffs + frame.symbol(u.lt, u.lx, ctx.omega) * u.coeffs
 
 
-def _range_resonance(frame, keep, lx, sym, rows):
+def _range_resonance(frame, lt, lx, omega, rows):
     """Refuse a range unknown (n k != d m) with |symbol| < RESONANCE_TOL whose
     row of the matrix rows, one row per unknown in frame.lattice order, is
     nonzero.
 
     Raises ResonanceError naming the mode and omega^2 l^2 - j^2 of the first
     such unknown, row-major, as psolve.apply_L_inv does; else returns the
-    mask of the range unknowns that are not resonant.
+    symbol on the unknowns and the mask of the range unknowns that are not
+    resonant (_Frame.resonance).
     """
-    l, j = divmod(keep, lx)
-    l, j = frame.n * l, frame.d * (j + 1)
-    small = np.abs(sym) < psolve.RESONANCE_TOL
-    resonant = np.flatnonzero((l != j) & small)
+    keep = frame.lattice(lt, lx)[2]
+    sym, resonant, safe = frame.resonance(lt, lx, omega)
     present = resonant[np.any(rows[resonant] != 0.0, axis=1)]
     if present.size:
         e = present[np.argmin(keep[present])]   # the lowest mode, row-major
-        raise ResonanceError(int(l[e]), int(j[e]), -sym[e])
-    return (l != j) & ~small
+        l, j = divmod(int(keep[e]), lx)
+        raise ResonanceError(frame.n * l, frame.d * (j + 1), -sym[e])
+    return sym, safe
 
 
 def _galerkin_jacobian(u, ctx, frame):
@@ -575,14 +616,14 @@ def _galerkin_jacobian(u, ctx, frame):
     M is the matrix of z -> P[f'(u) z] on the kept rows and columns of the
     frame; the entries the frame drops are not unknowns and have no row or
     column.  A resonant range unknown with a nonzero row of M raises
-    ResonanceError (_range_resonance).
+    ResonanceError (_range_resonance).  The lattice, the symbol and the
+    resonance masks are the frame's own, built at its first Jacobian, and
+    M's plan is fields._matrix_plan's, so a call samples f'(u) and gathers M.
     """
-    lt, lx = u.lt, u.lx
-    rows, cols, keep = frame.lattice(lt, lx)
-    sym = frame.symbol(lt, lx, ctx.omega).ravel()[keep]
+    rows, cols, _ = frame.lattice(u.lt, u.lx)
     J = fields.multiply_poly_matrix(u, frame.f.fprime, rows, cols)
-    _range_resonance(frame, keep, lx, sym, J)
-    J[np.diag_indices_from(J)] += sym
+    sym, _ = _range_resonance(frame, u.lt, u.lx, ctx.omega, J)
+    J.flat[:: sym.size + 1] += sym    # the diagonal
     return J
 
 
@@ -642,13 +683,18 @@ def _newton(v0, ctx, f, lt=None, lx=None):
     on the rows k odd.  So at a 17 x 16 level-1 frame no LU
     reaches the 100 or so unknowns from which numpy's OpenBLAS wakes a
     second thread that spins through the rest of the pass: 64 for odd f,
-    72 and 64 for even f.  Each line-search trial costs one
-    apply_nonlinearity.  The iteration stops when the last full step was
-    at rounding level and the residual is at most GTOL; the second test is
-    a safety check, since a settled step with a large residual is not a
-    solution.  When an iterate's kernel part, read off the frame field
-    (_Frame.kernel), leaves the contraction domain (psolve.contraction_domain
-    above psolve.DOMAIN_RHO) the Newton aborts rather than report a
+    72 and 64 for even f.  Every table no iterate changes is built once per
+    level and read at every iterate: the lattice, the symbol and the
+    resonance masks on the level's frame (_Frame.tables), f' on f, and the
+    Jacobian's plan in fields._matrix_plan, which the levels of one frame
+    shape share; the Jacobian itself is assembled anew at every iterate.
+    Each line-search trial costs one apply_nonlinearity.  The iteration
+    stops when the last full step was at rounding level and the residual
+    is at most GTOL; the second test is a safety check, since a settled
+    step with a large residual is not a solution.  When an iterate's
+    kernel part, read off the frame field (_Frame.kernel), leaves the
+    contraction domain (psolve.contraction_domain above
+    psolve.DOMAIN_RHO) the Newton aborts rather than report a
     solution the existence argument does not cover.  The guard reads
     coefficients only and runs once per iterate; it reads the guess before
     F is first evaluated, so a refused guess samples nothing, takes no range
@@ -678,9 +724,8 @@ def _newton(v0, ctx, f, lt=None, lx=None):
     F = _galerkin_F(u, ctx, frame)
     if reduced._uses_qform(f):
         # the range unknowns, zero in u, read P f(v0) off F: start at v0 + w_1(v0)
-        sym = frame.symbol(u.lt, u.lx, ctx.omega).ravel()[keep]
         fv = F.flat[keep]
-        safe = _range_resonance(frame, keep, u.lx, sym, fv[:, None])
+        sym, safe = _range_resonance(frame, u.lt, u.lx, ctx.omega, fv[:, None])
         c.flat[keep[safe]] = -fv[safe] / sym[safe]
         u = fields.SpectralField(c)
         F = _galerkin_F(u, ctx, frame)

@@ -1124,3 +1124,22 @@ def test_fuzzed_scan_config_exits_cleanly(doc):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         _assert_contract(*_run_quietly(["scan", "--config", path]))
+
+
+def test_readme_scan_twice_writes_the_same_table(tmp_path, capsys):
+    # the second scan reads every Jacobian plan from the warm cache and
+    # writes the first scan's bytes, which were built from a cold one
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        readme = fh.read()
+    doc = next(json.loads(block) for block in re.findall(r"```json\n(.*?)```", readme, re.S)
+               if "omega_range" in block)
+    tables = []
+    for cold in (True, False):
+        if cold:
+            fields._matrix_plan.cache_clear()
+        out = tmp_path / f"scan_{cold}.csv"
+        assert cli.main(["scan", "--config", write_json(tmp_path / "scan.json",
+                                                        {**doc, "output": str(out)})]) == 0
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
+    assert fields._matrix_plan.cache_info().hits > 0

@@ -1714,3 +1714,110 @@ def test_newton_steps_from_the_lyapunov_schmidt_start(level_guesses):
         f, _, v0, _ = level_guesses["u3", n]
         _, _, rep = search.refine(v0, C6_CTX, f)
         assert rep.converged and rep.iterations == 2, n
+
+
+def c6_documents():
+    # a new spec each time, so its fprime and primitive are built again too
+    br = search.solve_branch(C6_CTX, nonlinearity.classify({3: 1.0}), C=0.004, dim=6,
+                             seed=0, restarts=8)
+    assert len(br.records) == 6 and not br.failures
+    return json.dumps([r.as_document() for r in br.records])
+
+
+def test_warm_matrix_plans_write_the_same_records():
+    # a Jacobian plan read from the warm cache has the bits a cold build
+    # gives: the criterion-6 branch from a cold cache, then warm, is one
+    # document
+    first = c6_documents()
+    fields._matrix_plan.cache_clear()
+    assert c6_documents() == c6_documents() == first
+
+
+def test_frame_tables_are_built_once_per_level(monkeypatch):
+    # on the criterion-6 branch (u^3, levels 1-6, two Newton steps each)
+    # each level's frame builds its symbol, lattice and resonance masks
+    # once, for its F, its Jacobians and its certificate, and the Jacobian
+    # plans are built once per frame shape: 4 for 12 Jacobians.  A second
+    # branch builds its frames' tables again and reads every plan from the
+    # cache.  The builds are counted at the builders, so a read that goes
+    # around a table shows
+    builds = {"symbol": 0, "lattice": 0}
+    frames = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            builds[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def jacobian(u, ctx, frame):
+        frames.append(frame)
+        return real_jacobian(u, ctx, frame)
+
+    real_jacobian = search._galerkin_jacobian
+    monkeypatch.setattr(search, "_symbol", counted("symbol", search._symbol))
+    monkeypatch.setattr(search, "_lattice", counted("lattice", search._lattice))
+    monkeypatch.setattr(search, "_galerkin_jacobian", jacobian)
+    fields._matrix_plan.cache_clear()
+    c6_documents()
+    assert len(frames) == 12 and len({id(frame) for frame in frames}) == 6
+    assert builds == {"symbol": 6, "lattice": 6}
+    for frame in frames:
+        assert sorted(key[0] for key in frame.tables) == ["lattice", "resonance", "symbol"]
+    info = fields._matrix_plan.cache_info()
+    assert (info.misses, info.hits) == (4, 8)
+    c6_documents()
+    assert builds == {"symbol": 12, "lattice": 12}
+    info = fields._matrix_plan.cache_info()
+    assert (info.misses, info.hits) == (4, 20)
+
+
+def test_shared_frame_tables_are_read_only():
+    # the Newton, the certificates and the Jacobians of every level of a
+    # frame shape share these tables, so none can be written into
+    f = nonlinearity.classify({2: 1.0, 3: 1.0})
+    frame = search._dilation_frame(f, 1)
+    rows, cols, flat = frame.lattice(16, 16)
+    plan = fields._matrix_plan(16, 16, tuple(rows.tolist()), tuple(cols.tolist()), 32, True)
+    tables = [frame.symbol(16, 16, C6_CTX.omega), rows, cols, flat,
+              *frame.resonance(16, 16, C6_CTX.omega), *plan, f.fprime, f.primitive]
+    assert len(tables) == 15
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0
+
+
+def plan_nbytes(lt, R, C, d_x, odd):
+    """The bytes of a _matrix_plan, as multiply_poly_matrix counts them."""
+    return 8 * (2 * lt + 1 + 2 * R * R + (2 + (d_x + 1) * odd) * C * C)
+
+
+def test_only_matrix_plans_under_the_byte_cap_are_kept():
+    # every entry of lt = lx = 63 is 64 x 63 = 4032 unknowns, the largest
+    # level-1 frame under MAX_UNKNOWNS.  For an even f its plan holds the
+    # odd-term projection (f' has an odd term) and the maps, 4.2 MB as
+    # fields._matrix_plan states, each map (R, R) or (C, C), not an (R, C,
+    # R) expansion: above PLAN_CACHE_BYTES, so it is built per call
+    f = nonlinearity.classify({2: 1.0})
+    rows, cols, _ = search._Frame(1, 1, f).lattice(63, 63)
+    R, C = rows.size, cols.size
+    assert R * C == 4032 <= search.MAX_UNKNOWNS < 65 * 64
+    plan = fields._matrix_plan.__wrapped__(63, 63, tuple(rows.tolist()), tuple(cols.tolist()),
+                                           126, True)
+    half_t, diff, tsum, Kd, toeplitz, hankel = plan
+    assert diff.shape == tsum.shape == (C, C) and toeplitz.shape == hankel.shape == (R, R)
+    assert Kd.shape == (127, C * C)
+    nbytes = sum(table.nbytes for table in plan)
+    assert nbytes == plan_nbytes(63, R, C, 126, True) and 4.1e6 < nbytes < 4.2e6
+    # through multiply_poly_matrix u^2's 17 x 16 plan (77 KB) is kept and
+    # its 41 x 40 one (1.09 MB) is not
+    fields._matrix_plan.cache_clear()
+    rng = np.random.default_rng(7)
+    for lt, kept in [(16, True), (40, False)]:
+        rows, cols, _ = search._Frame(1, 1, f).lattice(lt, lt)
+        assert (plan_nbytes(lt, rows.size, cols.size, 2 * lt, True)
+                <= fields.PLAN_CACHE_BYTES) == kept
+        u = fields.SpectralField(1e-3 * rng.standard_normal((lt + 1, lt)))
+        fields.multiply_poly_matrix(u, f.fprime, rows, cols)
+        info = fields._matrix_plan.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
