@@ -8,27 +8,40 @@ the natural basis for functions that are even and 2pi-periodic in time and
 satisfy Dirichlet conditions at x = 0, pi.  Coefficients are stored as a dense
 (Lt+1, Lx) array, row l, column j-1.
 
-Every sample of a field is taken on the full torus [0, 2pi) x [0, 2pi),
-where a sine series in x is its own odd extension.  _torus_values samples
-the interior, the boundary zeros and the odd half at once, and
-_cos_sin_coeffs reads exact cos/sin torus coefficients off samples; each
-computes only the rows its caller keeps.  Both are exact quadratures with
-one of two paths, chosen from the size of the work (_plan):
+Every sample of a field is taken on the torus [0, 2pi) x [0, 2pi), where a
+sine series in x is its own odd extension, folded onto the fundamental
+domain of the symmetries the sampled products share.  The class is read off
+exact zeros and parity (_symmetry_class): T -> -T always holds; rows of one
+parity give the half shift T -> T + pi, columns of one parity X -> X + pi,
+and polynomials of odd or even powers only X -> -X.  A product is sampled
+on one node of each orbit (_axis_fold), weighted by the orbit's size, and
+only the harmonics the class allows are read; the others are exact zeros.
+For every frame of an odd f, whose rows and columns are odd, that is about
+a sixteenth of the torus; the full torus is the trivial class.
+_torus_values samples u on the domain, and _cos_sin_coeffs reads exact
+cos/sin torus coefficients off samples; each computes only the rows its
+caller keeps.  Both are exact quadratures with one of two paths, chosen
+from the size of the work (_plan):
 
 - small fields, every frame of an odd f among them: two chained matrix
-  products with cached cos/sin tables (_trig_table), left to right and in
-  at most DENSE_MAX_BLOCKS row blocks, each product at most
-  DENSE_MAX_MADDS multiply-adds so that OpenBLAS keeps it on one thread;
+  products with cached cos/sin tables on the domain's nodes (_trig_table),
+  left to right and in at most DENSE_MAX_BLOCKS row blocks, each product at
+  most DENSE_MAX_MADDS multiply-adds so that OpenBLAS keeps it on one
+  thread;
 - larger ones, such as the even-f frames whose x axis grows with the
   level: scipy.fft, whose n log n cost the cubic cost of the products
-  would outrun, and which runs on one thread at any size.
+  would outrun, and which runs on one thread at any size.  It runs over
+  the whole torus, so the fold, which saves only the cost of the dense
+  chains, is taken only where its sampling and projection both run dense
+  (_dense_fold), and the trivial class everywhere else.
 
 A field is a finite trig polynomial, so the samples are exact, and
 sup_norm reads its maximum off them.  Products of fields (needed for
 polynomial nonlinearities) leave the sine class -- even powers pick up
 cosine content in x whose sine-basis expansion is an infinite series -- so
 they are sampled on a grid of _grid(d) = next_fast_len(2d + 1) nodes along
-each axis, d the product's degree there, their exact cos/sin torus
+each axis (the fast multiple of 4 at least that where the axis has a half
+shift), d the product's degree there, their exact cos/sin torus
 coefficients are read off (_cos_sin_coeffs), and those are projected back
 onto the sine basis in closed form.  The coefficients `apply_polynomials`
 returns are the true L2 projections, with no aliasing, for any polynomial
@@ -137,30 +150,122 @@ DENSE_MAX_BLOCKS = 2
 _matmul = np.matmul
 
 
-def _grid(d):
-    """The torus length for trig degree d: the fast FFT length at least 2d + 1."""
-    return sfft.next_fast_len(2 * d + 1, real=True)
+def _grid(d, shift=None):
+    """The torus length for trig degree d: the fast FFT length at least 2d + 1,
+    a multiple of 4 on an axis with a half shift (shift not None), whose
+    fold then keeps a quarter of it (_axis_fold)."""
+    if shift is None:
+        return sfft.next_fast_len(2 * d + 1, real=True)
+    return 4 * sfft.next_fast_len(-(-(2 * d + 1) // 4), real=True)
+
+
+# The class a sampling is folded on: the signs (t_shift, t_reflect,
+# x_shift, x_reflect) that every sampled product takes under T -> T + pi,
+# T -> -T, X -> X + pi and X -> -X, None for a map that is not a symmetry.
+# The full torus is the trivial class.
+_TRIVIAL = (None, None, None, None)
+
+
+def _symmetry_class(u, polys):
+    """The class of the products poly(u), read off exact zeros and parity.
+
+    u is even in t and odd in x.  T -> T + pi maps it to -u (u) when every
+    even (odd) row of its coefficients is zero, X -> X + pi when every
+    column of even (odd) j is.  A map that keeps u keeps every poly(u); one
+    that maps u to -u maps poly(u) to -poly(u) (poly(u)) when every poly has
+    odd (even) powers only, and is no symmetry of a mixed-parity poly.
+    """
+    even = odd = False
+    for p in polys:
+        p = np.asarray(p).tolist()
+        even, odd = even or any(p[0::2]), odd or any(p[1::2])
+    parity = -1 if odd and not even else 1 if not odd else None
+
+    def image(sign):            # the sign of poly(u) where u takes sign
+        return 1 if sign == 1 else None if sign is None else parity
+
+    c = u.coeffs
+    rows = -1 if not np.count_nonzero(c[0::2]) else 1 if not np.count_nonzero(c[1::2]) else None
+    cols = (-1 if not np.count_nonzero(c[:, 1::2]) else
+            1 if not np.count_nonzero(c[:, 0::2]) else None)
+    return image(rows), 1, image(cols), image(-1)
 
 
 @functools.lru_cache(maxsize=32)
-def _trig_table(n, deg, weighted=False):
-    """[cos | sin](2 pi i l/n) at rows i < n, columns l = 0..deg, read-only.
+def _axis_fold(n, shift, reflect):
+    """The fundamental domain of a torus axis of nodes 2 pi i/n, i < n.
 
-    The phase is gathered from 2 pi m/n at m = i l mod n, so each entry is
-    rounded once.  weighted scales column l by 1/n at l = 0 and 2/n above,
-    the weights that read a cos/sin coefficient off n samples.  Only dense
-    chains build tables, a factor of one has at most DENSE_MAX_BLOCKS
-    DENSE_MAX_MADDS entries and a table is at most two factors, so each of
-    the 32 cached tables is at most 8 MB; the 27 that the criterion-6
-    branch builds hold 0.7 MB in all.
+    shift and reflect are the signs a sampled product takes under i -> i +
+    n/2 and i -> -i (mod n), None for a map that is not a symmetry (the
+    shift also when n is odd).  Returns (nodes, weights), read-only: nodes
+    lists the least node of each orbit of the maps, but for orbits that a
+    map of sign -1 fixes, where every product of the class is zero; weights
+    holds the orbit sizes, 2 on self-paired nodes and 4 inside when both
+    maps hold, so a sum over the axis is the weighted sum over nodes.
     """
+    i = np.arange(n)
+    maps = [(i, 1)]
+    if reflect is not None:
+        maps.append(((-i) % n, reflect))
+    if shift is not None and n % 2 == 0:
+        maps.append(((i + n // 2) % n, shift))
+        if reflect is not None:
+            maps.append(((n // 2 - i) % n, shift * reflect))
+    images = np.array([m for m, _ in maps])
+    signs = np.array([s for _, s in maps])
+    zero = np.any((images == i) & (signs[:, None] < 0), axis=0)
+    nodes = np.flatnonzero((images.min(axis=0) == i) & ~zero)
+    weights = 1.0 + np.count_nonzero(np.diff(np.sort(images[:, nodes], axis=0), axis=0), axis=0)
+    for table in (nodes, weights):
+        table.flags.writeable = False
+    return nodes, weights
+
+
+def _harmonics(deg, shift, reflect):
+    """(cos, sin): the slices of l = 0..deg at which a product of an axis
+    class can have cos(l s) and sin(l s) content: the l of one parity under
+    a half shift (even l for +1), no sine under reflect +1, no cosine
+    under -1.  Without a half shift the sines start at the zero sin(0 s),
+    so the trivial class keeps the full torus's [cos | sin] of l = 0..deg."""
+    start, step = (0, 1) if shift is None else (0, 2) if shift > 0 else (1, 2)
+    none = slice(0, 0)
+    return (none if reflect == -1 else slice(start, deg + 1, step),
+            none if reflect == 1 else slice(step if shift == 1 else start, deg + 1, step))
+
+
+def _count(deg, harmonics):
+    """The number of l = 0..deg in the slice harmonics."""
+    return len(range(deg + 1)[harmonics])
+
+
+@functools.lru_cache(maxsize=64)
+def _trig_table(n, deg, weighted, fold):
+    """[cos | sin](2 pi i l/n) at the nodes i of fold's domain (_axis_fold),
+    columns l = 0..deg, read-only.
+
+    fold is an axis's (shift, reflect).  The phase is gathered from 2 pi
+    m/n at m = i l mod n, so each entry is rounded once.  weighted reads
+    cos/sin coefficients off samples of the fold's class: it keeps the
+    columns of the harmonics the class can have (_harmonics), [cos | sin],
+    and scales column l by 1/n at l = 0 and 2/n above and each row by its
+    fold weight.  Only dense chains build tables, a factor of one has at
+    most DENSE_MAX_BLOCKS DENSE_MAX_MADDS entries and a table is at most
+    two factors, so each table is at most 8 MB and the 64 cached ones at
+    most 512 MB.  The keys hold the fold, so a run keeps more and smaller
+    tables than on the full torus: the 36 that the criterion-6 branch
+    builds hold 0.15 MB in all.
+    """
+    nodes, weights = _axis_fold(n, *fold)
     phase = np.arange(n) * (2.0 * np.pi / n)
-    m = np.outer(np.arange(n), np.arange(deg + 1)) % n
-    table = np.concatenate([np.cos(phase)[m], np.sin(phase)[m]], axis=1)
+    m = np.outer(nodes, np.arange(deg + 1)) % n
+    cos, sin = np.cos(phase)[m], np.sin(phase)[m]
     if weighted:
         w = np.full(deg + 1, 2.0 / n)
         w[0] = 1.0 / n
-        table *= np.tile(w, 2)
+        c, s = _harmonics(deg, *fold)
+        # the fold weights are powers of two, so each entry is rounded once
+        cos, sin = cos[:, c] * (weights[:, None] * w[c]), sin[:, s] * (weights[:, None] * w[s])
+    table = np.concatenate([cos, sin], axis=1)
     table.flags.writeable = False
     return table
 
@@ -172,7 +277,7 @@ def _plan(m, k, p, n):
     DENSE_MAX_MADDS multiply-adds; None when that takes more than
     DENSE_MAX_BLOCKS blocks.
     """
-    rows = min(m, DENSE_MAX_MADDS // (p * max(k, n)))
+    rows = min(m, DENSE_MAX_MADDS // max(p * max(k, n), 1))
     return rows if rows >= 1 and m <= DENSE_MAX_BLOCKS * rows else None
 
 
@@ -198,22 +303,45 @@ def _x_values(rows, nx):
     return sfft.irfft(spec, n=nx, axis=-1)
 
 
-def _torus_values(u, nt, nx):
-    """Samples of u at t = 2pi i/nt, i < nt, and x = 2pi k/nx, k < nx.
+def _torus_values(u, nt, nx, cls=_TRIVIAL):
+    """Samples of u at t = 2pi i/nt and x = 2pi k/nx on the fundamental
+    domain of the class cls: the nodes i and k of _axis_fold, all of them
+    for the trivial class.
 
-    Dense, cos(l t_i) @ u @ sin(j x_k) with the cached tables, when _plan
-    allows; else one inverse real FFT over the cosine rows in t, then
-    _x_values.  Exact for nt > 2 lt and nx >= 2 lx.
+    Dense, cos(l t_i) @ u @ sin(j x_k) with the cached tables of the nodes,
+    when _plan allows, which it always does for a class other than the
+    trivial one (_dense_fold); else one inverse real FFT over the cosine
+    rows in t, then _x_values, over the whole torus.  Exact for nt > 2 lt
+    and nx >= 2 lx.
     """
-    plan = _plan(nt, u.lt + 1, u.lx, nx)
+    ft, fx = cls[:2], cls[2:]
+    plan = _plan(_axis_fold(nt, *ft)[0].size, u.lt + 1, u.lx, _axis_fold(nx, *fx)[0].size)
     if plan is not None:
-        ct = _trig_table(nt, u.lt)[:, : u.lt + 1]
-        sx = _trig_table(nx, u.lx)[:, u.lx + 2 :].T
+        ct = _trig_table(nt, u.lt, False, ft)[:, : u.lt + 1]
+        sx = _trig_table(nx, u.lx, False, fx)[:, u.lx + 2 :].T
         return _chain(ct, u.coeffs, sx, plan)
     spec = np.zeros((nt // 2 + 1, u.lx))
     spec[0] = u.coeffs[0] * nt
     spec[1 : u.lt + 1] = u.coeffs[1:] * (nt / 2.0)
     return _x_values(sfft.irfft(spec, n=nt, axis=0), nx)
+
+
+def _dense_fold(u, shape, cls, top=None, d_x=0):
+    """cls when the samples of u on its domain of the (nt, nx) = shape
+    torus, and the projection of rows 0..top and columns 0..d_x off them
+    (top not None), both run as dense chains (_plan); else the trivial
+    class.  The fold saves the cost of the dense chains only, so scipy.fft
+    always runs over the whole torus.
+    """
+    it, ix = _axis_fold(shape[0], *cls[:2])[0], _axis_fold(shape[1], *cls[2:])[0]
+    if _plan(it.size, u.lt + 1, u.lx, ix.size) is None:
+        return _TRIVIAL
+    if top is not None:
+        ct, (cx, sx) = _harmonics(top, *cls[:2])[0], _harmonics(d_x, *cls[2:])
+        rows = _count(top, ct)
+        if rows and _plan(rows, it.size, ix.size, _count(d_x, cx) + _count(d_x, sx)) is None:
+            return _TRIVIAL
+    return cls
 
 
 def _poly_at(vals, poly):
@@ -223,10 +351,13 @@ def _poly_at(vals, poly):
     so the same bits, without a temporary per coefficient.
     """
     poly = np.asarray(poly, dtype=float)
-    out = np.full_like(vals, poly[-1])
-    for c in poly[-2::-1]:
-        out *= vals
+    if poly.size == 1:
+        return np.full_like(vals, poly[0])
+    out = vals * poly[-1]
+    for c in poly[-2:0:-1].tolist():
         out += c
+        out *= vals
+    out += poly[0]
     return out
 
 
@@ -270,11 +401,16 @@ def sup_norm(u):
     The grid is at least twice the Nyquist rate in t (a power of two) and
     four times the degree in x, with floors (nt >= 128, nx >= 256) so small
     fields are still sampled finely; nx is a multiple of 4 so the midline
-    x = pi/2 (where single-mode fields peak) is always a node.
+    x = pi/2 (where single-mode fields peak) is always a node.  Both lengths
+    are multiples of 4, so where that sampling runs dense (_dense_fold) it
+    is taken on the fundamental domain of u's own class (_symmetry_class of
+    the identity), whose other nodes carry the same |u| or zero: a quarter
+    of the grid at most, about a sixteenth for an odd f's frame field.
     """
     nt = max(1 << (4 * u.lt).bit_length(), 128)     # the power of two > 4 lt
     nx = max(8 * u.lx + 4, 256)
-    return float(np.max(np.abs(_torus_values(u, nt, nx))))
+    cls = _dense_fold(u, (nt, nx), _symmetry_class(u, [[0.0, 1.0]]))
+    return float(np.max(np.abs(_torus_values(u, nt, nx, cls))))
 
 
 def omega_norm(u, omega):
@@ -302,52 +438,70 @@ def zero_diagonal(u):
 
 
 def _poly_degree(poly):
-    poly = np.asarray(poly, dtype=float)
-    nz = np.flatnonzero(poly != 0.0)
-    if nz.size == 0:
-        return 0
-    return int(nz.max())
+    nz = np.asarray(poly, dtype=float).nonzero()[0]
+    return int(nz[-1]) if nz.size else 0
 
 
 def _torus_cos_sin(u, polys, d_t, d_x, tops):
     """Exact torus coefficients (A, B) of each poly(u), from one sample of u.
 
     poly(u) = sum_l cos(l t) [ sum_mu A[l,mu] cos(mu x) + B[l,mu] sin(mu x) ],
-    l <= d_t and mu <= d_x, sampled on the grid those degrees need; for each
-    poly the rows l = 0..top <= d_t of its entry of tops and the columns mu
-    = 0..d_x are returned (B[:,0] is identically zero).
+    l <= d_t and mu <= d_x, sampled on the grid those degrees need, folded
+    onto the fundamental domain of the products' class (_symmetry_class);
+    for each poly the rows l = 0..top <= d_t of its entry of tops and the
+    columns mu = 0..d_x are returned, with exact zeros where the class has
+    no content, and None for an A or B the class makes zero.
     """
-    vals = _torus_values(u, _grid(max(d_t, u.lt, 1)), _grid(max(d_x, u.lx, 1)))
-    return [_cos_sin_coeffs(_poly_at(vals, p), top, d_x) for p, top in zip(polys, tops)]
+    deg_t, deg_x = max(d_t, u.lt, 1), max(d_x, u.lx, 1)    # the degrees sampled
+    cls = _symmetry_class(u, polys)
+    shape = _grid(deg_t, cls[0]), _grid(deg_x, cls[2])
+    if _dense_fold(u, shape, cls, max(tops), d_x) is _TRIVIAL:
+        cls, shape = _TRIVIAL, (_grid(deg_t), _grid(deg_x))
+    vals = _torus_values(u, *shape, cls)
+    return [_cos_sin_coeffs(_poly_at(vals, p), shape, cls, top, d_x) for p, top in zip(polys, tops)]
 
 
-def _cos_sin_coeffs(vals, top, d_x):
-    """Torus samples -> cos/sin coefficients A, B, rows 0..top, columns 0..d_x.
+def _cos_sin_coeffs(vals, shape, cls, top, d_x):
+    """Samples on the (nt, nx) = shape torus folded by the class cls ->
+    cos/sin coefficients (A, B), rows 0..top, columns 0..d_x.
 
-    Dense, the weighted cos(l t_i) table @ vals @ [cos | sin](mu x_k), when
-    _plan allows: only the rows kept are formed.  Else forward real FFTs,
+    Only the harmonics the class allows are read (_harmonics); the rest are
+    exact zeros, and an A or B with none is None.  Dense, the weighted
+    cos(l t_i) table @ vals @ [cos | sin](mu x_k) on the domain's nodes,
+    when _plan allows, which it always does for a class other than the
+    trivial one (_dense_fold).  Else forward real FFTs over the whole torus,
     in t over every row and in x over the rows kept.  B[:, 0] is
     identically zero.
     """
-    nt, nx = vals.shape
-    plan = _plan(top + 1, nt, nx, 2 * d_x + 2)
-    if plan is not None:
-        wt = _trig_table(nt, top, True)[:, : top + 1].T
-        AB = _chain(wt, vals, _trig_table(nx, d_x, True), plan)
-        A, B = AB[:, : d_x + 1], AB[:, d_x + 1 :]
+    ct, (cx, sx) = _harmonics(top, *cls[:2])[0], _harmonics(d_x, *cls[2:])
+    rows, na, nb = _count(top, ct), _count(d_x, cx), _count(d_x, sx)
+    if not rows:
+        return None, None
+    nt, nx = shape
+    plan = _plan(rows, *vals.shape, na + nb)
+    if plan is None:
+        # time direction: even in t, cosine rows are the real part of the rfft
+        spec_t = sfft.rfft(vals, axis=0)
+        rows = np.empty((top + 1, nx))
+        rows[0] = spec_t[0].real / nt
+        rows[1:] = 2.0 * spec_t[1 : top + 1].real / nt
+        # space direction: the rows sample the 2pi torus in x
+        spec_x = sfft.rfft(rows, axis=1) / nx
+        A = 2.0 * spec_x[:, : d_x + 1].real
+        A[:, 0] = spec_x[:, 0].real
+        B = -2.0 * spec_x[:, : d_x + 1].imag
         B[:, 0] = 0.0
         return A, B
-    # time direction: even in t, cosine rows are the real part of the rfft
-    spec_t = sfft.rfft(vals, axis=0)
-    rows = np.empty((top + 1, nx))
-    rows[0] = spec_t[0].real / nt
-    rows[1:] = 2.0 * spec_t[1 : top + 1].real / nt
-    # space direction: the rows sample the 2pi torus in x
-    spec_x = sfft.rfft(rows, axis=1) / nx
-    A = 2.0 * spec_x[:, : d_x + 1].real
-    A[:, 0] = spec_x[:, 0].real
-    B = -2.0 * spec_x[:, : d_x + 1].imag
-    B[:, 0] = 0.0
+    wt = _trig_table(nt, top, True, cls[:2])[:, :rows].T
+    AB = _chain(wt, vals, _trig_table(nx, d_x, True, cls[2:]), plan)
+    A = B = None
+    if na:
+        A = np.zeros((top + 1, d_x + 1))
+        A[ct, cx] = AB[:, :na]
+    if nb:
+        B = np.zeros((top + 1, d_x + 1))
+        B[ct, sx] = AB[:, na:]
+        B[:, 0] = 0.0
     return A, B
 
 
@@ -399,29 +553,35 @@ def apply_nonlinearity(u, poly, out_lt=None, out_lx=None):
 
 def _sine_projection(A, B, out_lt, out_lx):
     """Exact sine-basis field up to (out_lt, out_lx) from the torus
-    coefficients of its rows l < len(A) <= out_lt + 1; the rows above are zero."""
-    K = _half_projection_matrix(A.shape[1] - 1, out_lx)
+    coefficients of its rows l < len(A) <= out_lt + 1; the rows above are
+    zero, and so is the part of an A or B that is None."""
     coeffs = np.zeros((max(out_lt, 1) + 1, out_lx))
-    np.add(B[:, 1 : out_lx + 1], A @ K, out=coeffs[: A.shape[0]])
+    if B is not None:
+        coeffs[: B.shape[0]] = B[:, 1 : out_lx + 1]
+    if A is not None:
+        coeffs[: A.shape[0]] += A @ _half_projection_matrix(A.shape[1] - 1, out_lx)
     return SpectralField(coeffs)
 
 
-def _interval_integral(A0, B):
-    """int_0^pi of A0 + sum_mu [A_mu cos(mu x) + B[mu] sin(mu x)], mu = 1, 2, ...
+def _interval_integral(A, B):
+    """int_0^pi of row 0 of the torus coefficients, A0 + sum_mu [A_mu cos(mu
+    x) + B_mu sin(mu x)], mu = 1, 2, ..., None for zero.
 
     The cosines integrate to zero and sin(mu x) to 2/mu for odd mu, so only
-    the mean A0 and the odd sine coefficients enter; B is indexed from mu = 0.
+    the mean A0 and the odd sine coefficients enter.
     """
-    mu = np.arange(B.size)
-    odd = mu % 2 == 1
-    return float(np.pi * A0 + 2.0 * np.sum(B[odd] / mu[odd]))
+    total = 0.0 if A is None else np.pi * A[0, 0]
+    if B is not None:
+        mu = np.arange(1, B.shape[1], 2)
+        total += 2.0 * np.sum(B[0, mu] / mu)
+    return float(total)
 
 
 def integrate_poly(u, poly):
     """Exact integral of poly(u) over the domain [0,2pi) x (0,pi)."""
     r = _poly_degree(poly)
     ((A, B),) = _torus_cos_sin(u, [poly], max(r * u.lt, 1), max(r * u.lx, 1), [0])
-    return 2.0 * np.pi * _interval_integral(A[0, 0], B[0])
+    return 2.0 * np.pi * _interval_integral(A, B)
 
 
 def multiply_poly_project(u, poly, z, out_lt=None, out_lx=None):
@@ -429,7 +589,8 @@ def multiply_poly_project(u, poly, z, out_lt=None, out_lx=None):
 
     poly(u) leaves the sine class, so projecting it and then multiplying would
     lose the tail; sampling poly(u) and z on a common dealiased grid keeps the
-    product projection exact.
+    product projection exact.  It samples the whole torus, the trivial
+    class, since z need not share u's.
     """
     r = _poly_degree(poly)
     d_t = r * u.lt + z.lt
@@ -439,10 +600,10 @@ def multiply_poly_project(u, poly, z, out_lt=None, out_lx=None):
     if out_lx is None:
         out_lx = d_x
     d = max(d_x, out_lx, 1)
-    nt, nx = _grid(max(d_t, 1)), _grid(d)
-    vals = _poly_at(_torus_values(u, nt, nx), poly)
-    vals *= _torus_values(z, nt, nx)
-    A, B = _cos_sin_coeffs(vals, min(out_lt, d_t), d)
+    shape = _grid(max(d_t, 1)), _grid(d)
+    vals = _poly_at(_torus_values(u, *shape), poly)
+    vals *= _torus_values(z, *shape)
+    A, B = _cos_sin_coeffs(vals, shape, _TRIVIAL, min(out_lt, d_t), d)
     return _sine_projection(A, B, out_lt, out_lx)
 
 
@@ -529,15 +690,18 @@ def multiply_poly_matrix(u, poly, rows, cols):
     half_t, diff, tsum, Kd, toeplitz, hankel = plan(
         lt, lx, tuple(np.asarray(rows).tolist()), tuple(np.asarray(cols).tolist()), d_x, odd)
     ((A, B),) = _torus_cos_sin(u, [poly], max(2 * lt, r * u.lt), d_x, [2 * lt])
-    Ah = A * half_t                       # every |l - l'| and l + l'
-    Ah[:, 1:] *= 0.5
     # XT[t, j', j] = X[t, j, j'] (the cosine part is symmetric) for t <= 2
     # lt, then the zero slab t = 2 lt + 1; it is -0.0, which added to any x
     # gives x bit for bit, the sign of a zero too
     XT = np.empty((2 * lt + 2, C, C))
-    np.subtract(Ah[:, diff], Ah[:, tsum], out=XT[:-1])
+    if A is None:
+        XT[:-1] = 0.0
+    else:
+        Ah = A * half_t                   # every |l - l'| and l + l'
+        Ah[:, 1:] *= 0.5
+        np.subtract(Ah[:, diff], Ah[:, tsum], out=XT[:-1])
     XT[-1] = -0.0
-    if odd:
+    if odd and B is not None:
         XT[:-1] += ((B * half_t) @ Kd).reshape(-1, C, C)
     # the matrix transposed, row (r, i) the entry (a_r, j_i): out[s, k, r,
     # i] = X[|a_r - a_s|, i, k] + X[a_r + a_s, i, k] (the zero slab in the

@@ -565,17 +565,23 @@ def level_truncation(ctx, f, n, reach, lt=None, lx=None, v=None):
     then ConfigError naming the first key out of order, or when the
     unknowns are more than MAX_UNKNOWNS.
     """
+    return _truncation(ctx, _dilation_frame(f, n, v), ("n * dim" if v is None else "len(v)", reach),
+                       lt, lx)
+
+
+def _truncation(ctx, frame, reach, lt, lx):
+    """level_truncation of the level whose frame is given; reach is the pair
+    (its name in a refusal, its value)."""
     if ctx.gamma <= 0.0:
         raise ResonanceError(omega=ctx.omega)
-    chain = [("n * dim" if v is None else "len(v)", reach), ("lx", lx), ("lt", lt), ("lmax", ctx.L)]
+    chain = [reach, ("lx", lx), ("lt", lt), ("lmax", ctx.L)]
     chain = [c for c in chain if c[1] is not None]
     for (low_name, low), (key, val) in zip(chain, chain[1:]):
         if val < low:
             raise ConfigError(f"config key {key!r} must be >= {low_name} = {low}, got {val!r}")
-    lt = min(ctx.L, max(2 * reach, 16, lx or 0)) if lt is None else lt
+    lt = min(ctx.L, max(2 * reach[1], 16, lx or 0)) if lt is None else lt
     lx = lt if lx is None else lx
-    frame = _dilation_frame(f, n, v)
-    rows, cols = lt // n + 1, lx // frame.d
+    rows, cols = lt // frame.n + 1, lx // frame.d
     unknowns = (rows // 2 if frame.odd_rows else rows) * ((cols + 1) // 2 if frame.odd_cols else cols)
     if unknowns > MAX_UNKNOWNS:
         raise ConfigError(f"refinement truncation lt={lt}, lx={lx} has {unknowns} Newton "
@@ -698,13 +704,14 @@ def _newton(v0, ctx, f, lt=None, lx=None):
     solution the existence argument does not cover.  The guard reads
     coefficients only and runs once per iterate; it reads the guess before
     F is first evaluated, so a refused guess samples nothing, takes no range
-    step and leaves an empty trace.  The truncation is level_truncation's
-    for the guess v0 (reach len(v0)), whose refusals (ConfigError,
+    step and leaves an empty trace.  The frame of v0 is built once; its
+    truncation is level_truncation's for the guess v0 (reach len(v0),
+    through _truncation on that frame), whose refusals (ConfigError,
     ResonanceError) come before anything is sampled.
     """
     n = kernel.minimal_time_period_index(v0)
-    lt, lx = level_truncation(ctx, f, n, len(v0), lt, lx, v0)
     frame = _dilation_frame(f, n, v0)
+    lt, lx = _truncation(ctx, frame, ("len(v)", len(v0)), lt, lx)
     k = np.arange(1, len(v0) // n + 1)   # v0's entries j = n k, at frame column j/d
     c = np.zeros((lt // n + 1, lx // frame.d))
     c[k, (n // frame.d) * k - 1] = v0.xi[n * k - 1]

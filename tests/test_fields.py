@@ -406,22 +406,29 @@ def test_padded_and_add_shapes():
 
 @both_paths
 def test_apply_polynomials_is_apply_nonlinearity_per_polynomial():
-    # one sample of u serves every polynomial; polynomials of one degree (as
-    # f and F/u are) keep the bits of their own one-polynomial calls
+    # one sample of u serves every polynomial; polynomials of one degree and
+    # one parity class (as f and F/u are) keep the bits of their own
+    # one-polynomial calls, and polynomials of two classes share the fold of
+    # both, which changes only rounding
     rng = np.random.default_rng(8)
     u = random_field(rng, 9, 7, scale=0.3)
-    polys = [[0.0, 0.0, 1.0, -1.0], [0.0, 0.5, 0.0, 0.25]]
-    for out in ({}, {"out_lt": 9, "out_lx": 7}, {"out_lx": 7}):
-        got = fields.apply_polynomials(u, polys, **out)
-        assert len(got) == 2
-        for poly, field in zip(polys, got):
-            want = fields.apply_nonlinearity(u, poly, **out)
-            assert np.array_equal(field.coeffs, want.coeffs)
-    # a row count per polynomial, None for the full degree
-    got = fields.apply_polynomials(u, polys, out_lt=[4, None], out_lx=7)
-    for lt, poly, field in zip([4, None], polys, got):
-        want = fields.apply_nonlinearity(u, poly, out_lt=lt, out_lx=7)
-        assert np.array_equal(field.coeffs, want.coeffs)
+    for polys, bits in [([[0.0, 0.0, 1.0, -1.0], [0.0, 0.0, 1.0 / 3.0, -0.25]], True),
+                        ([[0.0, 1.0, 0.0, -1.0], [0.0, 0.5, 0.0, 0.25]], True),
+                        ([[0.0, 0.0, 1.0, -1.0], [0.0, 0.5, 0.0, 0.25]], False)]:
+        for out in ({}, {"out_lt": 9, "out_lx": 7}, {"out_lx": 7},
+                    {"out_lt": [4, None], "out_lx": 7}):
+            got = fields.apply_polynomials(u, polys, **out)
+            assert len(got) == 2
+            # a row count per polynomial, None for the full degree
+            lts = out.get("out_lt")
+            lts = lts if isinstance(lts, list) else [lts, lts]
+            for lt, poly, field in zip(lts, polys, got):
+                want = fields.apply_nonlinearity(u, poly, out_lt=lt, out_lx=out.get("out_lx"))
+                if bits:
+                    assert np.array_equal(field.coeffs, want.coeffs)
+                else:
+                    assert np.max(np.abs(field.coeffs - want.coeffs)) <= 1e-14 * np.max(
+                        np.abs(want.coeffs))
 
 
 @both_paths
@@ -490,3 +497,140 @@ def test_plan_keeps_each_product_under_the_bound(m, k, p, n, blocks):
         return
     assert -(-m // rows) == blocks <= fields.DENSE_MAX_BLOCKS
     assert max(rows * k * p, rows * p * n) <= fields.DENSE_MAX_MADDS
+
+
+# The fold against the full torus, the trivial class, at a tolerance fixed
+# before the fold was written: every folded quantity is an exact quadrature
+# of the same trig polynomial, so the two differ by rounding alone.
+FOLD_RTOL = 1e-14
+# (rows, cols) kept by each class: "odd"/"even" rows l or columns j, or all
+FOLD_CLASSES = {"odd rows, odd cols": ("odd", "odd"), "odd cols": (None, "odd"),
+                "even rows": ("even", None), "none": (None, None)}
+FOLD_POLYS = {"odd": [0.0, 1.0, 0.0, -0.5, 0.0, 0.25], "even": [0.3, 0.0, 1.0, 0.0, -0.2],
+              "mixed": [0.0, 0.5, 1.0, 1.0]}
+
+
+def class_field(seed, lt, lx, rows, cols, stray=None):
+    """A random (lt+1, lx) field on the rows and columns of a class, plus
+    the one off-class entry stray (row, column index) when given."""
+    c = random_field(np.random.default_rng(seed), lt, lx, scale=0.5).coeffs.copy()
+    parity = {"odd": 1, "even": 0}
+    if rows is not None:
+        c[1 - parity[rows] :: 2] = 0.0
+    if cols is not None:
+        c[:, parity[cols] :: 2] = 0.0       # column index j - 1
+    if stray is not None:
+        c[stray] = 0.1
+    return fields.SpectralField(c)
+
+
+def fold_quantities(u, poly):
+    """Every sampling the fold serves, of u, poly(u) and poly[2:](u), of the
+    same parity; the last two are the integral of poly(u) and sup |u|."""
+    rows, cols = lattice(u.lt, u.lx)
+    return [*(p.coeffs for p in fields.apply_polynomials(u, [poly, poly[2:]])),
+            fields.apply_nonlinearity(u, poly, out_lt=u.lt, out_lx=u.lx).coeffs,
+            fields.multiply_poly_matrix(u, poly, rows, cols),
+            np.array([fields.integrate_poly(u, poly)]), np.array([fields.sup_norm(u)])]
+
+
+def assert_fold_matches(got, want, what):
+    """Each array within FOLD_RTOL of its largest entry; the integral, which
+    vanishes on some classes, within FOLD_RTOL of pi^2 times the largest
+    coefficient of poly(u), the size of an integral over the domain."""
+    scales = [np.max(np.abs(w)) for w in want]
+    if len(want) > 2:
+        scales[-2] = max(scales[-2], np.pi**2 * scales[0])
+    for g, w, scale in zip(got, want, scales, strict=True):
+        assert g.shape == w.shape, what
+        assert np.max(np.abs(g - w)) <= FOLD_RTOL * scale, what
+
+
+@both_paths
+@pytest.mark.parametrize("cls", FOLD_CLASSES)
+def test_fold_matches_the_full_torus(cls):
+    # each class the fold reads, with one off-class entry at row 0 or in the
+    # last column too, whose class is the weaker one, for odd, even and
+    # mixed-parity polynomials; the shapes give grids of every length mod 4
+    # on axes without a half shift, and multiples of 4 on those with one
+    rows, cols = FOLD_CLASSES[cls]
+    for seed, (lt, lx) in enumerate([(16, 16), (7, 9), (12, 5), (4, 2)]):
+        for stray in (None, (0, lx // 2), (lt // 2, lx - 1)):
+            u = class_field(seed, lt, lx, rows, cols, stray)
+            for name, poly in FOLD_POLYS.items():
+                got = fold_quantities(u, poly)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(fields, "_symmetry_class", lambda u, polys: fields._TRIVIAL)
+                    want = fold_quantities(u, poly)
+                assert_fold_matches(got, want, (lt, lx, stray, name))
+
+
+@pytest.mark.parametrize("nt, nx", [(24, 32), (25, 33), (26, 34), (27, 35), (22, 31)])
+def test_folded_samples_and_coefficients_match_the_full_torus(nt, nx):
+    # at grid lengths of every residue mod 4: the samples on the domain are
+    # the torus samples at its nodes, and the coefficients read off them
+    # are those read off the whole torus, exact zeros where the class has
+    # none; a half shift needs an even length and is dropped on an odd one.
+    # The fold runs on the dense path only (_dense_fold), which these sizes
+    # take
+    for seed, cls in enumerate(FOLD_CLASSES.values()):
+        u = class_field(seed, 2, 3, *cls)
+        for poly in FOLD_POLYS.values():
+            fold = fields._symmetry_class(u, [poly])
+            assert fields._dense_fold(u, (nt, nx), fold, 2 * (len(poly) - 1), 3 * (len(poly) - 1)) == fold
+            nodes_t, nodes_x = fields._axis_fold(nt, *fold[:2])[0], fields._axis_fold(nx, *fold[2:])[0]
+            full = fields._torus_values(u, nt, nx)
+            vals = fields._torus_values(u, nt, nx, fold)
+            assert_fold_matches([vals], [full[np.ix_(nodes_t, nodes_x)]], (fold, "samples"))
+            top, d_x = 2 * (len(poly) - 1), 3 * (len(poly) - 1)   # the degrees of poly(u)
+            got = fields._cos_sin_coeffs(fields._poly_at(vals, poly), (nt, nx), fold, top, d_x)
+            want = fields._cos_sin_coeffs(fields._poly_at(full, poly), (nt, nx),
+                                          fields._TRIVIAL, top, d_x)
+            scale = max(np.max(np.abs(w)) for w in want)
+            for g, w in zip(got, want):
+                g = np.zeros_like(w) if g is None else g
+                assert np.max(np.abs(g - w)) <= FOLD_RTOL * scale, (fold, poly)
+
+
+def test_axis_fold_weights_count_every_node_once():
+    # the weights are the orbit sizes, 2 on self-paired nodes and 4 inside,
+    # so the sum over the axis of a product of two harmonics of the class,
+    # which the dropped nodes zero, is the weighted sum over the nodes
+    for n in (16, 17, 18, 19, 100):
+        s = 2.0 * np.pi * np.arange(n) / n
+        for shift in (None, 1, -1):
+            for reflect in (None, 1, -1):
+                nodes, weights = fields._axis_fold(n, shift, reflect)
+                assert np.all(np.diff(nodes) > 0) and weights.sum() <= n
+                half = shift if n % 2 == 0 else None
+                H = np.stack([trig(l * s) for l in range(n) for trig, sign in ((np.cos, 1), (np.sin, -1))
+                              if half in (None, (-1) ** l) and reflect in (None, sign)], axis=1)
+                gram = H[nodes].T @ (weights[:, None] * H[nodes])
+                assert np.max(np.abs(gram - H.T @ H)) <= 1e-12 * n, (n, shift, reflect)
+    nodes, weights = fields._axis_fold(100, -1, 1)   # f(u) of odd rows in t
+    assert nodes.size == 25 and weights[0] == 2 and set(weights[1:]) == {4}
+
+
+def test_scipy_fft_path_samples_the_whole_torus(monkeypatch):
+    # the fold saves the cost of the dense chains only: where the folded
+    # sampling or projection would take scipy.fft, the field is sampled on
+    # the whole torus, the trivial class, on the full torus's grid
+    seen = []
+    real = fields._torus_values
+
+    def recording(u, nt, nx, cls=fields._TRIVIAL):
+        seen.append((nt, nx, cls))
+        return real(u, nt, nx, cls)
+
+    monkeypatch.setattr(fields, "_torus_values", recording)
+    u = class_field(0, 16, 16, "odd", "odd")
+    poly = FOLD_POLYS["odd"]
+    for bound, folded in ((2**40, True), (0, False)):
+        monkeypatch.setattr(fields, "DENSE_MAX_MADDS", bound)
+        seen.clear()
+        fields.apply_polynomials(u, [poly])
+        fields.sup_norm(u)
+        (nt, nx, cls), (_, _, sup_cls) = seen
+        assert (cls != fields._TRIVIAL and sup_cls != fields._TRIVIAL) == folded
+        if not folded:
+            assert (nt, nx) == (fields._grid(5 * u.lt), fields._grid(5 * u.lx))

@@ -972,7 +972,8 @@ def test_dense_field_products_stay_under_the_blas_thread_bound(monkeypatch):
     # criterion-6 u^3 branch and one quadratic-offsets record, stays at or
     # below fields.DENSE_MAX_MADDS multiply-adds, up to which OpenBLAS runs a
     # GEMM on one thread: a grid change must not quietly wake a second one.
-    # The level-1 frame's certificates and sup come close, in two row blocks
+    # Folded onto their classes' fundamental domains, the largest, the sup
+    # of the u^2 record, comes within a factor of four
     madds = []
 
     def recording(a, b, out=None):
@@ -988,7 +989,7 @@ def test_dense_field_products_stay_under_the_blas_thread_bound(monkeypatch):
     v0, level = search.initial_guess(y, m, recipe, ctx, diag)
     v, w, rep = search.refine(v0, ctx, F2)
     assert search.build_solution(v, w, ctx, F2, recipe, level, newton=rep).accepted
-    assert fields.DENSE_MAX_MADDS // 2 < max(madds) <= fields.DENSE_MAX_MADDS
+    assert fields.DENSE_MAX_MADDS // 4 < max(madds) <= fields.DENSE_MAX_MADDS
 
 
 def record_solve_sizes(monkeypatch):
@@ -1338,9 +1339,9 @@ def test_certify_projects_f_on_the_rows_it_reads(monkeypatch):
     tops = []
     real = fields._cos_sin_coeffs
 
-    def recording(vals, top, d_x):
+    def recording(vals, shape, cls, top, d_x):
         tops.append(top)
-        return real(vals, top, d_x)
+        return real(vals, shape, cls, top, d_x)
 
     monkeypatch.setattr(fields, "_cos_sin_coeffs", recording)
     U = fields.SpectralField(0.05 * np.random.default_rng(6).standard_normal((17, 16)))
@@ -1411,9 +1412,9 @@ def test_build_solution_evaluates_f_on_the_field_once(level_guesses, monkeypatch
     samples = []
     real = fields._torus_values
 
-    def counted(u, nt, nx):
+    def counted(u, nt, nx, cls=fields._TRIVIAL):
         samples.append((u.lt, u.lx, nt, nx))
-        return real(u, nt, nx)
+        return real(u, nt, nx, cls)
 
     monkeypatch.setattr(fields, "_torus_values", counted)
 
@@ -1422,9 +1423,10 @@ def test_build_solution_evaluates_f_on_the_field_once(level_guesses, monkeypatch
 
     monkeypatch.setattr(reduced, "phi", refused)
     record = search.build_solution(v, w, C6_CTX, f, recipe, level, newton=rep)
-    # degree 5: the certificates sample the degree 5*12 = 60 on 125 = 5^3
-    # nodes in t and x, sup at its floors (128, 256)
-    assert record.accepted and samples == [(12, 12, 125, 125), (12, 12, 128, 256)]
+    # degree 5: the certificates sample the degree 5*12 = 60 on 128 = 4 * 32
+    # nodes in t and x, the fast multiple of 4 a half shift folds, sup at its
+    # floors (128, 256)
+    assert record.accepted and samples == [(12, 12, 128, 128), (12, 12, 128, 256)]
 
 
 def test_refine_samples_no_field_for_its_guard(level_guesses, monkeypatch):
@@ -1772,6 +1774,53 @@ def test_frame_tables_are_built_once_per_level(monkeypatch):
     assert (info.misses, info.hits) == (4, 20)
 
 
+def test_each_level_builds_its_frame_at_most_twice(monkeypatch):
+    # on the criterion-6 branch solve_level sizes the level from the frame
+    # of t* L_n y* and _newton builds the frame of its guess once, for its
+    # truncation, its F and its Jacobians
+    frames = []
+
+    def counted(*args):
+        frames.append(args[1])
+        return real(*args)
+
+    real = search._dilation_frame
+    monkeypatch.setattr(search, "_dilation_frame", counted)
+    c6_documents()
+    assert sorted(frames) == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6]
+
+
+def fold_branches():
+    """The criterion-6 branch and u^3 + u^5/2 at omega = 1.0001, L = 320,
+    levels 1-6: their records and each record's support index."""
+    out = []
+    for f, ctx in [(F3, C6_CTX), (F35, frequency.make_context(1.0001, L=320))]:
+        br = search.solve_branch(ctx, f, n_max=6, C=0.004, dim=6, seed=0, restarts=8)
+        assert len(br.records) == 6 and not br.failures
+        out += [(r, search.temporal_support_index(kernel.KernelVector(r.xi),
+                                                  fields.SpectralField(r.w_coeffs)))
+                for r in br.records]
+    return out
+
+
+def test_fold_moves_records_by_rounding_only(monkeypatch):
+    # sampled on the fundamental domain of each product's class or on the
+    # whole torus (the trivial class), every record keeps its acceptance
+    # and support index and moves by rounding: xi and w_coeffs within 1e-13
+    # of each array's largest entry, the certificates within 1e-13 relative
+    folded = fold_branches()
+    monkeypatch.setattr(fields, "_symmetry_class", lambda u, polys: fields._TRIVIAL)
+    for (got, got_n), (want, want_n) in zip(folded, fold_branches(), strict=True):
+        assert (got.n, got.accepted, got_n) == (want.n, want.accepted, want_n)
+        assert got.accepted
+        for name in ("xi", "w_coeffs"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), (got.n, name)
+        for name in ("phi", "energy", "sup", "h1"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert abs(a - b) <= 1e-13 * abs(b), (got.n, name)
+
+
 def test_shared_frame_tables_are_read_only():
     # the Newton, the certificates and the Jacobians of every level of a
     # frame shape share these tables, so none can be written into
@@ -1779,9 +1828,13 @@ def test_shared_frame_tables_are_read_only():
     frame = search._dilation_frame(f, 1)
     rows, cols, flat = frame.lattice(16, 16)
     plan = fields._matrix_plan(16, 16, tuple(rows.tolist()), tuple(cols.tolist()), 32, True)
+    # and the fold of every torus sampling: an axis's domain and weights,
+    # and its trig tables
+    fold = [*fields._axis_fold(100, -1, 1), *fields._axis_fold(72, None, None),
+            fields._trig_table(100, 16, False, (-1, 1)), fields._trig_table(100, 48, True, (1, -1))]
     tables = [frame.symbol(16, 16, C6_CTX.omega), rows, cols, flat,
-              *frame.resonance(16, 16, C6_CTX.omega), *plan, f.fprime, f.primitive]
-    assert len(tables) == 15
+              *frame.resonance(16, 16, C6_CTX.omega), *plan, f.fprime, f.primitive, *fold]
+    assert len(tables) == 21
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
             table[...] = 0
