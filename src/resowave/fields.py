@@ -9,31 +9,26 @@ satisfy Dirichlet conditions at x = 0, pi.  Coefficients are stored as a dense
 (Lt+1, Lx) array, row l, column j-1.
 
 Every sample of a field is taken on the torus [0, 2pi) x [0, 2pi), where a
-sine series in x is its own odd extension, folded onto the fundamental
-domain of the symmetries the sampled products share.  The class is read off
-exact zeros and parity (_symmetry_class): T -> -T always holds; rows of one
-parity give the half shift T -> T + pi, columns of one parity X -> X + pi,
-and polynomials of odd or even powers only X -> -X.  A product is sampled
-on one node of each orbit (_axis_fold), weighted by the orbit's size, and
-only the harmonics the class allows are read; the others are exact zeros.
-For every frame of an odd f, whose rows and columns are odd, that is about
-a sixteenth of the torus; the full torus is the trivial class.
-_torus_values samples u on the domain, and _cos_sin_coeffs reads exact
-cos/sin torus coefficients off samples; each computes only the rows its
-caller keeps.  Both are exact quadratures with one of two paths, chosen
-from the size of the work (_plan):
+sine series in x is its own odd extension.  Each sampling and every
+projection off it take one of two paths, decided once from the size of the
+work (_layout), each a pair of executors that tests no size:
 
-- small fields, every frame of an odd f among them: two chained matrix
-  products with cached cos/sin tables on the domain's nodes (_trig_table),
-  left to right and in at most DENSE_MAX_BLOCKS row blocks, each product at
-  most DENSE_MAX_MADDS multiply-adds so that OpenBLAS keeps it on one
-  thread;
-- larger ones, such as the even-f frames whose x axis grows with the
-  level: scipy.fft, whose n log n cost the cubic cost of the products
-  would outrun, and which runs on one thread at any size.  It runs over
-  the whole torus, so the fold, which saves only the cost of the dense
-  chains, is taken only where its sampling and projection both run dense
-  (_dense_fold), and the trivial class everywhere else.
+- dense (_dense_values, _dense_coeffs), every frame of an odd f among
+  them: the products are folded onto the fundamental domain of the
+  symmetries they share, read off exact zeros and parity
+  (_symmetry_class): T -> -T always; rows of one parity give the half
+  shift T -> T + pi, columns of one parity X -> X + pi, and polynomials of
+  odd or even powers only X -> -X.  A product is sampled on one node of
+  each orbit (_axis_fold), weighted by the orbit's size, and only the
+  harmonics the class allows are read, the others being exact zeros:
+  about a sixteenth of the torus for every frame of an odd f.  Each step
+  is two chained matrix products with cached cos/sin tables on the nodes
+  (_trig_table), in at most DENSE_MAX_BLOCKS row blocks of at most
+  DENSE_MAX_MADDS multiply-adds each, so that OpenBLAS keeps one thread;
+- scipy.fft (_fft_values, _fft_coeffs) over the whole torus, the trivial
+  class, wherever a product would be larger, as on the even-f frames
+  whose x axis grows with the level: its n log n cost the cubic cost of
+  the products would outrun, and it runs on one thread at any size.
 
 A field is a finite trig polynomial, so the samples are exact, and
 sup_norm reads its maximum off them.  Products of fields (needed for
@@ -42,7 +37,7 @@ cosine content in x whose sine-basis expansion is an infinite series -- so
 they are sampled on a grid of _grid(d) = next_fast_len(2d + 1) nodes along
 each axis (the fast multiple of 4 at least that where the axis has a half
 shift), d the product's degree there, their exact cos/sin torus
-coefficients are read off (_cos_sin_coeffs), and those are projected back
+coefficients are read off (_torus_cos_sin), and those are projected back
 onto the sine basis in closed form.  The coefficients `apply_polynomials`
 returns are the true L2 projections, with no aliasing, for any polynomial
 nonlinearity.
@@ -131,10 +126,10 @@ def temporal_weights(lt):
 # ---------------------------------------------------------------------------
 # sampling
 
-# A sampling or a projection is a chain of two matrix products with cached
-# trig tables when _plan finds at most DENSE_MAX_BLOCKS row blocks in which
-# each product stays at or below DENSE_MAX_MADDS
-# multiply-adds (m n k), and scipy.fft calls otherwise.  2^18 is the size up
+# A sampling and its projections run as chains of two matrix products with
+# cached trig tables when _layout finds each chain at most DENSE_MAX_BLOCKS
+# row blocks in which every product stays at or below DENSE_MAX_MADDS
+# multiply-adds (m n k), and on scipy.fft otherwise.  2^18 is the size up
 # to which OpenBLAS runs a GEMM on one thread (its SMP_THRESHOLD_MIN 65536
 # times the default GEMM_MULTITHREAD_THRESHOLD 4); above it a second thread
 # may wake and spin through the rest of the pass.  On a 2-core x86 host
@@ -226,16 +221,11 @@ def _harmonics(deg, shift, reflect):
     class can have cos(l s) and sin(l s) content: the l of one parity under
     a half shift (even l for +1), no sine under reflect +1, no cosine
     under -1.  Without a half shift the sines start at the zero sin(0 s),
-    so the trivial class keeps the full torus's [cos | sin] of l = 0..deg."""
+    so an axis with neither map keeps [cos | sin] of every l = 0..deg."""
     start, step = (0, 1) if shift is None else (0, 2) if shift > 0 else (1, 2)
     none = slice(0, 0)
     return (none if reflect == -1 else slice(start, deg + 1, step),
             none if reflect == 1 else slice(step if shift == 1 else start, deg + 1, step))
-
-
-def _count(deg, harmonics):
-    """The number of l = 0..deg in the slice harmonics."""
-    return len(range(deg + 1)[harmonics])
 
 
 @functools.lru_cache(maxsize=64)
@@ -281,6 +271,33 @@ def _plan(m, k, p, n):
     return rows if rows >= 1 and m <= DENSE_MAX_BLOCKS * rows else None
 
 
+def _layout(shape, grid, cls, tops=(), d_x=0):
+    """The one size decision of a sampling of a field of shape (lt+1, lx) on
+    the (nt, nx) = grid torus folded by the class cls, and of the
+    projections of rows 0..top, each top of tops, and columns 0..d_x off it.
+
+    None, for the trivial class or a chain over DENSE_MAX_BLOCKS (_plan):
+    all run on scipy.fft over the whole torus.  Else the dense plan (rows,
+    (cx, sx, na), projections): the sampling's rows per block, the slices of
+    the harmonics mu kept (_harmonics) and the number of cosines among
+    them, and per top (ct, m, rows), its m harmonics l kept and rows per
+    block, or None where the class keeps no l.
+    """
+    if cls == _TRIVIAL:
+        return None
+    it, ix = _axis_fold(grid[0], *cls[:2])[0].size, _axis_fold(grid[1], *cls[2:])[0].size
+    cx, sx = _harmonics(d_x, *cls[2:])
+    na, nb = len(range(d_x + 1)[cx]), len(range(d_x + 1)[sx])
+    plans, projections = [_plan(it, *shape, ix)], []
+    for top in tops:
+        ct = _harmonics(top, *cls[:2])[0]
+        m = len(range(top + 1)[ct])
+        if m:
+            plans.append(_plan(m, it, ix, na + nb))
+        projections.append((ct, m, plans[-1]) if m else None)
+    return None if None in plans else (plans[0], (cx, sx, na), projections)
+
+
 def _chain(a, b, c, rows):
     """(a @ b) @ c in blocks of `rows` rows of a (_plan)."""
     if rows >= a.shape[0]:
@@ -289,6 +306,15 @@ def _chain(a, b, c, rows):
     for i in range(0, a.shape[0], rows):
         _matmul(_matmul(a[i : i + rows], b), c, out=out[i : i + rows])
     return out
+
+
+def _dense_values(u, grid, cls, rows):
+    """Samples of u at the nodes t_i, x_k of cls's domain of the (nt, nx) =
+    grid torus (_axis_fold): cos(l t_i) @ u @ sin(j x_k), in blocks of rows
+    (_layout).  Exact for nt > 2 lt and nx >= 2 lx."""
+    ct = _trig_table(grid[0], u.lt, False, cls[:2])[:, : u.lt + 1]
+    sx = _trig_table(grid[1], u.lx, False, cls[2:])[:, u.lx + 2 :].T
+    return _chain(ct, u.coeffs, sx, rows)
 
 
 def _x_values(rows, nx):
@@ -303,45 +329,14 @@ def _x_values(rows, nx):
     return sfft.irfft(spec, n=nx, axis=-1)
 
 
-def _torus_values(u, nt, nx, cls=_TRIVIAL):
-    """Samples of u at t = 2pi i/nt and x = 2pi k/nx on the fundamental
-    domain of the class cls: the nodes i and k of _axis_fold, all of them
-    for the trivial class.
-
-    Dense, cos(l t_i) @ u @ sin(j x_k) with the cached tables of the nodes,
-    when _plan allows, which it always does for a class other than the
-    trivial one (_dense_fold); else one inverse real FFT over the cosine
-    rows in t, then _x_values, over the whole torus.  Exact for nt > 2 lt
-    and nx >= 2 lx.
-    """
-    ft, fx = cls[:2], cls[2:]
-    plan = _plan(_axis_fold(nt, *ft)[0].size, u.lt + 1, u.lx, _axis_fold(nx, *fx)[0].size)
-    if plan is not None:
-        ct = _trig_table(nt, u.lt, False, ft)[:, : u.lt + 1]
-        sx = _trig_table(nx, u.lx, False, fx)[:, u.lx + 2 :].T
-        return _chain(ct, u.coeffs, sx, plan)
+def _fft_values(u, nt, nx):
+    """Samples of u at t = 2pi i/nt and x = 2pi k/nx over the whole torus:
+    one inverse real FFT over the cosine rows in t, then _x_values.  Exact
+    for nt > 2 lt and nx >= 2 lx."""
     spec = np.zeros((nt // 2 + 1, u.lx))
     spec[0] = u.coeffs[0] * nt
     spec[1 : u.lt + 1] = u.coeffs[1:] * (nt / 2.0)
     return _x_values(sfft.irfft(spec, n=nt, axis=0), nx)
-
-
-def _dense_fold(u, shape, cls, top=None, d_x=0):
-    """cls when the samples of u on its domain of the (nt, nx) = shape
-    torus, and the projection of rows 0..top and columns 0..d_x off them
-    (top not None), both run as dense chains (_plan); else the trivial
-    class.  The fold saves the cost of the dense chains only, so scipy.fft
-    always runs over the whole torus.
-    """
-    it, ix = _axis_fold(shape[0], *cls[:2])[0], _axis_fold(shape[1], *cls[2:])[0]
-    if _plan(it.size, u.lt + 1, u.lx, ix.size) is None:
-        return _TRIVIAL
-    if top is not None:
-        ct, (cx, sx) = _harmonics(top, *cls[:2])[0], _harmonics(d_x, *cls[2:])
-        rows = _count(top, ct)
-        if rows and _plan(rows, it.size, ix.size, _count(d_x, cx) + _count(d_x, sx)) is None:
-            return _TRIVIAL
-    return cls
 
 
 def _poly_at(vals, poly):
@@ -402,15 +397,17 @@ def sup_norm(u):
     four times the degree in x, with floors (nt >= 128, nx >= 256) so small
     fields are still sampled finely; nx is a multiple of 4 so the midline
     x = pi/2 (where single-mode fields peak) is always a node.  Both lengths
-    are multiples of 4, so where that sampling runs dense (_dense_fold) it
-    is taken on the fundamental domain of u's own class (_symmetry_class of
+    are multiples of 4, so where that sampling runs dense (_layout) it is
+    taken on the fundamental domain of u's own class (_symmetry_class of
     the identity), whose other nodes carry the same |u| or zero: a quarter
     of the grid at most, about a sixteenth for an odd f's frame field.
     """
     nt = max(1 << (4 * u.lt).bit_length(), 128)     # the power of two > 4 lt
     nx = max(8 * u.lx + 4, 256)
-    cls = _dense_fold(u, (nt, nx), _symmetry_class(u, [[0.0, 1.0]]))
-    return float(np.max(np.abs(_torus_values(u, nt, nx, cls))))
+    cls = _symmetry_class(u, [[0.0, 1.0]])
+    layout = _layout(u.coeffs.shape, (nt, nx), cls)
+    vals = _fft_values(u, nt, nx) if layout is None else _dense_values(u, (nt, nx), cls, layout[0])
+    return float(np.max(np.abs(vals)))
 
 
 def omega_norm(u, omega):
@@ -446,62 +443,61 @@ def _torus_cos_sin(u, polys, d_t, d_x, tops):
     """Exact torus coefficients (A, B) of each poly(u), from one sample of u.
 
     poly(u) = sum_l cos(l t) [ sum_mu A[l,mu] cos(mu x) + B[l,mu] sin(mu x) ],
-    l <= d_t and mu <= d_x, sampled on the grid those degrees need, folded
-    onto the fundamental domain of the products' class (_symmetry_class);
-    for each poly the rows l = 0..top <= d_t of its entry of tops and the
-    columns mu = 0..d_x are returned, with exact zeros where the class has
-    no content, and None for an A or B the class makes zero.
+    l <= d_t and mu <= d_x, sampled on the grid those degrees need on the
+    path of _layout; for each poly the rows l = 0..top <= d_t of its entry
+    of tops and the columns mu = 0..d_x are returned, with exact zeros
+    where the products' class has no content, and None for an A or B it
+    makes zero.
     """
     deg_t, deg_x = max(d_t, u.lt, 1), max(d_x, u.lx, 1)    # the degrees sampled
     cls = _symmetry_class(u, polys)
-    shape = _grid(deg_t, cls[0]), _grid(deg_x, cls[2])
-    if _dense_fold(u, shape, cls, max(tops), d_x) is _TRIVIAL:
-        cls, shape = _TRIVIAL, (_grid(deg_t), _grid(deg_x))
-    vals = _torus_values(u, *shape, cls)
-    return [_cos_sin_coeffs(_poly_at(vals, p), shape, cls, top, d_x) for p, top in zip(polys, tops)]
+    grid = _grid(deg_t, cls[0]), _grid(deg_x, cls[2])
+    layout = _layout(u.coeffs.shape, grid, cls, tops, d_x)
+    if layout is None:
+        vals = _fft_values(u, _grid(deg_t), _grid(deg_x))
+        return [_fft_coeffs(_poly_at(vals, p), top, d_x) for p, top in zip(polys, tops)]
+    rows, x, projections = layout
+    vals = _dense_values(u, grid, cls, rows)
+    return [_dense_coeffs(_poly_at(vals, p), grid, cls, top, d_x, x, projection)
+            for p, top, projection in zip(polys, tops, projections)]
 
 
-def _cos_sin_coeffs(vals, shape, cls, top, d_x):
-    """Samples on the (nt, nx) = shape torus folded by the class cls ->
-    cos/sin coefficients (A, B), rows 0..top, columns 0..d_x.
-
-    Only the harmonics the class allows are read (_harmonics); the rest are
-    exact zeros, and an A or B with none is None.  Dense, the weighted
-    cos(l t_i) table @ vals @ [cos | sin](mu x_k) on the domain's nodes,
-    when _plan allows, which it always does for a class other than the
-    trivial one (_dense_fold).  Else forward real FFTs over the whole torus,
-    in t over every row and in x over the rows kept.  B[:, 0] is
-    identically zero.
-    """
-    ct, (cx, sx) = _harmonics(top, *cls[:2])[0], _harmonics(d_x, *cls[2:])
-    rows, na, nb = _count(top, ct), _count(d_x, cx), _count(d_x, sx)
-    if not rows:
+def _dense_coeffs(vals, grid, cls, top, d_x, x, projection):
+    """Samples on cls's domain of the (nt, nx) = grid torus -> cos/sin
+    coefficients (A, B), rows 0..top, columns 0..d_x: weighted cos(l t_i) @
+    vals @ [cos | sin](mu x_k) on the harmonics of _layout's x and
+    projection; the rest are exact zeros, and an A or B with none is None."""
+    if projection is None:
         return None, None
-    nt, nx = shape
-    plan = _plan(rows, *vals.shape, na + nb)
-    if plan is None:
-        # time direction: even in t, cosine rows are the real part of the rfft
-        spec_t = sfft.rfft(vals, axis=0)
-        rows = np.empty((top + 1, nx))
-        rows[0] = spec_t[0].real / nt
-        rows[1:] = 2.0 * spec_t[1 : top + 1].real / nt
-        # space direction: the rows sample the 2pi torus in x
-        spec_x = sfft.rfft(rows, axis=1) / nx
-        A = 2.0 * spec_x[:, : d_x + 1].real
-        A[:, 0] = spec_x[:, 0].real
-        B = -2.0 * spec_x[:, : d_x + 1].imag
-        B[:, 0] = 0.0
-        return A, B
-    wt = _trig_table(nt, top, True, cls[:2])[:, :rows].T
-    AB = _chain(wt, vals, _trig_table(nx, d_x, True, cls[2:]), plan)
+    (cx, sx, na), (ct, m, rows) = x, projection
+    wt = _trig_table(grid[0], top, True, cls[:2])[:, :m].T
+    AB = _chain(wt, vals, _trig_table(grid[1], d_x, True, cls[2:]), rows)
     A = B = None
     if na:
         A = np.zeros((top + 1, d_x + 1))
         A[ct, cx] = AB[:, :na]
-    if nb:
+    if AB.shape[1] > na:
         B = np.zeros((top + 1, d_x + 1))
         B[ct, sx] = AB[:, na:]
         B[:, 0] = 0.0
+    return A, B
+
+
+def _fft_coeffs(vals, top, d_x):
+    """Samples over the whole (nt, nx) torus -> cos/sin coefficients (A, B),
+    rows 0..top, columns 0..d_x: real FFTs in t, then in x over the rows kept."""
+    nt, nx = vals.shape
+    # time direction: even in t, cosine rows are the real part of the rfft
+    spec_t = sfft.rfft(vals, axis=0)
+    rows = np.empty((top + 1, nx))
+    rows[0] = spec_t[0].real / nt
+    rows[1:] = 2.0 * spec_t[1 : top + 1].real / nt
+    # space direction: the rows sample the 2pi torus in x
+    spec_x = sfft.rfft(rows, axis=1) / nx
+    A = 2.0 * spec_x[:, : d_x + 1].real
+    A[:, 0] = spec_x[:, 0].real
+    B = -2.0 * spec_x[:, : d_x + 1].imag
+    B[:, 0] = 0.0
     return A, B
 
 
@@ -589,21 +585,18 @@ def multiply_poly_project(u, poly, z, out_lt=None, out_lx=None):
 
     poly(u) leaves the sine class, so projecting it and then multiplying would
     lose the tail; sampling poly(u) and z on a common dealiased grid keeps the
-    product projection exact.  It samples the whole torus, the trivial
-    class, since z need not share u's.
+    product projection exact.  The oracle of multiply_poly_matrix, it runs
+    on scipy.fft alone over the whole torus, sharing no fold or dense chain.
     """
     r = _poly_degree(poly)
     d_t = r * u.lt + z.lt
     d_x = r * u.lx + z.lx
-    if out_lt is None:
-        out_lt = d_t
-    if out_lx is None:
-        out_lx = d_x
+    out_lt, out_lx = d_t if out_lt is None else out_lt, d_x if out_lx is None else out_lx
     d = max(d_x, out_lx, 1)
-    shape = _grid(max(d_t, 1)), _grid(d)
-    vals = _poly_at(_torus_values(u, *shape), poly)
-    vals *= _torus_values(z, *shape)
-    A, B = _cos_sin_coeffs(vals, shape, _TRIVIAL, min(out_lt, d_t), d)
+    grid = _grid(max(d_t, 1)), _grid(d)
+    vals = _poly_at(_fft_values(u, *grid), poly)
+    vals *= _fft_values(z, *grid)
+    A, B = _fft_coeffs(vals, min(out_lt, d_t), d)
     return _sine_projection(A, B, out_lt, out_lx)
 
 

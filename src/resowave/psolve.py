@@ -42,10 +42,10 @@ class PSolveReport:
     domain_ok: bool
 
 
-def _denominators(lt, lx, omega):
-    l2 = np.arange(lt + 1, dtype=float)[:, None] ** 2
-    j2 = np.arange(1, lx + 1, dtype=float)[None, :] ** 2
-    return omega**2 * l2 - j2
+def _symbol(n, d, lt, lx, omega):
+    """j^2 - omega^2 l^2 at the modes (n k, d m), k <= lt and 1 <= m <= lx."""
+    l = n * np.arange(lt + 1, dtype=float)[:, None]
+    return (d * np.arange(1, lx + 1, dtype=float)) ** 2 - omega**2 * l**2
 
 
 def apply_L_inv(w, omega, out_lt=None, out_lx=None):
@@ -54,21 +54,22 @@ def apply_L_inv(w, omega, out_lt=None, out_lx=None):
     Acts as the inverse of the d'Alembert operator on the range space W; the
     input's diagonal part is discarded (projection onto W is built in).
     Raises ResonanceError when a present off-diagonal mode has a vanishing
-    denominator, naming the mode.
+    denominator, naming the mode (its value 0.0 - symbol, +0.0 where zero).
+    The divisor is -_symbol(1, 1, ...): -c / symbol has the bits of c / divisor.
     """
     lt = w.lt if out_lt is None else out_lt
     lx = w.lx if out_lx is None else out_lx
     c = w.padded(max(lt, w.lt), max(lx, w.lx))[: lt + 1, :lx]
-    den = _denominators(lt, lx, omega)
+    sym = _symbol(1, 1, lt, lx, omega)
     mask_diag = np.zeros_like(c, dtype=bool)
     np.fill_diagonal(mask_diag[1:], True)
-    bad = (np.abs(den) < RESONANCE_TOL) & ~mask_diag & (c != 0.0)
+    bad = (np.abs(sym) < RESONANCE_TOL) & ~mask_diag & (c != 0.0)
     if np.any(bad):
         l_bad, j_bad = np.argwhere(bad)[0]
-        raise ResonanceError(l_bad, j_bad + 1, den[l_bad, j_bad])
+        raise ResonanceError(l_bad, j_bad + 1, 0.0 - sym[l_bad, j_bad])
     out = np.zeros_like(c)
-    safe = ~mask_diag & (np.abs(den) >= RESONANCE_TOL)
-    out[safe] = c[safe] / den[safe]
+    safe = ~mask_diag & (np.abs(sym) >= RESONANCE_TOL)
+    out[safe] = -c[safe] / sym[safe]
     return fields.SpectralField(out)
 
 

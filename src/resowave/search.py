@@ -477,9 +477,9 @@ class _Frame:
         return self.tables[key]
 
     def symbol(self, lt, lx, omega):
-        """j^2 - omega^2 l^2 at the modes (n k, d m) of the (lt+1, lx) frame (_symbol)."""
+        """j^2 - omega^2 l^2 at the modes (n k, d m) of the (lt+1, lx) frame (psolve._symbol)."""
         return self._once(("symbol", lt, lx, omega),
-                          lambda: _symbol(self.n, self.d, lt, lx, omega))
+                          lambda: psolve._symbol(self.n, self.d, lt, lx, omega))
 
     def kernel(self, u, lx):
         """The diagonal j = n k = d m <= lx of the dilated frame field u."""
@@ -506,12 +506,6 @@ class _Frame:
             small = np.abs(sym) < psolve.RESONANCE_TOL
             return sym, np.flatnonzero((l != j) & small), (l != j) & ~small
         return self._once(("resonance", lt, lx, omega), build)
-
-
-def _symbol(n, d, lt, lx, omega):
-    """j^2 - omega^2 l^2 at the modes (n k, d m) of the (lt+1, lx) frame of level n."""
-    l = n * np.arange(lt + 1, dtype=float)[:, None]
-    return (d * np.arange(1, lx + 1, dtype=float)) ** 2 - omega**2 * l**2
 
 
 def _lattice(lt, lx, odd_rows, odd_cols):

@@ -35,9 +35,10 @@ def eval_direct(coeffs, t, x):
 
 
 def both_paths(test):
-    """Run test on each path: each sampling and projection takes its path
-    from its size, so a bound above every product here sends them all to
-    the cached-table matrix products, and a zero bound all to scipy.fft."""
+    """Run test on each path: each sampling takes its path from its size
+    (fields._layout), so a bound above every product here sends each
+    sampling of a class other than the trivial one to the cached-table
+    matrix products, and a zero bound every sampling to scipy.fft."""
     @functools.wraps(test)
     def run(*args, **kwargs):
         for path, bound in (("dense", 2**40), ("fft", 0)):
@@ -56,16 +57,16 @@ def random_field(rng, lt, lx, scale=1.0):
     return fields.SpectralField(arr)
 
 
-@both_paths
 @pytest.mark.parametrize("lt, lx, nt, mx", [
     (0, 1, 2, 1), (0, 5, 8, 9), (3, 4, 8, 4), (5, 6, 16, 13), (7, 3, 128, 127),
     (2, 3, 5, 3), (4, 6, 9, 7),
 ])
 def test_node_values_match_eval_field_at_their_nodes(lt, lx, nt, mx):
-    """The one torus sampler is exact: irfft in t and in x hit eval_field at
-    every node x = 2 pi k/nx, the mx interior nodes of (0, pi), the boundary
-    zeros and the odd half, for the odd and even lengths with mx interior
-    nodes and the 5-smooth product length _grid(mx).
+    """Both samplers are exact: the irfft in t and in x, and the dense chain
+    on the nodes of the trivial class (every node), hit eval_field at every
+    node x = 2 pi k/nx, the mx interior nodes of (0, pi), the boundary zeros
+    and the odd half, for the odd and even lengths with mx interior nodes
+    and the 5-smooth product length _grid(mx).
     """
     rng = np.random.default_rng(lt + 10 * lx)
     t = 2.0 * np.pi * np.arange(nt) / nt
@@ -73,9 +74,10 @@ def test_node_values_match_eval_field_at_their_nodes(lt, lx, nt, mx):
         x = 2.0 * np.pi * np.arange(nx) / nx
         for _ in range(3):
             u = random_field(rng, lt, lx)
-            got = fields._torus_values(u, nt, nx)
-            assert got.shape == (nt, nx)
-            assert np.max(np.abs(got - fields.eval_field(u, t, x))) <= 1e-13
+            for got in (fields._fft_values(u, nt, nx),
+                        fields._dense_values(u, (nt, nx), fields._TRIVIAL, nt)):
+                assert got.shape == (nt, nx)
+                assert np.max(np.abs(got - fields.eval_field(u, t, x))) <= 1e-13
 
 
 @pytest.mark.parametrize("nx", [7, 12, 20, 97])
@@ -244,7 +246,6 @@ def test_omega_norm_bounds_the_sampled_blend_from_above():
             assert fields.omega_norm(u, omega) >= sampled
 
 
-@both_paths
 def test_multiply_poly_project_matches_quadrature():
     rng = np.random.default_rng(8)
     u = random_field(rng, 2, 3)
@@ -456,13 +457,22 @@ def test_dense_and_fft_paths_agree(monkeypatch, lt, lx):
                                                                  [0.0, 0.5, 1.0]])),
                 fields.apply_nonlinearity(u, [0.0, 0.0, 1.0, 1.0], out_lt=lt, out_lx=lx).coeffs,
                 fields.multiply_poly_matrix(u, [0.0, 0.0, 3.0], rows, cols),
-                fields.multiply_poly_project(u, [0.0, 2.0], u).coeffs,
                 np.array([fields.integrate_poly(u, [0.0, 0.0, 0.0, 0.0, 0.25]),
                           fields.sup_norm(u)])]
 
     planned = run()
     monkeypatch.setattr(fields, "DENSE_MAX_MADDS", 2**40)
     dense = run()
+    # the Jacobian's columns as one dense chain against its oracle, which
+    # runs on scipy.fft at any bound
+    order = flat_entries(rows, cols, lx)
+    for col in range(0, order.size, max(1, order.size // 24)):
+        z = np.zeros((lt + 1) * lx)
+        z[order[col]] = 1.0
+        P = fields.multiply_poly_project(u, [0.0, 0.0, 3.0], fields.SpectralField(
+            z.reshape(lt + 1, lx)), out_lt=lt, out_lx=lx)
+        want = P.coeffs[: lt + 1].ravel()[order]
+        assert np.max(np.abs(dense[3][:, col] - want)) <= 1e-13 * np.max(np.abs(want)), col
     monkeypatch.setattr(fields, "DENSE_MAX_MADDS", 0)
     for want, *got in zip(run(), dense, planned):
         for g in got:
@@ -567,25 +577,24 @@ def test_fold_matches_the_full_torus(cls):
 
 @pytest.mark.parametrize("nt, nx", [(24, 32), (25, 33), (26, 34), (27, 35), (22, 31)])
 def test_folded_samples_and_coefficients_match_the_full_torus(nt, nx):
-    # at grid lengths of every residue mod 4: the samples on the domain are
-    # the torus samples at its nodes, and the coefficients read off them
-    # are those read off the whole torus, exact zeros where the class has
-    # none; a half shift needs an even length and is dropped on an odd one.
-    # The fold runs on the dense path only (_dense_fold), which these sizes
-    # take
+    # at grid lengths of every residue mod 4: the dense samples on the
+    # domain are the whole torus's FFT samples at its nodes, and the
+    # coefficients read off them those the FFTs read off the whole torus,
+    # exact zeros where the class has none; a half shift needs an even
+    # length and is dropped on an odd one.  These sizes run dense
     for seed, cls in enumerate(FOLD_CLASSES.values()):
         u = class_field(seed, 2, 3, *cls)
         for poly in FOLD_POLYS.values():
             fold = fields._symmetry_class(u, [poly])
-            assert fields._dense_fold(u, (nt, nx), fold, 2 * (len(poly) - 1), 3 * (len(poly) - 1)) == fold
-            nodes_t, nodes_x = fields._axis_fold(nt, *fold[:2])[0], fields._axis_fold(nx, *fold[2:])[0]
-            full = fields._torus_values(u, nt, nx)
-            vals = fields._torus_values(u, nt, nx, fold)
-            assert_fold_matches([vals], [full[np.ix_(nodes_t, nodes_x)]], (fold, "samples"))
             top, d_x = 2 * (len(poly) - 1), 3 * (len(poly) - 1)   # the degrees of poly(u)
-            got = fields._cos_sin_coeffs(fields._poly_at(vals, poly), (nt, nx), fold, top, d_x)
-            want = fields._cos_sin_coeffs(fields._poly_at(full, poly), (nt, nx),
-                                          fields._TRIVIAL, top, d_x)
+            rows, x, (projection,) = fields._layout(u.coeffs.shape, (nt, nx), fold, [top], d_x)
+            nodes_t, nodes_x = fields._axis_fold(nt, *fold[:2])[0], fields._axis_fold(nx, *fold[2:])[0]
+            full = fields._fft_values(u, nt, nx)
+            vals = fields._dense_values(u, (nt, nx), fold, rows)
+            assert_fold_matches([vals], [full[np.ix_(nodes_t, nodes_x)]], (fold, "samples"))
+            got = fields._dense_coeffs(fields._poly_at(vals, poly), (nt, nx), fold, top, d_x,
+                                       x, projection)
+            want = fields._fft_coeffs(fields._poly_at(full, poly), top, d_x)
             scale = max(np.max(np.abs(w)) for w in want)
             for g, w in zip(got, want):
                 g = np.zeros_like(w) if g is None else g
@@ -611,26 +620,44 @@ def test_axis_fold_weights_count_every_node_once():
     assert nodes.size == 25 and weights[0] == 2 and set(weights[1:]) == {4}
 
 
-def test_scipy_fft_path_samples_the_whole_torus(monkeypatch):
-    # the fold saves the cost of the dense chains only: where the folded
-    # sampling or projection would take scipy.fft, the field is sampled on
-    # the whole torus, the trivial class, on the full torus's grid
+def record_executors(monkeypatch):
+    """The executors of fields each call runs, in order, with the grid it
+    samples or projects on."""
     seen = []
-    real = fields._torus_values
 
-    def recording(u, nt, nx, cls=fields._TRIVIAL):
-        seen.append((nt, nx, cls))
-        return real(u, nt, nx, cls)
+    def recording(name, grid):
+        real = getattr(fields, name)
 
-    monkeypatch.setattr(fields, "_torus_values", recording)
+        def run(*args):
+            seen.append((name, grid(*args)))
+            return real(*args)
+        monkeypatch.setattr(fields, name, run)
+
+    recording("_dense_values", lambda u, grid, cls, rows: grid)
+    recording("_fft_values", lambda u, nt, nx: (nt, nx))
+    recording("_dense_coeffs", lambda vals, grid, *rest: grid)
+    recording("_fft_coeffs", lambda vals, top, d_x: vals.shape)
+    return seen
+
+
+def test_scipy_fft_path_samples_the_whole_torus(monkeypatch):
+    # both_paths's bounds send every sampling and projection of a frame
+    # field of u^3 to the dense executors, then to the FFT executors, which
+    # sample the whole torus on the trivial class's grid: _grid(5 lt) and
+    # _grid(5 lx) for u^5
+    seen = record_executors(monkeypatch)
     u = class_field(0, 16, 16, "odd", "odd")
-    poly = FOLD_POLYS["odd"]
-    for bound, folded in ((2**40, True), (0, False)):
-        monkeypatch.setattr(fields, "DENSE_MAX_MADDS", bound)
+    runs = []
+
+    @both_paths
+    def sample():
         seen.clear()
-        fields.apply_polynomials(u, [poly])
+        fields.apply_polynomials(u, [FOLD_POLYS["odd"]])
         fields.sup_norm(u)
-        (nt, nx, cls), (_, _, sup_cls) = seen
-        assert (cls != fields._TRIVIAL and sup_cls != fields._TRIVIAL) == folded
-        if not folded:
-            assert (nt, nx) == (fields._grid(5 * u.lt), fields._grid(5 * u.lx))
+        runs.append(list(seen))
+
+    sample()
+    dense, fft = runs
+    assert [name for name, _ in dense] == ["_dense_values", "_dense_coeffs", "_dense_values"]
+    assert [name for name, _ in fft] == ["_fft_values", "_fft_coeffs", "_fft_values"]
+    assert fft[0][1] == fft[1][1] == (fields._grid(5 * u.lt), fields._grid(5 * u.lx))

@@ -214,13 +214,15 @@ def test_solve_P_samples_the_torus_once_per_sweep(coeffs, eps, monkeypatch):
     # f(v + w) is a sweep's one sample: the update and iterate norms are
     # read off coefficients
     calls = []
-    real = fields._torus_values
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(real):
+        def run(*args):
+            calls.append(args)
+            return real(*args)
+        return run
 
-    monkeypatch.setattr(fields, "_torus_values", counted)
+    for name in ("_dense_values", "_fft_values"):      # the two samplers
+        monkeypatch.setattr(fields, name, counted(getattr(fields, name)))
     ctx = frequency.make_context(frequency.omega_for_eps(eps), L=24)
     v = kernel_vector(seed=3, dim=3, scale=0.01)
     _, rep = psolve.solve_P(v, ctx, nonlinearity.classify(coeffs))

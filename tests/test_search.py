@@ -1337,13 +1337,16 @@ def test_certify_projects_f_on_the_rows_it_reads(monkeypatch):
     # reads g(U) on every row k <= 3 lt it reaches: on the 17 x 16 frame of
     # u^3 that is 17 rows of f(U) and 49 of g(U), from one sampling of U
     tops = []
-    real = fields._cos_sin_coeffs
 
-    def recording(vals, shape, cls, top, d_x):
-        tops.append(top)
-        return real(vals, shape, cls, top, d_x)
+    def recording(real, at):
+        def run(*args):
+            tops.append(args[at])
+            return real(*args)
+        return run
 
-    monkeypatch.setattr(fields, "_cos_sin_coeffs", recording)
+    # the two projectors: (vals, grid, cls, top, ...) and (vals, top, d_x)
+    monkeypatch.setattr(fields, "_dense_coeffs", recording(fields._dense_coeffs, 3))
+    monkeypatch.setattr(fields, "_fft_coeffs", recording(fields._fft_coeffs, 1))
     U = fields.SpectralField(0.05 * np.random.default_rng(6).standard_normal((17, 16)))
     search._certify(U, ctx_cubic(), search._Frame(1, 1, F3))
     assert tops == [16, 48]
@@ -1410,13 +1413,18 @@ def test_build_solution_evaluates_f_on_the_field_once(level_guesses, monkeypatch
     v, w, rep = search.refine(v0, C6_CTX, f)
     assert (w.lt, w.lx) == (36, 36)
     samples = []
-    real = fields._torus_values
+    dense, fft = fields._dense_values, fields._fft_values
 
-    def counted(u, nt, nx, cls=fields._TRIVIAL):
+    def counted_dense(u, grid, cls, rows):
+        samples.append((u.lt, u.lx, *grid))
+        return dense(u, grid, cls, rows)
+
+    def counted_fft(u, nt, nx):
         samples.append((u.lt, u.lx, nt, nx))
-        return real(u, nt, nx, cls)
+        return fft(u, nt, nx)
 
-    monkeypatch.setattr(fields, "_torus_values", counted)
+    monkeypatch.setattr(fields, "_dense_values", counted_dense)
+    monkeypatch.setattr(fields, "_fft_values", counted_fft)
 
     def refused(*args, **kwargs):
         raise AssertionError("build_solution left its one evaluation")
@@ -1757,7 +1765,7 @@ def test_frame_tables_are_built_once_per_level(monkeypatch):
         return real_jacobian(u, ctx, frame)
 
     real_jacobian = search._galerkin_jacobian
-    monkeypatch.setattr(search, "_symbol", counted("symbol", search._symbol))
+    monkeypatch.setattr(psolve, "_symbol", counted("symbol", psolve._symbol))
     monkeypatch.setattr(search, "_lattice", counted("lattice", search._lattice))
     monkeypatch.setattr(search, "_galerkin_jacobian", jacobian)
     fields._matrix_plan.cache_clear()
@@ -1819,6 +1827,68 @@ def test_fold_moves_records_by_rounding_only(monkeypatch):
         for name in ("phi", "energy", "sup", "h1"):
             a, b = getattr(got, name), getattr(want, name)
             assert abs(a - b) <= 1e-13 * abs(b), (got.n, name)
+
+
+def record_samplings(monkeypatch):
+    """Each sampling of a field, in order, as (where, whole, runs): a call of
+    fields._torus_cos_sin, sup_norm or multiply_poly_project, the grid of
+    the whole torus at its degrees (None for multiply_poly_project), and
+    the (executor, grid) of each executor it runs."""
+    samplings = []
+
+    def sampling(name, whole):
+        real = getattr(fields, name)
+
+        def run(*args, **kwargs):
+            samplings.append((name, whole(*args), []))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(fields, name, run)
+
+    def executor(name, grid):
+        real = getattr(fields, name)
+
+        def run(*args):
+            samplings[-1][2].append((name, grid(*args)))
+            return real(*args)
+        monkeypatch.setattr(fields, name, run)
+
+    sampling("_torus_cos_sin", lambda u, polys, d_t, d_x, tops: (
+        fields._grid(max(d_t, u.lt, 1)), fields._grid(max(d_x, u.lx, 1))))
+    sampling("sup_norm", lambda u: (max(1 << (4 * u.lt).bit_length(), 128), max(8 * u.lx + 4, 256)))
+    sampling("multiply_poly_project", lambda *args: None)
+    executor("_dense_values", lambda u, grid, cls, rows: grid)
+    executor("_dense_coeffs", lambda vals, grid, *rest: grid)
+    executor("_fft_values", lambda u, nt, nx: (nt, nx))
+    executor("_fft_coeffs", lambda vals, top, d_x: vals.shape)
+    return samplings
+
+
+def test_each_sampling_runs_one_path(monkeypatch):
+    # each sampling and every projection off it run dense on the class's
+    # domain, or on scipy.fft over the whole torus, never a mix: on the
+    # criterion-6 branch, which runs dense only, and on u^2 at omega = 1 -
+    # 1e-8, levels 1-6, whose x axis grows until the bound sends some
+    # samplings to the FFTs (from level 4 on).  The Jacobian's oracle
+    # reaches no dense executor, even on a field small enough for one
+    samplings = record_samplings(monkeypatch)
+    search.solve_branch(C6_CTX, F3, C=0.004, dim=6, seed=0, restarts=8)
+    c6 = len(samplings)
+    ctx = frequency.make_context(1.0 - 1e-8, L=1024)
+    maximizer = search.LevelMaximizer(6, seed=0, restarts=8)
+    for n in range(1, 7):
+        assert search.solve_level(ctx, F2, n, maximizer).accepted
+    u = fields.SpectralField(0.1 * np.random.default_rng(5).standard_normal((5, 4)))
+    fields.multiply_poly_project(u, [0.0, 0.0, 3.0], u)
+    paths = []
+    for where, whole, runs in samplings:
+        path = {name.split("_")[1] for name, _ in runs}
+        assert len(path) == 1, (where, runs)
+        paths.append(path.pop())
+        if paths[-1] == "fft" and whole is not None:
+            assert {grid for _, grid in runs} == {whole}, (where, runs)
+    assert paths[-1] == "fft" and samplings[-1][0] == "multiply_poly_project"
+    assert set(paths[:c6]) == {"dense"}
+    assert "dense" in paths[c6:-1] and "fft" in paths[c6:-1]
 
 
 def test_shared_frame_tables_are_read_only():
