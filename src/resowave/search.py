@@ -789,11 +789,12 @@ def refine(v0, ctx, f):
 
 
 def _dilate(U, frame, lt, lx):
-    """The record's (xi, w_coeffs) of u(t, x) = U(n t, d x), the only full-size write:
-    w holds U at the modes (n k, d m) but for its kernel entries n k = d m, in xi."""
+    """(xi, w) of u(t, x) = U(n t, d x) on the (lt+1, lx) truncation, the only full-size
+    write (of _record and refine): w holds U at the modes (n k, d m) but for its
+    kernel entries n k = d m <= min(lt, lx), in xi."""
     w = np.zeros((lt + 1, lx))
     w[:: frame.n, frame.d - 1 :: frame.d] = U.coeffs
-    j = np.arange(frame.n, lx + 1, frame.n)
+    j = np.arange(frame.n, min(lt, lx) + 1, frame.n)
     xi = np.zeros(lx)
     xi[j - 1], w[j, j - 1] = w[j, j - 1], 0.0
     return xi, w
@@ -859,14 +860,16 @@ def involution_partner(u):
     return fields.SpectralField(u.coeffs * (-1.0) ** (l + j + 1) + 0.0)
 
 
-def _record(U, frame, xi, w_coeffs, ctx, recipe, predicted_level, newton, outside_theorem):
-    """The record of the frame field U, certified on U and stored as (xi, w_coeffs).
+def _record(U, frame, lt, lx, ctx, recipe, predicted_level, newton, outside_theorem):
+    """The record of the frame field U, certified on U and stored as the (xi, w_coeffs)
+    that _dilate writes on the (lt+1, lx) truncation, the one writer of a record's arrays.
 
     Of recipe only n, q and case are read, so a record serves as well.
     Acceptance asks a residual at most RESIDUAL_TOL, a drift at most
     DRIFT_TOL, and a critical level of the predicted size: a level a
     thousand times below it means the refinement found the trivial solution.
     """
+    xi, w_coeffs = _dilate(U, frame, lt, lx)
     res, phi_val, energies, drift = _certify(U, ctx, frame)
     n_obs = _support_index(U.coeffs, frame.n)
     accepted = (
@@ -899,30 +902,28 @@ def _record(U, frame, xi, w_coeffs, ctx, recipe, predicted_level, newton, outsid
 
 def build_solution(v, w, ctx, f, recipe, predicted_level, newton=None,
                    outside_theorem=False):
-    """_record of a pair (v, w): refine's, a partner's, a read record's.  It is certified
-    on level recipe.n's frame, or whole where embed(v) + w has an entry off it."""
+    """_record of a pair (v, w): refine's, a partner's, a read record's, written at the
+    shape of embed(v) + w.  It is certified on level recipe.n's frame, or whole where
+    embed(v) + w has an entry off it."""
     frame = _dilation_frame(f, recipe.n)
     u = (kernel.embed(v) + w).coeffs
     if np.count_nonzero(u[:: frame.n, frame.d - 1 :: frame.d]) < np.count_nonzero(u):
         frame = _Frame(1, 1, f)  # an entry off the frame: certify the whole field
     U = fields.SpectralField(u[:: frame.n, frame.d - 1 :: frame.d])
-    return _record(U, frame, v.xi.copy(), w.coeffs.copy(), ctx, recipe, predicted_level,
+    return _record(U, frame, u.shape[0] - 1, u.shape[1], ctx, recipe, predicted_level,
                    newton, outside_theorem)
 
 
 def partner_record(record, f):
-    """Record of the companion solution u(t + pi, pi - x).
+    """Record of the companion solution u(t + pi, pi - x): build_solution of the pair
+    (-v, involution_partner(w)), since the involution's sign (-1)^(l+j+1) is -1 on the
+    diagonal.
 
-    The involution flips kernel coefficients and the odd checkerboard of the
-    range part; all certificates are recomputed from the transformed pair, so
-    applying this twice reproduces the original record bit for bit.
+    All certificates are recomputed from the transformed pair, and _record
+    turns the -0.0 dilation zeros of -v back into 0.0, so applying this
+    twice reproduces the original record bit for bit.
     """
-    v = kernel.KernelVector(np.asarray(record.xi, dtype=float))
-    w = fields.SpectralField(np.asarray(record.w_coeffs, dtype=float))
-    u = kernel.embed(v) + w
-    pu = involution_partner(u)
-    pv = kernel.KernelVector(fields.diagonal_of(pu)[: len(v)])
-    pw = fields.zero_diagonal(pu)
+    w = fields.SpectralField(record.w_coeffs)
     # carry omega, eps, gamma through unchanged so a double application
     # restores every field of the original record exactly
     ctx = frequency.FrequencyContext(
@@ -930,8 +931,8 @@ def partner_record(record, f):
         L=max(w.lt, 2),
     )
     return build_solution(
-        pv, pw, ctx, f, record, record.predicted_level,
-        outside_theorem=record.outside_theorem,
+        kernel.KernelVector(-np.asarray(record.xi, dtype=float)), involution_partner(w),
+        ctx, f, record, record.predicted_level, outside_theorem=record.outside_theorem,
     )
 
 
@@ -943,9 +944,9 @@ def solve_level(ctx, f, n, maximizer, lt=None, lx=None):
     first, by level_truncation with reach n * maximizer.dim, so a level it
     refuses (ConfigError; ResonanceError at gamma = 0) is never maximized,
     and _newton gets the resolved (lt, lx); _record certifies its frame field
-    and _dilate writes it once.  Admissibility is the caller's to check, and
-    g_recipe refuses a side the case does not bifurcate to.  A level below
-    the case's minimal index is flagged outside_theorem.  Raises
+    and writes it once, at that truncation.  Admissibility is the caller's
+    to check, and g_recipe refuses a side the case does not bifurcate to.  A
+    level below the case's minimal index is flagged outside_theorem.  Raises
     ResowaveError (ConvergenceError when the Newton fails).
     """
     lt, lx = level_truncation(ctx, f, n, n * maximizer.dim, lt, lx)
@@ -953,8 +954,7 @@ def solve_level(ctx, f, n, maximizer, lt=None, lx=None):
     y_star, m_val, diag = maximizer(recipe)
     v0, level = initial_guess(y_star, m_val, recipe, ctx, diag)
     U, frame, (lt, lx), rep = _newton(v0, ctx, f, lt, lx)
-    return _record(U, frame, *_dilate(U, frame, lt, lx), ctx, recipe, level, rep,
-                   n < frequency.minimal_n(f))
+    return _record(U, frame, lt, lx, ctx, recipe, level, rep, n < frequency.minimal_n(f))
 
 
 def solve_branch(ctx, f, n_max=None, C=frequency.DEFAULT_C, dim=8, seed=0,

@@ -54,13 +54,7 @@ def _fit_slope(xs, ys):
 
 def _random_kernel(rng, dim, amp=1.0):
     xi = rng.standard_normal(dim) / np.arange(1, dim + 1) ** 2
-    v = kernel.KernelVector(xi)
-    h = v.h1()
-    if h == 0.0:
-        xi[0] = 1.0
-        v = kernel.KernelVector(xi)
-        h = v.h1()
-    return kernel.KernelVector(amp * xi / h)
+    return kernel.KernelVector(amp * xi / kernel.KernelVector(xi).h1())
 
 
 def _random_w_field(rng, lt, lx):

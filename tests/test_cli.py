@@ -218,6 +218,17 @@ def test_solve_config_errors(tmp_path, capsys):
     assert cli.main(["solve", "--config", str(tmp_path / "absent.json")]) == 2
     capsys.readouterr()
 
+    # a document that is no JSON object, and a non-finite coefficient, which
+    # json reads from Infinity: one error line each
+    array = write_json(tmp_path / "array.json", [{"coeffs": "3=1", "eps": 1e-3, "n": 1}])
+    infinite = write_json(tmp_path / "inf.json",
+                          {"coeffs": [0, 0, 0, float("inf")], "eps": 1e-3, "n": 1})
+    for path, reason in ((array, "config document must be a JSON object"),
+                         (infinite, "nonlinearity coefficients must be finite")):
+        assert cli.main(["solve", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {reason}") and err.count("\n") == 1
+
 
 _RECORD_DOC = {
     "version": 1, "omega": 1.001, "eps": 0.0010005, "gamma": 0.9, "n": 1,
@@ -263,6 +274,8 @@ def _assert_evolve_config_refused(tmp_path, capsys, override):
     ("solve", {"gtol": -1}),
     ("solve", {"gtol": 1e-12}),
     ("solve", {"n": 0}),
+    # a boolean is no level, though Python counts it as an int
+    ("solve", {"n": True}),
     ("solve", {"lmax": 0}),
     ("solve", {"C": 0}),
     ("solve", {"C": float("inf")}),
@@ -339,7 +352,7 @@ def test_removed_evolve_option_exits_two(tmp_path, capsys, flags):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("coeffs", ["3=x", "1=1", "1000000000000000=1"])
+@pytest.mark.parametrize("coeffs", ["3=x", "1=1", "1000000000000000=1", "3=inf", "3=nan"])
 @pytest.mark.parametrize("command", ["analyze-f", "freq", "solve", "scan", "evolve"])
 def test_junk_coefficients_exit_two(tmp_path, capsys, command, coeffs):
     if command == "analyze-f":
@@ -357,6 +370,7 @@ def test_junk_coefficients_exit_two(tmp_path, capsys, command, coeffs):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("override", [

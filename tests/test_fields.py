@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from resowave import fields
+from resowave.errors import ResowaveError
 
 
 def quad_strip(func, deg_t, deg_x):
@@ -98,6 +99,24 @@ def test_poly_at_has_the_bits_of_polyval(poly):
     want = np.polynomial.polynomial.polyval(vals, poly)
     got = fields._poly_at(vals, poly)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _write_entry(u):
+    u.coeffs[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: fields.SpectralField(np.zeros(3)), ResowaveError, "must be 2-d"),
+    (lambda: fields.SpectralField(np.zeros((2, 0))), ResowaveError, "at least one spatial mode"),
+    (lambda: fields.SpectralField([[0.0, np.nan]]), ResowaveError, "non-finite coefficient"),
+    (lambda: fields.SpectralField([[np.inf]]), ResowaveError, "non-finite coefficient"),
+    (lambda: setattr(fields.SpectralField(np.zeros((2, 1))), "coeffs", np.ones((2, 1))),
+     AttributeError, "SpectralField is immutable"),
+    (lambda: _write_entry(fields.SpectralField(np.zeros((2, 1)))), ValueError, "read-only"),
+], ids=["1-d", "no-column", "nan", "inf", "set-attribute", "write-entry"])
+def test_spectral_field_refusals_and_immutability(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
 
 
 def test_eval_field_matches_termwise_sum():

@@ -25,6 +25,24 @@ def test_embed_places_diagonal_coefficients():
     assert np.all(off == 0.0)
 
 
+def _write_entry(v):
+    v.xi[0] = 1.0
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: kernel.KernelVector([]), ResowaveError, "nonempty 1-d"),
+    (lambda: kernel.KernelVector([[0.1]]), ResowaveError, "nonempty 1-d"),
+    (lambda: kernel.KernelVector([0.1, np.nan]), ResowaveError, "non-finite kernel coefficient"),
+    (lambda: kernel.KernelVector([-np.inf]), ResowaveError, "non-finite kernel coefficient"),
+    (lambda: setattr(kernel.KernelVector([0.1]), "xi", np.ones(1)),
+     AttributeError, "KernelVector is immutable"),
+    (lambda: _write_entry(kernel.KernelVector([0.1])), ValueError, "read-only"),
+], ids=["empty", "2-d", "nan", "inf", "set-attribute", "write-entry"])
+def test_kernel_vector_refusals_and_immutability(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
 def test_norm_formulas_match_parseval():
     """h1 = pi sqrt(sum j^2 xi^2) and l2 = (pi/sqrt 2) sqrt(sum xi^2)."""
     rng = np.random.default_rng(10)

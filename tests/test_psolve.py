@@ -82,6 +82,24 @@ def test_resonance_raises_with_mode_identity():
     assert abs(out.coeffs[1, 1] - 1.0 / (1.5**2 - 4.0)) < 1e-15
 
 
+@pytest.mark.parametrize("coeffs", [{2: 1.0}, {3: 1.0}, {3: 1.0, 5: 0.5}],
+                         ids=["u2", "u3", "u3+u5/2"])
+def test_degenerate_range_inputs(coeffs):
+    f = nonlinearity.classify(coeffs)
+    # a resonant context (gamma = 0) has no contraction domain
+    resonant = frequency.make_context(1.5, L=4)
+    assert resonant.gamma == 0.0
+    with pytest.raises(ResonanceError):
+        psolve.contraction_domain(kernel.KernelVector([0.01, 0.0]), resonant, f)
+    # the zero kernel vector, which has no minimal period, has the range
+    # part w = 0, found by the first sweep
+    w, rep = psolve.solve_P(kernel.KernelVector(np.zeros(4)),
+                           frequency.make_context(1.001, L=16), f)
+    assert rep.converged and rep.iterations == 1
+    assert rep.domain_ratio == 0.0 and rep.final_update == 0.0
+    assert w.coeffs.shape == (17, 16) and not np.any(w.coeffs)
+
+
 def test_solve_refuses_resonant_context_and_bad_truncations():
     f = nonlinearity.classify({3: 1.0})
     v = kernel_vector(seed=1, dim=2, scale=0.05)

@@ -1505,6 +1505,23 @@ def test_build_solution_certifies_off_frame_fields_whole(level_guesses):
     assert not record.accepted
 
 
+@pytest.mark.parametrize("shape", [(3, 6), (8, 2)], ids=["wide", "narrow"])
+def test_build_solution_writes_a_pair_at_the_shape_of_its_sum(level_guesses, shape):
+    # a pair whose xi and w_coeffs disagree in length is written as the
+    # diagonal and the rest of embed(v) + w; a wide w has fewer rows than
+    # columns, so its diagonal stops at row lt
+    f, recipe, _, level = level_guesses["u3", 1]
+    v = kernel.KernelVector([0.01, 0.0, 0.001])
+    w = fields.zero_diagonal(fields.SpectralField(
+        1e-6 * np.random.default_rng(0).standard_normal(shape)))
+    u = kernel.embed(v) + w
+    record = search.build_solution(v, w, C6_CTX, f, recipe, level)
+    diagonal = np.zeros(u.lx)
+    diagonal[: min(u.lt, u.lx)] = fields.diagonal_of(u)
+    assert record.xi.tobytes() == diagonal.tobytes()
+    assert record.w_coeffs.tobytes() == fields.zero_diagonal(u).coeffs.tobytes()
+
+
 def frame_level(level_guesses, name):
     """(f, ctx, recipe, guess, level) of a level refine solves in its frame."""
     if name == "u3-off-reflection":
@@ -1652,6 +1669,34 @@ def test_solve_level_and_build_solution_write_the_same_record(name):
     again = search.build_solution(v, w, ctx, f, recipe, level, newton=rep)
     assert record.accepted
     assert json.dumps(again.as_document()) == json.dumps(record.as_document())
+
+
+@pytest.mark.parametrize("name", ["u3-2", "u2-2e-4"])
+def test_every_record_is_written_by_one_dilate(monkeypatch, name):
+    # _record is the one writer of a record's arrays: the xi and w_coeffs of
+    # a solved, a built and a partner record are the two arrays that one
+    # _dilate call returns
+    coeffs, omega, L, n = BOTH_ENTRIES[name]
+    f, ctx = nonlinearity.classify(coeffs), frequency.make_context(omega, L=L)
+    maximizer = search.LevelMaximizer(6, seed=0, restarts=8)
+    recipe = reduced.g_recipe(f, 1 if omega > 1.0 else -1, n=n)
+    y, m, diag = maximizer(recipe)
+    v0, level = search.initial_guess(y, m, recipe, ctx, diag)
+    v, w, rep = search.refine(v0, ctx, f)
+    written = []
+    real = search._dilate
+
+    def writing(U, frame, lt, lx):
+        written.append(real(U, frame, lt, lx))
+        return written[-1]
+
+    monkeypatch.setattr(search, "_dilate", writing)
+    solved = search.solve_level(ctx, f, n, maximizer)
+    built = search.build_solution(v, w, ctx, f, recipe, level, newton=rep)
+    partner = search.partner_record(solved, f)
+    assert len(written) == 3
+    for record, (xi, w_coeffs) in zip((solved, built, partner), written):
+        assert record.xi is xi and record.w_coeffs is w_coeffs
 
 
 def test_solve_branch_builds_no_full_field(monkeypatch):
