@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 
-from . import fields, kernel
+from . import fields
 from .errors import ConfigError, ResowaveError
 
 __all__ = [
@@ -269,7 +269,7 @@ def nonreturn_probe(u, omega, f, n):
 
 
 def record_field(record):
-    """Rebuild the full spectral field of a catalogued record."""
-    v = kernel.KernelVector(np.asarray(record.xi, dtype=float))
-    w = fields.SpectralField(np.asarray(record.w_coeffs, dtype=float))
-    return kernel.embed(v) + w
+    """The full field of a record: its frame field placed once, + 0.0 as embed(xi) + w adds."""
+    u = np.zeros((record.lt + 1, record.lx))
+    u[:: record.frame.n, record.frame.d - 1 :: record.frame.d] = record.U.coeffs + 0.0
+    return fields.SpectralField(u)

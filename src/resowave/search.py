@@ -33,7 +33,9 @@ The pipeline per dilation level n:
      the Schur complement on the rows k odd;
   4. certify the Newton's frame field: the Galerkin residual, Phi_eps and
      the energy drift over the level's period, read off one evaluation of f
-     and F/u, the sup of the samples, the minimal period.
+     and F/u, the sup of the samples, the minimal period.  The record keeps
+     the frame field, and its full-size xi and w_coeffs are drawn only when
+     read (_dilate).
 
 Steps 3 and 4 run in the level's dilation frame (_Frame), an index map onto
 the rows l = n k and, for odd f, the columns j = n m of the level's own field.
@@ -129,9 +131,10 @@ class NewtonReport:
 class SolutionRecord:
     """One catalogued periodic solution with its certificates.
 
-    The serialized document carries every field in declaration order but
-    outside_theorem, which is in-memory bookkeeping for forced runs below
-    the covered dilation range.
+    It holds its level as the frame field U, u(t, x) = U(n t, d x) on the
+    (lt+1, lx) truncation, and nothing full-size.  The document carries
+    _DOCUMENT_FIELDS; outside_theorem is in-memory bookkeeping for forced
+    runs below the covered dilation range.
     """
 
     version: int
@@ -141,8 +144,10 @@ class SolutionRecord:
     n: int
     q: int
     case: str
-    xi: np.ndarray            # kernel coefficients, dilation zeros included
-    w_coeffs: np.ndarray      # range-part coefficient matrix
+    U: fields.SpectralField   # the frame field
+    frame: "_Frame"           # read for its (n, d) only
+    lt: int
+    lx: int
     h1: float
     sup: float
     energy: float
@@ -152,14 +157,20 @@ class SolutionRecord:
     accepted: bool
     outside_theorem: bool = False
 
+    # the kernel coefficients and the range part: the full layout, drawn at each read
+    xi = property(lambda self: _dilate(self.U, self.frame, self.lt, self.lx)[0])
+    w_coeffs = property(lambda self: _dilate(self.U, self.frame, self.lt, self.lx)[1])
+
     def as_document(self):
         doc = {name: getattr(self, name) for name in _DOCUMENT_FIELDS}
         for name in _ARRAY_FIELDS:
-            doc[name] = np.asarray(doc[name], dtype=float).tolist()
+            doc[name] = doc[name].tolist()
         return doc
 
     @classmethod
     def from_document(cls, doc):
+        """The record of a v1 document on the trivial frame (1, 1): U is w_coeffs with xi
+        added on its diagonal, at its shape, so a nonzero entry of xi past it is refused."""
         if not isinstance(doc, dict):
             raise ResowaveError(f"a record is a JSON object, got {type(doc).__name__}")
         extra = set(doc) - set(_DOCUMENT_FIELDS)
@@ -212,13 +223,19 @@ class SolutionRecord:
         if data["n"] > len(data["xi"]):
             raise ResowaveError(f"record field 'n' = {data['n']} exceeds the "
                                 f"{len(data['xi'])} entries of 'xi'")
-        return cls(**data)
+        xi, w = data.pop("xi"), data.pop("w_coeffs")
+        lt, lx = w.shape[0] - 1, w.shape[1]
+        if np.any(xi[min(lt, lx) :]):
+            raise ResowaveError(f"record field 'xi' has a nonzero entry past j = "
+                                f"{min(lt, lx)}, the diagonal of 'w_coeffs'")
+        j = np.arange(1, min(lt, lx, len(xi)) + 1)
+        w[j, j - 1] += xi[j - 1]
+        return cls(**data, U=fields.SpectralField(w), frame=_Frame(1, 1, None), lt=lt, lx=lx)
 
 
-# the document's keys, in order: every record field but outside_theorem
-_DOCUMENT_FIELDS = tuple(
-    fd.name for fd in dataclasses.fields(SolutionRecord) if fd.name != "outside_theorem"
-)
+# the document's keys, in order
+_DOCUMENT_FIELDS = ("version", "omega", "eps", "gamma", "n", "q", "case", "xi", "w_coeffs",
+                    "h1", "sup", "energy", "residual", "phi", "predicted_level", "accepted")
 # the array fields and their dimensions
 _ARRAY_FIELDS = {"xi": 1, "w_coeffs": 2}
 # the integer fields and their least values, and the float fields
@@ -482,9 +499,9 @@ class _Frame:
                           lambda: psolve._symbol(self.n, self.d, lt, lx, omega))
 
     def kernel(self, u, lx):
-        """The diagonal j = n k = d m <= lx of the dilated frame field u."""
+        """The diagonal j = n k = d m <= lx, k <= u.lt, of the dilated frame field u."""
         xi = np.zeros(lx)
-        k = np.arange(1, lx // self.n + 1)
+        k = np.arange(1, min(lx // self.n, u.lt) + 1)
         xi[self.n * k - 1] = u.coeffs[k, (self.n // self.d) * k - 1]
         return kernel.KernelVector(xi)
 
@@ -789,9 +806,10 @@ def refine(v0, ctx, f):
 
 
 def _dilate(U, frame, lt, lx):
-    """(xi, w) of u(t, x) = U(n t, d x) on the (lt+1, lx) truncation, the only full-size
-    write (of _record and refine): w holds U at the modes (n k, d m) but for its
-    kernel entries n k = d m <= min(lt, lx), in xi."""
+    """(xi, w) of u(t, x) = U(n t, d x) on the (lt+1, lx) truncation, the full-size
+    layout that refine and a record's xi and w_coeffs read (evolve.record_field places
+    U alike, in one array): w holds U at the modes (n k, d m) but for its kernel
+    entries n k = d m <= min(lt, lx), in xi."""
     w = np.zeros((lt + 1, lx))
     w[:: frame.n, frame.d - 1 :: frame.d] = U.coeffs
     j = np.arange(frame.n, min(lt, lx) + 1, frame.n)
@@ -861,15 +879,15 @@ def involution_partner(u):
 
 
 def _record(U, frame, lt, lx, ctx, recipe, predicted_level, newton, outside_theorem):
-    """The record of the frame field U, certified on U and stored as the (xi, w_coeffs)
-    that _dilate writes on the (lt+1, lx) truncation, the one writer of a record's arrays.
+    """The record of the frame field U on the (lt+1, lx) truncation, certified on U and
+    holding U itself, with a fresh frame of the same (n, d) whose tables are empty.
 
-    Of recipe only n, q and case are read, so a record serves as well.
+    h1 is read off U's kernel entries (_Frame.kernel).  Of recipe only n,
+    q and case are read, so a record serves as well.
     Acceptance asks a residual at most RESIDUAL_TOL, a drift at most
     DRIFT_TOL, and a critical level of the predicted size: a level a
     thousand times below it means the refinement found the trivial solution.
     """
-    xi, w_coeffs = _dilate(U, frame, lt, lx)
     res, phi_val, energies, drift = _certify(U, ctx, frame)
     n_obs = _support_index(U.coeffs, frame.n)
     accepted = (
@@ -887,9 +905,11 @@ def _record(U, frame, lt, lx, ctx, recipe, predicted_level, newton, outside_theo
         n=int(recipe.n),
         q=int(recipe.q),
         case=recipe.case,
-        xi=xi,
-        w_coeffs=w_coeffs,
-        h1=float(kernel.KernelVector(xi).h1()),
+        U=U,
+        frame=_Frame(frame.n, frame.d, frame.f),
+        lt=lt,
+        lx=lx,
+        h1=frame.kernel(U, lx).h1(),
         sup=fields.sup_norm(U),
         energy=float(energies[0]),
         residual=res,
@@ -923,15 +943,14 @@ def partner_record(record, f):
     turns the -0.0 dilation zeros of -v back into 0.0, so applying this
     twice reproduces the original record bit for bit.
     """
-    w = fields.SpectralField(record.w_coeffs)
     # carry omega, eps, gamma through unchanged so a double application
     # restores every field of the original record exactly
     ctx = frequency.FrequencyContext(
         omega=record.omega, eps=record.eps, gamma=record.gamma,
-        L=max(w.lt, 2),
+        L=max(record.lt, 2),
     )
     return build_solution(
-        kernel.KernelVector(-np.asarray(record.xi, dtype=float)), involution_partner(w),
+        kernel.KernelVector(-record.xi), involution_partner(fields.SpectralField(record.w_coeffs)),
         ctx, f, record, record.predicted_level, outside_theorem=record.outside_theorem,
     )
 
@@ -944,7 +963,7 @@ def solve_level(ctx, f, n, maximizer, lt=None, lx=None):
     first, by level_truncation with reach n * maximizer.dim, so a level it
     refuses (ConfigError; ResonanceError at gamma = 0) is never maximized,
     and _newton gets the resolved (lt, lx); _record certifies its frame field
-    and writes it once, at that truncation.  Admissibility is the caller's
+    and keeps it, at that truncation.  Admissibility is the caller's
     to check, and g_recipe refuses a side the case does not bifurcate to.  A
     level below the case's minimal index is flagged outside_theorem.  Raises
     ResowaveError (ConvergenceError when the Newton fails).

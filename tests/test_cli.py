@@ -922,6 +922,8 @@ GOOD_RECORD = {
     # a level-n record keeps its kernel entries at j = n, 2n, ... of xi
     (dict(GOOD_RECORD, n=len(GOOD_RECORD["xi"]) + 1), "'n' = 3 exceeds the 2 entries of 'xi'"),
     (dict(GOOD_RECORD, n=10**30), f"'n' = {10**30} exceeds"),
+    # the field is xi on the diagonal of w_coeffs, so xi holds no entry past it
+    (dict(GOOD_RECORD, xi=[0.1, 0.0, 0.0, 1e-9]), "'xi' has a nonzero entry past j = 2"),
     (dict(GOOD_RECORD, q=True), "'q' must be an integer >= 2"),
     (dict(GOOD_RECORD, version=1.0), "'version' must be an integer >= 1"),
     (dict(GOOD_RECORD, version=2), "'version' = 2: this reader knows version 1 only"),
@@ -930,7 +932,8 @@ GOOD_RECORD = {
 ], ids=["not-object", "xi-text", "w-text", "w-ragged", "xi-2d", "w-1d", "xi-nan", "w-inf",
         "w-no-column", "omega-text",
         "omega-null", "omega-huge", "h1-nan", "phi-bool", "energy-huge-int", "n-text",
-        "n-negative", "n-zero", "n-fraction", "n-beyond-xi", "n-huge", "q-bool", "version-float",
+        "n-negative", "n-zero", "n-fraction", "n-beyond-xi", "n-huge", "xi-past-w", "q-bool",
+        "version-float",
         "version-2", "case-unknown",
         "accepted-text"])
 @pytest.mark.parametrize("command", ["export", "evolve"])

@@ -360,7 +360,7 @@ def test_branch_builds_each_table_once(criterion6_records, fresh_transforms):
 
 def test_evolve_imports_no_solver_module():
     # the time-domain oracle stays independent of the spectral solve: of the
-    # package it reads only the field types, the kernel embedding and errors
+    # package it reads only the field types and errors
     tree = ast.parse(inspect.getsource(evolve))
     package = set()
     for node in ast.walk(tree):
@@ -373,5 +373,4 @@ def test_evolve_imports_no_solver_module():
         elif isinstance(node, ast.Import):
             package |= {a.name.split(".")[1] for a in node.names
                         if a.name.startswith("resowave.")}
-    assert package <= {"fields", "kernel", "errors"}
-    assert {"fields", "kernel", "errors"} <= package
+    assert package == {"fields", "errors"}

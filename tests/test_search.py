@@ -1672,10 +1672,10 @@ def test_solve_level_and_build_solution_write_the_same_record(name):
 
 
 @pytest.mark.parametrize("name", ["u3-2", "u2-2e-4"])
-def test_every_record_is_written_by_one_dilate(monkeypatch, name):
-    # _record is the one writer of a record's arrays: the xi and w_coeffs of
-    # a solved, a built and a partner record are the two arrays that one
-    # _dilate call returns
+def test_record_arrays_are_drawn_from_its_frame_field(name):
+    # a record holds its frame field and nothing full-size: the xi and
+    # w_coeffs of a solved, a built, a partner and a read record are, at every
+    # read, bit-equal to one _dilate of the record's own (U, frame, lt, lx)
     coeffs, omega, L, n = BOTH_ENTRIES[name]
     f, ctx = nonlinearity.classify(coeffs), frequency.make_context(omega, L=L)
     maximizer = search.LevelMaximizer(6, seed=0, restarts=8)
@@ -1683,29 +1683,31 @@ def test_every_record_is_written_by_one_dilate(monkeypatch, name):
     y, m, diag = maximizer(recipe)
     v0, level = search.initial_guess(y, m, recipe, ctx, diag)
     v, w, rep = search.refine(v0, ctx, f)
-    written = []
-    real = search._dilate
-
-    def writing(U, frame, lt, lx):
-        written.append(real(U, frame, lt, lx))
-        return written[-1]
-
-    monkeypatch.setattr(search, "_dilate", writing)
     solved = search.solve_level(ctx, f, n, maximizer)
     built = search.build_solution(v, w, ctx, f, recipe, level, newton=rep)
     partner = search.partner_record(solved, f)
-    assert len(written) == 3
-    for record, (xi, w_coeffs) in zip((solved, built, partner), written):
-        assert record.xi is xi and record.w_coeffs is w_coeffs
+    read = search.SolutionRecord.from_document(json.loads(json.dumps(solved.as_document())))
+    for record in (solved, built, partner, read):
+        xi, w_coeffs = search._dilate(record.U, record.frame, record.lt, record.lx)
+        for got, want in ((record.xi, xi), (record.w_coeffs, w_coeffs)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert record.xi is not record.xi     # drawn anew, not kept
+    # the solved record's one array is its (lt/n + 1) x (lx/d) frame field
+    held = [getattr(solved, fd.name) for fd in dataclasses.fields(solved)]
+    assert not any(isinstance(a, np.ndarray) for a in held)
+    assert [a.coeffs.shape for a in held if isinstance(a, fields.SpectralField)] == \
+        [(solved.lt // n + 1, solved.lx // solved.frame.d)]
+    assert solved.frame.tables == {}
 
 
 def test_solve_branch_builds_no_full_field(monkeypatch):
-    # every level is solved, certified and written from its frame field:
-    # no kernel.embed and no sum of full-size fields on the way
+    # every level is solved, certified and kept as its frame field: no
+    # kernel.embed, no sum of full-size fields and no _dilate on the way
     def refused(*args, **kwargs):
         raise AssertionError("built a full-size field")
 
     monkeypatch.setattr(kernel, "embed", refused)
+    monkeypatch.setattr(search, "_dilate", refused)
     monkeypatch.setattr(fields.SpectralField, "__add__", refused)
     br = search.solve_branch(C6_CTX, F3, C=0.004, dim=6, seed=0, restarts=8)
     assert br.failures == [] and [r.n for r in br.records] == list(range(1, 7))
