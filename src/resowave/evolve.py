@@ -21,13 +21,31 @@ reported run recurs in the check only for m >= (M+1)/2, at j >= pi M
 resonances below.  M is at least 2, or the check would be the reported run.
 
 The equation commutes with the reflection x -> pi - x, which maps sin(j x)
-to (-1)^(j+1) sin(j x).  A state on the odd modes j stays there under any f,
-and a state on the even modes j under an odd f.  A run integrates only the
-reflection class of its initial state, on half the modes and half the
-nodes, so its two products per step are a quarter of the full ones; its
-position is reported on every mode, zero off the class.  The class is read
-off the initial state and f alone, by exact zeros, never off a record's
-level or frame: it is a symmetry of the equation, not the solver's law.
+to (-1)^(j+1) sin(j x), so a state on the odd modes j stays there under
+any f.  For an f with no even-order term the modes j in gZ span a class
+too, since a product of an odd number of sines with frequencies in gZ has
+its frequencies in gZ: a level-n record sits on j in nZ.  A run takes g as the gcd of its initial
+state's excited modes (g = 1 for any other f), rounds its mode count N up
+so that g divides N + 1, and integrates the N' = (N+1)/g - 1 modes j = g m.
+In y = g x these are the sine modes m on the nodes pi k/(N'+1), which are
+the full run's first N' nodes, so the class run is the full run restricted
+to the class.  Inside it the reflection class, the odd m, halves the
+modes and nodes again, so its two products per step are a quarter of the
+class's.  The position is reported on every mode, zero off the class.
+Each class is read off the initial state and f alone, by exact zeros,
+never off a record's level or frame: it is a symmetry of the equation, not
+the solver's law.  MAX_MODES bounds N': level 400 of u^3 + u^5/2 at omega
+= 1 + 1e-8 runs on N' = 48 modes, where the full run would take 4 lx =
+19200, above MAX_MODES.
+
+The foreign-period miss of nonreturn_probe falls like n^-2 with the level:
+the probe time 2 pi/((n+1) omega) falls short of the level's period 2 pi/(n
+omega) by 1/(n+1) of it, so it turns the level's modes n k omega by 2 pi
+k/(n+1) less than a period, and at a cosine peak the position moves to
+second order in that angle, about 2 pi^2/n^2 for the leading mode.  The
+record is not at fault.  record_field still builds the full (lt+1) x lx
+field, which dominates the memory of a deep level: a 184 MB array at level
+400.
 """
 
 import functools
@@ -87,9 +105,9 @@ def initial_state(u, n_modes):
 # host with OpenBLAS a pair of N x N products takes 3-80 us at N = 64..448
 # against 19-178 us for a pair of transforms (which win at N = 383, 384),
 # and from N = 480 on the transforms win (64 against 121 us at 480); from
-# N = 767 on OpenBLAS runs the product on two threads.  More than MAX_MODES
-# are refused: a step takes 2.4 ms at 2^14 modes and 55 ms at 2^16, where
-# records need MODE_FACTOR lx.
+# N = 767 on OpenBLAS runs the product on two threads.  A class of more
+# than MAX_MODES modes g m is refused: a step takes 2.4 ms at 2^14 modes and
+# 55 ms at 2^16, where records need MODE_FACTOR lx/g.
 DENSE_MAX_MODES = 448
 MAX_MODES = 2**14
 
@@ -101,22 +119,28 @@ def _modes(n_modes, parity):
     return j if parity is None else j[j % 2 == parity]
 
 
-def _reflection_class(a0, f):
-    """The parity of the modes a run from (a0, 0) stays on, or None.
-
-    1 (odd j) when every even-j entry of a0 is zero, 0 (even j) when every
-    odd-j entry is and f has no even-order term, None (every j) otherwise.
-    Also None when the class has more than DENSE_MAX_MODES modes, since the
-    DSTs run on every mode, and for an odd mode count, whose middle node is
-    its own mirror.
-    """
-    if a0.size % 2 or a0.size // 2 > DENSE_MAX_MODES:
-        return None
-    if not a0[1::2].any():
+def _sub_lattice(a0, f):
+    """The g of the class j in gZ a run from (a0, 0) stays on: the gcd of
+    a0's excited modes when f has no even-order term, else 1."""
+    j = np.flatnonzero(a0) + 1
+    if np.any(f.poly[::2]) or not j.size:
         return 1
-    if not a0[::2].any() and not np.any(f.poly[::2]):
-        return 0
-    return None
+    return int(np.gcd.reduce(j))
+
+
+def _reflection_class(a):
+    """1 when a run from the sine coefficients a stays on the odd modes, else None.
+
+    It does under any f when every even-mode entry of a is zero.  Data on
+    the even modes alone never reaches here: under an odd f they are the
+    sub-lattice g = 2 (or coarser), and any other f moves them onto the odd
+    ones.  None also when the class has more than DENSE_MAX_MODES modes,
+    since the DSTs run on every mode, and for an odd mode count, whose
+    middle node is its own mirror.
+    """
+    if a.size % 2 or a.size // 2 > DENSE_MAX_MODES or a[1::2].any():
+        return None
+    return 1
 
 
 @functools.lru_cache(maxsize=8)
@@ -152,17 +176,31 @@ def _transforms(n_modes, parity=None):
 def time_grid(u, omega, t_final):
     """Mode count, step count and step (n_modes, M, dt) up to t_final.
 
-    M is STEPS_PER_PERIOD per period, at least 2, and dt = t_final/M hits the
+    n_modes is the full run's, before _start rounds it to its class.  M is
+    STEPS_PER_PERIOD per period, at least 2, and dt = t_final/M hits the
     final time exactly.  The reported run takes 2M steps of dt/2 and the
-    check M + 1 steps of t_final/(M + 1).  A field too wide for MAX_MODES
-    raises ConfigError.
+    check M + 1 steps of t_final/(M + 1).
     """
     n_modes = max(MIN_MODES, MODE_FACTOR * u.lx)
-    if n_modes > MAX_MODES:
-        raise ConfigError(f"a field of {u.lx} sine columns needs {n_modes} modes, "
-                          f"above MAX_MODES = {MAX_MODES}")
     steps = max(2, round(t_final * omega * STEPS_PER_PERIOD / (2.0 * np.pi)))
     return n_modes, steps, t_final / steps
+
+
+def _start(u, f, n_modes):
+    """The initial state a0 on n_modes rounded up to g (N'+1) - 1, and the
+    class (g, parity) of its run.
+
+    A class of more than MAX_MODES modes raises ConfigError; at g = 1 it is
+    the full run.
+    """
+    a0 = initial_state(u, n_modes)
+    g = _sub_lattice(a0, f)
+    n_class = (n_modes + g) // g - 1
+    if n_class > MAX_MODES:
+        raise ConfigError(f"a field of {u.lx} sine columns needs {n_class} modes, "
+                          f"above MAX_MODES = {MAX_MODES}")
+    a0 = np.pad(a0, (0, g * (n_class + 1) - 1 - n_modes))
+    return a0, g, _reflection_class(a0[g - 1 :: g])
 
 
 def probe_time(omega, n):
@@ -170,22 +208,26 @@ def probe_time(omega, n):
     return 2.0 * np.pi / ((n + 1) * omega)
 
 
-def _impulse(a0, f, dt, steps, parity):
+def _impulse(a0, f, dt, steps, g, parity):
     """The position a after steps of the impulse method from (a0, 0) with
-    step dt, integrated on the modes of the class parity.
+    step dt, integrated on the modes j = g m of the class (g, parity), where
+    g divides a0.size + 1 and parity is m's.
 
     The state is z = a + i b/j, which the linear flow turns by exp(-i j dt).
     The two half kicks between rotations are one kick b -= dt P f(S a);
     the run starts with a half kick and ends on a rotation, since the
     closing half kick would move only the velocity, which is not returned.
+    The class's N' modes m carry the full kick through the N' nodes they
+    share with the full run, with 1/m for 1/j: a factor 1/g.
     """
-    to_nodes, to_modes = _transforms(a0.size, parity)
-    j = _modes(a0.size, parity)
+    n_class = (a0.size + 1) // g - 1
+    to_nodes, to_modes = _transforms(n_class, parity)
+    j = g * _modes(n_class, parity)
     turn = np.exp(-1j * dt * j)
-    # f(0) = 0, so f(p) = p (c_1 + p (c_2 + ... + p c_d)) by Horner, with dt
-    # folded into the coefficients
+    # f(0) = 0, so f(p) = p (c_1 + p (c_2 + ... + p c_d)) by Horner, with
+    # dt/g folded into the coefficients
     coeffs = np.trim_zeros(np.asarray(f.poly[1:], dtype=float), "b")
-    top, *rest = dt * coeffs[::-1]
+    top, *rest = dt / g * coeffs[::-1]
     z = a0[j - 1].astype(complex)
     zr, zi = z.real, z.imag
     p, fv, g = np.empty(j.size), np.empty(j.size), np.empty(j.size)
@@ -219,15 +261,14 @@ def integrate(u, omega, f, t_final):
     the two runs' position fields is its error bar.
     """
     n_modes, steps, dt = time_grid(u, omega, t_final)
-    a0 = initial_state(u, n_modes)
-    parity = _reflection_class(a0, f)
-    a = _impulse(a0, f, 0.5 * dt, 2 * steps, parity)
-    check = _impulse(a0, f, t_final / (steps + 1), steps + 1, parity)
+    a0, g, parity = _start(u, f, n_modes)
+    a = _impulse(a0, f, 0.5 * dt, 2 * steps, g, parity)
+    check = _impulse(a0, f, t_final / (steps + 1), steps + 1, g, parity)
     den = np.linalg.norm(a0)
     bar = float(np.linalg.norm(a - check) / den) if den else 0.0
     return EvolutionResult(
         t_final=float(t_final), dt=float(0.5 * dt), steps=3 * steps + 1,
-        n_modes=n_modes, a=a, error_bar=bar,
+        n_modes=a0.size, a=a, error_bar=bar,
     )
 
 
@@ -263,8 +304,8 @@ def nonreturn_probe(u, omega, f, n):
     to the bit.
     """
     n_modes, steps, dt = time_grid(u, omega, probe_time(omega, n))
-    a0 = initial_state(u, n_modes)
-    a = _impulse(a0, f, 0.5 * dt, 2 * steps, _reflection_class(a0, f))
+    a0, g, parity = _start(u, f, n_modes)
+    a = _impulse(a0, f, 0.5 * dt, 2 * steps, g, parity)
     return _state_distance(a, a0), a
 
 

@@ -866,8 +866,21 @@ def _support_index(c, n=1):
 
 def temporal_support_index(v, w):
     """Largest n with all temporal frequencies of v + w in n Z; rows below
-    1e-9 of the largest coefficient count as empty."""
-    return _support_index((kernel.embed(v) + w).coeffs)
+    1e-9 of the largest coefficient count as empty.
+
+    The row maxima of embed(v) + w are read off |w| with each diagonal entry
+    (l, l - 1) replaced by |xi_l + w_l,l-1|, or joined by |xi_l| where w has
+    no such entry: the sum's bits, without its padded copies.
+    """
+    c, xi = w.coeffs, v.xi
+    peak = np.zeros(max(c.shape[0], xi.size + 1))
+    absw = np.abs(c)
+    l = np.arange(1, min(xi.size, c.shape[0] - 1, c.shape[1]) + 1)
+    absw[l, l - 1] = np.abs(xi[l - 1] + c[l, l - 1])
+    peak[: c.shape[0]] = np.max(absw, axis=1)
+    l = np.arange(l.size + 1, xi.size + 1)
+    peak[l] = np.maximum(peak[l], np.abs(xi[l - 1]))
+    return _support_index(peak[:, None])
 
 
 def involution_partner(u):

@@ -489,6 +489,21 @@ def test_evolve_refuses_a_record_too_wide_for_max_modes(tmp_path, capsys, monkey
     assert captured.err.startswith("error:") and "4097 sine columns" in captured.err
 
 
+def test_evolve_runs_a_wide_record_on_its_sub_lattice(tmp_path, capsys):
+    # the 4097-column record with its xi moved to j = 8 sits on j in 8Z:
+    # MAX_MODES bounds the 2048 modes of that class, not the 16388 of the
+    # full run, so it is integrated.  Its omega is 1.0001, where the mode
+    # j = 8 returns within the bar, and w_coeffs has the rows xi needs
+    doc = dict(_wide_record(4097), omega=1.0001, xi=[0.0] * 7 + [0.01],
+               w_coeffs=[[0.0] * 4097] * 9)
+    record = write_json(tmp_path / "rec.json", doc)
+    argv = ["evolve", "--record", record, "--coeffs", "3=1", "--probe-minimal-period"]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert "modes = 16391" in captured.out and "off_period_distance" in captured.out
+    assert captured.err == ""
+
+
 def test_evolve_too_coarse_for_the_record_exits_two(tmp_path, capsys):
     # at amplitude 0.5 the 128- and 65-step returns differ by more than a
     # tenth of the return bar (3.6e-5): the oracle cannot decide.  At 0.1

@@ -149,9 +149,9 @@ def test_nonreturn_probe_makes_only_the_reported_run(monkeypatch):
         steps = []
         real = evolve._impulse
 
-        def counted(a0, f, dt, n_steps, transforms):
+        def counted(a0, f, dt, n_steps, g, parity):
             steps.append(n_steps)
-            return real(a0, f, dt, n_steps, transforms)
+            return real(a0, f, dt, n_steps, g, parity)
 
         with monkeypatch.context() as m:
             m.setattr(evolve, "_impulse", counted)
@@ -250,17 +250,24 @@ def fresh_transforms():
     evolve._transforms.cache_clear()
 
 
-def _table_key(rec):
-    """(n_modes, parity): the key of the tables a record's runs use."""
+def _run_class(rec):
+    """(g, N', parity): the class of a record's runs, whose tables are keyed (N', parity)."""
     u = evolve.record_field(rec)
-    n_modes = evolve.time_grid(u, rec.omega, 1.0)[0]
-    return n_modes, evolve._reflection_class(evolve.initial_state(u, n_modes), F3)
+    a0, g, parity = evolve._start(u, F3, evolve.time_grid(u, rec.omega, 1.0)[0])
+    return g, (a0.size + 1) // g - 1, parity
+
+
+def _table_key(rec):
+    return _run_class(rec)[1:]
 
 
 def test_criterion6_records_run_on_their_reflection_class(criterion6_records):
-    # the return run's state and the probe's distance, each made on one
-    # class, agree with the full mode-space reference
-    assert [_table_key(r)[1] for r in criterion6_records] == [1, 0, 1, 0, 1, 0]
+    # level n sits on the modes j in nZ, and on the odd multiples of n: 32,
+    # 24, 24, 24, 19 and 16 modes where the full runs take 64 to 192.  The
+    # return run's state and the probe's distance, each made on its class,
+    # agree with the full mode-space reference
+    assert [_run_class(r) for r in criterion6_records] == [
+        (1, 64, 1), (2, 48, 1), (3, 48, 1), (4, 48, 1), (5, 38, 1), (6, 32, 1)]
     for rec in criterion6_records:
         u = evolve.record_field(rec)
         err, res = evolve.return_error(u, rec.omega, F3)
@@ -284,21 +291,22 @@ def test_even_f_or_mixed_data_take_the_full_path(monkeypatch):
     coeffs = coeffs.copy()
     coeffs[0, 2] = 0.02                         # j = 3
     mixed = fields.SpectralField(coeffs)
-    parities = []
+    classes = []
     real = evolve._impulse
 
-    def spied(a0, f, dt, steps, parity):
-        parities.append(parity)
-        return real(a0, f, dt, steps, parity)
+    def spied(a0, f, dt, steps, g, parity):
+        classes.append((a0.size, g, parity))
+        return real(a0, f, dt, steps, g, parity)
 
     monkeypatch.setattr(evolve, "_impulse", spied)
     evolve.integrate(even, 1.0, f2, 1.0)
     evolve.integrate(mixed, 1.0, F3, 1.0)
-    assert parities == [None] * 4
+    assert classes == [(32, 1, None)] * 4
+    # under u^3 the even data sits on j in 2Z, the odd multiples of 2
     evolve.integrate(even, 1.0, F3, 1.0)
-    assert parities[4:] == [0, 0]
+    assert classes[4:] == [(33, 2, 1)] * 2
     a0 = evolve.initial_state(even, 32)
-    a = real(a0, f2, 0.01, 1, None)
+    a = real(a0, f2, 0.01, 1, 1, None)
     assert np.max(np.abs(a[::2])) > 1e-6 * np.max(np.abs(a))
 
 
@@ -325,20 +333,21 @@ def test_class_kick_is_the_full_kick_on_its_modes(parity, n_modes):
 
 
 def test_dense_class_and_dst_paths_agree(criterion6_records, monkeypatch, fresh_transforms):
-    # levels 4 and 5 run on 96 modes of one class against 192 modes through
-    # the DSTs once DENSE_MAX_MODES is below both
+    # levels 4 and 5 run on 24 and 19 modes of their class against 48 and 38
+    # modes of their sub-lattice through the DSTs once DENSE_MAX_MODES is
+    # below all four
     dense = {}
     for rec in criterion6_records[3:5]:
         u = evolve.record_field(rec)
         dense[rec.n] = (evolve.return_error(u, rec.omega, F3),
                         evolve.nonreturn_probe(u, rec.omega, F3, rec.n)[0])
-    monkeypatch.setattr(evolve, "DENSE_MAX_MODES", 64)
+    monkeypatch.setattr(evolve, "DENSE_MAX_MODES", 16)
     fresh_transforms.cache_clear()
     for rec in criterion6_records[3:5]:
         u = evolve.record_field(rec)
         (err, res), off = (evolve.return_error(u, rec.omega, F3),
                            evolve.nonreturn_probe(u, rec.omega, F3, rec.n)[0])
-        assert _table_key(rec) == (192, None)
+        assert _table_key(rec) == ({4: 48, 5: 38}[rec.n], None)
         (err0, res0), off0 = dense[rec.n]
         assert np.max(np.abs(res.a - res0.a)) <= 1e-12 * np.max(np.abs(res0.a))
         assert abs(err - err0) <= 1e-12 and abs(res.error_bar - res0.error_bar) <= 1e-12
@@ -346,16 +355,128 @@ def test_dense_class_and_dst_paths_agree(criterion6_records, monkeypatch, fresh_
 
 
 def test_branch_builds_each_table_once(criterion6_records, fresh_transforms):
-    # two passes over the branch, run and probe, build each (N, class) pair
-    # once: five of them, within the cache
+    # two passes over the branch, run and probe, build each (N', parity)
+    # pair once: four of them, within the cache, since levels 2-4 share one
     keys = {_table_key(r) for r in criterion6_records}
-    assert len(keys) == 5
+    assert len(keys) == 4
     for _ in range(2):
         for rec in criterion6_records:
             u = evolve.record_field(rec)
             evolve.return_error(u, rec.omega, F3)
             evolve.nonreturn_probe(u, rec.omega, F3, rec.n)
     assert fresh_transforms.cache_info().misses == len(keys)
+
+
+@pytest.mark.parametrize("g", [2, 3, 6])
+@pytest.mark.parametrize("odd_only", [False, True], ids=["every-m", "odd-m"])
+def test_sub_lattice_run_is_the_full_run_on_its_modes(g, odd_only):
+    # data on j = g m with g | N + 1 and N' = 24: the class run, on the
+    # reflection class of m when the data has one, is the full run read on
+    # j in gZ, and the full run stays there
+    f = nonlinearity.classify({3: 1.0, 5: -0.3})
+    n_modes = 25 * g - 1
+    rng = np.random.default_rng(g)
+    m = np.arange(1, 25)
+    m = m[m % 2 == 1] if odd_only else m
+    a0 = np.zeros(n_modes)
+    a0[g * m - 1] = 0.3 * rng.standard_normal(m.size) / m
+    assert evolve._sub_lattice(a0, f) == g
+    parity = evolve._reflection_class(a0[g - 1 :: g])
+    assert parity == (1 if odd_only else None)
+    full = evolve._impulse(a0, f, 0.05, 200, 1, None)
+    a = evolve._impulse(a0, f, 0.05, 200, g, parity)
+    assert not a[np.arange(1, n_modes + 1) % g != 0].any()
+    assert np.max(np.abs(a - full)) <= 1e-13 * np.max(np.abs(full))
+
+
+def _parent_impulse(a0, f, dt, steps, parity):
+    """The loop on every mode of the reflection class, with no sub-lattice,
+    written out as before the sub-lattice class: the g = 1 reference."""
+    to_nodes, to_modes = evolve._transforms(a0.size, parity)
+    j = evolve._modes(a0.size, parity)
+    turn = np.exp(-1j * dt * j)
+    coeffs = np.trim_zeros(np.asarray(f.poly[1:], dtype=float), "b")
+    top, *rest = dt * coeffs[::-1]
+    z = a0[j - 1].astype(complex)
+    zr, zi = z.real, z.imag
+    p, fv, g = np.empty(j.size), np.empty(j.size), np.empty(j.size)
+
+    def kick():
+        to_nodes(zr, p)
+        np.multiply(p, top, out=fv)
+        for c in rest:
+            if c:
+                np.add(fv, c, out=fv)
+            np.multiply(fv, p, out=fv)
+        to_modes(fv, g)
+
+    kick()
+    zi -= 0.5 * g
+    for _ in range(steps - 1):
+        z *= turn
+        kick()
+        zi -= g
+    z *= turn
+    a = np.zeros(a0.size)
+    a[j - 1] = zr
+    return a
+
+
+def test_g1_runs_are_the_loop_without_sub_lattice(criterion6_records):
+    # where g = 1 nothing moves by a bit: the level-1 record under u^3, data
+    # on j = 2, 6 under u^2 and mixed data under u^3, return run, check run,
+    # bar and probe
+    f2 = nonlinearity.classify({2: 1.0})
+    coeffs = np.zeros((1, 8))
+    coeffs[0, 1], coeffs[0, 5] = 0.1, 0.05
+    even = fields.SpectralField(coeffs.copy())
+    coeffs[0, 2] = 0.02
+    mixed = fields.SpectralField(coeffs)
+    rec = criterion6_records[0]
+    for u, omega, f, n in [(evolve.record_field(rec), rec.omega, F3, rec.n),
+                           (even, 1.0, f2, 1), (mixed, 1.0, F3, 1)]:
+        t_final = 2.0 * np.pi / omega
+        n_modes, steps, dt = evolve.time_grid(u, omega, t_final)
+        a0 = evolve.initial_state(u, n_modes)
+        assert evolve._sub_lattice(a0, f) == 1
+        parity = evolve._reflection_class(a0)
+        a = _parent_impulse(a0, f, 0.5 * dt, 2 * steps, parity)
+        check = _parent_impulse(a0, f, t_final / (steps + 1), steps + 1, parity)
+        err, res = evolve.return_error(u, omega, f)
+        assert res.n_modes == n_modes and np.array_equal(res.a, a)
+        assert res.error_bar == np.linalg.norm(a - check) / np.linalg.norm(a0)
+        assert err == evolve._state_distance(a, a0)
+        n_modes, steps, dt = evolve.time_grid(u, omega, evolve.probe_time(omega, n))
+        a = _parent_impulse(a0, f, 0.5 * dt, 2 * steps, parity)
+        off, b = evolve.nonreturn_probe(u, omega, f, n)
+        assert np.array_equal(b, a) and off == evolve._state_distance(a, a0)
+
+
+def test_a_mode_off_the_sub_lattice_takes_the_full_run(criterion6_records, monkeypatch):
+    # level 3 sits on j in 3Z; one small mode added at j = 2 leaves no
+    # sub-lattice, so the return is integrated on every mode and carries
+    # the added one, as the mode-space reference does
+    rec = criterion6_records[2]
+    u = evolve.record_field(rec)
+    assert evolve._start(u, F3, 144)[1] == 3
+    coeffs = u.coeffs.copy()
+    coeffs[0, 1] = 1e-3 * np.max(np.abs(coeffs))
+    u = fields.SpectralField(coeffs)
+    classes = []
+    real = evolve._impulse
+
+    def spied(a0, f, dt, steps, g, parity):
+        classes.append((g, parity))
+        return real(a0, f, dt, steps, g, parity)
+
+    monkeypatch.setattr(evolve, "_impulse", spied)
+    err, res = evolve.return_error(u, rec.omega, F3)
+    assert classes == [(1, None)] * 2 and res.n_modes == 144
+    a0 = evolve.initial_state(u, 144)
+    a = _mode_space_impulse(a0, F3, res.dt, 2 * (res.steps - 1) // 3)
+    assert np.max(np.abs(res.a - a)) <= 1e-12 * np.max(np.abs(a))
+    assert abs(err - evolve._state_distance(a, a0)) <= 1e-12
+    assert abs(res.a[1]) > 0.5 * abs(a0[1])
 
 
 def test_evolve_imports_no_solver_module():

@@ -532,6 +532,43 @@ def test_temporal_support_index_sees_dilation():
     assert search.temporal_support_index(v3, w3) == 3
 
 
+@pytest.mark.parametrize("rows, cols", [(10, 10), (6, 10), (10, 3), (1, 1)],
+                         ids=["square", "short", "narrow", "one-entry"])
+def test_temporal_support_index_reads_the_sum_of_v_and_w(rows, cols):
+    # xi on j = 2, 4 against a w on rows 0 and 4 that is square, short or
+    # narrow beside it: the index is the one read off embed(v) + w, also
+    # where a diagonal entry of w cancels xi's (row 2 empties: index 4),
+    # lands off xi's rows (index 1) or holds its row's largest entry; and so
+    # on seeded random pairs of every shape up to 6 x 6
+    def summed(v, w):
+        return search._support_index((kernel.embed(v) + w).coeffs)
+
+    v = kernel.KernelVector([0.0, 0.4, 0.0, 0.3])
+    c = np.zeros((rows, cols))
+    c[0:5:4] = 1e-3
+    cases = [c]
+    for l, value, want in [(2, -0.4, 4), (3, 1e-6, 1), (4, 5.0, 2)]:
+        if l < rows and l <= cols:
+            d = c.copy()
+            d[l, l - 1] = value
+            cases.append(d)
+            w = fields.SpectralField(d)
+            assert search.temporal_support_index(v, w) == summed(v, w) == want
+    for d in cases:
+        w = fields.SpectralField(d)
+        assert search.temporal_support_index(v, w) == summed(v, w)
+    rng = np.random.default_rng(rows * 100 + cols)
+    for _ in range(50):
+        shape, size = rng.integers(1, 7, 2), rng.integers(1, 7)
+        d = rng.standard_normal(shape) * (rng.random(shape) < 0.4)
+        xi = rng.standard_normal(size) * (rng.random(size) < 0.6)
+        k = min(size, shape[0] - 1, shape[1])
+        if k:
+            d[k, k - 1] = -xi[k - 1]
+        v, w = kernel.KernelVector(xi), fields.SpectralField(d)
+        assert search.temporal_support_index(v, w) == summed(v, w)
+
+
 def test_solve_branch_deterministic_and_ordered():
     ctx = ctx_cubic()
     a = search.solve_branch(ctx, F3, n_max=2, dim=4, seed=0, restarts=4)
