@@ -10,8 +10,13 @@ satisfy Dirichlet conditions at x = 0, pi.  Coefficients are stored as a dense
 
 Every sample of a field is taken on the torus [0, 2pi) x [0, 2pi), where a
 sine series in x is its own odd extension.  Each sampling and every
-projection off it take one of two paths, decided once from the size of the
-work (_layout), each a pair of executors that tests no size:
+projection off it run by a plan (_Sampling), made once per coefficient
+shape, class, degrees, projected rows and columns (_sampling, a bounded
+cache) and read by every later call of that key: it holds the one
+decision of the path, from the size of the work (_layout), the grid, the
+table slices and the scatter slices.  The class is read off exact zeros at
+every call and is part of the key.  Each path is a pair of executors that
+tests no size:
 
 - dense (_dense_values, _dense_coeffs), every frame of an odd f among
   them: the products are folded onto the fundamental domain of the
@@ -40,7 +45,10 @@ shift), d the product's degree there, their exact cos/sin torus
 coefficients are read off (_torus_cos_sin), and those are projected back
 onto the sine basis in closed form.  The coefficients `apply_polynomials`
 returns are the true L2 projections, with no aliasing, for any polynomial
-nonlinearity.
+nonlinearity.  A caller that samples fields of one shape many times, as
+the Newton of a level does, holds the plans (plan_polynomials,
+plan_poly_matrix) and runs them on raw coefficient arrays
+(planned_polynomials, planned_poly_matrix).
 """
 
 import functools
@@ -63,6 +71,10 @@ __all__ = [
     "apply_polynomials",
     "integrate_poly",
     "multiply_poly_matrix",
+    "plan_polynomials",
+    "planned_polynomials",
+    "plan_poly_matrix",
+    "planned_poly_matrix",
     "temporal_weights",
 ]
 
@@ -161,14 +173,16 @@ def _grid(d, shift=None):
 _TRIVIAL = (None, None, None, None)
 
 
-def _symmetry_class(u, polys):
-    """The class of the products poly(u), read off exact zeros and parity.
+def _symmetry_class(c, polys):
+    """The class of the products poly(u) of the field u of coefficients c,
+    read off exact zeros and parity.
 
     u is even in t and odd in x.  T -> T + pi maps it to -u (u) when every
-    even (odd) row of its coefficients is zero, X -> X + pi when every
-    column of even (odd) j is.  A map that keeps u keeps every poly(u); one
-    that maps u to -u maps poly(u) to -poly(u) (poly(u)) when every poly has
-    odd (even) powers only, and is no symmetry of a mixed-parity poly.
+    even (odd) row of c is zero, X -> X + pi when every column of even (odd)
+    j is.  A map that keeps u keeps every poly(u); one that maps u to -u
+    maps poly(u) to -poly(u) (poly(u)) when every poly has odd (even) powers
+    only, and is no symmetry of a mixed-parity poly.  It is read at every
+    call and is part of the key of the sampling's plan (_sampling).
     """
     even = odd = False
     for p in polys:
@@ -179,7 +193,6 @@ def _symmetry_class(u, polys):
     def image(sign):            # the sign of poly(u) where u takes sign
         return 1 if sign == 1 else None if sign is None else parity
 
-    c = u.coeffs
     rows = -1 if not np.count_nonzero(c[0::2]) else 1 if not np.count_nonzero(c[1::2]) else None
     cols = (-1 if not np.count_nonzero(c[:, 1::2]) else
             1 if not np.count_nonzero(c[:, 0::2]) else None)
@@ -238,12 +251,13 @@ def _trig_table(n, deg, weighted, fold):
     cos/sin coefficients off samples of the fold's class: it keeps the
     columns of the harmonics the class can have (_harmonics), [cos | sin],
     and scales column l by 1/n at l = 0 and 2/n above and each row by its
-    fold weight.  Only dense chains build tables, a factor of one has at
+    fold weight.  Only dense plans build tables, a factor of a chain has at
     most DENSE_MAX_BLOCKS DENSE_MAX_MADDS entries and a table is at most
     two factors, so each table is at most 8 MB and the 64 cached ones at
-    most 512 MB.  The keys hold the fold, so a run keeps more and smaller
-    tables than on the full torus: the 36 that the criterion-6 branch
-    builds hold 0.15 MB in all.
+    most 512 MB; a plan holds views of the tables it reads (_Sampling).
+    The keys hold the fold, so a run keeps more and smaller tables than on
+    the full torus: the 36 that the criterion-6 branch builds hold 0.15 MB
+    in all.
     """
     nodes, weights = _axis_fold(n, *fold)
     phase = np.arange(n) * (2.0 * np.pi / n)
@@ -271,10 +285,11 @@ def _plan(m, k, p, n):
     return rows if rows >= 1 and m <= DENSE_MAX_BLOCKS * rows else None
 
 
-def _layout(shape, grid, cls, tops=(), d_x=0):
+def _layout(shape, grid, cls, tops, d_x):
     """The one size decision of a sampling of a field of shape (lt+1, lx) on
     the (nt, nx) = grid torus folded by the class cls, and of the
     projections of rows 0..top, each top of tops, and columns 0..d_x off it.
+    It runs when a plan is made (_sampling), once per key.
 
     None, for the trivial class or a chain over DENSE_MAX_BLOCKS (_plan):
     all run on scipy.fft over the whole torus.  Else the dense plan (rows,
@@ -308,13 +323,83 @@ def _chain(a, b, c, rows):
     return out
 
 
-def _dense_values(u, grid, cls, rows):
-    """Samples of u at the nodes t_i, x_k of cls's domain of the (nt, nx) =
-    grid torus (_axis_fold): cos(l t_i) @ u @ sin(j x_k), in blocks of rows
-    (_layout).  Exact for nt > 2 lt and nx >= 2 lx."""
-    ct = _trig_table(grid[0], u.lt, False, cls[:2])[:, : u.lt + 1]
-    sx = _trig_table(grid[1], u.lx, False, cls[2:])[:, u.lx + 2 :].T
-    return _chain(ct, u.coeffs, sx, rows)
+# the most sampling plans the cache keeps (_sampling): the criterion-6
+# branch makes 16, and 21 with the quadratic offsets, whose tables hold
+# 0.2 MB in all
+SAMPLING_PLANS = 32
+
+
+class _Sampling:
+    """The plan of one sampling of the fields of one shape whose products
+    fall in one class, and of the projections off it: what _layout decides
+    and every table its executors read, made once (_sampling).
+
+    grids is (grid, whole): the class's torus and the whole one.  dense is
+    the path: the class's domain of grid, in blocks of rows, with the value
+    tables t_table and x_table and, per projection, (weighted t table, rows
+    per block, the row slice and the x slices and cosine count of _layout)
+    or None where the class keeps no row; x_weights is the weighted x table
+    all projections share.  Else scipy.fft over the whole torus, and grid
+    is whole.  Every plan keeps the rows 0..top projected, top of tops, and
+    the columns 0..d_x; out_lts and out_lx are the sine projection's rows
+    per poly and columns (_sine_projection, with the plan's K), None where
+    the torus coefficients are read.  A plan holds views of its tables,
+    read-only, so it is shared by every call of its key.
+    """
+
+    __slots__ = ("dense", "grid", "rows", "t_table", "x_table", "x_weights",
+                 "projections", "tops", "d_x", "out_lts", "out_lx", "K")
+
+    def __init__(self, shape, cls, grids, d_x, tops, out):
+        lt, lx = shape[0] - 1, shape[1]
+        grid, whole = grids
+        layout = _layout(shape, grid, cls, tops, d_x)
+        self.tops, self.d_x = tops, d_x
+        self.dense = layout is not None
+        self.grid = grid if self.dense else whole
+        self.out_lts, self.out_lx = (None, None) if out is None else out
+        self.K = None if out is None else _half_projection_matrix(d_x, self.out_lx)
+        if self.dense:
+            nt, nx = grid
+            self.rows, (cx, sx, na), projections = layout
+            self.t_table = _trig_table(nt, lt, False, cls[:2])[:, : lt + 1]
+            self.x_table = _trig_table(nx, lx, False, cls[2:])[:, lx + 2 :].T
+            self.x_weights = _trig_table(nx, d_x, True, cls[2:])
+            self.projections = [
+                None if p is None else
+                (_trig_table(nt, top, True, cls[:2])[:, : p[1]].T, p[2], p[0], cx, sx, na)
+                for top, p in zip(tops, projections)]
+
+
+@functools.lru_cache(maxsize=SAMPLING_PLANS)
+def _sampling(shape, cls, degrees, d_x, tops, out, bounds):
+    """The _Sampling of a field of shape (lt+1, lx) whose products fall in
+    the class cls (_symmetry_class), the one place a sampling is decided.
+
+    degrees (deg_t, deg_x) are the trig degrees the samples resolve, on
+    _grid(deg) nodes an axis (the class's length on the dense path), or
+    None for sup_norm's grid, the power of two above 4 lt and 8 lx + 4, at
+    least 128 and 256.  tops holds the rows 0..top projected for each poly,
+    d_x the columns, and out (out_lts, out_lx) the sine projection, or None.
+    bounds is (DENSE_MAX_MADDS, DENSE_MAX_BLOCKS), which _layout reads: in
+    the key, so that a plan made under other bounds is never read.  A plan
+    holds 3 + len(tops) tables on the dense path, each at most 8 MB
+    (_trig_table).
+    """
+    if degrees is None:
+        lt, lx = shape[0] - 1, shape[1]
+        grid = (max(1 << (4 * lt).bit_length(), 128), max(8 * lx + 4, 256))
+        return _Sampling(shape, cls, (grid, grid), d_x, tops, out)
+    whole = _grid(degrees[0]), _grid(degrees[1])
+    return _Sampling(shape, cls, ((_grid(degrees[0], cls[0]), _grid(degrees[1], cls[2])), whole),
+                     d_x, tops, out)
+
+
+def _dense_values(c, plan):
+    """Samples of the field of coefficients c at the nodes t_i, x_k of the
+    plan's class domain: cos(l t_i) @ c @ sin(j x_k), in blocks of the
+    plan's rows.  Exact for nt > 2 lt and nx >= 2 lx."""
+    return _chain(plan.t_table, c, plan.x_table, plan.rows)
 
 
 def _x_values(rows, nx):
@@ -329,14 +414,19 @@ def _x_values(rows, nx):
     return sfft.irfft(spec, n=nx, axis=-1)
 
 
-def _fft_values(u, nt, nx):
-    """Samples of u at t = 2pi i/nt and x = 2pi k/nx over the whole torus:
-    one inverse real FFT over the cosine rows in t, then _x_values.  Exact
-    for nt > 2 lt and nx >= 2 lx."""
-    spec = np.zeros((nt // 2 + 1, u.lx))
-    spec[0] = u.coeffs[0] * nt
-    spec[1 : u.lt + 1] = u.coeffs[1:] * (nt / 2.0)
+def _fft_values(c, nt, nx):
+    """Samples of the field of coefficients c at t = 2pi i/nt and x = 2pi
+    k/nx over the whole torus: one inverse real FFT over the cosine rows in
+    t, then _x_values.  Exact for nt > 2 lt and nx >= 2 lx."""
+    spec = np.zeros((nt // 2 + 1, c.shape[1]))
+    spec[0] = c[0] * nt
+    spec[1 : c.shape[0]] = c[1:] * (nt / 2.0)
     return _x_values(sfft.irfft(spec, n=nt, axis=0), nx)
+
+
+def _values(plan, c):
+    """Samples of the field of coefficients c on the plan's path: a sampling."""
+    return _dense_values(c, plan) if plan.dense else _fft_values(c, *plan.grid)
 
 
 def _poly_at(vals, poly):
@@ -400,14 +490,13 @@ def sup_norm(u):
     are multiples of 4, so where that sampling runs dense (_layout) it is
     taken on the fundamental domain of u's own class (_symmetry_class of
     the identity), whose other nodes carry the same |u| or zero: a quarter
-    of the grid at most, about a sixteenth for an odd f's frame field.
+    of the grid at most, about a sixteenth for an odd f's frame field.  The
+    grid is the plan's (_sampling, degrees None).
     """
-    nt = max(1 << (4 * u.lt).bit_length(), 128)     # the power of two > 4 lt
-    nx = max(8 * u.lx + 4, 256)
-    cls = _symmetry_class(u, [[0.0, 1.0]])
-    layout = _layout(u.coeffs.shape, (nt, nx), cls)
-    vals = _fft_values(u, nt, nx) if layout is None else _dense_values(u, (nt, nx), cls, layout[0])
-    return float(np.max(np.abs(vals)))
+    c = u.coeffs
+    plan = _sampling(c.shape, _symmetry_class(c, [[0.0, 1.0]]), None, 0, (), None,
+                     (DENSE_MAX_MADDS, DENSE_MAX_BLOCKS))
+    return float(np.max(np.abs(_values(plan, c))))
 
 
 def omega_norm(u, omega):
@@ -439,45 +528,39 @@ def _poly_degree(poly):
     return int(nz[-1]) if nz.size else 0
 
 
-def _torus_cos_sin(u, polys, d_t, d_x, tops):
-    """Exact torus coefficients (A, B) of each poly(u), from one sample of u.
+def _torus_cos_sin(plan, c, polys):
+    """Exact torus coefficients (A, B) of each poly(u) of the field u of
+    coefficients c, from one sample of u by the plan (_sampling).
 
     poly(u) = sum_l cos(l t) [ sum_mu A[l,mu] cos(mu x) + B[l,mu] sin(mu x) ],
-    l <= d_t and mu <= d_x, sampled on the grid those degrees need on the
-    path of _layout; for each poly the rows l = 0..top <= d_t of its entry
-    of tops and the columns mu = 0..d_x are returned, with exact zeros
+    l <= d_t and mu <= d_x, sampled on the plan's grid, which resolves
+    those degrees; for each poly the rows l = 0..top of its entry of the
+    plan's tops and its columns mu = 0..d_x are returned, with exact zeros
     where the products' class has no content, and None for an A or B it
     makes zero.
     """
-    deg_t, deg_x = max(d_t, u.lt, 1), max(d_x, u.lx, 1)    # the degrees sampled
-    cls = _symmetry_class(u, polys)
-    grid = _grid(deg_t, cls[0]), _grid(deg_x, cls[2])
-    layout = _layout(u.coeffs.shape, grid, cls, tops, d_x)
-    if layout is None:
-        vals = _fft_values(u, _grid(deg_t), _grid(deg_x))
-        return [_fft_coeffs(_poly_at(vals, p), top, d_x) for p, top in zip(polys, tops)]
-    rows, x, projections = layout
-    vals = _dense_values(u, grid, cls, rows)
-    return [_dense_coeffs(_poly_at(vals, p), grid, cls, top, d_x, x, projection)
-            for p, top, projection in zip(polys, tops, projections)]
+    vals = _values(plan, c)
+    if plan.dense:
+        return [_dense_coeffs(_poly_at(vals, p), plan, top, projection)
+                for p, top, projection in zip(polys, plan.tops, plan.projections)]
+    return [_fft_coeffs(_poly_at(vals, p), top, plan.d_x) for p, top in zip(polys, plan.tops)]
 
 
-def _dense_coeffs(vals, grid, cls, top, d_x, x, projection):
-    """Samples on cls's domain of the (nt, nx) = grid torus -> cos/sin
-    coefficients (A, B), rows 0..top, columns 0..d_x: weighted cos(l t_i) @
-    vals @ [cos | sin](mu x_k) on the harmonics of _layout's x and
-    projection; the rest are exact zeros, and an A or B with none is None."""
+def _dense_coeffs(vals, plan, top, projection):
+    """Samples on the dense plan's class domain -> cos/sin coefficients (A,
+    B), rows 0..top, columns 0..d_x: weighted cos(l t_i) @ vals @ [cos |
+    sin](mu x_k) on the harmonics the projection keeps; the rest are exact
+    zeros, and an A or B with none is None."""
     if projection is None:
         return None, None
-    (cx, sx, na), (ct, m, rows) = x, projection
-    wt = _trig_table(grid[0], top, True, cls[:2])[:, :m].T
-    AB = _chain(wt, vals, _trig_table(grid[1], d_x, True, cls[2:]), rows)
+    wt, rows, ct, cx, sx, na = projection
+    AB = _chain(wt, vals, plan.x_weights, rows)
     A = B = None
     if na:
-        A = np.zeros((top + 1, d_x + 1))
+        A = np.zeros((top + 1, plan.d_x + 1))
         A[ct, cx] = AB[:, :na]
     if AB.shape[1] > na:
-        B = np.zeros((top + 1, d_x + 1))
+        B = np.zeros((top + 1, plan.d_x + 1))
         B[ct, sx] = AB[:, na:]
         B[:, 0] = 0.0
     return A, B
@@ -520,6 +603,29 @@ def _half_projection_matrix(d_x, out_lx):
     return K
 
 
+def plan_polynomials(shape, cls, polys, out_lt=None, out_lx=None):
+    """The plan (_sampling) of apply_polynomials(u, polys, out_lt, out_lx) for
+    the fields u of shape (lt+1, lx) whose products fall in the class cls
+    (_symmetry_class): run it with planned_polynomials."""
+    lt, lx = shape[0] - 1, shape[1]
+    r = max(_poly_degree(p) for p in polys)
+    d_t, d_x = r * lt, r * lx
+    out_lx = d_x if out_lx is None else out_lx
+    lts = tuple(d_t if rows is None else rows
+                for rows in (out_lt if isinstance(out_lt, list) else [out_lt] * len(polys)))
+    d_x = max(d_x, out_lx)
+    return _sampling(shape, cls, (max(d_t, lt, 1), max(d_x, lx, 1)), d_x,
+                     tuple(min(top, d_t) for top in lts), (lts, out_lx),
+                     (DENSE_MAX_MADDS, DENSE_MAX_BLOCKS))
+
+
+def planned_polynomials(plan, c, polys):
+    """The sine-basis coefficient arrays of each poly(u), u the field of
+    coefficients c, by the plan of plan_polynomials, from one sampling."""
+    return [_sine_projection(A, B, lt, plan.out_lx, plan.K)
+            for lt, (A, B) in zip(plan.out_lts, _torus_cos_sin(plan, c, polys))]
+
+
 def apply_polynomials(u, polys, out_lt=None, out_lx=None):
     """Exact sine-basis coefficients of each poly(u) up to (out_lt, out_lx).
 
@@ -531,15 +637,12 @@ def apply_polynomials(u, polys, out_lt=None, out_lx=None):
     sin(j x): finite and exact in time, the exact half-interval projection
     of the torus expansion in space (even powers of u generate cosine
     content in x whose sine series is infinite; out_lx selects how much of
-    it to keep).
+    it to keep).  The sampling is planned once per shape and class
+    (plan_polynomials).
     """
-    r = max(_poly_degree(p) for p in polys)
-    d_t, d_x = r * u.lt, r * u.lx
-    out_lx = d_x if out_lx is None else out_lx
-    lts = [d_t if lt is None else lt
-           for lt in (out_lt if isinstance(out_lt, list) else [out_lt] * len(polys))]
-    return [_sine_projection(A, B, lt, out_lx) for lt, (A, B) in zip(
-        lts, _torus_cos_sin(u, polys, d_t, max(d_x, out_lx), [min(lt, d_t) for lt in lts]))]
+    c = u.coeffs
+    plan = plan_polynomials(c.shape, _symmetry_class(c, polys), polys, out_lt, out_lx)
+    return [SpectralField(p) for p in planned_polynomials(plan, c, polys)]
 
 
 def apply_nonlinearity(u, poly, out_lt=None, out_lx=None):
@@ -547,16 +650,17 @@ def apply_nonlinearity(u, poly, out_lt=None, out_lx=None):
     return apply_polynomials(u, [poly], out_lt, out_lx)[0]
 
 
-def _sine_projection(A, B, out_lt, out_lx):
-    """Exact sine-basis field up to (out_lt, out_lx) from the torus
+def _sine_projection(A, B, out_lt, out_lx, K):
+    """Exact sine-basis coefficients up to (out_lt, out_lx) from the torus
     coefficients of its rows l < len(A) <= out_lt + 1; the rows above are
-    zero, and so is the part of an A or B that is None."""
+    zero, and so is the part of an A or B that is None.  K is
+    _half_projection_matrix(d_x, out_lx), d_x + 1 the columns of A."""
     coeffs = np.zeros((max(out_lt, 1) + 1, out_lx))
     if B is not None:
         coeffs[: B.shape[0]] = B[:, 1 : out_lx + 1]
     if A is not None:
-        coeffs[: A.shape[0]] += A @ _half_projection_matrix(A.shape[1] - 1, out_lx)
-    return SpectralField(coeffs)
+        coeffs[: A.shape[0]] += A @ K
+    return coeffs
 
 
 def _interval_integral(A, B):
@@ -575,8 +679,12 @@ def _interval_integral(A, B):
 
 def integrate_poly(u, poly):
     """Exact integral of poly(u) over the domain [0,2pi) x (0,pi)."""
-    r = _poly_degree(poly)
-    ((A, B),) = _torus_cos_sin(u, [poly], max(r * u.lt, 1), max(r * u.lx, 1), [0])
+    c = u.coeffs
+    r, lt, lx = _poly_degree(poly), c.shape[0] - 1, c.shape[1]
+    d_x = max(r * lx, 1)
+    plan = _sampling(c.shape, _symmetry_class(c, [poly]), (max(r * lt, lt, 1), max(d_x, lx)),
+                     d_x, (0,), None, (DENSE_MAX_MADDS, DENSE_MAX_BLOCKS))
+    ((A, B),) = _torus_cos_sin(plan, c, [poly])
     return 2.0 * np.pi * _interval_integral(A, B)
 
 
@@ -594,10 +702,11 @@ def multiply_poly_project(u, poly, z, out_lt=None, out_lx=None):
     out_lt, out_lx = d_t if out_lt is None else out_lt, d_x if out_lx is None else out_lx
     d = max(d_x, out_lx, 1)
     grid = _grid(max(d_t, 1)), _grid(d)
-    vals = _poly_at(_fft_values(u, *grid), poly)
-    vals *= _fft_values(z, *grid)
+    vals = _poly_at(_fft_values(u.coeffs, *grid), poly)
+    vals *= _fft_values(z.coeffs, *grid)
     A, B = _fft_coeffs(vals, min(out_lt, d_t), d)
-    return _sine_projection(A, B, out_lt, out_lx)
+    K = _half_projection_matrix(d, out_lx)
+    return SpectralField(_sine_projection(A, B, out_lt, out_lx, K))
 
 
 def _odd_projection(d_x, lx, j):
@@ -665,24 +774,45 @@ def multiply_poly_matrix(u, poly, rows, cols):
     + X[a_r + a_s], read by one gather over the pairs of rows.  Every table
     that does not depend on u, the column and row maps, the half weights
     and the odd-term projection, is the _matrix_plan of the frame shape,
-    kept when it holds at most PLAN_CACHE_BYTES, so a call samples poly(u)
-    for the slabs and gathers them.  The matrix is returned in Fortran
+    kept when it holds at most PLAN_CACHE_BYTES, and the sampling is
+    planned once per shape and class (plan_poly_matrix), so a call samples
+    poly(u) for the slabs and gathers them.  The matrix is returned in Fortran
     order, the layout LAPACK factors, which saves np.linalg.solve a
     transpose in its copy.
     """
-    lt, lx = u.lt, u.lx
+    c = u.coeffs
+    plan = plan_poly_matrix(c.shape, _symmetry_class(c, [poly]), poly, rows, cols)
+    return planned_poly_matrix(plan, c, poly)
+
+
+def plan_poly_matrix(shape, cls, poly, rows, cols):
+    """The plan of multiply_poly_matrix(u, poly, rows, cols) for the fields u
+    of shape (lt+1, lx) whose poly(u) falls in the class cls
+    (_symmetry_class): (sampling, tables, odd), the _sampling of poly(u) on
+    the rows t <= 2 lt of the slabs, its _matrix_plan, and whether poly has
+    an odd-degree term.  Run it with planned_poly_matrix."""
+    lt, lx = shape[0] - 1, shape[1]
     poly = np.asarray(poly, dtype=float)
     r = _poly_degree(poly)
     # resolve the full degree of poly(u), not only the rows and columns used,
     # so that no higher harmonic aliases onto them
-    d_x = max(2 * lx, r * u.lx)
+    d_x = max(2 * lx, r * lx)
     odd = bool(np.any(poly[1::2] != 0.0))
     R, C = len(rows), len(cols)
     kept = 8 * (2 * lt + 1 + 2 * R * R + (2 + (d_x + 1) * odd) * C * C) <= PLAN_CACHE_BYTES
-    plan = _matrix_plan if kept else _matrix_plan.__wrapped__
-    half_t, diff, tsum, Kd, toeplitz, hankel = plan(
+    tables = (_matrix_plan if kept else _matrix_plan.__wrapped__)(
         lt, lx, tuple(np.asarray(rows).tolist()), tuple(np.asarray(cols).tolist()), d_x, odd)
-    ((A, B),) = _torus_cos_sin(u, [poly], max(2 * lt, r * u.lt), d_x, [2 * lt])
+    sampling = _sampling(shape, cls, (max(2 * lt, r * lt, 1), d_x), d_x, (2 * lt,), None,
+                         (DENSE_MAX_MADDS, DENSE_MAX_BLOCKS))
+    return sampling, tables, odd
+
+
+def planned_poly_matrix(plan, c, poly):
+    """multiply_poly_matrix of the field of coefficients c by the plan of
+    plan_poly_matrix: one sampling of poly(u) for the slabs, then the gather."""
+    sampling, (half_t, diff, tsum, Kd, toeplitz, hankel), odd = plan
+    lt, R, C = c.shape[0] - 1, toeplitz.shape[0], diff.shape[0]
+    ((A, B),) = _torus_cos_sin(sampling, c, [poly])
     # XT[t, j', j] = X[t, j, j'] (the cosine part is symmetric) for t <= 2
     # lt, then the zero slab t = 2 lt + 1; it is -0.0, which added to any x
     # gives x bit for bit, the sign of a zero too

@@ -42,6 +42,7 @@ the rows l = n k and, for odd f, the columns j = n m of the level's own field.
 """
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -479,19 +480,30 @@ class _Frame:
     odd_cols: bool = False
 
     # the tables of the frame that no iterate changes, built on first use
-    # for each truncation and omega; a frame is made for one level
+    # for each truncation and omega, and the plans of its samplings, made on
+    # first use for each shape and class; a frame is made for one level
     # (_dilation_frame), so its tables go with it
     tables: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
     def _once(self, key, build):
-        """build(), an array or a tuple of them, the first time key is read, then
-        the same arrays, read-only since the Newton and the certificates share them."""
+        """build(), an array, a tuple of them or a plan, the first time key is
+        read, then the same, its arrays read-only since the Newton and the
+        certificates share them (a plan's are already)."""
         if key not in self.tables:
             tables = build()
             for table in tables if isinstance(tables, tuple) else (tables,):
-                table.flags.writeable = False
+                if isinstance(table, np.ndarray):
+                    table.flags.writeable = False
             self.tables[key] = tables
         return self.tables[key]
+
+    def plan(self, tag, u, polys, build):
+        """The plan of the sampling tag of the frame field of coefficients u,
+        whose products poly(u), poly of polys, fall in the class
+        fields._symmetry_class reads off u at each call: build(cls) the first
+        time (through the fields plan cache), then the same plan."""
+        cls = fields._symmetry_class(u, polys)
+        return self._once((tag, u.shape, cls), lambda: build(cls))
 
     def symbol(self, lt, lx, omega):
         """j^2 - omega^2 l^2 at the modes (n k, d m) of the (lt+1, lx) frame (psolve._symbol)."""
@@ -499,10 +511,14 @@ class _Frame:
                           lambda: psolve._symbol(self.n, self.d, lt, lx, omega))
 
     def kernel(self, u, lx):
-        """The diagonal j = n k = d m <= lx, k <= u.lt, of the dilated frame field u."""
+        """The diagonal j = n k = d m <= lx, k <= lt, of the dilated frame field
+        of coefficients u (lt+1, ...), its entries (k, m) held per shape."""
+        def build():
+            k = np.arange(1, min(lx // self.n, u.shape[0] - 1) + 1)
+            return self.n * k - 1, k, (self.n // self.d) * k - 1
+        j, k, m = self._once(("kernel", u.shape[0], lx), build)
         xi = np.zeros(lx)
-        k = np.arange(1, min(lx // self.n, u.lt) + 1)
-        xi[self.n * k - 1] = u.coeffs[k, (self.n // self.d) * k - 1]
+        xi[j] = u[k, m]
         return kernel.KernelVector(xi)
 
     def lattice(self, lt, lx):
@@ -601,9 +617,13 @@ def _truncation(ctx, frame, reach, lt, lx):
 
 
 def _galerkin_F(u, ctx, frame):
-    """F(u) = symbol * u + P f(u) on the frame field u: the level's F at the frame's modes."""
-    fu = fields.apply_nonlinearity(u, frame.f.poly, out_lt=u.lt, out_lx=u.lx)
-    return fu.coeffs + frame.symbol(u.lt, u.lx, ctx.omega) * u.coeffs
+    """F(u) = symbol * u + P f(u) on the frame field's coefficients u (lt+1, lx):
+    the level's F at the frame's modes, P f(u) by the frame's plan."""
+    lt, lx = u.shape[0] - 1, u.shape[1]
+    polys = [frame.f.poly]
+    plan = frame.plan("F", u, polys,
+                      lambda cls: fields.plan_polynomials(u.shape, cls, polys, lt, lx))
+    return fields.planned_polynomials(plan, u, polys)[0] + frame.symbol(lt, lx, ctx.omega) * u
 
 
 def _range_resonance(frame, lt, lx, omega, rows):
@@ -616,10 +636,10 @@ def _range_resonance(frame, lt, lx, omega, rows):
     symbol on the unknowns and the mask of the range unknowns that are not
     resonant (_Frame.resonance).
     """
-    keep = frame.lattice(lt, lx)[2]
     sym, resonant, safe = frame.resonance(lt, lx, omega)
-    present = resonant[np.any(rows[resonant] != 0.0, axis=1)]
+    present = resonant[np.any(rows[resonant] != 0.0, axis=1)] if resonant.size else resonant
     if present.size:
+        keep = frame.lattice(lt, lx)[2]
         e = present[np.argmin(keep[present])]   # the lowest mode, row-major
         l, j = divmod(int(keep[e]), lx)
         raise ResonanceError(frame.n * l, frame.d * (j + 1), -sym[e])
@@ -627,21 +647,32 @@ def _range_resonance(frame, lt, lx, omega, rows):
 
 
 def _galerkin_jacobian(u, ctx, frame):
-    """The Jacobian diag(symbol) + M of _galerkin_F on the unknowns, in
-    frame.lattice order.
+    """The Jacobian diag(symbol) + M of _galerkin_F at the frame field's
+    coefficients u, on the unknowns, in frame.lattice order.
 
     M is the matrix of z -> P[f'(u) z] on the kept rows and columns of the
     frame; the entries the frame drops are not unknowns and have no row or
     column.  A resonant range unknown with a nonzero row of M raises
     ResonanceError (_range_resonance).  The lattice, the symbol and the
     resonance masks are the frame's own, built at its first Jacobian, and
-    M's plan is fields._matrix_plan's, so a call samples f'(u) and gathers M.
+    so is M's plan (fields.plan_poly_matrix, which reads
+    fields._matrix_plan), so a call samples f'(u) and gathers M.
     """
-    rows, cols, _ = frame.lattice(u.lt, u.lx)
-    J = fields.multiply_poly_matrix(u, frame.f.fprime, rows, cols)
-    sym, _ = _range_resonance(frame, u.lt, u.lx, ctx.omega, J)
+    lt, lx = u.shape[0] - 1, u.shape[1]
+    rows, cols, _ = frame.lattice(lt, lx)
+    fprime = frame.f.fprime
+    plan = frame.plan("jacobian", u, [fprime],
+                      lambda cls: fields.plan_poly_matrix(u.shape, cls, fprime, rows, cols))
+    J = fields.planned_poly_matrix(plan, u, fprime)
+    sym, _ = _range_resonance(frame, lt, lx, ctx.omega, J)
     J.flat[:: sym.size + 1] += sym    # the diagonal
     return J
+
+
+def _norm(F):
+    """The 2-norm of the array F, as np.linalg.norm takes it: sqrt of one dot."""
+    x = F.ravel()
+    return math.sqrt(x.dot(x))
 
 
 def _newton_solve(J, rhs, split):
@@ -701,11 +732,15 @@ def _newton(v0, ctx, f, lt=None, lx=None):
     reaches the 100 or so unknowns from which numpy's OpenBLAS wakes a
     second thread that spins through the rest of the pass: 64 for odd f,
     72 and 64 for even f.  Every table no iterate changes is built once per
-    level and read at every iterate: the lattice, the symbol and the
-    resonance masks on the level's frame (_Frame.tables), f' on f, and the
-    Jacobian's plan in fields._matrix_plan, which the levels of one frame
-    shape share; the Jacobian itself is assembled anew at every iterate.
-    Each line-search trial costs one apply_nonlinearity.  The iteration
+    level and read at every iterate: the lattice, the symbol, the
+    resonance masks, the kernel entries and the plans of F's, the
+    Jacobian's and the certificates' samplings, one per class, on the
+    level's frame (_Frame.tables), f' on f, and the plans' tables in
+    fields' caches, which the levels of one frame shape share; the
+    Jacobian itself is assembled anew at every iterate.  The iterates are
+    raw coefficient arrays, and a trial with a non-finite entry raises
+    ResowaveError; each line-search trial costs one planned sampling of
+    f.  The iteration
     stops when the last full step was at rounding level and the residual
     is at most GTOL; the second test is a safety check, since a settled
     step with a large residual is not a solution.  When an iterate's
@@ -724,9 +759,8 @@ def _newton(v0, ctx, f, lt=None, lx=None):
     frame = _dilation_frame(f, n, v0)
     lt, lx = _truncation(ctx, frame, ("len(v)", len(v0)), lt, lx)
     k = np.arange(1, len(v0) // n + 1)   # v0's entries j = n k, at frame column j/d
-    c = np.zeros((lt // n + 1, lx // frame.d))
-    c[k, (n // frame.d) * k - 1] = v0.xi[n * k - 1]
-    u = fields.SpectralField(c)
+    u = np.zeros((lt // n + 1, lx // frame.d))
+    u[k, (n // frame.d) * k - 1] = v0.xi[n * k - 1]
     trace = []
 
     def guard(u):
@@ -735,7 +769,7 @@ def _newton(v0, ctx, f, lt=None, lx=None):
                                    trace=tuple(trace))
 
     guard(u)
-    rows, cols, keep = frame.lattice(u.lt, u.lx)
+    rows, cols, keep = frame.lattice(u.shape[0] - 1, u.shape[1])
     # the lattice lists the unknowns of the rows k even first
     split = int(np.count_nonzero(rows % 2 == 0)) * cols.size
     scale = 0.5 * np.pi**2
@@ -743,11 +777,11 @@ def _newton(v0, ctx, f, lt=None, lx=None):
     if reduced._uses_qform(f):
         # the range unknowns, zero in u, read P f(v0) off F: start at v0 + w_1(v0)
         fv = F.flat[keep]
-        sym, safe = _range_resonance(frame, u.lt, u.lx, ctx.omega, fv[:, None])
-        c.flat[keep[safe]] = -fv[safe] / sym[safe]
-        u = fields.SpectralField(c)
+        sym, safe = _range_resonance(frame, u.shape[0] - 1, u.shape[1], ctx.omega, fv[:, None])
+        u = u.copy()
+        u.flat[keep[safe]] = -fv[safe] / sym[safe]
         F = _galerkin_F(u, ctx, frame)
-    gnorm = scale * float(np.linalg.norm(F))
+    gnorm = scale * _norm(F)
     report = NewtonReport(iterations=0, converged=False, grad_norm=np.inf)
     settled = False
 
@@ -772,9 +806,11 @@ def _newton(v0, ctx, f, lt=None, lx=None):
 
         t = 1.0
         while t >= 1e-6:
-            u_c = fields.SpectralField(u.coeffs + t * delta)
+            u_c = u + t * delta
+            if not np.isfinite(u_c).all():
+                raise ResowaveError("non-finite coefficient in a Newton iterate")
             F_c = _galerkin_F(u_c, ctx, frame)
-            gn_c = scale * float(np.linalg.norm(F_c))
+            gn_c = scale * _norm(F_c)
             if gn_c < gnorm * (1.0 - 1e-4 * t) or gn_c <= GTOL:
                 u, F, gnorm = u_c, F_c, gn_c
                 if t < 1.0:
@@ -786,12 +822,12 @@ def _newton(v0, ctx, f, lt=None, lx=None):
                 "Newton refinement stalled without reaching the tolerance",
                 trace=tuple(trace + [gnorm]),
             )
-        step = float(np.max(np.abs(t * delta)))
+        step = float(np.abs(t * delta).max())
         # Newton converges quadratically, so a full step below sqrt(machine
         # eps) relative leaves an error at rounding level behind it
-        settled = t == 1.0 and step <= _SQRT_EPS * float(np.max(np.abs(u.coeffs)))
+        settled = t == 1.0 and step <= _SQRT_EPS * float(np.abs(u).max())
 
-    return u, frame, (lt, lx), report
+    return fields.SpectralField(u), frame, (lt, lx), report
 
 
 def refine(v0, ctx, f):
@@ -818,6 +854,17 @@ def _dilate(U, frame, lt, lx):
     return xi, w
 
 
+@functools.lru_cache(maxsize=8)
+def _probe_tables(lt, top):
+    """cos(k T), k <= top, and -k sin(k T), k <= lt, at the 9 frame probes T =
+    2 pi i/9, read-only: _certify's, shared by the records of one frame shape."""
+    phase = np.outer(2.0 * np.pi * np.arange(9) / 9, np.arange(top + 1))  # k T
+    tables = np.cos(phase), np.sin(phase[:, : lt + 1]) * -np.arange(lt + 1)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _certify(U, ctx, frame):
     """Residual, Phi_eps, probe energies and drift of u(t, x) = U(n t, d x), from one sampling.
 
@@ -832,10 +879,11 @@ def _certify(U, ctx, frame):
     with a, b the sine coefficients of U, U_T there and g_m = sum_k P
     g(U)[k, m] cos(k T).
     """
-    lt, lx = U.lt, U.lx
-    fu, gu = (p.coeffs for p in fields.apply_polynomials(
-        U, [frame.f.poly, frame.f.primitive[1:]], out_lt=[lt, None], out_lx=lx))
-    u = U.coeffs
+    u, lt, lx = U.coeffs, U.lt, U.lx
+    polys = [frame.f.poly, frame.f.primitive[1:]]
+    plan = frame.plan("certify", u, polys,
+                      lambda cls: fields.plan_polynomials(u.shape, cls, polys, [lt, None], lx))
+    fu, gu = fields.planned_polynomials(plan, u, polys)
     R = fu[: lt + 1] + frame.symbol(lt, lx, ctx.omega) * u
     cl = fields.temporal_weights(lt)[:, None]
     res = float(np.sqrt(0.5 * np.pi**2 * np.sum(cl * R * R)))
@@ -843,10 +891,9 @@ def _certify(U, ctx, frame):
     v = np.where(frame.n * np.arange(lt + 1)[:, None] == frame.d * np.arange(1, lx + 1), u, 0.0)
     phi = 0.5 * np.pi**2 * float(np.sum(
         cl * (ctx.eps * j2 * v * v + 0.5 * fu[: lt + 1] * (u - v) - gu[: lt + 1] * u)))
-    phase = np.outer(2.0 * np.pi * np.arange(9) / 9, np.arange(gu.shape[0]))  # k T
-    cos = np.cos(phase)
+    cos, sin = _probe_tables(lt, gu.shape[0] - 1)
     a = cos[:, : lt + 1] @ u
-    b = (np.sin(phase[:, : lt + 1]) * -np.arange(lt + 1)) @ u
+    b = sin @ u
     energies = 0.25 * np.pi * np.sum((ctx.omega * frame.n) ** 2 * b * b
                                      + j2 * a * a + 2.0 * a * (cos @ gu), axis=1)
     return res, phi, energies, float(np.ptp(energies) / max(np.max(np.abs(energies)), 1e-30))
@@ -922,7 +969,7 @@ def _record(U, frame, lt, lx, ctx, recipe, predicted_level, newton, outside_theo
         frame=_Frame(frame.n, frame.d, frame.f),
         lt=lt,
         lx=lx,
-        h1=frame.kernel(U, lx).h1(),
+        h1=frame.kernel(U.coeffs, lx).h1(),
         sup=fields.sup_norm(U),
         energy=float(energies[0]),
         residual=res,

@@ -541,8 +541,8 @@ def test_oversized_newton_system_exits_two(tmp_path, capsys, monkeypatch, overri
     def never(*args, **kw):
         raise AssertionError("sampled a refused truncation")
 
-    monkeypatch.setattr(fields, "apply_nonlinearity", never)
-    monkeypatch.setattr(fields, "multiply_poly_matrix", never)
+    monkeypatch.setattr(fields, "planned_polynomials", never)
+    monkeypatch.setattr(fields, "planned_poly_matrix", never)
     monkeypatch.setattr(search, "maximize_U", never)
     cfg = solve_config(tmp_path, **{"eps": 4e-4, "dim": 4, "restarts": 2, "lmax": 400, **override})
     assert cli.main(["solve", "--config", cfg]) == 2

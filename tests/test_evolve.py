@@ -444,7 +444,8 @@ def test_g1_runs_are_the_loop_without_sub_lattice(criterion6_records):
         check = _parent_impulse(a0, f, t_final / (steps + 1), steps + 1, parity)
         err, res = evolve.return_error(u, omega, f)
         assert res.n_modes == n_modes and np.array_equal(res.a, a)
-        assert res.error_bar == np.linalg.norm(a - check) / np.linalg.norm(a0)
+        d = a - check
+        assert res.error_bar == np.sqrt(np.sum(d * d)) / np.sqrt(np.sum(a0 * a0))
         assert err == evolve._state_distance(a, a0)
         n_modes, steps, dt = evolve.time_grid(u, omega, evolve.probe_time(omega, n))
         a = _parent_impulse(a0, f, 0.5 * dt, 2 * steps, parity)
@@ -495,3 +496,29 @@ def test_evolve_imports_no_solver_module():
             package |= {a.name.split(".")[1] for a in node.names
                         if a.name.startswith("resowave.")}
     assert package == {"fields", "errors"}
+
+
+def test_return_error_sums_the_field_once(criterion6_records, monkeypatch):
+    # the return check reads its start off the run, whose a0 is the initial
+    # state on the run's modes: the record's field is summed once, inside
+    # integrate, which return_error still calls through the module
+    calls = []
+    real_state, real_integrate = evolve.initial_state, evolve.integrate
+
+    def counted(u, n_modes):
+        calls.append(n_modes)
+        return real_state(u, n_modes)
+
+    def integrate(*args):
+        calls.append("integrate")
+        return real_integrate(*args)
+
+    monkeypatch.setattr(evolve, "initial_state", counted)
+    monkeypatch.setattr(evolve, "integrate", integrate)
+    for rec in criterion6_records:
+        u = evolve.record_field(rec)
+        calls.clear()
+        err, res = evolve.return_error(u, rec.omega, F3)
+        assert calls[0] == "integrate" and len(calls) == 2
+        assert np.array_equal(res.a0, real_state(u, res.n_modes))
+        assert err == evolve._state_distance(res.a, res.a0)

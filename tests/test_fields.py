@@ -6,6 +6,7 @@ termwise evaluation, sharing no code with the implementation.
 """
 
 import functools
+import types
 
 import numpy as np
 import pytest
@@ -52,6 +53,17 @@ def both_paths(test):
     return run
 
 
+def trivial_dense_plan(shape, grid):
+    """The tables _dense_values reads off a dense plan (_Sampling), here on
+    every node of grid, the trivial class, which a plan runs on scipy.fft:
+    [cos](l t_i) on the rows and [sin](j x_k) on the columns, one block."""
+    lt, lx = shape[0] - 1, shape[1]
+    return types.SimpleNamespace(
+        t_table=fields._trig_table(grid[0], lt, False, (None, None))[:, : lt + 1],
+        x_table=fields._trig_table(grid[1], lx, False, (None, None))[:, lx + 2 :].T,
+        rows=grid[0])
+
+
 def random_field(rng, lt, lx, scale=1.0):
     arr = rng.standard_normal((lt + 1, lx)) * scale
     arr /= (1.0 + np.arange(lt + 1)[:, None] + np.arange(1, lx + 1)[None, :]) ** 2
@@ -75,8 +87,8 @@ def test_node_values_match_eval_field_at_their_nodes(lt, lx, nt, mx):
         x = 2.0 * np.pi * np.arange(nx) / nx
         for _ in range(3):
             u = random_field(rng, lt, lx)
-            for got in (fields._fft_values(u, nt, nx),
-                        fields._dense_values(u, (nt, nx), fields._TRIVIAL, nt)):
+            plan = trivial_dense_plan(u.coeffs.shape, (nt, nx))
+            for got in (fields._fft_values(u.coeffs, nt, nx), fields._dense_values(u.coeffs, plan)):
                 assert got.shape == (nt, nx)
                 assert np.max(np.abs(got - fields.eval_field(u, t, x))) <= 1e-13
 
@@ -600,19 +612,20 @@ def test_folded_samples_and_coefficients_match_the_full_torus(nt, nx):
     # domain are the whole torus's FFT samples at its nodes, and the
     # coefficients read off them those the FFTs read off the whole torus,
     # exact zeros where the class has none; a half shift needs an even
-    # length and is dropped on an odd one.  These sizes run dense
+    # length and is dropped on an odd one.  These sizes run dense, on a plan
+    # made on the grid given
     for seed, cls in enumerate(FOLD_CLASSES.values()):
         u = class_field(seed, 2, 3, *cls)
         for poly in FOLD_POLYS.values():
-            fold = fields._symmetry_class(u, [poly])
+            fold = fields._symmetry_class(u.coeffs, [poly])
             top, d_x = 2 * (len(poly) - 1), 3 * (len(poly) - 1)   # the degrees of poly(u)
-            rows, x, (projection,) = fields._layout(u.coeffs.shape, (nt, nx), fold, [top], d_x)
+            plan = fields._Sampling(u.coeffs.shape, fold, ((nt, nx), (nt, nx)), d_x, (top,), None)
+            assert plan.dense
             nodes_t, nodes_x = fields._axis_fold(nt, *fold[:2])[0], fields._axis_fold(nx, *fold[2:])[0]
-            full = fields._fft_values(u, nt, nx)
-            vals = fields._dense_values(u, (nt, nx), fold, rows)
+            full = fields._fft_values(u.coeffs, nt, nx)
+            vals = fields._dense_values(u.coeffs, plan)
             assert_fold_matches([vals], [full[np.ix_(nodes_t, nodes_x)]], (fold, "samples"))
-            got = fields._dense_coeffs(fields._poly_at(vals, poly), (nt, nx), fold, top, d_x,
-                                       x, projection)
+            got = fields._dense_coeffs(fields._poly_at(vals, poly), plan, top, plan.projections[0])
             want = fields._fft_coeffs(fields._poly_at(full, poly), top, d_x)
             scale = max(np.max(np.abs(w)) for w in want)
             for g, w in zip(got, want):
@@ -652,9 +665,9 @@ def record_executors(monkeypatch):
             return real(*args)
         monkeypatch.setattr(fields, name, run)
 
-    recording("_dense_values", lambda u, grid, cls, rows: grid)
-    recording("_fft_values", lambda u, nt, nx: (nt, nx))
-    recording("_dense_coeffs", lambda vals, grid, *rest: grid)
+    recording("_dense_values", lambda c, plan: plan.grid)
+    recording("_fft_values", lambda c, nt, nx: (nt, nx))
+    recording("_dense_coeffs", lambda vals, plan, *rest: plan.grid)
     recording("_fft_coeffs", lambda vals, top, d_x: vals.shape)
     return seen
 

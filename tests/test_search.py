@@ -310,14 +310,14 @@ def test_galerkin_jacobian_matches_residual_differences(coeffs, d):
     assert keep.size == (4 * 4 if odd else 9 * 8)
     rng = np.random.default_rng(3)
     c = 0.02 * rng.standard_normal((lt + 1, lx))
-    J = search._galerkin_jacobian(fields.SpectralField(c), ctx, frame)
+    J = search._galerkin_jacobian(c, ctx, frame)
     h = 1e-5
     fd = np.zeros_like(J)
     for col, k in enumerate(keep):
         step = np.zeros_like(c)
         step.flat[k] = h
-        fp = search._galerkin_F(fields.SpectralField(c + step), ctx, frame)
-        fm = search._galerkin_F(fields.SpectralField(c - step), ctx, frame)
+        fp = search._galerkin_F(c + step, ctx, frame)
+        fm = search._galerkin_F(c - step, ctx, frame)
         fd[:, col] = (fp - fm).ravel()[keep] / (2.0 * h)
     # measured against the f'(u) part, which the symbol on the diagonal
     # would otherwise swamp
@@ -333,12 +333,12 @@ def test_galerkin_jacobian_names_resonant_range_entry():
     ctx = frequency.FrequencyContext(omega=1.5, eps=0.625, gamma=0.1, L=16)
     v = kernel.KernelVector([0.05, 0.02, 0.0, 0.0, 0.0, 0.0])
     with pytest.raises(ResonanceError) as err:
-        search._galerkin_jacobian(kernel.embed(v), ctx, search._Frame(1, 1, f2))
+        search._galerkin_jacobian(kernel.embed(v).coeffs, ctx, search._Frame(1, 1, f2))
     assert (err.value.l, err.value.j) == (2, 3)
     frame = search._dilation_frame(f2, 2)
     v2 = kernel.rescale(v, 2)
     with pytest.raises(ResonanceError) as err:
-        search._galerkin_jacobian(fields.SpectralField(kernel.embed(v2).coeffs[::2]), ctx, frame)
+        search._galerkin_jacobian(kernel.embed(v2).coeffs[::2], ctx, frame)
     assert (err.value.l, err.value.j) == (2, 3)
 
 
@@ -371,11 +371,11 @@ def test_galerkin_jacobian_names_resonant_checkerboard_entry():
     frame = search._dilation_frame(F3, 1)
     assert frame.odd_rows and frame.odd_cols
     with pytest.raises(ResonanceError) as err:
-        search._galerkin_jacobian(kernel.embed(v), ctx, frame)
+        search._galerkin_jacobian(kernel.embed(v).coeffs, ctx, frame)
     assert (err.value.l, err.value.j) == (3, 5)
     v2 = kernel.rescale(v, 2)
     with pytest.raises(ResonanceError) as err:
-        search._galerkin_jacobian(fields.SpectralField(kernel.embed(v2).coeffs[::2, 1::2]), ctx,
+        search._galerkin_jacobian(kernel.embed(v2).coeffs[::2, 1::2], ctx,
                                   search._dilation_frame(F3, 2))
     assert (err.value.l, err.value.j) == (6, 10)
     # at omega = 3/2 the vanishing divisor of the (3, 3) truncation sits at
@@ -384,7 +384,7 @@ def test_galerkin_jacobian_names_resonant_checkerboard_entry():
     ctx = frequency.FrequencyContext(omega=1.5, eps=0.625, gamma=0.1, L=16)
     u = kernel.embed(kernel.KernelVector(v.xi[:3]))
     assert (u.lt, u.lx) == (3, 3)
-    J = search._galerkin_jacobian(u, ctx, frame)
+    J = search._galerkin_jacobian(u.coeffs, ctx, frame)
     assert J.shape == (kept_size(4, 3, odd_k=True, odd_m=True),) * 2
 
 
@@ -405,13 +405,13 @@ def test_galerkin_jacobian_resonance_window_is_apply_L_inv():
         assert (abs(value) < psolve.RESONANCE_TOL) == refused and abs(value) < 9e-10
         if refused:
             with pytest.raises(ResonanceError) as err:
-                search._galerkin_jacobian(U, ctx, frame)
+                search._galerkin_jacobian(U.coeffs, ctx, frame)
             with pytest.raises(ResonanceError) as ref:
                 psolve.apply_L_inv(fields.SpectralField(mode), omega)
             for e in (err.value, ref.value):
                 assert (e.l, e.j, e.value) == (9, 15, value)
         else:
-            search._galerkin_jacobian(U, ctx, frame)
+            search._galerkin_jacobian(U.coeffs, ctx, frame)
             psolve.apply_L_inv(fields.SpectralField(mode), omega)
 
 
@@ -441,7 +441,7 @@ def test_refine_stops_at_a_rounding_level_step():
     v0, _ = search.initial_guess(y, m, rec, ctx, diag)
     v, w, _ = search.refine(v0, ctx, F3)
     u = fields.SpectralField((kernel.embed(v) + w).padded(w.lt, w.lx))
-    F = search._galerkin_F(u, ctx, search._Frame(1, 1, F3))
+    F = search._galerkin_F(u.coeffs, ctx, search._Frame(1, 1, F3))
     step = np.linalg.solve(row_major_jacobian(u, ctx, F3), -F.ravel())
     assert np.max(np.abs(step)) <= 1e-14 * np.max(np.abs(v.xi))
 
@@ -659,7 +659,7 @@ def row_major_jacobian(u, ctx, f):
     """_galerkin_jacobian on every entry of u, its rows and columns row-major."""
     full = search._Frame(1, 1, f)
     where = np.argsort(full.lattice(u.lt, u.lx)[2])
-    return search._galerkin_jacobian(u, ctx, full)[np.ix_(where, where)]
+    return search._galerkin_jacobian(u.coeffs, ctx, full)[np.ix_(where, where)]
 
 
 def full_lattice_refine(v0, ctx, f, lt, lx):
@@ -676,7 +676,7 @@ def full_lattice_refine(v0, ctx, f, lt, lx):
     keep = np.flatnonzero(rows)
     v = kernel.KernelVector(np.pad(v0.xi, (0, lx - len(v0))))
     u = fields.SpectralField(kernel.embed(v).padded(lt, lx))
-    F = search._galerkin_F(u, ctx, full)[rows]
+    F = search._galerkin_F(u.coeffs, ctx, full)[rows]
     gnorm = 0.5 * np.pi**2 * float(np.linalg.norm(F))
     settled = False
     for _ in range(search._NEWTON_MAX_ITER):
@@ -688,7 +688,7 @@ def full_lattice_refine(v0, ctx, f, lt, lx):
         t = 1.0
         while t >= 1e-6:
             u_c = fields.SpectralField(u.coeffs + t * delta)
-            F_c = search._galerkin_F(u_c, ctx, full)[rows]
+            F_c = search._galerkin_F(u_c.coeffs, ctx, full)[rows]
             gn_c = 0.5 * np.pi**2 * float(np.linalg.norm(F_c))
             if gn_c < gnorm * (1.0 - 1e-4 * t) or gn_c <= search.GTOL:
                 break
@@ -763,8 +763,9 @@ def test_dilation_frame_scaling_laws(n, lt, lx):
     assert (frame.n, frame.d, frame.f) == (n, n, F35)
     U = fields.SpectralField(0.05 * rng.standard_normal((lt // n + 1, lx // n)))
     u = dilate(frame, U, lt, lx)
-    F_full = search._galerkin_F(u, ctx, search._Frame(1, 1, F35))
-    F_law = dilate(frame, fields.SpectralField(search._galerkin_F(U, ctx, frame)), lt, lx).coeffs
+    F_full = search._galerkin_F(u.coeffs, ctx, search._Frame(1, 1, F35))
+    F_law = dilate(frame, fields.SpectralField(search._galerkin_F(U.coeffs, ctx, frame)),
+                   lt, lx).coeffs
     assert np.max(np.abs(F_full - F_law)) <= 1e-14 * np.max(np.abs(F_full))
     phi_full = reduced.phi(kernel.KernelVector(fields.diagonal_of(u)), ctx, F35,
                            w=fields.zero_diagonal(u))
@@ -777,8 +778,9 @@ def test_dilation_frame_scaling_laws(n, lt, lx):
     assert (frame.n, frame.d, frame.f) == (n, 1, f23)
     U = fields.SpectralField(0.05 * rng.standard_normal((lt // n + 1, lx)))
     u = dilate(frame, U, lt, lx)
-    F_full = search._galerkin_F(u, ctx, search._Frame(1, 1, f23))
-    F_law = dilate(frame, fields.SpectralField(search._galerkin_F(U, ctx, frame)), lt, lx).coeffs
+    F_full = search._galerkin_F(u.coeffs, ctx, search._Frame(1, 1, f23))
+    F_law = dilate(frame, fields.SpectralField(search._galerkin_F(U.coeffs, ctx, frame)),
+                   lt, lx).coeffs
     assert np.max(np.abs(F_full - F_law)) <= 1e-14 * np.max(np.abs(F_full))
 
 
@@ -792,7 +794,7 @@ def test_frame_newton_measures_the_full_field_residual(level_guesses, monkeypatc
     lt = lx = 48
     u0 = fields.SpectralField(kernel.embed(v0).padded(lt, lx))
     full = 0.5 * np.pi**2 * np.linalg.norm(
-        search._galerkin_F(u0, C6_CTX, search._Frame(1, 1, f)))
+        search._galerkin_F(u0.coeffs, C6_CTX, search._Frame(1, 1, f)))
     assert abs(err.value.trace[0] - full) <= 1e-14 * full
 
 
@@ -959,14 +961,14 @@ def test_even_f_level_solves_in_the_time_frame(name):
 
 def record_jacobian_sizes(monkeypatch):
     sizes = []
-    real = fields.multiply_poly_matrix
+    real = fields.planned_poly_matrix
 
     def recording(*args, **kw):
         J = real(*args, **kw)
         sizes.append(J.shape[0])
         return J
 
-    monkeypatch.setattr(fields, "multiply_poly_matrix", recording)
+    monkeypatch.setattr(fields, "planned_poly_matrix", recording)
     return sizes
 
 
@@ -1070,7 +1072,7 @@ def test_criterion6_branch_jacobians_stay_small(monkeypatch):
         U = fields.SpectralField(u[:: r.n, r.n - 1 :: r.n])
         frame = dataclasses.replace(search._dilation_frame(F3, r.n), odd_rows=False,
                                     odd_cols=False)
-        J = search._galerkin_jacobian(U, C6_CTX, frame)
+        J = search._galerkin_jacobian(U.coeffs, C6_CTX, frame)
         assert coupling(J, row_split(U.lt, U.lx, frame)) <= 1e-12
     # an even f at level 1 keeps the half m odd of its 17 x 16 frame, and
     # eliminates its 72 unknowns with k even before the Schur complement on
@@ -1099,7 +1101,7 @@ def test_class_elimination_matches_one_solve(coeffs, omega, lt, lx):
     c = np.zeros((lt + 1) * lx)
     c[keep] = 0.2 * rng.standard_normal(keep.size) / (1.0 + keep // lx + keep % lx)
     u = fields.SpectralField(c.reshape(lt + 1, lx))
-    J = search._galerkin_jacobian(u, frequency.make_context(omega, L=lt), frame)
+    J = search._galerkin_jacobian(u.coeffs, frequency.make_context(omega, L=lt), frame)
     split = row_split(lt, lx, frame)
     assert 0 < split < keep.size and coupling(J, split) >= 1e-6
     b = rng.standard_normal(keep.size)
@@ -1121,8 +1123,9 @@ def test_singular_class_solve_is_a_convergence_error(monkeypatch, block):
     # both row parities), or a singular one-LU system (odd f, one parity),
     # is the singular Jacobian it would be in one LU
     def singular(u, ctx, frame):
-        keep = frame.lattice(u.lt, u.lx)[2]
-        split = row_split(u.lt, u.lx, frame)
+        lt, lx = u.shape[0] - 1, u.shape[1]
+        keep = frame.lattice(lt, lx)[2]
+        split = row_split(lt, lx, frame)
         E = np.eye(split, keep.size - split)
         if block == "class":
             return np.block([[np.zeros((split, split)), E], [E.T, np.eye(keep.size - split)]])
@@ -1142,6 +1145,29 @@ def test_singular_class_solve_is_a_convergence_error(monkeypatch, block):
         search.refine(v0, ctx, f)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_newton_iterate_is_refused(monkeypatch, bad):
+    # the Newton runs on raw coefficient arrays: a step with a non-finite
+    # entry is refused before f of the iterate is sampled
+    def step(J, rhs, split):
+        out = np.zeros_like(rhs)
+        out[0] = bad
+        return out
+
+    monkeypatch.setattr(search, "_newton_solve", step)
+    real = search._galerkin_F
+    calls = []
+
+    def counted(u, ctx, frame):
+        calls.append(np.isfinite(u).all())
+        return real(u, ctx, frame)
+
+    monkeypatch.setattr(search, "_galerkin_F", counted)
+    with pytest.raises(ResowaveError, match="non-finite coefficient"):
+        search.refine(kernel.KernelVector([1e-3]), ctx_cubic(), F3)
+    assert calls == [True]
+
+
 def test_refine_refuses_too_many_unknowns_before_sampling(monkeypatch):
     # a guess with a kernel entry at an even column keeps every frame
     # entry: 160400 unknowns would be a 206 GB Jacobian, refused before f(u)
@@ -1149,8 +1175,8 @@ def test_refine_refuses_too_many_unknowns_before_sampling(monkeypatch):
     def never(*args, **kw):
         raise AssertionError("sampled a refused truncation")
 
-    monkeypatch.setattr(fields, "apply_nonlinearity", never)
-    monkeypatch.setattr(fields, "multiply_poly_matrix", never)
+    monkeypatch.setattr(fields, "planned_polynomials", never)
+    monkeypatch.setattr(fields, "planned_poly_matrix", never)
     v0 = kernel.KernelVector([1e-3, 0.0, 0.0, 1e-5])
     ctx = frequency.make_context(frequency.omega_for_eps(4e-4), L=400)
     with pytest.raises(ConfigError, match=r"lt=400, lx=400 has 160400 .* MAX_UNKNOWNS = 4096"):
@@ -1308,7 +1334,7 @@ def test_frame_solve_certified_range_is_the_compressed_index():
     v0, _ = search.initial_guess(y, m, recipe, ctx, diag)
     U, frame, (lt, lx), rep = search._newton(v0, ctx, F3, lt=ctx.L)
     assert rep.converged and lt == ctx.L
-    assert psolve.contraction_domain(frame.kernel(U, lx), ctx, F3) <= psolve.DOMAIN_RHO
+    assert psolve.contraction_domain(frame.kernel(U.coeffs, lx), ctx, F3) <= psolve.DOMAIN_RHO
     # the Newton sizes its truncation by level_truncation, before the guard runs
     with pytest.raises(ConfigError, match=r"'lmax' must be >= lt = 25, got 24"):
         search._newton(v0, ctx, F3, lt=ctx.L + 1)
@@ -1381,8 +1407,8 @@ def test_certify_projects_f_on_the_rows_it_reads(monkeypatch):
             return real(*args)
         return run
 
-    # the two projectors: (vals, grid, cls, top, ...) and (vals, top, d_x)
-    monkeypatch.setattr(fields, "_dense_coeffs", recording(fields._dense_coeffs, 3))
+    # the two projectors: (vals, plan, top, projection) and (vals, top, d_x)
+    monkeypatch.setattr(fields, "_dense_coeffs", recording(fields._dense_coeffs, 2))
     monkeypatch.setattr(fields, "_fft_coeffs", recording(fields._fft_coeffs, 1))
     U = fields.SpectralField(0.05 * np.random.default_rng(6).standard_normal((17, 16)))
     search._certify(U, ctx_cubic(), search._Frame(1, 1, F3))
@@ -1452,13 +1478,13 @@ def test_build_solution_evaluates_f_on_the_field_once(level_guesses, monkeypatch
     samples = []
     dense, fft = fields._dense_values, fields._fft_values
 
-    def counted_dense(u, grid, cls, rows):
-        samples.append((u.lt, u.lx, *grid))
-        return dense(u, grid, cls, rows)
+    def counted_dense(c, plan):
+        samples.append((c.shape[0] - 1, c.shape[1], *plan.grid))
+        return dense(c, plan)
 
-    def counted_fft(u, nt, nx):
-        samples.append((u.lt, u.lx, nt, nx))
-        return fft(u, nt, nx)
+    def counted_fft(c, nt, nx):
+        samples.append((c.shape[0] - 1, c.shape[1], nt, nx))
+        return fft(c, nt, nx)
 
     monkeypatch.setattr(fields, "_dense_values", counted_dense)
     monkeypatch.setattr(fields, "_fft_values", counted_fft)
@@ -1582,7 +1608,7 @@ def record_jacobian_fields(monkeypatch):
     real = search._galerkin_jacobian
 
     def recording(u, ctx, frame):
-        fields_seen.append(u)
+        fields_seen.append(fields.SpectralField(u))
         return real(u, ctx, frame)
 
     monkeypatch.setattr(search, "_galerkin_jacobian", recording)
@@ -1601,7 +1627,7 @@ def test_refine_writes_the_dilated_frame_field(level_guesses, monkeypatch, name)
 
     def recording(frame, U, lx):
         out = real(frame, U, lx)
-        seen.append((frame, U, out))
+        seen.append((frame, fields.SpectralField(U), out))
         return out
 
     def writing(U, frame, lt, lx):
@@ -1829,13 +1855,16 @@ def test_warm_matrix_plans_write_the_same_records():
 
 def test_frame_tables_are_built_once_per_level(monkeypatch):
     # on the criterion-6 branch (u^3, levels 1-6, two Newton steps each)
-    # each level's frame builds its symbol, lattice and resonance masks
-    # once, for its F, its Jacobians and its certificate, and the Jacobian
-    # plans are built once per frame shape: 4 for 12 Jacobians.  A second
-    # branch builds its frames' tables again and reads every plan from the
-    # cache.  The builds are counted at the builders, so a read that goes
-    # around a table shows
-    builds = {"symbol": 0, "lattice": 0}
+    # each level's frame builds its symbol, lattice, resonance masks and
+    # kernel entries once, and the plan of each sampling once per class:
+    # F and the certificates on u^3's frame class, the Jacobian on that of
+    # f' = 3 u^2.  Those plans come from fields' caches, which make 16
+    # samplings (F, certificates, Jacobian and sup of 4 frame shapes) and
+    # 4 Jacobian tables for 12 Jacobians.  A second branch builds its
+    # frames' tables and plans again and reads every one from the caches.
+    # The builds are counted at the builders, so a read that goes around a
+    # table or a plan shows
+    builds = dict.fromkeys(["symbol", "lattice", "plan_polynomials", "plan_poly_matrix"], 0)
     frames = []
 
     def counted(name, fn):
@@ -1851,19 +1880,64 @@ def test_frame_tables_are_built_once_per_level(monkeypatch):
     real_jacobian = search._galerkin_jacobian
     monkeypatch.setattr(psolve, "_symbol", counted("symbol", psolve._symbol))
     monkeypatch.setattr(search, "_lattice", counted("lattice", search._lattice))
+    for name in ("plan_polynomials", "plan_poly_matrix"):
+        monkeypatch.setattr(fields, name, counted(name, getattr(fields, name)))
     monkeypatch.setattr(search, "_galerkin_jacobian", jacobian)
+    fields._sampling.cache_clear()
     fields._matrix_plan.cache_clear()
     c6_documents()
     assert len(frames) == 12 and len({id(frame) for frame in frames}) == 6
-    assert builds == {"symbol": 6, "lattice": 6}
+    assert builds == {"symbol": 6, "lattice": 6, "plan_polynomials": 12, "plan_poly_matrix": 6}
     for frame in frames:
-        assert sorted(key[0] for key in frame.tables) == ["lattice", "resonance", "symbol"]
-    info = fields._matrix_plan.cache_info()
-    assert (info.misses, info.hits) == (4, 8)
+        assert sorted(key[0] for key in frame.tables) == [
+            "F", "certify", "jacobian", "kernel", "lattice", "resonance", "symbol"]
+    samplings, tables = fields._sampling.cache_info(), fields._matrix_plan.cache_info()
+    assert (samplings.misses, samplings.hits) == (16, 8)
+    assert (tables.misses, tables.hits) == (4, 2)
     c6_documents()
-    assert builds == {"symbol": 12, "lattice": 12}
-    info = fields._matrix_plan.cache_info()
-    assert (info.misses, info.hits) == (4, 20)
+    assert builds == {"symbol": 12, "lattice": 12, "plan_polynomials": 24, "plan_poly_matrix": 12}
+    samplings, tables = fields._sampling.cache_info(), fields._matrix_plan.cache_info()
+    assert (samplings.misses, samplings.hits) == (16, 32)
+    assert (tables.misses, tables.hits) == (4, 8)
+
+
+def clear_plan_caches():
+    """Empty every cache a sampling or a certificate reads its plan or tables from."""
+    for cache in (fields._sampling, fields._matrix_plan, fields._trig_table, fields._axis_fold,
+                  fields._half_projection_matrix, search._probe_tables):
+        cache.cache_clear()
+
+
+def plan_records():
+    """The criterion-6 branch and the quadratic-offsets records at seed 0: the
+    bytes of each frame field U and its document, which holds every
+    certificate float."""
+    br = search.solve_branch(C6_CTX, F3, C=0.004, dim=6, seed=0, restarts=8)
+    assert [r.n for r in br.records] == [1, 2, 3, 4, 5, 6]
+    records = list(br.records)
+    recipe = reduced.g_recipe(F2, -1, 1)
+    y, m, diag = search.maximize_U(recipe, 6, seed=0, restarts=8)
+    for e in (2e-4, 4e-4, 8e-4, 1.6e-3):
+        ctx = frequency.make_context(1.0 - e, L=48)
+        v0, level = search.initial_guess(y, m, recipe, ctx, diag)
+        v, w, rep = search.refine(v0, ctx, F2)
+        records.append(search.build_solution(v, w, ctx, F2, recipe, level, newton=rep))
+    assert all(r.accepted for r in records)
+    return [(r.U.coeffs.tobytes(), json.dumps(r.as_document())) for r in records]
+
+
+def test_cached_plans_write_the_bits_of_fresh_ones():
+    # every plan and table read from a warm cache gives the bits a fresh
+    # build gives, on the criterion-6 branch and the quadratic offsets; the
+    # cache's size is a constant, and a second pass builds no plan
+    clear_plan_caches()
+    fresh = plan_records()
+    info = fields._sampling.cache_info()
+    assert info.maxsize == fields.SAMPLING_PLANS and info.currsize <= info.maxsize
+    assert plan_records() == fresh
+    again = fields._sampling.cache_info()
+    assert again.misses == info.misses and again.hits > info.hits
+    assert again.currsize == info.currsize
 
 
 def test_each_level_builds_its_frame_at_most_twice(monkeypatch):
@@ -1915,12 +1989,24 @@ def test_fold_moves_records_by_rounding_only(monkeypatch):
 
 def record_samplings(monkeypatch):
     """Each sampling of a field, in order, as (where, whole, runs): a call of
-    fields._torus_cos_sin, sup_norm or multiply_poly_project, the grid of
-    the whole torus at its degrees (None for multiply_poly_project), and
-    the (executor, grid) of each executor it runs."""
-    samplings = []
+    fields._values, which every planned sampling makes once, or of
+    multiply_poly_project; the grid of the whole torus at the degrees its
+    plan was made for (None for multiply_poly_project); and the (executor,
+    grid) of each executor it runs."""
+    samplings, wholes = [], {}
+    real_sampling = fields._sampling
 
-    def sampling(name, whole):
+    def sampling(shape, cls, degrees, *rest):
+        # the whole torus of the plan's degrees, or sup_norm's grid
+        plan = real_sampling(shape, cls, degrees, *rest)
+        if degrees is None:
+            lt, lx = shape[0] - 1, shape[1]
+            wholes[id(plan)] = max(1 << (4 * lt).bit_length(), 128), max(8 * lx + 4, 256)
+        else:
+            wholes[id(plan)] = fields._grid(degrees[0]), fields._grid(degrees[1])
+        return plan
+
+    def boundary(name, whole):
         real = getattr(fields, name)
 
         def run(*args, **kwargs):
@@ -1936,24 +2022,24 @@ def record_samplings(monkeypatch):
             return real(*args)
         monkeypatch.setattr(fields, name, run)
 
-    sampling("_torus_cos_sin", lambda u, polys, d_t, d_x, tops: (
-        fields._grid(max(d_t, u.lt, 1)), fields._grid(max(d_x, u.lx, 1))))
-    sampling("sup_norm", lambda u: (max(1 << (4 * u.lt).bit_length(), 128), max(8 * u.lx + 4, 256)))
-    sampling("multiply_poly_project", lambda *args: None)
-    executor("_dense_values", lambda u, grid, cls, rows: grid)
-    executor("_dense_coeffs", lambda vals, grid, *rest: grid)
-    executor("_fft_values", lambda u, nt, nx: (nt, nx))
+    monkeypatch.setattr(fields, "_sampling", sampling)
+    boundary("_values", lambda plan, c: wholes[id(plan)])
+    boundary("multiply_poly_project", lambda *args: None)
+    executor("_dense_values", lambda c, plan: plan.grid)
+    executor("_dense_coeffs", lambda vals, plan, *rest: plan.grid)
+    executor("_fft_values", lambda c, nt, nx: (nt, nx))
     executor("_fft_coeffs", lambda vals, top, d_x: vals.shape)
     return samplings
 
 
 def test_each_sampling_runs_one_path(monkeypatch):
     # each sampling and every projection off it run dense on the class's
-    # domain, or on scipy.fft over the whole torus, never a mix: on the
-    # criterion-6 branch, which runs dense only, and on u^2 at omega = 1 -
-    # 1e-8, levels 1-6, whose x axis grows until the bound sends some
-    # samplings to the FFTs (from level 4 on).  The Jacobian's oracle
-    # reaches no dense executor, even on a field small enough for one
+    # domain, or on scipy.fft over the whole torus, as its plan decided,
+    # never a mix: on the criterion-6 branch, which runs dense only, and on
+    # u^2 at omega = 1 - 1e-8, levels 1-6, whose x axis grows until the
+    # bound sends some samplings to the FFTs (from level 4 on).  The
+    # Jacobian's oracle reaches no dense executor, even on a field small
+    # enough for one
     samplings = record_samplings(monkeypatch)
     search.solve_branch(C6_CTX, F3, C=0.004, dim=6, seed=0, restarts=8)
     c6 = len(samplings)
