@@ -8,6 +8,7 @@ read (each is read through _read_input) and an output that cannot be written.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -432,7 +433,9 @@ def cmd_export(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    """The command-line parser, built once: parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="resowave",
         description="Periodic solutions of u_tt - u_xx + f(u) = 0 on (0, pi): "

@@ -48,7 +48,8 @@ returns are the true L2 projections, with no aliasing, for any polynomial
 nonlinearity.  A caller that samples fields of one shape many times, as
 the Newton of a level does, holds the plans (plan_polynomials,
 plan_poly_matrix) and runs them on raw coefficient arrays
-(planned_polynomials, planned_poly_matrix).
+(planned_polynomials, planned_poly_matrix); a matrix plan holds its
+gather tables too, which no cache keeps.
 """
 
 import functools
@@ -718,43 +719,6 @@ def _odd_projection(d_x, lx, j):
     return (0.5 * (K[np.abs(mu - j[None, :])] - K[mu + j[None, :]])).reshape(d_x + 1, j.size**2)
 
 
-# the largest _matrix_plan that is kept: 8 of them hold at most 8 MiB
-PLAN_CACHE_BYTES = 1 << 20
-
-
-@functools.lru_cache(maxsize=8)
-def _matrix_plan(lt, lx, rows, cols, d_x, odd):
-    """The u-independent tables of multiply_poly_matrix on the entries rows x
-    cols (tuples) of an (lt+1, lx) field, read-only.
-
-    Returns (half_t, diff, tsum, Kd, toeplitz, hankel): the half weights of
-    the rows t <= 2 lt of the slabs; the column maps |j - j'| and j + j';
-    the odd-term projection _odd_projection when odd, else None; and the
-    (R, R) row maps, R = len(rows), C = len(cols): the Toeplitz |a_r - a_s|
-    C and the Hankel (a_r + a_s) C, or the zero slab's (2 lt + 1) C in the
-    rows a_r = 0.  Each table is one that a call built before, so a plan
-    holds 8 (2 lt + 1 + 2 R^2 + (2 + (d_x + 1) odd) C^2) bytes.  The levels
-    of one branch and the rows of one scan share frame shapes (the
-    criterion-6 branch reads 4 plans for 6 levels, the 63-level branch 2),
-    so 8 plans are kept, each at most PLAN_CACHE_BYTES: the level-1 plans
-    of u^3 and u^2 at lt = lx = 16 hold 2.3 KB and 23 KB.  A larger plan, as
-    every entry of lt = lx = 63 for an even f (4032 unknowns, the largest
-    level-1 frame under search.MAX_UNKNOWNS: 4.2 MB, Kd 4.0 MB) or an
-    even-f level above a few, is built per call through __wrapped__ and
-    not kept.
-    """
-    a, j = np.array(rows, dtype=int), np.array(cols, dtype=int)
-    half_t = np.where(np.arange(2 * lt + 1) == 0, 1.0, 0.5)[:, None]
-    ac = a * j.size
-    plan = [half_t, np.abs(j[:, None] - j[None, :]), j[:, None] + j[None, :],
-            _odd_projection(d_x, lx, j) if odd else None,
-            np.abs(ac - ac[:, None]), np.where(a == 0, (2 * lt + 1) * j.size, ac + ac[:, None])]
-    for table in plan:
-        if table is not None:
-            table.flags.writeable = False
-    return tuple(plan)
-
-
 def multiply_poly_matrix(u, poly, rows, cols):
     """Dense matrix of z -> P[poly(u) z] on the entries rows x cols of u's truncation.
 
@@ -772,13 +736,11 @@ def multiply_poly_matrix(u, poly, rows, cols):
     ((l, j), (l', j')) is X[|l - l'|] + X[l + l'] of the slabs X[t, j, j'],
     built on cols: the block of the rows l = a_r, l' = a_s is X[|a_r - a_s|]
     + X[a_r + a_s], read by one gather over the pairs of rows.  Every table
-    that does not depend on u, the column and row maps, the half weights
-    and the odd-term projection, is the _matrix_plan of the frame shape,
-    kept when it holds at most PLAN_CACHE_BYTES, and the sampling is
-    planned once per shape and class (plan_poly_matrix), so a call samples
-    poly(u) for the slabs and gathers them.  The matrix is returned in Fortran
-    order, the layout LAPACK factors, which saves np.linalg.solve a
-    transpose in its copy.
+    that does not depend on u comes with the plan (plan_poly_matrix), here
+    built per call; the Newton of a level holds its plans (search._Frame),
+    so a Jacobian samples poly(u) for the slabs and gathers them.  The
+    matrix is returned in Fortran order, the layout LAPACK factors, which
+    saves np.linalg.solve a transpose in its copy.
     """
     c = u.coeffs
     plan = plan_poly_matrix(c.shape, _symmetry_class(c, [poly]), poly, rows, cols)
@@ -789,8 +751,20 @@ def plan_poly_matrix(shape, cls, poly, rows, cols):
     """The plan of multiply_poly_matrix(u, poly, rows, cols) for the fields u
     of shape (lt+1, lx) whose poly(u) falls in the class cls
     (_symmetry_class): (sampling, tables, odd), the _sampling of poly(u) on
-    the rows t <= 2 lt of the slabs, its _matrix_plan, and whether poly has
-    an odd-degree term.  Run it with planned_poly_matrix."""
+    the rows t <= 2 lt of the slabs, its tables, and whether poly has an
+    odd-degree term.  Run it with planned_poly_matrix.
+
+    The tables, built here and read-only, are (half_t, diff, tsum, Kd,
+    toeplitz, hankel): the half weights of the rows t <= 2 lt of the slabs;
+    the column maps |j - j'| and j + j'; the odd-term projection
+    _odd_projection when odd, else None; and the (R, C, R) gather indices,
+    R = len(rows), C = len(cols): the Toeplitz |a_r - a_s| C + k and the
+    Hankel (a_r + a_s) C + k, or the zero slab's (2 lt + 1) C + k in the
+    rows a_r = 0.  They hold 8 (2 lt + 1 + (2 + (d_x + 1) odd) C^2 + 2 R^2
+    C) bytes: 9.5 KB and 55 KB on the level-1 frames of u^3 and u^2 at lt =
+    lx = 16, 8.2 MB on every entry of lt = lx = 63 for an even f (4032
+    unknowns, the largest level-1 frame under search.MAX_UNKNOWNS).
+    """
     lt, lx = shape[0] - 1, shape[1]
     poly = np.asarray(poly, dtype=float)
     r = _poly_degree(poly)
@@ -798,10 +772,16 @@ def plan_poly_matrix(shape, cls, poly, rows, cols):
     # so that no higher harmonic aliases onto them
     d_x = max(2 * lx, r * lx)
     odd = bool(np.any(poly[1::2] != 0.0))
-    R, C = len(rows), len(cols)
-    kept = 8 * (2 * lt + 1 + 2 * R * R + (2 + (d_x + 1) * odd) * C * C) <= PLAN_CACHE_BYTES
-    tables = (_matrix_plan if kept else _matrix_plan.__wrapped__)(
-        lt, lx, tuple(np.asarray(rows).tolist()), tuple(np.asarray(cols).tolist()), d_x, odd)
+    a, j = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+    ac, k = a * j.size, np.arange(j.size)[:, None]
+    tables = (np.where(np.arange(2 * lt + 1) == 0, 1.0, 0.5)[:, None],
+              np.abs(j[:, None] - j[None, :]), j[:, None] + j[None, :],
+              _odd_projection(d_x, lx, j) if odd else None,
+              np.abs(ac - ac[:, None])[:, None] + k,
+              np.where(a == 0, (2 * lt + 1) * j.size, ac + ac[:, None])[:, None] + k)
+    for table in tables:
+        if table is not None:
+            table.flags.writeable = False
     sampling = _sampling(shape, cls, (max(2 * lt, r * lt, 1), d_x), d_x, (2 * lt,), None,
                          (DENSE_MAX_MADDS, DENSE_MAX_BLOCKS))
     return sampling, tables, odd
@@ -830,7 +810,6 @@ def planned_poly_matrix(plan, c, poly):
     # i] = X[|a_r - a_s|, i, k] + X[a_r + a_s, i, k] (the zero slab in the
     # rows a_r = 0), for each (s, k, r) the row t C + k of XT in C columns
     slab_rows = XT.reshape(-1, C)
-    k = np.arange(C)[:, None]
-    out = np.take(slab_rows, toeplitz[:, None] + k, axis=0)
-    out += np.take(slab_rows, hankel[:, None] + k, axis=0)
+    out = np.take(slab_rows, toeplitz, axis=0)
+    out += np.take(slab_rows, hankel, axis=0)
     return out.reshape(R * C, R * C).T

@@ -146,9 +146,7 @@ class SolutionRecord:
     q: int
     case: str
     U: fields.SpectralField   # the frame field
-    frame: "_Frame"           # read for its (n, d) only
-    lt: int
-    lx: int
+    frame: "_Frame"           # read for its (n, d) and truncation (lt, lx), its tables empty
     h1: float
     sup: float
     energy: float
@@ -158,9 +156,12 @@ class SolutionRecord:
     accepted: bool
     outside_theorem: bool = False
 
-    # the kernel coefficients and the range part: the full layout, drawn at each read
-    xi = property(lambda self: _dilate(self.U, self.frame, self.lt, self.lx)[0])
-    w_coeffs = property(lambda self: _dilate(self.U, self.frame, self.lt, self.lx)[1])
+    # the frame's truncation, and the kernel coefficients and the range part: the
+    # full layout, drawn at each read
+    lt = property(lambda self: self.frame.lt)
+    lx = property(lambda self: self.frame.lx)
+    xi = property(lambda self: _dilate(self.U, self.frame)[0])
+    w_coeffs = property(lambda self: _dilate(self.U, self.frame)[1])
 
     def as_document(self):
         doc = {name: getattr(self, name) for name in _DOCUMENT_FIELDS}
@@ -231,7 +232,7 @@ class SolutionRecord:
                                 f"{min(lt, lx)}, the diagonal of 'w_coeffs'")
         j = np.arange(1, min(lt, lx, len(xi)) + 1)
         w[j, j - 1] += xi[j - 1]
-        return cls(**data, U=fields.SpectralField(w), frame=_Frame(1, 1, None), lt=lt, lx=lx)
+        return cls(**data, U=fields.SpectralField(w), frame=_Frame(1, 1, None, lt=lt, lx=lx))
 
 
 # the document's keys, in order
@@ -471,19 +472,25 @@ class _Frame:
     that holds the guess and that U -> P f(U) maps into itself, so that a
     Newton step leaves every other entry an exact zero.  F(U) has no entry
     outside the class for U in it, so a zero of the kept rows is a zero of
-    the whole Galerkin system.
+    the whole Galerkin system.  (lt, lx) is the level's truncation, which
+    _truncation sizes and every table and sampling reads here.
     """
     n: int
     d: int
     f: object     # the level's nonlinearity
     odd_rows: bool = False
     odd_cols: bool = False
+    lt: int = None
+    lx: int = None
 
     # the tables of the frame that no iterate changes, built on first use
-    # for each truncation and omega, and the plans of its samplings, made on
-    # first use for each shape and class; a frame is made for one level
-    # (_dilation_frame), so its tables go with it
-    tables: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
+    # for each omega, and the plans of its samplings and its Jacobian, made
+    # on first use for each class; a sized frame serves one level, so its
+    # tables go with it, and a copy (dataclasses.replace) starts empty
+    tables: dict = dataclasses.field(default_factory=dict, init=False, compare=False,
+                                     repr=False)
+    # the frame field's shape: the rows k <= lt/n and the columns m <= lx/d
+    shape = property(lambda self: (self.lt // self.n + 1, self.lx // self.d))
 
     def _once(self, key, build):
         """build(), an array, a tuple of them or a plan, the first time key is
@@ -501,44 +508,53 @@ class _Frame:
         """The plan of the sampling tag of the frame field of coefficients u,
         whose products poly(u), poly of polys, fall in the class
         fields._symmetry_class reads off u at each call: build(cls) the first
-        time (through the fields plan cache), then the same plan."""
+        time, then the same plan."""
         cls = fields._symmetry_class(u, polys)
-        return self._once((tag, u.shape, cls), lambda: build(cls))
+        return self._once((tag, cls), lambda: build(cls))
 
-    def symbol(self, lt, lx, omega):
-        """j^2 - omega^2 l^2 at the modes (n k, d m) of the (lt+1, lx) frame (psolve._symbol)."""
-        return self._once(("symbol", lt, lx, omega),
-                          lambda: psolve._symbol(self.n, self.d, lt, lx, omega))
+    def symbol(self, omega):
+        """j^2 - omega^2 l^2 at the modes (n k, d m) of the frame field (psolve._symbol)."""
+        rows, cols = self.shape
+        return self._once(("symbol", omega),
+                          lambda: psolve._symbol(self.n, self.d, rows - 1, cols, omega))
 
-    def kernel(self, u, lx):
-        """The diagonal j = n k = d m <= lx, k <= lt, of the dilated frame field
-        of coefficients u (lt+1, ...), its entries (k, m) held per shape."""
+    def kernel(self, u):
+        """The diagonal j = n k = d m <= min(lt, lx) of the dilated frame field
+        of coefficients u, its entries (k, m) held: L_n y of the y place writes."""
         def build():
-            k = np.arange(1, min(lx // self.n, u.shape[0] - 1) + 1)
+            k = np.arange(1, min(self.lt, self.lx) // self.n + 1)
             return self.n * k - 1, k, (self.n // self.d) * k - 1
-        j, k, m = self._once(("kernel", u.shape[0], lx), build)
-        xi = np.zeros(lx)
+        j, k, m = self._once(("kernel",), build)
+        xi = np.zeros(self.lx)
         xi[j] = u[k, m]
         return kernel.KernelVector(xi)
 
-    def lattice(self, lt, lx):
-        """The Newton unknowns of the (lt+1, lx) frame: (rows, cols, flat) (_lattice)."""
-        return self._once(("lattice", lt, lx),
-                          lambda: _lattice(lt, lx, self.odd_rows, self.odd_cols))
+    def place(self, y):
+        """The frame field of L_n y: y_k at (k, (n/d) k), k <= len(y), else zero."""
+        u = np.zeros(self.shape)
+        k = np.arange(1, len(y) + 1)
+        u[k, (self.n // self.d) * k - 1] = y
+        return u
 
-    def resonance(self, lt, lx, omega):
-        """(sym, resonant, safe) on the unknowns of the (lt+1, lx) frame, in
-        lattice order: the symbol, the indices of the range unknowns (n k
-        != d m) with |sym| < RESONANCE_TOL, and the mask of those that are
-        not resonant."""
+    def lattice(self):
+        """The Newton unknowns of the frame field: (rows, cols, flat) (_lattice)."""
+        rows, cols = self.shape
+        return self._once(("lattice",),
+                          lambda: _lattice(rows - 1, cols, self.odd_rows, self.odd_cols))
+
+    def resonance(self, omega):
+        """(sym, resonant, safe) on the unknowns of the frame, in lattice
+        order: the symbol, the indices of the range unknowns (n k != d m)
+        with |sym| < RESONANCE_TOL, and the mask of those that are not
+        resonant."""
         def build():
-            keep = self.lattice(lt, lx)[2]
-            l, j = divmod(keep, lx)
+            keep = self.lattice()[2]
+            l, j = divmod(keep, self.shape[1])
             l, j = self.n * l, self.d * (j + 1)
-            sym = self.symbol(lt, lx, omega).ravel()[keep]
+            sym = self.symbol(omega).ravel()[keep]
             small = np.abs(sym) < psolve.RESONANCE_TOL
             return sym, np.flatnonzero((l != j) & small), (l != j) & ~small
-        return self._once(("resonance", lt, lx, omega), build)
+        return self._once(("resonance", omega), build)
 
 
 def _lattice(lt, lx, odd_rows, odd_cols):
@@ -592,13 +608,14 @@ def level_truncation(ctx, f, n, reach, lt=None, lx=None, v=None):
     then ConfigError naming the first key out of order, or when the
     unknowns are more than MAX_UNKNOWNS.
     """
-    return _truncation(ctx, _dilation_frame(f, n, v), ("n * dim" if v is None else "len(v)", reach),
-                       lt, lx)
+    frame = _truncation(ctx, _dilation_frame(f, n, v), ("n * dim" if v is None else "len(v)", reach),
+                        lt, lx)
+    return frame.lt, frame.lx
 
 
 def _truncation(ctx, frame, reach, lt, lx):
-    """level_truncation of the level whose frame is given; reach is the pair
-    (its name in a refusal, its value)."""
+    """A copy of frame holding level_truncation's (lt, lx), its tables empty;
+    reach is the pair (its name in a refusal, its value)."""
     if ctx.gamma <= 0.0:
         raise ResonanceError(omega=ctx.omega)
     chain = [reach, ("lx", lx), ("lt", lt), ("lmax", ctx.L)]
@@ -613,20 +630,20 @@ def _truncation(ctx, frame, reach, lt, lx):
     if unknowns > MAX_UNKNOWNS:
         raise ConfigError(f"refinement truncation lt={lt}, lx={lx} has {unknowns} Newton "
                           f"unknowns, above MAX_UNKNOWNS = {MAX_UNKNOWNS}")
-    return lt, lx
+    return dataclasses.replace(frame, lt=lt, lx=lx)
 
 
 def _galerkin_F(u, ctx, frame):
-    """F(u) = symbol * u + P f(u) on the frame field's coefficients u (lt+1, lx):
-    the level's F at the frame's modes, P f(u) by the frame's plan."""
-    lt, lx = u.shape[0] - 1, u.shape[1]
+    """F(u) = symbol * u + P f(u) on the frame field's coefficients u: the
+    level's F at the frame's modes, P f(u) by the frame's plan."""
+    rows, cols = frame.shape
     polys = [frame.f.poly]
     plan = frame.plan("F", u, polys,
-                      lambda cls: fields.plan_polynomials(u.shape, cls, polys, lt, lx))
-    return fields.planned_polynomials(plan, u, polys)[0] + frame.symbol(lt, lx, ctx.omega) * u
+                      lambda cls: fields.plan_polynomials(frame.shape, cls, polys, rows - 1, cols))
+    return fields.planned_polynomials(plan, u, polys)[0] + frame.symbol(ctx.omega) * u
 
 
-def _range_resonance(frame, lt, lx, omega, rows):
+def _range_resonance(frame, omega, rows):
     """Refuse a range unknown (n k != d m) with |symbol| < RESONANCE_TOL whose
     row of the matrix rows, one row per unknown in frame.lattice order, is
     nonzero.
@@ -636,12 +653,12 @@ def _range_resonance(frame, lt, lx, omega, rows):
     symbol on the unknowns and the mask of the range unknowns that are not
     resonant (_Frame.resonance).
     """
-    sym, resonant, safe = frame.resonance(lt, lx, omega)
+    sym, resonant, safe = frame.resonance(omega)
     present = resonant[np.any(rows[resonant] != 0.0, axis=1)] if resonant.size else resonant
     if present.size:
-        keep = frame.lattice(lt, lx)[2]
+        keep = frame.lattice()[2]
         e = present[np.argmin(keep[present])]   # the lowest mode, row-major
-        l, j = divmod(int(keep[e]), lx)
+        l, j = divmod(int(keep[e]), frame.shape[1])
         raise ResonanceError(frame.n * l, frame.d * (j + 1), -sym[e])
     return sym, safe
 
@@ -655,16 +672,15 @@ def _galerkin_jacobian(u, ctx, frame):
     column.  A resonant range unknown with a nonzero row of M raises
     ResonanceError (_range_resonance).  The lattice, the symbol and the
     resonance masks are the frame's own, built at its first Jacobian, and
-    so is M's plan (fields.plan_poly_matrix, which reads
-    fields._matrix_plan), so a call samples f'(u) and gathers M.
+    so is M's plan (fields.plan_poly_matrix: its sampling and its gather
+    tables), so a call samples f'(u) and gathers M.
     """
-    lt, lx = u.shape[0] - 1, u.shape[1]
-    rows, cols, _ = frame.lattice(lt, lx)
+    rows, cols, _ = frame.lattice()
     fprime = frame.f.fprime
     plan = frame.plan("jacobian", u, [fprime],
-                      lambda cls: fields.plan_poly_matrix(u.shape, cls, fprime, rows, cols))
+                      lambda cls: fields.plan_poly_matrix(frame.shape, cls, fprime, rows, cols))
     J = fields.planned_poly_matrix(plan, u, fprime)
-    sym, _ = _range_resonance(frame, lt, lx, ctx.omega, J)
+    sym, _ = _range_resonance(frame, ctx.omega, J)
     J.flat[:: sym.size + 1] += sym    # the diagonal
     return J
 
@@ -695,81 +711,74 @@ def _newton_solve(J, rhs, split):
     return np.concatenate([Y[:, -1] - Y[:, :-1] @ x2, x2])
 
 
-def _newton(v0, ctx, f, lt=None, lx=None):
-    """Damped Newton on the truncated Galerkin system, from the dilated guess.
+def _newton(u, ctx, frame):
+    """Damped Newton on the truncated Galerkin system of the sized frame,
+    from the frame field u of the dilated guess (_Frame.place).
 
-    Returns the frame field U, its _Frame, the truncation (lt, lx) and the
-    NewtonReport.  The unknowns are the entries of the truncation that the
-    level's dilation frame keeps (_Frame), kernel (l = j) and range alike.  The
-    residual is (pi^2/2) F(u), F(u) = (j^2 - omega^2 l^2) u + P f(u); its
-    kernel rows are exactly -grad Phi_eps and its range rows the range
-    equation, so a zero is a critical point v with its w(v).  The Newton
-    starts from u = v0 (w = 0), except where G carries the quadratic form
-    (reduced._uses_qform: n2, and n3 with b < 0).  There the leading term
-    of the reduced functional is built from the range equation's first
-    iterate w_1(v) = L^-1 P_W f(v), and w = 0 is off by O(|v|); so the
-    range unknowns (n k != d m) are set to -P f(v0)/symbol, read off the
-    guess's F, and the Newton starts from v0 + w_1(v0), off by O(eps).
-    That range step is the first sweep of psolve.solve_P: it leaves the
-    kernel entries as they are, costs one more evaluation of F, is not
-    counted as an iteration, and refuses a resonant range unknown with a
-    nonzero entry of P f(v0) as the Jacobian does (_range_resonance).
-    Elsewhere w_1(v0) is the size of the guess's own error in the kernel
-    and saves no step.  The Newton runs on the frame field, written once at
-    its modes (n k, d m), the rest exact zeros, where it reads F unscaled:
-    the certified range is l = n k <= lt <= L.  The unknowns are the product of
-    the rows and columns the frame keeps (_Frame.lattice, read off v0 by
-    _dilation_frame): for odd f the entries k and m odd, fixed by the
-    frame's torus shift and even under X -> pi - X; for even f every entry,
-    or at odd levels those with m odd; every entry for a guess that is not
-    reflection-even.  A Newton step moves no other entry, which stays an
-    exact zero, and the residual is measured on every entry.  Each step
-    assembles the Jacobian on the unknowns once (_galerkin_jacobian) and
-    solves it densely (_newton_solve) split at the count of unknowns in the
-    rows k even: one LU where the unknowns have one row parity (odd f),
-    else block elimination, the rows k even and then the Schur complement
-    on the rows k odd.  So at a 17 x 16 level-1 frame no LU
-    reaches the 100 or so unknowns from which numpy's OpenBLAS wakes a
-    second thread that spins through the rest of the pass: 64 for odd f,
-    72 and 64 for even f.  Every table no iterate changes is built once per
-    level and read at every iterate: the lattice, the symbol, the
-    resonance masks, the kernel entries and the plans of F's, the
-    Jacobian's and the certificates' samplings, one per class, on the
-    level's frame (_Frame.tables), f' on f, and the plans' tables in
-    fields' caches, which the levels of one frame shape share; the
+    Returns the frame field U and the NewtonReport.  The unknowns are the
+    entries of the truncation that the level's dilation frame keeps
+    (_Frame), kernel (l = j) and range alike.  The residual is (pi^2/2)
+    F(u), F(u) = (j^2 - omega^2 l^2) u + P f(u); its kernel rows are exactly
+    -grad Phi_eps and its range rows the range equation, so a zero is a
+    critical point v with its w(v).  The Newton starts from the guess v0
+    (w = 0), except where G carries the quadratic form (reduced._uses_qform:
+    n2, and n3 with b < 0).  There the leading term of the reduced
+    functional is built from the range equation's first iterate w_1(v) =
+    L^-1 P_W f(v), and w = 0 is off by O(|v|); so the range unknowns
+    (n k != d m) are set to -P f(v0)/symbol, read off the guess's F, and the Newton
+    starts from v0 + w_1(v0), off by O(eps).  That range step is the first
+    sweep of psolve.solve_P: it leaves the kernel entries as they are, costs
+    one more evaluation of F, is not counted as an iteration, and refuses a
+    resonant range unknown with a nonzero entry of P f(v0) as the Jacobian
+    does (_range_resonance).  Elsewhere w_1(v0) is the size of the guess's
+    own error in the kernel and saves no step.  The Newton runs on the frame
+    field, written once at its modes (n k, d m), the rest exact zeros, where
+    it reads F unscaled: the certified range is l = n k <= lt <= L.  The
+    unknowns are the product of the rows and columns the frame keeps
+    (_Frame.lattice, of the guess's class, _dilation_frame): for odd f the
+    entries k and m odd, fixed by the frame's torus shift and even under
+    X -> pi - X; for even f every entry, or at odd levels those with m odd;
+    every entry for a guess that is not reflection-even.  A Newton step
+    moves no other entry, which stays an exact zero, and the residual is
+    measured on every entry.  Each step assembles the Jacobian on the
+    unknowns once (_galerkin_jacobian) and solves it densely (_newton_solve)
+    split at the count of unknowns in the rows k even: one LU where the
+    unknowns have one row parity (odd f), else block elimination, the rows k
+    even and then the Schur complement on the rows k odd.  So at a 17 x 16
+    level-1 frame no LU reaches the 100 or so unknowns from which numpy's
+    OpenBLAS wakes a second thread that spins through the rest of the pass:
+    64 for odd f, 72 and 64 for even f.  Every table no iterate changes is
+    built once per level, in the frame's tables, and read at every iterate:
+    the lattice, the symbol, the resonance masks, the kernel entries and the
+    plans of F's, the Jacobian's (with its gather tables) and the
+    certificates' samplings, one per class, whose samplings fields shares
+    across the levels of one frame shape; f' is built once on f.  The
     Jacobian itself is assembled anew at every iterate.  The iterates are
     raw coefficient arrays, and a trial with a non-finite entry raises
-    ResowaveError; each line-search trial costs one planned sampling of
-    f.  The iteration
-    stops when the last full step was at rounding level and the residual
-    is at most GTOL; the second test is a safety check, since a settled
-    step with a large residual is not a solution.  When an iterate's
+    ResowaveError; each line-search trial costs one planned sampling of f.
+    The iteration stops when the last full step was at rounding level and
+    the residual is at most GTOL; the second test is a safety check, since a
+    settled step with a large residual is not a solution.  When an iterate's
     kernel part, read off the frame field (_Frame.kernel), leaves the
-    contraction domain (psolve.contraction_domain above
-    psolve.DOMAIN_RHO) the Newton aborts rather than report a
-    solution the existence argument does not cover.  The guard reads
-    coefficients only and runs once per iterate; it reads the guess before
-    F is first evaluated, so a refused guess samples nothing, takes no range
-    step and leaves an empty trace.  The frame of v0 is built once; its
-    truncation is level_truncation's for the guess v0 (reach len(v0),
-    through _truncation on that frame), whose refusals (ConfigError,
-    ResonanceError) come before anything is sampled.
+    contraction domain (psolve.contraction_domain above psolve.DOMAIN_RHO)
+    the Newton aborts rather than report a solution the existence argument
+    does not cover.  The guard reads coefficients only and runs once per
+    iterate; it reads the guess before F is first evaluated, so a refused
+    guess samples nothing, takes no range step and leaves an empty trace.
+    The Newton derives no level, frame or truncation: its caller sized the
+    frame (_truncation), whose refusals (ConfigError, ResonanceError) come
+    before anything is sampled.
     """
-    n = kernel.minimal_time_period_index(v0)
-    frame = _dilation_frame(f, n, v0)
-    lt, lx = _truncation(ctx, frame, ("len(v)", len(v0)), lt, lx)
-    k = np.arange(1, len(v0) // n + 1)   # v0's entries j = n k, at frame column j/d
-    u = np.zeros((lt // n + 1, lx // frame.d))
-    u[k, (n // frame.d) * k - 1] = v0.xi[n * k - 1]
+    f = frame.f
     trace = []
 
     def guard(u):
-        if psolve.contraction_domain(frame.kernel(u, lx), ctx, f) > psolve.DOMAIN_RHO:
+        if psolve.contraction_domain(frame.kernel(u), ctx, f) > psolve.DOMAIN_RHO:
             raise ConvergenceError("iterate left the contraction domain during refinement",
                                    trace=tuple(trace))
 
     guard(u)
-    rows, cols, keep = frame.lattice(u.shape[0] - 1, u.shape[1])
+    rows, cols, keep = frame.lattice()
     # the lattice lists the unknowns of the rows k even first
     split = int(np.count_nonzero(rows % 2 == 0)) * cols.size
     scale = 0.5 * np.pi**2
@@ -777,7 +786,7 @@ def _newton(v0, ctx, f, lt=None, lx=None):
     if reduced._uses_qform(f):
         # the range unknowns, zero in u, read P f(v0) off F: start at v0 + w_1(v0)
         fv = F.flat[keep]
-        sym, safe = _range_resonance(frame, u.shape[0] - 1, u.shape[1], ctx.omega, fv[:, None])
+        sym, safe = _range_resonance(frame, ctx.omega, fv[:, None])
         u = u.copy()
         u.flat[keep[safe]] = -fv[safe] / sym[safe]
         F = _galerkin_F(u, ctx, frame)
@@ -827,13 +836,16 @@ def _newton(v0, ctx, f, lt=None, lx=None):
         # eps) relative leaves an error at rounding level behind it
         settled = t == 1.0 and step <= _SQRT_EPS * float(np.abs(u).max())
 
-    return fields.SpectralField(u), frame, (lt, lx), report
+    return fields.SpectralField(u), report
 
 
 def refine(v0, ctx, f):
-    """(v, w, NewtonReport) of the guess v0: _newton at the default truncation, dilated."""
-    U, frame, (lt, lx), report = _newton(v0, ctx, f)
-    xi, w = _dilate(U, frame, lt, lx)
+    """(v, w, NewtonReport) of the guess v0: _newton at the default truncation, dilated,
+    on the frame of v0's level (its minimal period) and class, sized at reach len(v0)."""
+    n = kernel.minimal_time_period_index(v0)
+    frame = _truncation(ctx, _dilation_frame(f, n, v0), ("len(v)", len(v0)), None, None)
+    U, report = _newton(frame.place(v0.xi[n - 1 :: n]), ctx, frame)
+    xi, w = _dilate(U, frame)
     return kernel.KernelVector(xi), fields.SpectralField(w), report
 
 
@@ -841,11 +853,12 @@ def refine(v0, ctx, f):
 # step 4: certification and the record
 
 
-def _dilate(U, frame, lt, lx):
-    """(xi, w) of u(t, x) = U(n t, d x) on the (lt+1, lx) truncation, the full-size
-    layout that refine and a record's xi and w_coeffs read (evolve.record_field places
-    U alike, in one array): w holds U at the modes (n k, d m) but for its kernel
-    entries n k = d m <= min(lt, lx), in xi."""
+def _dilate(U, frame):
+    """(xi, w) of u(t, x) = U(n t, d x) on the frame's (lt+1, lx) truncation, the
+    full-size layout that refine and a record's xi and w_coeffs read
+    (evolve.record_field places U alike, in one array): w holds U at the modes (n k,
+    d m) but for its kernel entries n k = d m <= min(lt, lx), in xi."""
+    lt, lx = frame.lt, frame.lx
     w = np.zeros((lt + 1, lx))
     w[:: frame.n, frame.d - 1 :: frame.d] = U.coeffs
     j = np.arange(frame.n, min(lt, lx) + 1, frame.n)
@@ -868,9 +881,10 @@ def _probe_tables(lt, top):
 def _certify(U, ctx, frame):
     """Residual, Phi_eps, probe energies and drift of u(t, x) = U(n t, d x), from one sampling.
 
-    f and g = F/u (F(0) = 0) are projected exactly on the columns m <= lx,
-    f on the rows k <= lt that the residual and Phi read and g on every row
-    k <= r lt it reaches (r = deg f).  As U lies in the truncation, int F(U)
+    On the frame field's (lt+1, lx) shape (_Frame.shape), f and g = F/u
+    (F(0) = 0) are projected exactly on the columns m <= lx, f on the rows
+    k <= lt that the residual and Phi read and g on every row k <= r lt it
+    reaches (r = deg f).  As U lies in the truncation, int F(U)
     = <P g(U), U>, so each certificate is exact, read at u's modes (n k, d
     m).  The residual is _galerkin_F's, Phi_eps = (eps/2) |v|_H1^2 +
     (1/2)<P f(u), w> - <P g(u), u> with v on the entries n k = d m, and the
@@ -879,12 +893,13 @@ def _certify(U, ctx, frame):
     with a, b the sine coefficients of U, U_T there and g_m = sum_k P
     g(U)[k, m] cos(k T).
     """
-    u, lt, lx = U.coeffs, U.lt, U.lx
+    u, (rows, lx) = U.coeffs, frame.shape
+    lt = rows - 1
     polys = [frame.f.poly, frame.f.primitive[1:]]
     plan = frame.plan("certify", u, polys,
-                      lambda cls: fields.plan_polynomials(u.shape, cls, polys, [lt, None], lx))
+                      lambda cls: fields.plan_polynomials(frame.shape, cls, polys, [lt, None], lx))
     fu, gu = fields.planned_polynomials(plan, u, polys)
-    R = fu[: lt + 1] + frame.symbol(lt, lx, ctx.omega) * u
+    R = fu[: lt + 1] + frame.symbol(ctx.omega) * u
     cl = fields.temporal_weights(lt)[:, None]
     res = float(np.sqrt(0.5 * np.pi**2 * np.sum(cl * R * R)))
     j2 = (frame.d * np.arange(1, lx + 1, dtype=float)) ** 2
@@ -901,7 +916,8 @@ def _certify(U, ctx, frame):
 
 def galerkin_residual(v, w, ctx, f):
     """Weighted l2 norm of the equation residual on the solve truncation."""
-    return _certify(kernel.embed(v) + w, ctx, _Frame(1, 1, f))[0]
+    u = kernel.embed(v) + w
+    return _certify(u, ctx, _Frame(1, 1, f, lt=u.lt, lx=u.lx))[0]
 
 
 def _support_index(c, n=1):
@@ -938,9 +954,9 @@ def involution_partner(u):
     return fields.SpectralField(u.coeffs * (-1.0) ** (l + j + 1) + 0.0)
 
 
-def _record(U, frame, lt, lx, ctx, recipe, predicted_level, newton, outside_theorem):
-    """The record of the frame field U on the (lt+1, lx) truncation, certified on U and
-    holding U itself, with a fresh frame of the same (n, d) whose tables are empty.
+def _record(U, frame, ctx, recipe, predicted_level, newton, outside_theorem):
+    """The record of the frame field U on the sized frame, certified on U and holding
+    U itself, with a copy of the frame whose tables are empty.
 
     h1 is read off U's kernel entries (_Frame.kernel).  Of recipe only n,
     q and case are read, so a record serves as well.
@@ -966,10 +982,8 @@ def _record(U, frame, lt, lx, ctx, recipe, predicted_level, newton, outside_theo
         q=int(recipe.q),
         case=recipe.case,
         U=U,
-        frame=_Frame(frame.n, frame.d, frame.f),
-        lt=lt,
-        lx=lx,
-        h1=frame.kernel(U.coeffs, lx).h1(),
+        frame=dataclasses.replace(frame),
+        h1=frame.kernel(U.coeffs).h1(),
         sup=fields.sup_norm(U),
         energy=float(energies[0]),
         residual=res,
@@ -989,9 +1003,9 @@ def build_solution(v, w, ctx, f, recipe, predicted_level, newton=None,
     u = (kernel.embed(v) + w).coeffs
     if np.count_nonzero(u[:: frame.n, frame.d - 1 :: frame.d]) < np.count_nonzero(u):
         frame = _Frame(1, 1, f)  # an entry off the frame: certify the whole field
+    frame = dataclasses.replace(frame, lt=u.shape[0] - 1, lx=u.shape[1])
     U = fields.SpectralField(u[:: frame.n, frame.d - 1 :: frame.d])
-    return _record(U, frame, u.shape[0] - 1, u.shape[1], ctx, recipe, predicted_level,
-                   newton, outside_theorem)
+    return _record(U, frame, ctx, recipe, predicted_level, newton, outside_theorem)
 
 
 def partner_record(record, f):
@@ -1019,21 +1033,22 @@ def solve_level(ctx, f, n, maximizer, lt=None, lx=None):
     """The certified record of dilation level n: steps 1-4 of the pipeline.
 
     The side of omega = 1 is the one ctx.omega is on; maximizer is the
-    LevelMaximizer shared by every level of f.  The truncation is sized
-    first, by level_truncation with reach n * maximizer.dim, so a level it
-    refuses (ConfigError; ResonanceError at gamma = 0) is never maximized,
-    and _newton gets the resolved (lt, lx); _record certifies its frame field
-    and keeps it, at that truncation.  Admissibility is the caller's
+    LevelMaximizer shared by every level of f.  The level's frame, of the
+    guess t* L_n y*, is made once and sized first, as level_truncation sizes
+    it with reach n * maximizer.dim, so a level it refuses (ConfigError;
+    ResonanceError at gamma = 0) is never maximized.  _newton runs on it
+    from t* y* placed on it, and _record certifies and keeps its frame field.
+    Admissibility is the caller's
     to check, and g_recipe refuses a side the case does not bifurcate to.  A
     level below the case's minimal index is flagged outside_theorem.  Raises
     ResowaveError (ConvergenceError when the Newton fails).
     """
-    lt, lx = level_truncation(ctx, f, n, n * maximizer.dim, lt, lx)
+    frame = _truncation(ctx, _dilation_frame(f, n), ("n * dim", n * maximizer.dim), lt, lx)
     recipe = reduced.g_recipe(f, 1 if ctx.omega > 1.0 else -1, n=n)
-    y_star, m_val, diag = maximizer(recipe)
-    v0, level = initial_guess(y_star, m_val, recipe, ctx, diag)
-    U, frame, (lt, lx), rep = _newton(v0, ctx, f, lt, lx)
-    return _record(U, frame, lt, lx, ctx, recipe, level, rep, n < frequency.minimal_n(f))
+    y_star, m_val, _ = maximizer(recipe)
+    t_star, level, _ = branch_prediction(m_val, recipe.q, ctx.eps, n)
+    U, rep = _newton(frame.place(t_star * y_star.xi), ctx, frame)
+    return _record(U, frame, ctx, recipe, level, rep, n < frequency.minimal_n(f))
 
 
 def solve_branch(ctx, f, n_max=None, C=frequency.DEFAULT_C, dim=8, seed=0,

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, determinism, file formats."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -1159,7 +1160,7 @@ def test_fuzzed_scan_config_exits_cleanly(doc):
 
 
 def test_readme_scan_twice_writes_the_same_table(tmp_path, capsys):
-    # the second scan reads every Jacobian plan from the warm cache and
+    # the second scan reads every sampling plan from the warm cache and
     # writes the first scan's bytes, which were built from a cold one
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
         readme = fh.read()
@@ -1168,10 +1169,36 @@ def test_readme_scan_twice_writes_the_same_table(tmp_path, capsys):
     tables = []
     for cold in (True, False):
         if cold:
-            fields._matrix_plan.cache_clear()
+            fields._sampling.cache_clear()
         out = tmp_path / f"scan_{cold}.csv"
         assert cli.main(["scan", "--config", write_json(tmp_path / "scan.json",
                                                         {**doc, "output": str(out)})]) == 0
         tables.append(out.read_bytes())
+        if cold:
+            misses = fields._sampling.cache_info().misses
     assert tables[0] == tables[1]
-    assert fields._matrix_plan.cache_info().hits > 0
+    info = fields._sampling.cache_info()
+    assert info.hits > 0 and info.misses == misses
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    # the parser is built once per process, not at every call, and each
+    # call keeps its output and exit code
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    outputs = []
+    for _ in range(2):
+        assert cli.main(["analyze-f", "--coeffs", "3=1"]) == 0
+        outputs.append(capsys.readouterr())
+    assert built.count("resowave") == 1 and outputs[0] == outputs[1]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze-f"])
+    assert exc.value.code == 2 and "--coeffs" in capsys.readouterr().err
+    assert built.count("resowave") == 1

@@ -1,8 +1,10 @@
 """Branch pipeline: sphere maximization, Newton refinement, records."""
 
 import dataclasses
+import gc
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -23,6 +25,25 @@ def dilate(frame, u, lt, lx):
     c = np.zeros((lt + 1, lx))
     c[:: frame.n, frame.d - 1 :: frame.d] = u.coeffs
     return fields.SpectralField(c)
+
+
+def sized(frame, lt, lx):
+    """frame holding the truncation (lt, lx), as _truncation records it, unchecked."""
+    return dataclasses.replace(frame, lt=lt, lx=lx)
+
+
+def whole(f, c):
+    """The identity frame of f sized to the field of coefficients c: its every entry."""
+    return search._Frame(1, 1, f, lt=c.shape[0] - 1, lx=c.shape[1])
+
+
+def newton(v0, ctx, f, lt=None, lx=None):
+    """refine's Newton at the truncation (lt, lx): (frame, U, report), the frame
+    of v0's level and class sized as level_truncation sizes it, whose refusals
+    come before anything is sampled, and the Newton from v0 placed on it."""
+    n = kernel.minimal_time_period_index(v0)
+    frame = search._truncation(ctx, search._dilation_frame(f, n, v0), ("len(v)", len(v0)), lt, lx)
+    return frame, *search._newton(frame.place(v0.xi[n - 1 :: n]), ctx, frame)
 
 
 def test_maximize_dim1_value_is_exact():
@@ -306,7 +327,8 @@ def test_galerkin_jacobian_matches_residual_differences(coeffs, d):
     assert (frame.n, frame.d, frame.odd_rows, frame.odd_cols) == (2, d, odd, odd)
     ctx = ctx_cubic()
     lt = lx = 8
-    keep = frame.lattice(lt, lx)[2]
+    frame = sized(frame, 2 * lt, d * lx)
+    keep = frame.lattice()[2]
     assert keep.size == (4 * 4 if odd else 9 * 8)
     rng = np.random.default_rng(3)
     c = 0.02 * rng.standard_normal((lt + 1, lx))
@@ -321,7 +343,7 @@ def test_galerkin_jacobian_matches_residual_differences(coeffs, d):
         fd[:, col] = (fp - fm).ravel()[keep] / (2.0 * h)
     # measured against the f'(u) part, which the symbol on the diagonal
     # would otherwise swamp
-    nonlin = J - np.diag(frame.symbol(lt, lx, ctx.omega).ravel()[keep])
+    nonlin = J - np.diag(frame.symbol(ctx.omega).ravel()[keep])
     assert np.linalg.norm(fd - J) <= 1e-7 * np.linalg.norm(nonlin)
 
 
@@ -332,10 +354,11 @@ def test_galerkin_jacobian_names_resonant_range_entry():
     f2 = nonlinearity.classify({2: 1.0})
     ctx = frequency.FrequencyContext(omega=1.5, eps=0.625, gamma=0.1, L=16)
     v = kernel.KernelVector([0.05, 0.02, 0.0, 0.0, 0.0, 0.0])
+    u = kernel.embed(v).coeffs
     with pytest.raises(ResonanceError) as err:
-        search._galerkin_jacobian(kernel.embed(v).coeffs, ctx, search._Frame(1, 1, f2))
+        search._galerkin_jacobian(u, ctx, whole(f2, u))
     assert (err.value.l, err.value.j) == (2, 3)
-    frame = search._dilation_frame(f2, 2)
+    frame = sized(search._dilation_frame(f2, 2), 12, 12)
     v2 = kernel.rescale(v, 2)
     with pytest.raises(ResonanceError) as err:
         search._galerkin_jacobian(kernel.embed(v2).coeffs[::2], ctx, frame)
@@ -371,12 +394,12 @@ def test_galerkin_jacobian_names_resonant_checkerboard_entry():
     frame = search._dilation_frame(F3, 1)
     assert frame.odd_rows and frame.odd_cols
     with pytest.raises(ResonanceError) as err:
-        search._galerkin_jacobian(kernel.embed(v).coeffs, ctx, frame)
+        search._galerkin_jacobian(kernel.embed(v).coeffs, ctx, sized(frame, 6, 6))
     assert (err.value.l, err.value.j) == (3, 5)
     v2 = kernel.rescale(v, 2)
     with pytest.raises(ResonanceError) as err:
         search._galerkin_jacobian(kernel.embed(v2).coeffs[::2, 1::2], ctx,
-                                  search._dilation_frame(F3, 2))
+                                  sized(search._dilation_frame(F3, 2), 12, 12))
     assert (err.value.l, err.value.j) == (6, 10)
     # at omega = 3/2 the vanishing divisor of the (3, 3) truncation sits at
     # (2, 3), off the kept entries k and m odd: not an unknown, so nothing
@@ -384,7 +407,7 @@ def test_galerkin_jacobian_names_resonant_checkerboard_entry():
     ctx = frequency.FrequencyContext(omega=1.5, eps=0.625, gamma=0.1, L=16)
     u = kernel.embed(kernel.KernelVector(v.xi[:3]))
     assert (u.lt, u.lx) == (3, 3)
-    J = search._galerkin_jacobian(u.coeffs, ctx, frame)
+    J = search._galerkin_jacobian(u.coeffs, ctx, sized(frame, 3, 3))
     assert J.shape == (kept_size(4, 3, odd_k=True, odd_m=True),) * 2
 
 
@@ -393,7 +416,7 @@ def test_galerkin_jacobian_resonance_window_is_apply_L_inv():
     # Near omega = 5/3 its divisor j^2 - omega^2 l^2 is a few 1e-10, above
     # RESONANCE_TOL: neither apply_L_inv nor the frame refuses it.  Nearer
     # still both refuse it, with the value omega^2 l^2 - j^2
-    frame = search._dilation_frame(F3, 3)
+    frame = sized(search._dilation_frame(F3, 3), 18, 18)
     assert (frame.d, frame.odd_rows, frame.odd_cols) == (3, True, True)
     U = kernel.embed(kernel.KernelVector([0.05, 0.0, 0.02, 0.0, 0.0, 0.0]))
     mode = np.zeros((10, 18))
@@ -441,7 +464,7 @@ def test_refine_stops_at_a_rounding_level_step():
     v0, _ = search.initial_guess(y, m, rec, ctx, diag)
     v, w, _ = search.refine(v0, ctx, F3)
     u = fields.SpectralField((kernel.embed(v) + w).padded(w.lt, w.lx))
-    F = search._galerkin_F(u.coeffs, ctx, search._Frame(1, 1, F3))
+    F = search._galerkin_F(u.coeffs, ctx, whole(F3, u.coeffs))
     step = np.linalg.solve(row_major_jacobian(u, ctx, F3), -F.ravel())
     assert np.max(np.abs(step)) <= 1e-14 * np.max(np.abs(v.xi))
 
@@ -657,8 +680,8 @@ C6_CTX = frequency.make_context(1.0001, L=48)
 
 def row_major_jacobian(u, ctx, f):
     """_galerkin_jacobian on every entry of u, its rows and columns row-major."""
-    full = search._Frame(1, 1, f)
-    where = np.argsort(full.lattice(u.lt, u.lx)[2])
+    full = whole(f, u.coeffs)
+    where = np.argsort(full.lattice()[2])
     return search._galerkin_jacobian(u.coeffs, ctx, full)[np.ix_(where, where)]
 
 
@@ -670,7 +693,7 @@ def full_lattice_refine(v0, ctx, f, lt, lx):
     warns or aborts.
     """
     n = kernel.minimal_time_period_index(v0)
-    full = search._Frame(1, 1, f)
+    full = search._Frame(1, 1, f, lt=lt, lx=lx)
     rows = np.zeros((lt + 1, lx), dtype=bool)
     rows[::n] = True
     keep = np.flatnonzero(rows)
@@ -763,9 +786,9 @@ def test_dilation_frame_scaling_laws(n, lt, lx):
     assert (frame.n, frame.d, frame.f) == (n, n, F35)
     U = fields.SpectralField(0.05 * rng.standard_normal((lt // n + 1, lx // n)))
     u = dilate(frame, U, lt, lx)
-    F_full = search._galerkin_F(u.coeffs, ctx, search._Frame(1, 1, F35))
-    F_law = dilate(frame, fields.SpectralField(search._galerkin_F(U.coeffs, ctx, frame)),
-                   lt, lx).coeffs
+    F_full = search._galerkin_F(u.coeffs, ctx, whole(F35, u.coeffs))
+    F_law = dilate(frame, fields.SpectralField(
+        search._galerkin_F(U.coeffs, ctx, sized(frame, lt, lx))), lt, lx).coeffs
     assert np.max(np.abs(F_full - F_law)) <= 1e-14 * np.max(np.abs(F_full))
     phi_full = reduced.phi(kernel.KernelVector(fields.diagonal_of(u)), ctx, F35,
                            w=fields.zero_diagonal(u))
@@ -778,9 +801,9 @@ def test_dilation_frame_scaling_laws(n, lt, lx):
     assert (frame.n, frame.d, frame.f) == (n, 1, f23)
     U = fields.SpectralField(0.05 * rng.standard_normal((lt // n + 1, lx)))
     u = dilate(frame, U, lt, lx)
-    F_full = search._galerkin_F(u.coeffs, ctx, search._Frame(1, 1, f23))
-    F_law = dilate(frame, fields.SpectralField(search._galerkin_F(U.coeffs, ctx, frame)),
-                   lt, lx).coeffs
+    F_full = search._galerkin_F(u.coeffs, ctx, whole(f23, u.coeffs))
+    F_law = dilate(frame, fields.SpectralField(
+        search._galerkin_F(U.coeffs, ctx, sized(frame, lt, lx))), lt, lx).coeffs
     assert np.max(np.abs(F_full - F_law)) <= 1e-14 * np.max(np.abs(F_full))
 
 
@@ -794,7 +817,7 @@ def test_frame_newton_measures_the_full_field_residual(level_guesses, monkeypatc
     lt = lx = 48
     u0 = fields.SpectralField(kernel.embed(v0).padded(lt, lx))
     full = 0.5 * np.pi**2 * np.linalg.norm(
-        search._galerkin_F(u0.coeffs, C6_CTX, search._Frame(1, 1, f)))
+        search._galerkin_F(u0.coeffs, C6_CTX, whole(f, u0.coeffs)))
     assert abs(err.value.trace[0] - full) <= 1e-14 * full
 
 
@@ -826,10 +849,10 @@ def test_frame_symbol_is_the_full_divisor_at_its_modes(coeffs, levels):
     # the frame is an index map: its symbol is the full field's, bit for
     # bit, at the modes (n k, d m)
     f = nonlinearity.classify(coeffs)
-    full = search._Frame(1, 1, f).symbol(48, 48, C6_CTX.omega)
+    full = search._Frame(1, 1, f, lt=48, lx=48).symbol(C6_CTX.omega)
     for n in levels:
-        frame = search._dilation_frame(f, n)
-        got = frame.symbol(48 // n, 48 // frame.d, C6_CTX.omega)
+        frame = sized(search._dilation_frame(f, n), 48, 48)
+        got = frame.symbol(C6_CTX.omega)
         assert np.array_equal(got, full[::n, frame.d - 1 :: frame.d])
 
 
@@ -880,7 +903,7 @@ def test_frame_lattice_is_a_product_of_rows_and_columns():
     # first, each row parity and the columns ascending, and the unknowns
     # are their pairs r-major
     for odd_rows, odd_cols, size in [(True, True, 64), (False, True, 136), (False, False, 272)]:
-        rows, cols, flat = search._Frame(1, 1, F3, odd_rows, odd_cols).lattice(16, 16)
+        rows, cols, flat = search._Frame(1, 1, F3, odd_rows, odd_cols, 16, 16).lattice()
         assert rows.size * cols.size == flat.size == size
         parity = rows % 2
         assert np.all(np.diff(parity) >= 0)
@@ -1044,9 +1067,9 @@ def record_solve_sizes(monkeypatch):
     return sizes
 
 
-def row_split(lt, lx, frame):
+def row_split(frame):
     """The unknowns of frame in the rows k even, which its lattice lists first."""
-    return int(np.count_nonzero(frame.lattice(lt, lx)[2] // lx % 2 == 0))
+    return int(np.count_nonzero(frame.lattice()[2] // frame.shape[1] % 2 == 0))
 
 
 def coupling(J, split):
@@ -1071,9 +1094,9 @@ def test_criterion6_branch_jacobians_stay_small(monkeypatch):
         u = (kernel.embed(kernel.KernelVector(r.xi)) + fields.SpectralField(r.w_coeffs)).coeffs
         U = fields.SpectralField(u[:: r.n, r.n - 1 :: r.n])
         frame = dataclasses.replace(search._dilation_frame(F3, r.n), odd_rows=False,
-                                    odd_cols=False)
+                                    odd_cols=False, lt=r.lt, lx=r.lx)
         J = search._galerkin_jacobian(U.coeffs, C6_CTX, frame)
-        assert coupling(J, row_split(U.lt, U.lx, frame)) <= 1e-12
+        assert coupling(J, row_split(frame)) <= 1e-12
     # an even f at level 1 keeps the half m odd of its 17 x 16 frame, and
     # eliminates its 72 unknowns with k even before the Schur complement on
     # the 64 with k odd
@@ -1095,14 +1118,14 @@ def test_class_elimination_matches_one_solve(coeffs, omega, lt, lx):
     # k even, then the Schur complement on the rows k odd, gives the one-LU
     # step, and without the coupling blocks it does not
     rng = np.random.default_rng(21)
-    frame = search._dilation_frame(nonlinearity.classify(coeffs), 1)
+    frame = sized(search._dilation_frame(nonlinearity.classify(coeffs), 1), lt, lx)
     assert (frame.odd_rows, frame.odd_cols) == (False, True)
-    keep = frame.lattice(lt, lx)[2]
+    keep = frame.lattice()[2]
     c = np.zeros((lt + 1) * lx)
     c[keep] = 0.2 * rng.standard_normal(keep.size) / (1.0 + keep // lx + keep % lx)
     u = fields.SpectralField(c.reshape(lt + 1, lx))
     J = search._galerkin_jacobian(u.coeffs, frequency.make_context(omega, L=lt), frame)
-    split = row_split(lt, lx, frame)
+    split = row_split(frame)
     assert 0 < split < keep.size and coupling(J, split) >= 1e-6
     b = rng.standard_normal(keep.size)
     want = np.linalg.solve(J, b)
@@ -1123,9 +1146,8 @@ def test_singular_class_solve_is_a_convergence_error(monkeypatch, block):
     # both row parities), or a singular one-LU system (odd f, one parity),
     # is the singular Jacobian it would be in one LU
     def singular(u, ctx, frame):
-        lt, lx = u.shape[0] - 1, u.shape[1]
-        keep = frame.lattice(lt, lx)[2]
-        split = row_split(lt, lx, frame)
+        keep = frame.lattice()[2]
+        split = row_split(frame)
         E = np.eye(split, keep.size - split)
         if block == "class":
             return np.block([[np.zeros((split, split)), E], [E.T, np.eye(keep.size - split)]])
@@ -1180,14 +1202,14 @@ def test_refine_refuses_too_many_unknowns_before_sampling(monkeypatch):
     v0 = kernel.KernelVector([1e-3, 0.0, 0.0, 1e-5])
     ctx = frequency.make_context(frequency.omega_for_eps(4e-4), L=400)
     with pytest.raises(ConfigError, match=r"lt=400, lx=400 has 160400 .* MAX_UNKNOWNS = 4096"):
-        search._newton(v0, ctx, F3, lt=400, lx=400)
+        newton(v0, ctx, F3, lt=400, lx=400)
     f2, ctx2 = nonlinearity.classify({2: 1.0}), frequency.make_context(0.9998, L=100)
     with pytest.raises(ConfigError, match=r"lt=100, lx=100 has 10100 "):
-        search._newton(v0, ctx2, f2, lt=100, lx=100)
+        newton(v0, ctx2, f2, lt=100, lx=100)
     # the cap itself is admitted: the Newton goes on to sample f(u)
     monkeypatch.setattr(search, "MAX_UNKNOWNS", 10100)
     with pytest.raises(AssertionError, match="sampled"):
-        search._newton(v0, ctx2, f2, lt=100, lx=100)
+        newton(v0, ctx2, f2, lt=100, lx=100)
 
 
 def test_solve_branch_lists_a_refused_level_as_failed(monkeypatch):
@@ -1232,7 +1254,7 @@ def test_level_truncation_counts_the_frame_lattice(monkeypatch, coeffs, n, guess
     for lt, lx in [(9, 9), (17, 16), (23, 12), (40, 40), (33, 31)]:
         if lx < len(v):
             continue
-        size = frame.lattice(lt // n, lx // frame.d)[2].size
+        size = sized(frame, lt, lx).lattice()[2].size
         args = (ctx, f, n, len(v), lt, lx, v if guess == "any" else None)
         monkeypatch.setattr(search, "MAX_UNKNOWNS", size)
         assert search.level_truncation(*args) == (lt, lx)
@@ -1277,7 +1299,7 @@ def homogeneity_gaps(coeffs, omega):
         recipe = reduced.g_recipe(f, 1 if omega > 1.0 else -1, n=n)
         y, m, diag = maximizer(recipe)
         v0, _ = search.initial_guess(y, m, recipe, ctx, diag)
-        return search._newton(v0, ctx, f, lt=lt, lx=lx)[0].coeffs
+        return newton(v0, ctx, f, lt=lt, lx=lx)[1].coeffs
 
     gaps = {}
     for n in range(2, 7):
@@ -1299,9 +1321,10 @@ def test_homogeneity_law_of_the_frame_levels(name):
 def test_homogeneity_law_fails_with_the_frame_unit_symbol(monkeypatch, name):
     # the frame-unit symbol m^2 - omega^2 (n k/d)^2 with the level's own f
     # is level 1's system: every level lands on U_1 itself
-    def frame_units(self, lt, lx, omega):
-        l = (self.n // self.d) * np.arange(lt + 1, dtype=float)[:, None]
-        return np.arange(1, lx + 1, dtype=float) ** 2 - omega**2 * l**2
+    def frame_units(self, omega):
+        rows, cols = self.shape
+        l = (self.n // self.d) * np.arange(rows, dtype=float)[:, None]
+        return np.arange(1, cols + 1, dtype=float) ** 2 - omega**2 * l**2
 
     monkeypatch.setattr(search._Frame, "symbol", frame_units)
     gaps = homogeneity_gaps(*HOMOGENEOUS[name])
@@ -1332,14 +1355,14 @@ def test_frame_solve_certified_range_is_the_compressed_index():
     recipe = reduced.g_recipe(F3, +1, n=3)
     y, m, diag = search.maximize_U(recipe, 3, seed=0, restarts=3)
     v0, _ = search.initial_guess(y, m, recipe, ctx, diag)
-    U, frame, (lt, lx), rep = search._newton(v0, ctx, F3, lt=ctx.L)
-    assert rep.converged and lt == ctx.L
-    assert psolve.contraction_domain(frame.kernel(U.coeffs, lx), ctx, F3) <= psolve.DOMAIN_RHO
-    # the Newton sizes its truncation by level_truncation, before the guard runs
+    frame, U, rep = newton(v0, ctx, F3, lt=ctx.L)
+    assert rep.converged and frame.lt == ctx.L
+    assert psolve.contraction_domain(frame.kernel(U.coeffs), ctx, F3) <= psolve.DOMAIN_RHO
+    # the frame is sized as level_truncation sizes it, before the guard runs
     with pytest.raises(ConfigError, match=r"'lmax' must be >= lt = 25, got 24"):
-        search._newton(v0, ctx, F3, lt=ctx.L + 1)
+        newton(v0, ctx, F3, lt=ctx.L + 1)
     with pytest.raises(ConfigError, match=f"'lt' must be >= lx = {len(v0) + 1}, got {len(v0)}"):
-        search._newton(v0, ctx, F3, lt=len(v0), lx=len(v0) + 1)
+        newton(v0, ctx, F3, lt=len(v0), lx=len(v0) + 1)
 
 
 def test_refine_and_solve_P_refuse_lt_above_L_alike():
@@ -1347,7 +1370,7 @@ def test_refine_and_solve_P_refuse_lt_above_L_alike():
     # past ctx.L with level_truncation's words, before any sweep
     ctx = ctx_cubic(eps=1e-4, L=24)
     v0 = kernel.KernelVector([0.01, 0.0, 0.002])
-    for solve in (search._newton, psolve.solve_P):
+    for solve in (newton, psolve.solve_P):
         with pytest.raises(ConfigError, match=r"^config key 'lmax' must be >= lt = 25, got 24$"):
             solve(v0, ctx, F3, lt=ctx.L + 1)
 
@@ -1357,7 +1380,7 @@ def test_a_guess_refusal_names_the_guess_length():
     # a refusal names the reach len(v)
     ctx = ctx_cubic(eps=1e-4, L=24)
     v = kernel.KernelVector([0.01, 0.002])
-    for solve in (search._newton, psolve.solve_P):
+    for solve in (newton, psolve.solve_P):
         with pytest.raises(ConfigError, match=r"^config key 'lt' must be >= len\(v\) = 2, got 1$"):
             solve(v, ctx, F3, lt=1)
 
@@ -1387,12 +1410,13 @@ def frame_pair(f, n, lt, lx, seed):
     rng = np.random.default_rng(seed)
     U = fields.SpectralField(0.05 * rng.standard_normal((lt // n + 1, lx // frame.d)))
     u = dilate(frame, U, lt, lx)
-    return kernel.KernelVector(fields.diagonal_of(u)), fields.zero_diagonal(u), frame
+    return kernel.KernelVector(fields.diagonal_of(u)), fields.zero_diagonal(u), sized(frame, lt, lx)
 
 
 def certify_full(v, w, ctx, f):
     """_certify on the whole field u = v + w: the identity frame."""
-    return search._certify(kernel.embed(v) + w, ctx, search._Frame(1, 1, f))
+    u = kernel.embed(v) + w
+    return search._certify(u, ctx, whole(f, u.coeffs))
 
 
 def test_certify_projects_f_on_the_rows_it_reads(monkeypatch):
@@ -1411,7 +1435,7 @@ def test_certify_projects_f_on_the_rows_it_reads(monkeypatch):
     monkeypatch.setattr(fields, "_dense_coeffs", recording(fields._dense_coeffs, 2))
     monkeypatch.setattr(fields, "_fft_coeffs", recording(fields._fft_coeffs, 1))
     U = fields.SpectralField(0.05 * np.random.default_rng(6).standard_normal((17, 16)))
-    search._certify(U, ctx_cubic(), search._Frame(1, 1, F3))
+    search._certify(U, ctx_cubic(), whole(F3, U.coeffs))
     assert tops == [16, 48]
 
 
@@ -1625,14 +1649,14 @@ def test_refine_writes_the_dilated_frame_field(level_guesses, monkeypatch, name)
     seen, written = [], []
     real, real_dilate = search._Frame.kernel, search._dilate
 
-    def recording(frame, U, lx):
-        out = real(frame, U, lx)
+    def recording(frame, U):
+        out = real(frame, U)
         seen.append((frame, fields.SpectralField(U), out))
         return out
 
-    def writing(U, frame, lt, lx):
+    def writing(U, frame):
         written.append(U)
-        return real_dilate(U, frame, lt, lx)
+        return real_dilate(U, frame)
 
     monkeypatch.setattr(search._Frame, "kernel", recording)
     monkeypatch.setattr(search, "_dilate", writing)
@@ -1738,7 +1762,8 @@ def test_solve_level_and_build_solution_write_the_same_record(name):
 def test_record_arrays_are_drawn_from_its_frame_field(name):
     # a record holds its frame field and nothing full-size: the xi and
     # w_coeffs of a solved, a built, a partner and a read record are, at every
-    # read, bit-equal to one _dilate of the record's own (U, frame, lt, lx)
+    # read, bit-equal to one _dilate of the record's own (U, frame), whose
+    # truncation is the record's (lt, lx)
     coeffs, omega, L, n = BOTH_ENTRIES[name]
     f, ctx = nonlinearity.classify(coeffs), frequency.make_context(omega, L=L)
     maximizer = search.LevelMaximizer(6, seed=0, restarts=8)
@@ -1751,7 +1776,8 @@ def test_record_arrays_are_drawn_from_its_frame_field(name):
     partner = search.partner_record(solved, f)
     read = search.SolutionRecord.from_document(json.loads(json.dumps(solved.as_document())))
     for record in (solved, built, partner, read):
-        xi, w_coeffs = search._dilate(record.U, record.frame, record.lt, record.lx)
+        xi, w_coeffs = search._dilate(record.U, record.frame)
+        assert (record.lt, record.lx) == (record.frame.lt, record.frame.lx)
         for got, want in ((record.xi, xi), (record.w_coeffs, w_coeffs)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert record.xi is not record.xi     # drawn anew, not kept
@@ -1798,7 +1824,7 @@ def test_two_term_branch_at_levels_off_the_powers_of_two(monkeypatch):
 
     def recording(*args, **kw):
         out = real(*args, **kw)
-        iterations.append(out[3].iterations)
+        iterations.append(out[1].iterations)
         return out
 
     monkeypatch.setattr(search, "_newton", recording)
@@ -1844,26 +1870,18 @@ def c6_documents():
     return json.dumps([r.as_document() for r in br.records])
 
 
-def test_warm_matrix_plans_write_the_same_records():
-    # a Jacobian plan read from the warm cache has the bits a cold build
-    # gives: the criterion-6 branch from a cold cache, then warm, is one
-    # document
-    first = c6_documents()
-    fields._matrix_plan.cache_clear()
-    assert c6_documents() == c6_documents() == first
-
-
 def test_frame_tables_are_built_once_per_level(monkeypatch):
     # on the criterion-6 branch (u^3, levels 1-6, two Newton steps each)
     # each level's frame builds its symbol, lattice, resonance masks and
     # kernel entries once, and the plan of each sampling once per class:
     # F and the certificates on u^3's frame class, the Jacobian on that of
-    # f' = 3 u^2.  Those plans come from fields' caches, which make 16
-    # samplings (F, certificates, Jacobian and sup of 4 frame shapes) and
-    # 4 Jacobian tables for 12 Jacobians.  A second branch builds its
-    # frames' tables and plans again and reads every one from the caches.
-    # The builds are counted at the builders, so a read that goes around a
-    # table or a plan shows
+    # f' = 3 u^2, its gather tables with it, one build per level.  The
+    # samplings come from fields' cache, which makes 16 (F, certificates,
+    # Jacobian and sup of 4 frame shapes); no level reads another's
+    # Jacobian tables.  A second branch builds its frames' tables and plans
+    # again and reads every sampling from the cache.  The builds are
+    # counted at the builders, so a read that goes around a table or a plan
+    # shows
     builds = dict.fromkeys(["symbol", "lattice", "plan_polynomials", "plan_poly_matrix"], 0)
     frames = []
 
@@ -1884,26 +1902,26 @@ def test_frame_tables_are_built_once_per_level(monkeypatch):
         monkeypatch.setattr(fields, name, counted(name, getattr(fields, name)))
     monkeypatch.setattr(search, "_galerkin_jacobian", jacobian)
     fields._sampling.cache_clear()
-    fields._matrix_plan.cache_clear()
     c6_documents()
     assert len(frames) == 12 and len({id(frame) for frame in frames}) == 6
     assert builds == {"symbol": 6, "lattice": 6, "plan_polynomials": 12, "plan_poly_matrix": 6}
     for frame in frames:
         assert sorted(key[0] for key in frame.tables) == [
             "F", "certify", "jacobian", "kernel", "lattice", "resonance", "symbol"]
-    samplings, tables = fields._sampling.cache_info(), fields._matrix_plan.cache_info()
+    gathers = {id(plan[1][4]) for frame in frames
+               for key, plan in frame.tables.items() if key[0] == "jacobian"}
+    assert len(gathers) == 6
+    samplings = fields._sampling.cache_info()
     assert (samplings.misses, samplings.hits) == (16, 8)
-    assert (tables.misses, tables.hits) == (4, 2)
     c6_documents()
     assert builds == {"symbol": 12, "lattice": 12, "plan_polynomials": 24, "plan_poly_matrix": 12}
-    samplings, tables = fields._sampling.cache_info(), fields._matrix_plan.cache_info()
+    samplings = fields._sampling.cache_info()
     assert (samplings.misses, samplings.hits) == (16, 32)
-    assert (tables.misses, tables.hits) == (4, 8)
 
 
 def clear_plan_caches():
     """Empty every cache a sampling or a certificate reads its plan or tables from."""
-    for cache in (fields._sampling, fields._matrix_plan, fields._trig_table, fields._axis_fold,
+    for cache in (fields._sampling, fields._trig_table, fields._axis_fold,
                   fields._half_projection_matrix, search._probe_tables):
         cache.cache_clear()
 
@@ -1929,7 +1947,9 @@ def plan_records():
 def test_cached_plans_write_the_bits_of_fresh_ones():
     # every plan and table read from a warm cache gives the bits a fresh
     # build gives, on the criterion-6 branch and the quadratic offsets; the
-    # cache's size is a constant, and a second pass builds no plan
+    # cache's size is a constant, and a second pass builds no plan.  The
+    # Jacobian's gather tables are built with each level's plan, cold and
+    # warm alike
     clear_plan_caches()
     fresh = plan_records()
     info = fields._sampling.cache_info()
@@ -1940,11 +1960,24 @@ def test_cached_plans_write_the_bits_of_fresh_ones():
     assert again.currsize == info.currsize
 
 
-def test_each_level_builds_its_frame_at_most_twice(monkeypatch):
-    # on the criterion-6 branch solve_level sizes the level from the frame
-    # of t* L_n y* and _newton builds the frame of its guess once, for its
-    # truncation, its F and its Jacobians
+def test_warm_matrix_plans_write_the_same_records():
+    # a Jacobian plan read from a warm cache has the bits a cold build
+    # gives: the criterion-6 branch from cold caches, then warm, is one
+    # document
+    first = c6_documents()
+    clear_plan_caches()
+    assert c6_documents() == c6_documents() == first
+
+
+def test_each_level_builds_its_frame_once(monkeypatch):
+    # on the criterion-6 branch solve_level makes the frame of t* L_n y*
+    # once and sizes it; _newton, the certificates and the record read that
+    # frame, and the Newton reads no level off its guess
     frames = []
+
+    def refused(*args):
+        raise AssertionError("read a level off a guess")
+
 
     def counted(*args):
         frames.append(args[1])
@@ -1952,8 +1985,9 @@ def test_each_level_builds_its_frame_at_most_twice(monkeypatch):
 
     real = search._dilation_frame
     monkeypatch.setattr(search, "_dilation_frame", counted)
+    monkeypatch.setattr(kernel, "minimal_time_period_index", refused)
     c6_documents()
-    assert sorted(frames) == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6]
+    assert frames == [1, 2, 3, 4, 5, 6]
 
 
 def fold_branches():
@@ -2062,55 +2096,60 @@ def test_each_sampling_runs_one_path(monkeypatch):
 
 
 def test_shared_frame_tables_are_read_only():
-    # the Newton, the certificates and the Jacobians of every level of a
-    # frame shape share these tables, so none can be written into
+    # the Newton, the certificates and the Jacobians of a level share these
+    # tables, so none can be written into
     f = nonlinearity.classify({2: 1.0, 3: 1.0})
-    frame = search._dilation_frame(f, 1)
-    rows, cols, flat = frame.lattice(16, 16)
-    plan = fields._matrix_plan(16, 16, tuple(rows.tolist()), tuple(cols.tolist()), 32, True)
+    frame = sized(search._dilation_frame(f, 1), 16, 16)
+    rows, cols, flat = frame.lattice()
+    u = np.zeros(frame.shape)
+    u[1::2] = 1e-3
+    search._galerkin_jacobian(u, C6_CTX, frame)
+    [plan] = [plan for key, plan in frame.tables.items() if key[0] == "jacobian"]
     # and the fold of every torus sampling: an axis's domain and weights,
     # and its trig tables
     fold = [*fields._axis_fold(100, -1, 1), *fields._axis_fold(72, None, None),
             fields._trig_table(100, 16, False, (-1, 1)), fields._trig_table(100, 48, True, (1, -1))]
-    tables = [frame.symbol(16, 16, C6_CTX.omega), rows, cols, flat,
-              *frame.resonance(16, 16, C6_CTX.omega), *plan, f.fprime, f.primitive, *fold]
+    tables = [frame.symbol(C6_CTX.omega), rows, cols, flat,
+              *frame.resonance(C6_CTX.omega), *plan[1], f.fprime, f.primitive, *fold]
     assert len(tables) == 21
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
             table[...] = 0
 
 
-def plan_nbytes(lt, R, C, d_x, odd):
-    """The bytes of a _matrix_plan, as multiply_poly_matrix counts them."""
-    return 8 * (2 * lt + 1 + 2 * R * R + (2 + (d_x + 1) * odd) * C * C)
-
-
-def test_only_matrix_plans_under_the_byte_cap_are_kept():
+def test_jacobian_tables_live_with_their_plan(monkeypatch):
     # every entry of lt = lx = 63 is 64 x 63 = 4032 unknowns, the largest
-    # level-1 frame under MAX_UNKNOWNS.  For an even f its plan holds the
-    # odd-term projection (f' has an odd term) and the maps, 4.2 MB as
-    # fields._matrix_plan states, each map (R, R) or (C, C), not an (R, C,
-    # R) expansion: above PLAN_CACHE_BYTES, so it is built per call
+    # level-1 frame under MAX_UNKNOWNS.  For an even f its tables hold the
+    # odd-term projection (f' has an odd term) and the column maps, 4.1 MB
+    # as before, and the two (R, C, R) gather indices, 2.06 MB each: 8.2 MB
+    # as plan_poly_matrix states.  No cache keeps them: two plans of one
+    # shape hold their own, and a level's die with it
     f = nonlinearity.classify({2: 1.0})
-    rows, cols, _ = search._Frame(1, 1, f).lattice(63, 63)
+    rows, cols, _ = search._Frame(1, 1, f, lt=63, lx=63).lattice()
     R, C = rows.size, cols.size
     assert R * C == 4032 <= search.MAX_UNKNOWNS < 65 * 64
-    plan = fields._matrix_plan.__wrapped__(63, 63, tuple(rows.tolist()), tuple(cols.tolist()),
-                                           126, True)
-    half_t, diff, tsum, Kd, toeplitz, hankel = plan
-    assert diff.shape == tsum.shape == (C, C) and toeplitz.shape == hankel.shape == (R, R)
-    assert Kd.shape == (127, C * C)
-    nbytes = sum(table.nbytes for table in plan)
-    assert nbytes == plan_nbytes(63, R, C, 126, True) and 4.1e6 < nbytes < 4.2e6
-    # through multiply_poly_matrix u^2's 17 x 16 plan (77 KB) is kept and
-    # its 41 x 40 one (1.09 MB) is not
-    fields._matrix_plan.cache_clear()
-    rng = np.random.default_rng(7)
-    for lt, kept in [(16, True), (40, False)]:
-        rows, cols, _ = search._Frame(1, 1, f).lattice(lt, lt)
-        assert (plan_nbytes(lt, rows.size, cols.size, 2 * lt, True)
-                <= fields.PLAN_CACHE_BYTES) == kept
-        u = fields.SpectralField(1e-3 * rng.standard_normal((lt + 1, lt)))
-        fields.multiply_poly_matrix(u, f.fprime, rows, cols)
-        info = fields._matrix_plan.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
+    _, tables, odd = fields.plan_poly_matrix((64, 63), fields._TRIVIAL, f.fprime, rows, cols)
+    half_t, diff, tsum, Kd, toeplitz, hankel = tables
+    assert odd and diff.shape == tsum.shape == (C, C) and Kd.shape == (127, C * C)
+    assert toeplitz.shape == hankel.shape == (R, C, R)
+    maps = sum(table.nbytes for table in tables[:4])
+    assert maps == 8 * (127 + (2 + 127) * C * C) and 4.09e6 < maps < 4.2e6
+    gathers = toeplitz.nbytes + hankel.nbytes
+    assert gathers == 2 * 8 * R * C * R and 8.2e6 < maps + gathers < 8.3e6
+    again = fields.plan_poly_matrix((64, 63), fields._TRIVIAL, f.fprime, rows, cols)[1]
+    assert all(a is not b and np.array_equal(a, b) for a, b in zip(tables, again))
+    del tables, again, half_t, diff, tsum, Kd, toeplitz, hankel
+    # the plan of a level's Jacobian goes with its frame once the level is solved
+    held = []
+    real = fields.plan_poly_matrix
+
+    def recording(*args):
+        plan = real(*args)
+        held.append(weakref.ref(plan[1][4]))
+        return plan
+
+    monkeypatch.setattr(fields, "plan_poly_matrix", recording)
+    record = search.solve_level(C6_CTX, F3, 1, search.LevelMaximizer(6, seed=0, restarts=8))
+    assert record.accepted and len(held) == 1
+    gc.collect()
+    assert held[0]() is None
