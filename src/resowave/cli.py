@@ -297,6 +297,13 @@ def cmd_solve(args):
     return 0 if ok else 1
 
 
+def _scan_cell(result):
+    """(status, h1, energy, reason) of a solved scan row, its record or its error."""
+    if isinstance(result, ResowaveError):
+        return "failed", "", "", str(result)
+    return "accepted" if result.accepted else "rejected", _fmt(result.h1), _fmt(result.energy), ""
+
+
 def cmd_scan(args):
     cfg = _validate(_load_config(args.config), SCAN_SCHEMA, "scan")
     f = _parse_coeffs(cfg["coeffs"])
@@ -309,25 +316,23 @@ def cmd_scan(args):
     except ResowaveError as exc:
         raise ConfigError(f"'omega_range': {exc}") from exc
 
-    table = []
     # one maximizer for the whole scan: G does not depend on omega, and
     # outside the quadratic-form cases not on n either; it keeps one
     # maximum per side of omega = 1
     maximizer = search.LevelMaximizer(cfg["dim"], cfg["seed"], cfg["restarts"])
-    for row in rows:
-        ctx = row["ctx"]
-        # every level up to the row's cap is admissible: the bound is monotone in n
-        for n in range(frequency.minimal_n(f), min(row["n_max"], cfg["n_max"]) + 1):
-            status, h1_txt, en_txt, reason = "admissible", "", "", ""
-            if cfg["solve"]:
-                try:
-                    record = search.solve_level(ctx, f, n, maximizer)
-                    status = "accepted" if record.accepted else "rejected"
-                    h1_txt, en_txt = _fmt(record.h1), _fmt(record.energy)
-                except ResowaveError as exc:
-                    status, reason = "failed", str(exc)
-            table.append([_fmt(ctx.omega), _fmt(ctx.eps), _fmt(ctx.gamma), row["n_max"], n,
-                          status, h1_txt, en_txt, reason])
+    # every level up to the row's cap is admissible: the bound is monotone in n
+    pairs = [(row, n) for row in rows
+             for n in range(frequency.minimal_n(f), min(row["n_max"], cfg["n_max"]) + 1)]
+    # each level's frequencies are solved as one stack on one frame
+    cells = [("admissible", "", "", "")] * len(pairs)
+    levels = sorted({n for _, n in pairs}) if cfg["solve"] else []
+    for n in levels:
+        at = [k for k, (_, m) in enumerate(pairs) if m == n]
+        for k, result in zip(at, search.solve_frequencies([pairs[k][0]["ctx"] for k in at],
+                                                          f, n, maximizer)):
+            cells[k] = _scan_cell(result)
+    table = [[_fmt(row["ctx"].omega), _fmt(row["ctx"].eps), _fmt(row["ctx"].gamma), row["n_max"],
+              n, *cell] for (row, n), cell in zip(pairs, cells)]
     _write_text(cfg["output"], _csv_text(
         ["omega", "eps", "gamma", "n_admissible", "n", "status", "h1", "energy", "reason"], table))
     return 0

@@ -49,7 +49,10 @@ nonlinearity.  A caller that samples fields of one shape many times, as
 the Newton of a level does, holds the plans (plan_polynomials,
 plan_poly_matrix) and runs them on raw coefficient arrays
 (planned_polynomials, planned_poly_matrix); a matrix plan holds its
-gather tables too, which no cache keeps.
+gather tables too, which no cache keeps.  The planned executors take a
+stack of fields of one shape and class (leading axes) as one sampling:
+numpy's matmul makes one BLAS call per field, and scipy.fft transforms
+each alike, so each field keeps the bits it has alone.
 """
 
 import functools
@@ -71,7 +74,6 @@ __all__ = [
     "apply_nonlinearity",
     "apply_polynomials",
     "integrate_poly",
-    "multiply_poly_matrix",
     "plan_polynomials",
     "planned_polynomials",
     "plan_poly_matrix",
@@ -315,12 +317,14 @@ def _layout(shape, grid, cls, tops, d_x):
 
 
 def _chain(a, b, c, rows):
-    """(a @ b) @ c in blocks of `rows` rows of a (_plan)."""
+    """(a @ b) @ c in blocks of `rows` rows of a (_plan), for b a matrix or a
+    stack of them (leading axes): numpy's matmul makes one BLAS call per
+    matrix of the stack, so each keeps the bits it has alone."""
     if rows >= a.shape[0]:
         return _matmul(_matmul(a, b), c)
-    out = np.empty((a.shape[0], c.shape[1]))
+    out = np.empty(b.shape[:-2] + (a.shape[0], c.shape[1]))
     for i in range(0, a.shape[0], rows):
-        _matmul(_matmul(a[i : i + rows], b), c, out=out[i : i + rows])
+        _matmul(_matmul(a[i : i + rows], b), c, out=out[..., i : i + rows, :])
     return out
 
 
@@ -397,9 +401,9 @@ def _sampling(shape, cls, degrees, d_x, tops, out, bounds):
 
 
 def _dense_values(c, plan):
-    """Samples of the field of coefficients c at the nodes t_i, x_k of the
-    plan's class domain: cos(l t_i) @ c @ sin(j x_k), in blocks of the
-    plan's rows.  Exact for nt > 2 lt and nx >= 2 lx."""
+    """Samples of the field of coefficients c (or of each of a stack) at the
+    nodes t_i, x_k of the plan's class domain: cos(l t_i) @ c @ sin(j x_k),
+    in blocks of the plan's rows.  Exact for nt > 2 lt and nx >= 2 lx."""
     return _chain(plan.t_table, c, plan.x_table, plan.rows)
 
 
@@ -416,17 +420,19 @@ def _x_values(rows, nx):
 
 
 def _fft_values(c, nt, nx):
-    """Samples of the field of coefficients c at t = 2pi i/nt and x = 2pi
-    k/nx over the whole torus: one inverse real FFT over the cosine rows in
-    t, then _x_values.  Exact for nt > 2 lt and nx >= 2 lx."""
-    spec = np.zeros((nt // 2 + 1, c.shape[1]))
-    spec[0] = c[0] * nt
-    spec[1 : c.shape[0]] = c[1:] * (nt / 2.0)
-    return _x_values(sfft.irfft(spec, n=nt, axis=0), nx)
+    """Samples of the field of coefficients c (or of each of a stack) at t =
+    2pi i/nt and x = 2pi k/nx over the whole torus: one inverse real FFT
+    over the cosine rows in t, then _x_values.  Exact for nt > 2 lt and nx
+    >= 2 lx."""
+    spec = np.zeros(c.shape[:-2] + (nt // 2 + 1, c.shape[-1]))
+    spec[..., 0, :] = c[..., 0, :] * nt
+    spec[..., 1 : c.shape[-2], :] = c[..., 1:, :] * (nt / 2.0)
+    return _x_values(sfft.irfft(spec, n=nt, axis=-2), nx)
 
 
 def _values(plan, c):
-    """Samples of the field of coefficients c on the plan's path: a sampling."""
+    """Samples of the field of coefficients c (or of each of a stack) on the
+    plan's path: a sampling."""
     return _dense_values(c, plan) if plan.dense else _fft_values(c, *plan.grid)
 
 
@@ -531,7 +537,8 @@ def _poly_degree(poly):
 
 def _torus_cos_sin(plan, c, polys):
     """Exact torus coefficients (A, B) of each poly(u) of the field u of
-    coefficients c, from one sample of u by the plan (_sampling).
+    coefficients c, from one sample of u by the plan (_sampling); of each
+    field of a stack c, with the stack's leading axes.
 
     poly(u) = sum_l cos(l t) [ sum_mu A[l,mu] cos(mu x) + B[l,mu] sin(mu x) ],
     l <= d_t and mu <= d_x, sampled on the plan's grid, which resolves
@@ -548,40 +555,42 @@ def _torus_cos_sin(plan, c, polys):
 
 
 def _dense_coeffs(vals, plan, top, projection):
-    """Samples on the dense plan's class domain -> cos/sin coefficients (A,
-    B), rows 0..top, columns 0..d_x: weighted cos(l t_i) @ vals @ [cos |
-    sin](mu x_k) on the harmonics the projection keeps; the rest are exact
-    zeros, and an A or B with none is None."""
+    """Samples on the dense plan's class domain (or a stack of them) ->
+    cos/sin coefficients (A, B), rows 0..top, columns 0..d_x: weighted
+    cos(l t_i) @ vals @ [cos | sin](mu x_k) on the harmonics the projection
+    keeps; the rest are exact zeros, and an A or B with none is None."""
     if projection is None:
         return None, None
     wt, rows, ct, cx, sx, na = projection
     AB = _chain(wt, vals, plan.x_weights, rows)
+    shape = vals.shape[:-2] + (top + 1, plan.d_x + 1)
     A = B = None
     if na:
-        A = np.zeros((top + 1, plan.d_x + 1))
-        A[ct, cx] = AB[:, :na]
-    if AB.shape[1] > na:
-        B = np.zeros((top + 1, plan.d_x + 1))
-        B[ct, sx] = AB[:, na:]
-        B[:, 0] = 0.0
+        A = np.zeros(shape)
+        A[..., ct, cx] = AB[..., :na]
+    if AB.shape[-1] > na:
+        B = np.zeros(shape)
+        B[..., ct, sx] = AB[..., na:]
+        B[..., 0] = 0.0
     return A, B
 
 
 def _fft_coeffs(vals, top, d_x):
-    """Samples over the whole (nt, nx) torus -> cos/sin coefficients (A, B),
-    rows 0..top, columns 0..d_x: real FFTs in t, then in x over the rows kept."""
-    nt, nx = vals.shape
+    """Samples over the whole (nt, nx) torus (or a stack of them) -> cos/sin
+    coefficients (A, B), rows 0..top, columns 0..d_x: real FFTs in t, then in
+    x over the rows kept.  Each field of a stack keeps the bits it has alone."""
+    nt, nx = vals.shape[-2:]
     # time direction: even in t, cosine rows are the real part of the rfft
-    spec_t = sfft.rfft(vals, axis=0)
-    rows = np.empty((top + 1, nx))
-    rows[0] = spec_t[0].real / nt
-    rows[1:] = 2.0 * spec_t[1 : top + 1].real / nt
+    spec_t = sfft.rfft(vals, axis=-2)
+    rows = np.empty(vals.shape[:-2] + (top + 1, nx))
+    rows[..., 0, :] = spec_t[..., 0, :].real / nt
+    rows[..., 1:, :] = 2.0 * spec_t[..., 1 : top + 1, :].real / nt
     # space direction: the rows sample the 2pi torus in x
-    spec_x = sfft.rfft(rows, axis=1) / nx
-    A = 2.0 * spec_x[:, : d_x + 1].real
-    A[:, 0] = spec_x[:, 0].real
-    B = -2.0 * spec_x[:, : d_x + 1].imag
-    B[:, 0] = 0.0
+    spec_x = sfft.rfft(rows, axis=-1) / nx
+    A = 2.0 * spec_x[..., : d_x + 1].real
+    A[..., 0] = spec_x[..., 0].real
+    B = -2.0 * spec_x[..., : d_x + 1].imag
+    B[..., 0] = 0.0
     return A, B
 
 
@@ -622,8 +631,13 @@ def plan_polynomials(shape, cls, polys, out_lt=None, out_lx=None):
 
 def planned_polynomials(plan, c, polys):
     """The sine-basis coefficient arrays of each poly(u), u the field of
-    coefficients c, by the plan of plan_polynomials, from one sampling."""
-    return [_sine_projection(A, B, lt, plan.out_lx, plan.K)
+    coefficients c, by the plan of plan_polynomials, from one sampling.
+
+    c may be a stack of fields of the plan's shape and class (leading axes),
+    sampled as one, and each array then carries the stack's axes; each field
+    keeps the bits it has alone.
+    """
+    return [_sine_projection(A, B, lt, plan.out_lx, plan.K, c.shape[:-2])
             for lt, (A, B) in zip(plan.out_lts, _torus_cos_sin(plan, c, polys))]
 
 
@@ -651,16 +665,17 @@ def apply_nonlinearity(u, poly, out_lt=None, out_lx=None):
     return apply_polynomials(u, [poly], out_lt, out_lx)[0]
 
 
-def _sine_projection(A, B, out_lt, out_lx, K):
+def _sine_projection(A, B, out_lt, out_lx, K, lead=()):
     """Exact sine-basis coefficients up to (out_lt, out_lx) from the torus
     coefficients of its rows l < len(A) <= out_lt + 1; the rows above are
     zero, and so is the part of an A or B that is None.  K is
-    _half_projection_matrix(d_x, out_lx), d_x + 1 the columns of A."""
-    coeffs = np.zeros((max(out_lt, 1) + 1, out_lx))
+    _half_projection_matrix(d_x, out_lx), d_x + 1 the columns of A.  lead
+    holds the axes of a stack that A and B carry in front."""
+    coeffs = np.zeros(lead + (max(out_lt, 1) + 1, out_lx))
     if B is not None:
-        coeffs[: B.shape[0]] = B[:, 1 : out_lx + 1]
+        coeffs[..., : B.shape[-2], :] = B[..., 1 : out_lx + 1]
     if A is not None:
-        coeffs[: A.shape[0]] += A @ K
+        coeffs[..., : A.shape[-2], :] += A @ K
     return coeffs
 
 
@@ -694,7 +709,7 @@ def multiply_poly_project(u, poly, z, out_lt=None, out_lx=None):
 
     poly(u) leaves the sine class, so projecting it and then multiplying would
     lose the tail; sampling poly(u) and z on a common dealiased grid keeps the
-    product projection exact.  The oracle of multiply_poly_matrix, it runs
+    product projection exact.  The oracle of planned_poly_matrix, it runs
     on scipy.fft alone over the whole torus, sharing no fold or dense chain.
     """
     r = _poly_degree(poly)
@@ -713,46 +728,33 @@ def multiply_poly_project(u, poly, z, out_lt=None, out_lx=None):
 def _odd_projection(d_x, lx, j):
     """Kd[mu, (j', j)] = (K[|mu - j|, j'] - K[mu + j, j'])/2 at mu <= d_x, K
     = _half_projection_matrix(d_x + lx, lx) on the columns j: the
-    projection of the sine part of poly(u) in multiply_poly_matrix."""
+    projection of the sine part of poly(u) in planned_poly_matrix."""
     K = _half_projection_matrix(d_x + lx, lx)[:, j - 1]
     mu = np.arange(d_x + 1)[:, None]
     return (0.5 * (K[np.abs(mu - j[None, :])] - K[mu + j[None, :]])).reshape(d_x + 1, j.size**2)
 
 
-def multiply_poly_matrix(u, poly, rows, cols):
-    """Dense matrix of z -> P[poly(u) z] on the entries rows x cols of u's truncation.
-
-    rows and cols are integer arrays of rows l <= u.lt and columns 1 <= j <=
-    u.lx.  The matrix's rows and columns index the entries (rows[r],
-    cols[i]), r-major, in the order given; column by column it is the exact
-    projection multiply_poly_project computes at u's truncation, read on
-    those entries.  Writing poly(u) = sum_r cos(r t) sum_mu [A cos(mu x) + B
-    sin(mu x)] and halving every index above zero (A^_0 = A_0, A^_r =
-    A_r/2), the time direction couples l, l' through A^_{|l-l'|} +
-    A^_{l+l'} (the second term only for l >= 1), and the cosine part in x
-    through A^_{|j-j'|} - A^_{j+j'}.  The sine part turns sin(j' x) into
-    cosine content, projected with _half_projection_matrix; it vanishes
-    unless poly has an odd-degree term, because u is odd in x.  So entry
-    ((l, j), (l', j')) is X[|l - l'|] + X[l + l'] of the slabs X[t, j, j'],
-    built on cols: the block of the rows l = a_r, l' = a_s is X[|a_r - a_s|]
-    + X[a_r + a_s], read by one gather over the pairs of rows.  Every table
-    that does not depend on u comes with the plan (plan_poly_matrix), here
-    built per call; the Newton of a level holds its plans (search._Frame),
-    so a Jacobian samples poly(u) for the slabs and gathers them.  The
-    matrix is returned in Fortran order, the layout LAPACK factors, which
-    saves np.linalg.solve a transpose in its copy.
-    """
-    c = u.coeffs
-    plan = plan_poly_matrix(c.shape, _symmetry_class(c, [poly]), poly, rows, cols)
-    return planned_poly_matrix(plan, c, poly)
-
-
 def plan_poly_matrix(shape, cls, poly, rows, cols):
-    """The plan of multiply_poly_matrix(u, poly, rows, cols) for the fields u
-    of shape (lt+1, lx) whose poly(u) falls in the class cls
-    (_symmetry_class): (sampling, tables, odd), the _sampling of poly(u) on
-    the rows t <= 2 lt of the slabs, its tables, and whether poly has an
-    odd-degree term.  Run it with planned_poly_matrix.
+    """The plan of the dense matrix of z -> P[poly(u) z] on the entries rows x
+    cols of the truncation of the fields u of shape (lt+1, lx) whose poly(u)
+    falls in the class cls (_symmetry_class): (sampling, tables, odd), the
+    _sampling of poly(u) on the rows t <= 2 lt of the slabs, its tables, and
+    whether poly has an odd-degree term.  Run it with planned_poly_matrix.
+
+    rows and cols are integer arrays of rows l <= lt and columns 1 <= j <=
+    lx.  The matrix's rows and columns index the entries (rows[r], cols[i]),
+    r-major, in the order given; column by column it is the exact projection
+    multiply_poly_project computes at u's truncation, read on those entries.
+    Writing poly(u) = sum_r cos(r t) sum_mu [A cos(mu x) + B sin(mu x)] and
+    halving every index above zero (A^_0 = A_0, A^_r = A_r/2), the time
+    direction couples l, l' through A^_{|l-l'|} + A^_{l+l'} (the second
+    term only for l >= 1), and the cosine part in x through A^_{|j-j'|} -
+    A^_{j+j'}.  The sine part turns sin(j' x) into cosine content, projected
+    with _half_projection_matrix; it vanishes unless poly has an odd-degree
+    term, because u is odd in x.  So entry ((l, j), (l', j')) is X[|l - l'|]
+    + X[l + l'] of the slabs X[t, j, j'], built on cols: the block of the
+    rows l = a_r, l' = a_s is X[|a_r - a_s|] + X[a_r + a_s], read by one
+    gather over the pairs of rows.
 
     The tables, built here and read-only, are (half_t, diff, tsum, Kd,
     toeplitz, hankel): the half weights of the rows t <= 2 lt of the slabs;
@@ -763,7 +765,9 @@ def plan_poly_matrix(shape, cls, poly, rows, cols):
     rows a_r = 0.  They hold 8 (2 lt + 1 + (2 + (d_x + 1) odd) C^2 + 2 R^2
     C) bytes: 9.5 KB and 55 KB on the level-1 frames of u^3 and u^2 at lt =
     lx = 16, 8.2 MB on every entry of lt = lx = 63 for an even f (4032
-    unknowns, the largest level-1 frame under search.MAX_UNKNOWNS).
+    unknowns, the largest level-1 frame under search.MAX_UNKNOWNS).  The
+    Newton of a level holds its plans (search._Frame), so a Jacobian samples
+    poly(u) for the slabs and gathers them.
     """
     lt, lx = shape[0] - 1, shape[1]
     poly = np.asarray(poly, dtype=float)
@@ -788,28 +792,35 @@ def plan_poly_matrix(shape, cls, poly, rows, cols):
 
 
 def planned_poly_matrix(plan, c, poly):
-    """multiply_poly_matrix of the field of coefficients c by the plan of
-    plan_poly_matrix: one sampling of poly(u) for the slabs, then the gather."""
+    """The matrix of plan_poly_matrix at the field of coefficients c: one
+    sampling of poly(u) for the slabs, then the gather.
+
+    c may be a stack of fields of the plan's shape and class (leading
+    axes), sampled as one, and the matrices carry the stack's axes; each
+    keeps the bits it has alone.  A matrix is returned in Fortran order, the
+    layout LAPACK factors, which saves np.linalg.solve a transpose in its
+    copy.
+    """
     sampling, (half_t, diff, tsum, Kd, toeplitz, hankel), odd = plan
-    lt, R, C = c.shape[0] - 1, toeplitz.shape[0], diff.shape[0]
+    lead, lt, R, C = c.shape[:-2], c.shape[-2] - 1, toeplitz.shape[0], diff.shape[0]
     ((A, B),) = _torus_cos_sin(sampling, c, [poly])
     # XT[t, j', j] = X[t, j, j'] (the cosine part is symmetric) for t <= 2
     # lt, then the zero slab t = 2 lt + 1; it is -0.0, which added to any x
     # gives x bit for bit, the sign of a zero too
-    XT = np.empty((2 * lt + 2, C, C))
+    XT = np.empty(lead + (2 * lt + 2, C, C))
     if A is None:
-        XT[:-1] = 0.0
+        XT[..., :-1, :, :] = 0.0
     else:
         Ah = A * half_t                   # every |l - l'| and l + l'
-        Ah[:, 1:] *= 0.5
-        np.subtract(Ah[:, diff], Ah[:, tsum], out=XT[:-1])
-    XT[-1] = -0.0
+        Ah[..., 1:] *= 0.5
+        np.subtract(Ah.take(diff, axis=-1), Ah.take(tsum, axis=-1), out=XT[..., :-1, :, :])
+    XT[..., -1, :, :] = -0.0
     if odd and B is not None:
-        XT[:-1] += ((B * half_t) @ Kd).reshape(-1, C, C)
+        XT[..., :-1, :, :] += ((B * half_t) @ Kd).reshape(lead + (-1, C, C))
     # the matrix transposed, row (r, i) the entry (a_r, j_i): out[s, k, r,
     # i] = X[|a_r - a_s|, i, k] + X[a_r + a_s, i, k] (the zero slab in the
     # rows a_r = 0), for each (s, k, r) the row t C + k of XT in C columns
-    slab_rows = XT.reshape(-1, C)
-    out = np.take(slab_rows, toeplitz, axis=0)
-    out += np.take(slab_rows, hankel, axis=0)
-    return out.reshape(R * C, R * C).T
+    slab_rows = XT.reshape(lead + (-1, C))
+    out = np.take(slab_rows, toeplitz, axis=-2)
+    out += np.take(slab_rows, hankel, axis=-2)
+    return out.reshape(lead + (R * C, R * C)).swapaxes(-1, -2)

@@ -67,6 +67,7 @@ __all__ = [
     "involution_partner",
     "build_solution",
     "partner_record",
+    "solve_frequencies",
     "solve_level",
     "solve_branch",
 ]
@@ -78,6 +79,8 @@ _SQRT_EPS = math.sqrt(_EPS)
 # rounding level with a larger residual does not count as converged
 GTOL = 1e-12
 _NEWTON_MAX_ITER = 40
+# the Newton's residual is this times the Galerkin F
+_SCALE = 0.5 * np.pi**2
 # the energy drift across a period that an accepted record may show
 DRIFT_TOL = 1e-9
 # the Galerkin residual an accepted record may show; GTOL holds converged
@@ -102,6 +105,13 @@ MAX_RESTARTS = 64
 # u^2 near 300 MB peak RSS at any restart count: 292 MB with 16 rows at dim
 # 128, 305 MB with 4 at dim 256
 MAX_HESS_ENTRIES = 2**16
+# solve_frequencies: the most Jacobian entries, rows times unknowns^2, of one
+# stacked Newton; a level's rows are solved in chunks under it, so the
+# working set does not grow with a scan's rows: 16 rows of u^3's 64
+# unknowns a chunk at lt = lx = 16, 3 of u^2's 136, one row past 256.  A
+# scan of 2001 frequencies of u^3 at level 1 peaks at 62 MB RSS, as it did
+# solved one frequency at a time (2-core x86 host)
+MAX_STACK_ENTRIES = 2**16
 
 
 @dataclass
@@ -415,7 +425,9 @@ class LevelMaximizer:
                 self._found[key] = exc
         found = self._found[key]
         if isinstance(found, ResowaveError):
-            raise found
+            # the refusal is raised afresh, so its traceback does not grow
+            # with every level and frequency that asks for it
+            raise found.with_traceback(None)
         y, m, diag = found
         return y, m, dataclasses.replace(diag)
 
@@ -473,7 +485,10 @@ class _Frame:
     Newton step leaves every other entry an exact zero.  F(U) has no entry
     outside the class for U in it, so a zero of the kept rows is a zero of
     the whole Galerkin system.  (lt, lx) is the level's truncation, which
-    _truncation sizes and every table and sampling reads here.
+    _truncation sizes and every table and sampling reads here.  A sized
+    frame serves one level at every frequency of a scan (solve_frequencies):
+    what depends on omega, the symbol and the resonance masks, is kept per
+    omega.
     """
     n: int
     d: int
@@ -485,8 +500,9 @@ class _Frame:
 
     # the tables of the frame that no iterate changes, built on first use
     # for each omega, and the plans of its samplings and its Jacobian, made
-    # on first use for each class; a sized frame serves one level, so its
-    # tables go with it, and a copy (dataclasses.replace) starts empty
+    # on first use for each class; a sized frame serves one level at any
+    # omega, so its tables go with it, and a copy (dataclasses.replace)
+    # starts empty
     tables: dict = dataclasses.field(default_factory=dict, init=False, compare=False,
                                      repr=False)
     # the frame field's shape: the rows k <= lt/n and the columns m <= lx/d
@@ -512,6 +528,25 @@ class _Frame:
         cls = fields._symmetry_class(u, polys)
         return self._once((tag, cls), lambda: build(cls))
 
+    def sample(self, tag, u, polys, build, run):
+        """run(plan, rows) on the stack u of frame fields, each row by the
+        plan of tag for its own class (plan): the rows of one class run as
+        one stack, a lone row as a plain field, and the results come back
+        in u's row order."""
+        if len(u) == 1:
+            return run(self.plan(tag, u[0], polys, build), u[0])[None]
+        plans = [self.plan(tag, c, polys, build) for c in u]
+        if len(set(map(id, plans))) == 1:
+            return run(plans[0], u)
+        out = None
+        for plan in {id(plan): plan for plan in plans}.values():
+            rows = [b for b, other in enumerate(plans) if other is plan]
+            part = run(plan, u[rows])
+            if out is None:
+                out = np.empty(u.shape[:1] + part.shape[1:])
+            out[rows] = part
+        return out
+
     def symbol(self, omega):
         """j^2 - omega^2 l^2 at the modes (n k, d m) of the frame field (psolve._symbol)."""
         rows, cols = self.shape
@@ -529,11 +564,13 @@ class _Frame:
         xi[j] = u[k, m]
         return kernel.KernelVector(xi)
 
-    def place(self, y):
-        """The frame field of L_n y: y_k at (k, (n/d) k), k <= len(y), else zero."""
-        u = np.zeros(self.shape)
-        k = np.arange(1, len(y) + 1)
-        u[k, (self.n // self.d) * k - 1] = y
+    def place(self, ys):
+        """The frame fields of L_n y for the vectors y of the stack ys: y_k at
+        (k, (n/d) k), k <= len(y), else zero."""
+        ys = np.asarray(ys)
+        u = np.zeros((len(ys),) + self.shape)
+        k = np.arange(1, ys.shape[1] + 1)
+        u[:, k, (self.n // self.d) * k - 1] = ys
         return u
 
     def lattice(self):
@@ -633,14 +670,16 @@ def _truncation(ctx, frame, reach, lt, lx):
     return dataclasses.replace(frame, lt=lt, lx=lx)
 
 
-def _galerkin_F(u, ctx, frame):
-    """F(u) = symbol * u + P f(u) on the frame field's coefficients u: the
-    level's F at the frame's modes, P f(u) by the frame's plan."""
+def _galerkin_F(u, sym, frame):
+    """F(u) = sym * u + P f(u) on the stack u of frame fields' coefficients:
+    the level's F at the frame's modes, sym the symbol of each row
+    (frame.symbol at its omega; one symbol serves every row), P f(u) by the
+    frame's plans (_Frame.sample)."""
     rows, cols = frame.shape
     polys = [frame.f.poly]
-    plan = frame.plan("F", u, polys,
-                      lambda cls: fields.plan_polynomials(frame.shape, cls, polys, rows - 1, cols))
-    return fields.planned_polynomials(plan, u, polys)[0] + frame.symbol(ctx.omega) * u
+    return frame.sample(
+        "F", u, polys, lambda cls: fields.plan_polynomials(frame.shape, cls, polys, rows - 1, cols),
+        lambda plan, c: fields.planned_polynomials(plan, c, polys)[0]) + sym * u
 
 
 def _range_resonance(frame, omega, rows):
@@ -663,26 +702,35 @@ def _range_resonance(frame, omega, rows):
     return sym, safe
 
 
-def _galerkin_jacobian(u, ctx, frame):
-    """The Jacobian diag(symbol) + M of _galerkin_F at the frame field's
-    coefficients u, on the unknowns, in frame.lattice order.
+def _galerkin_jacobian(u, omegas, frame):
+    """The Jacobians diag(symbol) + M of _galerkin_F at the stack u of frame
+    fields' coefficients, row b at omegas[b], on the unknowns, in
+    frame.lattice order: (J, refused).
 
     M is the matrix of z -> P[f'(u) z] on the kept rows and columns of the
     frame; the entries the frame drops are not unknowns and have no row or
-    column.  A resonant range unknown with a nonzero row of M raises
-    ResonanceError (_range_resonance).  The lattice, the symbol and the
-    resonance masks are the frame's own, built at its first Jacobian, and
-    so is M's plan (fields.plan_poly_matrix: its sampling and its gather
-    tables), so a call samples f'(u) and gathers M.
+    column.  A row with a resonant range unknown whose row of M is nonzero
+    is refused: refused maps its place in the stack to its ResonanceError
+    (_range_resonance), and its J is not used.  The lattice, the symbol and
+    the resonance masks are the frame's own, built at its first Jacobian,
+    and so is M's plan for each class (fields.plan_poly_matrix: its sampling
+    and its gather tables), so a call samples f'(u) of the stack, grouped by
+    class (_Frame.sample), and gathers M.
     """
     rows, cols, _ = frame.lattice()
     fprime = frame.f.fprime
-    plan = frame.plan("jacobian", u, [fprime],
-                      lambda cls: fields.plan_poly_matrix(frame.shape, cls, fprime, rows, cols))
-    J = fields.planned_poly_matrix(plan, u, fprime)
-    sym, _ = _range_resonance(frame, ctx.omega, J)
-    J.flat[:: sym.size + 1] += sym    # the diagonal
-    return J
+    J = frame.sample("jacobian", u, [fprime],
+                     lambda cls: fields.plan_poly_matrix(frame.shape, cls, fprime, rows, cols),
+                     lambda plan, c: fields.planned_poly_matrix(plan, c, fprime))
+    refused = {}
+    for b, omega in enumerate(omegas):
+        try:
+            sym, _ = _range_resonance(frame, omega, J[b])
+        except ResonanceError as exc:
+            refused[b] = exc
+        else:
+            J[b].flat[:: sym.size + 1] += sym    # the diagonal
+    return J, refused
 
 
 def _norm(F):
@@ -692,159 +740,269 @@ def _norm(F):
 
 
 def _newton_solve(J, rhs, split):
-    """x with J x = rhs: block elimination over the unknowns [:split] and
-    [split:] when both are nonempty, else one LU of J.
+    """x with J x = rhs, for a matrix J or a stack of them with one row of rhs
+    each: block elimination over the unknowns [:split] and [split:] when
+    both are nonempty, else one LU of J.
 
     _newton splits at the boundary of the frame rows k even and k odd
     (_Frame.lattice lists the even rows first).  With J = [[A, B],
     [C, D]] in those classes, one LU of A gives A^-1 [B, rhs[:split]], one
     LU of the Schur complement D - C A^-1 B gives x[split:], and x[:split]
     follows.  The coupling blocks B and C are kept, so the step is exact
-    for any J; only the factored sizes shrink.
+    for any J; only the factored sizes shrink.  numpy makes one LAPACK call
+    per matrix of a stack, so each solve keeps the bits it has alone.
     """
-    if not 0 < split < len(rhs):
-        return np.linalg.solve(J, rhs)
-    A, B = J[:split, :split], J[:split, split:]
-    C, D = J[split:, :split], J[split:, split:]
-    Y = np.linalg.solve(A, np.column_stack([B, rhs[:split]]))
-    x2 = np.linalg.solve(D - C @ Y[:, :-1], rhs[split:] - C @ Y[:, -1])
-    return np.concatenate([Y[:, -1] - Y[:, :-1] @ x2, x2])
+    if not 0 < split < rhs.shape[-1]:
+        return np.linalg.solve(J, rhs[..., None])[..., 0]
+    A, B = J[..., :split, :split], J[..., :split, split:]
+    C, D = J[..., split:, :split], J[..., split:, split:]
+    Y = np.linalg.solve(A, np.concatenate([B, rhs[..., :split, None]], axis=-1))
+    x2 = np.linalg.solve(D - C @ Y[..., :-1], rhs[..., split:, None] - C @ Y[..., -1:])
+    return np.concatenate([Y[..., -1] - (Y[..., :-1] @ x2)[..., 0], x2[..., 0]], axis=-1)
 
 
-def _newton(u, ctx, frame):
-    """Damped Newton on the truncated Galerkin system of the sized frame,
-    from the frame field u of the dilated guess (_Frame.place).
+@dataclass
+class _Row:
+    """A row of a stacked _newton: its place in the stack as given, its
+    context and report, its trace of residual norms, its last residual norm
+    and whether its last step was a full one at rounding level."""
+    place: int
+    ctx: object
+    report: NewtonReport
+    trace: list = dataclasses.field(default_factory=list)
+    norm: float = math.inf
+    settled: bool = False
 
-    Returns the frame field U and the NewtonReport.  The unknowns are the
-    entries of the truncation that the level's dilation frame keeps
-    (_Frame), kernel (l = j) and range alike.  The residual is (pi^2/2)
-    F(u), F(u) = (j^2 - omega^2 l^2) u + P f(u); its kernel rows are exactly
-    -grad Phi_eps and its range rows the range equation, so a zero is a
-    critical point v with its w(v).  The Newton starts from the guess v0
-    (w = 0), except where G carries the quadratic form (reduced._uses_qform:
-    n2, and n3 with b < 0).  There the leading term of the reduced
-    functional is built from the range equation's first iterate w_1(v) =
-    L^-1 P_W f(v), and w = 0 is off by O(|v|); so the range unknowns
-    (n k != d m) are set to -P f(v0)/symbol, read off the guess's F, and the Newton
-    starts from v0 + w_1(v0), off by O(eps).  That range step is the first
-    sweep of psolve.solve_P: it leaves the kernel entries as they are, costs
-    one more evaluation of F, is not counted as an iteration, and refuses a
-    resonant range unknown with a nonzero entry of P f(v0) as the Jacobian
-    does (_range_resonance).  Elsewhere w_1(v0) is the size of the guess's
-    own error in the kernel and saves no step.  The Newton runs on the frame
-    field, written once at its modes (n k, d m), the rest exact zeros, where
-    it reads F unscaled: the certified range is l = n k <= lt <= L.  The
-    unknowns are the product of the rows and columns the frame keeps
-    (_Frame.lattice, of the guess's class, _dilation_frame): for odd f the
-    entries k and m odd, fixed by the frame's torus shift and even under
-    X -> pi - X; for even f every entry, or at odd levels those with m odd;
-    every entry for a guess that is not reflection-even.  A Newton step
-    moves no other entry, which stays an exact zero, and the residual is
-    measured on every entry.  Each step assembles the Jacobian on the
-    unknowns once (_galerkin_jacobian) and solves it densely (_newton_solve)
-    split at the count of unknowns in the rows k even: one LU where the
-    unknowns have one row parity (odd f), else block elimination, the rows k
-    even and then the Schur complement on the rows k odd.  So at a 17 x 16
-    level-1 frame no LU reaches the 100 or so unknowns from which numpy's
-    OpenBLAS wakes a second thread that spins through the rest of the pass:
-    64 for odd f, 72 and 64 for even f.  Every table no iterate changes is
-    built once per level, in the frame's tables, and read at every iterate:
-    the lattice, the symbol, the resonance masks, the kernel entries and the
-    plans of F's, the Jacobian's (with its gather tables) and the
-    certificates' samplings, one per class, whose samplings fields shares
-    across the levels of one frame shape; f' is built once on f.  The
-    Jacobian itself is assembled anew at every iterate.  The iterates are
-    raw coefficient arrays, and a trial with a non-finite entry raises
+
+def _halved(u, delta, sym, row, frame):
+    """(u, F, norm) of the step t delta from u, t = 1/2, 1/4, ... down to 1e-6,
+    of the Newton row whose full step does not lower its residual norm by
+    the factor 1 - 1e-4 t or take it to GTOL: the first that does.  Raises
+    ResowaveError on a trial with a non-finite entry, before sampling it, and
+    ConvergenceError, with the row's trace and norm, when the step stalls."""
+    gnorm, t = row.norm, 0.5
+    while t >= 1e-6:
+        u_c = u + t * delta
+        if not np.isfinite(u_c).all():
+            raise ResowaveError("non-finite coefficient in a Newton iterate")
+        F_c = _galerkin_F(u_c[None], sym, frame)[0]
+        gn_c = _SCALE * _norm(F_c)
+        if gn_c < gnorm * (1.0 - 1e-4 * t) or gn_c <= GTOL:
+            return u_c, F_c, gn_c
+        t *= 0.5
+    raise ConvergenceError("Newton refinement stalled without reaching the tolerance",
+                           trace=tuple(row.trace + [gnorm]))
+
+
+def _newton(u, ctxs, frame):
+    """Damped Newton on the truncated Galerkin system of the sized frame at
+    each context of ctxs, from the stack u of frame fields of the dilated
+    guesses (_Frame.place), one row per context.
+
+    Returns one outcome per row: the frame field U and the NewtonReport, or
+    the error that ends the row (ConvergenceError, ResonanceError,
+    ResowaveError).  The rows run in lock-step rounds, as maximize_U runs
+    its restarts: a round samples the Jacobians of every row still running
+    as one stack, grouped by class (_Frame.sample), solves them at once, one
+    LAPACK call per row, and samples F at every full step as one stack; a
+    row whose full step does not descend halves its own (_halved).  Each
+    row has its own symbol, guard, resonance checks, range step, norm, line
+    search and settled test, so it takes the steps and meets the error it
+    would alone, bit for bit, and leaves the stack when it converges or
+    fails.  A sized frame serves its level at every frequency: its symbol
+    and resonance masks are kept per omega.
+
+    The unknowns are the entries of the truncation that the level's dilation
+    frame keeps (_Frame), kernel (l = j) and range alike.  The residual is
+    (pi^2/2) F(u), F(u) = (j^2 - omega^2 l^2) u + P f(u); its kernel rows
+    are exactly -grad Phi_eps and its range rows the range equation, so a
+    zero is a critical point v with its w(v).  The Newton starts from the
+    guess v0 (w = 0), except where G carries the quadratic form
+    (reduced._uses_qform: n2, and n3 with b < 0).  There the leading term of
+    the reduced functional is built from the range equation's first iterate
+    w_1(v) = L^-1 P_W f(v), and w = 0 is off by O(|v|); so the range
+    unknowns (n k != d m) are set to -P f(v0)/symbol, read off the guess's
+    F, and the Newton starts from v0 + w_1(v0), off by O(eps).  That range
+    step is the first sweep of psolve.solve_P: it leaves the kernel entries
+    as they are, costs one more evaluation of F, is not counted as an
+    iteration, and refuses a resonant range unknown with a nonzero entry of
+    P f(v0) as the Jacobian does (_range_resonance).  Elsewhere w_1(v0) is
+    the size of the guess's own error in the kernel and saves no step.  The
+    Newton runs on the frame field, written once at its modes (n k, d m),
+    the rest exact zeros, where it reads F unscaled: the certified range is
+    l = n k <= lt <= L.  The unknowns are the product of the rows and
+    columns the frame keeps (_Frame.lattice, of the guess's class,
+    _dilation_frame): for odd f the entries k and m odd, fixed by the
+    frame's torus shift and even under X -> pi - X; for even f every entry,
+    or at odd levels those with m odd; every entry for a guess that is not
+    reflection-even.  A Newton step moves no other entry, which stays an
+    exact zero, and the residual is measured on every entry.  Each step
+    assembles the Jacobian on the unknowns once (_galerkin_jacobian) and
+    solves it densely (_newton_solve) split at the count of unknowns in the
+    rows k even: one LU where the unknowns have one row parity (odd f), else
+    block elimination, the rows k even and then the Schur complement on the
+    rows k odd.  So at a 17 x 16 level-1 frame no LU reaches the 100 or so
+    unknowns from which numpy's OpenBLAS wakes a second thread that spins
+    through the rest of the pass: 64 for odd f, 72 and 64 for even f, one
+    per row of a stack.  Every table no iterate changes is built once per
+    level, in the frame's tables, and read at every iterate: the lattice,
+    the symbol, the resonance masks, the kernel entries and the plans of
+    F's, the Jacobian's (with its gather tables) and the certificates'
+    samplings, one per class, whose samplings fields shares across the
+    levels of one frame shape; f' is built once on f.  The Jacobian itself
+    is assembled anew at every iterate.  The iterates are raw coefficient
+    arrays, and a trial with a non-finite entry ends its row with
     ResowaveError; each line-search trial costs one planned sampling of f.
-    The iteration stops when the last full step was at rounding level and
-    the residual is at most GTOL; the second test is a safety check, since a
-    settled step with a large residual is not a solution.  When an iterate's
-    kernel part, read off the frame field (_Frame.kernel), leaves the
-    contraction domain (psolve.contraction_domain above psolve.DOMAIN_RHO)
-    the Newton aborts rather than report a solution the existence argument
-    does not cover.  The guard reads coefficients only and runs once per
-    iterate; it reads the guess before F is first evaluated, so a refused
-    guess samples nothing, takes no range step and leaves an empty trace.
-    The Newton derives no level, frame or truncation: its caller sized the
-    frame (_truncation), whose refusals (ConfigError, ResonanceError) come
-    before anything is sampled.
+    A row stops when its last full step was at rounding level and its
+    residual is at most GTOL; the second test is a safety check, since a
+    settled step with a large residual is not a solution.  When an
+    iterate's kernel part, read off the frame field (_Frame.kernel), leaves
+    the contraction domain (psolve.contraction_domain above
+    psolve.DOMAIN_RHO) the row aborts rather than report a solution the
+    existence argument does not cover.  The guard reads coefficients only
+    and runs once per iterate; it reads the guesses before F is first
+    evaluated, so a refused guess samples nothing, takes no range step and
+    leaves an empty trace.  The Newton derives no level, frame or
+    truncation: its caller sized the frame (_truncation), whose refusals
+    (ConfigError, ResonanceError) come before anything is sampled.
     """
     f = frame.f
-    trace = []
-
-    def guard(u):
-        if psolve.contraction_domain(frame.kernel(u), ctx, f) > psolve.DOMAIN_RHO:
-            raise ConvergenceError("iterate left the contraction domain during refinement",
-                                   trace=tuple(trace))
-
-    guard(u)
     rows, cols, keep = frame.lattice()
     # the lattice lists the unknowns of the rows k even first
     split = int(np.count_nonzero(rows % 2 == 0)) * cols.size
-    scale = 0.5 * np.pi**2
-    F = _galerkin_F(u, ctx, frame)
+    outcomes = [None] * len(ctxs)
+    stack = [_Row(place, ctx, NewtonReport(iterations=0, converged=False, grad_norm=np.inf))
+             for place, ctx in enumerate(ctxs)]
+
+    def leave(gone, *arrays):
+        """Give each row of gone, its place in the stack -> its outcome, that
+        outcome, and return the arrays without those rows, or as they are
+        once no row is left, when nothing reads them."""
+        if not gone:
+            return arrays
+        for p, outcome in gone.items():
+            outcomes[stack[p].place] = outcome
+        stay = np.array([p not in gone for p in range(len(stack))])
+        stack[:] = [row for row, kept in zip(stack, stay) if kept]
+        return tuple(array[stay] for array in arrays) if stack else arrays
+
+    def outside(c, row):
+        return psolve.contraction_domain(frame.kernel(c), row.ctx, f) > psolve.DOMAIN_RHO
+
+    def aborted(row):
+        return ConvergenceError("iterate left the contraction domain during refinement",
+                                trace=tuple(row.trace))
+
+    (u,) = leave({p: aborted(row) for p, row in enumerate(stack) if outside(u[p], row)}, u)
+    if not stack:
+        return outcomes
+    sym = np.array([frame.symbol(row.ctx.omega) for row in stack])
+    F = _galerkin_F(u, sym, frame)
     if reduced._uses_qform(f):
         # the range unknowns, zero in u, read P f(v0) off F: start at v0 + w_1(v0)
-        fv = F.flat[keep]
-        sym, safe = _range_resonance(frame, ctx.omega, fv[:, None])
-        u = u.copy()
-        u.flat[keep[safe]] = -fv[safe] / sym[safe]
-        F = _galerkin_F(u, ctx, frame)
-    gnorm = scale * _norm(F)
-    report = NewtonReport(iterations=0, converged=False, grad_norm=np.inf)
-    settled = False
+        u, refused = u.copy(), {}
+        for p, row in enumerate(stack):
+            fv = F[p].flat[keep]
+            try:
+                s, safe = _range_resonance(frame, row.ctx.omega, fv[:, None])
+            except ResonanceError as exc:
+                refused[p] = exc
+            else:
+                u[p].flat[keep[safe]] = -fv[safe] / s[safe]
+        u, sym = leave(refused, u, sym)
+        if not stack:
+            return outcomes
+        F = _galerkin_F(u, sym, frame)
+    for row, x in zip(stack, F):
+        row.norm = _SCALE * _norm(x)
 
     for it in range(_NEWTON_MAX_ITER + 1):
-        report.iterations = it
-        report.grad_norm = gnorm
-        trace.append(gnorm)
-        if gnorm <= GTOL and settled:
-            report.converged = True
+        gone = {}
+        for p, row in enumerate(stack):
+            report = row.report
+            report.iterations, report.grad_norm = it, row.norm
+            row.trace.append(row.norm)
+            if row.norm <= GTOL and row.settled:
+                report.converged = True
+                gone[p] = fields.SpectralField(u[p]), report
+            elif it == _NEWTON_MAX_ITER:
+                gone[p] = ConvergenceError("Newton refinement did not converge",
+                                           trace=tuple(row.trace))
+            elif it and outside(u[p], row):
+                gone[p] = aborted(row)
+        u, F, sym = leave(gone, u, F, sym)
+        if not stack:
             break
-        if it == _NEWTON_MAX_ITER:
-            raise ConvergenceError("Newton refinement did not converge", trace=tuple(trace))
-        if it:
-            guard(u)
 
-        J = _galerkin_jacobian(u, ctx, frame)
-        delta = np.zeros(F.shape)
+        J, refused = _galerkin_jacobian(u, [row.ctx.omega for row in stack], frame)
+        u, F, sym, J = leave(refused, u, F, sym, J)
+        if not stack:
+            break
+        rhs = -F.reshape(len(stack), -1).take(keep, axis=1)
         try:
-            delta.flat[keep] = _newton_solve(J, -F.flat[keep], split)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError("singular Newton Jacobian", trace=tuple(trace)) from exc
-
-        t = 1.0
-        while t >= 1e-6:
-            u_c = u + t * delta
-            if not np.isfinite(u_c).all():
-                raise ResowaveError("non-finite coefficient in a Newton iterate")
-            F_c = _galerkin_F(u_c, ctx, frame)
-            gn_c = scale * _norm(F_c)
-            if gn_c < gnorm * (1.0 - 1e-4 * t) or gn_c <= GTOL:
-                u, F, gnorm = u_c, F_c, gn_c
-                if t < 1.0:
-                    report.damped += 1
+            x = _newton_solve(J, rhs, split)
+        except np.linalg.LinAlgError:
+            # the rows whose Jacobian is singular, each solved alone
+            x, singular = np.zeros_like(rhs), {}
+            for p, row in enumerate(stack):
+                try:
+                    x[p] = _newton_solve(J[p : p + 1], rhs[p : p + 1], split)[0]
+                except np.linalg.LinAlgError:
+                    singular[p] = ConvergenceError("singular Newton Jacobian",
+                                                   trace=tuple(row.trace))
+            u, F, sym, x = leave(singular, u, F, sym, x)
+            if not stack:
                 break
-            t *= 0.5
-        else:
-            raise ConvergenceError(
-                "Newton refinement stalled without reaching the tolerance",
-                trace=tuple(trace + [gnorm]),
-            )
-        step = float(np.abs(t * delta).max())
-        # Newton converges quadratically, so a full step below sqrt(machine
-        # eps) relative leaves an error at rounding level behind it
-        settled = t == 1.0 and step <= _SQRT_EPS * float(np.abs(u).max())
+        delta = np.zeros(F.shape)
+        delta.reshape(len(stack), -1)[:, keep] = x
 
-    return fields.SpectralField(u), report
+        # the full step of every row as one stack; a row that it does not
+        # take down enough halves its own (_halved)
+        u_c = u + delta
+        if not np.isfinite(u_c).all():
+            finite = np.isfinite(u_c).all(axis=(1, 2))
+            u, F, sym, delta, u_c = leave(
+                {p: ResowaveError("non-finite coefficient in a Newton iterate")
+                 for p in np.flatnonzero(~finite)}, u, F, sym, delta, u_c)
+            if not stack:
+                break
+        F_c = _galerkin_F(u_c, sym, frame)
+        steps = np.abs(delta).max(axis=(1, 2)).tolist()
+        sizes = np.abs(u_c).max(axis=(1, 2)).tolist()
+        gone = {}
+        for p, row in enumerate(stack):
+            norm = _SCALE * _norm(F_c[p])
+            if norm < row.norm * (1.0 - 1e-4) or norm <= GTOL:
+                # Newton converges quadratically, so a full step below sqrt(machine
+                # eps) relative leaves an error at rounding level behind it
+                row.norm, row.settled = norm, steps[p] <= _SQRT_EPS * sizes[p]
+                continue
+            try:
+                u_c[p], F_c[p], row.norm = _halved(u[p], delta[p], sym[p], row, frame)
+            except ResowaveError as exc:
+                gone[p] = exc
+            else:
+                row.report.damped += 1
+                row.settled = False
+        u, F, sym = leave(gone, u_c, F_c, sym)
+
+    return outcomes
+
+
+def _raised(outcome):
+    """outcome, raised when it is a row's error (_newton, solve_frequencies)."""
+    if isinstance(outcome, ResowaveError):
+        raise outcome
+    return outcome
 
 
 def refine(v0, ctx, f):
     """(v, w, NewtonReport) of the guess v0: _newton at the default truncation, dilated,
-    on the frame of v0's level (its minimal period) and class, sized at reach len(v0)."""
+    on the frame of v0's level (its minimal period) and class, sized at reach len(v0),
+    a stack of one whose error it raises."""
     n = kernel.minimal_time_period_index(v0)
     frame = _truncation(ctx, _dilation_frame(f, n, v0), ("len(v)", len(v0)), None, None)
-    U, report = _newton(frame.place(v0.xi[n - 1 :: n]), ctx, frame)
+    U, report = _raised(_newton(frame.place(v0.xi[n - 1 :: n][None]), [ctx], frame)[0])
     xi, w = _dilate(U, frame)
     return kernel.KernelVector(xi), fields.SpectralField(w), report
 
@@ -1029,26 +1187,81 @@ def partner_record(record, f):
     )
 
 
-def solve_level(ctx, f, n, maximizer, lt=None, lx=None):
-    """The certified record of dilation level n: steps 1-4 of the pipeline.
+def solve_frequencies(ctxs, f, n, maximizer, lt=None, lx=None):
+    """The certified record of dilation level n at each context of ctxs, or the
+    error that refuses it, yielded in the order of ctxs: steps 1-4 of the
+    pipeline at every frequency, one Newton for them all.
 
-    The side of omega = 1 is the one ctx.omega is on; maximizer is the
+    The side of omega = 1 is the one each context is on; maximizer is the
     LevelMaximizer shared by every level of f.  The level's frame, of the
-    guess t* L_n y*, is made once and sized first, as level_truncation sizes
-    it with reach n * maximizer.dim, so a level it refuses (ConfigError;
-    ResonanceError at gamma = 0) is never maximized.  _newton runs on it
-    from t* y* placed on it, and _record certifies and keeps its frame field.
-    Admissibility is the caller's
-    to check, and g_recipe refuses a side the case does not bifurcate to.  A
-    level below the case's minimal index is flagged outside_theorem.  Raises
-    ResowaveError (ConvergenceError when the Newton fails).
+    guess t* L_n y*, is made once and sized for each row first, as
+    level_truncation sizes it with reach n * maximizer.dim, so a row it
+    refuses (ConfigError; ResonanceError at gamma = 0) is never maximized.
+    A row then gets its side's recipe (g_recipe refuses a side the case
+    does not bifurcate to), maximum and prediction, and a row refused there
+    gets that error.  The rest run as one stacked _newton on the first
+    row's sized frame, from t* y* placed on it, which every row shares while
+    its truncation is the same, as it is where the contexts share lmax as a
+    scan's do.  They run in chunks of at most MAX_STACK_ENTRIES Jacobian
+    entries, and _record certifies each converged row on the shared frame
+    and keeps its frame field.  A chunk's outcomes are yielded before the
+    next chunk is solved, on a copy of the frame whose tables start empty,
+    so the working set does not grow with the rows: the tables the frame
+    keeps per omega go with their chunk.  Each row's record or error is the
+    one it gets alone, bit for bit.  Admissibility is the caller's to check.
+    A level below the case's minimal index is flagged outside_theorem.
     """
-    frame = _truncation(ctx, _dilation_frame(f, n), ("n * dim", n * maximizer.dim), lt, lx)
-    recipe = reduced.g_recipe(f, 1 if ctx.omega > 1.0 else -1, n=n)
-    y_star, m_val, _ = maximizer(recipe)
-    t_star, level, _ = branch_prediction(m_val, recipe.q, ctx.eps, n)
-    U, rep = _newton(frame.place(t_star * y_star.xi), ctx, frame)
-    return _record(U, frame, ctx, recipe, level, rep, n < frequency.minimal_n(f))
+    base = _dilation_frame(f, n)
+    outside = n < frequency.minimal_n(f)
+    # the rows not yet yielded, in order: a refusal, or the (ctx, guess,
+    # recipe, level) of a row for the Newton on frame, at most chunk of them
+    frame, chunk, pending, stacked = None, 1, [], 0
+
+    def solved():
+        """Each pending row's outcome, in order, the stack's from one _newton."""
+        rows = [row for row in pending if not isinstance(row, ResowaveError)]
+        outcomes = iter(_newton(frame.place([row[1] for row in rows]), [row[0] for row in rows],
+                                frame) if rows else ())
+        done = []
+        for row in pending:
+            if not isinstance(row, ResowaveError):
+                ctx, _, recipe, level = row
+                row = next(outcomes)
+                if not isinstance(row, ResowaveError):
+                    U, report = row
+                    row = _record(U, frame, ctx, recipe, level, report, outside)
+            done.append(row)
+        pending.clear()
+        return done
+
+    for ctx in ctxs:
+        try:
+            sized = _truncation(ctx, base, ("n * dim", n * maximizer.dim), lt, lx)
+            recipe = reduced.g_recipe(f, 1 if ctx.omega > 1.0 else -1, n=n)
+            y_star, m_val, _ = maximizer(recipe)
+            t_star, level, _ = branch_prediction(m_val, recipe.q, ctx.eps, n)
+        except ResowaveError as exc:
+            pending.append(exc)
+            continue
+        if frame is None or (sized.lt, sized.lx) != (frame.lt, frame.lx):
+            yield from solved() if stacked else ()
+            frame, stacked = sized, 0
+            chunk = max(1, MAX_STACK_ENTRIES // frame.lattice()[2].size ** 2)
+        elif stacked == chunk:
+            # the next chunk on a copy of the frame, whose tables start empty:
+            # those kept per omega go with the chunk they served
+            yield from solved()
+            frame, stacked = dataclasses.replace(frame), 0
+        pending.append((ctx, t_star * y_star.xi, recipe, level))
+        stacked += 1
+    yield from solved()
+
+
+def solve_level(ctx, f, n, maximizer, lt=None, lx=None):
+    """The certified record of dilation level n: solve_frequencies at the one
+    frequency of ctx, a stack of one.  Raises its error, ResowaveError
+    (ConvergenceError when the Newton fails)."""
+    return _raised(next(solve_frequencies([ctx], f, n, maximizer, lt, lx)))
 
 
 def solve_branch(ctx, f, n_max=None, C=frequency.DEFAULT_C, dim=8, seed=0,

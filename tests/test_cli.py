@@ -593,12 +593,27 @@ def test_scan_maximizes_each_level_once(tmp_path, capsys, monkeypatch):
     shared = scan("shared")
     assert maximized == [1, 2, 3]
     assert shared.count(b"\n") == 10 and shared.count(b",accepted,") == 7
-    level = search.solve_level
-    monkeypatch.setattr(search, "solve_level", lambda ctx, f, n, m: level(
-        ctx, f, n, search.LevelMaximizer(m.dim, m.seed, m.restarts)))
+    # each frequency of a level solved alone, with a new maximizer
+    stack = search.solve_frequencies
+    monkeypatch.setattr(search, "solve_frequencies", lambda ctxs, f, n, m: [
+        next(stack([ctx], f, n, search.LevelMaximizer(m.dim, m.seed, m.restarts))) for ctx in ctxs])
     maximized.clear()
     assert scan("fresh") == shared
     assert len(maximized) == 9
+
+
+def test_scan_sizes_each_level_once(tmp_path, capsys, monkeypatch):
+    # the README window: each of its three levels makes its dilation frame
+    # once, for the 10, 10 and 5 frequencies solved on it as one stack
+    made = []
+    real = search._dilation_frame
+    monkeypatch.setattr(search, "_dilation_frame", lambda f, n, v=None: made.append(n) or real(f, n, v))
+    doc = {"coeffs": "3=1", "omega_range": [1.001, 1.01, 0.001], "n_max": 3, "solve": True,
+           "output": str(tmp_path / "scan.csv")}
+    assert cli.main(["scan", "--config", write_json(tmp_path / "scan.json", doc)]) == 0
+    rows = (tmp_path / "scan.csv").read_text().splitlines()[1:]
+    assert made == [1, 2, 3]
+    assert [sum(row.split(",")[4] == str(n) for row in rows) for n in (1, 2, 3)] == [10, 10, 5]
 
 
 def test_explicit_truncation_in_range_is_solved(tmp_path, capsys):

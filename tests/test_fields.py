@@ -310,6 +310,15 @@ def lattice(lt, lx, odd_rows=False, odd_cols=False):
     return rows, np.arange(1, lx + 1, 2 if odd_cols else 1)
 
 
+def poly_matrix(u, poly, rows, cols):
+    """The matrix of z -> P[poly(u) z] on the entries rows x cols of u's
+    truncation: the plan of u's class (plan_poly_matrix) run on u as a stack
+    of one (planned_poly_matrix)."""
+    c = u.coeffs
+    plan = fields.plan_poly_matrix(c.shape, fields._symmetry_class(c, [poly]), poly, rows, cols)
+    return fields.planned_poly_matrix(plan, c[None], poly)[0]
+
+
 def flat_entries(rows, cols, lx):
     """Flat indices l lx + j - 1 of the entries (rows[r], cols[i]), r-major."""
     return (rows[:, None] * lx + cols - 1).ravel()
@@ -325,7 +334,7 @@ def test_multiply_poly_matrix_columns_match_product(fprime):
     rng = np.random.default_rng(11)
     for lt, lx in MATRIX_SHAPES:
         u = random_field(rng, lt, lx)
-        M = fields.multiply_poly_matrix(u, fprime, *lattice(lt, lx))
+        M = poly_matrix(u, fprime, *lattice(lt, lx))
         assert M.shape == ((lt + 1) * lx, (lt + 1) * lx)
         # every entry, the even rows first
         order = flat_entries(*lattice(lt, lx), lx)
@@ -363,15 +372,15 @@ def test_multiply_poly_matrix_checkerboard_is_the_kept_block(lt, lx):
         keep = flat_entries(rows, cols, lx)
         assert np.array_equal(np.sort(keep), flat[on])
         for fprime in ([0.0, 0.0, 3.0], [0.0, 2.0, 3.0]):
-            full = fields.multiply_poly_matrix(u, fprime, *lattice(lt, lx))
-            M = fields.multiply_poly_matrix(u, fprime, rows, cols)
+            full = poly_matrix(u, fprime, *lattice(lt, lx))
+            M = poly_matrix(u, fprime, rows, cols)
             assert M.flags.f_contiguous
             assert np.array_equal(M, full[np.ix_(where[keep], where[keep])])
         # for u in the class, the rest of the full matrix's kept rows is
         # rounding noise; an odd power leaves the class l and j odd
         fprime = [0.0, 0.0, 3.0] if odd_rows else [0.0, 2.0, 3.0]
         c = np.where(on, u.coeffs, 0.0)
-        full = fields.multiply_poly_matrix(fields.SpectralField(c), fprime, *lattice(lt, lx))
+        full = poly_matrix(fields.SpectralField(c), fprime, *lattice(lt, lx))
         dropped = where[np.setdiff1d(flat, keep)]
         coupled = full[np.ix_(where[keep], dropped)]
         assert np.max(np.abs(coupled), initial=0.0) <= 1e-15 * np.max(np.abs(full))
@@ -379,8 +388,8 @@ def test_multiply_poly_matrix_checkerboard_is_the_kept_block(lt, lx):
     # permuted alike
     rows = rng.permutation(lt + 1)
     order = where[flat_entries(rows, np.arange(1, lx + 1), lx)]
-    full = fields.multiply_poly_matrix(u, [0.0, 2.0, 3.0], *lattice(lt, lx))
-    M = fields.multiply_poly_matrix(u, [0.0, 2.0, 3.0], rows, np.arange(1, lx + 1))
+    full = poly_matrix(u, [0.0, 2.0, 3.0], *lattice(lt, lx))
+    M = poly_matrix(u, [0.0, 2.0, 3.0], rows, np.arange(1, lx + 1))
     assert np.array_equal(M, full[np.ix_(order, order)])
 
 
@@ -487,7 +496,7 @@ def test_dense_and_fft_paths_agree(monkeypatch, lt, lx):
         return [*(p.coeffs for p in fields.apply_polynomials(u, [[0.0, 0.0, 0.0, 1.0],
                                                                  [0.0, 0.5, 1.0]])),
                 fields.apply_nonlinearity(u, [0.0, 0.0, 1.0, 1.0], out_lt=lt, out_lx=lx).coeffs,
-                fields.multiply_poly_matrix(u, [0.0, 0.0, 3.0], rows, cols),
+                poly_matrix(u, [0.0, 0.0, 3.0], rows, cols),
                 np.array([fields.integrate_poly(u, [0.0, 0.0, 0.0, 0.0, 0.25]),
                           fields.sup_norm(u)])]
 
@@ -540,6 +549,80 @@ def test_plan_keeps_each_product_under_the_bound(m, k, p, n, blocks):
     assert max(rows * k * p, rows * p * n) <= fields.DENSE_MAX_MADDS
 
 
+# stacks of three fields of one shape: u^3's frame class (rows and columns
+# odd), sampled by the dense chains; the same fields on the whole torus, the
+# trivial class; and fields of u^4 + u^5, whose mixed parity folds only T ->
+# -T, both on scipy.fft
+STACKS = {"u3 class": ([0.0, 0.0, 0.0, 1.0], "odd", "odd", False, True),
+          "u3 trivial": ([0.0, 0.0, 0.0, 1.0], "odd", "odd", True, False),
+          "u4+u5": ([0.0, 0.0, 0.0, 0.0, 1.0, 1.0], None, "odd", False, False)}
+
+
+def assert_each_alone(stacked, run, c):
+    """Each field of the stack c gets from run, alone, the bits it got in the
+    stack; stacked is run's result on c, an array or a list of them."""
+    for k in range(len(c)):
+        alone = run(c[k])
+        pairs = zip(stacked, alone, strict=True) if isinstance(stacked, list) else [(stacked, alone)]
+        for s, a in pairs:
+            assert s[k].shape == a.shape and s[k].tobytes() == a.tobytes(), k
+
+
+@pytest.mark.parametrize("name", STACKS)
+def test_stacked_executors_sample_each_field_alone(name):
+    # planned_polynomials and planned_poly_matrix sample a stack as one:
+    # one BLAS call per field in the dense chains, and scipy.fft's
+    # transforms, leave each field the bits it has alone
+    poly, rows, cols, trivial, dense = STACKS[name]
+    lt, lx = 16, 16
+    c = np.array([class_field(seed, lt, lx, rows, cols).coeffs for seed in range(3)])
+    fprime = np.polynomial.polynomial.polyder(poly)
+    for polys in ([poly, poly[2:]], [fprime]):
+        assert len({fields._symmetry_class(row, polys) for row in c}) == 1
+    cls = fields._TRIVIAL if trivial else fields._symmetry_class(c[0], [poly, poly[2:]])
+    plan = fields.plan_polynomials((lt + 1, lx), cls, [poly, poly[2:]], [lt, None], lx)
+    assert plan.dense == dense
+    assert_each_alone(fields.planned_polynomials(plan, c, [poly, poly[2:]]),
+                      lambda u: fields.planned_polynomials(plan, u, [poly, poly[2:]]), c)
+    cls = fields._TRIVIAL if trivial else fields._symmetry_class(c[0], [fprime])
+    plan = fields.plan_poly_matrix((lt + 1, lx), cls, fprime,
+                                   *lattice(lt, lx, rows == "odd", cols == "odd"))
+    assert plan[0].dense == dense
+    J = fields.planned_poly_matrix(plan, c, fprime)
+    assert all(m.flags.f_contiguous for m in J)
+    assert_each_alone(J, lambda u: fields.planned_poly_matrix(plan, u, fprime), c)
+
+
+def test_stack_of_two_classes_runs_under_the_weaker_class():
+    # rows 0 and 2 in u^3's frame class, row 1 with an entry off it: the plan
+    # of row 1's class, the weaker one, samples every row, and each gets the
+    # bits it has alone under that plan; on its own class's plan a row
+    # differs by rounding only
+    poly, lt, lx = [0.0, 0.0, 0.0, 1.0], 16, 16
+    c = np.array([class_field(0, lt, lx, "odd", "odd").coeffs,
+                  class_field(1, lt, lx, "odd", "odd", stray=(4, 7)).coeffs,
+                  class_field(2, lt, lx, "odd", "odd").coeffs])
+    own, weak = (fields._symmetry_class(c[k], [poly]) for k in (0, 1))
+    assert own != weak
+    plans = {cls: fields.plan_polynomials((lt + 1, lx), cls, [poly], lt, lx)
+             for cls in (own, weak)}
+    assert plans[own].dense and plans[weak].dense
+    stacked = fields.planned_polynomials(plans[weak], c, [poly])
+    assert_each_alone(stacked, lambda u: fields.planned_polynomials(plans[weak], u, [poly]), c)
+    for k in (0, 2):
+        want = fields.planned_polynomials(plans[own], c[k], [poly])[0]
+        assert np.max(np.abs(stacked[0][k] - want)) <= FOLD_RTOL * np.max(np.abs(want))
+
+
+def test_chain_of_a_stack_in_row_blocks_is_each_product():
+    # a stack of matrices b in blocks of rows of a: each matrix gets the
+    # bits of its own chain in the same blocks
+    rng = np.random.default_rng(4)
+    a, b, c = (rng.standard_normal(shape) for shape in [(49, 17), (3, 17, 16), (16, 98)])
+    for rows in (49, 25, 7):
+        assert_each_alone(fields._chain(a, b, c, rows), lambda m: fields._chain(a, m, c, rows), b)
+
+
 # The fold against the full torus, the trivial class, at a tolerance fixed
 # before the fold was written: every folded quantity is an exact quadrature
 # of the same trig polynomial, so the two differ by rounding alone.
@@ -571,7 +654,7 @@ def fold_quantities(u, poly):
     rows, cols = lattice(u.lt, u.lx)
     return [*(p.coeffs for p in fields.apply_polynomials(u, [poly, poly[2:]])),
             fields.apply_nonlinearity(u, poly, out_lt=u.lt, out_lx=u.lx).coeffs,
-            fields.multiply_poly_matrix(u, poly, rows, cols),
+            poly_matrix(u, poly, rows, cols),
             np.array([fields.integrate_poly(u, poly)]), np.array([fields.sup_norm(u)])]
 
 

@@ -40,10 +40,26 @@ def whole(f, c):
 def newton(v0, ctx, f, lt=None, lx=None):
     """refine's Newton at the truncation (lt, lx): (frame, U, report), the frame
     of v0's level and class sized as level_truncation sizes it, whose refusals
-    come before anything is sampled, and the Newton from v0 placed on it."""
+    come before anything is sampled, and the Newton from v0 placed on it, a
+    stack of one whose error is raised."""
     n = kernel.minimal_time_period_index(v0)
     frame = search._truncation(ctx, search._dilation_frame(f, n, v0), ("len(v)", len(v0)), lt, lx)
-    return frame, *search._newton(frame.place(v0.xi[n - 1 :: n]), ctx, frame)
+    [outcome] = search._newton(frame.place(v0.xi[n - 1 :: n][None]), [ctx], frame)
+    return frame, *search._raised(outcome)
+
+
+def galerkin_F(c, ctx, frame):
+    """_galerkin_F of the one frame field of coefficients c at ctx."""
+    return search._galerkin_F(c[None], frame.symbol(ctx.omega), frame)[0]
+
+
+def jacobian(c, ctx, frame):
+    """_galerkin_jacobian of the one frame field of coefficients c at ctx: its
+    matrix, or its refusal raised."""
+    J, refused = search._galerkin_jacobian(c[None], [ctx.omega], frame)
+    if refused:
+        raise refused[0]
+    return J[0]
 
 
 def test_maximize_dim1_value_is_exact():
@@ -332,14 +348,14 @@ def test_galerkin_jacobian_matches_residual_differences(coeffs, d):
     assert keep.size == (4 * 4 if odd else 9 * 8)
     rng = np.random.default_rng(3)
     c = 0.02 * rng.standard_normal((lt + 1, lx))
-    J = search._galerkin_jacobian(c, ctx, frame)
+    J = jacobian(c, ctx, frame)
     h = 1e-5
     fd = np.zeros_like(J)
     for col, k in enumerate(keep):
         step = np.zeros_like(c)
         step.flat[k] = h
-        fp = search._galerkin_F(c + step, ctx, frame)
-        fm = search._galerkin_F(c - step, ctx, frame)
+        fp = galerkin_F(c + step, ctx, frame)
+        fm = galerkin_F(c - step, ctx, frame)
         fd[:, col] = (fp - fm).ravel()[keep] / (2.0 * h)
     # measured against the f'(u) part, which the symbol on the diagonal
     # would otherwise swamp
@@ -356,12 +372,12 @@ def test_galerkin_jacobian_names_resonant_range_entry():
     v = kernel.KernelVector([0.05, 0.02, 0.0, 0.0, 0.0, 0.0])
     u = kernel.embed(v).coeffs
     with pytest.raises(ResonanceError) as err:
-        search._galerkin_jacobian(u, ctx, whole(f2, u))
+        jacobian(u, ctx, whole(f2, u))
     assert (err.value.l, err.value.j) == (2, 3)
     frame = sized(search._dilation_frame(f2, 2), 12, 12)
     v2 = kernel.rescale(v, 2)
     with pytest.raises(ResonanceError) as err:
-        search._galerkin_jacobian(kernel.embed(v2).coeffs[::2], ctx, frame)
+        jacobian(kernel.embed(v2).coeffs[::2], ctx, frame)
     assert (err.value.l, err.value.j) == (2, 3)
 
 
@@ -394,11 +410,11 @@ def test_galerkin_jacobian_names_resonant_checkerboard_entry():
     frame = search._dilation_frame(F3, 1)
     assert frame.odd_rows and frame.odd_cols
     with pytest.raises(ResonanceError) as err:
-        search._galerkin_jacobian(kernel.embed(v).coeffs, ctx, sized(frame, 6, 6))
+        jacobian(kernel.embed(v).coeffs, ctx, sized(frame, 6, 6))
     assert (err.value.l, err.value.j) == (3, 5)
     v2 = kernel.rescale(v, 2)
     with pytest.raises(ResonanceError) as err:
-        search._galerkin_jacobian(kernel.embed(v2).coeffs[::2, 1::2], ctx,
+        jacobian(kernel.embed(v2).coeffs[::2, 1::2], ctx,
                                   sized(search._dilation_frame(F3, 2), 12, 12))
     assert (err.value.l, err.value.j) == (6, 10)
     # at omega = 3/2 the vanishing divisor of the (3, 3) truncation sits at
@@ -407,7 +423,7 @@ def test_galerkin_jacobian_names_resonant_checkerboard_entry():
     ctx = frequency.FrequencyContext(omega=1.5, eps=0.625, gamma=0.1, L=16)
     u = kernel.embed(kernel.KernelVector(v.xi[:3]))
     assert (u.lt, u.lx) == (3, 3)
-    J = search._galerkin_jacobian(u.coeffs, ctx, sized(frame, 3, 3))
+    J = jacobian(u.coeffs, ctx, sized(frame, 3, 3))
     assert J.shape == (kept_size(4, 3, odd_k=True, odd_m=True),) * 2
 
 
@@ -428,13 +444,13 @@ def test_galerkin_jacobian_resonance_window_is_apply_L_inv():
         assert (abs(value) < psolve.RESONANCE_TOL) == refused and abs(value) < 9e-10
         if refused:
             with pytest.raises(ResonanceError) as err:
-                search._galerkin_jacobian(U.coeffs, ctx, frame)
+                jacobian(U.coeffs, ctx, frame)
             with pytest.raises(ResonanceError) as ref:
                 psolve.apply_L_inv(fields.SpectralField(mode), omega)
             for e in (err.value, ref.value):
                 assert (e.l, e.j, e.value) == (9, 15, value)
         else:
-            search._galerkin_jacobian(U.coeffs, ctx, frame)
+            jacobian(U.coeffs, ctx, frame)
             psolve.apply_L_inv(fields.SpectralField(mode), omega)
 
 
@@ -464,7 +480,7 @@ def test_refine_stops_at_a_rounding_level_step():
     v0, _ = search.initial_guess(y, m, rec, ctx, diag)
     v, w, _ = search.refine(v0, ctx, F3)
     u = fields.SpectralField((kernel.embed(v) + w).padded(w.lt, w.lx))
-    F = search._galerkin_F(u.coeffs, ctx, whole(F3, u.coeffs))
+    F = galerkin_F(u.coeffs, ctx, whole(F3, u.coeffs))
     step = np.linalg.solve(row_major_jacobian(u, ctx, F3), -F.ravel())
     assert np.max(np.abs(step)) <= 1e-14 * np.max(np.abs(v.xi))
 
@@ -682,7 +698,7 @@ def row_major_jacobian(u, ctx, f):
     """_galerkin_jacobian on every entry of u, its rows and columns row-major."""
     full = whole(f, u.coeffs)
     where = np.argsort(full.lattice()[2])
-    return search._galerkin_jacobian(u.coeffs, ctx, full)[np.ix_(where, where)]
+    return jacobian(u.coeffs, ctx, full)[np.ix_(where, where)]
 
 
 def full_lattice_refine(v0, ctx, f, lt, lx):
@@ -699,7 +715,7 @@ def full_lattice_refine(v0, ctx, f, lt, lx):
     keep = np.flatnonzero(rows)
     v = kernel.KernelVector(np.pad(v0.xi, (0, lx - len(v0))))
     u = fields.SpectralField(kernel.embed(v).padded(lt, lx))
-    F = search._galerkin_F(u.coeffs, ctx, full)[rows]
+    F = galerkin_F(u.coeffs, ctx, full)[rows]
     gnorm = 0.5 * np.pi**2 * float(np.linalg.norm(F))
     settled = False
     for _ in range(search._NEWTON_MAX_ITER):
@@ -711,7 +727,7 @@ def full_lattice_refine(v0, ctx, f, lt, lx):
         t = 1.0
         while t >= 1e-6:
             u_c = fields.SpectralField(u.coeffs + t * delta)
-            F_c = search._galerkin_F(u_c.coeffs, ctx, full)[rows]
+            F_c = galerkin_F(u_c.coeffs, ctx, full)[rows]
             gn_c = 0.5 * np.pi**2 * float(np.linalg.norm(F_c))
             if gn_c < gnorm * (1.0 - 1e-4 * t) or gn_c <= search.GTOL:
                 break
@@ -786,9 +802,9 @@ def test_dilation_frame_scaling_laws(n, lt, lx):
     assert (frame.n, frame.d, frame.f) == (n, n, F35)
     U = fields.SpectralField(0.05 * rng.standard_normal((lt // n + 1, lx // n)))
     u = dilate(frame, U, lt, lx)
-    F_full = search._galerkin_F(u.coeffs, ctx, whole(F35, u.coeffs))
+    F_full = galerkin_F(u.coeffs, ctx, whole(F35, u.coeffs))
     F_law = dilate(frame, fields.SpectralField(
-        search._galerkin_F(U.coeffs, ctx, sized(frame, lt, lx))), lt, lx).coeffs
+        galerkin_F(U.coeffs, ctx, sized(frame, lt, lx))), lt, lx).coeffs
     assert np.max(np.abs(F_full - F_law)) <= 1e-14 * np.max(np.abs(F_full))
     phi_full = reduced.phi(kernel.KernelVector(fields.diagonal_of(u)), ctx, F35,
                            w=fields.zero_diagonal(u))
@@ -801,9 +817,9 @@ def test_dilation_frame_scaling_laws(n, lt, lx):
     assert (frame.n, frame.d, frame.f) == (n, 1, f23)
     U = fields.SpectralField(0.05 * rng.standard_normal((lt // n + 1, lx)))
     u = dilate(frame, U, lt, lx)
-    F_full = search._galerkin_F(u.coeffs, ctx, whole(f23, u.coeffs))
+    F_full = galerkin_F(u.coeffs, ctx, whole(f23, u.coeffs))
     F_law = dilate(frame, fields.SpectralField(
-        search._galerkin_F(U.coeffs, ctx, sized(frame, lt, lx))), lt, lx).coeffs
+        galerkin_F(U.coeffs, ctx, sized(frame, lt, lx))), lt, lx).coeffs
     assert np.max(np.abs(F_full - F_law)) <= 1e-14 * np.max(np.abs(F_full))
 
 
@@ -817,7 +833,7 @@ def test_frame_newton_measures_the_full_field_residual(level_guesses, monkeypatc
     lt = lx = 48
     u0 = fields.SpectralField(kernel.embed(v0).padded(lt, lx))
     full = 0.5 * np.pi**2 * np.linalg.norm(
-        search._galerkin_F(u0.coeffs, C6_CTX, whole(f, u0.coeffs)))
+        galerkin_F(u0.coeffs, C6_CTX, whole(f, u0.coeffs)))
     assert abs(err.value.trace[0] - full) <= 1e-14 * full
 
 
@@ -983,12 +999,13 @@ def test_even_f_level_solves_in_the_time_frame(name):
 
 
 def record_jacobian_sizes(monkeypatch):
+    """The size of every Jacobian the Newton assembles, one per matrix of a stack."""
     sizes = []
     real = fields.planned_poly_matrix
 
     def recording(*args, **kw):
         J = real(*args, **kw)
-        sizes.append(J.shape[0])
+        sizes.extend([J.shape[-1]] * (J.size // J.shape[-1] ** 2))
         return J
 
     monkeypatch.setattr(fields, "planned_poly_matrix", recording)
@@ -1055,12 +1072,13 @@ def test_dense_field_products_stay_under_the_blas_thread_bound(monkeypatch):
 
 
 def record_solve_sizes(monkeypatch):
-    """The sizes of the LUs np.linalg.solve makes; refine is its only caller."""
+    """The sizes of the LUs np.linalg.solve makes, one per matrix of a stack;
+    the Newton is its only caller."""
     sizes = []
     real = np.linalg.solve
 
     def recording(a, b):
-        sizes.append(a.shape[0])
+        sizes.extend([a.shape[-1]] * (a.size // a.shape[-1] ** 2))
         return real(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", recording)
@@ -1095,7 +1113,7 @@ def test_criterion6_branch_jacobians_stay_small(monkeypatch):
         U = fields.SpectralField(u[:: r.n, r.n - 1 :: r.n])
         frame = dataclasses.replace(search._dilation_frame(F3, r.n), odd_rows=False,
                                     odd_cols=False, lt=r.lt, lx=r.lx)
-        J = search._galerkin_jacobian(U.coeffs, C6_CTX, frame)
+        J = jacobian(U.coeffs, C6_CTX, frame)
         assert coupling(J, row_split(frame)) <= 1e-12
     # an even f at level 1 keeps the half m odd of its 17 x 16 frame, and
     # eliminates its 72 unknowns with k even before the Schur complement on
@@ -1124,7 +1142,7 @@ def test_class_elimination_matches_one_solve(coeffs, omega, lt, lx):
     c = np.zeros((lt + 1) * lx)
     c[keep] = 0.2 * rng.standard_normal(keep.size) / (1.0 + keep // lx + keep % lx)
     u = fields.SpectralField(c.reshape(lt + 1, lx))
-    J = search._galerkin_jacobian(u.coeffs, frequency.make_context(omega, L=lt), frame)
+    J = jacobian(u.coeffs, frequency.make_context(omega, L=lt), frame)
     split = row_split(frame)
     assert 0 < split < keep.size and coupling(J, split) >= 1e-6
     b = rng.standard_normal(keep.size)
@@ -1145,17 +1163,19 @@ def test_singular_class_solve_is_a_convergence_error(monkeypatch, block):
     # a singular first class block or a singular Schur complement (even f,
     # both row parities), or a singular one-LU system (odd f, one parity),
     # is the singular Jacobian it would be in one LU
-    def singular(u, ctx, frame):
+    def singular(u, omegas, frame):
         keep = frame.lattice()[2]
         split = row_split(frame)
         E = np.eye(split, keep.size - split)
         if block == "class":
-            return np.block([[np.zeros((split, split)), E], [E.T, np.eye(keep.size - split)]])
-        if block == "schur":
+            J = np.block([[np.zeros((split, split)), E], [E.T, np.eye(keep.size - split)]])
+        elif block == "schur":
             # D - C A^-1 B = E^T E - E^T E = 0
-            return np.block([[np.eye(split), E], [E.T, E.T @ E]])
-        assert split == 0
-        return np.zeros((keep.size, keep.size))
+            J = np.block([[np.eye(split), E], [E.T, E.T @ E]])
+        else:
+            assert split == 0
+            J = np.zeros((keep.size, keep.size))
+        return np.stack([J] * len(u)), {}
 
     monkeypatch.setattr(search, "_galerkin_jacobian", singular)
     v0 = kernel.KernelVector([1e-3])
@@ -1631,9 +1651,9 @@ def record_jacobian_fields(monkeypatch):
     fields_seen = []
     real = search._galerkin_jacobian
 
-    def recording(u, ctx, frame):
-        fields_seen.append(fields.SpectralField(u))
-        return real(u, ctx, frame)
+    def recording(u, omegas, frame):
+        fields_seen.extend(fields.SpectralField(c) for c in u)
+        return real(u, omegas, frame)
 
     monkeypatch.setattr(search, "_galerkin_jacobian", recording)
     return fields_seen
@@ -1824,7 +1844,7 @@ def test_two_term_branch_at_levels_off_the_powers_of_two(monkeypatch):
 
     def recording(*args, **kw):
         out = real(*args, **kw)
-        iterations.append(out[1].iterations)
+        iterations.extend(outcome[1].iterations for outcome in out)
         return out
 
     monkeypatch.setattr(search, "_newton", recording)
@@ -2062,7 +2082,7 @@ def record_samplings(monkeypatch):
     executor("_dense_values", lambda c, plan: plan.grid)
     executor("_dense_coeffs", lambda vals, plan, *rest: plan.grid)
     executor("_fft_values", lambda c, nt, nx: (nt, nx))
-    executor("_fft_coeffs", lambda vals, top, d_x: vals.shape)
+    executor("_fft_coeffs", lambda vals, top, d_x: vals.shape[-2:])
     return samplings
 
 
@@ -2103,7 +2123,7 @@ def test_shared_frame_tables_are_read_only():
     rows, cols, flat = frame.lattice()
     u = np.zeros(frame.shape)
     u[1::2] = 1e-3
-    search._galerkin_jacobian(u, C6_CTX, frame)
+    jacobian(u, C6_CTX, frame)
     [plan] = [plan for key, plan in frame.tables.items() if key[0] == "jacobian"]
     # and the fold of every torus sampling: an axis's domain and weights,
     # and its trig tables
@@ -2153,3 +2173,172 @@ def test_jacobian_tables_live_with_their_plan(monkeypatch):
     assert record.accepted and len(held) == 1
     gc.collect()
     assert held[0]() is None
+
+
+# scan windows: (coeffs, omega_range, n_max, dim, restarts, rows per level).
+# The README window (u^3, lmax 32); u^2 below 1, whose Newton takes the
+# quadratic form's range step and the Schur split; and u^2 + u^3/10 across
+# omega = 1, whose maximizer refuses the side above 1
+SCAN_WINDOWS = {
+    "readme": ({3: 1.0}, (1.001, 1.01, 0.001), 3, 4, 4, [10, 10, 5]),
+    "u2-below": ({2: 1.0}, (0.999, 0.9998, 0.0002), 3, 8, 8, [5, 3, 1]),
+    "across": ({2: 1.0, 3: 0.1}, (0.9996, 1.0004, 0.0002), 2, 4, 4, [4, 4]),
+}
+
+
+def scan_levels(coeffs, window, n_max, lmax=32):
+    """f and each level's contexts of a scan window, as cli.cmd_scan lists them."""
+    f = nonlinearity.classify(coeffs)
+    rows = frequency.scan_frequencies(*window, lmax, f)
+    levels = {}
+    for row in rows:
+        for n in range(frequency.minimal_n(f), min(row["n_max"], n_max) + 1):
+            levels.setdefault(n, []).append(row["ctx"])
+    return f, levels
+
+
+def described(outcome):
+    """A record's document, or an error's type, message and trace."""
+    if isinstance(outcome, search.SolutionRecord):
+        return json.dumps(outcome.as_document())
+    return type(outcome).__name__, str(outcome), getattr(outcome, "trace", None)
+
+
+def single_level(ctx, f, n, maximizer):
+    try:
+        return search.solve_level(ctx, f, n, maximizer)
+    except ResowaveError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("name", SCAN_WINDOWS)
+def test_each_row_of_a_stack_is_its_single_level_solve(name):
+    # a level's frequencies solved as one stack: every row's record document
+    # or error is the one solve_level gives that frequency alone
+    coeffs, window, n_max, dim, restarts, sizes = SCAN_WINDOWS[name]
+    f, levels = scan_levels(coeffs, window, n_max)
+    assert [len(ctxs) for ctxs in levels.values()] == sizes
+    kinds = set()
+    for n, ctxs in levels.items():
+        stacked = search.solve_frequencies(ctxs, f, n, search.LevelMaximizer(dim, 0, restarts))
+        maximizer = search.LevelMaximizer(dim, 0, restarts)
+        for ctx, got in zip(ctxs, stacked, strict=True):
+            assert described(got) == described(single_level(ctx, f, n, maximizer)), (n, ctx.omega)
+            kinds.add(type(got).__name__)
+    assert "SolutionRecord" in kinds and len(kinds) > 1, kinds
+
+
+def test_a_row_that_fails_mid_stack_leaves_the_others_as_they_are(monkeypatch):
+    # the README window's level 1, with the contraction bound set between the
+    # guess and the first iterate of its highest frequency: that row aborts
+    # after one Newton step, with the trace of that step, while the other
+    # nine converge; each row is still its single-level solve
+    f, levels = scan_levels({3: 1.0}, (1.001, 1.01, 0.001), 1)
+    ctxs = levels[1]
+    maximizer = search.LevelMaximizer(4, 0, 4)
+    records = list(search.solve_frequencies(ctxs, f, 1, maximizer))
+    assert all(r.accepted for r in records)
+    recipe = reduced.g_recipe(f, 1, n=1)
+    y, m, _ = maximizer(recipe)
+
+    def domain(ctx, xi):
+        return psolve.contraction_domain(kernel.KernelVector(xi), ctx, f)
+
+    guess = domain(ctxs[-1], search.branch_prediction(m, 3, ctxs[-1].eps, 1)[0] * y.xi)
+    solved = [domain(ctx, r.xi) for ctx, r in zip(ctxs, records)]
+    assert max(solved[:-1]) < guess < solved[-1]
+    monkeypatch.setattr(psolve, "DOMAIN_RHO", 0.5 * (guess + solved[-1]))
+    stacked = list(search.solve_frequencies(ctxs, f, 1, maximizer))
+    *kept, failed = stacked
+    assert isinstance(failed, ConvergenceError) and "contraction domain" in str(failed)
+    assert len(failed.trace) == 2
+    assert [described(r) for r in kept] == [described(r) for r in records[:-1]]
+    for ctx, got in zip(ctxs, stacked):
+        assert described(got) == described(single_level(ctx, f, 1, maximizer))
+
+
+def test_stack_is_solved_in_chunks_under_the_entry_cap(monkeypatch):
+    # at most MAX_STACK_ENTRIES Jacobian entries a stack: with room for 3
+    # rows of the 64 unknowns of u^3's level-1 frame, the README window's
+    # 10 rows run as 4 stacked Newtons and write the same records
+    f, levels = scan_levels({3: 1.0}, (1.001, 1.01, 0.001), 1)
+    maximizer = search.LevelMaximizer(4, 0, 4)
+    whole = [described(r) for r in search.solve_frequencies(levels[1], f, 1, maximizer)]
+    stacks = []
+    real = search._newton
+
+    def recording(u, ctxs, frame):
+        stacks.append(len(ctxs))
+        return real(u, ctxs, frame)
+
+    monkeypatch.setattr(search, "_newton", recording)
+    monkeypatch.setattr(search, "MAX_STACK_ENTRIES", 3 * 64**2 + 1)
+    chunked = [described(r) for r in search.solve_frequencies(levels[1], f, 1, maximizer)]
+    assert stacks == [3, 3, 3, 1] and chunked == whole
+
+
+def test_stacked_samplings_group_rows_by_class():
+    # a stack of three frame fields of u^3's level-1 frame, the middle one
+    # with an entry off the frame's class: F and the Jacobians sample each
+    # class's rows by that class's plan, and every row is the stack of one
+    frame = sized(search._dilation_frame(F3, 1), 16, 16)
+    rng = np.random.default_rng(6)
+    u = np.zeros((3, *frame.shape))
+    u[:, 1::2, 0::2] = 1e-2 * rng.standard_normal((3, 8, 8))
+    u[1, 2, 3] = 1e-3
+    polys = [F3.poly]
+    assert len({fields._symmetry_class(c, polys) for c in u}) == 2
+    omegas = [1.001, 1.002, 1.003]
+    sym = np.array([frame.symbol(omega) for omega in omegas])
+    F = search._galerkin_F(u, sym, frame)
+    J, refused = search._galerkin_jacobian(u, omegas, frame)
+    assert not refused
+    for k in range(3):
+        assert F[k].tobytes() == search._galerkin_F(u[k : k + 1], sym[k], frame)[0].tobytes()
+        alone = search._galerkin_jacobian(u[k : k + 1], omegas[k : k + 1], frame)[0][0]
+        assert J[k].tobytes() == alone.tobytes()
+    assert sorted(key[0] for key in frame.tables if key[0] in ("F", "jacobian")) == [
+        "F", "F", "jacobian", "jacobian"]
+
+
+def test_a_cached_refusal_is_raised_afresh():
+    # u^2 + u^3/10 has no branch above omega = 1: the maximizer refuses that
+    # side once and raises the same refusal at every later call, whose
+    # traceback stays as short as the first one's instead of growing with
+    # each frequency of a scan that asks
+    maximizer = search.LevelMaximizer(4, seed=0, restarts=4)
+    recipe = reduced.g_recipe(nonlinearity.classify({2: 1.0, 3: 0.1}), +1, n=1)
+    depths = []
+    for _ in range(50):
+        with pytest.raises(ResowaveError, match="nonpositive") as err:
+            maximizer(recipe)
+        tb, depth = err.value.__traceback__, 0
+        while tb is not None:
+            tb, depth = tb.tb_next, depth + 1
+        depths.append(depth)
+    assert max(depths) == depths[0]
+
+
+def test_rows_of_other_truncations_run_on_their_own_frames(monkeypatch):
+    # contexts of two lmax, interleaved, and one resonant context between
+    # them: each change of truncation solves the rows before it on their
+    # frame and starts a new one; every row is still its single-level solve,
+    # in the order given
+    f = F3
+    ctxs = [frequency.make_context(omega, L=L) for omega, L in
+            [(1.001, 24), (1.002, 24), (1.003, 12), (1.004, 24)]]
+    ctxs.insert(2, frequency.FrequencyContext(omega=1.0025, eps=0.0025, gamma=0.0, L=24))
+    frames = []
+    real = search._newton
+
+    def recording(u, contexts, frame):
+        frames.append(((frame.lt, frame.lx), len(contexts)))
+        return real(u, contexts, frame)
+
+    monkeypatch.setattr(search, "_newton", recording)
+    maximizer = search.LevelMaximizer(4, 0, 4)
+    stacked = list(search.solve_frequencies(ctxs, f, 1, maximizer))
+    assert frames == [((16, 16), 2), ((12, 12), 1), ((16, 16), 1)]
+    assert isinstance(stacked[2], ResonanceError)
+    for ctx, got in zip(ctxs, stacked, strict=True):
+        assert described(got) == described(single_level(ctx, f, 1, maximizer))
